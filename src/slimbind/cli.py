@@ -87,6 +87,11 @@ def _write_usage(args, report):
     return path
 
 
+def _print_warnings(schema, report):
+    for w in (*schema.warnings, *report.warnings):
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def _report_failures(report):
     for name, exc in report.failures:
         print(f"FAILED {name}: {exc}", file=sys.stderr)
@@ -100,8 +105,7 @@ def cmd_analyze(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_SCHEMA
     report = _run_analysis(args, schema)
-    for w in schema.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(schema, report)
     _write_usage(args, report)
     print(f"analyzed {report.document_count} documents, "
           f"{len(report.used_components)} components used")
@@ -119,6 +123,7 @@ def cmd_simplify(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_SCHEMA
     report = _run_analysis(args, schema)
+    _print_warnings(schema, report)
     _write_usage(args, report)
     if report.document_count == 0 or not report.used_components:
         print("no usage recorded: corpus is empty or nothing analyzed",
@@ -154,6 +159,7 @@ def cmd_generate(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_SCHEMA
     report = _run_analysis(args, schema)
+    _print_warnings(schema, report)
     _write_usage(args, report)
     if report.document_count == 0 or not report.used_components:
         print("no usage recorded: corpus is empty or nothing analyzed",

@@ -54,6 +54,16 @@ from .model import (
 from .runtime import EventKind, ParseContext
 
 
+def _decode_source(data: bytes) -> str:
+    if data.startswith(b"\xef\xbb\xbf"):
+        return data[3:].decode("utf-8")
+    if data.startswith(b"\xff\xfe"):
+        return data.decode("utf-16-le")[1:]
+    if data.startswith(b"\xfe\xff"):
+        return data.decode("utf-16-be")[1:]
+    return data.decode("utf-8")
+
+
 @dataclass
 class SchemaSource:
     """One schema document: identity, namespace, and raw text."""
@@ -64,7 +74,6 @@ class SchemaSource:
 
     @classmethod
     def from_file(cls, path) -> "SchemaSource":
-        from .runtime import _decode_source
         path = os.path.abspath(os.fspath(path))
         with open(path, "rb") as fh:
             data = fh.read()

@@ -1,18 +1,26 @@
 """Namespace-aware streaming XML event interface and tolerance policy.
 
-This is the small self-contained pull parser that generated parsers (and
-the corpus analyzer) are written against.  It is deliberately minimal:
-no DTD processing, UTF-8/UTF-16 with BOM detection only, the five
-built-in entities plus numeric character references.
+Generated parsers, the schema loader and the corpus analyzer all read XML
+through :class:`ParseContext`, a pull interface over the stdlib expat
+parser.  Expat enforces XML 1.0 plus Namespaces: it normalizes line ends
+and attribute whitespace, and decodes byte input by its BOM or declared
+encoding.  Text is coalesced into one TEXT event across comments,
+processing instructions and CDATA sections.
+
+The DTD never changes the event stream.  Entity declarations, attribute
+defaults, and documents that need an external subset or parameter
+entities (unless ``standalone="yes"``) are refused, so nothing beyond the
+five built-in entities and character references is ever expanded.
 """
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_right
+import codecs
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+from xml.parsers import expat
 
 from .errors import (
     BadSimpleValueError,
@@ -31,7 +39,7 @@ class EventKind(Enum):
     END_DOCUMENT = "end-document"
 
 
-@dataclass
+@dataclass(slots=True)
 class XmlEvent:
     kind: EventKind
     name: Optional[QName] = None
@@ -88,69 +96,98 @@ class ParseWarning:
         return f"WARN {self.source}:{self.line}:{self.col} {self.code} {self.message}"
 
 
-_NAME_RE = re.compile(r"[A-Za-z_:\u00c0-\U000effff][-.\w:\u00b7\u0300-\u036f\u203f-\u2040\u00c0-\U000effff]*")
-_ATTR_RE = re.compile(r"""\s*([^\s=/><'"]+)\s*=\s*("([^"<]*)"|'([^'<]*)')""")
-_WS_RE = re.compile(r"\s*")
+_CHUNK = 1 << 16  # bytes handed to expat per Parse call
+_XML_SCOPE = {"xml": XML_NAMESPACE}
+_HANDLERS = ("StartNamespaceDeclHandler", "StartElementHandler", "EndElementHandler",
+             "CharacterDataHandler", "StartCdataSectionHandler", "EntityDeclHandler",
+             "AttlistDeclHandler", "SkippedEntityHandler", "NotStandaloneHandler")
+_START = EventKind.START_ELEMENT
+_TEXT = EventKind.TEXT
+_END = EventKind.END_ELEMENT
 
-_BUILTIN_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "apos": "'", "quot": '"'}
+
+class _QNames(dict):
+    """Expat name (``"uri local"`` or ``"local"``) to QName, built once each."""
+
+    def __missing__(self, raw):
+        namespace, _, local = raw.rpartition(" ")
+        qn = self[raw] = QName(namespace, local)
+        return qn
 
 
-def _decode_source(source) -> str:
+# Leading bytes that fix the encoding: (signature, expat name, bytes of BOM).
+_SIGNATURES = (
+    (codecs.BOM_UTF8, "UTF-8", 3),
+    (codecs.BOM_UTF16_LE, "UTF-16LE", 2),
+    (codecs.BOM_UTF16_BE, "UTF-16BE", 2),
+    (b"<\x00", "UTF-16LE", 0),
+    (b"\x00<", "UTF-16BE", 0),
+)
+
+
+def _expat_input(source):
+    """Bytes to feed expat and their encoding, or None to let expat read it.
+
+    A BOM is stripped because expat would count it as a column of line 1.
+    """
     if isinstance(source, str):
-        return source
+        return source.encode("utf-8").removeprefix(codecs.BOM_UTF8), "UTF-8"
     data = bytes(source)
-    if data.startswith(b"\xef\xbb\xbf"):
-        return data[3:].decode("utf-8")
-    if data.startswith(b"\xff\xfe"):
-        return data.decode("utf-16-le")[1:]
-    if data.startswith(b"\xfe\xff"):
-        return data.decode("utf-16-be")[1:]
-    return data.decode("utf-8")
+    for signature, encoding, bom in _SIGNATURES:
+        if data.startswith(signature):
+            return data[bom:], encoding
+    return data, None
 
 
 class ParseContext:
-    """One streaming parse of one document; not shareable across threads."""
+    """One streaming parse of one document; not shareable across threads.
+
+    Expat pushes and callers pull: whenever the queue runs dry, one chunk of
+    the source is fed to expat, whose callbacks append events to
+    ``_events`` (and the namespace scope of each START to ``_scopes``).
+    """
 
     def __init__(self, source, mode="strict", source_name="<input>", ignore_paths=()):
         if mode not in ("strict", "lenient"):
             raise ValueError(f"mode must be strict or lenient, got {mode!r}")
         try:
-            self._text = _decode_source(source)
-        except UnicodeDecodeError as exc:
-            raise MalformedXmlError(f"undecodable input: {exc}", source=source_name)
+            self._data, encoding = _expat_input(source)
+        except UnicodeEncodeError as exc:  # a str holding lone surrogates
+            raise MalformedXmlError(f"unencodable input: {exc}", source=source_name)
         self.mode = mode
         self.source_name = source_name
         self.warnings: list = []
         self.ignore_matcher = compile_ignore_paths(ignore_paths)
         self.open_path: list = []  # QNames of currently open elements
         self._last_event: Optional[XmlEvent] = None
-        self._peeked: Optional[XmlEvent] = None
-        self._tokens = _Tokenizer(self._text, source_name)
-        self._ns_stack = [{"xml": XML_NAMESPACE}]
-        self._elem_stack: list = []  # raw (prefix, local) for matching end tags
-        self._pending_end: Optional[XmlEvent] = None
+        self._ns_stack = [_XML_SCOPE]  # scopes of the open elements the caller has read
+        self._events: deque = deque()
+        self._scopes: deque = deque()
+        self._offset = 0
+        self._failure: Optional[MalformedXmlError] = None
         self._done = False
-        self._seen_root = False
+        self._parser = self._create_parser(encoding)
 
     # ------------------------------------------------------------ event stream
 
     def next_event(self) -> XmlEvent:
-        if self._peeked is not None:
-            ev = self._peeked
-            self._peeked = None
-        else:
-            ev = self._produce()
+        events = self._events
+        if not events:
+            self._fill()
+        ev = events.popleft()
         self._last_event = ev
-        if ev.kind is EventKind.START_ELEMENT:
+        if ev.kind is _START:
             self.open_path.append(ev.name)
-        elif ev.kind is EventKind.END_ELEMENT:
+            self._ns_stack.append(self._scopes.popleft())
+        elif ev.kind is _END:
             self.open_path.pop()
+            self._ns_stack.pop()
         return ev
 
     def peek(self) -> XmlEvent:
-        if self._peeked is None:
-            self._peeked = self._produce()
-        return self._peeked
+        if not self._events:
+            self._fill()
+        return self._events[0]
 
     def skip_subtree(self) -> int:
         """Consume events through the END matching the current START.
@@ -159,20 +196,18 @@ class ParseContext:
         Builds no objects.
         """
         last = self._last_event
-        if last is None or last.kind is not EventKind.START_ELEMENT:
+        if last is None or last.kind is not _START:
             raise MalformedXmlError("skip_subtree requires a current START_ELEMENT",
                                     source=self.source_name)
         count = 1
         depth = 1
         while depth:
-            ev = self.next_event()
-            if ev.kind is EventKind.START_ELEMENT:
+            kind = self.next_event().kind
+            if kind is _START:
                 count += 1
                 depth += 1
-            elif ev.kind is EventKind.END_ELEMENT:
+            elif kind is _END:
                 depth -= 1
-            elif ev.kind is EventKind.END_DOCUMENT:
-                raise self._error("unexpected end of document while skipping")
         return count
 
     # ------------------------------------------------------------ tolerance
@@ -188,7 +223,7 @@ class ParseContext:
         return _RECOVERY[kind]
 
     def active_namespaces(self) -> dict:
-        """Prefix-to-URI bindings in scope at the last START_ELEMENT."""
+        """Prefix-to-URI bindings in scope at the element the caller is in."""
         return dict(self._ns_stack[-1])
 
     def at_ignored_path(self) -> bool:
@@ -196,131 +231,127 @@ class ParseContext:
 
     # ------------------------------------------------------------ internals
 
-    def _error(self, message, pos=None):
-        line, col = self._tokens.position(pos)
-        return MalformedXmlError(message, line=line, col=col, source=self.source_name)
-
-    def _produce(self) -> XmlEvent:
-        if self._done:
-            raise MalformedXmlError("read past END_DOCUMENT", source=self.source_name)
-        if self._pending_end is not None:
-            ev = self._pending_end
-            self._pending_end = None
-            self._close_element()
-            return ev
-
-        tok = self._tokens.next_token(in_document=bool(self._elem_stack))
-        if tok.kind == "text":
-            if not self._elem_stack:
-                if tok.value.strip():
-                    raise self._error("text content outside the document element", tok.pos)
-                return self._produce()
-            line, col = self._tokens.position(tok.pos)
-            return XmlEvent(EventKind.TEXT, text=tok.value, line=line, col=col)
-
-        if tok.kind == "start":
-            if self._seen_root and not self._elem_stack:
-                raise self._error("multiple document elements", tok.pos)
-            self._seen_root = True
-            return self._start_event(tok)
-
-        if tok.kind == "end":
-            return self._end_event(tok)
-
-        if tok.kind == "eof":
-            if self._elem_stack:
-                raise self._error("unexpected end of input: unterminated element "
-                                  f"'{self._elem_stack[-1][2]}'", tok.pos)
-            if not self._seen_root:
-                raise self._error("no document element", tok.pos)
-            self._done = True
-            line, col = self._tokens.position(tok.pos)
-            return XmlEvent(EventKind.END_DOCUMENT, line=line, col=col)
-
-        raise self._error(f"unexpected token {tok.kind}", tok.pos)
-
-    def _start_event(self, tok) -> XmlEvent:
-        raw_name, raw_attrs, self_closing, pos = tok.value
-        scope = dict(self._ns_stack[-1])
-        plain_attrs = []
-        seen_raw = set()
-        for raw_attr, value, apos in raw_attrs:
-            if raw_attr in seen_raw:
-                raise self._error(f"duplicate attribute '{raw_attr}'", apos)
-            seen_raw.add(raw_attr)
-            if raw_attr == "xmlns":
-                scope[""] = value
-            elif raw_attr.startswith("xmlns:"):
-                prefix = raw_attr[6:]
-                if not value:
-                    scope.pop(prefix, None)
-                else:
-                    scope[prefix] = value
+    def _fill(self):
+        """Feed expat chunks until an event is queued; errors wait their turn."""
+        events = self._events
+        while not events:
+            if self._failure is not None:
+                raise self._failure
+            if self._done:
+                raise MalformedXmlError("read past END_DOCUMENT", source=self.source_name)
+            at = self._offset
+            self._offset = at + _CHUNK
+            final = self._offset >= len(self._data)
+            parser = self._parser
+            try:
+                parser.Parse(self._data[at:self._offset], final)
+            except expat.ExpatError as exc:
+                self._failure = MalformedXmlError(
+                    expat.ErrorString(exc.code), line=exc.lineno, col=exc.offset + 1,
+                    source=self.source_name)
+            except MalformedXmlError as exc:
+                self._failure = exc
             else:
-                plain_attrs.append((raw_attr, value, apos))
-        self._ns_stack.append(scope)
+                if not final:
+                    continue
+                self._done = True
+                events.append(XmlEvent(EventKind.END_DOCUMENT,
+                                       line=parser.CurrentLineNumber,
+                                       col=parser.CurrentColumnNumber + 1))
+            # The handlers refer to the parser: unset them so that the cycle
+            # does not hold expat's buffers until the next garbage collection.
+            for name in _HANDLERS:
+                setattr(parser, name, None)
 
-        prefix, local = _split_prefix(raw_name)
-        if prefix:
-            if prefix not in scope:
-                raise self._error(f"undeclared namespace prefix '{prefix}'", pos)
-            ns = scope[prefix]
-        else:
-            ns = scope.get("", "")
-        attributes = []
-        seen_qnames = set()
-        for raw_attr, value, apos in plain_attrs:
-            aprefix, alocal = _split_prefix(raw_attr)
-            if aprefix:
-                if aprefix not in scope:
-                    raise self._error(f"undeclared namespace prefix '{aprefix}'", apos)
-                aqn = QName(scope[aprefix], alocal)
+    def _create_parser(self, encoding):
+        parser = expat.ParserCreate(encoding, " ")
+        parser.ordered_attributes = True
+        parser.specified_attributes = True
+        parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
+        data = self._data
+        close = "/>".encode(encoding or "ascii")
+        events = self._events
+        append = events.append
+        add_scope = self._scopes.append
+        names = _QNames()
+        open_scopes = [_XML_SCOPE]
+        declared = []
+        text = []
+        text_line = text_col = 0
+        source_name = self.source_name
+
+        def flush_text():
+            append(XmlEvent(_TEXT, None, (), "".join(text), text_line, text_col))
+            text.clear()
+
+        def start_namespace(prefix, uri):
+            declared.append((prefix or "", uri or ""))  # None stands for xmlns / xmlns=""
+
+        def start(raw, attrs):
+            if text:
+                flush_text()
+            scope = open_scopes[-1]
+            if declared:
+                scope = dict(scope)
+                scope.update(declared)
+                declared.clear()
+            open_scopes.append(scope)
+            add_scope(scope)
+            if attrs:
+                pairs = iter(attrs)
+                attrs = tuple([(names[n], v) for n, v in zip(pairs, pairs)])
             else:
-                aqn = QName("", alocal)
-            if aqn in seen_qnames:
-                raise self._error(f"duplicate attribute '{raw_attr}' after namespace "
-                                  "resolution", apos)
-            seen_qnames.add(aqn)
-            attributes.append((aqn, value))
+                attrs = ()
+            append(XmlEvent(_START, names[raw], attrs, "", parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber + 1))
 
-        line, col = self._tokens.position(pos)
-        ev = XmlEvent(EventKind.START_ELEMENT, name=QName(ns, local),
-                      attributes=tuple(attributes), line=line, col=col)
-        self._elem_stack.append((prefix, local, raw_name))
-        if self_closing:
-            self._pending_end = XmlEvent(EventKind.END_ELEMENT, name=ev.name,
-                                         line=line, col=col)
-        return ev
+        def end(raw):
+            if text:
+                flush_text()
+            open_scopes.pop()
+            if events and events[-1].kind is _START:
+                # Content-free: an empty-element tag's END shares its START position.
+                at = parser.CurrentByteIndex
+                if data[at - len(close):at] == close:
+                    opened = events[-1]
+                    append(XmlEvent(_END, opened.name, (), "", opened.line, opened.col))
+                    return
+            append(XmlEvent(_END, names[raw], (), "", parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber + 1))
 
-    def _end_event(self, tok) -> XmlEvent:
-        raw_name, pos = tok.value
-        if not self._elem_stack:
-            raise self._error(f"end tag '{raw_name}' with no open element", pos)
-        _, _, open_raw = self._elem_stack[-1]
-        if raw_name != open_raw:
-            raise self._error(f"end tag '{raw_name}' does not match open element "
-                              f"'{open_raw}'", pos)
-        prefix, local = _split_prefix(raw_name)
-        scope = self._ns_stack[-1]
-        ns = scope.get(prefix, "") if prefix else scope.get("", "")
-        line, col = self._tokens.position(pos)
-        ev = XmlEvent(EventKind.END_ELEMENT, name=QName(ns, local), line=line, col=col)
-        self._close_element()
-        return ev
+        def characters(chunk):
+            nonlocal text_line, text_col
+            if not text:
+                text_line = parser.CurrentLineNumber
+                text_col = parser.CurrentColumnNumber + 1
+            text.append(chunk)
 
-    def _close_element(self):
-        self._elem_stack.pop()
-        self._ns_stack.pop()
+        def start_cdata():
+            if not text:
+                characters("")  # a run that opens with CDATA starts at '<![CDATA['
 
+        def refuse(message):
+            raise MalformedXmlError(message, line=parser.CurrentLineNumber,
+                                    col=parser.CurrentColumnNumber + 1, source=source_name)
 
-def _split_prefix(raw: str):
-    if ":" in raw:
-        prefix, _, local = raw.partition(":")
-        if not prefix or not local or ":" in local:
-            raise MalformedXmlError(f"malformed qualified name '{raw}'")
-        return prefix, local
-    return "", raw
+        def entity_decl(name, is_parameter, *_):
+            refuse(f"entity declaration '{'%' if is_parameter else ''}{name}' refused: "
+                   "entities are never expanded")
 
+        def attlist_decl(element, attribute, _type, default, _required):
+            if default is not None:
+                refuse(f"default for attribute '{attribute}' of '{element}' refused: "
+                       "the DTD may not add attributes")
+
+        def skipped_entity(name, is_parameter):
+            refuse(f"reference to undeclared entity '{name}'")
+
+        handlers = (start_namespace, start, end, characters, start_cdata, entity_decl,
+                    attlist_decl, skipped_entity,
+                    lambda: 0)  # NotStandalone: refuse an external subset or PE refs
+        for name, handler in zip(_HANDLERS, handlers):
+            setattr(parser, name, handler)
+        return parser
 
 # ---------------------------------------------------------------- operations
 
@@ -348,189 +379,3 @@ def compile_ignore_paths(paths):
         return any(open_path == p for p in compiled)
 
     return matcher
-
-
-# ---------------------------------------------------------------- tokenizer
-
-@dataclass
-class _Token:
-    kind: str  # "text" | "start" | "end" | "eof"
-    value: object = None
-    pos: int = 0
-
-
-class _Tokenizer:
-    """Low-level scanner producing raw tags and decoded text runs."""
-
-    def __init__(self, text: str, source_name: str):
-        self._s = text
-        self._n = len(text)
-        self._pos = 0
-        self._source = source_name
-        self._line_starts = None
-
-    def position(self, pos=None):
-        if pos is None:
-            pos = self._pos
-        if self._line_starts is None:
-            starts = [0]
-            idx = self._s.find("\n")
-            while idx != -1:
-                starts.append(idx + 1)
-                idx = self._s.find("\n", idx + 1)
-            self._line_starts = starts
-        line = bisect_right(self._line_starts, pos)
-        col = pos - self._line_starts[line - 1] + 1
-        return line, col
-
-    def _fail(self, message, pos=None):
-        line, col = self.position(pos)
-        return MalformedXmlError(message, line=line, col=col, source=self._source)
-
-    def next_token(self, in_document: bool) -> _Token:
-        s, n = self._s, self._n
-        text_parts = []
-        text_pos = self._pos
-        while True:
-            pos = self._pos
-            if pos >= n:
-                if text_parts:
-                    self._pos = pos
-                    return _Token("text", "".join(text_parts), text_pos)
-                return _Token("eof", pos=pos)
-            if s[pos] != "<":
-                lt = s.find("<", pos)
-                if lt == -1:
-                    lt = n
-                chunk = s[pos:lt]
-                if "&" in chunk:
-                    chunk = self._expand_entities(chunk, pos)
-                if "]]>" in chunk:
-                    raise self._fail("']]>' not allowed in character data", pos)
-                if not text_parts:
-                    text_pos = pos
-                text_parts.append(chunk)
-                self._pos = lt
-                continue
-            # A tag boundary. Comments/PIs inside text do not break coalescing.
-            if s.startswith("<!--", pos):
-                end = s.find("-->", pos + 4)
-                if end == -1:
-                    raise self._fail("unterminated comment", pos)
-                if "--" in s[pos + 4:end]:
-                    raise self._fail("'--' not allowed inside comment", pos)
-                self._pos = end + 3
-                continue
-            if s.startswith("<![CDATA[", pos):
-                end = s.find("]]>", pos + 9)
-                if end == -1:
-                    raise self._fail("unterminated CDATA section", pos)
-                if not text_parts:
-                    text_pos = pos
-                text_parts.append(s[pos + 9:end])
-                self._pos = end + 3
-                continue
-            if s.startswith("<?", pos):
-                end = s.find("?>", pos + 2)
-                if end == -1:
-                    raise self._fail("unterminated processing instruction", pos)
-                self._pos = end + 2
-                continue
-            if s.startswith("<!DOCTYPE", pos):
-                if in_document:
-                    raise self._fail("DOCTYPE inside document content", pos)
-                self._pos = self._skip_doctype(pos)
-                continue
-            if s.startswith("<!", pos):
-                raise self._fail("unsupported markup declaration", pos)
-            # A real start or end tag terminates any accumulated text run.
-            if text_parts:
-                return _Token("text", "".join(text_parts), text_pos)
-            if s.startswith("</", pos):
-                return self._end_tag(pos)
-            return self._start_tag(pos)
-
-    def _skip_doctype(self, pos: int) -> int:
-        s, n = self._s, self._n
-        i = pos + 9
-        depth = 0
-        while i < n:
-            c = s[i]
-            if c == "[":
-                depth += 1
-            elif c == "]":
-                depth -= 1
-            elif c == ">" and depth <= 0:
-                return i + 1
-            i += 1
-        raise self._fail("unterminated DOCTYPE declaration", pos)
-
-    def _start_tag(self, pos: int) -> _Token:
-        s = self._s
-        m = _NAME_RE.match(s, pos + 1)
-        if not m:
-            raise self._fail("malformed start tag", pos)
-        name = m.group(0)
-        i = m.end()
-        attrs = []
-        while True:
-            m = _ATTR_RE.match(s, i)
-            if not m:
-                break
-            value = m.group(3) if m.group(3) is not None else m.group(4)
-            if "&" in value:
-                value = self._expand_entities(value, m.start(2))
-            attrs.append((m.group(1), value, m.start(1)))
-            i = m.end()
-        i = _WS_RE.match(s, i).end()
-        self_closing = False
-        if s.startswith("/>", i):
-            self_closing = True
-            i += 2
-        elif s.startswith(">", i):
-            i += 1
-        else:
-            raise self._fail(f"malformed start tag '<{name}...'", pos)
-        self._pos = i
-        return _Token("start", (name, attrs, self_closing, pos), pos)
-
-    def _end_tag(self, pos: int) -> _Token:
-        s = self._s
-        m = _NAME_RE.match(s, pos + 2)
-        if not m:
-            raise self._fail("malformed end tag", pos)
-        name = m.group(0)
-        i = _WS_RE.match(s, m.end()).end()
-        if not s.startswith(">", i):
-            raise self._fail(f"malformed end tag '</{name}'", pos)
-        self._pos = i + 1
-        return _Token("end", (name, pos), pos)
-
-    def _expand_entities(self, chunk: str, base_pos: int) -> str:
-        out = []
-        i = 0
-        while True:
-            amp = chunk.find("&", i)
-            if amp == -1:
-                out.append(chunk[i:])
-                return "".join(out)
-            out.append(chunk[i:amp])
-            semi = chunk.find(";", amp + 1)
-            if semi == -1:
-                raise self._fail("unterminated entity reference", base_pos + amp)
-            ref = chunk[amp + 1:semi]
-            if ref.startswith("#x") or ref.startswith("#X"):
-                try:
-                    out.append(chr(int(ref[2:], 16)))
-                except ValueError:
-                    raise self._fail(f"bad character reference '&{ref};'", base_pos + amp)
-            elif ref.startswith("#"):
-                try:
-                    out.append(chr(int(ref[1:])))
-                except ValueError:
-                    raise self._fail(f"bad character reference '&{ref};'", base_pos + amp)
-            elif ref in _BUILTIN_ENTITIES:
-                out.append(_BUILTIN_ENTITIES[ref])
-            else:
-                raise self._fail(f"undefined entity '&{ref};'", base_pos + amp)
-            i = semi + 1

@@ -113,6 +113,18 @@ def test_analyze_lenient_tolerates(workspace):
     assert run(workspace, "analyze", "--lenient") == 0
 
 
+@pytest.mark.parametrize("command", ["analyze", "simplify", "generate"])
+def test_lenient_warning_is_printed(workspace, capsys, command):
+    (workspace["docs"] / "foreign.xml").write_text(
+        f'<doc xmlns="{TNS}"><x:alien xmlns:x="urn:other"/>'
+        '<entry><label>z</label></entry></doc>')
+    assert run(workspace, command, "--lenient") == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == 1
+    assert "foreign.xml" in warnings[0] and "alien" in warnings[0]
+
+
 def test_schema_error_exit_1(workspace, capsys):
     (workspace["schemas"] / "main.xsd").write_text(f"""{XS_HEAD}
   <xs:element name="doc" type="tns:Missing"/>

@@ -1,6 +1,10 @@
-"""Event stream contract: tokenizing, namespaces, skipping, tolerance."""
+"""Event stream contract: well-formedness, DTD safety, namespaces, positions,
+skipping, tolerance, and agreement with ElementTree."""
 
 from __future__ import annotations
+
+import time
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +14,7 @@ from slimbind.errors import (
     MalformedXmlError,
     UnknownElementError,
 )
-from slimbind.model import QName
+from slimbind.model import QName, XML_NAMESPACE
 from slimbind.runtime import (
     EventKind,
     ParseContext,
@@ -99,8 +103,113 @@ def test_undeclared_prefix_is_malformed():
 
 
 def test_doctype_and_pi_skipped():
-    text = '<?xml version="1.0"?><!DOCTYPE a [<!ENTITY x "1">]><?pi data?><a/>'
-    assert shape(events_of(text))[0] == ("start", "a", ())
+    text = ('<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a EMPTY>'
+            '<!ATTLIST a b CDATA #IMPLIED>]><?pi data?><a/>')
+    assert shape(events_of(text)) == [("start", "a", ()), ("end", "a"), ("eof",)]
+
+
+LAUGHS = ('<!DOCTYPE a [<!ENTITY x0 "ha">'
+          + "".join(f'<!ENTITY x{i} "{f"&x{i - 1};" * 10}">' for i in range(1, 7))
+          + "]>")
+
+
+@pytest.mark.parametrize("doc", [
+    LAUGHS + "<a>&x6;</a>",
+    LAUGHS + '<a b="&x6;"/>',
+    '<!DOCTYPE a [<!ENTITY x SYSTEM "file:///etc/hostname">]><a>&x;</a>',
+    '<!DOCTYPE a [<!ENTITY % p "<!ENTITY x \'1\'>">%p;]><a>&x;</a>',
+    '<!DOCTYPE a [<!ATTLIST a xmlns CDATA "urn:x">]><a/>',
+    '<!DOCTYPE a [<!ATTLIST a b CDATA #FIXED "1">]><a/>',
+    '<!DOCTYPE a SYSTEM "a.dtd"><a/>',
+    '<!DOCTYPE a PUBLIC "-//x//a//EN" "a.dtd"><a>&x;</a>',
+    '<?xml version="1.0" standalone="yes"?><!DOCTYPE a SYSTEM "a.dtd"><a>&x;</a>',
+    '<?xml version="1.0" standalone="yes"?><!DOCTYPE a SYSTEM "a.dtd"><a b="&x;"/>',
+], ids=["laughs-content", "laughs-attribute", "external-entity", "parameter-entity",
+        "xmlns-default", "fixed-default", "external-subset", "public-subset",
+        "standalone-undeclared", "standalone-undeclared-attribute"])
+def test_dtd_cannot_change_the_event_stream(doc):
+    """Entity declarations, attribute defaults and non-standalone DTDs are refused."""
+    t0 = time.perf_counter()
+    with pytest.raises(MalformedXmlError) as info:
+        events_of(doc)
+    assert time.perf_counter() - t0 < 0.05
+    assert info.value.line >= 1 and info.value.col >= 1
+
+
+@pytest.mark.parametrize("doc", [
+    "<a>&#0;</a>", "<a>&#xD800;</a>", "<a>\x01</a>", '<a/><?xml version="1.0"?>',
+    '<a b="1"c="2"/>', '<a xmlns:p=""/>',
+], ids=["nul-ref", "surrogate-ref", "control-char", "late-xml-decl",
+        "attrs-unseparated", "undeclared-prefix"])
+def test_xml_10_violations_rejected(doc):
+    with pytest.raises(MalformedXmlError) as info:
+        events_of(doc)
+    assert info.value.line >= 1 and info.value.col >= 1
+
+
+def test_crlf_and_attribute_whitespace_normalized():
+    evs = events_of('<a t="x\ty\r\nz&#9;">1\r\n2\r3</a>')
+    assert evs[0].attributes[0][1] == "x y z\t"
+    assert evs[1].text == "1\n2\n3"
+
+
+def test_declared_encoding_of_bytes_honoured():
+    data = '<?xml version="1.0" encoding="ISO-8859-1"?><a>é</a>'.encode("latin-1")
+    assert ("text", "é") in shape(events_of(data))
+
+
+POSITION_DOC = ('<?xml version="1.0"?>\n'
+                '<!-- lead comment -->\n'
+                '<r xmlns="urn:pos" xmlns:p="urn:p">\n'
+                '  <item id="1">alpha</item>\n'
+                '\t<p:item\n'
+                '      code="x">beta &amp; gamma</p:item>\n'
+                '  <empty/>\n'
+                '  <mixed>one<!-- c -->two<b>thr\u00e9e</b>\n'
+                'four<?pi x?></mixed>\n'
+                '  <junk><deep>bad</deep></junk>\n'
+                '  <cdata><![CDATA[<x>]]>y</cdata><none></none>\n'
+                '</r>\n')
+
+# (kind, local name or text, line, col): START and empty-element END at '<',
+# END of an end tag at '</', TEXT at its first character (a leading CDATA
+# section counts from '<![CDATA[').
+POSITIONS = [
+    ("start", "r", 3, 1), ("text", "\n  ", 3, 36),
+    ("start", "item", 4, 3), ("text", "alpha", 4, 16), ("end", "item", 4, 21),
+    ("text", "\n\t", 4, 28),
+    ("start", "item", 5, 2), ("text", "beta & gamma", 6, 16), ("end", "item", 6, 32),
+    ("text", "\n  ", 6, 41),
+    ("start", "empty", 7, 3), ("end", "empty", 7, 3), ("text", "\n  ", 7, 11),
+    ("start", "mixed", 8, 3), ("text", "onetwo", 8, 10),
+    ("start", "b", 8, 26), ("text", "thr\u00e9e", 8, 29), ("end", "b", 8, 34),
+    ("text", "\nfour", 8, 38), ("end", "mixed", 9, 13), ("text", "\n  ", 9, 21),
+    ("skip", "junk", 10, 3), ("text", "\n  ", 10, 32),
+    ("start", "cdata", 11, 3), ("text", "<x>y", 11, 10), ("end", "cdata", 11, 26),
+    ("start", "none", 11, 34), ("end", "none", 11, 40), ("text", "\n", 11, 47),
+    ("end", "r", 12, 1),
+]
+
+
+def test_event_positions():
+    """Line/col of every event, and of a lenient warning, stay where they were."""
+    ctx = ParseContext(POSITION_DOC, mode="lenient", source_name="f.xml")
+    seen = []
+    while True:
+        ev = ctx.next_event()
+        if ev.kind is EventKind.END_DOCUMENT:
+            break
+        if ev.kind is EventKind.TEXT:
+            seen.append(("text", ev.text, ev.line, ev.col))
+        elif ev.name.local == "junk":
+            ctx.violation(Violation.UNKNOWN_ELEMENT, "unexpected element junk")
+            ctx.skip_subtree()
+            seen.append(("skip", "junk", ev.line, ev.col))
+        else:
+            seen.append((ev.kind.value, ev.name.local, ev.line, ev.col))
+    assert seen == POSITIONS
+    assert ctx.warnings[0].format() == \
+        "WARN f.xml:10:3 UNKNOWN_ELEMENT unexpected element junk"
 
 
 def test_bom_detection():
@@ -218,3 +327,118 @@ def test_event_nesting_is_balanced(tree):
             break
     assert not stack
     assert starts == ends
+
+
+# ---------------------------------------------------------------- differential
+
+URIS = ("urn:a", "urn:b", "")
+PREFIXES = ("p", "q")
+text_piece = st.sampled_from(["ab", " c ", "&amp;", "&lt;", "&gt;", "&#65;", "&#x3b1;",
+                              "\r\n", "\n", "\t", "]", "é"])
+attr_piece = st.sampled_from(["v", " w", "&amp;", "&quot;", "&#9;", "&#10;", "\t",
+                              "\r\n", "\n", "'", "&lt;"])
+
+
+@st.composite
+def markup_between_text(draw):
+    return draw(st.sampled_from([
+        "<!-- note -->", "<?pi some data?>", "<![CDATA[<raw> & ]]>", "<![CDATA[]]>"]))
+
+
+@st.composite
+def xml_element(draw, scope, depth=0):
+    decls = {}
+    if draw(st.booleans()):
+        decls[""] = draw(st.sampled_from(URIS))
+    for prefix in PREFIXES:
+        if draw(st.integers(0, 3)) == 0:
+            decls[prefix] = draw(st.sampled_from(URIS[:2]))
+    inner = {**scope, **decls}
+    bound = [p for p in PREFIXES if p in inner]
+    prefix = draw(st.sampled_from(("",) + tuple(bound)))
+    tag = f"{prefix}:{draw(simple_name)}" if prefix else draw(simple_name)
+    head = [f'xmlns="{uri}"' if not p else f'xmlns:{p}="{uri}"'
+            for p, uri in decls.items()]
+    # Distinct local names keep prefixed attributes distinct after resolution.
+    for local in draw(st.lists(simple_name, max_size=3, unique=True)):
+        aprefix = draw(st.sampled_from(("",) + tuple(bound)))
+        value = "".join(draw(st.lists(attr_piece, max_size=4)))
+        head.append(f'{aprefix}:{local}="{value}"' if aprefix else f'{local}="{value}"')
+    sep = draw(st.sampled_from([" ", "\t", "\r\n "]))
+    open_tag = "<" + sep.join([tag] + head)
+    content = []
+    if depth < 3:
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                content.append("".join(draw(st.lists(text_piece, min_size=1, max_size=3))))
+            elif kind == 1:
+                content.append(draw(markup_between_text()))
+            else:
+                content.append(draw(xml_element(inner, depth + 1)))
+    if not content and draw(st.booleans()):
+        return open_tag + "/>"
+    return f"{open_tag}>{''.join(content)}</{tag}>"
+
+
+def clark(qn):
+    return f"{{{qn.namespace}}}{qn.local}" if qn.namespace else qn.local
+
+
+def runtime_stream(doc):
+    ctx = ParseContext(doc)
+    out, scopes = [], []
+    while True:
+        ev = ctx.next_event()
+        if ev.kind is EventKind.START_ELEMENT:
+            out.append(("start", clark(ev.name),
+                        {clark(q): v for q, v in ev.attributes}))
+            scopes.append(ctx.active_namespaces())
+        elif ev.kind is EventKind.TEXT:
+            if ev.text:
+                out.append(("text", ev.text))
+        elif ev.kind is EventKind.END_ELEMENT:
+            out.append(("end", clark(ev.name)))
+        else:
+            return out, scopes
+
+
+def etree_stream(doc):
+    parser = ET.XMLPullParser(events=("start", "end", "start-ns"))
+    parser.feed(doc)
+    parser.close()
+    scopes, stack, declared = [], [{"xml": XML_NAMESPACE}], {}
+    root = None
+    for event, item in parser.read_events():
+        if event == "start-ns":
+            declared[item[0]] = item[1]
+        elif event == "start":
+            stack.append({**stack[-1], **declared})
+            scopes.append(stack[-1])
+            declared = {}
+        else:
+            stack.pop()
+            root = item
+
+    out = []
+
+    def walk(elem):
+        out.append(("start", elem.tag, dict(elem.attrib)))
+        if elem.text:
+            out.append(("text", elem.text))
+        for child in elem:
+            walk(child)
+            if child.tail:
+                out.append(("text", child.tail))
+        out.append(("end", elem.tag))
+
+    walk(root)
+    return out, scopes
+
+
+@settings(max_examples=150, deadline=None)
+@given(xml_element({}), st.sampled_from(["", '<?xml version="1.0"?>\r\n<!-- c -->']))
+def test_events_match_elementtree(body, prolog):
+    """Names, attributes, coalesced text and scopes agree with ElementTree."""
+    doc = prolog + body
+    assert runtime_stream(doc) == etree_stream(doc)
