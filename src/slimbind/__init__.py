@@ -41,9 +41,6 @@ from .runtime import (  # noqa: F401
     Recovery,
     Violation,
     XmlEvent,
-    lenient_recover,
-    next_event,
-    skip_subtree,
 )
 from .simplify import (  # noqa: F401
     ReductionReport,

@@ -115,6 +115,34 @@ class UsageReport:
         out.warnings = list(self.warnings) + list(other.warnings)
         return out
 
+    def merge_into(self, other: "UsageReport") -> "UsageReport":
+        """In-place :meth:`merge`: folds ``other`` into this report, returns it.
+
+        Costs the size of ``other``, not of the accumulated report.
+        """
+        self.used_components |= other.used_components
+        self.instanced_types |= other.instanced_types
+        for mine, theirs in ((self.type_substitutions, other.type_substitutions),
+                             (self.element_substitutions, other.element_substitutions),
+                             (self.wildcard_fillers, other.wildcard_fillers)):
+            for k, v in theirs.items():
+                mine.setdefault(k, set()).update(v)
+        maxima = self.occurrence_maxima
+        for k, v in other.occurrence_maxima.items():
+            maxima[k] = max(maxima.get(k, 0), v)
+        state = self._single_child_state
+        for elem, ok in other._single_child_state.items():
+            ok = state[elem] = state.get(elem, True) and ok
+            if ok:
+                self.single_child_elements.add(elem)
+            else:
+                self.single_child_elements.discard(elem)
+        self.document_count += other.document_count
+        self.root_elements |= other.root_elements
+        self.failures.extend(other.failures)
+        self.warnings.extend(other.warnings)
+        return self
+
     # -------------------------------------------------------- serialization
 
     def to_json_dict(self) -> dict:
@@ -161,7 +189,7 @@ class UsageReport:
 def merge_reports(reports) -> UsageReport:
     out = UsageReport()
     for r in reports:
-        out = out.merge(r)
+        out.merge_into(r)
     return out
 
 
@@ -637,5 +665,5 @@ def analyze_corpus(schema: SchemaSet, documents, mode: str = "strict") -> UsageR
                 AmbiguousMatchError) as exc:
             total.failures.append((name, exc))
             continue
-        total = total.merge(part)
+        total.merge_into(part)
     return total

@@ -1,10 +1,11 @@
 """Render parser source files from a binding model and a template set.
 
 The built-in backend emits plain recursive-descent Python parsers against
-the package's event runtime: one module per class (dataclass plus its
-parse function), one dispatch/entry module with the value-conversion
-helpers, dispatch functions, and the document entry point.  Rendering is
-deterministic: equal inputs give byte-identical artifacts.
+``slimbind.runtime``, which holds the helpers they share: one module per
+class (dataclass plus its parse function), and one dispatch/entry module
+with each distinct dispatch table once, the root table, and the document
+entry point.  Rendering is deterministic: equal inputs give byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .binding import (
     effective_fields,
 )
 from .errors import EmptyModelError
-from .templates import ManifestEntry, TemplateSet, render_template
+from .templates import ManifestEntry, TemplateSet, compile_template, render_template
 
 _CONV_FN = {
     ValueCategory.STRING: "conv_string",
@@ -56,8 +57,16 @@ def render(model: BindingModel, templates: TemplateSet) -> list:
     context = build_render_context(model)
     artifacts = []
     seen_paths = set()
+    trees = {}  # template text -> compiled tree: each distinct text compiles once
+
+    def tree(name, text):
+        if text not in trees:
+            trees[text] = compile_template(name, text)
+        return trees[text]
+
     for entry in templates.manifest:
-        text = templates.templates[entry.template]
+        path_tree = tree(entry.template + ":path", entry.path_pattern)
+        body_tree = tree(entry.template, templates.templates[entry.template])
         if entry.per == "class":
             scopes = context["classes"]
         else:
@@ -66,8 +75,8 @@ def render(model: BindingModel, templates: TemplateSet) -> list:
             ctx = dict(context)
             if scope is not None:
                 ctx.update(scope)
-            path = render_template(entry.template + ":path", entry.path_pattern, ctx)
-            content = render_template(entry.template, text, ctx)
+            path = render_template(entry.template + ":path", path_tree, ctx)
+            content = render_template(entry.template, body_tree, ctx)
             if path in seen_paths:
                 raise ValueError(f"duplicate generated path {path}")
             seen_paths.add(path)
@@ -96,6 +105,10 @@ def _py_tuple(qname) -> str:
     return f"({qname.namespace!r}, {qname.local!r})"
 
 
+def _conv_fn(value) -> str:
+    return _CONV_FN[value] if value is not None else "conv_raw"
+
+
 def _module_names(model: BindingModel) -> dict:
     used = {}
     out = {}
@@ -107,100 +120,107 @@ def _module_names(model: BindingModel) -> dict:
     return out
 
 
+class _Tables:
+    """Dispatch tables of one package, each distinct table named once.
+
+    Entries render against the dispatch module, which imports every class
+    module and the conversions named in ``convs``.
+    """
+
+    def __init__(self, modules):
+        self.modules = modules
+        self.names = {}  # entry lines -> table name
+        self.convs = set()
+
+    def target(self, target_class, value, by_type=None) -> str:
+        """``(parse, conv, by_type)``; a class without a module reads as simple."""
+        if target_class in self.modules:
+            return f"({self.modules[target_class]}.parse_{target_class}, None, {by_type})"
+        conv = _conv_fn(value)
+        self.convs.add(conv)
+        return f"(None, {conv}, {by_type})"
+
+    def by_type(self, entries):
+        """The ``xsi:type`` table of ``entries`` as a dict display, or None."""
+        if not entries:
+            return None
+        return "{" + ", ".join(_entry_lines(
+            (e.qname, self.target(e.target_class, e.value)) for e in entries)) + "}"
+
+    def name_of(self, pairs) -> str:
+        """The name of the table holding ``(qname, target)`` pairs."""
+        lines = tuple(_entry_lines(pairs))
+        return self.names.setdefault(lines, f"_D{len(self.names)}")
+
+    def context(self) -> list:
+        return [{"name": name, "lines": list(lines)} for lines, name in self.names.items()]
+
+
+def _entry_lines(pairs) -> list:
+    """``key: target`` lines; a later entry for a taken key is unreachable."""
+    return [f"{_py_tuple(qname)}: {target}" for qname, target in _first_per_key(pairs)]
+
+
+def _first_per_key(pairs):
+    first = {}
+    for qname, target in pairs:
+        first.setdefault(qname, target)
+    return first.items()
+
+
+def _field_table(tables, field) -> str:
+    """Register a dispatch field's table; returns its name.
+
+    Element entries switch on the child's name.  ``xsi:type`` entries apply
+    to the field's own element, or, without element entries, to every child
+    the field matches by its own name.
+    """
+    elem_entries = [e for e in field.dispatch if e.via == "element"]
+    by_type = tables.by_type([e for e in field.dispatch if e.via == "xsi-type"])
+    if elem_entries:
+        pairs = [(e.qname, tables.target(
+            e.target_class, e.value,
+            by_type if e.component == field.source_element else None))
+            for e in elem_entries]
+    elif field.target_class in tables.modules or field.value is not None:
+        pairs = [(field.xml_name, tables.target(field.target_class, field.value, by_type))]
+    else:
+        pairs = [(field.xml_name, f"(None, None, {by_type})")]
+    return tables.name_of(pairs)
+
+
 def build_render_context(model: BindingModel) -> dict:
     """The documented context templates render against (see binding-ir.md)."""
     modules = _module_names(model)
-    dispatch_fns = []
-    classes_ctx = []
-    for cls in model.classes:
-        classes_ctx.append(_class_context(model, cls, modules, dispatch_fns))
-    roots_ctx = _root_contexts(model, modules, dispatch_fns)
+    tables = _Tables(modules)
+    classes_ctx = [_class_context(model, cls, modules, tables) for cls in model.classes]
+    roots_ctx = _root_contexts(model, tables)
     return {
         "model_name": model.name,
         "classes": classes_ctx,
-        "roots": roots_ctx,
-        "dispatch_fns": dispatch_fns,
+        "document_roots": roots_ctx,
+        "dispatch_tables": tables.context(),
+        "dispatch_imports": ", ".join(sorted(tables.convs | {"bind_parsers", "parse_root"})),
         "options": model.options.to_json_dict(),
         "class_count": len(model.classes),
     }
 
 
-def _value_reader_expr(conv: str, what: str) -> str:
-    return f"_h.simple_reader(_h.{conv}, {what!r})"
-
-
-def _parse_expr(model, modules, target_class, value, what):
-    """Lines computing ``_v`` for one parsed child event ``ev``."""
-    if target_class is not None:
-        module = modules[target_class]
-        return [f"from .{module} import parse_{target_class}",
-                f"_v = parse_{target_class}(ctx, ev)"]
-    conv = _CONV_FN[value] if value is not None else "conv_raw"
-    return [f"_v = _h.read_simple(ctx, ev, _h.{conv}, {what!r})"]
-
-
-def _dispatch_fn(model, modules, dispatch_fns, owner, field) -> str:
-    """Register a dispatch function for a field's table; returns its name."""
-    name = f"dispatch_{owner}_{field.name}"
-    lines = []
-    elem_entries = [e for e in field.dispatch if e.via == "element"]
-    xsi_entries = [e for e in field.dispatch if e.via == "xsi-type"]
-    what = f"{owner}.{field.name}"
-
-    def target_lines(entry, indent):
-        pad = "    " * indent
-        out = []
-        if entry.target_class is not None:
-            module = modules.get(entry.target_class)
-            if module is None:
-                out.append(f"{pad}ctx.violation(Violation.UNKNOWN_ELEMENT, "
-                           f"\"no parser for {entry.target_class}\")")
-                out.append(f"{pad}ctx.skip_subtree()")
-                out.append(f"{pad}return None")
-                return out
-            out.append(f"{pad}from .{module} import parse_{entry.target_class}")
-            out.append(f"{pad}return parse_{entry.target_class}(ctx, ev)")
-        else:
-            conv = _CONV_FN[entry.value] if entry.value is not None else "conv_raw"
-            out.append(f"{pad}return read_simple(ctx, ev, {conv}, {what!r})")
-        return out
-
-    if elem_entries:
-        lines.append("_n = (ev.name.namespace, ev.name.local)")
-        for entry in elem_entries:
-            lines.append(f"if _n == {_py_tuple(entry.qname)}:")
-            if entry.component == field.source_element and xsi_entries:
-                lines.append("    _xt = xsi_type_of(ctx, ev)")
-                for xe in xsi_entries:
-                    lines.append(f"    if _xt == {_py_tuple(xe.qname)}:")
-                    lines.extend(target_lines(xe, 2))
-            lines.extend(target_lines(entry, 1))
-    else:
-        lines.append("_xt = xsi_type_of(ctx, ev)")
-        for xe in xsi_entries:
-            lines.append(f"if _xt == {_py_tuple(xe.qname)}:")
-            lines.extend(target_lines(xe, 1))
-        if field.target_class is not None and field.target_class in modules:
-            module = modules[field.target_class]
-            lines.append(f"from .{module} import parse_{field.target_class}")
-            lines.append(f"return parse_{field.target_class}(ctx, ev)")
-        elif field.value is not None:
-            conv = _CONV_FN[field.value]
-            lines.append(f"return read_simple(ctx, ev, {conv}, {what!r})")
-    lines.append(f"ctx.violation(Violation.UNKNOWN_ELEMENT, "
-                 f"f\"no dispatch match for {{ev.name}} in {what}\")")
-    lines.append("ctx.skip_subtree()")
-    lines.append("return None")
-    dispatch_fns.append({"fn_name": name, "lines": lines})
-    return name
-
-
-def _class_context(model, cls, modules, dispatch_fns) -> dict:
+def _class_context(model, cls, modules, tables) -> dict:
     fields_ctx = []
     element_cases = []
     attr_cases = []
     required_checks = []
     text_field = None
+    imports = {"EventKind", "Violation", "consume_nil", "is_nil"}
+    late = {}  # late-bound name -> None, in first-use order
+
+    def parser(target_class):
+        name = f"parse_{target_class}"
+        if target_class != cls.name:
+            late[name] = None
+        return name
+
     for f in cls.fields:
         is_list = f.cardinality is Cardinality.LIST
         fields_ctx.append({
@@ -221,6 +241,7 @@ def _class_context(model, cls, modules, dispatch_fns) -> dict:
             continue
         if f.kind is FieldKind.ATTRIBUTE:
             conv = _CONV_FN[f.value]
+            imports.add(conv)
             required = f.cardinality is Cardinality.SCALAR_REQUIRED
             attr_cases.append({
                 "kw": "elif" if attr_cases else "if",
@@ -236,17 +257,16 @@ def _class_context(model, cls, modules, dispatch_fns) -> dict:
                                                         f"{f.xml_name.local} in {cls.name}")})
             continue
 
-        # Element field.
-        if f.dispatch:
-            match_names = sorted({e.qname for e in f.dispatch if e.via == "element"})
-            if not match_names:
-                match_names = [f.xml_name]
-        else:
-            match_names = [f.xml_name]
+        # Element field.  A dispatch field matches exactly its table's keys.
+        # Its table is late-bound even when ignored: the match still reads it.
+        table = _field_table(tables, f) if f.dispatch else None
+        if table is not None:
+            late[table] = None
+        match_names = {e.qname for e in f.dispatch if e.via == "element"} or {f.xml_name}
         if len(match_names) == 1:
-            match_expr = f"_n == {_py_tuple(match_names[0])}"
+            match_expr = f"_n == {_py_tuple(match_names.pop())}"
         else:
-            match_expr = "_n in (" + ", ".join(_py_tuple(q) for q in match_names) + ")"
+            match_expr = f"_n in {table}"
 
         lines = []
         required = f.cardinality is Cardinality.SCALAR_REQUIRED
@@ -255,20 +275,23 @@ def _class_context(model, cls, modules, dispatch_fns) -> dict:
         else:
             if required:
                 lines.append(f"_seen_{f.name} = True")
-            if f.dispatch:
-                fn = _dispatch_fn(model, modules, dispatch_fns, cls.name, f)
-                lines.append(f"_v = _h.{fn}(ctx, ev)")
+            if table is not None:
+                imports.add("read_dispatched")
+                lines.append(f"_v = read_dispatched(ctx, ev, {table}, {what!r})")
             elif f.collapse_chain:
+                imports.add("read_collapsed")
                 chain = "(" + ", ".join(_py_tuple(q) for q in f.collapse_chain) + ",)"
-                if f.target_class is not None:
-                    final = (f"_h.load_parser({modules[f.target_class]!r}, "
-                             f"'parse_{f.target_class}')")
+                if f.target_class in modules:
+                    final = f"{parser(f.target_class)}, None"
                 else:
-                    conv = _CONV_FN[f.value] if f.value is not None else "conv_raw"
-                    final = _value_reader_expr(conv, what)
-                lines.append(f"_v = _h.read_collapsed(ctx, {chain}, {final}, {what!r})")
+                    final = f"None, {_conv_fn(f.value)}"
+                    imports.add(_conv_fn(f.value))
+                lines.append(f"_v = read_collapsed(ctx, {chain}, {final}, {what!r})")
+            elif f.target_class is not None:
+                lines.append(f"_v = {parser(f.target_class)}(ctx, ev)")
             else:
-                lines.extend(_parse_expr(model, modules, f.target_class, f.value, what))
+                imports.update(("read_simple", _conv_fn(f.value)))
+                lines.append(f"_v = read_simple(ctx, ev, {_conv_fn(f.value)}, {what!r})")
             if is_list:
                 lines.append(f"obj.{f.name}.append(_v)")
             else:
@@ -279,10 +302,15 @@ def _class_context(model, cls, modules, dispatch_fns) -> dict:
                                     "message": repr(f"missing required element "
                                                     f"{f.xml_name.local} in {cls.name}")})
 
+    if text_field is not None and not cls.mixed:
+        imports.add(_CONV_FN[text_field.value])
     ctx = {
         "name": cls.name,
         "module": modules[cls.name],
         "xml_type": cls.source_type,
+        "runtime_imports": ", ".join(sorted(imports)),
+        "late_bound": list(late),
+        "has_late_bound": bool(late),
         "fields": fields_ctx,
         "element_cases": element_cases,
         "attr_cases": attr_cases,
@@ -303,33 +331,15 @@ def _class_context(model, cls, modules, dispatch_fns) -> dict:
     return ctx
 
 
-def _root_contexts(model, modules, dispatch_fns) -> list:
-    roots = []
+def _root_contexts(model, tables) -> list:
+    """One root-table entry per root; ``xsi:type`` may pick another class."""
+    pairs = []
     for root in model.roots:
-        lines = [f"if _n == {_py_tuple(root.qname)}:"]
-        what = f"root {root.qname.local}"
-        pad = "    "
-        if root.dispatch:
-            lines.append(f"{pad}_xt = xsi_type_of(ctx, ev)")
-            for entry in root.dispatch:
-                if entry.target_class is None or entry.target_class not in modules:
-                    continue
-                module = modules[entry.target_class]
-                lines.append(f"{pad}if _xt == {_py_tuple(entry.qname)}:")
-                lines.append(f"{pad}    from .{module} import parse_{entry.target_class}")
-                lines.append(f"{pad}    return finish_document("
-                             f"ctx, parse_{entry.target_class}(ctx, ev))")
-        if root.target_class is not None and root.target_class in modules:
-            module = modules[root.target_class]
-            lines.append(f"{pad}from .{module} import parse_{root.target_class}")
-            lines.append(f"{pad}return finish_document(ctx, "
-                         f"parse_{root.target_class}(ctx, ev))")
-        else:
-            conv = _CONV_FN[root.value] if root.value is not None else "conv_raw"
-            lines.append(f"{pad}return finish_document(ctx, "
-                         f"read_simple(ctx, ev, {conv}, {what!r}))")
-        roots.append({"lines": lines, "qname": str(root.qname)})
-    return roots
+        by_type = tables.by_type([e for e in root.dispatch
+                                  if e.target_class in tables.modules])
+        pairs.append((root.qname, tables.target(root.target_class, root.value, by_type)))
+    return [{"qname": str(qname), "line": f"{_py_tuple(qname)}: {target}"}
+            for qname, target in _first_per_key(pairs)]
 
 
 # ---------------------------------------------------------------- built-in backend
@@ -340,12 +350,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as _dc_field
 
-from slimbind.runtime import EventKind, Violation
-
-from . import dispatch as _h
+from slimbind.runtime import {{runtime_imports}}
 {{#has_base}}
+
 from .{{base_module}} import {{base}}
 {{/has_base}}
+{{#has_late_bound}}
+
+# Bound by dispatch.py once every class module is loaded.
+{{/has_late_bound}}
+{{#late_bound}}
+{{.}} = None
+{{/late_bound}}
 
 
 @dataclass
@@ -359,8 +375,8 @@ class {{name}}{{#has_base}}({{base}}){{/has_base}}:
 
 
 def parse_{{name}}(ctx, start):
-    if _h.is_nil(start):
-        return _h.consume_nil(ctx)
+    if is_nil(start):
+        return consume_nil(ctx)
     obj = {{name}}()
 {{#required_flags}}
     _seen_{{py_name}} = False
@@ -373,7 +389,7 @@ def parse_{{name}}(ctx, start):
 {{#required}}
             _seen_{{py_name}} = True
 {{/required}}
-            obj.{{py_name}} = _h.{{conv}}(ctx, _av, {{what}})
+            obj.{{py_name}} = {{conv}}(ctx, _av, {{what}})
 {{/attr_cases}}
 {{/has_attr_cases}}
 {{#collect_text}}
@@ -413,213 +429,50 @@ def parse_{{name}}(ctx, start):
     obj.{{text_py_name}} = "".join(_text) if _text else None
 {{/text_is_mixed}}
 {{^text_is_mixed}}
-    obj.{{text_py_name}} = _h.{{text_conv}}(ctx, "".join(_text), {{text_what}})
+    obj.{{text_py_name}} = {{text_conv}}(ctx, "".join(_text), {{text_what}})
 {{/text_is_mixed}}
 {{/collect_text}}
     return obj
 '''
 
 _DISPATCH_TEMPLATE = '''\
-"""Entry points, dispatch tables, and value conversion. Generated; do not edit."""
+"""Entry point and dispatch tables. Generated; do not edit."""
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
-from importlib import import_module
+from slimbind.runtime import {{dispatch_imports}}
 
-from slimbind.runtime import EventKind, ParseContext, Violation
+{{#classes}}
+from . import {{module}}
+{{/classes}}
 
-_XSI = "http://www.w3.org/2001/XMLSchema-instance"
-
-_PARSER_CACHE = {}
-
-
-def load_parser(module, fn):
-    key = (module, fn)
-    found = _PARSER_CACHE.get(key)
-    if found is None:
-        found = getattr(import_module("." + module, __package__), fn)
-        _PARSER_CACHE[key] = found
-    return found
-
-
-def is_nil(start):
-    return start.attr(_XSI, "nil") in ("true", "1")
-
-
-def consume_nil(ctx):
-    depth = 1
-    while depth:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.START_ELEMENT:
-            depth += 1
-        elif ev.kind is EventKind.END_ELEMENT:
-            depth -= 1
-    return None
-
-
-def xsi_type_of(ctx, ev):
-    raw = ev.attr(_XSI, "type")
-    if raw is None:
-        return None
-    raw = raw.strip()
-    nsmap = ctx.active_namespaces()
-    if ":" in raw:
-        prefix, _, local = raw.partition(":")
-        return (nsmap.get(prefix, ""), local)
-    return (nsmap.get("", ""), raw)
-
-
-def read_simple(ctx, start, conv, what):
-    """Parse an element with text-only content; consumes through its end tag."""
-    nil = is_nil(start)
-    parts = []
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.TEXT:
-            parts.append(ev.text)
-        elif ev.kind is EventKind.END_ELEMENT:
-            break
-        else:
-            ctx.violation(Violation.UNKNOWN_ELEMENT,
-                          f"unexpected element {ev.name} in {what}")
-            ctx.skip_subtree()
-    if nil:
-        return None
-    return conv(ctx, "".join(parts), what)
-
-
-def simple_reader(conv, what):
-    def reader(ctx, start):
-        return read_simple(ctx, start, conv, what)
-    return reader
-
-
-def read_collapsed(ctx, chain, parse_final, what):
-    """Unwrap collapsed single-child wrappers and parse the innermost element."""
-    result = None
-    opened = 0
-    for i, name in enumerate(chain):
-        ev = _next_content(ctx, what)
-        if ev.kind is EventKind.START_ELEMENT and \
-                (ev.name.namespace, ev.name.local) == name:
-            if i == len(chain) - 1:
-                result = parse_final(ctx, ev)
-            else:
-                opened += 1
-            continue
-        if ev.kind is EventKind.END_ELEMENT:
-            ctx.violation(Violation.MISSING_REQUIRED,
-                          f"missing collapsed element {name[1]} in {what}")
-            opened -= 1  # that end tag closed one pending wrapper
-            break
-        ctx.violation(Violation.UNKNOWN_ELEMENT,
-                      f"unexpected element {ev.name} in {what}")
-        ctx.skip_subtree()
-        break
-    for _ in range(opened + 1):
-        _drain_to_end(ctx, what)
-    return result
-
-
-def _next_content(ctx, what):
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.TEXT:
-            if ev.text.strip():
-                ctx.violation(Violation.UNEXPECTED_TEXT,
-                              f"unexpected text in {what}")
-            continue
-        return ev
-
-
-def _drain_to_end(ctx, what):
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.END_ELEMENT:
-            return
-        if ev.kind is EventKind.TEXT:
-            if ev.text.strip():
-                ctx.violation(Violation.UNEXPECTED_TEXT,
-                              f"unexpected text in {what}")
-            continue
-        ctx.violation(Violation.UNKNOWN_ELEMENT,
-                      f"unexpected element {ev.name} in {what}")
-        ctx.skip_subtree()
-
-
-def conv_string(ctx, raw, what):
-    return raw
-
-
-def conv_raw(ctx, raw, what):
-    return raw
-
-
-def conv_integer(ctx, raw, what):
-    try:
-        return int(raw.strip())
-    except ValueError:
-        ctx.violation(Violation.BAD_SIMPLE_VALUE,
-                      f"bad integer {raw!r} in {what}")
-        return None
-
-
-def conv_decimal(ctx, raw, what):
-    try:
-        return Decimal(raw.strip())
-    except InvalidOperation:
-        ctx.violation(Violation.BAD_SIMPLE_VALUE,
-                      f"bad decimal {raw!r} in {what}")
-        return None
-
-
-def conv_double(ctx, raw, what):
-    try:
-        return float(raw.strip())
-    except ValueError:
-        ctx.violation(Violation.BAD_SIMPLE_VALUE,
-                      f"bad double {raw!r} in {what}")
-        return None
-
-
-def conv_boolean(ctx, raw, what):
-    s = raw.strip()
-    if s in ("true", "1"):
-        return True
-    if s in ("false", "0"):
-        return False
-    ctx.violation(Violation.BAD_SIMPLE_VALUE,
-                  f"bad boolean {raw!r} in {what}")
-    return None
-
-
-def finish_document(ctx, result):
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.END_DOCUMENT:
-            return result, ctx.warnings
-
-
-{{#dispatch_fns}}
-def {{fn_name}}(ctx, ev):
+# Dispatch tables: (namespace, local) -> (parser, conversion, xsi:type table).
+{{#dispatch_tables}}
+{{name}} = {
 {{#lines}}
-    {{.}}
+    {{.}},
 {{/lines}}
+}
+{{/dispatch_tables}}
+_ROOTS = {
+{{#document_roots}}
+    {{line}},
+{{/document_roots}}
+}
+
+bind_parsers((
+{{#classes}}
+    {{module}},
+{{/classes}}
+), {
+{{#dispatch_tables}}
+    "{{name}}": {{name}},
+{{/dispatch_tables}}
+})
 
 
-{{/dispatch_fns}}
 def parse_document(source, mode="strict", source_name="<input>"):
     """Parse one document; returns (typed object, warnings)."""
-    ctx = ParseContext(source, mode=mode, source_name=source_name)
-    ev = ctx.next_event()
-    _n = (ev.name.namespace, ev.name.local)
-{{#roots}}
-{{#lines}}
-    {{.}}
-{{/lines}}
-{{/roots}}
-    ctx.violation(Violation.UNKNOWN_ELEMENT, f"unknown document root {ev.name}")
-    return None, ctx.warnings
+    return parse_root(_ROOTS, source, mode, source_name)
 '''
 
 _INIT_TEMPLATE = '''\

@@ -11,6 +11,11 @@ The DTD never changes the event stream.  Entity declarations, attribute
 defaults, and documents that need an external subset or parameter
 entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
+
+The module also holds the helpers every generated parser package calls
+(value conversion, simple-content and collapsed-wrapper reading,
+``xsi:nil``/``xsi:type`` handling, table dispatch, and late binding of
+child parsers), so generated packages carry no copies of them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import codecs
 from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from typing import Optional
 from xml.parsers import expat
@@ -29,7 +35,7 @@ from .errors import (
     UnexpectedTextError,
     UnknownElementError,
 )
-from .model import QName, XML_NAMESPACE
+from .model import QName, XML_NAMESPACE, XSI_NAMESPACE
 
 
 class EventKind(Enum):
@@ -353,20 +359,8 @@ class ParseContext:
             setattr(parser, name, handler)
         return parser
 
-# ---------------------------------------------------------------- operations
 
-def next_event(ctx: ParseContext) -> XmlEvent:
-    return ctx.next_event()
-
-
-def skip_subtree(ctx: ParseContext) -> int:
-    return ctx.skip_subtree()
-
-
-def lenient_recover(ctx: ParseContext, violation: Violation, message: str) -> Recovery:
-    """Recovery action for a violation; raises the typed error in strict mode."""
-    return ctx.violation(violation, message)
-
+# ---------------------------------------------------------------- ignore paths
 
 def compile_ignore_paths(paths):
     """Compile element-QName paths into a matcher over open-element paths.
@@ -379,3 +373,210 @@ def compile_ignore_paths(paths):
         return any(open_path == p for p in compiled)
 
     return matcher
+
+
+# ---------------------------------------------------------------- generated-code support
+#
+# Generated parser packages call these instead of carrying copies.  A
+# dispatch table maps an element's ``(namespace, local)`` to a target
+# ``(parse, conv, by_type)``: ``parse`` is a class parser ``parse(ctx,
+# start)``, or None for simple content read with ``conv``; ``by_type``, when
+# not None, maps an ``xsi:type`` name to the target that overrides this one.
+
+
+def bind_parsers(modules, tables):
+    """Fill the late-bound names of a generated package's class modules.
+
+    A class module declares each other class parser and each dispatch table
+    it calls as a ``None`` placeholder.  The dispatch module binds them here
+    once every class module is loaded, so recursive and mutually recursive
+    types need no import cycle and a call costs one global lookup.
+    """
+    names = dict(tables)
+    for module in modules:
+        names.update((k, v) for k, v in vars(module).items()
+                     if k.startswith("parse_") and v is not None)
+    for module in modules:
+        space = vars(module)
+        for k, v in space.items():
+            if v is None and k in names:
+                space[k] = names[k]
+
+
+def is_nil(start):
+    return start.attr(XSI_NAMESPACE, "nil") in ("true", "1")
+
+
+def consume_nil(ctx):
+    depth = 1
+    while depth:
+        ev = ctx.next_event()
+        if ev.kind is _START:
+            depth += 1
+        elif ev.kind is _END:
+            depth -= 1
+    return None
+
+
+def xsi_type_of(ctx, ev):
+    """The ``(namespace, local)`` an element's ``xsi:type`` names, or None."""
+    raw = ev.attr(XSI_NAMESPACE, "type")
+    if raw is None:
+        return None
+    raw = raw.strip()
+    nsmap = ctx.active_namespaces()
+    if ":" in raw:
+        prefix, _, local = raw.partition(":")
+        return (nsmap.get(prefix, ""), local)
+    return (nsmap.get("", ""), raw)
+
+
+def read_simple(ctx, start, conv, what):
+    """Parse an element with text-only content; consumes through its end tag."""
+    nil = is_nil(start)
+    parts = []
+    while True:
+        ev = ctx.next_event()
+        if ev.kind is _TEXT:
+            parts.append(ev.text)
+        elif ev.kind is _END:
+            break
+        else:
+            ctx.violation(Violation.UNKNOWN_ELEMENT,
+                          f"unexpected element {ev.name} in {what}")
+            ctx.skip_subtree()
+    if nil:
+        return None
+    return conv(ctx, "".join(parts), what)
+
+
+def read_dispatched(ctx, start, table, what):
+    """Parse a child through its field's dispatch table (see above)."""
+    target = table.get((start.name.namespace, start.name.local))
+    if target is not None:
+        parse, conv, by_type = target
+        if by_type is not None:
+            typed = by_type.get(xsi_type_of(ctx, start))
+            if typed is not None:
+                parse, conv, _ = typed
+        if parse is not None:
+            return parse(ctx, start)
+        if conv is not None:
+            return read_simple(ctx, start, conv, what)
+    ctx.violation(Violation.UNKNOWN_ELEMENT,
+                  f"no dispatch match for {start.name} in {what}")
+    ctx.skip_subtree()
+    return None
+
+
+def read_collapsed(ctx, chain, parse, conv, what):
+    """Unwrap collapsed single-child wrappers and parse the innermost element.
+
+    The innermost element goes to the class parser ``parse``, or, when that
+    is None, is read as simple content with ``conv``.
+    """
+    result = None
+    opened = 0
+    for i, name in enumerate(chain):
+        ev = _next_content(ctx, what)
+        if ev.kind is _START and (ev.name.namespace, ev.name.local) == name:
+            if i < len(chain) - 1:
+                opened += 1
+            elif parse is not None:
+                result = parse(ctx, ev)
+            else:
+                result = read_simple(ctx, ev, conv, what)
+            continue
+        if ev.kind is _END:
+            ctx.violation(Violation.MISSING_REQUIRED,
+                          f"missing collapsed element {name[1]} in {what}")
+            opened -= 1  # that end tag closed one pending wrapper
+            break
+        ctx.violation(Violation.UNKNOWN_ELEMENT,
+                      f"unexpected element {ev.name} in {what}")
+        ctx.skip_subtree()
+        break
+    for _ in range(opened + 1):
+        _drain_to_end(ctx, what)
+    return result
+
+
+def _next_content(ctx, what):
+    while True:
+        ev = ctx.next_event()
+        if ev.kind is _TEXT:
+            if ev.text.strip():
+                ctx.violation(Violation.UNEXPECTED_TEXT, f"unexpected text in {what}")
+            continue
+        return ev
+
+
+def _drain_to_end(ctx, what):
+    while True:
+        ev = ctx.next_event()
+        if ev.kind is _END:
+            return
+        if ev.kind is _TEXT:
+            if ev.text.strip():
+                ctx.violation(Violation.UNEXPECTED_TEXT, f"unexpected text in {what}")
+            continue
+        ctx.violation(Violation.UNKNOWN_ELEMENT, f"unexpected element {ev.name} in {what}")
+        ctx.skip_subtree()
+
+
+def parse_root(roots, source, mode="strict", source_name="<input>"):
+    """Parse one document through the root table ``roots``; (object, warnings)."""
+    ctx = ParseContext(source, mode=mode, source_name=source_name)
+    ev = ctx.next_event()
+    if (ev.name.namespace, ev.name.local) not in roots:
+        ctx.violation(Violation.UNKNOWN_ELEMENT, f"unknown document root {ev.name}")
+        return None, ctx.warnings
+    return finish_document(ctx, read_dispatched(ctx, ev, roots, f"root {ev.name.local}"))
+
+
+def finish_document(ctx, result):
+    while ctx.next_event().kind is not EventKind.END_DOCUMENT:
+        pass
+    return result, ctx.warnings
+
+
+def conv_string(ctx, raw, what):
+    return raw
+
+
+def conv_raw(ctx, raw, what):
+    return raw
+
+
+def conv_integer(ctx, raw, what):
+    try:
+        return int(raw.strip())
+    except ValueError:
+        ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad integer {raw!r} in {what}")
+        return None
+
+
+def conv_decimal(ctx, raw, what):
+    try:
+        return Decimal(raw.strip())
+    except InvalidOperation:
+        ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad decimal {raw!r} in {what}")
+        return None
+
+
+def conv_double(ctx, raw, what):
+    try:
+        return float(raw.strip())
+    except ValueError:
+        ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad double {raw!r} in {what}")
+        return None
+
+
+def conv_boolean(ctx, raw, what):
+    s = raw.strip()
+    if s in ("true", "1"):
+        return True
+    if s in ("false", "0"):
+        return False
+    ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad boolean {raw!r} in {what}")
+    return None

@@ -170,8 +170,9 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def render_template(name: str, template: str, context: dict) -> str:
-    root = compile_template(name, template)
+def render_template(name: str, template, context: dict) -> str:
+    """Render ``template``: its text, or the tree compile_template made of it."""
+    root = template if isinstance(template, _Section) else compile_template(name, template)
     out = []
     stack = [context]
 

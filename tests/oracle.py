@@ -4,12 +4,12 @@ These deliberately avoid the production code paths they check.  The
 closure oracles iterate the raw edge list to a fixed point; the
 interpreter parses documents by walking the BindingModel directly and
 produces plain dicts for deep-equality comparison against generated
-parsers (compared via dataclasses.asdict).
+parsers (compared via dataclasses.asdict).  It shares only the runtime's
+value helpers (simple content and conversions) and keeps its own xsi:nil,
+xsi:type, binding, collapse and dispatch walk, which is what it checks.
 """
 
 from __future__ import annotations
-
-from decimal import Decimal, InvalidOperation
 
 from slimbind.binding import (
     BindingModel,
@@ -19,7 +19,18 @@ from slimbind.binding import (
     effective_fields,
 )
 from slimbind.model import XSI_NAMESPACE
-from slimbind.runtime import EventKind, ParseContext, Violation
+from slimbind.runtime import (
+    EventKind,
+    ParseContext,
+    Violation,
+    conv_boolean,
+    conv_decimal,
+    conv_double,
+    conv_integer,
+    conv_raw,
+    conv_string,
+    read_simple,
+)
 from slimbind.simplify import MANDATORY_EDGE_LABELS
 
 
@@ -79,27 +90,17 @@ def brute_substitution_members(schema, head) -> set:
 
 # ---------------------------------------------------------------- interpreter
 
+_CONV = {
+    ValueCategory.STRING: conv_string,
+    ValueCategory.INTEGER: conv_integer,
+    ValueCategory.DECIMAL: conv_decimal,
+    ValueCategory.DOUBLE: conv_double,
+    ValueCategory.BOOLEAN: conv_boolean,
+}
+
+
 def _conv(ctx, category, raw, what):
-    if category in (ValueCategory.STRING, ValueCategory.RAW) or category is None:
-        return raw
-    s = raw.strip()
-    try:
-        if category is ValueCategory.INTEGER:
-            return int(s)
-        if category is ValueCategory.DECIMAL:
-            return Decimal(s)
-        if category is ValueCategory.DOUBLE:
-            return float(s)
-        if category is ValueCategory.BOOLEAN:
-            if s in ("true", "1"):
-                return True
-            if s in ("false", "0"):
-                return False
-            raise ValueError(s)
-    except (ValueError, InvalidOperation):
-        pass
-    ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad {category.value} {raw!r} in {what}")
-    return None
+    return _CONV.get(category, conv_raw)(ctx, raw, what)
 
 
 def _is_nil(start):
@@ -170,21 +171,7 @@ class Interpreter:
     # ------------------------------------------------------------ helpers
 
     def read_simple(self, ctx, start, category, what):
-        nil = _is_nil(start)
-        parts = []
-        while True:
-            ev = ctx.next_event()
-            if ev.kind is EventKind.TEXT:
-                parts.append(ev.text)
-            elif ev.kind is EventKind.END_ELEMENT:
-                break
-            else:
-                ctx.violation(Violation.UNKNOWN_ELEMENT,
-                              f"unexpected element {ev.name} in {what}")
-                ctx.skip_subtree()
-        if nil:
-            return None
-        return _conv(ctx, category, "".join(parts), what)
+        return read_simple(ctx, start, _CONV.get(category, conv_raw), what)
 
     def _next_content(self, ctx, what):
         while True:

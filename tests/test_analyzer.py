@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from slimbind.analyzer import (
@@ -14,6 +15,7 @@ from slimbind.analyzer import (
     analyze_corpus,
     assign_children,
     assign_root,
+    analyze_document,
     merge_reports,
 )
 from slimbind.errors import (
@@ -207,6 +209,45 @@ class TestMergeMonoid:
         report = analyze(po_schema, PO_DOC)
         merged = report.merge(UsageReport())
         assert merged.to_json() == report.to_json()
+
+
+@st.composite
+def split_corpus(draw):
+    """A synthetic schema's per-document reports, shuffled and cut into chunks."""
+    from synth import generate_case
+    from slimbind.loader import SchemaSource, load_schema_set
+
+    _g, xsd, docs = generate_case(draw(st.integers(0, 10_000)),
+                                  n_docs=draw(st.integers(1, 6)))
+    schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+    parts = [analyze_document(schema, f"d{i}.xml", d, "lenient")
+             for i, d in enumerate(docs)]
+    order = draw(st.permutations(range(len(parts))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(parts)), max_size=len(parts))))
+    bounds = [0, *cuts, len(parts)]
+    return [[parts[i] for i in order[a:b]] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_corpus())
+def test_merge_into_equals_merge_for_any_split(chunks):
+    before = [[p.to_json() for p in chunk] for chunk in chunks]
+    pure = UsageReport()
+    for chunk in chunks:
+        part = UsageReport()
+        for report in chunk:
+            part = part.merge(report)
+        pure = pure.merge(part)
+    in_place = UsageReport()
+    for chunk in chunks:
+        part = UsageReport()
+        for report in chunk:
+            part.merge_into(report)
+        in_place.merge_into(part)
+    assert in_place.to_json() == pure.to_json()
+    assert in_place._single_child_state == pure._single_child_state
+    assert len(in_place.warnings) == len(pure.warnings)
+    assert [[p.to_json() for p in chunk] for chunk in chunks] == before  # inputs intact
 
 
 class TestSingleChild:

@@ -79,6 +79,21 @@ class TestRender:
         assert len(artifacts) == len(model.classes)
         assert artifacts[0].content.endswith("\n")
 
+    def test_each_distinct_template_compiles_once(self, po_schema, monkeypatch):
+        from slimbind import emitter, templates as engine
+        compiled = []
+        original = engine.compile_template
+        for module in (engine, emitter):
+            monkeypatch.setattr(module, "compile_template",
+                                lambda name, text: compiled.append(text) or original(name, text))
+        model = po_model(po_schema)
+        template_set = builtin_template_set()
+        artifacts = render(model, template_set)
+        assert len(model.classes) == 2 and len(artifacts) == 4
+        distinct = {template_set.templates[e.template] for e in template_set.manifest} | \
+            {e.path_pattern for e in template_set.manifest}
+        assert sorted(compiled) == sorted(distinct)
+
     def test_byte_identical_across_runs(self, po_schema):
         a1 = emit_parser_backend(po_model(po_schema))
         a2 = emit_parser_backend(po_model(po_schema))
@@ -298,16 +313,43 @@ class TestGeneratedParsers:
         import importlib
         item_mod = importlib.import_module(f"{model.name}.c_itemtype")
         calls = []
-        original = item_mod.parse_ItemType
-        item_mod.parse_ItemType = lambda ctx, ev: calls.append(1) or original(ctx, ev)
+        original = item_mod.ItemType.__init__
+        item_mod.ItemType.__init__ = lambda self: calls.append(1) or original(self)
         try:
+            assert calls == [] and item_mod.ItemType() is not None and calls == [1]
+            calls.clear()
             obj, warnings = module.parse_document(PO_DOC)
         finally:
-            item_mod.parse_ItemType = original
+            item_mod.ItemType.__init__ = original
         assert calls == []  # ignored subtrees never construct binding objects
         assert obj.item == []
         assert obj.note == "rush order"
         assert warnings == []
+
+    def test_ignored_substitution_group_field(self, tmp_path):
+        schema = schema_of("""
+  <xs:element name="cart" type="tns:Cart"/>
+  <xs:complexType name="Cart">
+    <xs:sequence>
+      <xs:element ref="tns:pay" maxOccurs="unbounded"/>
+      <xs:element name="note" type="xs:string" minOccurs="0"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="PayT">
+    <xs:sequence><xs:element name="amount" type="xs:int" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+  <xs:element name="pay" type="tns:PayT"/>
+  <xs:element name="card" type="tns:PayT" substitutionGroup="tns:pay"/>
+  <xs:element name="cash" type="tns:PayT" substitutionGroup="tns:pay"/>""")
+        docs = [f'<cart xmlns="{TNS}"><card><amount>1</amount></card>'
+                '<cash><amount>2</amount></cash><pay/><note>n</note></cart>']
+        opts = BindingOptions(ignore_paths=((QName(TNS, "cart"), QName(TNS, "pay")),))
+        model, module, _, _ = build_and_import(schema, docs, tmp_path, opts)
+        (pay,) = [f for c in model.classes for f in c.fields if f.name == "pay"]
+        assert pay.ignored and len({e.qname for e in pay.dispatch}) >= 3
+        assert_equivalent(model, module, docs)
+        obj, warnings = module.parse_document(docs[0])
+        assert (obj.pay, obj.note, warnings) == ([], "n", [])
 
     def test_lenient_vs_strict_on_generated(self, po_schema, tmp_path):
         model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
@@ -318,6 +360,126 @@ class TestGeneratedParsers:
         obj, warnings = module.parse_document(bad, mode="lenient")
         assert len(warnings) == 1
         assert obj.item[0].name == "w"
+
+
+def shared_head_model(k):
+    """Root R holding K wrapper types, each with a field on substitution head h."""
+    wrappers = "".join(f"""
+  <xs:complexType name="C{i}">
+    <xs:sequence><xs:element ref="tns:h" maxOccurs="unbounded"/></xs:sequence>
+  </xs:complexType>""" for i in range(k))
+    schema = schema_of(f"""
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence>{"".join(f'<xs:element name="c{i}" type="tns:C{i}"/>' for i in range(k))}
+    </xs:sequence>
+  </xs:complexType>{wrappers}
+  <xs:complexType name="HT">
+    <xs:sequence><xs:element name="hx" type="xs:int" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+  <xs:element name="h" type="tns:HT"/>
+  <xs:element name="m1" type="tns:HT" substitutionGroup="tns:h"/>
+  <xs:element name="m2" type="xs:string" substitutionGroup="tns:h"/>""")
+    body = "".join(f"<c{i}><m1><hx>{i}</hx></m1><m2>s{i}</m2></c{i}>" for i in range(k))
+    return schema, [f'<r xmlns="{TNS}">{body}</r>']
+
+
+class TestSharedDispatchTables:
+    def test_fields_on_one_head_share_one_table(self, tmp_path):
+        sources = {}
+        for k in (1, 8):
+            schema, docs = shared_head_model(k)
+            model, module, _, artifacts = build_and_import(schema, docs, tmp_path / str(k))
+            assert_equivalent(model, module, docs)
+            by_path = {a.path: a.content for a in artifacts}
+            dispatch = by_path["dispatch.py"]
+            assert re.findall(r"^(_D\d+) = \{$", dispatch, re.M) == ["_D0"]
+            assert "def " not in dispatch.split("def parse_document")[0]
+            for i in range(k):
+                wrapper = by_path[f"c_c{i}.py"]
+                assert "if _n in _D0:" in wrapper
+                assert wrapper.count("_D0") == 3  # placeholder, match, read
+            sources[k] = dispatch
+        added = set(sources[8].splitlines()) - set(sources[1].splitlines())
+        removed = set(sources[1].splitlines()) - set(sources[8].splitlines())
+        # Seven more class modules to import and bind; not one line of dispatch.
+        assert removed == set()
+        assert added == {f"from . import c_c{i}" for i in range(1, 8)} | \
+            {f"    c_c{i}," for i in range(1, 8)}
+
+
+RECURSIVE_CASES = {
+    "self": ("""
+  <xs:element name="node" type="tns:Node"/>
+  <xs:complexType name="Node">
+    <xs:sequence>
+      <xs:element name="label" type="xs:string"/>
+      <xs:element name="node" type="tns:Node" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>""",
+        "<node><label>a</label><node><label>b</label><node><label>c</label>"
+        "</node></node><node><label>d</label></node></node>",
+        BindingOptions()),
+    "mutual, through a dispatch table": ("""
+  <xs:element name="a" type="tns:A"/>
+  <xs:complexType name="A">
+    <xs:sequence>
+      <xs:element name="b" type="tns:B" minOccurs="0"/>
+      <xs:element ref="tns:h" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="B">
+    <xs:sequence><xs:element name="a" type="tns:A" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+  <xs:element name="h" type="tns:B"/>
+  <xs:element name="hb" type="tns:B" substitutionGroup="tns:h"/>""",
+        "<a><b><a><h><a/></h></a></b><hb><a><b/></a></hb></a>",
+        BindingOptions()),
+    "base holding its derived type": ("""
+  <xs:element name="r" type="tns:B"/>
+  <xs:complexType name="B">
+    <xs:sequence>
+      <xs:element name="v" type="xs:int"/>
+      <xs:element name="d" type="tns:D" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="D">
+    <xs:complexContent><xs:extension base="tns:B">
+      <xs:sequence><xs:element name="w" type="xs:string"/></xs:sequence>
+    </xs:extension></xs:complexContent>
+  </xs:complexType>""",
+        "<r><v>1</v><d><v>2</v><d><v>3</v><w>z</w></d><w>y</w></d></r>",
+        BindingOptions(flatten_inheritance=False)),
+}
+
+
+class TestLateBoundParsers:
+    """Class modules bind their child parsers once, in any import order."""
+
+    @pytest.mark.parametrize("case, first", [
+        ("self", "c_node"),
+        ("mutual, through a dispatch table", "c_a"),
+        ("mutual, through a dispatch table", "c_b"),
+        ("base holding its derived type", "c_b"),
+        ("base holding its derived type", "c_d"),
+    ])
+    def test_class_module_imported_before_package(self, case, first, tmp_path):
+        import importlib
+        import sys
+        body, doc, options = RECURSIVE_CASES[case]
+        schema = schema_of(body)
+        doc = doc.replace(">", f' xmlns="{TNS}">', 1)
+        usage = analyze(schema, doc)
+        model = build_binding_model(schema, compute_retained_set(schema, usage), usage,
+                                    options, model_name=unique_model_name("late"))
+        write_artifacts(model, emit_parser_backend(model), tmp_path)
+        sys.path.insert(0, str(tmp_path / "gen"))
+        try:
+            importlib.import_module(f"{model.name}.{first}")
+            package = importlib.import_module(model.name)
+        finally:
+            sys.path.remove(str(tmp_path / "gen"))
+        assert_equivalent(model, package, [doc])
 
 
 class TestManifest:
@@ -351,7 +513,7 @@ class TestManifest:
                 retained_qnames.add((qn.namespace, qn.local))
         for cls in model.classes:
             assert cls.source_type in retained
-        tuple_re = re.compile(r"_n == \('([^']*)', '([^']*)'\)")
+        tuple_re = re.compile(r"(?:_n == |^    )\('([^']*)', '([^']*)'\)", re.M)
         for artifact in artifacts:
             for ns, local in tuple_re.findall(artifact.content):
                 assert (ns, local) in retained_qnames, (artifact.path, ns, local)

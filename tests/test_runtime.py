@@ -20,7 +20,6 @@ from slimbind.runtime import (
     ParseContext,
     Recovery,
     Violation,
-    lenient_recover,
 )
 
 
@@ -256,13 +255,13 @@ class TestSkipSubtree:
 class TestTolerance:
     def test_lenient_actions(self):
         ctx = ParseContext("<a/>", mode="lenient", source_name="f.xml")
-        assert lenient_recover(ctx, Violation.UNKNOWN_ELEMENT, "m1") is \
+        assert ctx.violation(Violation.UNKNOWN_ELEMENT, "m1") is \
             Recovery.SKIP_SUBTREE
-        assert lenient_recover(ctx, Violation.MISSING_REQUIRED, "m2") is \
+        assert ctx.violation(Violation.MISSING_REQUIRED, "m2") is \
             Recovery.LEAVE_ABSENT
-        assert lenient_recover(ctx, Violation.BAD_SIMPLE_VALUE, "m3") is \
+        assert ctx.violation(Violation.BAD_SIMPLE_VALUE, "m3") is \
             Recovery.KEEP_RAW
-        assert lenient_recover(ctx, Violation.UNEXPECTED_TEXT, "m4") is \
+        assert ctx.violation(Violation.UNEXPECTED_TEXT, "m4") is \
             Recovery.DISCARD_TEXT
         assert len(ctx.warnings) == 4
 
