@@ -6,6 +6,11 @@ greedy matcher (valid under XSD 1.0's Unique Particle Attribution rule).
 The result is a UsageReport: which components were used, which types
 were instanced, observed substitutions and wildcard fillers, per-particle
 occurrence maxima, and which elements only ever wrap a single child.
+
+Work that repeats is done once: a corpus shares one content matcher and
+one set of attribute/content facts per type, and within a document each
+distinct (type, child-name sequence) is matched once and each distinct
+leaf child is visited once.
 """
 
 from __future__ import annotations
@@ -223,7 +228,6 @@ class ContentMatcher:
         for declaring, content in schema.effective_content_chain(type_id):
             if content.kind is ContentKind.PARTICLES:
                 self.levels.append((declaring, content.root))
-        self._first_cache = {}
         self._element_names = {}
 
     # ------------------------------------------------------------ name tables
@@ -300,6 +304,8 @@ class ContentMatcher:
         return state
 
     def _match_particle(self, particle, declaring, path, state) -> int:
+        if isinstance(particle, ElementParticle):
+            return self._match_element(particle, declaring, path, state)
         count = 0
         occurs = particle.occurs
         while state.more() and (occurs.max is None or count < occurs.max):
@@ -310,18 +316,26 @@ class ContentMatcher:
             count += 1
         return count
 
-    def _match_once(self, particle, declaring, path, state) -> bool:
-        if isinstance(particle, ElementParticle):
-            name = state.current()
-            elem_id, via_subst = self._element_matches(particle)[name]
-            pp = ParticlePath(declaring, path)
-            elem = self.schema.component(elem_id)
+    def _match_element(self, particle, declaring, path, state) -> int:
+        """Take the run of names an element particle matches; returns its length."""
+        table = self._element_matches(particle)
+        limit = particle.occurs.max
+        pp = ParticlePath(declaring, path)
+        names = state.names
+        count = 0
+        while state.i < len(names) and (limit is None or count < limit):
+            hit = table.get(names[state.i])
+            if hit is None:
+                break
+            elem_id, via_subst = hit
             state.take(Assignment(
                 kind=MatchKind.ELEMENT, particle=pp, element=elem_id,
-                effective_type=elem.detail.declared_type,
+                effective_type=self.schema.component(elem_id).detail.declared_type,
                 head=particle.element if via_subst else None), pp)
-            return True
+            count += 1
+        return count
 
+    def _match_once(self, particle, declaring, path, state) -> bool:
         if isinstance(particle, WildcardParticle):
             name = state.current()
             pp = ParticlePath(declaring, path)
@@ -425,81 +439,145 @@ def assign_children(schema: SchemaSet, parent_type: str, child_names,
 
 # ---------------------------------------------------------------- document analysis
 
-@dataclass
+@dataclass(slots=True)
 class _INode:
     qname: QName
     attributes: tuple
     xsi_type: Optional[QName]
     nil: bool
     children: list
+    names: list  # the children's QNames, collected as they are read
     has_text: bool
     line: int
     col: int
 
 
-_XSI_LOCAL_IGNORED = {"schemaLocation", "noNamespaceSchemaLocation"}
+def _split_attributes(ctx, ev, name: str):
+    """(plain attributes, xsi:type QName or None, xsi:nil) of a START event."""
+    xsi_type = None
+    nil = False
+    plain = []
+    for qn, value in ev.attributes:
+        if qn.namespace == XSI_NAMESPACE:
+            if qn.local == "type":
+                nsmap = ctx.active_namespaces()
+                value = value.strip()
+                if ":" in value:
+                    prefix, _, local = value.partition(":")
+                    ns = nsmap.get(prefix)
+                    if ns is None:
+                        raise MalformedXmlError(
+                            f"xsi:type uses undeclared prefix '{prefix}'",
+                            line=ev.line, col=ev.col, source=name)
+                    xsi_type = QName(ns, local)
+                else:
+                    xsi_type = QName(nsmap.get("", ""), value)
+            elif qn.local == "nil":
+                nil = value.strip() in ("true", "1")
+            continue
+        plain.append((qn, value))
+    return tuple(plain), xsi_type, nil
 
 
 def _read_skeleton(data, name: str) -> _INode:
     ctx = ParseContext(data, mode="strict", source_name=name)
-    root = None
-    stack = []
+    next_event = ctx.next_event
+    start, text, end = EventKind.START_ELEMENT, EventKind.TEXT, EventKind.END_ELEMENT
+    end_document = EventKind.END_DOCUMENT
+    root = parent = None
+    stack = []  # the open elements' parents; ``parent`` is the innermost open element
     while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.START_ELEMENT:
-            xsi_type = None
-            nil = False
-            plain = []
-            for qn, value in ev.attributes:
-                if qn.namespace == XSI_NAMESPACE:
-                    if qn.local == "type":
-                        nsmap = ctx.active_namespaces()
-                        value = value.strip()
-                        if ":" in value:
-                            prefix, _, local = value.partition(":")
-                            ns = nsmap.get(prefix)
-                            if ns is None:
-                                raise MalformedXmlError(
-                                    f"xsi:type uses undeclared prefix '{prefix}'",
-                                    line=ev.line, col=ev.col, source=name)
-                            xsi_type = QName(ns, local)
-                        else:
-                            xsi_type = QName(nsmap.get("", ""), value)
-                    elif qn.local == "nil":
-                        nil = value.strip() in ("true", "1")
-                    elif qn.local in _XSI_LOCAL_IGNORED:
-                        continue
-                    continue
-                plain.append((qn, value))
-            node = _INode(ev.name, tuple(plain), xsi_type, nil, [], False,
+        ev = next_event()
+        kind = ev.kind
+        if kind is start:
+            if ev.attributes:
+                attributes, xsi_type, nil = _split_attributes(ctx, ev, name)
+            else:
+                attributes, xsi_type, nil = (), None, False
+            node = _INode(ev.name, attributes, xsi_type, nil, [], [], False,
                           ev.line, ev.col)
-            if stack:
-                stack[-1].children.append(node)
+            if parent is not None:
+                parent.children.append(node)
+                parent.names.append(ev.name)
             elif root is None:
                 root = node
-            stack.append(node)
-        elif ev.kind is EventKind.TEXT:
-            if stack and ev.text.strip():
-                stack[-1].has_text = True
-        elif ev.kind is EventKind.END_ELEMENT:
-            stack.pop()
-        elif ev.kind is EventKind.END_DOCUMENT:
+            stack.append(parent)
+            parent = node
+        elif kind is end:
+            parent = stack.pop()
+        elif kind is text:
+            if parent is not None and ev.text.strip():
+                parent.has_text = True
+        elif kind is end_document:
             return root
 
 
+class _TypeFacts:
+    """What visiting an instance of one type reads from the schema."""
+
+    __slots__ = ("attributes", "wildcard", "mixed", "element_content")
+
+    def __init__(self, schema: SchemaSet, type_id: str):
+        comp = schema.component(type_id)
+        self.attributes = {}  # attribute QName -> attribute id
+        self.wildcard = None  # attribute wildcard id
+        self.mixed = False
+        self.element_content = False  # complex, and its content is not simple
+        if comp.kind is ComponentKind.COMPLEX_TYPE:
+            for _level, use in schema.effective_attribute_uses(type_id):
+                attr = schema.component(use.attribute)
+                self.attributes[attr.detail.qname] = use.attribute
+            self.wildcard = comp.detail.attribute_wildcard
+            self.mixed = schema.effective_mixed(type_id)
+            self.element_content = comp.detail.content.kind is not ContentKind.SIMPLE
+
+
+class _CorpusTables:
+    """Content matchers and per-type facts, shared by a corpus's documents."""
+
+    def __init__(self, schema: SchemaSet):
+        self.schema = schema
+        self.facts = {}  # type id -> _TypeFacts
+        self.matchers = {}  # type id -> ContentMatcher
+
+    def type_facts(self, type_id) -> _TypeFacts:
+        facts = self.facts.get(type_id)
+        if facts is None:
+            facts = self.facts[type_id] = _TypeFacts(self.schema, type_id)
+        return facts
+
+    def matcher(self, type_id) -> ContentMatcher:
+        m = self.matchers.get(type_id)
+        if m is None:
+            m = self.matchers[type_id] = ContentMatcher(self.schema, type_id)
+        return m
+
+
 class _DocumentAnalyzer:
-    def __init__(self, schema: SchemaSet, mode: str, doc_name: str):
+    def __init__(self, schema: SchemaSet, mode: str, doc_name: str,
+                 tables: _CorpusTables):
         self.schema = schema
         self.strict = mode == "strict"
         self.doc = doc_name
         self.report = UsageReport()
-        self._matchers = {}
+        self.tables = tables
+        self._matches = {}  # (type id, child QNames) -> _MatchState
+        self._leaves = set()  # (element id, type id, head) of leaves visited
 
-    def _matcher(self, type_id) -> ContentMatcher:
-        m = self._matchers.get(type_id)
-        if m is None:
-            m = self._matchers[type_id] = ContentMatcher(self.schema, type_id)
-        return m
+    def _match(self, type_id, names: tuple):
+        """``ContentMatcher.match`` of ``names``, memoised for this document.
+
+        Returns ``(state, new)``; ``new`` is False when this document already
+        matched the same names under the same type, so the report already
+        holds the state's groups and occurrence counts.
+        """
+        key = (type_id, names)
+        st = self._matches.get(key)
+        if st is not None:
+            return st, False
+        st = self._matches[key] = self.tables.matcher(type_id).match(
+            names, strict=self.strict)
+        return st, True
 
     def warn(self, node, message):
         self.report.warnings.append(f"{self.doc}:{node.line}:{node.col}: {message}")
@@ -533,63 +611,65 @@ class _DocumentAnalyzer:
 
     def visit(self, node: _INode, elem_id: str, type_id: str):
         report = self.report
-        report.used_components.add(elem_id)
-        report.used_components.add(type_id)
+        used = report.used_components
+        used.add(elem_id)
+        used.add(type_id)
         report.instanced_types.add(type_id)
-
-        comp = self.schema.component(type_id)
-        is_complex = comp.kind is ComponentKind.COMPLEX_TYPE
+        facts = self.tables.type_facts(type_id)
 
         # Attribute usage.
-        declared_attrs = {}
-        if is_complex:
-            for _level, use in self.schema.effective_attribute_uses(type_id):
-                attr = self.schema.component(use.attribute)
-                declared_attrs[attr.detail.qname] = use.attribute
-        wildcard_attr = None
-        if is_complex:
-            wildcard_attr = comp.detail.attribute_wildcard
         for qn, _value in node.attributes:
-            attr_id = declared_attrs.get(qn)
+            attr_id = facts.attributes.get(qn)
             if attr_id is not None:
-                report.used_components.add(attr_id)
-            elif wildcard_attr is not None and self.schema.component(
-                    wildcard_attr).detail.admits(qn.namespace):
-                report.used_components.add(wildcard_attr)
+                used.add(attr_id)
+            elif facts.wildcard is not None and self.schema.component(
+                    facts.wildcard).detail.admits(qn.namespace):
+                used.add(facts.wildcard)
             else:
                 self.warn(node, f"undeclared attribute {qn} on <{node.qname}>")
 
         # Single-child qualification (per element declaration).
-        mixed = is_complex and self.schema.effective_mixed(type_id)
-        qualifies = (len(node.children) == 1 and not node.attributes
-                     and not node.has_text and not mixed and not node.nil)
+        children = node.children
+        qualifies = (len(children) == 1 and not node.attributes
+                     and not node.has_text and not facts.mixed and not node.nil)
         state = report._single_child_state
         state[elem_id] = state.get(elem_id, True) and qualifies
 
         if node.nil:
-            if node.children:
-                self._unmatched_children(node, node.children)
+            if children:
+                self._unmatched_children(node, children)
             return
 
-        if not node.children:
+        if not children:
             return
 
-        if not is_complex or comp.detail.content.kind is ContentKind.SIMPLE or (
-                not self._matcher(type_id).levels):
-            self._unmatched_children(node, node.children)
+        if not facts.element_content or not self.tables.matcher(type_id).levels:
+            self._unmatched_children(node, children)
             return
 
-        matcher = self._matcher(type_id)
-        names = [c.qname for c in node.children]
         try:
-            st = matcher.match(names, strict=self.strict)
+            st, new = self._match(type_id, tuple(node.names))
         except UnmatchedChildError as exc:
             raise UnmatchedChildError(f"{self.doc}:{node.line}: {exc}") from None
-        report.used_components.update(st.groups_used)
-        for pp, count in st.counts.items():
-            report.occurrence_maxima[pp] = max(report.occurrence_maxima.get(pp, 0),
-                                               count)
-        for child, assignment in zip(node.children, st.assignments):
+        if new:
+            used.update(st.groups_used)
+            maxima = report.occurrence_maxima
+            for pp, count in st.counts.items():
+                if count > maxima.get(pp, 0):
+                    maxima[pp] = count
+        # A leaf child (no children, plain attributes, xsi:nil or xsi:type)
+        # adds only set members and a False single-child state: visit each
+        # distinct one once.
+        leaves = self._leaves
+        element = MatchKind.ELEMENT
+        for child, assignment in zip(children, st.assignments):
+            if (assignment.kind is element and not child.children
+                    and not child.attributes and not child.nil
+                    and child.xsi_type is None):
+                key = (assignment.element, assignment.effective_type, assignment.head)
+                if key in leaves:
+                    continue
+                leaves.add(key)
             self._visit_child(child, assignment)
 
     def _visit_child(self, child: _INode, assignment: Assignment):
@@ -637,14 +717,22 @@ def _coerce_document(index: int, item):
     raise TypeError(f"unsupported document source: {type(item)!r}")
 
 
-def analyze_document(schema: SchemaSet, name: str, data, mode: str) -> UsageReport:
+def analyze_document(schema: SchemaSet, name: str, data, mode: str,
+                     tables: Optional[_CorpusTables] = None) -> UsageReport:
+    """Usage facts of one document.
+
+    ``tables`` carries content matchers and per-type facts between the
+    documents of one corpus; a lone call builds its own.
+    """
     try:
         root = _read_skeleton(data, name)
     except MalformedXmlError as exc:
         raise MalformedDocumentError(f"{name}: {exc}") from exc
     if root is None:
         raise MalformedDocumentError(f"{name}: empty document")
-    return _DocumentAnalyzer(schema, mode, name).run(root)
+    if tables is None:
+        tables = _CorpusTables(schema)
+    return _DocumentAnalyzer(schema, mode, name, tables).run(root)
 
 
 def analyze_corpus(schema: SchemaSet, documents, mode: str = "strict") -> UsageReport:
@@ -656,10 +744,11 @@ def analyze_corpus(schema: SchemaSet, documents, mode: str = "strict") -> UsageR
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be strict or lenient, got {mode!r}")
     total = UsageReport()
+    tables = _CorpusTables(schema)
     for i, item in enumerate(documents):
         name, data = _coerce_document(i, item)
         try:
-            part = analyze_document(schema, name, data, mode)
+            part = analyze_document(schema, name, data, mode, tables)
         except (MalformedDocumentError, UnmatchedChildError,
                 InvalidTypeOverrideError, UnknownRootElementError,
                 AmbiguousMatchError) as exc:

@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 schema/configuration errors, 2 corpus errors
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from pathlib import Path
 
 from .analyzer import analyze_corpus
 from .binding import BindingOptions, build_binding_model, serialize_binding_model
@@ -57,8 +57,7 @@ def _parse_ignore_path(text: str):
 def _load_inputs(args):
     resolver = Catalog.from_file(args.catalog) if args.catalog else None
     sources = [SchemaSource.from_file(p) for p in args.schemas]
-    schema = load_schema_set(sources, resolver)
-    return schema
+    return load_schema_set(sources, resolver)
 
 
 def _check_out_dir(args):
@@ -72,64 +71,61 @@ def _check_out_dir(args):
                                 "and corpus directories")
 
 
-def _run_analysis(args, schema):
-    docs = _discover_docs(args.docs)
-    from pathlib import Path
-    report = analyze_corpus(schema, [Path(p) for p in docs], mode=args.mode)
-    return report
-
-
-def _write_usage(args, report):
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "usage-report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    return path
-
-
-def _print_warnings(schema, report):
-    for w in (*schema.warnings, *report.warnings):
-        print(f"warning: {w}", file=sys.stderr)
-
-
 def _report_failures(report):
     for name, exc in report.failures:
         print(f"FAILED {name}: {exc}", file=sys.stderr)
 
 
-def cmd_analyze(args) -> int:
-    try:
-        schema = _load_inputs(args)
-        _check_out_dir(args)
-    except SlimbindError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_SCHEMA
-    report = _run_analysis(args, schema)
-    _print_warnings(schema, report)
-    _write_usage(args, report)
-    print(f"analyzed {report.document_count} documents, "
-          f"{len(report.used_components)} components used")
+def _strict_failures(args, report) -> bool:
+    """Print the corpus failures when they fail a strict run."""
     if report.failures and args.mode == "strict":
         _report_failures(report)
-        return EXIT_CORPUS
-    return EXIT_OK
+        return True
+    return False
 
 
-def cmd_simplify(args) -> int:
+def _analyze_inputs(args, need_usage: bool):
+    """The steps every command starts with; ``(schema, report, exit code)``.
+
+    Loads the schemas, checks ``--out``, analyzes the corpus, prints the
+    warnings and writes ``usage-report.json``.  The exit code is None unless
+    the command must stop here: a schema error, or, with ``need_usage``, a
+    corpus that recorded no usage.
+    """
     try:
         schema = _load_inputs(args)
         _check_out_dir(args)
     except SlimbindError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_SCHEMA
-    report = _run_analysis(args, schema)
-    _print_warnings(schema, report)
-    _write_usage(args, report)
-    if report.document_count == 0 or not report.used_components:
+        return None, None, EXIT_SCHEMA
+    docs = [Path(p) for p in _discover_docs(args.docs)]
+    report = analyze_corpus(schema, docs, mode=args.mode)
+    for w in (*schema.warnings, *report.warnings):
+        print(f"warning: {w}", file=sys.stderr)
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "usage-report.json"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+    if need_usage and (report.document_count == 0 or not report.used_components):
         print("no usage recorded: corpus is empty or nothing analyzed",
               file=sys.stderr)
         _report_failures(report)
-        return EXIT_CORPUS
+        return schema, report, EXIT_CORPUS
+    return schema, report, None
+
+
+def cmd_analyze(args) -> int:
+    _schema, report, code = _analyze_inputs(args, need_usage=False)
+    if code is not None:
+        return code
+    print(f"analyzed {report.document_count} documents, "
+          f"{len(report.used_components)} components used")
+    return EXIT_CORPUS if _strict_failures(args, report) else EXIT_OK
+
+
+def cmd_simplify(args) -> int:
+    schema, report, code = _analyze_inputs(args, need_usage=True)
+    if code is not None:
+        return code
     retained = compute_retained_set(schema, report)
     files = emit_reduced_schemas(schema, retained, os.path.join(args.out, "reduced"))
     reduction = reduction_report(schema, retained)
@@ -145,29 +141,14 @@ def cmd_simplify(args) -> int:
         print(f"wrote {f} ({size} bytes)")
     print(f"reduced schema size: {total_bytes} bytes "
           "(component counts above are the primary metric)")
-    if report.failures and args.mode == "strict":
-        _report_failures(report)
-        return EXIT_CORPUS
-    return EXIT_OK
+    return EXIT_CORPUS if _strict_failures(args, report) else EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    try:
-        schema = _load_inputs(args)
-        _check_out_dir(args)
-    except SlimbindError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_SCHEMA
-    report = _run_analysis(args, schema)
-    _print_warnings(schema, report)
-    _write_usage(args, report)
-    if report.document_count == 0 or not report.used_components:
-        print("no usage recorded: corpus is empty or nothing analyzed",
-              file=sys.stderr)
-        _report_failures(report)
-        return EXIT_CORPUS
-    if report.failures and args.mode == "strict":
-        _report_failures(report)
+    schema, report, code = _analyze_inputs(args, need_usage=True)
+    if code is not None:
+        return code
+    if _strict_failures(args, report):
         return EXIT_CORPUS
 
     options = BindingOptions(

@@ -31,7 +31,7 @@ class QName:
     def __post_init__(self):
         if not self.local:
             raise ValueError("QName local part must be non-empty")
-        if any(c.isspace() for c in self.local) or ":" in self.local:
+        if self.local.split() != [self.local] or ":" in self.local:
             raise ValueError(f"invalid QName local part: {self.local!r}")
 
     def __str__(self):

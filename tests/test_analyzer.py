@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
+from slimbind import analyzer as analyzer_module
 from slimbind.analyzer import (
+    ContentMatcher,
     MatchKind,
     ParticlePath,
     UsageReport,
@@ -475,3 +478,133 @@ def test_report_json_round_trip(po_schema):
                          "typeSubstitutions", "elementSubstitutions",
                          "wildcardFillers", "occurrenceMaxima",
                          "singleChildElements", "rootElements"}
+
+
+# ---------------------------------------------------------------- shared work
+
+class _Forgetful(set):
+    """A set that never reports a member: every leaf child gets visited."""
+
+    def __contains__(self, item):
+        return False
+
+
+class _Unmemoised(analyzer_module._DocumentAnalyzer):
+    """The analyzer without its per-document shortcuts.
+
+    Every child list is matched by a fresh ``ContentMatcher`` and every
+    child is visited, as if no shape or leaf had been seen before.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._leaves = _Forgetful()
+
+    def _match(self, type_id, names):
+        return ContentMatcher(self.schema, type_id).match(names, strict=self.strict), True
+
+
+_OPEN_TAG = re.compile(r"^(\s*)<([\w.-]+)")
+
+
+def _element_block(lines, i):
+    """Lines ``i..j`` holding the element that opens on line ``i``, or None."""
+    m = _OPEN_TAG.match(lines[i])
+    if m is None:
+        return None
+    if "</" in lines[i] or lines[i].endswith("/>"):
+        return i, i
+    close = f"{m.group(1)}</{m.group(2)}>"
+    return i, lines.index(close, i + 1)
+
+
+@st.composite
+def edited_corpus(draw):
+    """A synthetic schema and a corpus edited so that shapes and leaves repeat.
+
+    Edits: repeat an element (a leaf or a whole subtree) right after itself,
+    give an element an extra attribute, or insert an element the schema
+    does not declare.  Edited documents may fail in strict mode; both
+    analyzers must then fail them the same way.
+    """
+    from synth import generate_case
+    from slimbind.loader import SchemaSource, load_schema_set
+
+    _g, xsd, docs = generate_case(draw(st.integers(0, 10_000)),
+                                  n_docs=draw(st.integers(1, 4)))
+    edited = []
+    for doc in docs:
+        lines = doc.split("\n")
+        for k in range(draw(st.integers(0, 6))):
+            if len(lines) < 3:
+                break
+            i = draw(st.integers(1, len(lines) - 2))  # inside the root
+            edit = draw(st.sampled_from(["repeat", "repeat", "attribute", "unknown"]))
+            block = _element_block(lines, i)
+            if edit == "repeat" and block is not None:
+                a, b = block
+                lines[b + 1:b + 1] = lines[a:b + 1]
+            elif edit == "attribute" and block is not None:
+                lines[i] = _OPEN_TAG.sub(rf'\g<0> edit{k}="x"', lines[i], count=1)
+            elif edit == "unknown":
+                lines.insert(i, f"<unknown{k % 2}/>")
+        edited.append("\n".join(lines))
+    schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+    return schema, [(f"d{i}.xml", d) for i, d in enumerate(edited)]
+
+
+def _outcome(report):
+    return (report.to_json(), list(report.warnings),
+            [(name, type(exc).__name__, str(exc)) for name, exc in report.failures])
+
+
+@settings(max_examples=80, deadline=None)
+@given(edited_corpus())
+def test_memoised_analysis_equals_fresh_matching(case):
+    schema, corpus = case
+    for mode in ("strict", "lenient"):
+        memoised = analyze_corpus(schema, corpus, mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analyzer_module, "_DocumentAnalyzer", _Unmemoised)
+            fresh = analyze_corpus(schema, corpus, mode)
+        assert _outcome(memoised) == _outcome(fresh)
+
+
+def test_corpus_builds_one_matcher_per_type(monkeypatch):
+    from synth import generate_case
+    from slimbind.loader import SchemaSource, load_schema_set
+
+    _g, xsd, docs = generate_case(8, n_docs=8)
+    schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+    built = []
+    init = ContentMatcher.__init__
+
+    def counted(self, schema, type_id):
+        built.append(type_id)
+        init(self, schema, type_id)
+
+    monkeypatch.setattr(ContentMatcher, "__init__", counted)
+    report = analyze_corpus(schema, [(f"d{i}.xml", d) for i, d in enumerate(docs)])
+    assert report.document_count == 8 and not report.failures
+    assert len(built) == len(set(built)) > 1
+    # Lone documents build their own, so together they build more.
+    built.clear()
+    for i, d in enumerate(docs):
+        analyze_document(schema, f"d{i}.xml", d, "strict")
+    assert len(built) > len(set(built))
+
+
+def test_same_shape_siblings_match_once(po_schema, monkeypatch):
+    calls = []
+    match = ContentMatcher.match
+
+    def counted(self, names, strict):
+        calls.append((self.type_id, tuple(names)))
+        return match(self, names, strict)
+
+    monkeypatch.setattr(ContentMatcher, "match", counted)
+    items = "".join(f'<item qty="{n}"><name>n{n}</name><price>{n}</price></item>'
+                    for n in range(5))
+    report = analyze(po_schema, f'<po xmlns="{TNS}" id="1">{items}</po>')
+    assert len(calls) == len(set(calls)) == 2  # the po's children, then one item shape
+    assert cid("attribute", "ItemType/@qty") in report.used_components

@@ -50,6 +50,26 @@ class TestQName:
             QName("urn:a", bad)
 
 
+_WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+
+
+def _valid_local_by_character(local):
+    """The per-character rule QName validation is defined by."""
+    return bool(local) and not any(c.isspace() for c in local) and ":" not in local
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_WHITESPACE + [":"])),
+               max_size=8))
+def test_qname_local_check_matches_per_character_rule(local):
+    try:
+        QName("urn:a", local)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _valid_local_by_character(local)
+
+
 class TestOccurs:
     def test_unbounded(self):
         assert Occurs(0, None).unbounded

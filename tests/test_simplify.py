@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +141,7 @@ class TestEmission:
         retained = compute_retained_set(schema, report)
         assert cid("element", "extra") not in retained
         files = emit_reduced_schemas(schema, retained, tmp_path / "red")
-        text = open(files[0]).read()
+        text = Path(files[0]).read_text()
         assert "extra" not in text
         assert "XT" not in text
         load_schema_set([SchemaSource.from_file(f) for f in files])
@@ -153,7 +154,7 @@ class TestEmission:
         # Hand-constructed retained set without the head.
         retained = {cid("element", "m"), cid("complexType", "HT")}
         files = emit_reduced_schemas(schema, retained, tmp_path / "red")
-        text = open(files[0]).read()
+        text = Path(files[0]).read_text()
         assert "substitutionGroup" not in text
         load_schema_set([SchemaSource.from_file(f) for f in files])
 
@@ -162,7 +163,7 @@ class TestEmission:
         retained = compute_retained_set(po_schema, report)
         f1 = emit_reduced_schemas(po_schema, retained, tmp_path / "one")
         f2 = emit_reduced_schemas(po_schema, retained, tmp_path / "two")
-        assert [open(p).read() for p in f1] == [open(p).read() for p in f2]
+        assert [Path(p).read_text() for p in f1] == [Path(p).read_text() for p in f2]
 
 
 class TestRoundTrip:
