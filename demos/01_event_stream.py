@@ -1,7 +1,9 @@
 """The streaming event layer: pull events, skip subtrees, tolerate errors.
 
-Everything downstream (the corpus analyzer and every generated parser)
-consumes this interface, so it is worth seeing on its own first.
+Every generated parser consumes this interface, so it is worth seeing on
+its own first.  The schema loader and the corpus analyzer need whole
+trees instead; they build them with ``slimbind.runtime.read_tree``, which
+sets expat up exactly as this interface does.
 """
 
 from slimbind.runtime import EventKind, ParseContext, Violation

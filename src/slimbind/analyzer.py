@@ -40,7 +40,7 @@ from .model import (
     WildcardParticle,
     substitution_members,
 )
-from .runtime import EventKind, ParseContext
+from .runtime import read_tree
 
 
 @dataclass(frozen=True, order=True)
@@ -228,26 +228,17 @@ class ContentMatcher:
         for declaring, content in schema.effective_content_chain(type_id):
             if content.kind is ContentKind.PARTICLES:
                 self.levels.append((declaring, content.root))
-        self._element_names = {}
+        # id(particle) -> its name table; _CorpusTables shares one dict
+        # between the matchers of a corpus.
+        self.element_names = {}
 
     # ------------------------------------------------------------ name tables
 
     def _element_matches(self, particle: ElementParticle):
         """qname -> (element id, is_substitution) for an element particle."""
-        key = id(particle)
-        table = self._element_names.get(key)
-        if table is not None:
-            return table
-        table = {}
-        comp = self.schema.component(particle.element)
-        if not comp.detail.is_abstract:
-            table[comp.detail.qname] = (comp.id, False)
-        if comp.is_global:
-            for member_id in substitution_members(self.schema, comp.id):
-                member = self.schema.component(member_id)
-                if not member.detail.is_abstract:
-                    table.setdefault(member.detail.qname, (member_id, True))
-        self._element_names[key] = table
+        table = self.element_names.get(id(particle))
+        if table is None:
+            table = self.element_names[id(particle)] = _name_table(self.schema, particle)
         return table
 
     def _can_start(self, particle, name: QName) -> bool:
@@ -401,6 +392,20 @@ class ContentMatcher:
         return progressed
 
 
+def _name_table(schema: SchemaSet, particle: ElementParticle) -> dict:
+    """qname -> (element id, is_substitution) of the elements a particle admits."""
+    table = {}
+    comp = schema.component(particle.element)
+    if not comp.detail.is_abstract:
+        table[comp.detail.qname] = (comp.id, False)
+    if comp.is_global:
+        for member_id in substitution_members(schema, comp.id):
+            member = schema.component(member_id)
+            if not member.detail.is_abstract:
+                table.setdefault(member.detail.qname, (member_id, True))
+    return table
+
+
 class _MatchState:
     def __init__(self, names):
         self.names = list(names)
@@ -439,77 +444,46 @@ def assign_children(schema: SchemaSet, parent_type: str, child_names,
 
 # ---------------------------------------------------------------- document analysis
 
-@dataclass(slots=True)
 class _INode:
-    qname: QName
-    attributes: tuple
-    xsi_type: Optional[QName]
-    nil: bool
-    children: list
-    names: list  # the children's QNames, collected as they are read
-    has_text: bool
-    line: int
-    col: int
+    """One element of a corpus document, as :func:`read_tree` builds it.
 
+    ``xsi:type`` and ``xsi:nil`` are taken out of the attributes here; an
+    ``xsi:type`` with an undeclared prefix is malformed at the element.
+    """
 
-def _split_attributes(ctx, ev, name: str):
-    """(plain attributes, xsi:type QName or None, xsi:nil) of a START event."""
-    xsi_type = None
-    nil = False
-    plain = []
-    for qn, value in ev.attributes:
-        if qn.namespace == XSI_NAMESPACE:
-            if qn.local == "type":
-                nsmap = ctx.active_namespaces()
+    __slots__ = ("qname", "attributes", "xsi_type", "nil", "children", "has_text",
+                 "line", "col")
+
+    def __init__(self, qname, attributes, scope, line, col):
+        self.qname = qname
+        self.children = ()  # a list from the first child on
+        self.has_text = False
+        self.line = line
+        self.col = col
+        self.xsi_type = None
+        self.nil = False
+        if not attributes:
+            self.attributes = ()
+            return
+        plain = []
+        for qn, value in attributes:
+            if qn.namespace != XSI_NAMESPACE:
+                plain.append((qn, value))
+            elif qn.local == "type":
                 value = value.strip()
                 if ":" in value:
                     prefix, _, local = value.partition(":")
-                    ns = nsmap.get(prefix)
+                    ns = scope.get(prefix)
                     if ns is None:
                         raise MalformedXmlError(
                             f"xsi:type uses undeclared prefix '{prefix}'",
-                            line=ev.line, col=ev.col, source=name)
-                    xsi_type = QName(ns, local)
+                            line=line, col=col)
+                    self.xsi_type = QName(ns, local)
                 else:
-                    xsi_type = QName(nsmap.get("", ""), value)
+                    self.xsi_type = QName(scope.get("", ""), value)
             elif qn.local == "nil":
-                nil = value.strip() in ("true", "1")
-            continue
-        plain.append((qn, value))
-    return tuple(plain), xsi_type, nil
-
-
-def _read_skeleton(data, name: str) -> _INode:
-    ctx = ParseContext(data, mode="strict", source_name=name)
-    next_event = ctx.next_event
-    start, text, end = EventKind.START_ELEMENT, EventKind.TEXT, EventKind.END_ELEMENT
-    end_document = EventKind.END_DOCUMENT
-    root = parent = None
-    stack = []  # the open elements' parents; ``parent`` is the innermost open element
-    while True:
-        ev = next_event()
-        kind = ev.kind
-        if kind is start:
-            if ev.attributes:
-                attributes, xsi_type, nil = _split_attributes(ctx, ev, name)
-            else:
-                attributes, xsi_type, nil = (), None, False
-            node = _INode(ev.name, attributes, xsi_type, nil, [], [], False,
-                          ev.line, ev.col)
-            if parent is not None:
-                parent.children.append(node)
-                parent.names.append(ev.name)
-            elif root is None:
-                root = node
-            stack.append(parent)
-            parent = node
-        elif kind is end:
-            parent = stack.pop()
-        elif kind is text:
-            if parent is not None and ev.text.strip():
-                parent.has_text = True
-        elif kind is end_document:
-            return root
+                self.nil = value.strip() in ("true", "1")
+        self.attributes = tuple(plain)
 
 
 class _TypeFacts:
@@ -533,12 +507,18 @@ class _TypeFacts:
 
 
 class _CorpusTables:
-    """Content matchers and per-type facts, shared by a corpus's documents."""
+    """Content matchers and per-type facts, shared by a corpus's documents.
+
+    The matchers also share their element-name tables: the types of an
+    extension chain match their base levels' particles, and each particle's
+    table is built once.
+    """
 
     def __init__(self, schema: SchemaSet):
         self.schema = schema
         self.facts = {}  # type id -> _TypeFacts
         self.matchers = {}  # type id -> ContentMatcher
+        self.element_names = {}  # id(particle) -> name table
 
     def type_facts(self, type_id) -> _TypeFacts:
         facts = self.facts.get(type_id)
@@ -550,6 +530,7 @@ class _CorpusTables:
         m = self.matchers.get(type_id)
         if m is None:
             m = self.matchers[type_id] = ContentMatcher(self.schema, type_id)
+            m.element_names = self.element_names
         return m
 
 
@@ -648,7 +629,7 @@ class _DocumentAnalyzer:
             return
 
         try:
-            st, new = self._match(type_id, tuple(node.names))
+            st, new = self._match(type_id, tuple([c.qname for c in children]))
         except UnmatchedChildError as exc:
             raise UnmatchedChildError(f"{self.doc}:{node.line}: {exc}") from None
         if new:
@@ -725,11 +706,9 @@ def analyze_document(schema: SchemaSet, name: str, data, mode: str,
     documents of one corpus; a lone call builds its own.
     """
     try:
-        root = _read_skeleton(data, name)
+        root = read_tree(data, name, _INode)
     except MalformedXmlError as exc:
         raise MalformedDocumentError(f"{name}: {exc}") from exc
-    if root is None:
-        raise MalformedDocumentError(f"{name}: empty document")
     if tables is None:
         tables = _CorpusTables(schema)
     return _DocumentAnalyzer(schema, mode, name, tables).run(root)

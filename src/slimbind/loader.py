@@ -1,16 +1,16 @@
 """Parse XSD documents, resolve imports/includes, and build a SchemaSet.
 
-Schema text is read with the package's own event parser.  All QName
-references are resolved to component ids during loading; anything left
-unresolved is a DANGLING_REFERENCE error.  Resolution of schemaLocation
-goes through an explicit catalog plus relative-path lookup; there is no
-network access.
+Each schema document is parsed once, into an element tree built by
+``slimbind.runtime.read_tree``.  All QName references are resolved to
+component ids during loading; anything left unresolved is a
+DANGLING_REFERENCE error.  Resolution of schemaLocation goes through an
+explicit catalog plus relative-path lookup; there is no network access.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -51,7 +51,7 @@ from .model import (
     component_id,
     kind_category,
 )
-from .runtime import EventKind, ParseContext
+from .runtime import read_tree
 
 
 def _decode_source(data: bytes) -> str:
@@ -131,17 +131,23 @@ def builtin_types() -> set:
 _XSD = XSD_NAMESPACE
 
 
-@dataclass
 class _Node:
-    qname: QName
-    attrs: dict
-    nsmap: dict
-    children: list = dc_field(default_factory=list)
-    line: int = 0
-    col: int = 0
+    """One element of a schema document, as :func:`read_tree` builds it."""
+
+    __slots__ = ("qname", "attrs", "nsmap", "children", "has_text", "line", "col")
+
+    def __init__(self, qname, attributes, scope, line, col):
+        self.qname = qname
+        # Only unqualified attributes are XSD's own; foreign ones are never read.
+        self.attrs = {qn.local: v for qn, v in attributes if not qn.namespace}
+        self.nsmap = scope
+        self.children = ()  # a list from the first child on
+        self.has_text = False
+        self.line = line
+        self.col = col
 
     def get(self, local, default=None):
-        return self.attrs.get(QName("", local), default)
+        return self.attrs.get(local, default)
 
     def kids(self, *locals_):
         want = set(locals_)
@@ -151,26 +157,6 @@ class _Node:
     def first(self, *locals_):
         found = self.kids(*locals_)
         return found[0] if found else None
-
-
-def _read_tree(source: SchemaSource) -> _Node:
-    ctx = ParseContext(source.raw_text, mode="strict", source_name=source.system_id)
-    root = None
-    stack = []
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.START_ELEMENT:
-            node = _Node(ev.name, dict(ev.attributes), ctx.active_namespaces(),
-                         line=ev.line, col=ev.col)
-            if stack:
-                stack[-1].children.append(node)
-            else:
-                root = node
-            stack.append(node)
-        elif ev.kind is EventKind.END_ELEMENT:
-            stack.pop()
-        elif ev.kind is EventKind.END_DOCUMENT:
-            return root
 
 
 def _resolve_qname(value: str, nsmap: dict, where: str) -> QName:
@@ -238,11 +224,14 @@ class _Loader:
         self.resolver = resolver
         self.docs: list = []
         self._loaded_keys = set()
+        self._trees = {}  # system id -> root node; a document reached again is not parsed again
         self.raw_globals: dict = {}  # (category, QName) -> _RawGlobal
         self.builder = SchemaSetBuilder()
         self._built = set()
         self._group_in_progress = set()
         self._anon_counters = {}
+        # Keyed by (id(node), target namespace): a chameleon include shares
+        # its tree between the namespaces that include it.
         self._elem_type_memo = {}
         self._elem_type_stack = set()
         for src in entry_points:
@@ -251,10 +240,13 @@ class _Loader:
     # -------------------------------------------------------- document intake
 
     def _load_doc(self, source: SchemaSource, adopted_tns):
-        try:
-            tree = _read_tree(source)
-        except MalformedXmlError as exc:
-            raise MalformedSchemaError(f"{source.system_id}: {exc}") from exc
+        tree = self._trees.get(source.system_id)
+        if tree is None:
+            try:
+                tree = read_tree(source.raw_text, source.system_id, _Node)
+            except MalformedXmlError as exc:
+                raise MalformedSchemaError(f"{source.system_id}: {exc}") from exc
+            self._trees[source.system_id] = tree
         if tree.qname != QName(_XSD, "schema"):
             raise MalformedSchemaError(
                 f"{source.system_id}: root element is {tree.qname}, expected xs:schema")
@@ -482,7 +474,7 @@ class _Loader:
 
     def _element_type_id(self, node: _Node, doc: _Doc, addr: str) -> str:
         """Declared type id of an element node (may synthesize an anonymous id)."""
-        key = id(node)
+        key = (id(node), doc.tns)
         if key in self._elem_type_memo:
             return self._elem_type_memo[key]
         if key in self._elem_type_stack:

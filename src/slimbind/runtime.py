@@ -1,13 +1,15 @@
-"""Namespace-aware streaming XML event interface and tolerance policy.
+"""Namespace-aware XML reading over expat, and the tolerance policy.
 
-Generated parsers, the schema loader and the corpus analyzer all read XML
-through :class:`ParseContext`, a pull interface over the stdlib expat
-parser.  Expat enforces XML 1.0 plus Namespaces: it normalizes line ends
-and attribute whitespace, and decodes byte input by its BOM or declared
-encoding.  Text is coalesced into one TEXT event across comments,
-processing instructions and CDATA sections.
+Generated parsers read XML through :class:`ParseContext`, a pull interface
+over the stdlib expat parser.  The schema loader and the corpus analyzer
+need whole trees, so :func:`read_tree` builds them straight from expat's
+callbacks, with no events in between.  Both set expat up in one place,
+``_ExpatSource``, which enforces XML 1.0 plus Namespaces: expat normalizes
+line ends and attribute whitespace, and decodes byte input by its BOM or
+declared encoding.  ParseContext coalesces text into one TEXT event across
+comments, processing instructions and CDATA sections.
 
-The DTD never changes the event stream.  Entity declarations, attribute
+The DTD never changes what a reader sees.  Entity declarations, attribute
 defaults, and documents that need an external subset or parameter
 entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
@@ -102,11 +104,12 @@ class ParseWarning:
         return f"WARN {self.source}:{self.line}:{self.col} {self.code} {self.message}"
 
 
-_CHUNK = 1 << 16  # bytes handed to expat per Parse call
+_CHUNK = 1 << 16  # bytes handed to expat per Parse call by ParseContext
 _XML_SCOPE = {"xml": XML_NAMESPACE}
-_HANDLERS = ("StartNamespaceDeclHandler", "StartElementHandler", "EndElementHandler",
-             "CharacterDataHandler", "StartCdataSectionHandler", "EntityDeclHandler",
-             "AttlistDeclHandler", "SkippedEntityHandler", "NotStandaloneHandler")
+_HANDLERS = ("StartNamespaceDeclHandler", "EndNamespaceDeclHandler", "StartElementHandler",
+             "EndElementHandler", "CharacterDataHandler", "StartCdataSectionHandler",
+             "EntityDeclHandler", "AttlistDeclHandler", "SkippedEntityHandler",
+             "NotStandaloneHandler")
 _START = EventKind.START_ELEMENT
 _TEXT = EventKind.TEXT
 _END = EventKind.END_ELEMENT
@@ -145,6 +148,107 @@ def _expat_input(source):
     return data, None
 
 
+class _ExpatSource:
+    """One expat parser over one document, set up the way every reader needs.
+
+    It refuses entity declarations, attribute defaults and documents that
+    need an external subset or parameter entities, decodes the source by
+    its BOM or declared encoding, interns element and attribute names, and
+    keeps the namespace scope.  Each element's start goes to ``start(name,
+    attributes, scope, line, col)``: its QName, a tuple of ``(QName,
+    value)`` pairs, the prefix-to-URI dict in force at it (never changed
+    afterwards, so it may be kept) and the position of its '<'.  ``end``,
+    ``characters`` and ``start_cdata`` are installed as expat's own handlers.
+    """
+
+    def __init__(self, source, source_name, start, end, characters, start_cdata=None):
+        try:
+            self.data, self.encoding = _expat_input(source)
+        except UnicodeEncodeError as exc:  # a str holding lone surrogates
+            raise MalformedXmlError(f"unencodable input: {exc}", source=source_name)
+        self.source_name = source_name
+        self.names = names = _QNames()
+        self.parser = parser = expat.ParserCreate(self.encoding, " ")
+        parser.ordered_attributes = True
+        parser.specified_attributes = True
+        parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
+        scope = _XML_SCOPE
+        declared = []
+        outer = []  # the scope to restore, once per declaration still open
+
+        def start_namespace(prefix, uri):
+            declared.append((prefix or "", uri or ""))  # None stands for xmlns / xmlns=""
+
+        def end_namespace(_prefix):
+            # Expat ends an element's declarations right after its end tag.
+            nonlocal scope
+            scope = outer.pop()
+
+        def start_element(raw, attrs):
+            nonlocal scope
+            if declared:
+                outer.extend([scope] * len(declared))
+                scope = dict(scope)
+                scope.update(declared)
+                declared.clear()
+            if attrs:
+                pairs = iter(attrs)
+                attrs = tuple([(names[n], v) for n, v in zip(pairs, pairs)])
+            else:
+                attrs = ()
+            start(names[raw], attrs, scope, parser.CurrentLineNumber,
+                  parser.CurrentColumnNumber + 1)
+
+        def refuse(message):
+            raise MalformedXmlError(message, line=parser.CurrentLineNumber,
+                                    col=parser.CurrentColumnNumber + 1)
+
+        def entity_decl(name, is_parameter, *_):
+            refuse(f"entity declaration '{'%' if is_parameter else ''}{name}' refused: "
+                   "entities are never expanded")
+
+        def attlist_decl(element, attribute, _type, default, _required):
+            if default is not None:
+                refuse(f"default for attribute '{attribute}' of '{element}' refused: "
+                       "the DTD may not add attributes")
+
+        def skipped_entity(name, is_parameter):
+            refuse(f"reference to undeclared entity '{name}'")
+
+        handlers = (start_namespace, end_namespace, start_element, end, characters,
+                    start_cdata, entity_decl, attlist_decl, skipped_entity,
+                    lambda: 0)  # NotStandalone: refuse an external subset or PE refs
+        for name, handler in zip(_HANDLERS, handlers):
+            setattr(parser, name, handler)
+
+    def feed(self, at, stop) -> bool:
+        """Parse ``data[at:stop]``; True when that was the end of the data.
+
+        Expat's errors, and those of handlers, surface as
+        :class:`MalformedXmlError` with the source name.  When parsing ends,
+        by an error or at the end of the data, the handlers are unset: they
+        refer to the parser, and the cycle would hold expat's buffers until
+        the next garbage collection.
+        """
+        final = stop >= len(self.data)
+        ended = True
+        try:
+            self.parser.Parse(self.data[at:stop], final)
+            ended = final
+        except expat.ExpatError as exc:
+            raise MalformedXmlError(expat.ErrorString(exc.code), line=exc.lineno,
+                                    col=exc.offset + 1, source=self.source_name) from None
+        except MalformedXmlError as exc:  # refused, or raised by a reader's node
+            if exc.source is None:
+                exc.source = exc.info["source"] = self.source_name
+            raise
+        finally:
+            if ended:
+                for name in _HANDLERS:
+                    setattr(self.parser, name, None)
+        return final
+
+
 class ParseContext:
     """One streaming parse of one document; not shareable across threads.
 
@@ -153,18 +257,12 @@ class ParseContext:
     ``_events`` (and the namespace scope of each START to ``_scopes``).
     """
 
-    def __init__(self, source, mode="strict", source_name="<input>", ignore_paths=()):
+    def __init__(self, source, mode="strict", source_name="<input>"):
         if mode not in ("strict", "lenient"):
             raise ValueError(f"mode must be strict or lenient, got {mode!r}")
-        try:
-            self._data, encoding = _expat_input(source)
-        except UnicodeEncodeError as exc:  # a str holding lone surrogates
-            raise MalformedXmlError(f"unencodable input: {exc}", source=source_name)
         self.mode = mode
         self.source_name = source_name
         self.warnings: list = []
-        self.ignore_matcher = compile_ignore_paths(ignore_paths)
-        self.open_path: list = []  # QNames of currently open elements
         self._last_event: Optional[XmlEvent] = None
         self._ns_stack = [_XML_SCOPE]  # scopes of the open elements the caller has read
         self._events: deque = deque()
@@ -172,7 +270,7 @@ class ParseContext:
         self._offset = 0
         self._failure: Optional[MalformedXmlError] = None
         self._done = False
-        self._parser = self._create_parser(encoding)
+        self._source = self._open(source)
 
     # ------------------------------------------------------------ event stream
 
@@ -183,17 +281,10 @@ class ParseContext:
         ev = events.popleft()
         self._last_event = ev
         if ev.kind is _START:
-            self.open_path.append(ev.name)
             self._ns_stack.append(self._scopes.popleft())
         elif ev.kind is _END:
-            self.open_path.pop()
             self._ns_stack.pop()
         return ev
-
-    def peek(self) -> XmlEvent:
-        if not self._events:
-            self._fill()
-        return self._events[0]
 
     def skip_subtree(self) -> int:
         """Consume events through the END matching the current START.
@@ -232,9 +323,6 @@ class ParseContext:
         """Prefix-to-URI bindings in scope at the element the caller is in."""
         return dict(self._ns_stack[-1])
 
-    def at_ignored_path(self) -> bool:
-        return self.ignore_matcher(tuple(self.open_path))
-
     # ------------------------------------------------------------ internals
 
     def _fill(self):
@@ -247,74 +335,38 @@ class ParseContext:
                 raise MalformedXmlError("read past END_DOCUMENT", source=self.source_name)
             at = self._offset
             self._offset = at + _CHUNK
-            final = self._offset >= len(self._data)
-            parser = self._parser
             try:
-                parser.Parse(self._data[at:self._offset], final)
-            except expat.ExpatError as exc:
-                self._failure = MalformedXmlError(
-                    expat.ErrorString(exc.code), line=exc.lineno, col=exc.offset + 1,
-                    source=self.source_name)
+                self._done = self._source.feed(at, self._offset)
             except MalformedXmlError as exc:
                 self._failure = exc
-            else:
-                if not final:
-                    continue
-                self._done = True
+                continue
+            if self._done:
+                parser = self._source.parser
                 events.append(XmlEvent(EventKind.END_DOCUMENT,
                                        line=parser.CurrentLineNumber,
                                        col=parser.CurrentColumnNumber + 1))
-            # The handlers refer to the parser: unset them so that the cycle
-            # does not hold expat's buffers until the next garbage collection.
-            for name in _HANDLERS:
-                setattr(parser, name, None)
 
-    def _create_parser(self, encoding):
-        parser = expat.ParserCreate(encoding, " ")
-        parser.ordered_attributes = True
-        parser.specified_attributes = True
-        parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
-        data = self._data
-        close = "/>".encode(encoding or "ascii")
+    def _open(self, source):
+        """The expat source whose callbacks queue this context's events."""
         events = self._events
         append = events.append
         add_scope = self._scopes.append
-        names = _QNames()
-        open_scopes = [_XML_SCOPE]
-        declared = []
         text = []
         text_line = text_col = 0
-        source_name = self.source_name
 
         def flush_text():
             append(XmlEvent(_TEXT, None, (), "".join(text), text_line, text_col))
             text.clear()
 
-        def start_namespace(prefix, uri):
-            declared.append((prefix or "", uri or ""))  # None stands for xmlns / xmlns=""
-
-        def start(raw, attrs):
+        def start(name, attributes, scope, line, col):
             if text:
                 flush_text()
-            scope = open_scopes[-1]
-            if declared:
-                scope = dict(scope)
-                scope.update(declared)
-                declared.clear()
-            open_scopes.append(scope)
             add_scope(scope)
-            if attrs:
-                pairs = iter(attrs)
-                attrs = tuple([(names[n], v) for n, v in zip(pairs, pairs)])
-            else:
-                attrs = ()
-            append(XmlEvent(_START, names[raw], attrs, "", parser.CurrentLineNumber,
-                            parser.CurrentColumnNumber + 1))
+            append(XmlEvent(_START, name, attributes, "", line, col))
 
         def end(raw):
             if text:
                 flush_text()
-            open_scopes.pop()
             if events and events[-1].kind is _START:
                 # Content-free: an empty-element tag's END shares its START position.
                 at = parser.CurrentByteIndex
@@ -336,43 +388,59 @@ class ParseContext:
             if not text:
                 characters("")  # a run that opens with CDATA starts at '<![CDATA['
 
-        def refuse(message):
-            raise MalformedXmlError(message, line=parser.CurrentLineNumber,
-                                    col=parser.CurrentColumnNumber + 1, source=source_name)
-
-        def entity_decl(name, is_parameter, *_):
-            refuse(f"entity declaration '{'%' if is_parameter else ''}{name}' refused: "
-                   "entities are never expanded")
-
-        def attlist_decl(element, attribute, _type, default, _required):
-            if default is not None:
-                refuse(f"default for attribute '{attribute}' of '{element}' refused: "
-                       "the DTD may not add attributes")
-
-        def skipped_entity(name, is_parameter):
-            refuse(f"reference to undeclared entity '{name}'")
-
-        handlers = (start_namespace, start, end, characters, start_cdata, entity_decl,
-                    attlist_decl, skipped_entity,
-                    lambda: 0)  # NotStandalone: refuse an external subset or PE refs
-        for name, handler in zip(_HANDLERS, handlers):
-            setattr(parser, name, handler)
-        return parser
+        expat_source = _ExpatSource(source, self.source_name, start, end, characters,
+                                    start_cdata)
+        parser, data, names = expat_source.parser, expat_source.data, expat_source.names
+        close = "/>".encode(expat_source.encoding or "ascii")
+        return expat_source
 
 
-# ---------------------------------------------------------------- ignore paths
+# ---------------------------------------------------------------- document trees
 
-def compile_ignore_paths(paths):
-    """Compile element-QName paths into a matcher over open-element paths.
+def read_tree(source, source_name, node_class):
+    """Root of a document's element tree, built straight from expat's callbacks.
 
-    A path matches when the document path from the root equals it exactly.
+    ``node_class(name, attributes, scope, line, col)`` makes the node of
+    one element from what its START event would carry, with a false
+    ``children`` and ``has_text``.  The reader gives a node a ``children``
+    list at its first child, so a leaf keeps the value it was made with,
+    and sets ``has_text`` when the element directly holds non-whitespace
+    text.  A :class:`MalformedXmlError` that ``node_class`` raises gets the
+    source name.  The input is checked as :class:`ParseContext` checks it.
     """
-    compiled = [tuple(p) for p in paths]
+    document = _Document()
+    open_nodes = [document]
+    push, pop = open_nodes.append, open_nodes.pop
 
-    def matcher(open_path: tuple) -> bool:
-        return any(open_path == p for p in compiled)
+    def start(name, attributes, scope, line, col):
+        node = node_class(name, attributes, scope, line, col)
+        parent = open_nodes[-1]
+        kids = parent.children
+        if kids:
+            kids.append(node)
+        else:
+            parent.children = [node]
+        push(node)
 
-    return matcher
+    def end(_raw):
+        pop()
+
+    def characters(chunk):
+        if chunk.strip():
+            open_nodes[-1].has_text = True
+
+    expat_source = _ExpatSource(source, source_name, start, end, characters)
+    expat_source.feed(0, len(expat_source.data))
+    return document.children[0]
+
+
+class _Document:
+    """Holds the root while :func:`read_tree` reads; expat reports no text here."""
+
+    __slots__ = ("children",)
+
+    def __init__(self):
+        self.children = ()
 
 
 # ---------------------------------------------------------------- generated-code support

@@ -322,6 +322,16 @@ class TestXsiFeatures:
             cid("element", "R/v"): {cid("complexType", "D")}}
         assert cid("complexType", "D") in report.instanced_types
 
+    def test_undeclared_xsi_type_prefix_is_malformed_at_the_element(self):
+        schema = schema_of(self.SCHEMA)
+        doc = (f'<r xmlns="{TNS}"\n   xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+               '\n  <v xsi:type="zz:D"/></r>')
+        for mode in ("strict", "lenient"):
+            report = analyze_corpus(schema, [("d.xml", doc)], mode)
+            [(name, exc)] = report.failures
+            assert str(exc) == ("MALFORMED_DOCUMENT: d.xml: MALFORMED_XML: xsi:type uses "
+                                "undeclared prefix 'zz' at d.xml:3:3")
+
     def test_invalid_xsi_type_strict(self):
         schema = schema_of(self.SCHEMA + '\n  <xs:complexType name="Z"/>')
         doc = (f'<r xmlns="{TNS}" xmlns:tns="{TNS}" '
@@ -608,3 +618,31 @@ def test_same_shape_siblings_match_once(po_schema, monkeypatch):
     report = analyze(po_schema, f'<po xmlns="{TNS}" id="1">{items}</po>')
     assert len(calls) == len(set(calls)) == 2  # the po's children, then one item shape
     assert cid("attribute", "ItemType/@qty") in report.used_components
+
+
+def test_extension_chain_builds_each_name_table_once(monkeypatch):
+    """Matchers of derived types share their base levels' name tables."""
+    k = 5
+    levels = ['<xs:complexType name="T0"><xs:sequence>'
+              '<xs:element name="e0" type="xs:int"/></xs:sequence></xs:complexType>']
+    for i in range(1, k):
+        levels.append(
+            f'<xs:complexType name="T{i}"><xs:complexContent>'
+            f'<xs:extension base="tns:T{i - 1}"><xs:sequence>'
+            f'<xs:element name="e{i}" type="xs:int"/></xs:sequence>'
+            f'</xs:extension></xs:complexContent></xs:complexType>')
+    roots = [f'<xs:element name="r{i}" type="tns:T{i}"/>' for i in range(k)]
+    schema = schema_of("\n".join(levels + roots))
+    docs = [f'<r{i} xmlns="{TNS}">' + "".join(f"<e{j}>1</e{j}>" for j in range(i + 1))
+            + f"</r{i}>" for i in range(k)]
+    built = []
+    name_table = analyzer_module._name_table
+
+    def counted(schema, particle):
+        built.append(particle.element)
+        return name_table(schema, particle)
+
+    monkeypatch.setattr(analyzer_module, "_name_table", counted)
+    report = analyze(schema, *docs)
+    assert report.document_count == k
+    assert sorted(built) == sorted(cid("element", f"T{i}/e{i}") for i in range(k))

@@ -281,3 +281,78 @@ def test_unqualified_local_elements():
     schema = load_schema_set([SchemaSource("mem://u.xsd", raw_text=text)])
     bare = schema.component("element:urn:u:T/bare")
     assert bare.detail.qname == QName("", "bare")
+
+
+def _write_xsd(path, tns, body):
+    head = '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"'
+    if tns:
+        head += f' xmlns:tns="{tns}" targetNamespace="{tns}" elementFormDefault="qualified"'
+    path.write_text(f"{head}>\n{body}\n</xs:schema>")
+
+
+def test_diamond_import_reads_each_file_once(tmp_path, monkeypatch):
+    from slimbind import loader
+
+    def imports(*names):
+        return "\n".join(f'  <xs:import namespace="urn:{n}" schemaLocation="{n}.xsd"/>'
+                         for n in names)
+
+    _write_xsd(tmp_path / "a.xsd", "urn:a", imports("b", "c"))
+    _write_xsd(tmp_path / "b.xsd", "urn:b", imports("d"))
+    _write_xsd(tmp_path / "c.xsd", "urn:c", imports("d"))
+    _write_xsd(tmp_path / "d.xsd", "urn:d", '  <xs:element name="leaf" type="xs:int"/>')
+    reads = []
+    read_tree = loader.read_tree
+
+    def counted(source, source_name, node_class):
+        reads.append(os.path.basename(source_name))
+        return read_tree(source, source_name, node_class)
+
+    monkeypatch.setattr(loader, "read_tree", counted)
+    schema = load_schema_set([SchemaSource.from_file(tmp_path / n)
+                              for n in ("a.xsd", "d.xsd", "c.xsd")])
+    assert sorted(reads) == ["a.xsd", "b.xsd", "c.xsd", "d.xsd"]
+    assert schema.lookup_global("element", QName("urn:d", "leaf")) is not None
+
+
+CHAMELEON = """
+  <xs:element name="box">
+    <xs:complexType>
+      <xs:sequence><xs:element name="item" type="xs:string" maxOccurs="3"/></xs:sequence>
+      <xs:attribute name="size"><xs:simpleType>
+        <xs:restriction base="xs:int"/></xs:simpleType></xs:attribute>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="label"><xs:simpleType><xs:list itemType="xs:string"/></xs:simpleType>
+  </xs:element>
+  <xs:complexType name="Pair"><xs:sequence>
+    <xs:element name="left"><xs:complexType><xs:sequence/></xs:complexType></xs:element>
+  </xs:sequence></xs:complexType>"""
+
+
+def _load_two_hosts(tmp_path, second_include):
+    _write_xsd(tmp_path / "naked.xsd", "", CHAMELEON)
+    _write_xsd(tmp_path / "naked2.xsd", "", CHAMELEON)
+    _write_xsd(tmp_path / "host_a.xsd", "urn:a",
+               '  <xs:include schemaLocation="naked.xsd"/>\n'
+               '  <xs:import namespace="urn:b" schemaLocation="host_b.xsd"/>')
+    _write_xsd(tmp_path / "host_b.xsd", "urn:b",
+               f'  <xs:include schemaLocation="{second_include}"/>')
+    return load_schema_set([SchemaSource.from_file(tmp_path / "host_a.xsd")])
+
+
+def test_chameleon_included_from_two_namespaces(tmp_path):
+    """One file included into two namespaces gives each its own components,
+    exactly as two copies of the file do."""
+    shared = _load_two_hosts(tmp_path, "naked.xsd")
+    copied = _load_two_hosts(tmp_path, "naked2.xsd")
+    assert {k: (c.kind, c.name, c.namespace, c.owner, c.detail)
+            for k, c in shared.components.items()} == \
+        {k: (c.kind, c.name, c.namespace, c.owner, c.detail)
+         for k, c in copied.components.items()}
+    assert set(shared.edges) == set(copied.edges)
+    for ns in ("urn:a", "urn:b"):
+        assert shared.component(f"element:{ns}:box").detail.declared_type == \
+            f"complexType:{ns}:box/type"
+        assert shared.component(f"element:{ns}:label").detail.declared_type == \
+            f"simpleType:{ns}:label/type"

@@ -1,8 +1,10 @@
 """Event stream contract: well-formedness, DTD safety, namespaces, positions,
-skipping, tolerance, and agreement with ElementTree."""
+skipping, tolerance, and agreement with ElementTree; the tree reader agrees
+with the event stream."""
 
 from __future__ import annotations
 
+import codecs
 import time
 import xml.etree.ElementTree as ET
 
@@ -20,6 +22,7 @@ from slimbind.runtime import (
     ParseContext,
     Recovery,
     Violation,
+    read_tree,
 )
 
 
@@ -441,3 +444,86 @@ def test_events_match_elementtree(body, prolog):
     """Names, attributes, coalesced text and scopes agree with ElementTree."""
     doc = prolog + body
     assert runtime_stream(doc) == etree_stream(doc)
+
+
+# ---------------------------------------------------------------- tree reader
+
+class _Rec:
+    """A read_tree node that keeps everything the reader hands it."""
+
+    def __init__(self, name, attributes, scope, line, col):
+        self.fields = (clark(name), {clark(q): v for q, v in attributes}, dict(scope),
+                       line, col)
+        self.children = ()
+        self.has_text = False
+
+    def shape(self):
+        return self.fields + (self.has_text, [c.shape() for c in self.children])
+
+
+def pulled_tree(doc, source_name="<input>"):
+    """The tree read_tree should build, assembled from ParseContext's events."""
+    ctx = ParseContext(doc, source_name=source_name)
+    stack = [[]]  # the children lists of the open elements, innermost last
+    while True:
+        ev = ctx.next_event()
+        if ev.kind is EventKind.START_ELEMENT:
+            node = [clark(ev.name), {clark(q): v for q, v in ev.attributes},
+                    ctx.active_namespaces(), ev.line, ev.col, False, []]
+            stack[-1].append(node)
+            stack.append(node[-1])
+        elif ev.kind is EventKind.TEXT:
+            if ev.text.strip():
+                stack[-2][-1][5] = True
+        elif ev.kind is EventKind.END_ELEMENT:
+            stack.pop()
+        else:
+            (root,) = stack[0]
+            return _as_tuples(root)
+
+
+def _as_tuples(node):
+    return tuple(node[:6]) + ([_as_tuples(c) for c in node[6]],)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xml_element({}), st.sampled_from(["", '<?xml version="1.0"?>\r\n<!-- c -->']),
+       st.sampled_from(["str", "utf-8", "utf-16"]))
+def test_read_tree_equals_tree_of_events(body, prolog, encoding):
+    """Names, attributes, scopes, START positions, text flags and child order."""
+    doc = prolog + body
+    if encoding == "utf-16":
+        doc = codecs.BOM_UTF16_LE + doc.encode("utf-16-le")
+    elif encoding == "utf-8":
+        doc = doc.encode("utf-8")
+    assert read_tree(doc, "t.xml", _Rec).shape() == pulled_tree(doc, "t.xml")
+
+
+def test_read_tree_gives_leaves_no_child_list():
+    root = read_tree("<a><b/><c>x</c><d> </d></a>", "t.xml", _Rec)
+    assert [c.children for c in root.children] == [(), (), ()]
+    assert [c.has_text for c in root.children] == [False, True, False]
+
+
+REFUSED = [
+    *(LAUGHS + tail for tail in ("<a>&x6;</a>", '<a b="&x6;"/>')),
+    '<!DOCTYPE a [<!ENTITY x SYSTEM "file:///etc/hostname">]><a>&x;</a>',
+    '<!DOCTYPE a [<!ENTITY % p "<!ENTITY x \'1\'>">%p;]><a>&x;</a>',
+    '<!DOCTYPE a [<!ATTLIST a xmlns CDATA "urn:x">]><a/>',
+    '<!DOCTYPE a SYSTEM "a.dtd"><a/>',
+    '<?xml version="1.0" standalone="yes"?><!DOCTYPE a SYSTEM "a.dtd"><a>&x;</a>',
+    "<a", "<a></b>", "</a>", "<a x='1' x='2'/>", "<a>]]></a>", "text only", "<a/><b/>",
+    "<a>&#0;</a>", "<a>\x01</a>", '<a b="1"c="2"/>', '<a xmlns:p=""/>', "<p:a/>", "",
+    "<r>\n  <ok/>\n  <bad attr=x/>\n</r>", "<a>\ud800</a>",
+]
+
+
+@pytest.mark.parametrize("doc", REFUSED)
+def test_read_tree_refuses_as_the_event_stream_does(doc):
+    """The same MalformedXmlError message, line and column through both readers."""
+    with pytest.raises(MalformedXmlError) as pulled:
+        events_of(doc, source_name="f.xml")
+    with pytest.raises(MalformedXmlError) as built:
+        read_tree(doc, "f.xml", _Rec)
+    assert (str(built.value), built.value.line, built.value.col) == \
+        (str(pulled.value), pulled.value.line, pulled.value.col)
