@@ -260,16 +260,6 @@ class BindingModel:
                 return c
         return None
 
-    @property
-    def dispatch_tables(self) -> dict:
-        """field id ("Class.field") -> dispatch entry list."""
-        out = {}
-        for cls in self.classes:
-            for f in cls.fields:
-                if f.dispatch:
-                    out[f"{cls.name}.{f.name}"] = list(f.dispatch)
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "irVersion": IR_VERSION,

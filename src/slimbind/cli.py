@@ -113,6 +113,16 @@ def _analyze_inputs(args, need_usage: bool):
     return schema, report, None
 
 
+def _write_reduction(args, schema, retained):
+    """Write the reduced schemas and ``reduction-report.json``; (files, report)."""
+    files = emit_reduced_schemas(schema, retained, os.path.join(args.out, "reduced"))
+    reduction = reduction_report(schema, retained)
+    with open(os.path.join(args.out, "reduction-report.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write(reduction.to_json())
+    return files, reduction
+
+
 def cmd_analyze(args) -> int:
     _schema, report, code = _analyze_inputs(args, need_usage=False)
     if code is not None:
@@ -126,12 +136,7 @@ def cmd_simplify(args) -> int:
     schema, report, code = _analyze_inputs(args, need_usage=True)
     if code is not None:
         return code
-    retained = compute_retained_set(schema, report)
-    files = emit_reduced_schemas(schema, retained, os.path.join(args.out, "reduced"))
-    reduction = reduction_report(schema, retained)
-    with open(os.path.join(args.out, "reduction-report.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(reduction.to_json())
+    files, reduction = _write_reduction(args, schema, compute_retained_set(schema, report))
     print(f"retained {reduction.retained_components}/{reduction.total_components} "
           f"global components ({reduction.percent()})")
     total_bytes = 0
@@ -163,11 +168,7 @@ def cmd_generate(args) -> int:
     )
     retained_used = compute_retained_set(schema, report)
     retained = retained_used if options.prune_unused else set(schema.components)
-    emit_reduced_schemas(schema, retained_used, os.path.join(args.out, "reduced"))
-    reduction = reduction_report(schema, retained_used)
-    with open(os.path.join(args.out, "reduction-report.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(reduction.to_json())
+    _files, reduction = _write_reduction(args, schema, retained_used)
 
     try:
         model = build_binding_model(schema, retained, report, options,

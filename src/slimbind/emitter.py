@@ -1,11 +1,11 @@
 """Render parser source files from a binding model and a template set.
 
-The built-in backend emits plain recursive-descent Python parsers against
-``slimbind.runtime``, which holds the helpers they share: one module per
-class (dataclass plus its parse function), and one dispatch/entry module
-with each distinct dispatch table once, the root table, and the document
-entry point.  Rendering is deterministic: equal inputs give byte-identical
-artifacts.
+The built-in backend emits table-driven Python parsers against
+``slimbind.runtime``, which holds all their parsing code: one module per
+class (its dataclass plus the field rows its record parser reads), and one
+dispatch/entry module with each distinct dispatch table once, the root
+table, and the document entry point.  Rendering is deterministic: equal
+inputs give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,13 +26,19 @@ from .binding import (
 from .errors import EmptyModelError
 from .templates import ManifestEntry, TemplateSet, compile_template, render_template
 
-_CONV_FN = {
-    ValueCategory.STRING: "conv_string",
-    ValueCategory.INTEGER: "conv_integer",
-    ValueCategory.DECIMAL: "conv_decimal",
-    ValueCategory.BOOLEAN: "conv_boolean",
-    ValueCategory.DOUBLE: "conv_double",
-    ValueCategory.RAW: "conv_raw",
+# Value category -> name of its conversion in ``slimbind.runtime.CONVERSIONS``.
+_CONV = {
+    ValueCategory.STRING: "string",
+    ValueCategory.INTEGER: "integer",
+    ValueCategory.DECIMAL: "decimal",
+    ValueCategory.BOOLEAN: "boolean",
+    ValueCategory.DOUBLE: "double",
+    ValueCategory.RAW: "string",
+}
+_OCCURS = {
+    Cardinality.SCALAR_REQUIRED: "1",
+    Cardinality.SCALAR_OPTIONAL: "?",
+    Cardinality.LIST: "*",
 }
 
 
@@ -105,8 +111,8 @@ def _py_tuple(qname) -> str:
     return f"({qname.namespace!r}, {qname.local!r})"
 
 
-def _conv_fn(value) -> str:
-    return _CONV_FN[value] if value is not None else "conv_raw"
+def _conv(value) -> str:
+    return _CONV[value] if value is not None else "string"
 
 
 def _module_names(model: BindingModel) -> dict:
@@ -136,7 +142,7 @@ class _Tables:
         """``(parse, conv, by_type)``; a class without a module reads as simple."""
         if target_class in self.modules:
             return f"({self.modules[target_class]}.parse_{target_class}, None, {by_type})"
-        conv = _conv_fn(value)
+        conv = "conv_" + _conv(value)
         self.convs.add(conv)
         return f"(None, {conv}, {by_type})"
 
@@ -207,128 +213,61 @@ def build_render_context(model: BindingModel) -> dict:
 
 
 def _class_context(model, cls, modules, tables) -> dict:
-    fields_ctx = []
-    element_cases = []
-    attr_cases = []
-    required_checks = []
-    text_field = None
-    imports = {"EventKind", "Violation", "consume_nil", "is_nil"}
-    late = {}  # late-bound name -> None, in first-use order
-
-    def parser(target_class):
-        name = f"parse_{target_class}"
-        if target_class != cls.name:
-            late[name] = None
-        return name
-
-    for f in cls.fields:
-        is_list = f.cardinality is Cardinality.LIST
-        fields_ctx.append({
-            "py_name": f.name,
-            "py_default": "_dc_field(default_factory=list)" if is_list else "None",
-        })
-    # Match cases cover inherited fields too when flattening is off.
-    # Element fields take precedence over wildcards for the same name, so
-    # wildcard cases are emitted after every element case.
+    # Rows cover inherited fields too when flattening is off.  Element
+    # fields take precedence over wildcards for the same name, so wildcard
+    # rows come after every other row.
     matchable = effective_fields(model, cls)
     matchable = [f for f in matchable if not f.is_wildcard] + \
         [f for f in matchable if f.is_wildcard]
-    for f in matchable:
-        is_list = f.cardinality is Cardinality.LIST
-        what = f"{cls.name}.{f.name}"
-        if f.kind is FieldKind.TEXT_CONTENT:
-            text_field = f
-            continue
-        if f.kind is FieldKind.ATTRIBUTE:
-            conv = _CONV_FN[f.value]
-            imports.add(conv)
-            required = f.cardinality is Cardinality.SCALAR_REQUIRED
-            attr_cases.append({
-                "kw": "elif" if attr_cases else "if",
-                "xml_tuple": _py_tuple(f.xml_name),
-                "py_name": f.name,
-                "conv": conv,
-                "what": repr(what),
-                "required": required,
-            })
-            if required:
-                required_checks.append({"py_name": f.name,
-                                        "message": repr(f"missing required attribute "
-                                                        f"{f.xml_name.local} in {cls.name}")})
-            continue
-
-        # Element field.  A dispatch field matches exactly its table's keys.
-        # Its table is late-bound even when ignored: the match still reads it.
-        table = _field_table(tables, f) if f.dispatch else None
-        if table is not None:
-            late[table] = None
-        match_names = {e.qname for e in f.dispatch if e.via == "element"} or {f.xml_name}
-        if len(match_names) == 1:
-            match_expr = f"_n == {_py_tuple(match_names.pop())}"
-        else:
-            match_expr = f"_n in {table}"
-
-        lines = []
-        required = f.cardinality is Cardinality.SCALAR_REQUIRED
-        if f.ignored:
-            lines.append("ctx.skip_subtree()")
-        else:
-            if required:
-                lines.append(f"_seen_{f.name} = True")
-            if table is not None:
-                imports.add("read_dispatched")
-                lines.append(f"_v = read_dispatched(ctx, ev, {table}, {what!r})")
-            elif f.collapse_chain:
-                imports.add("read_collapsed")
-                chain = "(" + ", ".join(_py_tuple(q) for q in f.collapse_chain) + ",)"
-                if f.target_class in modules:
-                    final = f"{parser(f.target_class)}, None"
-                else:
-                    final = f"None, {_conv_fn(f.value)}"
-                    imports.add(_conv_fn(f.value))
-                lines.append(f"_v = read_collapsed(ctx, {chain}, {final}, {what!r})")
-            elif f.target_class is not None:
-                lines.append(f"_v = {parser(f.target_class)}(ctx, ev)")
-            else:
-                imports.update(("read_simple", _conv_fn(f.value)))
-                lines.append(f"_v = read_simple(ctx, ev, {_conv_fn(f.value)}, {what!r})")
-            if is_list:
-                lines.append(f"obj.{f.name}.append(_v)")
-            else:
-                lines.append(f"obj.{f.name} = _v")
-        element_cases.append({"match_expr": match_expr, "lines": lines})
-        if required and not f.ignored:
-            required_checks.append({"py_name": f.name,
-                                    "message": repr(f"missing required element "
-                                                    f"{f.xml_name.local} in {cls.name}")})
-
-    if text_field is not None and not cls.mixed:
-        imports.add(_CONV_FN[text_field.value])
-    ctx = {
+    return {
         "name": cls.name,
         "module": modules[cls.name],
         "xml_type": cls.source_type,
-        "runtime_imports": ", ".join(sorted(imports)),
-        "late_bound": list(late),
-        "has_late_bound": bool(late),
-        "fields": fields_ctx,
-        "element_cases": element_cases,
-        "attr_cases": attr_cases,
-        "has_attr_cases": bool(attr_cases),
-        "required_flags": [{"py_name": c["py_name"]} for c in required_checks],
-        "required_checks": required_checks,
-        "is_mixed": cls.mixed,
-        "collect_text": text_field is not None,
+        "fields": [{
+            "py_name": f.name,
+            "py_default": "_dc_field(default_factory=list)"
+            if f.cardinality is Cardinality.LIST else "None",
+        } for f in cls.fields],
+        "rows": [repr(_row(cls, f, modules, tables)) for f in matchable],
         "has_base": cls.base is not None,
         "base": cls.base or "",
         "base_module": modules.get(cls.base, "") if cls.base else "",
     }
-    if text_field is not None:
-        ctx["text_py_name"] = text_field.name
-        ctx["text_conv"] = _CONV_FN[text_field.value]
-        ctx["text_what"] = repr(f"{cls.name}.{text_field.name}")
-        ctx["text_is_mixed"] = cls.mixed
-    return ctx
+
+
+def _row(cls, f, modules, tables) -> tuple:
+    """The field row ``(key, slot, occurs, read, target)`` of ``f``.
+
+    ``slimbind.runtime`` documents the format.
+    """
+    key = (f.xml_name.namespace, f.xml_name.local)
+    occurs = _OCCURS[f.cardinality]
+    if f.kind is FieldKind.TEXT_CONTENT:
+        if cls.mixed:
+            return None, f.name, occurs, "mixed", None
+        return None, f.name, occurs, "text", _conv(f.value)
+    if f.kind is FieldKind.ATTRIBUTE:
+        return key, f.name, occurs, "attribute", _conv(f.value)
+    # A dispatch field matches its table's keys, even when ignored.
+    if f.dispatch:
+        key = _field_table(tables, f)
+    if f.ignored:
+        read, target = "ignore", None
+    elif f.dispatch:
+        read, target = "dispatch", f.xml_name.local
+    elif f.collapse_chain:
+        chain = tuple((q.namespace, q.local) for q in f.collapse_chain)
+        read, target = "collapse", (chain, *_element_read(f, modules))
+    else:
+        read, target = _element_read(f, modules)
+    return key, f.name, occurs, read, target
+
+
+def _element_read(f, modules) -> tuple:
+    """``("class", name)`` or ``("simple", conversion)`` for an element's value."""
+    if f.target_class in modules:
+        return "class", f.target_class
+    return "simple", _conv(f.value)
 
 
 def _root_contexts(model, tables) -> list:
@@ -350,18 +289,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as _dc_field
 
-from slimbind.runtime import {{runtime_imports}}
+from slimbind.runtime import RecordParser
 {{#has_base}}
 
 from .{{base_module}} import {{base}}
 {{/has_base}}
-{{#has_late_bound}}
-
-# Bound by dispatch.py once every class module is loaded.
-{{/has_late_bound}}
-{{#late_bound}}
-{{.}} = None
-{{/late_bound}}
 
 
 @dataclass
@@ -374,65 +306,12 @@ class {{name}}{{#has_base}}({{base}}){{/has_base}}:
 {{/fields}}
 
 
-def parse_{{name}}(ctx, start):
-    if is_nil(start):
-        return consume_nil(ctx)
-    obj = {{name}}()
-{{#required_flags}}
-    _seen_{{py_name}} = False
-{{/required_flags}}
-{{#has_attr_cases}}
-    for _aq, _av in start.attributes:
-        _an = (_aq.namespace, _aq.local)
-{{#attr_cases}}
-        {{kw}} _an == {{xml_tuple}}:
-{{#required}}
-            _seen_{{py_name}} = True
-{{/required}}
-            obj.{{py_name}} = {{conv}}(ctx, _av, {{what}})
-{{/attr_cases}}
-{{/has_attr_cases}}
-{{#collect_text}}
-    _text = []
-{{/collect_text}}
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is EventKind.END_ELEMENT:
-            break
-        if ev.kind is EventKind.TEXT:
-{{#collect_text}}
-            _text.append(ev.text)
-{{/collect_text}}
-{{^collect_text}}
-            if ev.text.strip():
-                ctx.violation(Violation.UNEXPECTED_TEXT,
-                              "unexpected text in {{name}}")
-{{/collect_text}}
-            continue
-        _n = (ev.name.namespace, ev.name.local)
-{{#element_cases}}
-        if {{match_expr}}:
-{{#lines}}
-            {{.}}
-{{/lines}}
-            continue
-{{/element_cases}}
-        ctx.violation(Violation.UNKNOWN_ELEMENT,
-                      f"unexpected element {ev.name} in {{name}}")
-        ctx.skip_subtree()
-{{#required_checks}}
-    if not _seen_{{py_name}}:
-        ctx.violation(Violation.MISSING_REQUIRED, {{message}})
-{{/required_checks}}
-{{#collect_text}}
-{{#text_is_mixed}}
-    obj.{{text_py_name}} = "".join(_text) if _text else None
-{{/text_is_mixed}}
-{{^text_is_mixed}}
-    obj.{{text_py_name}} = {{text_conv}}(ctx, "".join(_text), {{text_what}})
-{{/text_is_mixed}}
-{{/collect_text}}
-    return obj
+# Field rows (key, slot, occurs, read, target); see slimbind.runtime.
+parse_{{name}} = RecordParser({{name}}, (
+{{#rows}}
+    {{.}},
+{{/rows}}
+)).parse
 '''
 
 _DISPATCH_TEMPLATE = '''\
@@ -500,7 +379,7 @@ def builtin_template_set() -> TemplateSet:
 
 
 def emit_parser_backend(model: BindingModel) -> list:
-    """Recursive-descent parser sources for the built-in Python backend."""
+    """Parser package sources for the built-in Python backend."""
     if not model.roots:
         raise EmptyModelError("binding model has no roots")
     return render(model, builtin_template_set())

@@ -54,30 +54,23 @@ from .model import (
 from .runtime import read_tree
 
 
-def _decode_source(data: bytes) -> str:
-    if data.startswith(b"\xef\xbb\xbf"):
-        return data[3:].decode("utf-8")
-    if data.startswith(b"\xff\xfe"):
-        return data.decode("utf-16-le")[1:]
-    if data.startswith(b"\xfe\xff"):
-        return data.decode("utf-16-be")[1:]
-    return data.decode("utf-8")
-
-
 @dataclass
 class SchemaSource:
-    """One schema document: identity, namespace, and raw text."""
+    """One schema document: identity, namespace, and raw text.
+
+    ``raw_text`` is a str, or the file's bytes, which the XML reader decodes
+    by their BOM or declared encoding.
+    """
 
     system_id: str
     target_namespace: str = ""
-    raw_text: str = ""
+    raw_text: object = ""
 
     @classmethod
     def from_file(cls, path) -> "SchemaSource":
         path = os.path.abspath(os.fspath(path))
         with open(path, "rb") as fh:
-            data = fh.read()
-        return cls(system_id=path, raw_text=_decode_source(data))
+            return cls(system_id=path, raw_text=fh.read())
 
 
 class Catalog:
@@ -415,17 +408,18 @@ class _Loader:
     # Group and attribute-group definitions are built on demand because group
     # references are expanded inline into referencing content models.
 
-    def _group_def(self, qname: QName, referrer: str, where: str) -> SchemaComponent:
-        raw = self.raw_globals.get(("group", qname))
+    def _group_def(self, category: str, qname: QName, referrer: str,
+                   where: str) -> SchemaComponent:
+        """The built ``group`` or ``attributeGroup`` definition named ``qname``."""
+        raw = self.raw_globals.get((category, qname))
         if raw is None:
             raise DanglingReferenceError(
-                f"{where}: unresolved group reference {qname} from {referrer}")
+                f"{where}: unresolved {category} reference {qname} from {referrer}")
         if raw.comp_id in self._group_in_progress:
+            noun = "model group" if category == "group" else "attribute group"
             raise MalformedSchemaError(
-                f"{where}: circular model group reference involving {qname}")
-        if raw.comp_id not in self._built:
-            self._built.add(raw.comp_id)
-            self._build_group_def(raw)
+                f"{where}: circular {noun} reference involving {qname}")
+        self._build_global(raw)
         return self.builder.component(raw.comp_id)
 
     def _build_group_def(self, raw: _RawGlobal):
@@ -443,19 +437,6 @@ class _Loader:
         self.builder.add_component(SchemaComponent(
             id=raw.comp_id, kind=ComponentKind.MODEL_GROUP_DEF, name=raw.qname,
             detail=ModelGroupDetail(root=root), namespace=doc.tns))
-
-    def _attrgroup_def(self, qname: QName, referrer: str, where: str) -> SchemaComponent:
-        raw = self.raw_globals.get(("attributeGroup", qname))
-        if raw is None:
-            raise DanglingReferenceError(
-                f"{where}: unresolved attributeGroup reference {qname} from {referrer}")
-        if raw.comp_id in self._group_in_progress:
-            raise MalformedSchemaError(
-                f"{where}: circular attribute group reference involving {qname}")
-        if raw.comp_id not in self._built:
-            self._built.add(raw.comp_id)
-            self._build_attrgroup_def(raw)
-        return self.builder.component(raw.comp_id)
 
     def _build_attrgroup_def(self, raw: _RawGlobal):
         node, doc = raw.node, raw.doc
@@ -489,7 +470,6 @@ class _Loader:
                 qn = _resolve_qname(type_attr, node.nsmap, where)
                 result = self._resolve_ref("type", qn, addr, where)
             elif node.first("complexType") is not None:
-                inner = node.first("complexType")
                 result = component_id(ComponentKind.COMPLEX_TYPE, doc.tns, addr + "/type")
             elif node.first("simpleType") is not None:
                 result = component_id(ComponentKind.SIMPLE_TYPE, doc.tns, addr + "/type")
@@ -731,19 +711,22 @@ class _Loader:
     def _build_particle_body(self, node, doc, owner_id, owner_addr, where):
         """Build the top-level model group of a content model (or None)."""
         if node.qname.local == "group":
-            ref_attr = node.get("ref")
-            if not ref_attr:
-                raise MalformedSchemaError(f"{where}: inner xs:group must use ref")
-            occurs = _parse_occurs(node, where)
-            if occurs is None:
-                return None
-            qn = _resolve_qname(ref_attr, node.nsmap, where)
-            group_comp = self._group_def(qn, owner_id, where)
-            root = group_comp.detail.root
-            return GroupParticle(root.compositor, root.children, occurs,
-                                 ref=group_comp.id)
+            return self._group_ref_particle(node, owner_id, where)
         return self._build_model_group(node, doc, owner_id, owner_addr,
                                        _parse_occurs(node, where))
+
+    def _group_ref_particle(self, node, owner_id, where):
+        """The particle of an ``xs:group ref``; None when it may not occur."""
+        ref_attr = node.get("ref")
+        if not ref_attr:
+            raise MalformedSchemaError(f"{where}: inner xs:group must use ref")
+        occurs = _parse_occurs(node, where)
+        if occurs is None:
+            return None
+        qn = _resolve_qname(ref_attr, node.nsmap, where)
+        group_comp = self._group_def("group", qn, owner_id, where)
+        root = group_comp.detail.root
+        return GroupParticle(root.compositor, root.children, occurs, ref=group_comp.id)
 
     def _build_model_group(self, node, doc, owner_id, owner_addr, occurs):
         where = f"{doc.source.system_id}:{node.line}"
@@ -769,17 +752,9 @@ class _Loader:
                 if p is not None:
                     children.append(p)
             elif tag == "group":
-                ref_attr = child.get("ref")
-                if not ref_attr:
-                    raise MalformedSchemaError(f"{cw}: inner xs:group must use ref")
-                c_occ = _parse_occurs(child, cw)
-                if c_occ is None:
-                    continue
-                qn = _resolve_qname(ref_attr, child.nsmap, cw)
-                group_comp = self._group_def(qn, owner_id, cw)
-                root = group_comp.detail.root
-                children.append(GroupParticle(root.compositor, root.children, c_occ,
-                                              ref=group_comp.id))
+                p = self._group_ref_particle(child, owner_id, cw)
+                if p is not None:
+                    children.append(p)
             elif tag == "any":
                 c_occ = _parse_occurs(child, cw)
                 if c_occ is None:
@@ -884,7 +859,7 @@ class _Loader:
                 if not ref_attr:
                     raise MalformedSchemaError(f"{cw}: inner attributeGroup must use ref")
                 qn = _resolve_qname(ref_attr, child.nsmap, cw)
-                group_comp = self._attrgroup_def(qn, owner_id, cw)
+                group_comp = self._group_def("attributeGroup", qn, owner_id, cw)
                 self.builder.add_edge(owner_id, EdgeLabel.GROUP_REF, group_comp.id)
                 for use in group_comp.detail.attributes:
                     uses.append(AttributeUse(use.attribute, use.required, use.default,

@@ -10,7 +10,7 @@ ids survive reloads and re-runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Union
 
@@ -54,9 +54,6 @@ class Occurs:
     @property
     def unbounded(self):
         return self.max is None
-
-
-UNBOUNDED = None
 
 
 class ComponentKind(Enum):
@@ -461,24 +458,6 @@ def substitution_members(schema: SchemaSet, head: str) -> set:
     return members
 
 
-def iter_particles(root: GroupParticle):
-    """Depth-first (path, particle) pairs; the root group has path ()."""
-    stack = [((), root)]
-    while stack:
-        path, particle = stack.pop()
-        yield path, particle
-        if isinstance(particle, GroupParticle):
-            for i in range(len(particle.children) - 1, -1, -1):
-                stack.append((path + (i,), particle.children[i]))
-
-
-def particle_at(root: GroupParticle, path) -> Particle:
-    node = root
-    for idx in path:
-        node = node.children[idx]
-    return node
-
-
 # ---------------------------------------------------------------- builder
 
 class SchemaSetBuilder:
@@ -510,12 +489,6 @@ class SchemaSetBuilder:
 
     def warn(self, message: str):
         self._warnings.append(message)
-
-    def has_global(self, category: str, qname: QName) -> bool:
-        return (category, qname) in self._global_index
-
-    def get_global(self, category: str, qname: QName) -> Optional[str]:
-        return self._global_index.get((category, qname))
 
     def has_component(self, comp_id: str) -> bool:
         return comp_id in self._components

@@ -14,10 +14,12 @@ defaults, and documents that need an external subset or parameter
 entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
 
-The module also holds the helpers every generated parser package calls
-(value conversion, simple-content and collapsed-wrapper reading,
-``xsi:nil``/``xsi:type`` handling, table dispatch, and late binding of
-child parsers), so generated packages carry no copies of them.
+The module also holds all the parsing code generated packages use.  A
+generated class module is data, field rows that :class:`RecordParser`
+interprets over a ParseContext; :func:`bind_parsers` resolves the names
+the rows mention once the package is loaded.  Value conversion,
+simple-content and collapsed-wrapper reading, ``xsi:nil``/``xsi:type``
+handling and table dispatch live here too, so packages carry no copies.
 """
 
 from __future__ import annotations
@@ -450,40 +452,175 @@ class _Document:
 # ``(parse, conv, by_type)``: ``parse`` is a class parser ``parse(ctx,
 # start)``, or None for simple content read with ``conv``; ``by_type``, when
 # not None, maps an ``xsi:type`` name to the target that overrides this one.
+#
+# A class module holds its record class and the field rows that
+# :class:`RecordParser` reads.  A row is ``(key, slot, occurs, read,
+# target)``:
+#
+# * ``key`` -- the ``(namespace, local)`` the field matches; for a dispatch
+#   field, the name of its dispatch table, whose keys are what it matches;
+#   None for the text row.
+# * ``slot`` -- the record attribute the value goes to.
+# * ``occurs`` -- ``"1"`` required, ``"?"`` optional, ``"*"`` a list.
+# * ``read`` and ``target`` -- how the value is read:
+#   ``"attribute"``, ``"simple"`` (text-only element) and ``"text"`` (the
+#   element's own text) convert with the conversion ``target`` names (a key
+#   of ``CONVERSIONS``); ``"mixed"`` joins the text of mixed content;
+#   ``"class"`` parses the element as class ``target``; ``"dispatch"`` reads
+#   it through the key's table, ``target`` being the field's element name;
+#   ``"collapse"`` unwraps ``target = (chain, read, target)``: the inner
+#   names, then the innermost element read as ``"class"`` or ``"simple"``;
+#   ``"ignore"`` skips the subtree and builds nothing.
+#
+# Rows come in match order: the first row matching an element wins, and
+# wildcard fields come last.  Unknown attributes are ignored.
 
 
 def bind_parsers(modules, tables):
-    """Fill the late-bound names of a generated package's class modules.
+    """Resolve the rows of every class parser in a generated package.
 
-    A class module declares each other class parser and each dispatch table
-    it calls as a ``None`` placeholder.  The dispatch module binds them here
-    once every class module is loaded, so recursive and mutually recursive
-    types need no import cycle and a call costs one global lookup.
+    The dispatch module calls this once every class module is loaded, so
+    recursive and mutually recursive types need no import cycle.  ``tables``
+    maps each dispatch table's name to the table.
     """
     names = dict(tables)
     for module in modules:
-        names.update((k, v) for k, v in vars(module).items()
-                     if k.startswith("parse_") and v is not None)
-    for module in modules:
-        space = vars(module)
-        for k, v in space.items():
-            if v is None and k in names:
-                space[k] = names[k]
+        names.update((k, v) for k, v in vars(module).items() if k.startswith("parse_"))
+    for parse in names.values():
+        record = getattr(parse, "__self__", None)
+        if isinstance(record, RecordParser):
+            record.bind(names)
+
+
+_ABSENT = object()  # a required slot's value until its field is read
+
+
+class RecordParser:
+    """Parses elements of one record class by its field rows (see above).
+
+    A class module binds ``parse_<Class>`` to the ``parse`` method as soon
+    as it is loaded, so dispatch tables can hold it; :func:`bind_parsers`
+    resolves the names the rows mention before the first parse.
+    """
+
+    __slots__ = ("cls", "name", "rows", "elements", "attributes", "required", "text")
+
+    def __init__(self, cls, rows):
+        self.cls = cls
+        self.name = cls.__name__
+        self.rows = rows
+        self.elements = {}  # (namespace, local) -> (read(ctx, start) or None, slot, is list)
+        self.attributes = {}  # (namespace, local) -> (slot, conversion, label)
+        self.required = ()  # (slot, message), in row order
+        self.text = None  # (slot, conversion or None for mixed content, label)
+
+    def bind(self, names):
+        """Build the lookup dicts; ``names`` holds every parser and table."""
+        name = self.name
+        elements, attributes, required = {}, {}, []
+        for key, slot, occurs, read, target in self.rows:
+            what = f"{name}.{slot}"
+            if read in ("text", "mixed"):
+                self.text = (slot, CONVERSIONS.get(target), what)
+                continue
+            if read == "attribute":
+                attributes.setdefault(key, (slot, CONVERSIONS[target], what))
+                if occurs == "1":
+                    required.append((slot, f"missing required attribute {key[1]} in {name}"))
+                continue
+            if isinstance(key, str):  # a dispatch field matches its table's keys
+                matched = names[key]
+                local = target
+            else:
+                matched = (key,)
+                local = key[1]
+            if read == "ignore":
+                action = (None, slot, False)
+            else:
+                action = (_reader(read, target, what, names, key), slot, occurs == "*")
+                if occurs == "1":
+                    required.append((slot, f"missing required element {local} in {name}"))
+            for k in matched:
+                elements.setdefault(k, action)
+        self.elements, self.attributes, self.required = elements, attributes, tuple(required)
+
+    def parse(self, ctx, start):
+        if is_nil(start):
+            ctx.skip_subtree()
+            return None
+        obj = self.cls()
+        required = self.required
+        for slot, _message in required:
+            setattr(obj, slot, _ABSENT)
+        if start.attributes:
+            attributes = self.attributes
+            for qn, raw in start.attributes:
+                field = attributes.get((qn.namespace, qn.local))
+                if field is not None:
+                    slot, conv, what = field
+                    setattr(obj, slot, conv(ctx, raw, what))
+        elements = self.elements
+        text = self.text
+        parts = [] if text is not None else None
+        next_event = ctx.next_event
+        while True:
+            ev = next_event()
+            kind = ev.kind
+            if kind is _END:
+                break
+            if kind is _TEXT:
+                if parts is not None:
+                    parts.append(ev.text)
+                elif ev.text.strip():
+                    ctx.violation(Violation.UNEXPECTED_TEXT, f"unexpected text in {self.name}")
+                continue
+            qn = ev.name
+            action = elements.get((qn.namespace, qn.local))
+            if action is None:
+                ctx.violation(Violation.UNKNOWN_ELEMENT,
+                              f"unexpected element {qn} in {self.name}")
+                ctx.skip_subtree()
+                continue
+            read, slot, many = action
+            if read is None:
+                ctx.skip_subtree()
+            elif many:
+                getattr(obj, slot).append(read(ctx, ev))
+            else:
+                setattr(obj, slot, read(ctx, ev))
+        for slot, message in required:
+            if getattr(obj, slot) is _ABSENT:
+                setattr(obj, slot, None)
+                ctx.violation(Violation.MISSING_REQUIRED, message)
+        if text is not None:
+            slot, conv, what = text
+            if conv is None:
+                setattr(obj, slot, "".join(parts) if parts else None)
+            else:
+                setattr(obj, slot, conv(ctx, "".join(parts), what))
+        return obj
+
+
+def _reader(read, target, what, names, key):
+    """``read(ctx, start)`` for an element row."""
+    if read == "class":
+        return names[f"parse_{target}"]
+    if read == "simple":
+        conv = CONVERSIONS[target]
+        return lambda ctx, start: read_simple(ctx, start, conv, what)
+    if read == "dispatch":
+        table = names[key]
+        return lambda ctx, start: read_dispatched(ctx, start, table, what)
+    if read == "collapse":
+        chain, final, inner = target
+        parse = names[f"parse_{inner}"] if final == "class" else None
+        conv = CONVERSIONS[inner] if final == "simple" else None
+        return lambda ctx, _start: read_collapsed(ctx, chain, parse, conv, what)
+    raise ValueError(f"unknown field read {read!r}")
 
 
 def is_nil(start):
     return start.attr(XSI_NAMESPACE, "nil") in ("true", "1")
-
-
-def consume_nil(ctx):
-    depth = 1
-    while depth:
-        ev = ctx.next_event()
-        if ev.kind is _START:
-            depth += 1
-        elif ev.kind is _END:
-            depth -= 1
-    return None
 
 
 def xsi_type_of(ctx, ev):
@@ -612,10 +749,6 @@ def conv_string(ctx, raw, what):
     return raw
 
 
-def conv_raw(ctx, raw, what):
-    return raw
-
-
 def conv_integer(ctx, raw, what):
     try:
         return int(raw.strip())
@@ -648,3 +781,12 @@ def conv_boolean(ctx, raw, what):
         return False
     ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad boolean {raw!r} in {what}")
     return None
+
+
+CONVERSIONS = {
+    "string": conv_string,
+    "integer": conv_integer,
+    "decimal": conv_decimal,
+    "double": conv_double,
+    "boolean": conv_boolean,
+}

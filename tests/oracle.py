@@ -27,7 +27,6 @@ from slimbind.runtime import (
     conv_decimal,
     conv_double,
     conv_integer,
-    conv_raw,
     conv_string,
     read_simple,
 )
@@ -100,7 +99,7 @@ _CONV = {
 
 
 def _conv(ctx, category, raw, what):
-    return _CONV.get(category, conv_raw)(ctx, raw, what)
+    return _CONV.get(category, conv_string)(ctx, raw, what)
 
 
 def _is_nil(start):
@@ -171,7 +170,7 @@ class Interpreter:
     # ------------------------------------------------------------ helpers
 
     def read_simple(self, ctx, start, category, what):
-        return read_simple(ctx, start, _CONV.get(category, conv_raw), what)
+        return read_simple(ctx, start, _CONV.get(category, conv_string), what)
 
     def _next_content(self, ctx, what):
         while True:

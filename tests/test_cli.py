@@ -207,12 +207,27 @@ def test_generate_flag_mapping(workspace):
 def test_generate_ignore_path_emits_skip(workspace):
     assert run(workspace, "generate",
                "--ignore", f"{{{TNS}}}doc/entry") == 0
-    doc_src = (workspace["out"] / "gen" / "model" / "c_doctype.py").read_text()
-    assert "ctx.skip_subtree()" in doc_src
+    package = _load_package(workspace["out"] / "gen" / "model", "cli_ignore_model")
+    (row,) = package.dispatch.c_doctype.parse_DocType.__self__.rows
+    assert row == ((TNS, "entry"), "entry", "*", "ignore", None)
+    obj, warnings = package.parse_document(GOOD_DOC)
+    assert (obj.entry, warnings) == ([], [])
     model = json.loads((workspace["out"] / "binding-model.json").read_text())
     entry_fields = [f for c in model["classes"] for f in c["fields"]
                     if f["name"] == "entry"]
     assert entry_fields and entry_fields[0]["ignored"] is True
+
+
+def _load_package(path, name):
+    """Import the generated package at ``path`` under the name ``name``."""
+    import importlib.util
+    import sys
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py", submodule_search_locations=[str(path)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
 def test_idempotent_outputs(workspace):
@@ -261,3 +276,16 @@ def test_help_documents_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "exit codes" in out
     assert "3 template errors" in out
+
+
+@pytest.mark.parametrize("encoding, declared", [
+    ("iso-8859-1", "ISO-8859-1"),  # a non-ASCII byte that is not UTF-8
+    ("utf-16-le", "UTF-16"),  # no byte order mark
+])
+def test_analyze_reads_schema_in_declared_encoding(workspace, capsys, encoding, declared):
+    text = SCHEMA.replace("<xs:complexType name=\"SpareType\">",
+                          "<!-- café -->\n  <xs:complexType name=\"SpareType\">")
+    (workspace["schemas"] / "main.xsd").write_bytes(
+        f'<?xml version="1.0" encoding="{declared}"?>\n{text}'.encode(encoding))
+    assert run(workspace, "analyze") == 0
+    assert "analyzed 1 documents" in capsys.readouterr().out

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from genutil import assert_equivalent, build_and_import, normalize, unique_model_name
-from slimbind.binding import BindingOptions, build_binding_model
+from slimbind.binding import BindingOptions, FieldKind, build_binding_model
 from slimbind.emitter import (
     GeneratedArtifact,
     builtin_template_set,
@@ -26,6 +28,13 @@ from slimbind.simplify import compute_retained_set
 from slimbind.templates import ManifestEntry, TemplateSet
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def field_rows(source):
+    """The field rows a generated class module hands to ``RecordParser``."""
+    call = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "RecordParser")
+    return ast.literal_eval(call.args[1])
 
 
 def po_model(po_schema, options=None, name="po_golden"):
@@ -178,9 +187,9 @@ class TestGolden:
 
     def test_golden_list_and_optional_shapes(self):
         artifacts = {a.path: a.content for a in self.artifacts()}
-        cart = artifacts["c_carttype.py"]
-        assert "obj.sku.append(_v)" in cart  # LIST accumulates
-        assert "obj.coupon = _v" in cart  # SCALAR_OPTIONAL single slot
+        rows = {row[1]: row for row in field_rows(artifacts["c_carttype.py"])}
+        assert rows["sku"][2] == "*"  # LIST accumulates
+        assert rows["coupon"][2] == "?"  # SCALAR_OPTIONAL single slot
         dispatch = artifacts["dispatch.py"]
         assert f"('{TNS}', 'card')" in dispatch
         assert f"('{TNS}', 'cash')" in dispatch
@@ -198,10 +207,11 @@ class TestGeneratedParsers:
         obj, warnings = module.parse_document(docs[0])
         assert normalize(obj) == {}
         by_path = {a.path: a.content for a in artifacts}
-        ping = by_path["c_pingtype.py"]
+        assert field_rows(by_path["c_pingtype.py"]) == ()
         # The class parser only consumes events up to its end tag.
-        assert "ctx.next_event()" in ping
-        assert "obj." not in ping.split("def parse_PingType")[1]
+        obj, warnings = module.parse_document(f'<ping xmlns="{TNS}"><x/></ping>',
+                                              mode="lenient")
+        assert normalize(obj) == {} and [w.code for w in warnings] == ["UNKNOWN_ELEMENT"]
         assert "def parse_document" in by_path["dispatch.py"]
 
     def test_po_equivalence(self, po_schema, tmp_path):
@@ -396,9 +406,8 @@ class TestSharedDispatchTables:
             assert re.findall(r"^(_D\d+) = \{$", dispatch, re.M) == ["_D0"]
             assert "def " not in dispatch.split("def parse_document")[0]
             for i in range(k):
-                wrapper = by_path[f"c_c{i}.py"]
-                assert "if _n in _D0:" in wrapper
-                assert wrapper.count("_D0") == 3  # placeholder, match, read
+                # The field matches and reads through the shared table.
+                assert field_rows(by_path[f"c_c{i}.py"]) == (("_D0", "h", "*", "dispatch", "h"),)
             sources[k] = dispatch
         added = set(sources[8].splitlines()) - set(sources[1].splitlines())
         removed = set(sources[1].splitlines()) - set(sources[8].splitlines())
@@ -513,7 +522,123 @@ class TestManifest:
                 retained_qnames.add((qn.namespace, qn.local))
         for cls in model.classes:
             assert cls.source_type in retained
-        tuple_re = re.compile(r"(?:_n == |^    )\('([^']*)', '([^']*)'\)", re.M)
+        tuple_re = re.compile(r"(?:_a?n == |^    \(?)\('([^']*)', '([^']*)'\)", re.M)
+        found = set()
         for artifact in artifacts:
             for ns, local in tuple_re.findall(artifact.content):
                 assert (ns, local) in retained_qnames, (artifact.path, ns, local)
+                found.add((ns, local))
+        # The scan must see every name an element or attribute field matches;
+        # otherwise a change in the generated shape would pass it vacuously.
+        for cls in model.classes:
+            for f in cls.fields:
+                if f.kind is FieldKind.TEXT_CONTENT:
+                    continue
+                names = [e.qname for e in f.dispatch if e.via == "element"] or [f.xml_name]
+                for qn in names:
+                    assert (qn.namespace, qn.local) in found, (cls.name, f.name, qn)
+
+
+# ---------------------------------------------------------------- invalid input
+
+XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
+
+
+@pytest.fixture(scope="module")
+def synth_models(tmp_path_factory):
+    """Compiled synthetic cases: (model, package, valid documents)."""
+    from synth import generate_case
+    from slimbind.analyzer import analyze_corpus
+    from slimbind.loader import SchemaSource, load_schema_set
+    from genutil import compile_model
+    tmp = tmp_path_factory.mktemp("invalid")
+    cases = []
+    for seed in range(30_000, 30_016):
+        _g, xsd, docs = generate_case(seed)
+        schema = load_schema_set([SchemaSource("mem://i.xsd", raw_text=xsd)])
+        usage = analyze_corpus(schema, [(f"{i}", d) for i, d in enumerate(docs)])
+        if usage.failures or not usage.root_elements:
+            continue
+        options = BindingOptions() if seed % 2 else \
+            BindingOptions(flatten_inheritance=False, collapse_single_child=False)
+        model = build_binding_model(schema, compute_retained_set(schema, usage), usage,
+                                    options, model_name=unique_model_name("inv"))
+        module, _ = compile_model(model, tmp)
+        cases.append((model, module, docs))
+    assert len(cases) >= 10
+    return cases
+
+
+def _element_spans(lines):
+    """(first, last) line of each element; synth documents put a tag per line."""
+    spans = []
+    for i, line in enumerate(lines):
+        body = line.lstrip()
+        if not body.startswith("<") or body.startswith("</"):
+            continue
+        if "</" in body or body.endswith("/>"):
+            spans.append((i, i))
+            continue
+        pad = line[:len(line) - len(body)]
+        close = next(j for j in range(i + 1, len(lines))
+                     if lines[j].startswith(pad + "</"))
+        spans.append((i, close))
+    return spans
+
+
+def mutate(doc, edits):
+    """Apply ``(operation, pick)`` edits to a synthetic document, in order.
+
+    Each edit keeps the document well formed and never touches the root's
+    own tag, so every result still starts at a known root element.
+    """
+    lines = doc.split("\n")
+    for op, pick in edits:
+        spans = _element_spans(lines)[1:]  # never the root
+        if not spans:
+            break
+        first, last = spans[pick % len(spans)]
+        if op == "drop":
+            del lines[first:last + 1]
+        elif op == "repeat":
+            lines[last + 1:last + 1] = lines[first:last + 1]
+        elif op == "undeclared":
+            lines.insert(first, "<undeclared>1</undeclared>")
+        elif op == "text":
+            lines.insert(first, "stray text")
+        elif op == "nil":
+            head, sep, rest = lines[first].partition(">")
+            lines[first] = f'{head} xmlns:xn="{XSI_NS}" xn:nil="true"{sep}{rest}'
+        elif op == "drop-attribute":
+            lines[first] = re.sub(r' a\d+="[^"]*"', "", lines[first], count=1)
+        elif op == "bad-value":
+            lines[first] = re.sub(r">[^<]*</", ">not a value!</", lines[first], count=1)
+    return "\n".join(lines)
+
+
+EDIT = st.tuples(st.sampled_from(["drop", "repeat", "undeclared", "text", "nil",
+                                  "drop-attribute", "bad-value"]),
+                 st.integers(min_value=0, max_value=10_000))
+
+
+def _outcome(parse, doc, mode):
+    from slimbind.errors import SlimbindError
+    try:
+        obj, warnings = parse(doc, mode=mode, source_name="m.xml")
+    except SlimbindError as exc:
+        return type(exc).__name__, str(exc), exc.info.get("line"), exc.info.get("col")
+    return "ok", normalize(obj), [w.format() for w in warnings]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_parser_equals_oracle_on_invalid_input(synth_models, data):
+    """Mutated documents: the same object, warnings, or error as the oracle."""
+    from oracle import Interpreter
+    model, module, docs = data.draw(st.sampled_from(synth_models))
+    doc = mutate(data.draw(st.sampled_from(docs)),
+                 data.draw(st.lists(EDIT, min_size=1, max_size=4)))
+    oracle = Interpreter(model)
+    for mode in ("lenient", "strict"):
+        assert _outcome(module.parse_document, doc, mode) == \
+            _outcome(oracle.parse_document, doc, mode), mode
