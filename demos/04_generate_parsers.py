@@ -11,7 +11,6 @@ field, which the record parser in slimbind.runtime interprets.
 
 import importlib
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from slimbind.analyzer import analyze_corpus

@@ -15,7 +15,6 @@ leaf child is visited once.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,35 +28,20 @@ from .errors import (
     UnknownRootElementError,
     UnmatchedChildError,
 )
+from .jsonio import SKIP, dumps, encode, loads
 from .model import (
     XSI_NAMESPACE,
     ComponentKind,
     ContentKind,
     ElementParticle,
     GroupParticle,
+    ParticlePath,
     QName,
     SchemaSet,
     WildcardParticle,
     substitution_members,
 )
 from .runtime import read_tree
-
-
-@dataclass(frozen=True, order=True)
-class ParticlePath:
-    """Addresses one particle: the declaring type plus child indices."""
-
-    owner_type: str
-    path: tuple
-
-    def render(self) -> str:
-        return f"{self.owner_type}#{'.'.join(str(i) for i in self.path)}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ParticlePath":
-        owner, _, tail = text.rpartition("#")
-        path = tuple(int(p) for p in tail.split(".")) if tail else ()
-        return cls(owner, path)
 
 
 class MatchKind(Enum):
@@ -81,44 +65,28 @@ class Assignment:
 
 @dataclass
 class UsageReport:
-    used_components: set = field(default_factory=set)
-    instanced_types: set = field(default_factory=set)
-    type_substitutions: dict = field(default_factory=dict)  # elem id -> set(type id)
-    element_substitutions: dict = field(default_factory=dict)  # head id -> set(member)
-    wildcard_fillers: dict = field(default_factory=dict)  # wildcard id -> set(elem id)
-    occurrence_maxima: dict = field(default_factory=dict)  # ParticlePath -> int
-    single_child_elements: set = field(default_factory=set)
+    used_components: set[str] = field(default_factory=set)
+    instanced_types: set[str] = field(default_factory=set)
+    type_substitutions: dict[str, set[str]] = field(default_factory=dict)  # elem -> types
+    element_substitutions: dict[str, set[str]] = field(default_factory=dict)  # head -> members
+    wildcard_fillers: dict[str, set[str]] = field(default_factory=dict)  # wildcard -> elems
+    occurrence_maxima: dict[ParticlePath, int] = field(default_factory=dict)
+    single_child_elements: set[str] = field(default_factory=set)
     document_count: int = 0
-    root_elements: set = field(default_factory=set)
-    # Non-serialized bookkeeping.
-    failures: list = field(default_factory=list)  # (doc name, error)
-    warnings: list = field(default_factory=list)
-    _single_child_state: dict = field(default_factory=dict)  # elem id -> bool
+    root_elements: set[str] = field(default_factory=set)
+    failures: list = field(default_factory=list, metadata=SKIP)  # (doc name, error)
+    warnings: list = field(default_factory=list, metadata=SKIP)
+    _single_child_state: dict = field(init=False, metadata=SKIP)  # elem id -> bool
+
+    def __post_init__(self):
+        # Every element the analyzer visits is used and has a state, so the
+        # serialized sets give the state of a reloaded report.
+        self._single_child_state = {e: e in self.single_child_elements
+                                    for e in self.used_components if e.startswith("element:")}
 
     def merge(self, other: "UsageReport") -> "UsageReport":
         """Commutative merge: set union, pointwise max, count sum."""
-        out = UsageReport()
-        out.used_components = self.used_components | other.used_components
-        out.instanced_types = self.instanced_types | other.instanced_types
-        for src in (self, other):
-            for k, v in src.type_substitutions.items():
-                out.type_substitutions.setdefault(k, set()).update(v)
-            for k, v in src.element_substitutions.items():
-                out.element_substitutions.setdefault(k, set()).update(v)
-            for k, v in src.wildcard_fillers.items():
-                out.wildcard_fillers.setdefault(k, set()).update(v)
-            for k, v in src.occurrence_maxima.items():
-                out.occurrence_maxima[k] = max(out.occurrence_maxima.get(k, 0), v)
-        for elem in set(self._single_child_state) | set(other._single_child_state):
-            a = self._single_child_state.get(elem, True)
-            b = other._single_child_state.get(elem, True)
-            out._single_child_state[elem] = a and b
-        out.single_child_elements = {e for e, ok in out._single_child_state.items() if ok}
-        out.document_count = self.document_count + other.document_count
-        out.root_elements = self.root_elements | other.root_elements
-        out.failures = list(self.failures) + list(other.failures)
-        out.warnings = list(self.warnings) + list(other.warnings)
-        return out
+        return UsageReport().merge_into(self).merge_into(other)
 
     def merge_into(self, other: "UsageReport") -> "UsageReport":
         """In-place :meth:`merge`: folds ``other`` into this report, returns it.
@@ -148,47 +116,12 @@ class UsageReport:
         self.warnings.extend(other.warnings)
         return self
 
-    # -------------------------------------------------------- serialization
-
-    def to_json_dict(self) -> dict:
-        return {
-            "documentCount": self.document_count,
-            "usedComponents": sorted(self.used_components),
-            "instancedTypes": sorted(self.instanced_types),
-            "typeSubstitutions": {k: sorted(v) for k, v in
-                                  sorted(self.type_substitutions.items())},
-            "elementSubstitutions": {k: sorted(v) for k, v in
-                                     sorted(self.element_substitutions.items())},
-            "wildcardFillers": {k: sorted(v) for k, v in
-                                sorted(self.wildcard_fillers.items())},
-            "occurrenceMaxima": {pp.render(): n for pp, n in
-                                 sorted(self.occurrence_maxima.items())},
-            "singleChildElements": sorted(self.single_child_elements),
-            "rootElements": sorted(self.root_elements),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(encode(self))
 
     @classmethod
     def from_json(cls, text: str) -> "UsageReport":
-        data = json.loads(text)
-        report = cls()
-        report.document_count = data["documentCount"]
-        report.used_components = set(data["usedComponents"])
-        report.instanced_types = set(data["instancedTypes"])
-        report.type_substitutions = {k: set(v) for k, v in
-                                     data["typeSubstitutions"].items()}
-        report.element_substitutions = {k: set(v) for k, v in
-                                        data["elementSubstitutions"].items()}
-        report.wildcard_fillers = {k: set(v) for k, v in
-                                   data["wildcardFillers"].items()}
-        report.occurrence_maxima = {ParticlePath.parse(k): v for k, v in
-                                    data["occurrenceMaxima"].items()}
-        report.single_child_elements = set(data["singleChildElements"])
-        report._single_child_state = {e: True for e in report.single_child_elements}
-        report.root_elements = set(data["rootElements"])
-        return report
+        return loads(cls, text)
 
 
 def merge_reports(reports) -> UsageReport:

@@ -10,7 +10,6 @@ and bounding, which need representative occurrence/substitution evidence.
 
 from __future__ import annotations
 
-import json
 import keyword
 import re
 from dataclasses import dataclass, field, replace
@@ -18,20 +17,25 @@ from enum import Enum
 from typing import Optional
 
 from .errors import EmptyModelError, InconsistentUsageError
+from .jsonio import dumps, encode, loads
 from .model import (
     XSD_NAMESPACE,
     ComponentKind,
     ContentKind,
     ElementParticle,
     GroupParticle,
+    ParticlePath,
     QName,
     SchemaSet,
     builtin_type_id,
     substitution_members,
 )
-from .analyzer import ParticlePath, UsageReport
+from .analyzer import UsageReport
 
 IR_VERSION = 1
+
+# Names the built-in class template imports; a class must not shadow them.
+_TEMPLATE_IMPORTS = ("annotations", "dataclass", "_dc_field", "RecordParser")
 
 
 class Cardinality(Enum):
@@ -62,7 +66,7 @@ class BindingOptions:
     tighten_occurrences: bool = True
     bound_substitutions: bool = True
     prune_unused: bool = True
-    ignore_paths: tuple = ()  # tuple of tuple[QName]
+    ignore_paths: tuple[tuple[QName, ...], ...] = ()
     lenient: bool = False
     corpus_is_synthetic: bool = False
 
@@ -71,43 +75,6 @@ class BindingOptions:
         if self.corpus_is_synthetic:
             return replace(self, tighten_occurrences=False, bound_substitutions=False)
         return self
-
-    def to_json_dict(self) -> dict:
-        return {
-            "flattenInheritance": self.flatten_inheritance,
-            "collapseSingleChild": self.collapse_single_child,
-            "tightenOccurrences": self.tighten_occurrences,
-            "boundSubstitutions": self.bound_substitutions,
-            "pruneUnused": self.prune_unused,
-            "ignorePaths": [[str(q) for q in p] for p in self.ignore_paths],
-            "lenient": self.lenient,
-            "corpusIsSynthetic": self.corpus_is_synthetic,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BindingOptions":
-        return cls(
-            flatten_inheritance=data["flattenInheritance"],
-            collapse_single_child=data["collapseSingleChild"],
-            tighten_occurrences=data["tightenOccurrences"],
-            bound_substitutions=data["boundSubstitutions"],
-            prune_unused=data["pruneUnused"],
-            ignore_paths=tuple(tuple(_parse_clark(q) for q in p)
-                               for p in data["ignorePaths"]),
-            lenient=data["lenient"],
-            corpus_is_synthetic=data["corpusIsSynthetic"],
-        )
-
-
-def _clark(qname: QName) -> str:
-    return str(qname)
-
-
-def _parse_clark(text: str) -> QName:
-    if text.startswith("{"):
-        ns, _, local = text[1:].partition("}")
-        return QName(ns, local)
-    return QName("", text)
 
 
 @dataclass
@@ -118,22 +85,6 @@ class DispatchEntry:
     value: Optional[ValueCategory] = None
     component: Optional[str] = None  # element or type component id
     nillable: bool = False
-
-    def to_json_dict(self):
-        return {
-            "via": self.via,
-            "qname": _clark(self.qname),
-            "targetClass": self.target_class,
-            "value": self.value.value if self.value else None,
-            "component": self.component,
-            "nillable": self.nillable,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(d["via"], _parse_clark(d["qname"]), d["targetClass"],
-                   ValueCategory(d["value"]) if d["value"] else None,
-                   d["component"], d["nillable"])
 
 
 @dataclass
@@ -146,50 +97,19 @@ class BindingField:
     value: Optional[ValueCategory] = None
     ignored: bool = False
     nillable: bool = False
-    dispatch: tuple = ()  # of DispatchEntry
-    collapse_chain: tuple = ()  # inner element QNames unwrapped by collapse
+    dispatch: tuple[DispatchEntry, ...] = ()
+    collapse_chain: tuple[QName, ...] = ()  # inner element names unwrapped by collapse
     is_wildcard: bool = False
     source_element: Optional[str] = None  # element component id
     source_particle: Optional[str] = None  # rendered ParticlePath
     source_attribute: Optional[str] = None  # attribute component id
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "xmlName": _clark(self.xml_name),
-            "kind": self.kind.value,
-            "cardinality": self.cardinality.value,
-            "targetClass": self.target_class,
-            "value": self.value.value if self.value else None,
-            "ignored": self.ignored,
-            "nillable": self.nillable,
-            "dispatch": [e.to_json_dict() for e in self.dispatch],
-            "collapseChain": [_clark(q) for q in self.collapse_chain],
-            "isWildcard": self.is_wildcard,
-            "sourceElement": self.source_element,
-            "sourceParticle": self.source_particle,
-            "sourceAttribute": self.source_attribute,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            name=d["name"], xml_name=_parse_clark(d["xmlName"]),
-            kind=FieldKind(d["kind"]), cardinality=Cardinality(d["cardinality"]),
-            target_class=d["targetClass"],
-            value=ValueCategory(d["value"]) if d["value"] else None,
-            ignored=d["ignored"], nillable=d["nillable"],
-            dispatch=tuple(DispatchEntry.from_json_dict(e) for e in d["dispatch"]),
-            collapse_chain=tuple(_parse_clark(q) for q in d["collapseChain"]),
-            is_wildcard=d["isWildcard"], source_element=d["sourceElement"],
-            source_particle=d["sourceParticle"], source_attribute=d["sourceAttribute"])
 
 
 @dataclass
 class BindingClass:
     name: str
     source_type: str
-    fields: list
+    fields: list[BindingField]
     base: Optional[str] = None  # base class name when flattening is off
     is_abstract: bool = False
     mixed: bool = False
@@ -201,23 +121,6 @@ class BindingClass:
                 return f
         return None
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "sourceType": self.source_type,
-            "fields": [f.to_json_dict() for f in self.fields],
-            "base": self.base,
-            "isAbstract": self.is_abstract,
-            "mixed": self.mixed,
-            "isCollapsedAway": self.is_collapsed_away,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(d["name"], d["sourceType"],
-                   [BindingField.from_json_dict(f) for f in d["fields"]],
-                   d["base"], d["isAbstract"], d["mixed"], d["isCollapsedAway"])
-
 
 @dataclass
 class BindingRoot:
@@ -226,61 +129,23 @@ class BindingRoot:
     target_class: Optional[str] = None
     value: Optional[ValueCategory] = None
     nillable: bool = False
-    dispatch: tuple = ()  # xsi-type entries observed/possible on the root
-
-    def to_json_dict(self):
-        return {
-            "qname": _clark(self.qname),
-            "element": self.element,
-            "targetClass": self.target_class,
-            "value": self.value.value if self.value else None,
-            "nillable": self.nillable,
-            "dispatch": [e.to_json_dict() for e in self.dispatch],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(_parse_clark(d["qname"]), d["element"], d["targetClass"],
-                   ValueCategory(d["value"]) if d["value"] else None, d["nillable"],
-                   tuple(DispatchEntry.from_json_dict(e) for e in d["dispatch"]))
+    dispatch: tuple[DispatchEntry, ...] = ()  # xsi-type entries observed/possible
 
 
 @dataclass
 class BindingModel:
     name: str
-    classes: list  # active BindingClass, sorted by name
-    roots: list  # BindingRoot, sorted by qname
+    classes: list[BindingClass]  # active classes, sorted by name
+    roots: list[BindingRoot]  # sorted by qname
     options: BindingOptions
-    collapsed_classes: list = field(default_factory=list)  # removed by collapse
-    collapsed_elements: tuple = ()  # element ids collapsed through
+    collapsed_classes: list[BindingClass] = field(default_factory=list)  # removed by collapse
+    collapsed_elements: tuple[str, ...] = ()  # sorted element ids collapsed through
 
     def class_by_name(self, name) -> Optional[BindingClass]:
         for c in self.classes:
             if c.name == name:
                 return c
         return None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "irVersion": IR_VERSION,
-            "name": self.name,
-            "classes": [c.to_json_dict() for c in self.classes],
-            "roots": [r.to_json_dict() for r in self.roots],
-            "options": self.options.to_json_dict(),
-            "collapsedClasses": [c.to_json_dict() for c in self.collapsed_classes],
-            "collapsedElements": sorted(self.collapsed_elements),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d) -> "BindingModel":
-        return cls(
-            name=d["name"],
-            classes=[BindingClass.from_json_dict(c) for c in d["classes"]],
-            roots=[BindingRoot.from_json_dict(r) for r in d["roots"]],
-            options=BindingOptions.from_json_dict(d["options"]),
-            collapsed_classes=[BindingClass.from_json_dict(c)
-                               for c in d["collapsedClasses"]],
-            collapsed_elements=tuple(d["collapsedElements"]))
 
 
 def effective_fields(model: BindingModel, cls: BindingClass) -> list:
@@ -300,17 +165,16 @@ def effective_fields(model: BindingModel, cls: BindingClass) -> list:
         cursor = model.class_by_name(cursor.base)
     out = []
     for level in reversed(chain):
-        if level is not None:
-            out.extend(level.fields)
+        out.extend(level.fields)
     return out
 
 
 def serialize_binding_model(model: BindingModel) -> str:
-    return json.dumps(model.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return dumps({"irVersion": IR_VERSION, **encode(model)})
 
 
 def deserialize_binding_model(text: str) -> BindingModel:
-    return BindingModel.from_json_dict(json.loads(text))
+    return loads(BindingModel, text)
 
 
 # ---------------------------------------------------------------- name mangling
@@ -362,14 +226,12 @@ def value_category(schema: SchemaSet, type_id: str) -> ValueCategory:
 # ---------------------------------------------------------------- model builder
 
 class _ModelBuilder:
-    def __init__(self, schema, retained, usage, options, model_name):
+    def __init__(self, schema, retained, usage, options):
         self.schema = schema
         self.retained = retained
         self.usage = usage
         self.options = options
-        self.model_name = model_name
         self.class_names = {}  # type id -> class name
-        self.classes = {}  # class name -> BindingClass
 
     # ------------------------------------------------------------ class set
 
@@ -398,7 +260,7 @@ class _ModelBuilder:
         return sorted(out)
 
     def assign_names(self, type_ids):
-        used = set()
+        used = set(_TEMPLATE_IMPORTS)
         for type_id in type_ids:
             comp = self.schema.component(type_id)
             if comp.name is not None:
@@ -568,25 +430,22 @@ class _ModelBuilder:
         used_names = set()
         fields = []
 
+        base_name = None
         if options.flatten_inheritance:
             content_levels = schema.effective_content_chain(type_id)
             attr_levels = schema.effective_attribute_uses(type_id)
             mixed = schema.effective_mixed(type_id)
             text_type = schema.effective_simple_content(type_id)
-            base_name = None
         else:
             content_levels = [(type_id, detail.content)]
             attr_levels = [(type_id, u) for u in detail.attributes]
             mixed = detail.mixed
             text_type = None
             if detail.content.kind is ContentKind.SIMPLE:
-                text_type = (detail.content.simple_type
-                             if detail.content.simple_type is not None else None)
-                if text_type is None and detail.base is not None:
-                    text_type = None  # inherited text lives on the base class
+                # None when the text is inherited: it lives on the base class.
+                text_type = detail.content.simple_type
             elif detail.derivation.value == "none":
                 text_type = schema.effective_simple_content(type_id)
-            base_name = None
             if detail.base is not None:
                 base_comp = schema.component(detail.base)
                 if base_comp.kind is ComponentKind.COMPLEX_TYPE:
@@ -830,7 +689,7 @@ def build_binding_model(schema: SchemaSet, retained, usage: UsageReport,
             f"usage references {len(outside)} components outside the retained set, "
             f"e.g. {sorted(outside)[0]}")
 
-    builder = _ModelBuilder(schema, retained, usage, options, model_name)
+    builder = _ModelBuilder(schema, retained, usage, options)
     type_ids = builder.class_types()
     builder.assign_names(type_ids)
     classes = [builder.build_class(t) for t in type_ids]

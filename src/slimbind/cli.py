@@ -103,8 +103,7 @@ def _analyze_inputs(args, need_usage: bool):
     for w in (*schema.warnings, *report.warnings):
         print(f"warning: {w}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "usage-report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    Path(args.out, "usage-report.json").write_text(report.to_json(), encoding="utf-8")
     if need_usage and (report.document_count == 0 or not report.used_components):
         print("no usage recorded: corpus is empty or nothing analyzed",
               file=sys.stderr)
@@ -117,9 +116,7 @@ def _write_reduction(args, schema, retained):
     """Write the reduced schemas and ``reduction-report.json``; (files, report)."""
     files = emit_reduced_schemas(schema, retained, os.path.join(args.out, "reduced"))
     reduction = reduction_report(schema, retained)
-    with open(os.path.join(args.out, "reduction-report.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(reduction.to_json())
+    Path(args.out, "reduction-report.json").write_text(reduction.to_json(), encoding="utf-8")
     return files, reduction
 
 
@@ -185,9 +182,8 @@ def cmd_generate(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_CORPUS
 
-    with open(os.path.join(args.out, "binding-model.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(serialize_binding_model(model))
+    Path(args.out, "binding-model.json").write_text(serialize_binding_model(model),
+                                                    encoding="utf-8")
     manifest = write_artifacts(model, artifacts, args.out)
     print(f"retained {reduction.retained_components}/{reduction.total_components} "
           f"global components ({reduction.percent()})")

@@ -11,12 +11,12 @@ inputs give byte-identical artifacts.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass
 
 from .binding import (
+    IR_VERSION,
     BindingModel,
     Cardinality,
     FieldKind,
@@ -24,6 +24,7 @@ from .binding import (
     effective_fields,
 )
 from .errors import EmptyModelError
+from .jsonio import dumps, encode
 from .templates import ManifestEntry, TemplateSet, compile_template, render_template
 
 # Value category -> name of its conversion in ``slimbind.runtime.CONVERSIONS``.
@@ -207,7 +208,7 @@ def build_render_context(model: BindingModel) -> dict:
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
         "dispatch_imports": ", ".join(sorted(tables.convs | {"bind_parsers", "parse_root"})),
-        "options": model.options.to_json_dict(),
+        "options": encode(model.options),
         "class_count": len(model.classes),
     }
 
@@ -408,14 +409,13 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     total, _rows = size_report(artifacts)
     manifest = {
         "model": model.name,
-        "irVersion": 1,
-        "options": model.options.to_json_dict(),
+        "irVersion": IR_VERSION,
+        "options": encode(model.options),
         "classCount": len(model.classes),
         "collapsedClasses": [c.name for c in model.collapsed_classes],
         "artifacts": entries,
         "totalBytes": total,
     }
     with open(os.path.join(gen_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(manifest))
     return manifest

@@ -209,8 +209,6 @@ _GLOBAL_TAGS = {
     "attribute": ComponentKind.ATTRIBUTE_DECL,
 }
 
-_IGNORED_GLOBALS = {"annotation", "notation", "import", "include", "redefine"}
-
 
 class _Loader:
     def __init__(self, entry_points, resolver):

@@ -137,6 +137,23 @@ class GroupParticle:
 Particle = Union[ElementParticle, WildcardParticle, GroupParticle]
 
 
+@dataclass(frozen=True, order=True)
+class ParticlePath:
+    """Addresses one particle: the declaring type plus child indices."""
+
+    owner_type: str
+    path: tuple
+
+    def render(self) -> str:
+        return f"{self.owner_type}#{'.'.join(str(i) for i in self.path)}"
+
+    @classmethod
+    def parse(cls, text: str) -> "ParticlePath":
+        owner, _, tail = text.rpartition("#")
+        path = tuple(int(p) for p in tail.split(".")) if tail else ()
+        return cls(owner, path)
+
+
 class ContentKind(Enum):
     EMPTY = "empty"
     SIMPLE = "simple"

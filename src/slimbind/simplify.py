@@ -14,12 +14,12 @@ are omitted.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 
 from .errors import NotClosedError
+from .jsonio import dumps, encode
 from .model import (
     XSD_NAMESPACE,
     AttributeUse,
@@ -29,6 +29,7 @@ from .model import (
     EdgeLabel,
     ElementParticle,
     GroupParticle,
+    QName,
     SchemaSet,
     SimpleVariety,
     WildcardParticle,
@@ -70,57 +71,45 @@ def compute_retained_set(schema: SchemaSet, usage) -> set:
 # ---------------------------------------------------------------- reporting
 
 @dataclass
+class NamespaceCount:
+    retained: int = 0
+    total: int = 0
+
+
+@dataclass
 class ReductionReport:
     total_components: int
     retained_components: int
     usage_ratio: float
-    retained_by_namespace: dict  # ns -> (retained, total)
-    removed_globals: list  # of QName
-
-    @classmethod
-    def build(cls, schema: SchemaSet, retained) -> "ReductionReport":
-        per_ns = {}
-        total = kept = 0
-        removed = []
-        for comp in schema.globals():
-            if comp.namespace == XSD_NAMESPACE:
-                continue  # built-ins are implicit, not part of the ratio
-            r, t = per_ns.get(comp.namespace, (0, 0))
-            t += 1
-            total += 1
-            if comp.id in retained:
-                r += 1
-                kept += 1
-            else:
-                removed.append(comp.name)
-            per_ns[comp.namespace] = (r, t)
-        ratio = kept / total if total else 1.0
-        return cls(total, kept, ratio, per_ns, sorted(removed))
+    retained_by_namespace: dict[str, NamespaceCount]
+    removed_globals: list[QName]
 
     def percent(self) -> str:
         return f"{self.usage_ratio * 100:.1f}%"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "totalComponents": self.total_components,
-            "retainedComponents": self.retained_components,
-            "usageRatio": self.usage_ratio,
-            "retainedByNamespace": {
-                ns: {"retained": r, "total": t}
-                for ns, (r, t) in sorted(self.retained_by_namespace.items())
-            },
-            "removedGlobals": [str(q) for q in self.removed_globals],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(encode(self))
 
 
 def reduction_report(schema: SchemaSet, retained) -> ReductionReport:
     """Counts over user-schema global components only."""
     for comp_id in retained:
         schema.component(comp_id)
-    return ReductionReport.build(schema, retained)
+    per_ns = {}
+    removed = []
+    for comp in schema.globals():
+        if comp.namespace == XSD_NAMESPACE:
+            continue  # built-ins are implicit, not part of the ratio
+        counts = per_ns.setdefault(comp.namespace, NamespaceCount())
+        counts.total += 1
+        if comp.id in retained:
+            counts.retained += 1
+        else:
+            removed.append(comp.name)
+    total = sum(c.total for c in per_ns.values())
+    kept = sum(c.retained for c in per_ns.values())
+    return ReductionReport(total, kept, kept / total if total else 1.0, per_ns,
+                           sorted(removed))
 
 
 # ---------------------------------------------------------------- closure check

@@ -1,4 +1,4 @@
-"""Regenerate the frozen golden copies of generated parser sources.
+"""Regenerate the frozen golden copies of generated sources and JSON reports.
 
 Run from the repository root after an intentional emitter change:
 
@@ -18,12 +18,11 @@ GOLDEN = Path(__file__).parent
 
 
 def main():
-    artifacts = TestGolden().artifacts()
-    for artifact in artifacts:
-        if artifact.path in ("c_carttype.py", "dispatch.py"):
-            target = GOLDEN / (artifact.path + ".golden")
-            target.write_text(artifact.content)
-            print(f"wrote {target} ({artifact.byte_size} bytes)")
+    for path, content in TestGolden().golden_outputs().items():
+        target = GOLDEN / (path + ".golden")
+        data = content.encode("utf-8")
+        target.write_bytes(data)
+        print(f"wrote {target} ({len(data)} bytes)")
 
 
 if __name__ == "__main__":

@@ -335,7 +335,8 @@ class Interpreter:
             else:
                 obj[f.name] = value
 
-        for f in fields:
+        # Missing-required order is row order: wildcard fields come last.
+        for f in sorted(fields, key=lambda f: f.is_wildcard):
             if f.kind is FieldKind.TEXT_CONTENT:
                 continue
             if f.cardinality is Cardinality.SCALAR_REQUIRED and not f.ignored \

@@ -203,10 +203,13 @@ class TestMergeMonoid:
                 f'<memo xmlns="{TNS}">hi</memo>']
         whole = analyze(po_schema, *docs)
         parts = [analyze(po_schema, d) for d in docs]
-        for _ in range(4):
-            random.shuffle(parts)
-            merged = merge_reports(parts)
-            assert merged.to_json() == whole.to_json()
+        reloaded = [UsageReport.from_json(p.to_json()) for p in parts]
+        for inputs in (parts, reloaded):
+            for _ in range(4):
+                random.shuffle(inputs)
+                merged = merge_reports(inputs)
+                assert merged.to_json() == whole.to_json()
+                assert merged._single_child_state == whole._single_child_state
 
     def test_merge_with_empty_is_identity(self, po_schema):
         report = analyze(po_schema, PO_DOC)
@@ -241,15 +244,17 @@ def test_merge_into_equals_merge_for_any_split(chunks):
         for report in chunk:
             part = part.merge(report)
         pure = pure.merge(part)
-    in_place = UsageReport()
-    for chunk in chunks:
-        part = UsageReport()
-        for report in chunk:
-            part.merge_into(report)
-        in_place.merge_into(part)
-    assert in_place.to_json() == pure.to_json()
-    assert in_place._single_child_state == pure._single_child_state
-    assert len(in_place.warnings) == len(pure.warnings)
+    reloaded = [[UsageReport.from_json(p.to_json()) for p in chunk] for chunk in chunks]
+    for inputs, warnings in ((chunks, len(pure.warnings)), (reloaded, 0)):
+        in_place = UsageReport()
+        for chunk in inputs:
+            part = UsageReport()
+            for report in chunk:
+                part.merge_into(report)
+            in_place.merge_into(part)
+        assert in_place.to_json() == pure.to_json()
+        assert in_place._single_child_state == pure._single_child_state
+        assert len(in_place.warnings) == warnings
     assert [[p.to_json() for p in chunk] for chunk in chunks] == before  # inputs intact
 
 

@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from genutil import assert_equivalent, build_and_import, normalize, unique_model_name
-from slimbind.binding import BindingOptions, FieldKind, build_binding_model
+from slimbind.binding import (
+    _TEMPLATE_IMPORTS,
+    BindingOptions,
+    FieldKind,
+    build_binding_model,
+    serialize_binding_model,
+)
 from slimbind.emitter import (
     GeneratedArtifact,
     builtin_template_set,
@@ -24,7 +30,7 @@ from slimbind.emitter import (
 )
 from slimbind.errors import UnresolvedPlaceholderError
 from slimbind.model import QName
-from slimbind.simplify import compute_retained_set
+from slimbind.simplify import compute_retained_set, reduction_report
 from slimbind.templates import ManifestEntry, TemplateSet
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -149,9 +155,10 @@ class TestSizeReport:
 
 
 class TestGolden:
-    """Frozen generated output; regenerate with tests/golden/refresh.py."""
+    """Frozen generated sources and JSON reports; regenerate with tests/golden/refresh.py."""
 
-    def artifacts(self):
+    def build(self):
+        """(schema, usage report, retained set, binding model) of the cart fixture."""
         schema = schema_of("""
   <xs:element name="cart" type="tns:CartType"/>
   <xs:complexType name="CartType">
@@ -175,14 +182,27 @@ class TestGolden:
         retained = compute_retained_set(schema, usage)
         model = build_binding_model(schema, retained, usage, BindingOptions(),
                                     model_name="golden")
-        return emit_parser_backend(model)
+        return schema, usage, retained, model
 
-    @pytest.mark.parametrize("path", ["c_carttype.py", "dispatch.py"])
+    def artifacts(self):
+        return emit_parser_backend(self.build()[3])
+
+    def golden_outputs(self):
+        """Name -> content of every file pinned under tests/golden."""
+        schema, usage, retained, model = self.build()
+        outputs = {a.path: a.content for a in emit_parser_backend(model)
+                   if a.path in ("c_carttype.py", "dispatch.py")}
+        outputs["usage-report.json"] = usage.to_json()
+        outputs["reduction-report.json"] = reduction_report(schema, retained).to_json()
+        outputs["binding-model.json"] = serialize_binding_model(model)
+        return outputs
+
+    @pytest.mark.parametrize("path", ["c_carttype.py", "dispatch.py", "usage-report.json",
+                                      "reduction-report.json", "binding-model.json"])
     def test_matches_golden(self, path):
-        artifacts = {a.path: a.content for a in self.artifacts()}
         golden_path = GOLDEN_DIR / (path + ".golden")
         assert golden_path.exists(), f"golden file missing: run refresh.py"
-        assert artifacts[path] == golden_path.read_text(), (
+        assert self.golden_outputs()[path] == golden_path.read_bytes().decode(), (
             f"{path} drifted from the golden copy; inspect and refresh if intended")
 
     def test_golden_list_and_optional_shapes(self):
@@ -213,6 +233,40 @@ class TestGeneratedParsers:
                                               mode="lenient")
         assert normalize(obj) == {} and [w.code for w in warnings] == ["UNKNOWN_ELEMENT"]
         assert "def parse_document" in by_path["dispatch.py"]
+
+    def test_type_named_like_a_class_template_import(self, tmp_path):
+        schema = schema_of("""
+  <xs:element name="r" type="tns:RecordParser"/>
+  <xs:complexType name="RecordParser">
+    <xs:sequence><xs:element name="v" type="xs:int"/></xs:sequence>
+  </xs:complexType>""")
+        docs = [f'<r xmlns="{TNS}"><v>1</v></r>']
+        model, module, _, _ = build_and_import(schema, docs, tmp_path)
+        assert_equivalent(model, module, docs)
+        assert normalize(module.parse_document(docs[0])[0]) == {"v": 1}
+        template = builtin_template_set().templates["class.py"]
+        imported = {name.split(" as ")[-1]
+                    for names in re.findall(r"^from [^{\n]+ import (.+)$", template, re.M)
+                    for name in names.split(", ")}
+        assert imported == set(_TEMPLATE_IMPORTS)
+
+    def test_missing_required_wildcard_reported_after_elements(self, tmp_path):
+        schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:element name="x" type="xs:string"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:any namespace="##targetNamespace"/>
+      <xs:element name="b" type="xs:string"/>
+    </xs:sequence>
+  </xs:complexType>""")
+        corpus = [f'<r xmlns="{TNS}"><x>1</x><b>2</b></r>']
+        model, module, _, _ = build_and_import(schema, corpus, tmp_path)
+        empty = [f'<r xmlns="{TNS}"/>']
+        assert_equivalent(model, module, corpus + empty, mode="lenient")
+        _obj, warnings = module.parse_document(empty[0], mode="lenient")
+        assert [w.message for w in warnings] == [
+            "missing required element b in R", "missing required element any in R"]
 
     def test_po_equivalence(self, po_schema, tmp_path):
         docs = [PO_DOC, f'<po xmlns="{TNS}" id="2"><note>n</note></po>',
