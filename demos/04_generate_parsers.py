@@ -5,8 +5,10 @@ flattened, single-occurrence particles tightened to scalars, the
 substitution dispatch bounded to observed members, and the single-child
 <authors><names>...</names></authors> wrapper collapsed away.
 
-Each generated class module is data: the record class plus one row per
-field, which the record parser in slimbind.runtime interprets.
+Each generated class module is data: a plain __slots__ record class over
+slimbind.runtime.Record plus one row per field, which the record parser in
+slimbind.runtime interprets.  Records print in field order and turn into
+plain dicts with to_dict().
 """
 
 import importlib
@@ -56,6 +58,7 @@ for item in library.item:
     print(f"  #{item.id} {item.title!r} price={item.price and item.price.value} "
           f"authors={authors}")
 print(f"warnings: {len(warnings)}")
+print(f"first item as plain data: {library.item[0].to_dict()}")
 
 print()
 print("a generated class module: the record and its field rows:")

@@ -31,11 +31,14 @@ from .model import (
     substitution_members,
 )
 from .analyzer import UsageReport
+from .runtime import Record
 
 IR_VERSION = 1
 
 # Names the built-in class template imports; a class must not shadow them.
-_TEMPLATE_IMPORTS = ("annotations", "dataclass", "_dc_field", "RecordParser")
+_TEMPLATE_IMPORTS = ("Record", "RecordParser")
+# Attributes every record has; a field must not shadow them.
+_RECORD_ATTRIBUTES = tuple(name for name in vars(Record) if not name.startswith("__"))
 
 
 class Cardinality(Enum):
@@ -180,8 +183,9 @@ def deserialize_binding_model(text: str) -> BindingModel:
 # ---------------------------------------------------------------- name mangling
 
 def mangle(name: str, used: set, class_style=False) -> str:
+    """A fresh identifier for ``name``; never a keyword, never ``__``-prefixed."""
     s = re.sub(r"[^0-9A-Za-z_]", "_", name)
-    if not s or not (s[0].isalpha() or s[0] == "_"):
+    if not s or not (s[0].isalpha() or s[0] == "_") or s.startswith("__"):
         s = "x" + s
     if class_style:
         s = s[0].upper() + s[1:]
@@ -427,7 +431,7 @@ class _ModelBuilder:
         schema, usage, options = self.schema, self.usage, self.options
         comp = schema.component(type_id)
         detail = comp.detail
-        used_names = set()
+        used_names = set(_RECORD_ATTRIBUTES)
         fields = []
 
         base_name = None

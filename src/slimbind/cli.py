@@ -40,17 +40,23 @@ def _discover_docs(docs_paths):
 
 
 def _parse_ignore_path(text: str):
-    """``{ns}a/b/{ns2}c``; bare segments inherit the previous namespace."""
+    """``{ns}a/b/{ns2}c``; bare segments inherit the previous namespace.
+
+    A ``{namespace}`` is read whole, so it may contain ``/``.
+    """
     segments = []
-    ns = ""
-    for raw in text.split("/"):
-        if not raw:
-            continue
-        if raw.startswith("{"):
-            ns, _, local = raw[1:].partition("}")
-        else:
-            local = raw
-        segments.append(QName(ns, local))
+    ns, rest = "", text
+    while rest:
+        braced = rest.startswith("{")
+        if braced:
+            ns, closed, rest = rest[1:].partition("}")
+            if not closed:
+                raise SlimbindError(f"--ignore {text}: '{{' is never closed")
+        local, _, rest = rest.partition("/")
+        if local:
+            segments.append(QName(ns, local))
+        elif braced:
+            raise SlimbindError(f"--ignore {text}: no local name after {{{ns}}}")
     return tuple(segments)
 
 
@@ -147,6 +153,7 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    ignore_paths = tuple(_parse_ignore_path(p) for p in args.ignore)
     schema, report, code = _analyze_inputs(args, need_usage=True)
     if code is not None:
         return code
@@ -159,7 +166,7 @@ def cmd_generate(args) -> int:
         tighten_occurrences=not args.keep_occurrences,
         bound_substitutions=not args.all_substitutions,
         prune_unused=not args.no_prune,
-        ignore_paths=tuple(_parse_ignore_path(p) for p in args.ignore),
+        ignore_paths=ignore_paths,
         lenient=args.mode == "lenient",
         corpus_is_synthetic=args.synthetic_corpus,
     )

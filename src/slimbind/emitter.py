@@ -2,9 +2,9 @@
 
 The built-in backend emits table-driven Python parsers against
 ``slimbind.runtime``, which holds all their parsing code: one module per
-class (its dataclass plus the field rows its record parser reads), and one
-dispatch/entry module with each distinct dispatch table once, the root
-table, and the document entry point.  Rendering is deterministic: equal
+class (its ``__slots__`` record class plus the field rows its record
+parser reads), and one dispatch/entry module with each distinct dispatch
+table once, the root table, and the document entry point.  Rendering is deterministic: equal
 inputs give byte-identical artifacts.
 """
 
@@ -220,15 +220,14 @@ def _class_context(model, cls, modules, tables) -> dict:
     matchable = effective_fields(model, cls)
     matchable = [f for f in matchable if not f.is_wildcard] + \
         [f for f in matchable if f.is_wildcard]
+    lists = tuple(f.name for f in cls.fields if f.cardinality is Cardinality.LIST)
     return {
         "name": cls.name,
         "module": modules[cls.name],
         "xml_type": cls.source_type,
-        "fields": [{
-            "py_name": f.name,
-            "py_default": "_dc_field(default_factory=list)"
-            if f.cardinality is Cardinality.LIST else "None",
-        } for f in cls.fields],
+        "fields": [{"py_name": f.name} for f in cls.fields],
+        "slots": repr(tuple(f.name for f in cls.fields)),
+        "lists": repr(lists) if lists else "",
         "rows": [repr(_row(cls, f, modules, tables)) for f in matchable],
         "has_base": cls.base is not None,
         "base": cls.base or "",
@@ -255,7 +254,7 @@ def _row(cls, f, modules, tables) -> tuple:
     if f.ignored:
         read, target = "ignore", None
     elif f.dispatch:
-        read, target = "dispatch", f.xml_name.local
+        read, target = "dispatch", None if f.is_wildcard else f.xml_name.local
     elif f.collapse_chain:
         chain = tuple((q.namespace, q.local) for q in f.collapse_chain)
         read, target = "collapse", (chain, *_element_read(f, modules))
@@ -286,25 +285,18 @@ def _root_contexts(model, tables) -> list:
 
 _CLASS_TEMPLATE = '''\
 """Parser for {{xml_type}}. Generated code; do not edit."""
-from __future__ import annotations
-
-from dataclasses import dataclass, field as _dc_field
-
-from slimbind.runtime import RecordParser
+from slimbind.runtime import {{^has_base}}Record, {{/has_base}}RecordParser
 {{#has_base}}
 
 from .{{base_module}} import {{base}}
 {{/has_base}}
 
 
-@dataclass
-class {{name}}{{#has_base}}({{base}}){{/has_base}}:
-{{#fields}}
-    {{py_name}}: object = {{py_default}}
-{{/fields}}
-{{^fields}}
-    pass
-{{/fields}}
+class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}}):
+    __slots__ = {{slots}}
+{{#lists}}
+    _lists = {{lists}}
+{{/lists}}
 
 
 # Field rows (key, slot, occurs, read, target); see slimbind.runtime.
@@ -317,8 +309,6 @@ parse_{{name}} = RecordParser({{name}}, (
 
 _DISPATCH_TEMPLATE = '''\
 """Entry point and dispatch tables. Generated; do not edit."""
-from __future__ import annotations
-
 from slimbind.runtime import {{dispatch_imports}}
 
 {{#classes}}

@@ -453,9 +453,9 @@ class _Document:
 # start)``, or None for simple content read with ``conv``; ``by_type``, when
 # not None, maps an ``xsi:type`` name to the target that overrides this one.
 #
-# A class module holds its record class and the field rows that
-# :class:`RecordParser` reads.  A row is ``(key, slot, occurs, read,
-# target)``:
+# A class module holds its record class, a :class:`Record` subclass, and
+# the field rows that :class:`RecordParser` reads.  A row is ``(key, slot,
+# occurs, read, target)``:
 #
 # * ``key`` -- the ``(namespace, local)`` the field matches; for a dispatch
 #   field, the name of its dispatch table, whose keys are what it matches;
@@ -467,13 +467,68 @@ class _Document:
 #   element's own text) convert with the conversion ``target`` names (a key
 #   of ``CONVERSIONS``); ``"mixed"`` joins the text of mixed content;
 #   ``"class"`` parses the element as class ``target``; ``"dispatch"`` reads
-#   it through the key's table, ``target`` being the field's element name;
+#   it through the key's table, ``target`` being the field's element name,
+#   or None for a wildcard;
 #   ``"collapse"`` unwraps ``target = (chain, read, target)``: the inner
 #   names, then the innermost element read as ``"class"`` or ``"simple"``;
 #   ``"ignore"`` skips the subtree and builds nothing.
 #
 # Rows come in match order: the first row matching an element wins, and
 # wildcard fields come last.  Unknown attributes are ignored.
+
+
+class Record:
+    """Base of every generated record class.
+
+    A record class declares its own fields as ``__slots__`` and its list
+    fields once as ``_lists``.  Creating the class sets ``_fields`` to every
+    slot in field order, base class fields first, and widens ``_lists`` to
+    the list slots of its bases too.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _lists = frozenset()
+
+    def __init_subclass__(cls):
+        fields, lists = {}, set()
+        for klass in reversed(cls.__mro__):
+            fields.update(dict.fromkeys(vars(klass).get("__slots__", ())))
+            lists.update(vars(klass).get("_lists", ()))
+        cls._fields = tuple(fields)
+        cls._lists = frozenset(lists)
+
+    def __init__(self, **values):
+        """Every field not given is None, or a fresh ``[]`` for a list."""
+        for name in self._fields:
+            if name in values:
+                setattr(self, name, values.pop(name))
+            else:
+                setattr(self, name, [] if name in self._lists else None)
+        if values:
+            raise TypeError(f"{type(self).__name__} has no field {next(iter(values))!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        names = self._fields
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self):
+        values = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def to_dict(self):
+        """Nested dicts and lists of the field values, records included."""
+        return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
 
 
 def bind_parsers(modules, tables):
@@ -493,22 +548,26 @@ def bind_parsers(modules, tables):
 
 
 _ABSENT = object()  # a required slot's value until its field is read
+_LIST = object()  # a list slot's initial value: a fresh []
+_new = object.__new__
 
 
 class RecordParser:
-    """Parses elements of one record class by its field rows (see above).
+    """Parses elements of one :class:`Record` class by its field rows (see above).
 
     A class module binds ``parse_<Class>`` to the ``parse`` method as soon
     as it is loaded, so dispatch tables can hold it; :func:`bind_parsers`
     resolves the names the rows mention before the first parse.
     """
 
-    __slots__ = ("cls", "name", "rows", "elements", "attributes", "required", "text")
+    __slots__ = ("cls", "name", "rows", "initial", "elements", "attributes", "required",
+                 "text")
 
     def __init__(self, cls, rows):
         self.cls = cls
         self.name = cls.__name__
         self.rows = rows
+        self.initial = ()  # (slot, None or _ABSENT or _LIST), in field order
         self.elements = {}  # (namespace, local) -> (read(ctx, start) or None, slot, is list)
         self.attributes = {}  # (namespace, local) -> (slot, conversion, label)
         self.required = ()  # (slot, message), in row order
@@ -530,28 +589,32 @@ class RecordParser:
                 continue
             if isinstance(key, str):  # a dispatch field matches its table's keys
                 matched = names[key]
-                local = target
+                element = "matching xs:any" if target is None else target
             else:
                 matched = (key,)
-                local = key[1]
+                element = key[1]
             if read == "ignore":
                 action = (None, slot, False)
             else:
                 action = (_reader(read, target, what, names, key), slot, occurs == "*")
                 if occurs == "1":
-                    required.append((slot, f"missing required element {local} in {name}"))
+                    required.append((slot, f"missing required element {element} in {name}"))
             for k in matched:
                 elements.setdefault(k, action)
         self.elements, self.attributes, self.required = elements, attributes, tuple(required)
+        absent = {slot for slot, _message in required}
+        lists = self.cls._lists
+        self.initial = tuple(
+            (slot, _LIST if slot in lists else _ABSENT if slot in absent else None)
+            for slot in self.cls._fields)
 
     def parse(self, ctx, start):
         if is_nil(start):
             ctx.skip_subtree()
             return None
-        obj = self.cls()
-        required = self.required
-        for slot, _message in required:
-            setattr(obj, slot, _ABSENT)
+        obj = _new(self.cls)
+        for slot, value in self.initial:
+            setattr(obj, slot, [] if value is _LIST else value)
         if start.attributes:
             attributes = self.attributes
             for qn, raw in start.attributes:
@@ -588,7 +651,7 @@ class RecordParser:
                 getattr(obj, slot).append(read(ctx, ev))
             else:
                 setattr(obj, slot, read(ctx, ev))
-        for slot, message in required:
+        for slot, message in self.required:
             if getattr(obj, slot) is _ABSENT:
                 setattr(obj, slot, None)
                 ctx.violation(Violation.MISSING_REQUIRED, message)

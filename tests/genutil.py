@@ -6,11 +6,11 @@ import importlib
 import itertools
 import os
 import sys
-from dataclasses import asdict, is_dataclass
 
 from slimbind.analyzer import analyze_corpus
 from slimbind.binding import BindingOptions, build_binding_model
 from slimbind.emitter import emit_parser_backend, write_artifacts
+from slimbind.runtime import Record
 from slimbind.simplify import compute_retained_set
 
 from oracle import Interpreter
@@ -46,8 +46,9 @@ def build_and_import(schema, docs, tmp_path, options=None, retained=None):
 
 
 def normalize(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return asdict(value)
+    """A generated record as plain dicts and lists; any other value unchanged."""
+    if isinstance(value, Record):
+        return value.to_dict()
     return value
 
 

@@ -4,7 +4,7 @@ These deliberately avoid the production code paths they check.  The
 closure oracles iterate the raw edge list to a fixed point; the
 interpreter parses documents by walking the BindingModel directly and
 produces plain dicts for deep-equality comparison against generated
-parsers (compared via dataclasses.asdict).  It shares only the runtime's
+parsers (compared via their records' ``to_dict()``).  It shares only the runtime's
 value helpers (simple content and conversions) and keeps its own xsi:nil,
 xsi:type, binding, collapse and dispatch walk, which is what it checks.
 """
@@ -341,10 +341,14 @@ class Interpreter:
                 continue
             if f.cardinality is Cardinality.SCALAR_REQUIRED and not f.ignored \
                     and f.name not in seen:
-                kind = ("attribute" if f.kind is FieldKind.ATTRIBUTE else "element")
+                if f.kind is FieldKind.ATTRIBUTE:
+                    missing = f"attribute {f.xml_name.local}"
+                elif f.is_wildcard:
+                    missing = "element matching xs:any"
+                else:
+                    missing = f"element {f.xml_name.local}"
                 ctx.violation(Violation.MISSING_REQUIRED,
-                              f"missing required {kind} {f.xml_name.local} "
-                              f"in {cls.name}")
+                              f"missing required {missing} in {cls.name}")
         if text_field is not None:
             if cls.mixed:
                 obj[text_field.name] = "".join(text_parts) if text_parts else None

@@ -204,18 +204,31 @@ def test_generate_flag_mapping(workspace):
     assert opts["pruneUnused"] is False
 
 
-def test_generate_ignore_path_emits_skip(workspace):
+@pytest.mark.parametrize("ns", [TNS, "http://example.com/ns"], ids=["urn", "slashes"])
+def test_generate_ignore_path_emits_skip(workspace, ns, request):
+    (workspace["schemas"] / "main.xsd").write_text(SCHEMA.replace(TNS, ns))
+    (workspace["docs"] / "a.xml").write_text(GOOD_DOC.replace(TNS, ns))
     assert run(workspace, "generate",
-               "--ignore", f"{{{TNS}}}doc/entry") == 0
-    package = _load_package(workspace["out"] / "gen" / "model", "cli_ignore_model")
+               "--ignore", f"{{{ns}}}doc/entry") == 0
+    package = _load_package(workspace["out"] / "gen" / "model",
+                            f"cli_ignore_model_{request.node.callspec.id}")
     (row,) = package.dispatch.c_doctype.parse_DocType.__self__.rows
-    assert row == ((TNS, "entry"), "entry", "*", "ignore", None)
-    obj, warnings = package.parse_document(GOOD_DOC)
+    assert row == ((ns, "entry"), "entry", "*", "ignore", None)
+    obj, warnings = package.parse_document(GOOD_DOC.replace(TNS, ns))
     assert (obj.entry, warnings) == ([], [])
     model = json.loads((workspace["out"] / "binding-model.json").read_text())
     entry_fields = [f for c in model["classes"] for f in c["fields"]
                     if f["name"] == "entry"]
     assert entry_fields and entry_fields[0]["ignored"] is True
+
+
+@pytest.mark.parametrize("path", ["{http://example.com/ns/doc/entry",
+                                  "{http://example.com/ns}/entry"])
+def test_generate_malformed_ignore_path_exits_1(workspace, capsys, path):
+    assert run(workspace, "generate", "--ignore", path) == 1
+    err = capsys.readouterr().err
+    assert f"--ignore {path}" in err and "Traceback" not in err
+    assert not (workspace["out"] / "gen").exists()
 
 
 def _load_package(path, name):

@@ -6,6 +6,8 @@ import ast
 import json
 import os
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from genutil import assert_equivalent, build_and_import, normalize, unique_model_name
 from slimbind.binding import (
+    _RECORD_ATTRIBUTES,
     _TEMPLATE_IMPORTS,
     BindingOptions,
     FieldKind,
@@ -30,6 +33,7 @@ from slimbind.emitter import (
 )
 from slimbind.errors import UnresolvedPlaceholderError
 from slimbind.model import QName
+from slimbind.runtime import Record, RecordParser
 from slimbind.simplify import compute_retained_set, reduction_report
 from slimbind.templates import ManifestEntry, TemplateSet
 
@@ -234,20 +238,31 @@ class TestGeneratedParsers:
         assert normalize(obj) == {} and [w.code for w in warnings] == ["UNKNOWN_ELEMENT"]
         assert "def parse_document" in by_path["dispatch.py"]
 
-    def test_type_named_like_a_class_template_import(self, tmp_path):
-        schema = schema_of("""
-  <xs:element name="r" type="tns:RecordParser"/>
-  <xs:complexType name="RecordParser">
-    <xs:sequence><xs:element name="v" type="xs:int"/></xs:sequence>
+    @pytest.mark.parametrize("type_name, element, slot", [
+        ("RecordParser", "e", "e"),
+        ("R", "_dc_field", "_dc_field"),
+        ("R", "__x", "x__x"),
+        *(("R", name, f"{name}_2") for name in _RECORD_ATTRIBUTES),
+    ], ids=lambda value: value)
+    def test_type_named_like_a_class_template_import(self, tmp_path, type_name, element,
+                                                    slot):
+        """Class and field names that clash with generated code still bind."""
+        schema = schema_of(f"""
+  <xs:element name="r" type="tns:{type_name}"/>
+  <xs:complexType name="{type_name}">
+    <xs:sequence>
+      <xs:element name="{element}" type="xs:string"/>
+      <xs:element name="v" type="xs:int" maxOccurs="unbounded"/>
+    </xs:sequence>
   </xs:complexType>""")
-        docs = [f'<r xmlns="{TNS}"><v>1</v></r>']
+        docs = [f'<r xmlns="{TNS}"><{element}>a</{element}><v>1</v><v>2</v></r>']
         model, module, _, _ = build_and_import(schema, docs, tmp_path)
         assert_equivalent(model, module, docs)
-        assert normalize(module.parse_document(docs[0])[0]) == {"v": 1}
+        assert normalize(module.parse_document(docs[0])[0]) == {slot: "a", "v": [1, 2]}
         template = builtin_template_set().templates["class.py"]
-        imported = {name.split(" as ")[-1]
+        imported = {name
                     for names in re.findall(r"^from [^{\n]+ import (.+)$", template, re.M)
-                    for name in names.split(", ")}
+                    for name in re.sub(r"\{\{[^}]*\}\}", "", names).split(", ")}
         assert imported == set(_TEMPLATE_IMPORTS)
 
     def test_missing_required_wildcard_reported_after_elements(self, tmp_path):
@@ -266,7 +281,8 @@ class TestGeneratedParsers:
         assert_equivalent(model, module, corpus + empty, mode="lenient")
         _obj, warnings = module.parse_document(empty[0], mode="lenient")
         assert [w.message for w in warnings] == [
-            "missing required element b in R", "missing required element any in R"]
+            "missing required element b in R",
+            "missing required element matching xs:any in R"]
 
     def test_po_equivalence(self, po_schema, tmp_path):
         docs = [PO_DOC, f'<po xmlns="{TNS}" id="2"><note>n</note></po>',
@@ -357,35 +373,46 @@ class TestGeneratedParsers:
   </xs:complexType>
   <xs:complexType name="D">
     <xs:complexContent><xs:extension base="tns:B">
-      <xs:sequence><xs:element name="d" type="xs:int"/></xs:sequence>
+      <xs:sequence>
+        <xs:element name="d" type="xs:int"/>
+        <xs:element name="e" type="xs:string" maxOccurs="unbounded"/>
+      </xs:sequence>
     </xs:extension></xs:complexContent>
   </xs:complexType>""")
-        docs = [f'<r xmlns="{TNS}" ba="3"><b>x</b><d>9</d></r>']
-        model, module, _, _ = build_and_import(
+        docs = [f'<r xmlns="{TNS}" ba="3"><b>x</b><d>9</d><e>1</e><e>2</e></r>']
+        model, module, _, artifacts = build_and_import(
             schema, docs, tmp_path, BindingOptions(flatten_inheritance=False))
         assert_equivalent(model, module, docs)
         obj, _ = module.parse_document(docs[0])
-        assert (obj.b, obj.d, obj.ba) == ("x", 9, 3)
-        gen_dir = Path(obj.__class__.__module__.split(".")[0])
-        assert obj.__class__.__name__ == "D"
-        assert obj.__class__.__mro__[1].__name__ == "B"
+        assert (obj.b, obj.d, obj.ba, obj.e) == ("x", 9, 3, ["1", "2"])
+        D = obj.__class__
+        B = D.__mro__[1]
+        assert (D.__name__, B.__name__, B.__bases__) == ("D", "B", (Record,))
+        # Plain slotted records: each class declares only its own fields.
+        assert not hasattr(obj, "__dict__") and not hasattr(B(), "__dict__")
+        assert D.__slots__ == ("d", "e") and B.__slots__ == ("b", "ba")
+        assert repr(D()) == "D(b=None, ba=None, d=None, e=[])"
+        assert D().e is not D().e
+        assert D(d=1) == D(d=1) != D(d=2) and D() != B()
+        assert not any("dataclass" in a.content for a in artifacts)
 
     def test_ignored_field_skips_without_building(self, po_schema, tmp_path):
         opts = BindingOptions(ignore_paths=(
             (QName(TNS, "po"), QName(TNS, "item")),))
         model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path, opts)
-        import importlib
-        item_mod = importlib.import_module(f"{model.name}.c_itemtype")
-        calls = []
-        original = item_mod.ItemType.__init__
-        item_mod.ItemType.__init__ = lambda self: calls.append(1) or original(self)
+        parsed = Counter()  # class name -> records its parser started
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code is RecordParser.parse.__code__:
+                parsed[frame.f_locals["self"].name] += 1
+
+        sys.setprofile(profile)
         try:
-            assert calls == [] and item_mod.ItemType() is not None and calls == [1]
-            calls.clear()
             obj, warnings = module.parse_document(PO_DOC)
         finally:
-            item_mod.ItemType.__init__ = original
-        assert calls == []  # ignored subtrees never construct binding objects
+            sys.setprofile(None)
+        # Ignored subtrees never construct binding objects.
+        assert parsed and "ItemType" not in parsed
         assert obj.item == []
         assert obj.note == "rush order"
         assert warnings == []
