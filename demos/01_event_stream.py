@@ -1,9 +1,11 @@
 """The streaming event layer: pull events, skip subtrees, tolerate errors.
 
-Every generated parser consumes this interface, so it is worth seeing on
-its own first.  The schema loader and the corpus analyzer need whole
-trees instead; they build them with ``slimbind.runtime.read_tree``, which
-sets expat up exactly as this interface does.
+This is the interface for code that wants XML as events; the test
+suite's interpreter oracle reads documents through it.  Generated parsers
+skip the events and bind records in expat's callbacks, and the schema
+loader and the corpus analyzer build whole trees with
+``slimbind.runtime.read_tree``; both set expat up exactly as this
+interface does.
 """
 
 from slimbind.runtime import EventKind, ParseContext, Violation

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import EmptyModelError, InconsistentUsageError
-from .jsonio import dumps, encode, loads
+from .jsonio import SKIP, dumps, encode, loads
 from .model import (
     XSD_NAMESPACE,
     ComponentKind,
@@ -143,6 +143,8 @@ class BindingModel:
     options: BindingOptions
     collapsed_classes: list[BindingClass] = field(default_factory=list)  # removed by collapse
     collapsed_elements: tuple[str, ...] = ()  # sorted element ids collapsed through
+    # Ignore paths that matched no field, in the order given.
+    unmatched_ignores: list = field(default_factory=list, metadata=SKIP)
 
     def class_by_name(self, name) -> Optional[BindingClass]:
         for c in self.classes:
@@ -640,11 +642,15 @@ def _apply_collapse(model: BindingModel, usage: UsageReport, max_rounds=32):
 
 # ---------------------------------------------------------------- ignore paths
 
-def _mark_ignored(model: BindingModel, ignore_paths):
-    """Mark fields addressed by root-anchored element-name paths as ignored."""
+def _mark_ignored(model: BindingModel, ignore_paths) -> list:
+    """Mark fields addressed by root-anchored element-name paths as ignored.
+
+    Returns the paths that matched no field, in the order given.
+    """
     if not ignore_paths:
-        return
+        return []
     targets = [tuple(p) for p in ignore_paths]
+    matched = set()
     by_name = {c.name: c for c in model.classes}
 
     seen = set()
@@ -662,6 +668,7 @@ def _mark_ignored(model: BindingModel, ignore_paths):
             path = prefix + (f.xml_name,)
             if path in targets:
                 f.ignored = True
+                matched.add(path)
                 continue
             if any(t[:len(path)] == path for t in targets):
                 walk(f.target_class, path)
@@ -675,6 +682,7 @@ def _mark_ignored(model: BindingModel, ignore_paths):
         walk(root.target_class, prefix)
         for e in root.dispatch:
             walk(e.target_class, prefix)
+    return [t for t in targets if t not in matched]
 
 
 # ---------------------------------------------------------------- entry point
@@ -705,7 +713,7 @@ def build_binding_model(schema: SchemaSet, retained, usage: UsageReport,
 
     model = BindingModel(name=model_name, classes=classes, roots=roots,
                          options=options)
-    _mark_ignored(model, options.ignore_paths)
+    model.unmatched_ignores = _mark_ignored(model, options.ignore_paths)
     if options.collapse_single_child:
         _apply_collapse(model, usage)
     return model

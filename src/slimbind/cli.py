@@ -189,6 +189,9 @@ def cmd_generate(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_CORPUS
 
+    for text, path in zip(args.ignore, ignore_paths):
+        if path in model.unmatched_ignores:
+            print(f"warning: --ignore {text} matched no field", file=sys.stderr)
     Path(args.out, "binding-model.json").write_text(serialize_binding_model(model),
                                                     encoding="utf-8")
     manifest = write_artifacts(model, artifacts, args.out)

@@ -304,7 +304,7 @@ parse_{{name}} = RecordParser({{name}}, (
 {{#rows}}
     {{.}},
 {{/rows}}
-)).parse
+))
 '''
 
 _DISPATCH_TEMPLATE = '''\

@@ -1,13 +1,16 @@
 """Namespace-aware XML reading over expat, and the tolerance policy.
 
-Generated parsers read XML through :class:`ParseContext`, a pull interface
-over the stdlib expat parser.  The schema loader and the corpus analyzer
-need whole trees, so :func:`read_tree` builds them straight from expat's
-callbacks, with no events in between.  Both set expat up in one place,
-``_ExpatSource``, which enforces XML 1.0 plus Namespaces: expat normalizes
-line ends and attribute whitespace, and decodes byte input by its BOM or
-declared encoding.  ParseContext coalesces text into one TEXT event across
-comments, processing instructions and CDATA sections.
+Three readers share one expat set-up, ``_ExpatSource``, which enforces XML
+1.0 plus Namespaces: expat normalizes line ends and attribute whitespace,
+and decodes byte input by its BOM or declared encoding.
+
+* Generated parsers bind records straight from expat's callbacks
+  (:func:`parse_root`): no event is built between expat and the record.
+* :class:`ParseContext` is a pull interface over the same callbacks, for
+  code that wants events.  It coalesces text into one TEXT event across
+  comments, processing instructions and CDATA sections.
+* The schema loader and the corpus analyzer need whole trees, so
+  :func:`read_tree` builds them in the callbacks too.
 
 The DTD never changes what a reader sees.  Entity declarations, attribute
 defaults, and documents that need an external subset or parameter
@@ -16,10 +19,10 @@ five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
 generated class module is data, field rows that :class:`RecordParser`
-interprets over a ParseContext; :func:`bind_parsers` resolves the names
-the rows mention once the package is loaded.  Value conversion,
-simple-content and collapsed-wrapper reading, ``xsi:nil``/``xsi:type``
-handling and table dispatch live here too, so packages carry no copies.
+turns into lookup tables; :func:`bind_parsers` resolves the names the rows
+mention once the package is loaded.  Value conversion, ``xsi:nil`` and
+``xsi:type`` handling and table dispatch live here too, so packages carry
+no copies.
 """
 
 from __future__ import annotations
@@ -106,6 +109,30 @@ class ParseWarning:
         return f"WARN {self.source}:{self.line}:{self.col} {self.code} {self.message}"
 
 
+class _Tolerance:
+    """The tolerance policy of one parse: strict raises, lenient warns."""
+
+    def __init__(self, mode, source_name):
+        if mode not in ("strict", "lenient"):
+            raise ValueError(f"mode must be strict or lenient, got {mode!r}")
+        self.mode = mode
+        self.source_name = source_name
+        self.warnings: list = []
+
+    def violation(self, kind: Violation, message: str, line=None, col=None) -> Recovery:
+        """Apply the tolerance policy for one validation violation.
+
+        Without a position it is reported where the reader stands.
+        """
+        if line is None:
+            line, col = self._position()
+        if self.mode == "strict":
+            raise _STRICT_ERROR[kind](message, line=line, col=col, source=self.source_name)
+        self.warnings.append(ParseWarning(line or 0, col or 0, kind.value, message,
+                                          self.source_name))
+        return _RECOVERY[kind]
+
+
 _CHUNK = 1 << 16  # bytes handed to expat per Parse call by ParseContext
 _XML_SCOPE = {"xml": XML_NAMESPACE}
 _HANDLERS = ("StartNamespaceDeclHandler", "EndNamespaceDeclHandler", "StartElementHandler",
@@ -157,19 +184,22 @@ class _ExpatSource:
     need an external subset or parameter entities, decodes the source by
     its BOM or declared encoding, interns element and attribute names, and
     keeps the namespace scope.  Each element's start goes to ``start(name,
-    attributes, scope, line, col)``: its QName, a tuple of ``(QName,
-    value)`` pairs, the prefix-to-URI dict in force at it (never changed
-    afterwards, so it may be kept) and the position of its '<'.  ``end``,
-    ``characters`` and ``start_cdata`` are installed as expat's own handlers.
+    attributes, scope, line, col)``: its name, a tuple of ``(name, value)``
+    pairs, the prefix-to-URI dict in force at it (never changed afterwards,
+    so it may be kept) and the position of its '<'.  A name is what
+    ``names`` maps expat's name to, a QName unless the reader gives its own
+    mapping.  ``end``, ``characters`` and ``start_cdata`` are installed as
+    expat's own handlers.
     """
 
-    def __init__(self, source, source_name, start, end, characters, start_cdata=None):
+    def __init__(self, source, source_name, start, end, characters, start_cdata=None,
+                 names=None):
         try:
             self.data, self.encoding = _expat_input(source)
         except UnicodeEncodeError as exc:  # a str holding lone surrogates
             raise MalformedXmlError(f"unencodable input: {exc}", source=source_name)
         self.source_name = source_name
-        self.names = names = _QNames()
+        self.names = names = _QNames() if names is None else names
         self.parser = parser = expat.ParserCreate(self.encoding, " ")
         parser.ordered_attributes = True
         parser.specified_attributes = True
@@ -251,7 +281,7 @@ class _ExpatSource:
         return final
 
 
-class ParseContext:
+class ParseContext(_Tolerance):
     """One streaming parse of one document; not shareable across threads.
 
     Expat pushes and callers pull: whenever the queue runs dry, one chunk of
@@ -260,17 +290,13 @@ class ParseContext:
     """
 
     def __init__(self, source, mode="strict", source_name="<input>"):
-        if mode not in ("strict", "lenient"):
-            raise ValueError(f"mode must be strict or lenient, got {mode!r}")
-        self.mode = mode
-        self.source_name = source_name
-        self.warnings: list = []
+        super().__init__(mode, source_name)
         self._last_event: Optional[XmlEvent] = None
         self._ns_stack = [_XML_SCOPE]  # scopes of the open elements the caller has read
         self._events: deque = deque()
         self._scopes: deque = deque()
         self._offset = 0
-        self._failure: Optional[MalformedXmlError] = None
+        self._failure = None  # (class, message, info) of the error that ended the input
         self._done = False
         self._source = self._open(source)
 
@@ -311,15 +337,9 @@ class ParseContext:
 
     # ------------------------------------------------------------ tolerance
 
-    def violation(self, kind: Violation, message: str, line=None, col=None) -> Recovery:
-        """Apply the tolerance policy for one validation violation."""
-        if line is None and self._last_event is not None:
-            line, col = self._last_event.line, self._last_event.col
-        if self.mode == "strict":
-            raise _STRICT_ERROR[kind](message, line=line, col=col, source=self.source_name)
-        self.warnings.append(ParseWarning(line or 0, col or 0, kind.value, message,
-                                          self.source_name))
-        return _RECOVERY[kind]
+    def _position(self):
+        last = self._last_event
+        return (None, None) if last is None else (last.line, last.col)
 
     def active_namespaces(self) -> dict:
         """Prefix-to-URI bindings in scope at the element the caller is in."""
@@ -328,11 +348,16 @@ class ParseContext:
     # ------------------------------------------------------------ internals
 
     def _fill(self):
-        """Feed expat chunks until an event is queued; errors wait their turn."""
+        """Feed expat chunks until an event is queued; errors wait their turn.
+
+        The error that ends the input is kept as its parts and raised anew
+        each time, so no traceback refers back to this context.
+        """
         events = self._events
         while not events:
             if self._failure is not None:
-                raise self._failure
+                error, message, info = self._failure
+                raise error(message, **info)
             if self._done:
                 raise MalformedXmlError("read past END_DOCUMENT", source=self.source_name)
             at = self._offset
@@ -340,7 +365,7 @@ class ParseContext:
             try:
                 self._done = self._source.feed(at, self._offset)
             except MalformedXmlError as exc:
-                self._failure = exc
+                self._failure = type(exc), exc.args[0], exc.info
                 continue
             if self._done:
                 parser = self._source.parser
@@ -449,12 +474,13 @@ class _Document:
 #
 # Generated parser packages call these instead of carrying copies.  A
 # dispatch table maps an element's ``(namespace, local)`` to a target
-# ``(parse, conv, by_type)``: ``parse`` is a class parser ``parse(ctx,
-# start)``, or None for simple content read with ``conv``; ``by_type``, when
-# not None, maps an ``xsi:type`` name to the target that overrides this one.
+# ``(parser, conv, by_type)``: ``parser`` is the :class:`RecordParser` of the
+# element's class, or None for simple content read with ``conv``;
+# ``by_type``, when not None, maps an ``xsi:type`` name to the target that
+# overrides this one.
 #
 # A class module holds its record class, a :class:`Record` subclass, and
-# the field rows that :class:`RecordParser` reads.  A row is ``(key, slot,
+# the field rows of its :class:`RecordParser`.  A row is ``(key, slot,
 # occurs, read, target)``:
 #
 # * ``key`` -- the ``(namespace, local)`` the field matches; for a dispatch
@@ -532,7 +558,7 @@ def _plain(value):
 
 
 def bind_parsers(modules, tables):
-    """Resolve the rows of every class parser in a generated package.
+    """Build the lookup tables of every record parser in a generated package.
 
     The dispatch module calls this once every class module is loaded, so
     recursive and mutually recursive types need no import cycle.  ``tables``
@@ -541,23 +567,23 @@ def bind_parsers(modules, tables):
     names = dict(tables)
     for module in modules:
         names.update((k, v) for k, v in vars(module).items() if k.startswith("parse_"))
-    for parse in names.values():
-        record = getattr(parse, "__self__", None)
-        if isinstance(record, RecordParser):
-            record.bind(names)
+    for parser in names.values():
+        if isinstance(parser, RecordParser):
+            parser.bind(names)
 
 
 _ABSENT = object()  # a required slot's value until its field is read
 _LIST = object()  # a list slot's initial value: a fresh []
-_new = object.__new__
+_new = object.__new__  # makes every record; looked up per record, so a test can count them
+_IGNORE = ()  # the action of an ignored field's element
 
 
 class RecordParser:
-    """Parses elements of one :class:`Record` class by its field rows (see above).
+    """The parser of one :class:`Record` class, built from its field rows (see above).
 
-    A class module binds ``parse_<Class>`` to the ``parse`` method as soon
-    as it is loaded, so dispatch tables can hold it; :func:`bind_parsers`
-    resolves the names the rows mention before the first parse.
+    A class module names it ``parse_<Class>`` as soon as it is loaded, so
+    dispatch tables can hold it; :func:`bind_parsers` builds its lookup
+    tables, which :func:`parse_root` reads, before the first parse.
     """
 
     __slots__ = ("cls", "name", "rows", "initial", "elements", "attributes", "required",
@@ -568,13 +594,20 @@ class RecordParser:
         self.name = cls.__name__
         self.rows = rows
         self.initial = ()  # (slot, None or _ABSENT or _LIST), in field order
-        self.elements = {}  # (namespace, local) -> (read(ctx, start) or None, slot, is list)
+        self.elements = {}  # (namespace, local) -> action (see bind)
         self.attributes = {}  # (namespace, local) -> (slot, conversion, label)
         self.required = ()  # (slot, message), in row order
         self.text = None  # (slot, conversion or None for mixed content, label)
 
     def bind(self, names):
-        """Build the lookup dicts; ``names`` holds every parser and table."""
+        """Build the lookup tables; ``names`` holds every parser and table.
+
+        A child element's action is ``_IGNORE``, or ``(parser, conv,
+        by_type, what, slot, many, chain)``: a dispatch target (see above),
+        the label of its warnings, and where its value goes, appended to a
+        list when ``many``.  ``chain``, when not None, names the collapsed
+        wrappers the target's element sits in.
+        """
         name = self.name
         elements, attributes, required = {}, {}, []
         for key, slot, occurs, read, target in self.rows:
@@ -587,20 +620,22 @@ class RecordParser:
                 if occurs == "1":
                     required.append((slot, f"missing required attribute {key[1]} in {name}"))
                 continue
-            if isinstance(key, str):  # a dispatch field matches its table's keys
-                matched = names[key]
+            # A dispatch field matches its table's keys, even when ignored.
+            if read == "ignore":
+                for k in names[key] if isinstance(key, str) else (key,):
+                    elements.setdefault(k, _IGNORE)
+                continue
+            if isinstance(key, str):
+                targets = names[key]
                 element = "matching xs:any" if target is None else target
             else:
-                matched = (key,)
+                targets = {key: _target(read, target, names)}
                 element = key[1]
-            if read == "ignore":
-                action = (None, slot, False)
-            else:
-                action = (_reader(read, target, what, names, key), slot, occurs == "*")
-                if occurs == "1":
-                    required.append((slot, f"missing required element {element} in {name}"))
-            for k in matched:
-                elements.setdefault(k, action)
+            chain = target[0] if read == "collapse" else None
+            for k, t in targets.items():
+                elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
+            if occurs == "1":
+                required.append((slot, f"missing required element {element} in {name}"))
         self.elements, self.attributes, self.required = elements, attributes, tuple(required)
         absent = {slot for slot, _message in required}
         lists = self.cls._lists
@@ -608,204 +643,296 @@ class RecordParser:
             (slot, _LIST if slot in lists else _ABSENT if slot in absent else None)
             for slot in self.cls._fields)
 
-    def parse(self, ctx, start):
-        if is_nil(start):
-            ctx.skip_subtree()
-            return None
-        obj = _new(self.cls)
-        for slot, value in self.initial:
-            setattr(obj, slot, [] if value is _LIST else value)
-        if start.attributes:
-            attributes = self.attributes
-            for qn, raw in start.attributes:
-                field = attributes.get((qn.namespace, qn.local))
-                if field is not None:
-                    slot, conv, what = field
-                    setattr(obj, slot, conv(ctx, raw, what))
-        elements = self.elements
-        text = self.text
-        parts = [] if text is not None else None
-        next_event = ctx.next_event
-        while True:
-            ev = next_event()
-            kind = ev.kind
-            if kind is _END:
-                break
-            if kind is _TEXT:
-                if parts is not None:
-                    parts.append(ev.text)
-                elif ev.text.strip():
-                    ctx.violation(Violation.UNEXPECTED_TEXT, f"unexpected text in {self.name}")
-                continue
-            qn = ev.name
-            action = elements.get((qn.namespace, qn.local))
-            if action is None:
-                ctx.violation(Violation.UNKNOWN_ELEMENT,
-                              f"unexpected element {qn} in {self.name}")
-                ctx.skip_subtree()
-                continue
-            read, slot, many = action
-            if read is None:
-                ctx.skip_subtree()
-            elif many:
-                getattr(obj, slot).append(read(ctx, ev))
-            else:
-                setattr(obj, slot, read(ctx, ev))
-        for slot, message in self.required:
-            if getattr(obj, slot) is _ABSENT:
-                setattr(obj, slot, None)
-                ctx.violation(Violation.MISSING_REQUIRED, message)
-        if text is not None:
-            slot, conv, what = text
-            if conv is None:
-                setattr(obj, slot, "".join(parts) if parts else None)
-            else:
-                setattr(obj, slot, conv(ctx, "".join(parts), what))
-        return obj
 
-
-def _reader(read, target, what, names, key):
-    """``read(ctx, start)`` for an element row."""
-    if read == "class":
-        return names[f"parse_{target}"]
-    if read == "simple":
-        conv = CONVERSIONS[target]
-        return lambda ctx, start: read_simple(ctx, start, conv, what)
-    if read == "dispatch":
-        table = names[key]
-        return lambda ctx, start: read_dispatched(ctx, start, table, what)
+def _target(read, target, names):
+    """The dispatch target an element row reads its (innermost) element as."""
     if read == "collapse":
-        chain, final, inner = target
-        parse = names[f"parse_{inner}"] if final == "class" else None
-        conv = CONVERSIONS[inner] if final == "simple" else None
-        return lambda ctx, _start: read_collapsed(ctx, chain, parse, conv, what)
+        _chain, read, target = target
+    if read == "class":
+        return names[f"parse_{target}"], None, None
+    if read == "simple":
+        return None, CONVERSIONS[target], None
     raise ValueError(f"unknown field read {read!r}")
 
 
-def is_nil(start):
-    return start.attr(XSI_NAMESPACE, "nil") in ("true", "1")
+class _Binding(_Tolerance):
+    """What conversions see of one :func:`parse_root` parse.
+
+    A violation with no position of its own is reported at the START whose
+    attributes are being converted (``at``), or else at the END being
+    handled, whose position ``end_position()`` reads from the parser.  The
+    document's value is stored in ``result``.
+    """
+
+    def __init__(self, mode, source_name):
+        super().__init__(mode, source_name)
+        self.at = None
+        self.end_position = None
+        self.result = None
+
+    def _position(self):
+        return self.at or self.end_position()
 
 
-def xsi_type_of(ctx, ev):
-    """The ``(namespace, local)`` an element's ``xsi:type`` names, or None."""
-    raw = ev.attr(XSI_NAMESPACE, "type")
-    if raw is None:
-        return None
-    raw = raw.strip()
-    nsmap = ctx.active_namespaces()
-    if ":" in raw:
-        prefix, _, local = raw.partition(":")
-        return (nsmap.get(prefix, ""), local)
-    return (nsmap.get("", ""), raw)
+class _Collapse:
+    """One collapsed field being read: the wrapper names, the next one to open."""
+
+    __slots__ = ("chain", "parser", "conv", "what", "next", "result")
+
+    def __init__(self, chain, parser, conv, what):
+        self.chain, self.parser, self.conv, self.what = chain, parser, conv, what
+        self.next = 0
+        self.result = None
 
 
-def read_simple(ctx, start, conv, what):
-    """Parse an element with text-only content; consumes through its end tag."""
-    nil = is_nil(start)
-    parts = []
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is _TEXT:
-            parts.append(ev.text)
-        elif ev.kind is _END:
-            break
-        else:
-            ctx.violation(Violation.UNKNOWN_ELEMENT,
-                          f"unexpected element {ev.name} in {what}")
-            ctx.skip_subtree()
-    if nil:
-        return None
-    return conv(ctx, "".join(parts), what)
+class _Keys(dict):
+    """Expat name to the ``(namespace, local)`` key of the lookup tables."""
+
+    def __missing__(self, raw):
+        namespace, _, local = raw.rpartition(" ")
+        key = self[raw] = (namespace, local)
+        return key
 
 
-def read_dispatched(ctx, start, table, what):
-    """Parse a child through its field's dispatch table (see above)."""
-    target = table.get((start.name.namespace, start.name.local))
-    if target is not None:
-        parse, conv, by_type = target
-        if by_type is not None:
-            typed = by_type.get(xsi_type_of(ctx, start))
-            if typed is not None:
-                parse, conv, _ = typed
-        if parse is not None:
-            return parse(ctx, start)
-        if conv is not None:
-            return read_simple(ctx, start, conv, what)
-    ctx.violation(Violation.UNKNOWN_ELEMENT,
-                  f"no dispatch match for {start.name} in {what}")
-    ctx.skip_subtree()
+class _Stop(Exception):
+    """Ends a parse at an unknown document root; nothing after its START is read."""
+
+
+_XSI_NIL = (XSI_NAMESPACE, "nil")
+_XSI_TYPE = (XSI_NAMESPACE, "type")
+_UNKNOWN = Violation.UNKNOWN_ELEMENT
+_MISSING = Violation.MISSING_REQUIRED
+_STRAY_TEXT = Violation.UNEXPECTED_TEXT
+# The kinds of frame on parse_root's stack.
+_RECORD, _SIMPLE, _COLLAPSED, _SKIPPED, _DOCUMENT = (
+    "record", "simple", "collapsed", "skipped", "document")
+_SKIP = (_SKIPPED,)  # the frame of each element of a skipped subtree
+
+
+def _attribute(attributes, key):
+    for name, value in attributes:
+        if name == key:
+            return value
     return None
 
 
-def read_collapsed(ctx, chain, parse, conv, what):
-    """Unwrap collapsed single-child wrappers and parse the innermost element.
-
-    The innermost element goes to the class parser ``parse``, or, when that
-    is None, is read as simple content with ``conv``.
-    """
-    result = None
-    opened = 0
-    for i, name in enumerate(chain):
-        ev = _next_content(ctx, what)
-        if ev.kind is _START and (ev.name.namespace, ev.name.local) == name:
-            if i < len(chain) - 1:
-                opened += 1
-            elif parse is not None:
-                result = parse(ctx, ev)
-            else:
-                result = read_simple(ctx, ev, conv, what)
-            continue
-        if ev.kind is _END:
-            ctx.violation(Violation.MISSING_REQUIRED,
-                          f"missing collapsed element {name[1]} in {what}")
-            opened -= 1  # that end tag closed one pending wrapper
-            break
-        ctx.violation(Violation.UNKNOWN_ELEMENT,
-                      f"unexpected element {ev.name} in {what}")
-        ctx.skip_subtree()
-        break
-    for _ in range(opened + 1):
-        _drain_to_end(ctx, what)
-    return result
+def _is_nil(attributes):
+    return _attribute(attributes, _XSI_NIL) in ("true", "1")
 
 
-def _next_content(ctx, what):
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is _TEXT:
-            if ev.text.strip():
-                ctx.violation(Violation.UNEXPECTED_TEXT, f"unexpected text in {what}")
-            continue
-        return ev
-
-
-def _drain_to_end(ctx, what):
-    while True:
-        ev = ctx.next_event()
-        if ev.kind is _END:
-            return
-        if ev.kind is _TEXT:
-            if ev.text.strip():
-                ctx.violation(Violation.UNEXPECTED_TEXT, f"unexpected text in {what}")
-            continue
-        ctx.violation(Violation.UNKNOWN_ELEMENT, f"unexpected element {ev.name} in {what}")
-        ctx.skip_subtree()
+def _xsi_type(attributes, scope):
+    """The ``(namespace, local)`` an element's ``xsi:type`` names, or None."""
+    raw = _attribute(attributes, _XSI_TYPE)
+    if raw is None:
+        return None
+    raw = raw.strip()
+    if ":" in raw:
+        prefix, _, local = raw.partition(":")
+        return (scope.get(prefix, ""), local)
+    return (scope.get("", ""), raw)
 
 
 def parse_root(roots, source, mode="strict", source_name="<input>"):
-    """Parse one document through the root table ``roots``; (object, warnings)."""
-    ctx = ParseContext(source, mode=mode, source_name=source_name)
-    ev = ctx.next_event()
-    if (ev.name.namespace, ev.name.local) not in roots:
-        ctx.violation(Violation.UNKNOWN_ELEMENT, f"unknown document root {ev.name}")
+    """Parse one document through the root table ``roots``; (object, warnings).
+
+    Records are bound in expat's callbacks.  ``stack`` holds a frame per
+    open element, and each frame's value goes to ``slot`` of ``owner`` when
+    its element ends, appended to a list when ``many``:
+
+    * ``(_RECORD, parser, record, text parts or None, owner, slot, many)``
+    * ``(_SIMPLE, conv, what, nil, text parts, owner, slot, many)``
+    * ``(_COLLAPSED, state, owner, slot, many)``: pushed for the field's
+      element and again for each wrapper, whose content is the field's.
+    * ``_SKIP`` for each element of a skipped subtree, ``_DOCUMENT`` below
+      the root.
+
+    Text is gathered in ``text`` and handed to the open frame at the next
+    START or END, so a run spans comments, processing instructions and
+    CDATA sections, and is reported at its first chunk, as a TEXT event of
+    :class:`ParseContext` would be.  A START is reported at its '<'; an END
+    at the parser's position, or at its START's for an empty-element tag.
+    """
+    ctx = _Binding(mode, source_name)
+    stack = [(_DOCUMENT,)]
+    push, pop = stack.append, stack.pop
+    text = []
+    text_line = text_col = start_line = start_col = 0
+    fresh = False  # nothing since the START of the element now open
+
+    def flush(frame):
+        """Hand the text run gathered since the last START or END to ``frame``."""
+        nonlocal fresh
+        fresh = False
+        kind = frame[0]
+        if kind is _RECORD:
+            if frame[3] is not None:
+                frame[3].extend(text)
+            elif "".join(text).strip():
+                ctx.violation(_STRAY_TEXT, f"unexpected text in {frame[1].name}",
+                              text_line, text_col)
+        elif kind is _SIMPLE:
+            frame[4].extend(text)
+        elif kind is _COLLAPSED and "".join(text).strip():
+            ctx.violation(_STRAY_TEXT, f"unexpected text in {frame[1].what}",
+                          text_line, text_col)
+        text.clear()
+
+    def start(key, attributes, scope, line, col):
+        nonlocal start_line, start_col, fresh
+        frame = stack[-1]
+        if text:
+            flush(frame)
+        start_line = line
+        start_col = col
+        fresh = True
+        kind = frame[0]
+        if kind is _RECORD:
+            parser = frame[1]
+            action = parser.elements.get(key)
+            if not action:
+                if action is None:
+                    ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in "
+                                  f"{parser.name}", line, col)
+                push(_SKIP)
+                return
+            parser, conv, by_type, what, slot, many, chain = action
+            owner = frame[2]
+            if chain is not None:
+                push((_COLLAPSED, _Collapse(chain, parser, conv, what), owner, slot, many))
+                return
+        elif kind is _SKIPPED:
+            push(_SKIP)
+            return
+        elif kind is _SIMPLE:
+            ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in {frame[2]}",
+                          line, col)
+            push(_SKIP)
+            return
+        elif kind is _COLLAPSED:
+            state = frame[1]
+            chain = state.chain
+            at = state.next
+            if at >= len(chain) or key != chain[at]:
+                ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in {state.what}",
+                              line, col)
+                state.next = len(chain)
+                push(_SKIP)
+                return
+            state.next = at + 1
+            if at + 1 < len(chain):
+                push(frame)
+                return
+            parser, conv, by_type, what = state.parser, state.conv, None, state.what
+            owner, slot, many = state, "result", False
+        else:
+            target = roots.get(key)
+            if target is None:
+                ctx.violation(_UNKNOWN, f"unknown document root {QName(*key)}", line, col)
+                raise _Stop
+            parser, conv, by_type = target
+            what, owner, slot, many = f"root {key[1]}", ctx, "result", False
+        if by_type is not None:
+            typed = by_type.get(_xsi_type(attributes, scope))
+            if typed is not None:
+                parser, conv, _ = typed
+        if parser is not None:
+            if attributes and _is_nil(attributes):
+                if many:
+                    getattr(owner, slot).append(None)
+                else:
+                    setattr(owner, slot, None)
+                push(_SKIP)
+                return
+            record = _new(parser.cls)
+            for name, value in parser.initial:
+                setattr(record, name, [] if value is _LIST else value)
+            if attributes:
+                fields = parser.attributes
+                ctx.at = (line, col)
+                for name, raw in attributes:
+                    field = fields.get(name)
+                    if field is not None:
+                        name, conv, what = field
+                        setattr(record, name, conv(ctx, raw, what))
+                ctx.at = None
+            push((_RECORD, parser, record, None if parser.text is None else [],
+                  owner, slot, many))
+        elif conv is not None:
+            push((_SIMPLE, conv, what, bool(attributes) and _is_nil(attributes), [],
+                  owner, slot, many))
+        else:
+            ctx.violation(_UNKNOWN, f"no dispatch match for {QName(*key)} in {what}",
+                          line, col)
+            push(_SKIP)
+
+    def end(_raw):
+        nonlocal fresh
+        frame = pop()
+        if text:
+            flush(frame)
+        kind = frame[0]
+        if kind is _SIMPLE:
+            _, conv, what, nil, parts, owner, slot, many = frame
+            value = None if nil else conv(ctx, "".join(parts), what)
+        elif kind is _RECORD:
+            _, parser, value, parts, owner, slot, many = frame
+            for name, message in parser.required:
+                if getattr(value, name) is _ABSENT:
+                    setattr(value, name, None)
+                    ctx.violation(_MISSING, message)
+            if parts is not None:
+                name, conv, what = parser.text
+                if conv is None:
+                    setattr(value, name, "".join(parts) if parts else None)
+                else:
+                    setattr(value, name, conv(ctx, "".join(parts), what))
+        elif kind is _COLLAPSED:
+            _, state, owner, slot, many = frame
+            if state.next < len(state.chain):
+                ctx.violation(_MISSING, f"missing collapsed element "
+                              f"{state.chain[state.next][1]} in {state.what}")
+                state.next = len(state.chain)
+            if stack[-1] is frame:  # a wrapper ended, not the field's element
+                fresh = False
+                return
+            value = state.result
+        else:  # skipped
+            fresh = False
+            return
+        fresh = False
+        if many:
+            getattr(owner, slot).append(value)
+        else:
+            setattr(owner, slot, value)
+
+    def characters(chunk):
+        nonlocal text_line, text_col
+        if not text:
+            text_line = expat_parser.CurrentLineNumber
+            text_col = expat_parser.CurrentColumnNumber + 1
+        text.append(chunk)
+
+    def start_cdata():
+        if not text:
+            characters("")  # a run that opens with CDATA starts at '<![CDATA['
+
+    def end_position():
+        if fresh:
+            at = expat_parser.CurrentByteIndex
+            if data[at - len(close):at] == close:
+                return start_line, start_col
+        return expat_parser.CurrentLineNumber, expat_parser.CurrentColumnNumber + 1
+
+    expat_source = _ExpatSource(source, source_name, start, end, characters, start_cdata,
+                                _Keys())
+    expat_parser, data = expat_source.parser, expat_source.data
+    close = "/>".encode(expat_source.encoding or "ascii")
+    ctx.end_position = end_position
+    try:
+        expat_source.feed(0, len(data))
+    except _Stop:
         return None, ctx.warnings
-    return finish_document(ctx, read_dispatched(ctx, ev, roots, f"root {ev.name.local}"))
-
-
-def finish_document(ctx, result):
-    while ctx.next_event().kind is not EventKind.END_DOCUMENT:
-        pass
-    return result, ctx.warnings
+    return ctx.result, ctx.warnings
 
 
 def conv_string(ctx, raw, what):

@@ -4,9 +4,11 @@ These deliberately avoid the production code paths they check.  The
 closure oracles iterate the raw edge list to a fixed point; the
 interpreter parses documents by walking the BindingModel directly and
 produces plain dicts for deep-equality comparison against generated
-parsers (compared via their records' ``to_dict()``).  It shares only the runtime's
-value helpers (simple content and conversions) and keeps its own xsi:nil,
-xsi:type, binding, collapse and dispatch walk, which is what it checks.
+parsers (compared via their records' ``to_dict()``).  It reads documents
+as pull events from ``ParseContext`` and shares only the runtime's value
+conversions (``conv_*``); it keeps its own simple-content reading, xsi:nil,
+xsi:type, binding, collapse and dispatch walk, which is what it checks
+against the generated parsers, which bind in expat's callbacks instead.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from slimbind.runtime import (
     conv_double,
     conv_integer,
     conv_string,
-    read_simple,
 )
 from slimbind.simplify import MANDATORY_EDGE_LABELS
 
@@ -170,7 +171,22 @@ class Interpreter:
     # ------------------------------------------------------------ helpers
 
     def read_simple(self, ctx, start, category, what):
-        return read_simple(ctx, start, _CONV.get(category, conv_string), what)
+        """Text-only content; a child element is unexpected and skipped."""
+        nil = _is_nil(start)
+        parts = []
+        while True:
+            ev = ctx.next_event()
+            if ev.kind is EventKind.TEXT:
+                parts.append(ev.text)
+            elif ev.kind is EventKind.END_ELEMENT:
+                break
+            else:
+                ctx.violation(Violation.UNKNOWN_ELEMENT,
+                              f"unexpected element {ev.name} in {what}")
+                ctx.skip_subtree()
+        if nil:
+            return None
+        return _conv(ctx, category, "".join(parts), what)
 
     def _next_content(self, ctx, what):
         while True:

@@ -212,7 +212,7 @@ def test_generate_ignore_path_emits_skip(workspace, ns, request):
                "--ignore", f"{{{ns}}}doc/entry") == 0
     package = _load_package(workspace["out"] / "gen" / "model",
                             f"cli_ignore_model_{request.node.callspec.id}")
-    (row,) = package.dispatch.c_doctype.parse_DocType.__self__.rows
+    (row,) = package.dispatch.c_doctype.parse_DocType.rows
     assert row == ((ns, "entry"), "entry", "*", "ignore", None)
     obj, warnings = package.parse_document(GOOD_DOC.replace(TNS, ns))
     assert (obj.entry, warnings) == ([], [])
@@ -229,6 +229,17 @@ def test_generate_malformed_ignore_path_exits_1(workspace, capsys, path):
     err = capsys.readouterr().err
     assert f"--ignore {path}" in err and "Traceback" not in err
     assert not (workspace["out"] / "gen").exists()
+
+
+def test_generate_warns_about_ignore_path_matching_no_field(workspace, capsys):
+    # Without its namespace the path names no field; the matching one is quiet.
+    assert run(workspace, "generate", "--ignore", "doc/entry",
+               "--ignore", f"{{{TNS}}}doc/entry/count") == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["warning: --ignore doc/entry matched no field"]
+    model = json.loads((workspace["out"] / "binding-model.json").read_text())
+    ignored = [f["name"] for c in model["classes"] for f in c["fields"] if f["ignored"]]
+    assert ignored == ["count"]
 
 
 def _load_package(path, name):

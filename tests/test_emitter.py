@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import os
 import re
@@ -33,7 +34,8 @@ from slimbind.emitter import (
 )
 from slimbind.errors import UnresolvedPlaceholderError
 from slimbind.model import QName
-from slimbind.runtime import Record, RecordParser
+from slimbind import runtime
+from slimbind.runtime import Record
 from slimbind.simplify import compute_retained_set, reduction_report
 from slimbind.templates import ManifestEntry, TemplateSet
 
@@ -396,23 +398,24 @@ class TestGeneratedParsers:
         assert D(d=1) == D(d=1) != D(d=2) and D() != B()
         assert not any("dataclass" in a.content for a in artifacts)
 
-    def test_ignored_field_skips_without_building(self, po_schema, tmp_path):
+    def test_ignored_field_skips_without_building(self, po_schema, tmp_path, monkeypatch):
         opts = BindingOptions(ignore_paths=(
             (QName(TNS, "po"), QName(TNS, "item")),))
         model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path, opts)
-        parsed = Counter()  # class name -> records its parser started
+        built = Counter()  # class name -> records made
 
-        def profile(frame, event, _arg):
-            if event == "call" and frame.f_code is RecordParser.parse.__code__:
-                parsed[frame.f_locals["self"].name] += 1
+        def counting_new(cls):
+            built[cls.__name__] += 1
+            return object.__new__(cls)
 
-        sys.setprofile(profile)
-        try:
-            obj, warnings = module.parse_document(PO_DOC)
-        finally:
-            sys.setprofile(None)
+        monkeypatch.setattr(runtime, "_new", counting_new)
+        _model, plain, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+        plain.parse_document(PO_DOC)
+        assert built == {"POType": 1, "ItemType": 2}  # the spy sees every record
+        built.clear()
+        obj, warnings = module.parse_document(PO_DOC)
         # Ignored subtrees never construct binding objects.
-        assert parsed and "ItemType" not in parsed
+        assert built == {"POType": 1}
         assert obj.item == []
         assert obj.note == "rush order"
         assert warnings == []
@@ -723,3 +726,87 @@ def test_generated_parser_equals_oracle_on_invalid_input(synth_models, data):
     for mode in ("lenient", "strict"):
         assert _outcome(module.parse_document, doc, mode) == \
             _outcome(oracle.parse_document, doc, mode), mode
+
+
+BREAK = st.tuples(st.sampled_from(["truncate", "stray <"]),
+                  st.integers(min_value=0, max_value=10_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_parser_equals_oracle_on_malformed_input(synth_models, data):
+    """Cut or broken documents: the same error, or object and warnings, as the oracle.
+
+    Edits first put violations before the break, so which of a violation
+    and malformed XML wins is pinned, as is the stop at an unknown root.
+    """
+    from oracle import Interpreter
+    model, module, docs = data.draw(st.sampled_from(synth_models))
+    doc = mutate(data.draw(st.sampled_from(docs)),
+                 data.draw(st.lists(EDIT, max_size=3))).encode("utf-8")
+    if data.draw(st.booleans()):
+        doc = doc.replace(b"<", b"<zzz", 1)  # an unknown root
+    op, pick = data.draw(BREAK)
+    at = pick % (len(doc) + 1)
+    doc = doc[:at] if op == "truncate" else doc[:at] + b"<" + doc[at:]
+    oracle = Interpreter(model)
+    for mode in ("lenient", "strict"):
+        assert _outcome(module.parse_document, doc, mode) == \
+            _outcome(oracle.parse_document, doc, mode), mode
+
+
+def test_unknown_root_stops_before_malformed_tail(po_schema, tmp_path):
+    model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+    obj, warnings = module.parse_document("<zzz/><", mode="lenient")
+    assert obj is None
+    assert [w.format() for w in warnings] == \
+        ["WARN <input>:1:1 UNKNOWN_ELEMENT unknown document root zzz"]
+
+
+def test_lenient_warnings_past_the_first_chunk_equal_oracle(po_schema, tmp_path):
+    """Violations beyond 64 KiB, where the oracle's reader feeds a new chunk."""
+    model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+    variants = [
+        '<item qty="{i}"><name>n{i}</name><price>{i}.5</price></item>',
+        '<item qty="x{i}"><name>n{i}</name><price>{i}.5</price></item>',
+        '<item qty="{i}"><name>n{i}</name></item>',
+        '<item qty="{i}"/>',
+        '<item><name>n{i}</name><bogus><deep/></bogus><price>p{i}</price></item>',
+        '<item>stray {i}\n<!-- c -->text<name>n{i}</name><price>1</price>\n</item>',
+        '<item><name>n{i}</name><price><![CDATA[]]></price></item>',
+    ]
+    parts, size, i = [f'<po xmlns="{TNS}" id="1">\n'], 0, 0
+    while size < 3 * 65_536:
+        part = variants[i % len(variants) if size > 65_536 else 0].format(i=i) + "\n"
+        parts.append(part)
+        size += len(part)
+        i += 1
+    doc = "".join(parts) + "<note>n</note></po>"
+    obj, warnings = module.parse_document(doc, mode="lenient")
+    assert len(warnings) > 1000 and min(w.line for w in warnings) > 500
+    assert_equivalent(model, module, [doc], mode="lenient")
+
+
+def test_generated_parse_leaves_no_reference_cycle(po_schema, tmp_path):
+    from slimbind.errors import SlimbindError
+    model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+    cases = [
+        (PO_DOC, "strict"),
+        (PO_DOC.replace("<note>", "<bogus/><note>"), "strict"),
+        ("<zzz/>", "lenient"),
+        ("<zzz/>", "strict"),
+        ("<zzz/><", "lenient"),
+        (PO_DOC[:-10], "strict"),
+        (PO_DOC + "<", "lenient"),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for doc, mode in cases:
+            try:
+                module.parse_document(doc, mode=mode)
+            except SlimbindError:
+                pass
+            assert gc.collect() == 0, (doc, mode)
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ with the event stream."""
 from __future__ import annotations
 
 import codecs
+import gc
 import time
 import xml.etree.ElementTree as ET
 
@@ -231,6 +232,29 @@ def test_reading_past_end_document_raises():
         pass
     with pytest.raises(MalformedXmlError):
         ctx.next_event()
+
+
+def test_malformed_input_leaves_no_reference_cycle():
+    """The kept error is raised anew each time; no traceback holds the context."""
+    def read_to_error():
+        ctx = ParseContext("<a><b>" + "<c/>" * 20_000 + "</a>")  # spans chunks
+        raised = []
+        for _ in range(2):
+            try:
+                while ctx.next_event().kind is not EventKind.END_DOCUMENT:
+                    pass
+            except MalformedXmlError as exc:
+                raised.append((type(exc), str(exc), exc.info))
+        return raised
+
+    gc.collect()
+    gc.disable()
+    try:
+        first, again = read_to_error()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert first == again and first[2]["line"] == 1
 
 
 class TestSkipSubtree:
