@@ -5,10 +5,10 @@ flattened, single-occurrence particles tightened to scalars, the
 substitution dispatch bounded to observed members, and the single-child
 <authors><names>...</names></authors> wrapper collapsed away.
 
-Each generated class module is data: a plain __slots__ record class over
-slimbind.runtime.Record plus one row per field, which the record parser in
-slimbind.runtime interprets.  Records print in field order and turn into
-plain dicts with to_dict().
+The generated package is one module.  Each class in it is data: a plain
+__slots__ record class over slimbind.runtime.Record plus one row per field,
+which the record parser in slimbind.runtime interprets.  Records print in
+field order and turn into plain dicts with to_dict().
 """
 
 import importlib
@@ -61,5 +61,7 @@ print(f"warnings: {len(warnings)}")
 print(f"first item as plain data: {library.item[0].to_dict()}")
 
 print()
-print("a generated class module: the record and its field rows:")
-print((OUT / "gen" / "librarydemo" / "c_booktype.py").read_text())
+print("one class of the generated package: the record and its field rows:")
+source = (OUT / "gen" / "librarydemo" / "__init__.py").read_text()
+start = source.index("class BookType")
+print(source[start:source.index("\n))\n", start) + 3])

@@ -35,7 +35,7 @@ from .runtime import Record
 
 IR_VERSION = 1
 
-# Names the built-in class template imports; a class must not shadow them.
+# Names the built-in package template imports that a class name could take.
 _TEMPLATE_IMPORTS = ("Record", "RecordParser")
 # Attributes every record has; a field must not shadow them.
 _RECORD_ATTRIBUTES = tuple(name for name in vars(Record) if not name.startswith("__"))
@@ -185,9 +185,12 @@ def deserialize_binding_model(text: str) -> BindingModel:
 # ---------------------------------------------------------------- name mangling
 
 def mangle(name: str, used: set, class_style=False) -> str:
-    """A fresh identifier for ``name``; never a keyword, never ``__``-prefixed."""
+    """A fresh identifier for ``name``; never a keyword, never ``__``-prefixed.
+
+    A class name starts with a letter, so it never shadows ``_D0`` or ``_ROOTS``.
+    """
     s = re.sub(r"[^0-9A-Za-z_]", "_", name)
-    if not s or not (s[0].isalpha() or s[0] == "_") or s.startswith("__"):
+    if not s or not (s[0].isalpha() or (s[0] == "_" and not class_style)) or s.startswith("__"):
         s = "x" + s
     if class_style:
         s = s[0].upper() + s[1:]

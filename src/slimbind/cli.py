@@ -29,6 +29,7 @@ EXIT_TEMPLATE = 3
 def _discover_docs(docs_paths):
     found = []
     for docs_path in docs_paths:
+        os.stat(docs_path)  # a missing path is an IO_ERROR, not an empty corpus
         if os.path.isfile(docs_path):
             found.append(docs_path)
             continue

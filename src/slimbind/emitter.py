@@ -1,16 +1,17 @@
 """Render parser source files from a binding model and a template set.
 
-The built-in backend emits table-driven Python parsers against
-``slimbind.runtime``, which holds all their parsing code: one module per
-class (its ``__slots__`` record class plus the field rows its record
-parser reads), and one dispatch/entry module with each distinct dispatch
-table once, the root table, and the document entry point.  Rendering is deterministic: equal
-inputs give byte-identical artifacts.
+The built-in backend emits a table-driven Python parser package against
+``slimbind.runtime``, which holds all its parsing code.  The package is one
+module: each class's ``__slots__`` record class and the field rows its
+record parser reads, each distinct dispatch table once, the root table,
+and the document entry point.  Rendering is deterministic: equal inputs
+give byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 from dataclasses import dataclass
@@ -130,19 +131,19 @@ def _module_names(model: BindingModel) -> dict:
 class _Tables:
     """Dispatch tables of one package, each distinct table named once.
 
-    Entries render against the dispatch module, which imports every class
-    module and the conversions named in ``convs``.
+    Entries render in the package module, which defines every class's
+    parser and imports the conversions named in ``convs``.
     """
 
-    def __init__(self, modules):
-        self.modules = modules
+    def __init__(self, classes):
+        self.classes = classes
         self.names = {}  # entry lines -> table name
         self.convs = set()
 
     def target(self, target_class, value, by_type=None) -> str:
-        """``(parse, conv, by_type)``; a class without a module reads as simple."""
-        if target_class in self.modules:
-            return f"({self.modules[target_class]}.parse_{target_class}, None, {by_type})"
+        """``(parse, conv, by_type)``; a class not in the model reads as simple."""
+        if target_class in self.classes:
+            return f"(parse_{target_class}, None, {by_type})"
         conv = "conv_" + _conv(value)
         self.convs.add(conv)
         return f"(None, {conv}, {by_type})"
@@ -189,7 +190,7 @@ def _field_table(tables, field) -> str:
             e.target_class, e.value,
             by_type if e.component == field.source_element else None))
             for e in elem_entries]
-    elif field.target_class in tables.modules or field.value is not None:
+    elif field.target_class in tables.classes or field.value is not None:
         pairs = [(field.xml_name, tables.target(field.target_class, field.value, by_type))]
     else:
         pairs = [(field.xml_name, f"(None, None, {by_type})")]
@@ -200,7 +201,8 @@ def build_render_context(model: BindingModel) -> dict:
     """The documented context templates render against (see binding-ir.md)."""
     modules = _module_names(model)
     tables = _Tables(modules)
-    classes_ctx = [_class_context(model, cls, modules, tables) for cls in model.classes]
+    classes_ctx = [_class_context(model, cls, modules, tables)
+                   for cls in _base_first(model.classes)]
     roots_ctx = _root_contexts(model, tables)
     return {
         "model_name": model.name,
@@ -211,6 +213,20 @@ def build_render_context(model: BindingModel) -> dict:
         "options": encode(model.options),
         "class_count": len(model.classes),
     }
+
+
+def _base_first(classes) -> list:
+    """``classes`` in order, each base class moved before its first derived class."""
+    by_name = {cls.name: cls for cls in classes}
+    placed, out = set(), []
+    for cls in classes:
+        chain = []
+        while cls is not None and cls.name not in placed:
+            placed.add(cls.name)
+            chain.append(cls)
+            cls = by_name.get(cls.base)
+        out.extend(reversed(chain))
+    return out
 
 
 def _class_context(model, cls, modules, tables) -> dict:
@@ -228,14 +244,14 @@ def _class_context(model, cls, modules, tables) -> dict:
         "fields": [{"py_name": f.name} for f in cls.fields],
         "slots": repr(tuple(f.name for f in cls.fields)),
         "lists": repr(lists) if lists else "",
-        "rows": [repr(_row(cls, f, modules, tables)) for f in matchable],
+        "rows": [repr(_row(cls, f, tables)) for f in matchable],
         "has_base": cls.base is not None,
         "base": cls.base or "",
         "base_module": modules.get(cls.base, "") if cls.base else "",
     }
 
 
-def _row(cls, f, modules, tables) -> tuple:
+def _row(cls, f, tables) -> tuple:
     """The field row ``(key, slot, occurs, read, target)`` of ``f``.
 
     ``slimbind.runtime`` documents the format.
@@ -257,15 +273,15 @@ def _row(cls, f, modules, tables) -> tuple:
         read, target = "dispatch", None if f.is_wildcard else f.xml_name.local
     elif f.collapse_chain:
         chain = tuple((q.namespace, q.local) for q in f.collapse_chain)
-        read, target = "collapse", (chain, *_element_read(f, modules))
+        read, target = "collapse", (chain, *_element_read(f, tables.classes))
     else:
-        read, target = _element_read(f, modules)
+        read, target = _element_read(f, tables.classes)
     return key, f.name, occurs, read, target
 
 
-def _element_read(f, modules) -> tuple:
+def _element_read(f, classes) -> tuple:
     """``("class", name)`` or ``("simple", conversion)`` for an element's value."""
-    if f.target_class in modules:
+    if f.target_class in classes:
         return "class", f.target_class
     return "simple", _conv(f.value)
 
@@ -275,7 +291,7 @@ def _root_contexts(model, tables) -> list:
     pairs = []
     for root in model.roots:
         by_type = tables.by_type([e for e in root.dispatch
-                                  if e.target_class in tables.modules])
+                                  if e.target_class in tables.classes])
         pairs.append((root.qname, tables.target(root.target_class, root.value, by_type)))
     return [{"qname": str(qname), "line": f"{_py_tuple(qname)}: {target}"}
             for qname, target in _first_per_key(pairs)]
@@ -283,37 +299,26 @@ def _root_contexts(model, tables) -> list:
 
 # ---------------------------------------------------------------- built-in backend
 
-_CLASS_TEMPLATE = '''\
-"""Parser for {{xml_type}}. Generated code; do not edit."""
-from slimbind.runtime import {{^has_base}}Record, {{/has_base}}RecordParser
-{{#has_base}}
-
-from .{{base_module}} import {{base}}
-{{/has_base}}
+_PACKAGE_TEMPLATE = '''\
+"""Parser package for model '{{model_name}}'. Generated code; do not edit."""
+from slimbind.runtime import Record, RecordParser, {{dispatch_imports}}
+{{#classes}}
 
 
-class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}}):
+class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}}):  # {{xml_type}}
     __slots__ = {{slots}}
 {{#lists}}
     _lists = {{lists}}
 {{/lists}}
 
 
-# Field rows (key, slot, occurs, read, target); see slimbind.runtime.
 parse_{{name}} = RecordParser({{name}}, (
 {{#rows}}
     {{.}},
 {{/rows}}
 ))
-'''
-
-_DISPATCH_TEMPLATE = '''\
-"""Entry point and dispatch tables. Generated; do not edit."""
-from slimbind.runtime import {{dispatch_imports}}
-
-{{#classes}}
-from . import {{module}}
 {{/classes}}
+
 
 # Dispatch tables: (namespace, local) -> (parser, conversion, xsi:type table).
 {{#dispatch_tables}}
@@ -328,16 +333,7 @@ _ROOTS = {
     {{line}},
 {{/document_roots}}
 }
-
-bind_parsers((
-{{#classes}}
-    {{module}},
-{{/classes}}
-), {
-{{#dispatch_tables}}
-    "{{name}}": {{name}},
-{{/dispatch_tables}}
-})
+bind_parsers(globals())
 
 
 def parse_document(source, mode="strict", source_name="<input>"):
@@ -345,28 +341,10 @@ def parse_document(source, mode="strict", source_name="<input>"):
     return parse_root(_ROOTS, source, mode, source_name)
 '''
 
-_INIT_TEMPLATE = '''\
-"""Generated parser package for model '{{model_name}}'; do not edit."""
-
-from .dispatch import parse_document
-
-__all__ = ["parse_document"]
-'''
-
 
 def builtin_template_set() -> TemplateSet:
-    return TemplateSet(
-        templates={
-            "class.py": _CLASS_TEMPLATE,
-            "dispatch.py": _DISPATCH_TEMPLATE,
-            "init.py": _INIT_TEMPLATE,
-        },
-        manifest=[
-            ManifestEntry("init.py", "__init__.py", per="model"),
-            ManifestEntry("dispatch.py", "dispatch.py", per="model"),
-            ManifestEntry("class.py", "{{module}}.py", per="class"),
-        ],
-    )
+    return TemplateSet({"package.py": _PACKAGE_TEMPLATE},
+                       [ManifestEntry("package.py", "__init__.py")])
 
 
 def emit_parser_backend(model: BindingModel) -> list:
@@ -385,6 +363,7 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     """
     gen_dir = os.path.join(out_root, "gen", model.name)
     os.makedirs(gen_dir, exist_ok=True)
+    _remove_stale(gen_dir, {a.path for a in artifacts})
     entries = []
     for artifact in sorted(artifacts, key=lambda a: a.path):
         path = os.path.join(gen_dir, artifact.path)
@@ -409,3 +388,17 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     with open(os.path.join(gen_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps(manifest))
     return manifest
+
+
+def _remove_stale(gen_dir, keep):
+    """Delete the regular files inside ``gen_dir`` its MANIFEST.json lists, but ``keep``."""
+    try:
+        with open(os.path.join(gen_dir, "MANIFEST.json"), encoding="utf-8") as fh:
+            listed = {entry["path"] for entry in json.load(fh)["artifacts"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    root = os.path.realpath(gen_dir)
+    for path in (os.path.join(root, rel) for rel in listed - keep):
+        if os.path.isfile(path) and not os.path.islink(path) and \
+                os.path.commonpath([root, os.path.realpath(path)]) == root:
+            os.remove(path)

@@ -18,9 +18,9 @@ entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
-generated class module is data, field rows that :class:`RecordParser`
-turns into lookup tables; :func:`bind_parsers` resolves the names the rows
-mention once the package is loaded.  Value conversion, ``xsi:nil`` and
+generated class is data, field rows that :class:`RecordParser` turns into
+lookup tables; :func:`bind_parsers` resolves the names the rows mention
+once the package has defined them all.  Value conversion, ``xsi:nil`` and
 ``xsi:type`` handling and table dispatch live here too, so packages carry
 no copies.
 """
@@ -479,9 +479,9 @@ class _Document:
 # ``by_type``, when not None, maps an ``xsi:type`` name to the target that
 # overrides this one.
 #
-# A class module holds its record class, a :class:`Record` subclass, and
-# the field rows of its :class:`RecordParser`.  A row is ``(key, slot,
-# occurs, read, target)``:
+# A generated package holds, per class, its record class, a :class:`Record`
+# subclass, and the field rows of its :class:`RecordParser`.  A row is
+# ``(key, slot, occurs, read, target)``:
 #
 # * ``key`` -- the ``(namespace, local)`` the field matches; for a dispatch
 #   field, the name of its dispatch table, whose keys are what it matches;
@@ -557,16 +557,13 @@ def _plain(value):
     return value
 
 
-def bind_parsers(modules, tables):
+def bind_parsers(names):
     """Build the lookup tables of every record parser in a generated package.
 
-    The dispatch module calls this once every class module is loaded, so
-    recursive and mutually recursive types need no import cycle.  ``tables``
-    maps each dispatch table's name to the table.
+    The package calls this with its namespace, which maps each
+    ``parse_<Class>`` and dispatch table name to its value, once all are
+    defined; so rows can name any class and recursive types need no cycle.
     """
-    names = dict(tables)
-    for module in modules:
-        names.update((k, v) for k, v in vars(module).items() if k.startswith("parse_"))
     for parser in names.values():
         if isinstance(parser, RecordParser):
             parser.bind(names)
@@ -581,7 +578,7 @@ _IGNORE = ()  # the action of an ignored field's element
 class RecordParser:
     """The parser of one :class:`Record` class, built from its field rows (see above).
 
-    A class module names it ``parse_<Class>`` as soon as it is loaded, so
+    The package names it ``parse_<Class>`` right after its class, so
     dispatch tables can hold it; :func:`bind_parsers` builds its lookup
     tables, which :func:`parse_root` reads, before the first parse.
     """
@@ -717,7 +714,7 @@ def _attribute(attributes, key):
 
 
 def _is_nil(attributes):
-    return _attribute(attributes, _XSI_NIL) in ("true", "1")
+    return (_attribute(attributes, _XSI_NIL) or "").strip() in ("true", "1")
 
 
 def _xsi_type(attributes, scope):

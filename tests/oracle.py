@@ -104,7 +104,7 @@ def _conv(ctx, category, raw, what):
 
 
 def _is_nil(start):
-    return start.attr(XSI_NAMESPACE, "nil") in ("true", "1")
+    return (start.attr(XSI_NAMESPACE, "nil") or "").strip() in ("true", "1")
 
 
 def _consume_nil(ctx):

@@ -89,6 +89,39 @@ def test_custom_templates_render(workspace, tmp_path):
     assert (gen / "c_doctype.txt").read_text() == "DocType\n"
 
 
+def test_generate_removes_files_the_old_manifest_listed(workspace, tmp_path):
+    tdir = tmp_path / "tpl"
+    tdir.mkdir()
+    (tdir / "templates.json").write_text(
+        '{"manifest": [{"template": "c.tpl", "path": "{{module}}.py", "per": "class"}]}')
+    (tdir / "c.tpl").write_text("{{name}}\n")
+    assert run(workspace, "generate", "--no-collapse", "--templates", str(tdir)) == 0
+    gen = workspace["out"] / "gen" / "model"
+    assert sorted(p.name for p in gen.iterdir()) == \
+        ["MANIFEST.json", "c_doctype.py", "c_entrytype.py"]
+    (gen / "notes.txt").write_text("mine")
+    outside = workspace["out"] / "outside.txt"
+    outside.write_text("mine")
+    manifest = json.loads((gen / "MANIFEST.json").read_text())
+    manifest["artifacts"].append({"path": "../../outside.txt"})
+    (gen / "MANIFEST.json").write_text(json.dumps(manifest))
+    assert run(workspace, "generate") == 0
+    assert sorted(p.name for p in gen.iterdir()) == \
+        ["MANIFEST.json", "__init__.py", "notes.txt"]
+    assert outside.read_text() == "mine"
+
+
+def test_missing_docs_path_is_an_io_error(workspace, capsys):
+    missing = workspace["docs"] / "nope.xml"
+    code = main(["analyze", "--schemas", str(workspace["schemas"] / "main.xsd"),
+                 "--docs", str(workspace["docs"] / "a.xml"), str(missing),
+                 "--out", str(workspace["out"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IO_ERROR:") and str(missing) in err
+    assert not workspace["out"].exists()  # stopped before analysis
+
+
 def test_analyze_success(workspace, capsys):
     assert run(workspace, "analyze") == 0
     report = json.loads((workspace["out"] / "usage-report.json").read_text())
@@ -212,7 +245,7 @@ def test_generate_ignore_path_emits_skip(workspace, ns, request):
                "--ignore", f"{{{ns}}}doc/entry") == 0
     package = _load_package(workspace["out"] / "gen" / "model",
                             f"cli_ignore_model_{request.node.callspec.id}")
-    (row,) = package.dispatch.c_doctype.parse_DocType.rows
+    (row,) = package.parse_DocType.rows
     assert row == ((ns, "entry"), "entry", "*", "ignore", None)
     obj, warnings = package.parse_document(GOOD_DOC.replace(TNS, ns))
     assert (obj.entry, warnings) == ([], [])

@@ -42,11 +42,16 @@ from slimbind.templates import ManifestEntry, TemplateSet
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def field_rows(source):
-    """The field rows a generated class module hands to ``RecordParser``."""
-    call = next(node for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "RecordParser")
+def field_rows(source, name):
+    """The field rows a generated package hands to the ``RecordParser`` of class ``name``."""
+    call = next(node.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and node.targets[0].id == f"parse_{name}")
     return ast.literal_eval(call.args[1])
+
+
+def class_names(source):
+    """The classes a generated package defines, in order."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
 
 
 def po_model(po_schema, options=None, name="po_golden"):
@@ -58,11 +63,17 @@ def po_model(po_schema, options=None, name="po_golden"):
 
 class TestRender:
     def test_one_artifact_per_class_plus_model_files(self, po_schema):
+        """One module holds a record class and a record parser per class."""
         model = po_model(po_schema)
-        artifacts = emit_parser_backend(model)
-        class_files = [a for a in artifacts if a.path.startswith("c_")]
-        assert len(class_files) == len(model.classes)
-        assert {a.path for a in artifacts} >= {"__init__.py", "dispatch.py"}
+        (package,) = emit_parser_backend(model)
+        assert package.path == "__init__.py"
+        names = sorted(c.name for c in model.classes)
+        assert class_names(package.content) == names
+        for name in names:
+            assert field_rows(package.content, name)
+        # The package imports the runtime and nothing of its own.
+        assert re.findall(r"^(?:from|import) \S+", package.content, re.M) == \
+            ["from slimbind.runtime"]
 
     def test_collapse_reduces_artifact_count(self):
         schema = schema_of("""
@@ -75,12 +86,14 @@ class TestRender:
   </xs:complexType>""")
         usage = analyze(schema, f'<r xmlns="{TNS}"><w><k>1</k></w></r>')
         retained = compute_retained_set(schema, usage)
-        on = emit_parser_backend(build_binding_model(
+        (on,) = emit_parser_backend(build_binding_model(
             schema, retained, usage, BindingOptions(), model_name="m"))
-        off = emit_parser_backend(build_binding_model(
+        (off,) = emit_parser_backend(build_binding_model(
             schema, retained, usage,
             BindingOptions(collapse_single_child=False), model_name="m"))
-        assert len(off) - len(on) == 1  # the W wrapper class file
+        assert class_names(off.content) == ["R", "W"]
+        assert class_names(on.content) == ["R"]  # the W wrapper class is gone
+        assert "parse_W" not in on.content and on.byte_size < off.byte_size
 
     def test_unresolved_placeholder_in_custom_template(self, po_schema):
         model = po_model(po_schema)
@@ -109,8 +122,12 @@ class TestRender:
                                 lambda name, text: compiled.append(text) or original(name, text))
         model = po_model(po_schema)
         template_set = builtin_template_set()
+        # A per-class entry twice: its text and path compile once for every class.
+        template_set.templates["list.tpl"] = "{{name}}\n"
+        template_set.manifest += [ManifestEntry("list.tpl", "{{module}}.txt", "class"),
+                                  ManifestEntry("list.tpl", "{{module}}.list", "class")]
         artifacts = render(model, template_set)
-        assert len(model.classes) == 2 and len(artifacts) == 4
+        assert len(model.classes) == 2 and len(artifacts) == 5
         distinct = {template_set.templates[e.template] for e in template_set.manifest} | \
             {e.path_pattern for e in template_set.manifest}
         assert sorted(compiled) == sorted(distinct)
@@ -160,6 +177,16 @@ class TestSizeReport:
         assert size_report(pruned)[0] < size_report(unpruned)[0]
 
 
+def module_section(source, start, end):
+    """The lines of `source` from the one starting with `start` up to the one
+    starting with `end` (exclusive; None runs to the end)."""
+    lines = source.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith(start))
+    last = len(lines) if end is None else next(
+        i for i, line in enumerate(lines) if i > first and line.startswith(end))
+    return "".join(lines[first:last])
+
+
 class TestGolden:
     """Frozen generated sources and JSON reports; regenerate with tests/golden/refresh.py."""
 
@@ -194,17 +221,27 @@ class TestGolden:
         return emit_parser_backend(self.build()[3])
 
     def golden_outputs(self):
-        """Name -> content of every file pinned under tests/golden."""
+        """Name -> content of every file pinned under tests/golden.
+
+        Besides the whole package module, the CartType class with its row
+        table and the dispatch section (tables, root table, parse_document)
+        are pinned on their own, under the names of the per-class and
+        dispatch modules they were emitted as before the one-module package,
+        so a drift is reported against the section that moved.
+        """
         schema, usage, retained, model = self.build()
-        outputs = {a.path: a.content for a in emit_parser_backend(model)
-                   if a.path in ("c_carttype.py", "dispatch.py")}
+        outputs = {a.path: a.content for a in emit_parser_backend(model)}
+        module = outputs["__init__.py"]
+        outputs["c_carttype.py"] = module_section(module, "class CartType(", "class PayType(")
+        outputs["dispatch.py"] = module_section(module, "# Dispatch tables", None)
         outputs["usage-report.json"] = usage.to_json()
         outputs["reduction-report.json"] = reduction_report(schema, retained).to_json()
         outputs["binding-model.json"] = serialize_binding_model(model)
         return outputs
 
-    @pytest.mark.parametrize("path", ["c_carttype.py", "dispatch.py", "usage-report.json",
-                                      "reduction-report.json", "binding-model.json"])
+    @pytest.mark.parametrize("path", ["__init__.py", "c_carttype.py", "dispatch.py",
+                                      "usage-report.json", "reduction-report.json",
+                                      "binding-model.json"])
     def test_matches_golden(self, path):
         golden_path = GOLDEN_DIR / (path + ".golden")
         assert golden_path.exists(), f"golden file missing: run refresh.py"
@@ -213,13 +250,13 @@ class TestGolden:
 
     def test_golden_list_and_optional_shapes(self):
         artifacts = {a.path: a.content for a in self.artifacts()}
-        rows = {row[1]: row for row in field_rows(artifacts["c_carttype.py"])}
+        source = artifacts["__init__.py"]
+        rows = {row[1]: row for row in field_rows(source, "CartType")}
         assert rows["sku"][2] == "*"  # LIST accumulates
         assert rows["coupon"][2] == "?"  # SCALAR_OPTIONAL single slot
-        dispatch = artifacts["dispatch.py"]
-        assert f"('{TNS}', 'card')" in dispatch
-        assert f"('{TNS}', 'cash')" in dispatch
-        assert f"('{TNS}', 'pay')" not in dispatch  # head unobserved: bounded out
+        assert f"('{TNS}', 'card')" in source
+        assert f"('{TNS}', 'cash')" in source
+        assert f"('{TNS}', 'pay')" not in source  # head unobserved: bounded out
 
 
 class TestGeneratedParsers:
@@ -233,39 +270,51 @@ class TestGeneratedParsers:
         obj, warnings = module.parse_document(docs[0])
         assert normalize(obj) == {}
         by_path = {a.path: a.content for a in artifacts}
-        assert field_rows(by_path["c_pingtype.py"]) == ()
+        assert field_rows(by_path["__init__.py"], "PingType") == ()
         # The class parser only consumes events up to its end tag.
         obj, warnings = module.parse_document(f'<ping xmlns="{TNS}"><x/></ping>',
                                               mode="lenient")
         assert normalize(obj) == {} and [w.code for w in warnings] == ["UNKNOWN_ELEMENT"]
-        assert "def parse_document" in by_path["dispatch.py"]
+        assert "def parse_document" in by_path["__init__.py"]
 
     @pytest.mark.parametrize("type_name, element, slot", [
         ("RecordParser", "e", "e"),
+        ("_D0", "e", "e"),
+        ("_ROOTS", "e", "e"),
         ("R", "_dc_field", "_dc_field"),
         ("R", "__x", "x__x"),
         *(("R", name, f"{name}_2") for name in _RECORD_ATTRIBUTES),
     ], ids=lambda value: value)
     def test_type_named_like_a_class_template_import(self, tmp_path, type_name, element,
                                                     slot):
-        """Class and field names that clash with generated code still bind."""
+        """Class and field names that clash with generated code still bind.
+
+        The head ``h`` gets the dispatch table ``_D0``.
+        """
         schema = schema_of(f"""
   <xs:element name="r" type="tns:{type_name}"/>
   <xs:complexType name="{type_name}">
     <xs:sequence>
       <xs:element name="{element}" type="xs:string"/>
       <xs:element name="v" type="xs:int" maxOccurs="unbounded"/>
+      <xs:element ref="tns:h"/>
     </xs:sequence>
-  </xs:complexType>""")
-        docs = [f'<r xmlns="{TNS}"><{element}>a</{element}><v>1</v><v>2</v></r>']
-        model, module, _, _ = build_and_import(schema, docs, tmp_path)
+  </xs:complexType>
+  <xs:element name="h" type="xs:string"/>
+  <xs:element name="m" type="xs:string" substitutionGroup="tns:h"/>""")
+        docs = [f'<r xmlns="{TNS}"><{element}>a</{element}><v>1</v><v>2</v><m>b</m></r>']
+        model, module, _, artifacts = build_and_import(schema, docs, tmp_path)
         assert_equivalent(model, module, docs)
-        assert normalize(module.parse_document(docs[0])[0]) == {slot: "a", "v": [1, 2]}
-        template = builtin_template_set().templates["class.py"]
-        imported = {name
-                    for names in re.findall(r"^from [^{\n]+ import (.+)$", template, re.M)
-                    for name in re.sub(r"\{\{[^}]*\}\}", "", names).split(", ")}
-        assert imported == set(_TEMPLATE_IMPORTS)
+        obj = module.parse_document(docs[0])[0]
+        assert normalize(obj) == {slot: "a", "v": [1, 2], "h": "b"}
+        assert getattr(module, type(obj).__name__) is type(obj)
+        assert "_D0 = {" in artifacts[0].content
+        # A class name starts with a capital, so it can only take the
+        # capitalized names the package imports, which binding reserves.
+        template = builtin_template_set().templates["package.py"]
+        (line,) = re.findall(r"^from .+$", template, re.M)
+        assert re.findall(r"\b[A-Z]\w*", line) == list(_TEMPLATE_IMPORTS)
+        assert all(name[0].isupper() for name in class_names(artifacts[0].content))
 
     def test_missing_required_wildcard_reported_after_elements(self, tmp_path):
         schema = schema_of("""
@@ -358,13 +407,15 @@ class TestGeneratedParsers:
   <xs:complexType name="R">
     <xs:sequence><xs:element name="v" type="xs:int" nillable="true"/></xs:sequence>
   </xs:complexType>""")
+        # xsi:nil is a boolean, so its whitespace collapses.
         docs = [(f'<r xmlns="{TNS}" '
                  'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
-                 '<v xsi:nil="true"/></r>')]
-        model, module, _, _ = build_and_import(schema, docs, tmp_path)
+                 f'<v xsi:nil="{nil}"/></r>') for nil in ("true", " true ", "1 ")]
+        model, module, _, _ = build_and_import(schema, docs[:1], tmp_path)
         assert_equivalent(model, module, docs)
-        obj, _ = module.parse_document(docs[0])
-        assert obj.v is None
+        for doc in docs:
+            obj, warnings = module.parse_document(doc)
+            assert obj.v is None and warnings == []
 
     def test_unflattened_inheritance(self, tmp_path):
         schema = schema_of("""
@@ -485,20 +536,16 @@ class TestSharedDispatchTables:
             schema, docs = shared_head_model(k)
             model, module, _, artifacts = build_and_import(schema, docs, tmp_path / str(k))
             assert_equivalent(model, module, docs)
-            by_path = {a.path: a.content for a in artifacts}
-            dispatch = by_path["dispatch.py"]
-            assert re.findall(r"^(_D\d+) = \{$", dispatch, re.M) == ["_D0"]
-            assert "def " not in dispatch.split("def parse_document")[0]
+            (package,) = artifacts
+            source = package.content
+            assert re.findall(r"^(_D\d+) = \{$", source, re.M) == ["_D0"]
+            assert "def " not in source.split("def parse_document")[0]
             for i in range(k):
                 # The field matches and reads through the shared table.
-                assert field_rows(by_path[f"c_c{i}.py"]) == (("_D0", "h", "*", "dispatch", "h"),)
-            sources[k] = dispatch
-        added = set(sources[8].splitlines()) - set(sources[1].splitlines())
-        removed = set(sources[1].splitlines()) - set(sources[8].splitlines())
-        # Seven more class modules to import and bind; not one line of dispatch.
-        assert removed == set()
-        assert added == {f"from . import c_c{i}" for i in range(1, 8)} | \
-            {f"    c_c{i}," for i in range(1, 8)}
+                assert field_rows(source, f"C{i}") == (("_D0", "h", "*", "dispatch", "h"),)
+            sources[k] = source.split("# Dispatch tables")[1]
+        # Seven more classes; not one line more of dispatch.
+        assert sources[8] == sources[1]
 
 
 RECURSIVE_CASES = {
@@ -547,32 +594,42 @@ RECURSIVE_CASES = {
 
 
 class TestLateBoundParsers:
-    """Class modules bind their child parsers once, in any import order."""
+    """Record parsers bind once the package has defined them all."""
 
-    @pytest.mark.parametrize("case, first", [
-        ("self", "c_node"),
-        ("mutual, through a dispatch table", "c_a"),
-        ("mutual, through a dispatch table", "c_b"),
-        ("base holding its derived type", "c_b"),
-        ("base holding its derived type", "c_d"),
-    ])
-    def test_class_module_imported_before_package(self, case, first, tmp_path):
-        import importlib
-        import sys
+    @pytest.mark.parametrize("case", RECURSIVE_CASES)
+    def test_recursive_types_bind_in_one_module(self, case, tmp_path):
         body, doc, options = RECURSIVE_CASES[case]
         schema = schema_of(body)
         doc = doc.replace(">", f' xmlns="{TNS}">', 1)
-        usage = analyze(schema, doc)
-        model = build_binding_model(schema, compute_retained_set(schema, usage), usage,
-                                    options, model_name=unique_model_name("late"))
-        write_artifacts(model, emit_parser_backend(model), tmp_path)
-        sys.path.insert(0, str(tmp_path / "gen"))
-        try:
-            importlib.import_module(f"{model.name}.{first}")
-            package = importlib.import_module(model.name)
-        finally:
-            sys.path.remove(str(tmp_path / "gen"))
+        model, package, _, _ = build_and_import(schema, [doc], tmp_path, options)
+        # Each parser was bound at import, before its first parse.
+        assert all(getattr(package, f"parse_{c.name}").elements for c in model.classes)
         assert_equivalent(model, package, [doc])
+
+    def test_derived_class_sorting_before_its_base(self, tmp_path):
+        """Without flattening a class is defined after its base, whatever the names."""
+        schema = schema_of("""
+  <xs:element name="r" type="tns:Alpha"/>
+  <xs:complexType name="Zed">
+    <xs:sequence><xs:element name="z" type="xs:int"/></xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="Alpha">
+    <xs:complexContent><xs:extension base="tns:Zed">
+      <xs:sequence><xs:element name="a" type="xs:string"/></xs:sequence>
+    </xs:extension></xs:complexContent>
+  </xs:complexType>
+  <xs:complexType name="Mid">
+    <xs:sequence><xs:element name="m" type="xs:string"/></xs:sequence>
+  </xs:complexType>""")
+        docs = [f'<r xmlns="{TNS}"><z>1</z><a>x</a></r>']
+        model, package, _, artifacts = build_and_import(
+            schema, docs, tmp_path,
+            BindingOptions(flatten_inheritance=False, prune_unused=False),
+            retained=set(schema.components))
+        assert [c.name for c in model.classes] == ["Alpha", "Mid", "Zed"]
+        assert class_names(artifacts[0].content) == ["Zed", "Alpha", "Mid"]
+        assert package.Alpha.__bases__ == (package.Zed,)
+        assert_equivalent(model, package, docs)
 
 
 class TestManifest:
