@@ -9,12 +9,18 @@ The generated package is one module.  Each class in it is data: a plain
 __slots__ record class over slimbind.runtime.Record plus one row per field,
 which the record parser in slimbind.runtime interprets.  Records print in
 field order and turn into plain dicts with to_dict().
+
+Last, the package is imported in a fresh interpreter, as a device that
+only parses would: it loads slimbind.runtime and what that needs, never
+the generator.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
+import slimbind
 from slimbind.analyzer import analyze_corpus
 from slimbind.binding import BindingOptions, build_binding_model
 from slimbind.emitter import emit_parser_backend, format_size_report, write_artifacts
@@ -65,3 +71,12 @@ print("one class of the generated package: the record and its field rows:")
 source = (OUT / "gen" / "librarydemo" / "__init__.py").read_text()
 start = source.index("class BookType")
 print(source[start:source.index("\n))\n", start) + 3])
+
+print()
+print("slimbind modules a fresh interpreter loads to import the package:")
+probe = (f"import sys; sys.path[:0] = [{str(OUT / 'gen')!r}, "
+         f"{str(Path(slimbind.__file__).parent.parent)!r}]\n"
+         "import librarydemo\n"
+         "print(*sorted(m for m in sys.modules if m.startswith('slimbind')))")
+print(" ", subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True).stdout.strip())

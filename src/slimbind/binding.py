@@ -70,7 +70,6 @@ class BindingOptions:
     bound_substitutions: bool = True
     prune_unused: bool = True
     ignore_paths: tuple[tuple[QName, ...], ...] = ()
-    lenient: bool = False
     corpus_is_synthetic: bool = False
 
     def resolved(self) -> "BindingOptions":

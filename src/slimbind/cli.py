@@ -168,7 +168,6 @@ def cmd_generate(args) -> int:
         bound_substitutions=not args.all_substitutions,
         prune_unused=not args.no_prune,
         ignore_paths=ignore_paths,
-        lenient=args.mode == "lenient",
         corpus_is_synthetic=args.synthetic_corpus,
     )
     retained_used = compute_retained_set(schema, report)

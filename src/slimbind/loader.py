@@ -47,7 +47,6 @@ from .model import (
     WildcardDetail,
     WildcardParticle,
     builtin_type_id,
-    builtin_type_ids,
     component_id,
     kind_category,
 )
@@ -112,11 +111,6 @@ class Catalog:
             raise UnresolvedImportError(
                 f"catalog maps {key!r} to missing file {path}")
         return SchemaSource.from_file(path)
-
-
-def builtin_types() -> set:
-    """Component ids of the built-in XSD types (present in every SchemaSet)."""
-    return builtin_type_ids()
 
 
 # ---------------------------------------------------------------- xsd reading

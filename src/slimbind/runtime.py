@@ -28,9 +28,10 @@ no copies.
 from __future__ import annotations
 
 import codecs
+import re
 from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from typing import Optional
 from xml.parsers import expat
@@ -75,20 +76,6 @@ class Violation(Enum):
     UNEXPECTED_TEXT = "UNEXPECTED_TEXT"
 
 
-class Recovery(Enum):
-    SKIP_SUBTREE = "skip-subtree"
-    LEAVE_ABSENT = "leave-absent"
-    KEEP_RAW = "keep-raw"
-    DISCARD_TEXT = "discard-text"
-
-
-_RECOVERY = {
-    Violation.UNKNOWN_ELEMENT: Recovery.SKIP_SUBTREE,
-    Violation.MISSING_REQUIRED: Recovery.LEAVE_ABSENT,
-    Violation.BAD_SIMPLE_VALUE: Recovery.KEEP_RAW,
-    Violation.UNEXPECTED_TEXT: Recovery.DISCARD_TEXT,
-}
-
 _STRICT_ERROR = {
     Violation.UNKNOWN_ELEMENT: UnknownElementError,
     Violation.MISSING_REQUIRED: MissingRequiredError,
@@ -119,7 +106,7 @@ class _Tolerance:
         self.source_name = source_name
         self.warnings: list = []
 
-    def violation(self, kind: Violation, message: str, line=None, col=None) -> Recovery:
+    def violation(self, kind: Violation, message: str, line=None, col=None):
         """Apply the tolerance policy for one validation violation.
 
         Without a position it is reported where the reader stands.
@@ -130,7 +117,6 @@ class _Tolerance:
             raise _STRICT_ERROR[kind](message, line=line, col=col, source=self.source_name)
         self.warnings.append(ParseWarning(line or 0, col or 0, kind.value, message,
                                           self.source_name))
-        return _RECOVERY[kind]
 
 
 _CHUNK = 1 << 16  # bytes handed to expat per Parse call by ParseContext
@@ -936,28 +922,43 @@ def conv_string(ctx, raw, what):
     return raw
 
 
+# Numbers are read by the lexical rules of XSD 1.0 Part 2, not Python's:
+# integer (3.3.13), decimal (3.2.3), double (3.2.5).  Python also takes
+# "1_000", non-ASCII digits, "1e5" as a decimal and "inf" as a double.
+_XML_SPACE = " \t\r\n"
+_INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
+# The spec's grouping has one way to match, so a long digit run that ends
+# in a bad character fails in linear time.
+_DECIMAL_LEXICAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_DECIMAL = re.compile(_DECIMAL_LEXICAL).fullmatch
+_DOUBLE = re.compile(_DECIMAL_LEXICAL + r"(?:[Ee][+-]?[0-9]+)?|-?INF|NaN").fullmatch
+
+
 def conv_integer(ctx, raw, what):
-    try:
-        return int(raw.strip())
-    except ValueError:
-        ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad integer {raw!r} in {what}")
-        return None
+    s = raw.strip(_XML_SPACE)
+    if _INTEGER(s):
+        try:
+            return int(s)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad integer {raw!r} in {what}")
+    return None
 
 
 def conv_decimal(ctx, raw, what):
-    try:
-        return Decimal(raw.strip())
-    except InvalidOperation:
-        ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad decimal {raw!r} in {what}")
-        return None
+    s = raw.strip(_XML_SPACE)
+    if _DECIMAL(s):
+        return Decimal(s)
+    ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad decimal {raw!r} in {what}")
+    return None
 
 
 def conv_double(ctx, raw, what):
-    try:
-        return float(raw.strip())
-    except ValueError:
-        ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad double {raw!r} in {what}")
-        return None
+    s = raw.strip(_XML_SPACE)
+    if _DOUBLE(s):
+        return float(s)
+    ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad double {raw!r} in {what}")
+    return None
 
 
 def conv_boolean(ctx, raw, what):

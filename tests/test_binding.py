@@ -427,7 +427,7 @@ class TestSerialization:
     def test_round_trip_identity(self, po_schema):
         ignore = ((QName(TNS, "po"), QName(TNS, "note")),)
         for options in (BindingOptions(), BindingOptions(
-                flatten_inheritance=False, lenient=True, ignore_paths=ignore)):
+                flatten_inheritance=False, ignore_paths=ignore)):
             model, _ = model_for(po_schema, [PO_DOC], options)
             text = serialize_binding_model(model)
             clone = deserialize_binding_model(text)

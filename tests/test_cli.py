@@ -312,7 +312,7 @@ def test_pipeline_composition_matches_manual(workspace, tmp_path):
     usage = analyze_corpus(schema, [workspace["docs"] / "a.xml"])
     retained = compute_retained_set(schema, usage)
     model = build_binding_model(schema, retained, usage,
-                                BindingOptions(lenient=False), "model")
+                                BindingOptions(), "model")
     artifacts = {a.path: a.content for a in emit_parser_backend(model)}
     gen = workspace["out"] / "gen" / "model"
     for path, content in artifacts.items():

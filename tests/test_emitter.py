@@ -7,6 +7,7 @@ import gc
 import json
 import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -867,3 +868,20 @@ def test_generated_parse_leaves_no_reference_cycle(po_schema, tmp_path):
             assert gc.collect() == 0, (doc, mode)
     finally:
         gc.enable()
+
+
+def test_generated_package_loads_only_the_runtime(po_schema, tmp_path):
+    """A device imports a package and parses; it never loads the generator."""
+    model = po_model(po_schema, name=unique_model_name("device"))
+    write_artifacts(model, emit_parser_backend(model), os.fspath(tmp_path))
+    src = os.path.dirname(os.path.dirname(runtime.__file__))
+    probe = ("import json, sys\n"
+             f"sys.path[:0] = [{os.fspath(tmp_path / 'gen')!r}, {src!r}]\n"
+             f"import {model.name}\n"
+             f"obj, warnings = {model.name}.parse_document({PO_DOC!r})\n"
+             "assert obj is not None and not warnings\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('slimbind'))))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == \
+        ["slimbind", "slimbind.errors", "slimbind.model", "slimbind.runtime"]

@@ -13,7 +13,7 @@ from slimbind.errors import (
     MalformedSchemaError,
     UnresolvedImportError,
 )
-from slimbind.loader import Catalog, SchemaSource, builtin_types, load_schema_set
+from slimbind.loader import Catalog, SchemaSource, load_schema_set
 from slimbind.model import (
     ComponentKind,
     Compositor,
@@ -21,6 +21,7 @@ from slimbind.model import (
     QName,
     XSD_NAMESPACE,
     builtin_type_id,
+    builtin_type_ids,
 )
 
 
@@ -55,7 +56,7 @@ def test_dangling_reference_names_the_qname():
 
 
 def test_builtin_types_present():
-    ids = builtin_types()
+    ids = builtin_type_ids()
     assert builtin_type_id("string") in ids
     assert builtin_type_id("anyType") in ids
     schema = schema_of("")

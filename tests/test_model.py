@@ -221,10 +221,9 @@ class TestBuilderInvariants:
             builder.build()
 
     def test_builtins_always_present(self):
-        from slimbind.loader import builtin_types
-        from slimbind.model import XSD_NAMESPACE
+        from slimbind.model import XSD_NAMESPACE, builtin_type_ids
         schema = SchemaSetBuilder().build()
-        ids = builtin_types()
+        ids = builtin_type_ids()
         assert ids <= set(schema.components)
         assert schema.lookup_global("type", QName(XSD_NAMESPACE, "string"))
         assert schema.lookup_global("type", QName(XSD_NAMESPACE, "anyType"))

@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import codecs
 import gc
+import re
+import sys
 import time
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slimbind.errors import (
     BadSimpleValueError,
@@ -21,8 +24,10 @@ from slimbind.model import QName, XML_NAMESPACE
 from slimbind.runtime import (
     EventKind,
     ParseContext,
-    Recovery,
     Violation,
+    conv_decimal,
+    conv_double,
+    conv_integer,
     read_tree,
 )
 
@@ -282,14 +287,10 @@ class TestSkipSubtree:
 class TestTolerance:
     def test_lenient_actions(self):
         ctx = ParseContext("<a/>", mode="lenient", source_name="f.xml")
-        assert ctx.violation(Violation.UNKNOWN_ELEMENT, "m1") is \
-            Recovery.SKIP_SUBTREE
-        assert ctx.violation(Violation.MISSING_REQUIRED, "m2") is \
-            Recovery.LEAVE_ABSENT
-        assert ctx.violation(Violation.BAD_SIMPLE_VALUE, "m3") is \
-            Recovery.KEEP_RAW
-        assert ctx.violation(Violation.UNEXPECTED_TEXT, "m4") is \
-            Recovery.DISCARD_TEXT
+        ctx.violation(Violation.UNKNOWN_ELEMENT, "m1")
+        ctx.violation(Violation.MISSING_REQUIRED, "m2")
+        ctx.violation(Violation.BAD_SIMPLE_VALUE, "m3")
+        ctx.violation(Violation.UNEXPECTED_TEXT, "m4")
         assert len(ctx.warnings) == 4
 
     def test_strict_raises_typed_errors(self):
@@ -311,6 +312,91 @@ class TestTolerance:
         parts = line.split()
         assert parts[0] == "WARN"
         assert parts[1].count(":") == 2  # file:line:col
+
+
+# XSD 1.0 Part 2 lexical spaces: integer 3.3.13, decimal 3.2.3, double 3.2.5
+# (only INF, -INF and NaN are special), in the spec's own grouping, apart
+# from the runtime's patterns.  Each kind: (runtime conversion, Python's
+# conversion, lexical pattern).
+_DECIMAL_FORM = r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"
+NUMERIC_KINDS = {
+    "integer": (conv_integer, int, r"[+-]?[0-9]+"),
+    "decimal": (conv_decimal, Decimal, _DECIMAL_FORM),
+    "double": (conv_double, float, _DECIMAL_FORM + r"([Ee][+-]?[0-9]+)?|-?INF|NaN"),
+}
+xml_space = st.text(" \t\r\n", max_size=2)
+ascii_digits = st.text("0123456789", min_size=1, max_size=4)
+# Forms Python's int, Decimal or float may take that XSD may not: digit
+# groups joined by "_", non-ASCII decimal digits, special words, exponents,
+# and Unicode whitespace that str.strip() removes.
+python_numeric = st.one_of(
+    st.lists(ascii_digits, min_size=2, max_size=3).map("_".join),
+    st.text(st.characters(categories=("Nd",)), min_size=1, max_size=4),
+    st.sampled_from(["inf", "-inf", "+INF", "Infinity", "-Infinity", "infinity",
+                     "nan", "NAN", "-NaN", "+NaN", "sNaN", "1e5", "2E-3", "+.5e+1"]),
+    st.builds("{}{}{}".format, st.sampled_from(["\u00a0", "\u2003", "\x0b", "\x0c",
+                                                "\x1c", "\u3000", ""]),
+              st.from_regex(NUMERIC_KINDS["double"][2], fullmatch=True),
+              st.sampled_from(["\u00a0", "\x85", "\u2028", "\x0c"])),
+)
+
+
+def _accepted_by(python, text):
+    try:
+        python(text)
+    except (ArithmeticError, ValueError):  # InvalidOperation is an ArithmeticError
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_KINDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numbers_read_by_xsd_lexical_rules(kind, data):
+    conv, python, pattern = NUMERIC_KINDS[kind]
+    raw = data.draw(python_numeric, label="raw")
+    assume(_accepted_by(python, raw))
+    assume(not re.fullmatch(pattern, raw.strip(" \t\r\n")))
+    with pytest.raises(BadSimpleValueError):
+        conv(ParseContext("<a/>", mode="strict"), raw, "v")
+    ctx = ParseContext("<a/>", mode="lenient")
+    assert conv(ctx, raw, "v") is None
+    assert [w.code for w in ctx.warnings] == ["BAD_SIMPLE_VALUE"]
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_KINDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_xsd_lexical_number_converts(kind, data):
+    conv, python, pattern = NUMERIC_KINDS[kind]
+    form = data.draw(st.from_regex(pattern, fullmatch=True), label="form")
+    raw = data.draw(xml_space) + form + data.draw(xml_space)
+    value = conv(ParseContext("<a/>", mode="strict"), raw, "v")
+    expected = python(form)
+    assert type(value) is type(expected)
+    assert value == expected or (form == "NaN" and value != value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts integers of any length")
+def test_integer_past_the_interpreter_digit_limit_is_a_bad_value():
+    raw = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(BadSimpleValueError):
+        conv_integer(ParseContext("<a/>", mode="strict"), raw, "v")
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_KINDS))
+@pytest.mark.parametrize("raw", ["1" * 50_000 + "x", "1." + "1" * 50_000 + "x",
+                                 "1e" + "1" * 50_000 + "x"],
+                         ids=["digits", "fraction", "exponent"])
+def test_long_bad_number_fails_in_linear_time(kind, raw):
+    # A pattern with more than one way to split a digit run backtracks
+    # quadratically here: tens of seconds on this input, not milliseconds.
+    conv = NUMERIC_KINDS[kind][0]
+    began = time.perf_counter()
+    with pytest.raises(BadSimpleValueError):
+        conv(ParseContext("<a/>", mode="strict"), raw, "v")
+    assert time.perf_counter() - began < 2.0
 
 
 simple_name = st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True)
