@@ -5,10 +5,11 @@ flattened, single-occurrence particles tightened to scalars, the
 substitution dispatch bounded to observed members, and the single-child
 <authors><names>...</names></authors> wrapper collapsed away.
 
-The generated package is one module.  Each class in it is data: a plain
-__slots__ record class over slimbind.runtime.Record plus one row per field,
-which the record parser in slimbind.runtime interprets.  Records print in
-field order and turn into plain dicts with to_dict().
+The generated package is one module.  Each class in it is data and is its
+own parser: a plain __slots__ record class over slimbind.runtime.Record
+whose _rows hold one row per field; at import, slimbind.runtime turns the
+rows into lookup tables on the class.  Records print in field order and
+turn into plain dicts with to_dict().
 
 Last, the package is imported in a fresh interpreter, as a device that
 only parses would: it loads slimbind.runtime and what that needs, never
@@ -70,7 +71,7 @@ print()
 print("one class of the generated package: the record and its field rows:")
 source = (OUT / "gen" / "librarydemo" / "__init__.py").read_text()
 start = source.index("class BookType")
-print(source[start:source.index("\n))\n", start) + 3])
+print(source[start:source.index("\n    )\n", start) + 6])
 
 print()
 print("slimbind modules a fresh interpreter loads to import the package:")

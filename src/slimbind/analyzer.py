@@ -41,7 +41,7 @@ from .model import (
     WildcardParticle,
     substitution_members,
 )
-from .runtime import read_tree
+from .runtime import _XML_SPACE, read_tree
 
 
 class MatchKind(Enum):
@@ -381,7 +381,8 @@ class _INode:
     """One element of a corpus document, as :func:`read_tree` builds it.
 
     ``xsi:type`` and ``xsi:nil`` are taken out of the attributes here; an
-    ``xsi:type`` with an undeclared prefix is malformed at the element.
+    ``xsi:type`` that is not a QName, or whose prefix is undeclared, is
+    malformed at the element.
     """
 
     __slots__ = ("qname", "attributes", "xsi_type", "nil", "children", "has_text",
@@ -403,7 +404,7 @@ class _INode:
             if qn.namespace != XSI_NAMESPACE:
                 plain.append((qn, value))
             elif qn.local == "type":
-                value = value.strip()
+                value = value.strip(_XML_SPACE)
                 if ":" in value:
                     prefix, _, local = value.partition(":")
                     ns = scope.get(prefix)
@@ -411,11 +412,15 @@ class _INode:
                         raise MalformedXmlError(
                             f"xsi:type uses undeclared prefix '{prefix}'",
                             line=line, col=col)
-                    self.xsi_type = QName(ns, local)
                 else:
-                    self.xsi_type = QName(scope.get("", ""), value)
+                    ns, local = scope.get("", ""), value
+                try:
+                    self.xsi_type = QName(ns, local)
+                except ValueError:
+                    raise MalformedXmlError(f"xsi:type '{value}' is not a QName",
+                                            line=line, col=col) from None
             elif qn.local == "nil":
-                self.nil = value.strip() in ("true", "1")
+                self.nil = value.strip(_XML_SPACE) in ("true", "1")
         self.attributes = tuple(plain)
 
 

@@ -36,7 +36,7 @@ from .runtime import Record
 IR_VERSION = 1
 
 # Names the built-in package template imports that a class name could take.
-_TEMPLATE_IMPORTS = ("Record", "RecordParser")
+_TEMPLATE_IMPORTS = ("Record",)
 # Attributes every record has; a field must not shadow them.
 _RECORD_ATTRIBUTES = tuple(name for name in vars(Record) if not name.startswith("__"))
 

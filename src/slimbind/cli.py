@@ -55,7 +55,10 @@ def _parse_ignore_path(text: str):
                 raise SlimbindError(f"--ignore {text}: '{{' is never closed")
         local, _, rest = rest.partition("/")
         if local:
-            segments.append(QName(ns, local))
+            try:
+                segments.append(QName(ns, local))
+            except ValueError:
+                raise SlimbindError(f"--ignore {text}: '{local}' is not a local name") from None
         elif braced:
             raise SlimbindError(f"--ignore {text}: no local name after {{{ns}}}")
     return tuple(segments)

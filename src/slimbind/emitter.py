@@ -2,9 +2,9 @@
 
 The built-in backend emits a table-driven Python parser package against
 ``slimbind.runtime``, which holds all its parsing code.  The package is one
-module: each class's ``__slots__`` record class and the field rows its
-record parser reads, each distinct dispatch table once, the root table,
-and the document entry point.  Rendering is deterministic: equal inputs
+module: each class's ``__slots__`` record class with the field rows it
+parses by, each distinct dispatch table once, the root table, and the
+document entry point.  Rendering is deterministic: equal inputs
 give byte-identical artifacts.
 """
 
@@ -131,8 +131,8 @@ def _module_names(model: BindingModel) -> dict:
 class _Tables:
     """Dispatch tables of one package, each distinct table named once.
 
-    Entries render in the package module, which defines every class's
-    parser and imports the conversions named in ``convs``.
+    Entries render in the package module, which defines every class and
+    imports the conversions named in ``convs``.
     """
 
     def __init__(self, classes):
@@ -141,9 +141,9 @@ class _Tables:
         self.convs = set()
 
     def target(self, target_class, value, by_type=None) -> str:
-        """``(parse, conv, by_type)``; a class not in the model reads as simple."""
+        """``(cls, conv, by_type)``; a class not in the model reads as simple."""
         if target_class in self.classes:
-            return f"(parse_{target_class}, None, {by_type})"
+            return f"({target_class}, None, {by_type})"
         conv = "conv_" + _conv(value)
         self.convs.add(conv)
         return f"(None, {conv}, {by_type})"
@@ -301,26 +301,21 @@ def _root_contexts(model, tables) -> list:
 
 _PACKAGE_TEMPLATE = '''\
 """Parser package for model '{{model_name}}'. Generated code; do not edit."""
-from slimbind.runtime import Record, RecordParser, {{dispatch_imports}}
+from slimbind.runtime import Record, {{dispatch_imports}}
 {{#classes}}
 
 
 class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}}):  # {{xml_type}}
     __slots__ = {{slots}}
-{{#lists}}
-    _lists = {{lists}}
-{{/lists}}
-
-
-parse_{{name}} = RecordParser({{name}}, (
+    _rows = (
 {{#rows}}
-    {{.}},
+        {{.}},
 {{/rows}}
-))
+    )
 {{/classes}}
 
 
-# Dispatch tables: (namespace, local) -> (parser, conversion, xsi:type table).
+# Dispatch tables: (namespace, local) -> (class, conversion, xsi:type table).
 {{#dispatch_tables}}
 {{name}} = {
 {{#lines}}

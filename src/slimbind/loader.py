@@ -50,7 +50,7 @@ from .model import (
     component_id,
     kind_category,
 )
-from .runtime import read_tree
+from .runtime import _XML_SPACE, read_tree
 
 
 @dataclass
@@ -147,14 +147,24 @@ class _Node:
 
 
 def _resolve_qname(value: str, nsmap: dict, where: str) -> QName:
-    value = value.strip()
+    value = value.strip(_XML_SPACE)
     if ":" in value:
         prefix, _, local = value.partition(":")
         if prefix not in nsmap:
             raise MalformedSchemaError(
                 f"{where}: undeclared prefix in QName '{value}'")
-        return QName(nsmap[prefix], local)
-    return QName(nsmap.get("", ""), value)
+        namespace = nsmap[prefix]
+    else:
+        namespace, local = nsmap.get("", ""), value
+    try:
+        return QName(namespace, local)
+    except ValueError:
+        raise MalformedSchemaError(f"{where}: '{value}' is not a QName") from None
+
+
+def _flag(node: _Node, local: str) -> bool:
+    """A boolean attribute of a schema element, false when absent."""
+    return node.get(local, "").strip(_XML_SPACE) in ("true", "1")
 
 
 def _parse_occurs(node: _Node, where: str) -> Optional[Occurs]:
@@ -491,8 +501,8 @@ class _Loader:
             qname=qname,
             declared_type=type_id,
             substitution_head=head_id,
-            is_abstract=node.get("abstract", "false") in ("true", "1"),
-            nillable=node.get("nillable", "false") in ("true", "1"),
+            is_abstract=_flag(node, "abstract"),
+            nillable=_flag(node, "nillable"),
         )
         self.builder.add_component(SchemaComponent(
             id=comp_id, kind=ComponentKind.ELEMENT_DECL,
@@ -543,8 +553,8 @@ class _Loader:
 
     def _build_complex_type(self, node, doc, comp_id, addr, qname, owner):
         where = f"{doc.source.system_id}:{node.line}"
-        is_abstract = node.get("abstract", "false") in ("true", "1")
-        mixed = node.get("mixed", "false") in ("true", "1")
+        is_abstract = _flag(node, "abstract")
+        mixed = _flag(node, "mixed")
         base_id = None
         derivation = Derivation.NONE
         content = ContentModel.empty()
@@ -577,7 +587,7 @@ class _Loader:
             body = node
             if complex_c is not None:
                 if complex_c.get("mixed") is not None:
-                    mixed = complex_c.get("mixed") in ("true", "1")
+                    mixed = _flag(complex_c, "mixed")
                 deriv_node = complex_c.first("extension", "restriction")
                 if deriv_node is None:
                     raise MalformedSchemaError(f"{where}: complexContent without derivation")

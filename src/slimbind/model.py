@@ -91,9 +91,6 @@ class EdgeLabel(Enum):
     WILDCARD = "WILDCARD"
 
 
-ALL_EDGE_LABELS = frozenset(EdgeLabel)
-
-
 class Compositor(Enum):
     SEQUENCE = "sequence"
     CHOICE = "choice"
@@ -437,25 +434,6 @@ class SchemaSet:
 
 
 # ---------------------------------------------------------------- operations
-
-def dependency_closure(schema: SchemaSet, roots, edge_filter=ALL_EDGE_LABELS) -> set:
-    """Minimal superset of roots closed under edges with labels in edge_filter."""
-    roots = set(roots)
-    for r in roots:
-        if r not in schema.components:
-            raise UnknownComponentError(f"closure root not in schema: {r}")
-    result = set(roots)
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for comp_id in frontier:
-            for edge in schema.out_edges(comp_id, edge_filter):
-                if edge.dst not in result:
-                    result.add(edge.dst)
-                    nxt.append(edge.dst)
-        frontier = nxt
-    return result
-
 
 def substitution_members(schema: SchemaSet, head: str) -> set:
     """All global elements whose substitution chain reaches head (excl. head)."""

@@ -18,11 +18,11 @@ entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
-generated class is data, field rows that :class:`RecordParser` turns into
-lookup tables; :func:`bind_parsers` resolves the names the rows mention
-once the package has defined them all.  Value conversion, ``xsi:nil`` and
-``xsi:type`` handling and table dispatch live here too, so packages carry
-no copies.
+generated record class is its own parser: it declares its field rows, and
+:func:`bind_parsers` turns them into lookup tables on the class once the
+package has defined every name the rows mention.  Value conversion,
+``xsi:nil`` and ``xsi:type`` handling and table dispatch live here too, so
+packages carry no copies.
 """
 
 from __future__ import annotations
@@ -120,6 +120,7 @@ class _Tolerance:
 
 
 _CHUNK = 1 << 16  # bytes handed to expat per Parse call by ParseContext
+_XML_SPACE = " \t\r\n"  # XML's whitespace (the S production); str.strip() takes more
 _XML_SCOPE = {"xml": XML_NAMESPACE}
 _HANDLERS = ("StartNamespaceDeclHandler", "EndNamespaceDeclHandler", "StartElementHandler",
              "EndElementHandler", "CharacterDataHandler", "StartCdataSectionHandler",
@@ -439,7 +440,7 @@ def read_tree(source, source_name, node_class):
         pop()
 
     def characters(chunk):
-        if chunk.strip():
+        if chunk.strip(_XML_SPACE):
             open_nodes[-1].has_text = True
 
     expat_source = _ExpatSource(source, source_name, start, end, characters)
@@ -460,14 +461,13 @@ class _Document:
 #
 # Generated parser packages call these instead of carrying copies.  A
 # dispatch table maps an element's ``(namespace, local)`` to a target
-# ``(parser, conv, by_type)``: ``parser`` is the :class:`RecordParser` of the
-# element's class, or None for simple content read with ``conv``;
-# ``by_type``, when not None, maps an ``xsi:type`` name to the target that
-# overrides this one.
+# ``(cls, conv, by_type)``: ``cls`` is the element's :class:`Record` class,
+# or None for simple content read with ``conv``; ``by_type``, when not
+# None, maps an ``xsi:type`` name to the target that overrides this one.
 #
-# A generated package holds, per class, its record class, a :class:`Record`
-# subclass, and the field rows of its :class:`RecordParser`.  A row is
-# ``(key, slot, occurs, read, target)``:
+# A generated package holds, per class, a :class:`Record` subclass that
+# declares its fields as ``__slots__`` and its field rows as ``_rows``.  A
+# row is ``(key, slot, occurs, read, target)``:
 #
 # * ``key`` -- the ``(namespace, local)`` the field matches; for a dispatch
 #   field, the name of its dispatch table, whose keys are what it matches;
@@ -486,29 +486,28 @@ class _Document:
 #   ``"ignore"`` skips the subtree and builds nothing.
 #
 # Rows come in match order: the first row matching an element wins, and
-# wildcard fields come last.  Unknown attributes are ignored.
+# wildcard fields come last.  A class's rows cover every field it parses,
+# inherited ones included.  Unknown attributes are ignored.
 
 
 class Record:
     """Base of every generated record class.
 
-    A record class declares its own fields as ``__slots__`` and its list
-    fields once as ``_lists``.  Creating the class sets ``_fields`` to every
-    slot in field order, base class fields first, and widens ``_lists`` to
-    the list slots of its bases too.
+    A record class declares its own fields as ``__slots__`` and its field
+    rows (see above) as ``_rows``.  :func:`bind_parsers` sets the other
+    attributes below on the class itself, from its rows and its bases'
+    slots, before the first record is made.
     """
 
     __slots__ = ()
-    _fields = ()
-    _lists = frozenset()
-
-    def __init_subclass__(cls):
-        fields, lists = {}, set()
-        for klass in reversed(cls.__mro__):
-            fields.update(dict.fromkeys(vars(klass).get("__slots__", ())))
-            lists.update(vars(klass).get("_lists", ()))
-        cls._fields = tuple(fields)
-        cls._lists = frozenset(lists)
+    _rows = ()
+    _fields = ()  # every slot in field order, base class fields first
+    _lists = frozenset()  # the slots of the "*" rows
+    _initial = ()  # (slot, None or _ABSENT or _LIST), in field order
+    _elements = {}  # (namespace, local) -> action (see _bind)
+    _attributes = {}  # (namespace, local) -> (slot, conversion, label)
+    _required = ()  # (slot, message), in row order
+    _text = None  # (slot, conversion or None for mixed content, label)
 
     def __init__(self, **values):
         """Every field not given is None, or a fresh ``[]`` for a list."""
@@ -544,15 +543,15 @@ def _plain(value):
 
 
 def bind_parsers(names):
-    """Build the lookup tables of every record parser in a generated package.
+    """Bind every record class in a generated package.
 
-    The package calls this with its namespace, which maps each
-    ``parse_<Class>`` and dispatch table name to its value, once all are
-    defined; so rows can name any class and recursive types need no cycle.
+    The package calls this with its namespace, which maps each class and
+    dispatch table name to its value, once all are defined; so rows can
+    name any class and recursive types need no cycle.
     """
-    for parser in names.values():
-        if isinstance(parser, RecordParser):
-            parser.bind(names)
+    for cls in names.values():
+        if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record:
+            _bind(cls, names)
 
 
 _ABSENT = object()  # a required slot's value until its field is read
@@ -561,70 +560,56 @@ _new = object.__new__  # makes every record; looked up per record, so a test can
 _IGNORE = ()  # the action of an ignored field's element
 
 
-class RecordParser:
-    """The parser of one :class:`Record` class, built from its field rows (see above).
+def _bind(cls, names):
+    """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
-    The package names it ``parse_<Class>`` right after its class, so
-    dispatch tables can hold it; :func:`bind_parsers` builds its lookup
-    tables, which :func:`parse_root` reads, before the first parse.
+    ``names`` holds every class and table.  A child element's action is
+    ``_IGNORE``, or ``(cls, conv, by_type, what, slot, many, chain)``: a
+    dispatch target (see above), the label of its warnings, and where its
+    value goes, appended to a list when ``many``.  ``chain``, when not
+    None, names the collapsed wrappers the target's element sits in.
     """
-
-    __slots__ = ("cls", "name", "rows", "initial", "elements", "attributes", "required",
-                 "text")
-
-    def __init__(self, cls, rows):
-        self.cls = cls
-        self.name = cls.__name__
-        self.rows = rows
-        self.initial = ()  # (slot, None or _ABSENT or _LIST), in field order
-        self.elements = {}  # (namespace, local) -> action (see bind)
-        self.attributes = {}  # (namespace, local) -> (slot, conversion, label)
-        self.required = ()  # (slot, message), in row order
-        self.text = None  # (slot, conversion or None for mixed content, label)
-
-    def bind(self, names):
-        """Build the lookup tables; ``names`` holds every parser and table.
-
-        A child element's action is ``_IGNORE``, or ``(parser, conv,
-        by_type, what, slot, many, chain)``: a dispatch target (see above),
-        the label of its warnings, and where its value goes, appended to a
-        list when ``many``.  ``chain``, when not None, names the collapsed
-        wrappers the target's element sits in.
-        """
-        name = self.name
-        elements, attributes, required = {}, {}, []
-        for key, slot, occurs, read, target in self.rows:
-            what = f"{name}.{slot}"
-            if read in ("text", "mixed"):
-                self.text = (slot, CONVERSIONS.get(target), what)
-                continue
-            if read == "attribute":
-                attributes.setdefault(key, (slot, CONVERSIONS[target], what))
-                if occurs == "1":
-                    required.append((slot, f"missing required attribute {key[1]} in {name}"))
-                continue
-            # A dispatch field matches its table's keys, even when ignored.
-            if read == "ignore":
-                for k in names[key] if isinstance(key, str) else (key,):
-                    elements.setdefault(k, _IGNORE)
-                continue
-            if isinstance(key, str):
-                targets = names[key]
-                element = "matching xs:any" if target is None else target
-            else:
-                targets = {key: _target(read, target, names)}
-                element = key[1]
-            chain = target[0] if read == "collapse" else None
-            for k, t in targets.items():
-                elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
+    name = cls.__name__
+    elements, attributes, required, lists, text = {}, {}, [], set(), None
+    for key, slot, occurs, read, target in cls._rows:
+        what = f"{name}.{slot}"
+        if occurs == "*":
+            lists.add(slot)
+        if read in ("text", "mixed"):
+            text = (slot, CONVERSIONS.get(target), what)
+            continue
+        if read == "attribute":
+            attributes.setdefault(key, (slot, CONVERSIONS[target], what))
             if occurs == "1":
-                required.append((slot, f"missing required element {element} in {name}"))
-        self.elements, self.attributes, self.required = elements, attributes, tuple(required)
-        absent = {slot for slot, _message in required}
-        lists = self.cls._lists
-        self.initial = tuple(
-            (slot, _LIST if slot in lists else _ABSENT if slot in absent else None)
-            for slot in self.cls._fields)
+                required.append((slot, f"missing required attribute {key[1]} in {name}"))
+            continue
+        # A dispatch field matches its table's keys, even when ignored.
+        if read == "ignore":
+            for k in names[key] if isinstance(key, str) else (key,):
+                elements.setdefault(k, _IGNORE)
+            continue
+        if isinstance(key, str):
+            targets = names[key]
+            element = "matching xs:any" if target is None else target
+        else:
+            targets = {key: _target(read, target, names)}
+            element = key[1]
+        chain = target[0] if read == "collapse" else None
+        for k, t in targets.items():
+            elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
+        if occurs == "1":
+            required.append((slot, f"missing required element {element} in {name}"))
+    fields = {}
+    for klass in reversed(cls.__mro__):
+        fields.update(dict.fromkeys(vars(klass).get("__slots__", ())))
+    absent = {slot for slot, _message in required}
+    cls._fields = tuple(fields)
+    cls._lists = frozenset(lists)
+    cls._initial = tuple(
+        (slot, _LIST if slot in lists else _ABSENT if slot in absent else None)
+        for slot in cls._fields)
+    cls._elements, cls._attributes, cls._required, cls._text = (
+        elements, attributes, tuple(required), text)
 
 
 def _target(read, target, names):
@@ -632,7 +617,7 @@ def _target(read, target, names):
     if read == "collapse":
         _chain, read, target = target
     if read == "class":
-        return names[f"parse_{target}"], None, None
+        return names[target], None, None
     if read == "simple":
         return None, CONVERSIONS[target], None
     raise ValueError(f"unknown field read {read!r}")
@@ -660,10 +645,10 @@ class _Binding(_Tolerance):
 class _Collapse:
     """One collapsed field being read: the wrapper names, the next one to open."""
 
-    __slots__ = ("chain", "parser", "conv", "what", "next", "result")
+    __slots__ = ("chain", "cls", "conv", "what", "next", "result")
 
-    def __init__(self, chain, parser, conv, what):
-        self.chain, self.parser, self.conv, self.what = chain, parser, conv, what
+    def __init__(self, chain, cls, conv, what):
+        self.chain, self.cls, self.conv, self.what = chain, cls, conv, what
         self.next = 0
         self.result = None
 
@@ -700,7 +685,7 @@ def _attribute(attributes, key):
 
 
 def _is_nil(attributes):
-    return (_attribute(attributes, _XSI_NIL) or "").strip() in ("true", "1")
+    return (_attribute(attributes, _XSI_NIL) or "").strip(_XML_SPACE) in ("true", "1")
 
 
 def _xsi_type(attributes, scope):
@@ -708,7 +693,7 @@ def _xsi_type(attributes, scope):
     raw = _attribute(attributes, _XSI_TYPE)
     if raw is None:
         return None
-    raw = raw.strip()
+    raw = raw.strip(_XML_SPACE)
     if ":" in raw:
         prefix, _, local = raw.partition(":")
         return (scope.get(prefix, ""), local)
@@ -722,7 +707,8 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
     open element, and each frame's value goes to ``slot`` of ``owner`` when
     its element ends, appended to a list when ``many``:
 
-    * ``(_RECORD, parser, record, text parts or None, owner, slot, many)``
+    * ``(_RECORD, elements, record, text parts or None, owner, slot, many)``,
+      ``elements`` being the ``_elements`` table of the record's class
     * ``(_SIMPLE, conv, what, nil, text parts, owner, slot, many)``
     * ``(_COLLAPSED, state, owner, slot, many)``: pushed for the field's
       element and again for each wrapper, whose content is the field's.
@@ -750,12 +736,12 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
         if kind is _RECORD:
             if frame[3] is not None:
                 frame[3].extend(text)
-            elif "".join(text).strip():
-                ctx.violation(_STRAY_TEXT, f"unexpected text in {frame[1].name}",
+            elif "".join(text).strip(_XML_SPACE):
+                ctx.violation(_STRAY_TEXT, f"unexpected text in {type(frame[2]).__name__}",
                               text_line, text_col)
         elif kind is _SIMPLE:
             frame[4].extend(text)
-        elif kind is _COLLAPSED and "".join(text).strip():
+        elif kind is _COLLAPSED and "".join(text).strip(_XML_SPACE):
             ctx.violation(_STRAY_TEXT, f"unexpected text in {frame[1].what}",
                           text_line, text_col)
         text.clear()
@@ -770,18 +756,17 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
         fresh = True
         kind = frame[0]
         if kind is _RECORD:
-            parser = frame[1]
-            action = parser.elements.get(key)
+            action = frame[1].get(key)
+            owner = frame[2]
             if not action:
                 if action is None:
                     ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in "
-                                  f"{parser.name}", line, col)
+                                  f"{type(owner).__name__}", line, col)
                 push(_SKIP)
                 return
-            parser, conv, by_type, what, slot, many, chain = action
-            owner = frame[2]
+            cls, conv, by_type, what, slot, many, chain = action
             if chain is not None:
-                push((_COLLAPSED, _Collapse(chain, parser, conv, what), owner, slot, many))
+                push((_COLLAPSED, _Collapse(chain, cls, conv, what), owner, slot, many))
                 return
         elif kind is _SKIPPED:
             push(_SKIP)
@@ -805,20 +790,20 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             if at + 1 < len(chain):
                 push(frame)
                 return
-            parser, conv, by_type, what = state.parser, state.conv, None, state.what
+            cls, conv, by_type, what = state.cls, state.conv, None, state.what
             owner, slot, many = state, "result", False
         else:
             target = roots.get(key)
             if target is None:
                 ctx.violation(_UNKNOWN, f"unknown document root {QName(*key)}", line, col)
                 raise _Stop
-            parser, conv, by_type = target
+            cls, conv, by_type = target
             what, owner, slot, many = f"root {key[1]}", ctx, "result", False
         if by_type is not None:
             typed = by_type.get(_xsi_type(attributes, scope))
             if typed is not None:
-                parser, conv, _ = typed
-        if parser is not None:
+                cls, conv, _ = typed
+        if cls is not None:
             if attributes and _is_nil(attributes):
                 if many:
                     getattr(owner, slot).append(None)
@@ -826,11 +811,11 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                     setattr(owner, slot, None)
                 push(_SKIP)
                 return
-            record = _new(parser.cls)
-            for name, value in parser.initial:
+            record = _new(cls)
+            for name, value in cls._initial:
                 setattr(record, name, [] if value is _LIST else value)
             if attributes:
-                fields = parser.attributes
+                fields = cls._attributes
                 ctx.at = (line, col)
                 for name, raw in attributes:
                     field = fields.get(name)
@@ -838,7 +823,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                         name, conv, what = field
                         setattr(record, name, conv(ctx, raw, what))
                 ctx.at = None
-            push((_RECORD, parser, record, None if parser.text is None else [],
+            push((_RECORD, cls._elements, record, None if cls._text is None else [],
                   owner, slot, many))
         elif conv is not None:
             push((_SIMPLE, conv, what, bool(attributes) and _is_nil(attributes), [],
@@ -858,13 +843,14 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             _, conv, what, nil, parts, owner, slot, many = frame
             value = None if nil else conv(ctx, "".join(parts), what)
         elif kind is _RECORD:
-            _, parser, value, parts, owner, slot, many = frame
-            for name, message in parser.required:
+            _, _elements, value, parts, owner, slot, many = frame
+            cls = type(value)
+            for name, message in cls._required:
                 if getattr(value, name) is _ABSENT:
                     setattr(value, name, None)
                     ctx.violation(_MISSING, message)
             if parts is not None:
-                name, conv, what = parser.text
+                name, conv, what = cls._text
                 if conv is None:
                     setattr(value, name, "".join(parts) if parts else None)
                 else:
@@ -925,7 +911,6 @@ def conv_string(ctx, raw, what):
 # Numbers are read by the lexical rules of XSD 1.0 Part 2, not Python's:
 # integer (3.3.13), decimal (3.2.3), double (3.2.5).  Python also takes
 # "1_000", non-ASCII digits, "1e5" as a decimal and "inf" as a double.
-_XML_SPACE = " \t\r\n"
 _INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
 # The spec's grouping has one way to match, so a long digit run that ends
 # in a bad character fails in linear time.
@@ -962,7 +947,7 @@ def conv_double(ctx, raw, what):
 
 
 def conv_boolean(ctx, raw, what):
-    s = raw.strip()
+    s = raw.strip(_XML_SPACE)
     if s in ("true", "1"):
         return True
     if s in ("false", "0"):

@@ -1,7 +1,7 @@
 """Independent oracles: brute-force closures and a model-walking binder.
 
 These deliberately avoid the production code paths they check.  The
-closure oracles iterate the raw edge list to a fixed point; the
+retained-set oracle iterates the raw edge list to a fixed point; the
 interpreter parses documents by walking the BindingModel directly and
 produces plain dicts for deep-equality comparison against generated
 parsers (compared via their records' ``to_dict()``).  It reads documents
@@ -32,19 +32,6 @@ from slimbind.runtime import (
     conv_string,
 )
 from slimbind.simplify import MANDATORY_EDGE_LABELS
-
-
-def brute_closure(schema, roots, labels) -> set:
-    """Fixed-point frontier expansion over the explicit edge list."""
-    result = set(roots)
-    while True:
-        added = False
-        for edge in schema.edges:
-            if edge.label in labels and edge.src in result and edge.dst not in result:
-                result.add(edge.dst)
-                added = True
-        if not added:
-            return result
 
 
 def brute_retained(schema, used) -> set:
@@ -99,12 +86,16 @@ _CONV = {
 }
 
 
+# XML's whitespace; str.strip() with no argument also takes Unicode spaces.
+_XML_SPACE = " \t\r\n"
+
+
 def _conv(ctx, category, raw, what):
     return _CONV.get(category, conv_string)(ctx, raw, what)
 
 
 def _is_nil(start):
-    return (start.attr(XSI_NAMESPACE, "nil") or "").strip() in ("true", "1")
+    return (start.attr(XSI_NAMESPACE, "nil") or "").strip(_XML_SPACE) in ("true", "1")
 
 
 def _consume_nil(ctx):
@@ -122,7 +113,7 @@ def _xsi_type_of(ctx, ev):
     raw = ev.attr(XSI_NAMESPACE, "type")
     if raw is None:
         return None
-    raw = raw.strip()
+    raw = raw.strip(_XML_SPACE)
     nsmap = ctx.active_namespaces()
     if ":" in raw:
         prefix, _, local = raw.partition(":")
@@ -192,7 +183,7 @@ class Interpreter:
         while True:
             ev = ctx.next_event()
             if ev.kind is EventKind.TEXT:
-                if ev.text.strip():
+                if ev.text.strip(_XML_SPACE):
                     ctx.violation(Violation.UNEXPECTED_TEXT,
                                   f"unexpected text in {what}")
                 continue
@@ -204,7 +195,7 @@ class Interpreter:
             if ev.kind is EventKind.END_ELEMENT:
                 return
             if ev.kind is EventKind.TEXT:
-                if ev.text.strip():
+                if ev.text.strip(_XML_SPACE):
                     ctx.violation(Violation.UNEXPECTED_TEXT,
                                   f"unexpected text in {what}")
                 continue
@@ -312,7 +303,7 @@ class Interpreter:
             if ev.kind is EventKind.TEXT:
                 if text_field is not None:
                     text_parts.append(ev.text)
-                elif ev.text.strip():
+                elif ev.text.strip(_XML_SPACE):
                     ctx.violation(Violation.UNEXPECTED_TEXT,
                                   f"unexpected text in {cls.name}")
                 continue

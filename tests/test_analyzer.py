@@ -337,6 +337,19 @@ class TestXsiFeatures:
             assert str(exc) == ("MALFORMED_DOCUMENT: d.xml: MALFORMED_XML: xsi:type uses "
                                 "undeclared prefix 'zz' at d.xml:3:3")
 
+    @pytest.mark.parametrize("value", ["a b", "t:", "t:D\u00a0"],
+                             ids=["space", "no-local", "nbsp"])
+    def test_malformed_xsi_type_is_malformed_at_the_element(self, value):
+        schema = schema_of(self.SCHEMA)
+        doc = (f'<r xmlns="{TNS}" xmlns:t="{TNS}"\n'
+               '   xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+               f'\n  <v xsi:type="{value}"/></r>')
+        for mode in ("strict", "lenient"):
+            report = analyze_corpus(schema, [("d.xml", doc)], mode)
+            [(name, exc)] = report.failures
+            assert str(exc) == ("MALFORMED_DOCUMENT: d.xml: MALFORMED_XML: xsi:type "
+                                f"'{value}' is not a QName at d.xml:3:3")
+
     def test_invalid_xsi_type_strict(self):
         schema = schema_of(self.SCHEMA + '\n  <xs:complexType name="Z"/>')
         doc = (f'<r xmlns="{TNS}" xmlns:tns="{TNS}" '
@@ -400,7 +413,7 @@ def rewalk_coverage(schema, report, doc_text):
             raw = ev.attr(XSI_NAMESPACE, "type")
             if raw is not None:
                 nsmap = ctx.active_namespaces()
-                raw = raw.strip()
+                raw = raw.strip(" \t\r\n")
                 prefix, _, local = raw.rpartition(":")
                 xsi_type = QName(nsmap.get(prefix, nsmap.get("", "")), local)
             node = (ev.name, xsi_type, [])

@@ -245,7 +245,7 @@ def test_generate_ignore_path_emits_skip(workspace, ns, request):
                "--ignore", f"{{{ns}}}doc/entry") == 0
     package = _load_package(workspace["out"] / "gen" / "model",
                             f"cli_ignore_model_{request.node.callspec.id}")
-    (row,) = package.parse_DocType.rows
+    (row,) = package.DocType._rows
     assert row == ((ns, "entry"), "entry", "*", "ignore", None)
     obj, warnings = package.parse_document(GOOD_DOC.replace(TNS, ns))
     assert (obj.entry, warnings) == ([], [])
@@ -256,7 +256,8 @@ def test_generate_ignore_path_emits_skip(workspace, ns, request):
 
 
 @pytest.mark.parametrize("path", ["{http://example.com/ns/doc/entry",
-                                  "{http://example.com/ns}/entry"])
+                                  "{http://example.com/ns}/entry",
+                                  "{urn:t}r/a b", "{urn:t}r/a:b"])
 def test_generate_malformed_ignore_path_exits_1(workspace, capsys, path):
     assert run(workspace, "generate", "--ignore", path) == 1
     err = capsys.readouterr().err

@@ -21,8 +21,10 @@ from slimbind.binding import (
     _RECORD_ATTRIBUTES,
     _TEMPLATE_IMPORTS,
     BindingOptions,
+    Cardinality,
     FieldKind,
     build_binding_model,
+    effective_fields,
     serialize_binding_model,
 )
 from slimbind.emitter import (
@@ -33,7 +35,7 @@ from slimbind.emitter import (
     size_report,
     write_artifacts,
 )
-from slimbind.errors import UnresolvedPlaceholderError
+from slimbind.errors import BadSimpleValueError, UnresolvedPlaceholderError
 from slimbind.model import QName
 from slimbind import runtime
 from slimbind.runtime import Record
@@ -44,10 +46,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def field_rows(source, name):
-    """The field rows a generated package hands to the ``RecordParser`` of class ``name``."""
-    call = next(node.value for node in ast.parse(source).body
-                if isinstance(node, ast.Assign) and node.targets[0].id == f"parse_{name}")
-    return ast.literal_eval(call.args[1])
+    """The ``_rows`` a generated package declares in the body of class ``name``."""
+    (cls,) = [node for node in ast.parse(source).body
+              if isinstance(node, ast.ClassDef) and node.name == name]
+    (rows,) = [node.value for node in cls.body
+               if isinstance(node, ast.Assign) and node.targets[0].id == "_rows"]
+    return ast.literal_eval(rows)
 
 
 def class_names(source):
@@ -64,7 +68,7 @@ def po_model(po_schema, options=None, name="po_golden"):
 
 class TestRender:
     def test_one_artifact_per_class_plus_model_files(self, po_schema):
-        """One module holds a record class and a record parser per class."""
+        """One module holds a record class, with its field rows, per class."""
         model = po_model(po_schema)
         (package,) = emit_parser_backend(model)
         assert package.path == "__init__.py"
@@ -94,7 +98,7 @@ class TestRender:
             BindingOptions(collapse_single_child=False), model_name="m"))
         assert class_names(off.content) == ["R", "W"]
         assert class_names(on.content) == ["R"]  # the W wrapper class is gone
-        assert "parse_W" not in on.content and on.byte_size < off.byte_size
+        assert not re.search(r"\bW\b", on.content) and on.byte_size < off.byte_size
 
     def test_unresolved_placeholder_in_custom_template(self, po_schema):
         model = po_model(po_schema)
@@ -418,6 +422,37 @@ class TestGeneratedParsers:
             obj, warnings = module.parse_document(doc)
             assert obj.v is None and warnings == []
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x85"],
+                             ids=["nbsp", "em-space", "nel"])
+    def test_only_xml_whitespace_is_trimmed(self, tmp_path, space):
+        """A space outside XML's four is content wherever it stands.
+
+        A boolean holding one is bad, element-only content holding one has
+        stray text, and an ``xsi:nil`` holding one is not true.
+        """
+        schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="f" type="xs:boolean"/>
+      <xs:element name="v" type="xs:string" nillable="true"/>
+    </xs:sequence>
+  </xs:complexType>""")
+        head = f'<r xmlns="{TNS}" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+        model, module, _, _ = build_and_import(schema, [head + "<f>1</f><v>x</v></r>"],
+                                               tmp_path)
+        with pytest.raises(BadSimpleValueError):
+            runtime.conv_boolean(runtime.ParseContext("<a/>"), f"{space}true", "f")
+        for code, doc in [("BAD_SIMPLE_VALUE", f"<f>{space}true</f><v>x</v>"),
+                          ("UNEXPECTED_TEXT", f"<f>true</f>{space}<v>x</v>")]:
+            assert_equivalent(model, module, [head + doc + "</r>"], mode="lenient")
+            _obj, warnings = module.parse_document(head + doc + "</r>", mode="lenient")
+            assert [w.code for w in warnings] == [code]
+        doc = head + f'<f>0</f><v xsi:nil="{space}true">x</v></r>'
+        assert_equivalent(model, module, [doc])
+        obj, warnings = module.parse_document(doc)
+        assert (obj.f, obj.v, warnings) == (False, "x", [])
+
     def test_unflattened_inheritance(self, tmp_path):
         schema = schema_of("""
   <xs:element name="r" type="tns:D"/>
@@ -595,7 +630,7 @@ RECURSIVE_CASES = {
 
 
 class TestLateBoundParsers:
-    """Record parsers bind once the package has defined them all."""
+    """Record classes bind once the package has defined them all."""
 
     @pytest.mark.parametrize("case", RECURSIVE_CASES)
     def test_recursive_types_bind_in_one_module(self, case, tmp_path):
@@ -603,8 +638,8 @@ class TestLateBoundParsers:
         schema = schema_of(body)
         doc = doc.replace(">", f' xmlns="{TNS}">', 1)
         model, package, _, _ = build_and_import(schema, [doc], tmp_path, options)
-        # Each parser was bound at import, before its first parse.
-        assert all(getattr(package, f"parse_{c.name}").elements for c in model.classes)
+        # Each class was bound at import, before its first parse.
+        assert all(getattr(package, c.name)._elements for c in model.classes)
         assert_equivalent(model, package, [doc])
 
     def test_derived_class_sorting_before_its_base(self, tmp_path):
@@ -630,6 +665,56 @@ class TestLateBoundParsers:
         assert [c.name for c in model.classes] == ["Alpha", "Mid", "Zed"]
         assert class_names(artifacts[0].content) == ["Zed", "Alpha", "Mid"]
         assert package.Alpha.__bases__ == (package.Zed,)
+        assert_equivalent(model, package, docs)
+
+    def test_package_binds_one_name_per_class(self, tmp_path):
+        """A record class is its own parser: no other name stands for it."""
+        schema, docs = shared_head_model(2)
+        model, package, _, artifacts = build_and_import(schema, docs, tmp_path)
+        source = artifacts[0].content
+        (imports,) = re.findall(r"^from slimbind\.runtime import (.+)$", source, re.M)
+        tables = re.findall(r"^(_D\d+) = \{$", source, re.M)
+        assert tables
+        assert {name for name in vars(package) if not name.startswith("__")} == \
+            {c.name for c in model.classes} | set(tables) | set(imports.split(", ")) | \
+            {"_ROOTS", "parse_document"}
+        assert "_lists" not in source and "RecordParser" not in source
+        assert not hasattr(runtime, "RecordParser")
+        assert_equivalent(model, package, docs)
+
+    def test_derived_class_binds_inherited_list_fields(self, tmp_path):
+        """Without flattening each class holds its own tables, inherited lists included."""
+        schema = schema_of("""
+  <xs:element name="r" type="tns:Holder"/>
+  <xs:complexType name="Holder">
+    <xs:sequence>
+      <xs:element name="base" type="tns:Base" minOccurs="0"/>
+      <xs:element name="derived" type="tns:Derived" minOccurs="0"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="Base">
+    <xs:sequence>
+      <xs:element name="v" type="xs:int" maxOccurs="unbounded"/>
+      <xs:element name="b" type="xs:string"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="Derived">
+    <xs:complexContent><xs:extension base="tns:Base">
+      <xs:sequence><xs:element name="w" type="xs:string" minOccurs="0"/></xs:sequence>
+    </xs:extension></xs:complexContent>
+  </xs:complexType>""")
+        docs = [f'<r xmlns="{TNS}"><base><v>1</v><b>x</b></base>'
+                '<derived><v>2</v><v>3</v><b>y</b><w>z</w></derived></r>']
+        model, package, _, _ = build_and_import(
+            schema, docs, tmp_path, BindingOptions(flatten_inheritance=False))
+        for c in model.classes:
+            cls = getattr(package, c.name)
+            assert "_elements" in vars(cls), c.name
+            assert cls._lists == {f.name for f in effective_fields(model, c)
+                                  if f.cardinality is Cardinality.LIST}, c.name
+        derived = model.class_by_name("Derived")
+        assert derived.base == "Base" and "v" not in {f.name for f in derived.fields}
+        assert package.Derived._lists == {"v"}
         assert_equivalent(model, package, docs)
 
 
@@ -664,7 +749,7 @@ class TestManifest:
                 retained_qnames.add((qn.namespace, qn.local))
         for cls in model.classes:
             assert cls.source_type in retained
-        tuple_re = re.compile(r"(?:_a?n == |^    \(?)\('([^']*)', '([^']*)'\)", re.M)
+        tuple_re = re.compile(r"(?:^        \(|^    )\('([^']*)', '([^']*)'\)", re.M)
         found = set()
         for artifact in artifacts:
             for ns, local in tuple_re.findall(artifact.content):

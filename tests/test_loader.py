@@ -122,6 +122,29 @@ def test_duplicate_global_rejected(tmp_path):
         load_schema_set([SchemaSource.from_file(tmp_path / "a.xsd")])
 
 
+@pytest.mark.parametrize("qname", ["xs:", "tns:R x"])
+def test_malformed_qname_is_a_schema_error_at_its_line(qname):
+    with pytest.raises(MalformedSchemaError) as info:
+        schema_of(f'<xs:element name="e"\n    type="{qname}"/>')
+    assert str(info.value) == \
+        f"MALFORMED_SCHEMA: mem://fixture.xsd:2: '{qname}' is not a QName"
+
+
+@pytest.mark.parametrize("value, flag", [(" true ", True), ("\t1\n", True),
+                                         ("\u00a0true", False), ("1\u2003", False)])
+def test_schema_booleans_trim_only_xml_whitespace(value, flag):
+    schema = schema_of(f"""
+  <xs:element name="e" type="xs:string" abstract="{value}" nillable="{value}"/>
+  <xs:complexType name="T" abstract="{value}" mixed="{value}"><xs:sequence/></xs:complexType>
+  <xs:complexType name="U">
+    <xs:complexContent mixed="{value}"><xs:extension base="tns:T"/></xs:complexContent>
+  </xs:complexType>""")
+    elem = schema.component(cid("element", "e")).detail
+    t = schema.component(cid("complexType", "T")).detail
+    u = schema.component(cid("complexType", "U")).detail
+    assert (elem.is_abstract, elem.nillable, t.is_abstract, t.mixed, u.mixed) == (flag,) * 5
+
+
 def test_unsupported_constructs_warn_not_fail(tmp_path):
     (tmp_path / "other.xsd").write_text(f"{XS_HEAD}\n</xs:schema>")
     (tmp_path / "a.xsd").write_text(f"""{XS_HEAD}

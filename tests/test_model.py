@@ -5,19 +5,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slimbind.analyzer import UsageReport
 from slimbind.errors import NotAnElementError, UnknownComponentError
 from slimbind.model import (
-    ALL_EDGE_LABELS,
     ComponentKind,
     EdgeLabel,
     Occurs,
     QName,
     SchemaComponent,
     SchemaSetBuilder,
-    dependency_closure,
     substitution_members,
 )
-from oracle import brute_closure, brute_substitution_members
+from slimbind.simplify import compute_retained_set
+from oracle import brute_retained, brute_substitution_members
 
 
 def build_graph(edges, extra_nodes=()):
@@ -80,32 +80,16 @@ class TestOccurs:
             Occurs(lo, hi)
 
 
+def retained(schema, used) -> set:
+    """The retained set of a corpus that used exactly ``used``."""
+    return compute_retained_set(schema, UsageReport(used_components=set(used)))
+
+
 class TestDependencyClosure:
-    def test_empty_roots_gives_empty_closure(self):
-        schema = build_graph([("A", EdgeLabel.DECLARED_TYPE, "B")])
-        assert dependency_closure(schema, set(), ALL_EDGE_LABELS) == set()
-
-    def test_closure_follows_filtered_edges(self):
-        edges = [("A", EdgeLabel.DECLARED_TYPE, "B"),
-                 ("B", EdgeLabel.BASE_TYPE, "C")]
-        schema = build_graph(edges, extra_nodes=["D"])
-        expected = brute_closure(schema, {"A"}, ALL_EDGE_LABELS)
-        assert expected == {"A", "B", "C"}
-        assert dependency_closure(schema, {"A"}, ALL_EDGE_LABELS) == expected
-
-    def test_closure_respects_edge_filter(self):
-        edges = [("A", EdgeLabel.DECLARED_TYPE, "B"),
-                 ("B", EdgeLabel.BASE_TYPE, "C")]
-        schema = build_graph(edges, extra_nodes=["D"])
-        only_declared = {EdgeLabel.DECLARED_TYPE}
-        expected = brute_closure(schema, {"A"}, only_declared)
-        assert expected == {"A", "B"}
-        assert dependency_closure(schema, {"A"}, only_declared) == expected
-
     def test_unknown_root_raises(self):
         schema = build_graph([("A", EdgeLabel.BASE_TYPE, "B")])
         with pytest.raises(UnknownComponentError):
-            dependency_closure(schema, {"nope"}, ALL_EDGE_LABELS)
+            retained(schema, {"nope"})
 
 
 @st.composite
@@ -130,13 +114,13 @@ def random_graph(draw):
 def test_closure_matches_oracle_and_laws(case):
     nodes, edges, roots1, roots2 = case
     schema = build_graph(edges, extra_nodes=nodes)
-    c1 = dependency_closure(schema, roots1, ALL_EDGE_LABELS)
-    assert c1 == brute_closure(schema, roots1, ALL_EDGE_LABELS)
+    c1 = retained(schema, roots1)
+    assert c1 == brute_retained(schema, roots1)
     # Monotone: bigger roots never shrink the closure.
-    c2 = dependency_closure(schema, roots2, ALL_EDGE_LABELS)
+    c2 = retained(schema, roots2)
     assert c1 <= c2
     # Idempotent: closing a closure changes nothing.
-    assert dependency_closure(schema, c1, ALL_EDGE_LABELS) == c1
+    assert retained(schema, c1) == c1
 
 
 class TestSubstitutionMembers:

@@ -583,7 +583,7 @@ def pulled_tree(doc, source_name="<input>"):
             stack[-1].append(node)
             stack.append(node[-1])
         elif ev.kind is EventKind.TEXT:
-            if ev.text.strip():
+            if ev.text.strip(" \t\r\n"):
                 stack[-2][-1][5] = True
         elif ev.kind is EventKind.END_ELEMENT:
             stack.pop()
