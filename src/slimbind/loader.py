@@ -10,6 +10,7 @@ explicit catalog plus relative-path lookup; there is no network access.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,20 +168,42 @@ def _flag(node: _Node, local: str) -> bool:
     return node.get(local, "").strip(_XML_SPACE) in ("true", "1")
 
 
+# A bound is an XSD nonNegativeInteger (Part 2, 3.3.20: "+" may lead, and
+# zero may be "-0"), or "unbounded" for maxOccurs.  int() would also take
+# "1_0", non-ASCII digits and Unicode spaces.
+_NON_NEGATIVE = re.compile(r"\+?[0-9]+|-0+").fullmatch
+
+
 def _parse_occurs(node: _Node, where: str) -> Optional[Occurs]:
     lo = node.get("minOccurs", "1")
     hi = node.get("maxOccurs", "1")
     try:
-        min_v = int(lo)
-        max_v = None if hi == "unbounded" else int(hi)
+        min_v = _bound(lo)
+        max_v = None if hi.strip(_XML_SPACE) == "unbounded" else _bound(hi)
     except ValueError:
-        raise MalformedSchemaError(f"{where}: bad occurrence bounds {lo!r}/{hi!r}")
+        raise MalformedSchemaError(f"{where}: bad occurrence bounds {lo!r}/{hi!r}") from None
     if max_v == 0:
         return None  # prohibited particle; caller drops it
     try:
         return Occurs(min_v, max_v)
     except ValueError as exc:
         raise MalformedSchemaError(f"{where}: {exc}")
+
+
+def _bound(raw: str) -> int:
+    """The value of a nonNegativeInteger bound; ValueError when ``raw`` is not one."""
+    s = raw.strip(_XML_SPACE)
+    if not _NON_NEGATIVE(s):
+        raise ValueError(raw)
+    return int(s)  # ValueError past sys.get_int_max_str_digits() too
+
+
+_XML_SPACE_RUN = re.compile("[ \t\r\n]+")
+
+
+def _xml_tokens(value: str) -> list:
+    """The items of a list-valued attribute; only XML whitespace separates them."""
+    return [token for token in _XML_SPACE_RUN.split(value) if token]
 
 
 @dataclass
@@ -677,7 +700,7 @@ class _Loader:
         elif union_node is not None:
             variety = SimpleVariety.UNION
             member_attr = union_node.get("memberTypes", "")
-            for token in member_attr.split():
+            for token in _xml_tokens(member_attr):
                 qn = _resolve_qname(token, union_node.nsmap, where)
                 members.append(self._resolve_ref("type", qn, comp_id, where))
             for i, inner in enumerate(union_node.kids("simpleType")):
@@ -800,7 +823,7 @@ class _Loader:
     def _build_wildcard(self, node, doc, owner_id, owner_addr, tag):
         addr = self._next_anon(owner_addr, "@any" if tag == "anyAttribute" else "any")
         comp_id = component_id(ComponentKind.WILDCARD, doc.tns, addr)
-        ns_attr = node.get("namespace", "##any").split()
+        ns_attr = _xml_tokens(node.get("namespace", "##any"))
         if ns_attr == ["##any"]:
             constraint, namespaces = "any", ()
         elif ns_attr == ["##other"]:

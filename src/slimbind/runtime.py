@@ -5,7 +5,8 @@ Three readers share one expat set-up, ``_ExpatSource``, which enforces XML
 and decodes byte input by its BOM or declared encoding.
 
 * Generated parsers bind records straight from expat's callbacks
-  (:func:`parse_root`): no event is built between expat and the record.
+  (:func:`parse_root`), on expat's own names: no event and no QName is
+  built between expat and the record.
 * :class:`ParseContext` is a pull interface over the same callbacks, for
   code that wants events.  It coalesces text into one TEXT event across
   comments, processing instructions and CDATA sections.
@@ -19,10 +20,10 @@ five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
 generated record class is its own parser: it declares its field rows, and
-:func:`bind_parsers` turns them into lookup tables on the class once the
-package has defined every name the rows mention.  Value conversion,
-``xsi:nil`` and ``xsi:type`` handling and table dispatch live here too, so
-packages carry no copies.
+:func:`bind_parsers` turns them into lookup tables on the class, keyed by
+expat's names, once the package has defined every name the rows mention.
+Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
+live here too, so packages carry no copies.
 """
 
 from __future__ import annotations
@@ -169,54 +170,37 @@ class _ExpatSource:
 
     It refuses entity declarations, attribute defaults and documents that
     need an external subset or parameter entities, decodes the source by
-    its BOM or declared encoding, interns element and attribute names, and
-    keeps the namespace scope.  Each element's start goes to ``start(name,
-    attributes, scope, line, col)``: its name, a tuple of ``(name, value)``
-    pairs, the prefix-to-URI dict in force at it (never changed afterwards,
-    so it may be kept) and the position of its '<'.  A name is what
-    ``names`` maps expat's name to, a QName unless the reader gives its own
-    mapping.  ``end``, ``characters`` and ``start_cdata`` are installed as
-    expat's own handlers.
+    its BOM or declared encoding, and keeps the namespace scope:
+    ``scopes[-1]`` is the prefix-to-URI dict in force at the element expat
+    reports, never changed afterwards, so it may be kept.  ``start_element``,
+    ``end``, ``characters`` and ``start_cdata`` are installed as expat's own
+    handlers, so names are expat's: ``"uri local"``, or ``"local"`` in no
+    namespace, and attributes a flat list ``[name, value, ...]`` in document
+    order.
     """
 
-    def __init__(self, source, source_name, start, end, characters, start_cdata=None,
-                 names=None):
+    def __init__(self, source, source_name, start_element, end, characters,
+                 start_cdata=None):
         try:
             self.data, self.encoding = _expat_input(source)
         except UnicodeEncodeError as exc:  # a str holding lone surrogates
             raise MalformedXmlError(f"unencodable input: {exc}", source=source_name)
         self.source_name = source_name
-        self.names = names = _QNames() if names is None else names
         self.parser = parser = expat.ParserCreate(self.encoding, " ")
         parser.ordered_attributes = True
         parser.specified_attributes = True
         parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
-        scope = _XML_SCOPE
-        declared = []
-        outer = []  # the scope to restore, once per declaration still open
+        # Expat reports an element's declarations just before its start and
+        # ends them just after its end tag: one scope per declaration open.
+        self.scopes = scopes = [_XML_SCOPE]
 
         def start_namespace(prefix, uri):
-            declared.append((prefix or "", uri or ""))  # None stands for xmlns / xmlns=""
+            scope = dict(scopes[-1])
+            scope[prefix or ""] = uri or ""  # None stands for xmlns / xmlns=""
+            scopes.append(scope)
 
         def end_namespace(_prefix):
-            # Expat ends an element's declarations right after its end tag.
-            nonlocal scope
-            scope = outer.pop()
-
-        def start_element(raw, attrs):
-            nonlocal scope
-            if declared:
-                outer.extend([scope] * len(declared))
-                scope = dict(scope)
-                scope.update(declared)
-                declared.clear()
-            if attrs:
-                pairs = iter(attrs)
-                attrs = tuple([(names[n], v) for n, v in zip(pairs, pairs)])
-            else:
-                attrs = ()
-            start(names[raw], attrs, scope, parser.CurrentLineNumber,
-                  parser.CurrentColumnNumber + 1)
+            scopes.pop()
 
         def refuse(message):
             raise MalformedXmlError(message, line=parser.CurrentLineNumber,
@@ -266,6 +250,31 @@ class _ExpatSource:
                 for name in _HANDLERS:
                     setattr(self.parser, name, None)
         return final
+
+
+class _QNameSource(_ExpatSource):
+    """An expat source for readers that take names as QNames.
+
+    Each element's start goes to ``start(name, attributes, scope, line,
+    col)``: its name, a tuple of ``(name, value)`` pairs, the scope in force
+    at it and the position of its '<'.  ``names`` maps an expat name to its
+    QName, built once each.
+    """
+
+    def __init__(self, source, source_name, start, end, characters, start_cdata=None):
+        self.names = names = _QNames()
+
+        def start_element(raw, attrs):
+            if attrs:
+                pairs = iter(attrs)
+                attrs = tuple([(names[n], v) for n, v in zip(pairs, pairs)])
+            else:
+                attrs = ()
+            start(names[raw], attrs, scopes[-1], parser.CurrentLineNumber,
+                  parser.CurrentColumnNumber + 1)
+
+        super().__init__(source, source_name, start_element, end, characters, start_cdata)
+        parser, scopes = self.parser, self.scopes
 
 
 class ParseContext(_Tolerance):
@@ -402,7 +411,7 @@ class ParseContext(_Tolerance):
             if not text:
                 characters("")  # a run that opens with CDATA starts at '<![CDATA['
 
-        expat_source = _ExpatSource(source, self.source_name, start, end, characters,
+        expat_source = _QNameSource(source, self.source_name, start, end, characters,
                                     start_cdata)
         parser, data, names = expat_source.parser, expat_source.data, expat_source.names
         close = "/>".encode(expat_source.encoding or "ascii")
@@ -443,7 +452,7 @@ def read_tree(source, source_name, node_class):
         if chunk.strip(_XML_SPACE):
             open_nodes[-1].has_text = True
 
-    expat_source = _ExpatSource(source, source_name, start, end, characters)
+    expat_source = _QNameSource(source, source_name, start, end, characters)
     expat_source.feed(0, len(expat_source.data))
     return document.children[0]
 
@@ -488,6 +497,13 @@ class _Document:
 # Rows come in match order: the first row matching an element wins, and
 # wildcard fields come last.  A class's rows cover every field it parses,
 # inherited ones included.  Unknown attributes are ignored.
+#
+# The package text keys its tables by ``(namespace, local)``.  When the
+# package is imported, :func:`bind_parsers` rekeys them in place by the
+# names expat reports, ``"namespace local"`` or ``"local"`` in no
+# namespace, so :func:`parse_root` looks up expat's own strings.  A local
+# name holds no space, so the two keys of one name never differ in more
+# than this spelling.
 
 
 class Record:
@@ -503,11 +519,15 @@ class Record:
     _rows = ()
     _fields = ()  # every slot in field order, base class fields first
     _lists = frozenset()  # the slots of the "*" rows
-    _initial = ()  # (slot, None or _ABSENT or _LIST), in field order
-    _elements = {}  # (namespace, local) -> action (see _bind)
-    _attributes = {}  # (namespace, local) -> (slot, conversion, label)
-    _required = ()  # (slot, message), in row order
-    _text = None  # (slot, conversion or None for mixed content, label)
+    # What parse_root reads of the class, once per record:
+    # (presets, lists, attributes, elements, required, text).
+    # * presets -- (slot, None or _ABSENT) for each slot that is not a list
+    # * lists -- the list slots, each a fresh [] in a new record
+    # * attributes -- expat name -> (slot, conversion, label)
+    # * elements -- expat name -> action, for each child element (see _bind)
+    # * required -- (slot, message), in row order
+    # * text -- None, or (slot, conversion or None for mixed content, label)
+    _binding = ((), (), {}, {}, (), None)
 
     def __init__(self, **values):
         """Every field not given is None, or a fresh ``[]`` for a list."""
@@ -542,32 +562,63 @@ def _plain(value):
     return value
 
 
+def _expat_name(key):
+    """The name expat reports for ``(namespace, local)``."""
+    namespace, local = key
+    return f"{namespace} {local}" if namespace else local
+
+
+def _qname(name):
+    """The QName of an expat name, for messages."""
+    namespace, _, local = name.rpartition(" ")
+    return QName(namespace, local)
+
+
 def bind_parsers(names):
     """Bind every record class in a generated package.
 
     The package calls this with its namespace, which maps each class and
     dispatch table name to its value, once all are defined; so rows can
-    name any class and recursive types need no cycle.
+    name any class and recursive types need no cycle.  The root table
+    ``_ROOTS``, the dispatch tables the rows name and their ``xsi:type``
+    tables are rekeyed in place by expat names, each once.
     """
+    rekeyed = {}  # id -> table, of each table already rekeyed
+    if "_ROOTS" in names:
+        _rekey(names["_ROOTS"], rekeyed)
     for cls in names.values():
         if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record:
-            _bind(cls, names)
+            _bind(cls, names, rekeyed)
+
+
+def _rekey(table, rekeyed):
+    """Rekey a dispatch table and its targets' ``xsi:type`` tables by expat names."""
+    if id(table) in rekeyed:
+        return table
+    rekeyed[id(table)] = table
+    entries = list(table.items())
+    table.clear()
+    for key, target in entries:
+        table[_expat_name(key)] = target
+        if target[2] is not None:
+            _rekey(target[2], rekeyed)
+    return table
 
 
 _ABSENT = object()  # a required slot's value until its field is read
-_LIST = object()  # a list slot's initial value: a fresh []
 _new = object.__new__  # makes every record; looked up per record, so a test can count them
 _IGNORE = ()  # the action of an ignored field's element
 
 
-def _bind(cls, names):
+def _bind(cls, names, rekeyed):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
-    ``names`` holds every class and table.  A child element's action is
-    ``_IGNORE``, or ``(cls, conv, by_type, what, slot, many, chain)``: a
-    dispatch target (see above), the label of its warnings, and where its
-    value goes, appended to a list when ``many``.  ``chain``, when not
-    None, names the collapsed wrappers the target's element sits in.
+    ``names`` holds every class and table, ``rekeyed`` the tables already
+    keyed by expat names.  A child element's action is ``_IGNORE``, or
+    ``(cls, conv, by_type, what, slot, many, chain)``: a dispatch target
+    (see above), the label of its warnings, and where its value goes,
+    appended to a list when ``many``.  ``chain``, when not None, holds the
+    expat names of the collapsed wrappers the target's element sits in.
     """
     name = cls.__name__
     elements, attributes, required, lists, text = {}, {}, [], set(), None
@@ -579,22 +630,23 @@ def _bind(cls, names):
             text = (slot, CONVERSIONS.get(target), what)
             continue
         if read == "attribute":
-            attributes.setdefault(key, (slot, CONVERSIONS[target], what))
+            attributes.setdefault(_expat_name(key), (slot, CONVERSIONS[target], what))
             if occurs == "1":
                 required.append((slot, f"missing required attribute {key[1]} in {name}"))
             continue
         # A dispatch field matches its table's keys, even when ignored.
         if read == "ignore":
-            for k in names[key] if isinstance(key, str) else (key,):
+            for k in _rekey(names[key], rekeyed) if isinstance(key, str) \
+                    else (_expat_name(key),):
                 elements.setdefault(k, _IGNORE)
             continue
         if isinstance(key, str):
-            targets = names[key]
+            targets = _rekey(names[key], rekeyed)
             element = "matching xs:any" if target is None else target
         else:
-            targets = {key: _target(read, target, names)}
+            targets = {_expat_name(key): _target(read, target, names)}
             element = key[1]
-        chain = target[0] if read == "collapse" else None
+        chain = tuple(map(_expat_name, target[0])) if read == "collapse" else None
         for k, t in targets.items():
             elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
         if occurs == "1":
@@ -605,11 +657,11 @@ def _bind(cls, names):
     absent = {slot for slot, _message in required}
     cls._fields = tuple(fields)
     cls._lists = frozenset(lists)
-    cls._initial = tuple(
-        (slot, _LIST if slot in lists else _ABSENT if slot in absent else None)
-        for slot in cls._fields)
-    cls._elements, cls._attributes, cls._required, cls._text = (
-        elements, attributes, tuple(required), text)
+    cls._binding = (
+        tuple((slot, _ABSENT if slot in absent else None)
+              for slot in fields if slot not in lists),
+        tuple(slot for slot in fields if slot in lists),
+        attributes, elements, tuple(required), text)
 
 
 def _target(read, target, names):
@@ -653,21 +705,12 @@ class _Collapse:
         self.result = None
 
 
-class _Keys(dict):
-    """Expat name to the ``(namespace, local)`` key of the lookup tables."""
-
-    def __missing__(self, raw):
-        namespace, _, local = raw.rpartition(" ")
-        key = self[raw] = (namespace, local)
-        return key
-
-
 class _Stop(Exception):
     """Ends a parse at an unknown document root; nothing after its START is read."""
 
 
-_XSI_NIL = (XSI_NAMESPACE, "nil")
-_XSI_TYPE = (XSI_NAMESPACE, "type")
+_XSI_NIL = f"{XSI_NAMESPACE} nil"
+_XSI_TYPE = f"{XSI_NAMESPACE} type"
 _UNKNOWN = Violation.UNKNOWN_ELEMENT
 _MISSING = Violation.MISSING_REQUIRED
 _STRAY_TEXT = Violation.UNEXPECTED_TEXT
@@ -677,39 +720,50 @@ _RECORD, _SIMPLE, _COLLAPSED, _SKIPPED, _DOCUMENT = (
 _SKIP = (_SKIPPED,)  # the frame of each element of a skipped subtree
 
 
-def _attribute(attributes, key):
-    for name, value in attributes:
-        if name == key:
-            return value
+def _attribute(attrs, name):
+    """The value of attribute ``name`` in expat's flat ``[name, value, ...]`` list."""
+    for at in range(0, len(attrs), 2):
+        if attrs[at] == name:
+            return attrs[at + 1]
     return None
 
 
-def _is_nil(attributes):
-    return (_attribute(attributes, _XSI_NIL) or "").strip(_XML_SPACE) in ("true", "1")
+def _is_nil(attrs):
+    return (_attribute(attrs, _XSI_NIL) or "").strip(_XML_SPACE) in ("true", "1")
 
 
-def _xsi_type(attributes, scope):
-    """The ``(namespace, local)`` an element's ``xsi:type`` names, or None."""
-    raw = _attribute(attributes, _XSI_TYPE)
+def _xsi_type(attrs, scope):
+    """The expat name of the type an element's ``xsi:type`` names, or None.
+
+    A local part holding a space names no type; spelt as an expat name, it
+    could read as another namespace's name.
+    """
+    raw = _attribute(attrs, _XSI_TYPE)
     if raw is None:
         return None
-    raw = raw.strip(_XML_SPACE)
-    if ":" in raw:
-        prefix, _, local = raw.partition(":")
-        return (scope.get(prefix, ""), local)
-    return (scope.get("", ""), raw)
+    prefix, colon, local = raw.strip(_XML_SPACE).partition(":")
+    if not colon:
+        prefix, local = "", prefix
+    if " " in local:
+        return None
+    namespace = scope.get(prefix, "")
+    return f"{namespace} {local}" if namespace else local
 
 
 def parse_root(roots, source, mode="strict", source_name="<input>"):
     """Parse one document through the root table ``roots``; (object, warnings).
 
-    Records are bound in expat's callbacks.  ``stack`` holds a frame per
-    open element, and each frame's value goes to ``slot`` of ``owner`` when
-    its element ends, appended to a list when ``many``:
+    Records are bound in expat's callbacks, on expat's own names: the
+    tables are keyed by them (see above), and a QName is built only for a
+    warning.  ``stack`` holds a frame per open element, and each frame's
+    value goes to ``slot`` of ``owner`` when its element ends, appended to
+    a list when ``many``:
 
-    * ``(_RECORD, elements, record, text parts or None, owner, slot, many)``,
-      ``elements`` being the ``_elements`` table of the record's class
-    * ``(_SIMPLE, conv, what, nil, text parts, owner, slot, many)``
+    * ``(_RECORD, elements, record, text parts or None, owner, slot, many,
+      binding)``, ``binding`` being the ``_binding`` of the record's class,
+      read once at its START, and ``elements`` its element table
+    * ``(_SIMPLE, conv, what, nil, parts, owner, slot, many)``, ``parts``
+      being the text chunks read before an unexpected child, or None
     * ``(_COLLAPSED, state, owner, slot, many)``: pushed for the field's
       element and again for each wrapper, whose content is the field's.
     * ``_SKIP`` for each element of a skipped subtree, ``_DOCUMENT`` below
@@ -720,6 +774,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
     CDATA sections, and is reported at its first chunk, as a TEXT event of
     :class:`ParseContext` would be.  A START is reported at its '<'; an END
     at the parser's position, or at its START's for an empty-element tag.
+    The namespace scope is read only where an ``xsi:type`` table applies.
     """
     ctx = _Binding(mode, source_name)
     stack = [(_DOCUMENT,)]
@@ -739,40 +794,43 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             elif "".join(text).strip(_XML_SPACE):
                 ctx.violation(_STRAY_TEXT, f"unexpected text in {type(frame[2]).__name__}",
                               text_line, text_col)
-        elif kind is _SIMPLE:
-            frame[4].extend(text)
+        elif kind is _SIMPLE:  # before a child: the open frame keeps the text so far
+            if frame[4] is None:
+                stack[-1] = (*frame[:4], text[:], *frame[5:])
+            else:
+                frame[4].extend(text)
         elif kind is _COLLAPSED and "".join(text).strip(_XML_SPACE):
             ctx.violation(_STRAY_TEXT, f"unexpected text in {frame[1].what}",
                           text_line, text_col)
         text.clear()
 
-    def start(key, attributes, scope, line, col):
+    def start(name, attrs):
         nonlocal start_line, start_col, fresh
         frame = stack[-1]
         if text:
             flush(frame)
-        start_line = line
-        start_col = col
-        fresh = True
         kind = frame[0]
+        if kind is _SKIPPED:
+            push(_SKIP)
+            return
+        start_line = line = expat_parser.CurrentLineNumber
+        start_col = col = expat_parser.CurrentColumnNumber + 1
+        fresh = True
         if kind is _RECORD:
-            action = frame[1].get(key)
-            owner = frame[2]
+            action = frame[1].get(name)
             if not action:
                 if action is None:
-                    ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in "
-                                  f"{type(owner).__name__}", line, col)
+                    ctx.violation(_UNKNOWN, f"unexpected element {_qname(name)} in "
+                                  f"{type(frame[2]).__name__}", line, col)
                 push(_SKIP)
                 return
             cls, conv, by_type, what, slot, many, chain = action
+            owner = frame[2]
             if chain is not None:
                 push((_COLLAPSED, _Collapse(chain, cls, conv, what), owner, slot, many))
                 return
-        elif kind is _SKIPPED:
-            push(_SKIP)
-            return
         elif kind is _SIMPLE:
-            ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in {frame[2]}",
+            ctx.violation(_UNKNOWN, f"unexpected element {_qname(name)} in {frame[2]}",
                           line, col)
             push(_SKIP)
             return
@@ -780,8 +838,8 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             state = frame[1]
             chain = state.chain
             at = state.next
-            if at >= len(chain) or key != chain[at]:
-                ctx.violation(_UNKNOWN, f"unexpected element {QName(*key)} in {state.what}",
+            if at >= len(chain) or name != chain[at]:
+                ctx.violation(_UNKNOWN, f"unexpected element {_qname(name)} in {state.what}",
                               line, col)
                 state.next = len(chain)
                 push(_SKIP)
@@ -793,81 +851,99 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             cls, conv, by_type, what = state.cls, state.conv, None, state.what
             owner, slot, many = state, "result", False
         else:
-            target = roots.get(key)
+            target = roots.get(name)
             if target is None:
-                ctx.violation(_UNKNOWN, f"unknown document root {QName(*key)}", line, col)
+                ctx.violation(_UNKNOWN, f"unknown document root {_qname(name)}", line, col)
                 raise _Stop
             cls, conv, by_type = target
-            what, owner, slot, many = f"root {key[1]}", ctx, "result", False
+            what, owner, slot, many = f"root {name.rpartition(' ')[2]}", ctx, "result", False
         if by_type is not None:
-            typed = by_type.get(_xsi_type(attributes, scope))
+            typed = by_type.get(_xsi_type(attrs, scopes[-1]))
             if typed is not None:
                 cls, conv, _ = typed
         if cls is not None:
-            if attributes and _is_nil(attributes):
+            # A C-level ``in`` first: few elements carry xsi:nil.
+            if _XSI_NIL in attrs and _is_nil(attrs):
                 if many:
                     getattr(owner, slot).append(None)
                 else:
                     setattr(owner, slot, None)
                 push(_SKIP)
                 return
+            binding = cls._binding
+            presets, lists, fields, elements, _required, text_row = binding
             record = _new(cls)
-            for name, value in cls._initial:
-                setattr(record, name, [] if value is _LIST else value)
-            if attributes:
-                fields = cls._attributes
+            for slot_name, value in presets:
+                setattr(record, slot_name, value)
+            for slot_name in lists:
+                setattr(record, slot_name, [])
+            if attrs:
                 ctx.at = (line, col)
-                for name, raw in attributes:
-                    field = fields.get(name)
+                for at in range(0, len(attrs), 2):
+                    field = fields.get(attrs[at])
                     if field is not None:
-                        name, conv, what = field
-                        setattr(record, name, conv(ctx, raw, what))
+                        slot_name, conv, what = field
+                        setattr(record, slot_name, conv(ctx, attrs[at + 1], what))
                 ctx.at = None
-            push((_RECORD, cls._elements, record, None if cls._text is None else [],
-                  owner, slot, many))
+            push((_RECORD, elements, record, None if text_row is None else [],
+                  owner, slot, many, binding))
         elif conv is not None:
-            push((_SIMPLE, conv, what, bool(attributes) and _is_nil(attributes), [],
+            push((_SIMPLE, conv, what, _XSI_NIL in attrs and _is_nil(attrs), None,
                   owner, slot, many))
         else:
-            ctx.violation(_UNKNOWN, f"no dispatch match for {QName(*key)} in {what}",
+            ctx.violation(_UNKNOWN, f"no dispatch match for {_qname(name)} in {what}",
                           line, col)
             push(_SKIP)
 
-    def end(_raw):
+    def end(_name):
         nonlocal fresh
         frame = pop()
-        if text:
-            flush(frame)
         kind = frame[0]
         if kind is _SIMPLE:
             _, conv, what, nil, parts, owner, slot, many = frame
-            value = None if nil else conv(ctx, "".join(parts), what)
-        elif kind is _RECORD:
-            _, _elements, value, parts, owner, slot, many = frame
-            cls = type(value)
-            for name, message in cls._required:
-                if getattr(value, name) is _ABSENT:
-                    setattr(value, name, None)
-                    ctx.violation(_MISSING, message)
             if parts is not None:
-                name, conv, what = cls._text
-                if conv is None:
-                    setattr(value, name, "".join(parts) if parts else None)
-                else:
-                    setattr(value, name, conv(ctx, "".join(parts), what))
-        elif kind is _COLLAPSED:
-            _, state, owner, slot, many = frame
-            if state.next < len(state.chain):
-                ctx.violation(_MISSING, f"missing collapsed element "
-                              f"{state.chain[state.next][1]} in {state.what}")
-                state.next = len(state.chain)
-            if stack[-1] is frame:  # a wrapper ended, not the field's element
+                parts += text
+                raw = "".join(parts)
+            else:
+                raw = "".join(text)
+            if text:
+                fresh = False
+                text.clear()
+            if nil:
+                value = None
+            elif conv is conv_string:
+                value = raw
+            else:
+                value = conv(ctx, raw, what)
+        else:
+            if text:
+                flush(frame)
+            if kind is _RECORD:
+                _, _, value, parts, owner, slot, many, binding = frame
+                _presets, _lists, _attributes, _elements, required, text_row = binding
+                for name, message in required:
+                    if getattr(value, name) is _ABSENT:
+                        setattr(value, name, None)
+                        ctx.violation(_MISSING, message)
+                if parts is not None:
+                    name, conv, what = text_row
+                    if conv is None:
+                        setattr(value, name, "".join(parts) if parts else None)
+                    else:
+                        setattr(value, name, conv(ctx, "".join(parts), what))
+            elif kind is _COLLAPSED:
+                _, state, owner, slot, many = frame
+                if state.next < len(state.chain):
+                    ctx.violation(_MISSING, f"missing collapsed element "
+                                  f"{_qname(state.chain[state.next]).local} in {state.what}")
+                    state.next = len(state.chain)
+                if stack[-1] is frame:  # a wrapper ended, not the field's element
+                    fresh = False
+                    return
+                value = state.result
+            else:  # skipped
                 fresh = False
                 return
-            value = state.result
-        else:  # skipped
-            fresh = False
-            return
         fresh = False
         if many:
             getattr(owner, slot).append(value)
@@ -892,9 +968,8 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                 return start_line, start_col
         return expat_parser.CurrentLineNumber, expat_parser.CurrentColumnNumber + 1
 
-    expat_source = _ExpatSource(source, source_name, start, end, characters, start_cdata,
-                                _Keys())
-    expat_parser, data = expat_source.parser, expat_source.data
+    expat_source = _ExpatSource(source, source_name, start, end, characters, start_cdata)
+    expat_parser, data, scopes = expat_source.parser, expat_source.data, expat_source.scopes
     close = "/>".encode(expat_source.encoding or "ascii")
     ctx.end_position = end_position
     try:

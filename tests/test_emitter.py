@@ -9,13 +9,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PO_DOC, TNS, analyze, cid, schema_of
+from conftest import PO_DOC, TNS, XS_HEAD, analyze, cid, schema_of
 from genutil import assert_equivalent, build_and_import, normalize, unique_model_name
 from slimbind.binding import (
     _RECORD_ATTRIBUTES,
@@ -36,6 +38,7 @@ from slimbind.emitter import (
     write_artifacts,
 )
 from slimbind.errors import BadSimpleValueError, UnresolvedPlaceholderError
+from slimbind.loader import SchemaSource, load_schema_set
 from slimbind.model import QName
 from slimbind import runtime
 from slimbind.runtime import Record
@@ -289,6 +292,9 @@ class TestGeneratedParsers:
         ("R", "_dc_field", "_dc_field"),
         ("R", "__x", "x__x"),
         *(("R", name, f"{name}_2") for name in _RECORD_ATTRIBUTES),
+        # Names of the runtime's per-class tables, which _binding holds: not reserved.
+        *(("R", name, name)
+          for name in ("_initial", "_attributes", "_elements", "_required", "_text")),
     ], ids=lambda value: value)
     def test_type_named_like_a_class_template_import(self, tmp_path, type_name, element,
                                                     slot):
@@ -639,7 +645,7 @@ class TestLateBoundParsers:
         doc = doc.replace(">", f' xmlns="{TNS}">', 1)
         model, package, _, _ = build_and_import(schema, [doc], tmp_path, options)
         # Each class was bound at import, before its first parse.
-        assert all(getattr(package, c.name)._elements for c in model.classes)
+        assert all(getattr(package, c.name)._binding[3] for c in model.classes)
         assert_equivalent(model, package, [doc])
 
     def test_derived_class_sorting_before_its_base(self, tmp_path):
@@ -709,7 +715,7 @@ class TestLateBoundParsers:
             schema, docs, tmp_path, BindingOptions(flatten_inheritance=False))
         for c in model.classes:
             cls = getattr(package, c.name)
-            assert "_elements" in vars(cls), c.name
+            assert "_binding" in vars(cls), c.name
             assert cls._lists == {f.name for f in effective_fields(model, c)
                                   if f.cardinality is Cardinality.LIST}, c.name
         derived = model.class_by_name("Derived")
@@ -930,6 +936,20 @@ def test_lenient_warnings_past_the_first_chunk_equal_oracle(po_schema, tmp_path)
     assert_equivalent(model, module, [doc], mode="lenient")
 
 
+def test_simple_content_interrupted_by_children_reads_in_linear_time(po_schema, tmp_path):
+    # Rebuilding the text gathered so far at each child copies it once per
+    # child: about 5 * 10^10 characters here, seconds, not a fraction of one.
+    model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+    run = "0123456789" * 4
+    doc = f'<po xmlns="{TNS}" id="1"><note>{(run + "<x/>") * 50_000}</note></po>'
+    began = time.perf_counter()
+    obj, warnings = module.parse_document(doc, mode="lenient")
+    assert time.perf_counter() - began < 2.0
+    assert obj.note == run * 50_000
+    assert len(warnings) == 50_000
+    assert {w.code for w in warnings} == {"UNKNOWN_ELEMENT"}
+
+
 def test_generated_parse_leaves_no_reference_cycle(po_schema, tmp_path):
     from slimbind.errors import SlimbindError
     model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
@@ -970,3 +990,175 @@ def test_generated_package_loads_only_the_runtime(po_schema, tmp_path):
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == \
         ["slimbind", "slimbind.errors", "slimbind.model", "slimbind.runtime"]
+
+
+# ---------------------------------------------------------------- expat-name keys
+
+_XSI_DECL = f'xmlns:xsi="{XSI_NS}"'
+# R holds B values directly and inside G; D extends B with a required dy.
+_TYPED_BODY = """
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="v" type="tns:B" minOccurs="0" maxOccurs="unbounded"/>
+      <xs:element name="g" type="tns:G" minOccurs="0" maxOccurs="unbounded"/>
+      <xs:element name="w" type="tns:B" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="G">
+    <xs:sequence>
+      <xs:element name="v" type="tns:B" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="B">
+    <xs:sequence><xs:element name="bx" type="xs:int" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="D">
+    <xs:complexContent><xs:extension base="tns:B">
+      <xs:sequence><xs:element name="dy" type="xs:int"/></xs:sequence>
+    </xs:extension></xs:complexContent>
+  </xs:complexType>"""
+
+
+def _typed_module(tmp_path, xs_head=None):
+    """The R/G/B/D package; the corpus gives each B field an xsi:type table."""
+    text = f"{xs_head or XS_HEAD}\n{_TYPED_BODY}\n</xs:schema>"
+    schema = load_schema_set([SchemaSource("mem://typed.xsd", raw_text=text)])
+    namespace = re.search(r'targetNamespace="([^"]*)"', text).group(1)
+    typed = '<n:{0} xsi:type="n:D"><n:bx>1</n:bx><n:dy>1</n:dy></n:{0}><n:{0}/>'
+    corpus = [f'<n:r xmlns:n="{namespace}" {_XSI_DECL}>{typed.format("v")}'
+              f'<n:g>{typed.format("v")}</n:g><n:g/>{typed.format("w")}</n:r>']
+    model, module, _, _ = build_and_import(schema, corpus, tmp_path)
+    return model, module
+
+
+def _assert_oracle_outcomes(model, module, docs):
+    """Object, warnings and positions, or the error, equal the oracle's in both modes."""
+    from oracle import Interpreter
+    oracle = Interpreter(model)
+    for doc in docs:
+        for mode in ("lenient", "strict"):
+            assert _outcome(module.parse_document, doc, mode) == \
+                _outcome(oracle.parse_document, doc, mode), (mode, doc)
+
+
+_D_VALUE = '<n:bx>1</n:bx>\n<n:dy>2</n:dy>'
+
+
+@pytest.mark.parametrize("doc", [
+    # A prefix redeclared on a nested element, then the outer binding again.
+    (f'<n:r xmlns:n="{TNS}" xmlns:p="urn:elsewhere" {_XSI_DECL}>\n'
+     f'<n:v xsi:type="p:D">{_D_VALUE}</n:v>\n'
+     f'<n:g xmlns:p="{TNS}">\n<n:v xsi:type="p:D">{_D_VALUE}</n:v>\n</n:g>\n'
+     f'<n:w xsi:type="p:D">{_D_VALUE}</n:w>\n</n:r>'),
+    # xmlns="" undeclares the default namespace, for the inner scope only.
+    (f'<n:r xmlns:n="{TNS}" xmlns="{TNS}" {_XSI_DECL}>\n'
+     f'<n:g>\n<n:v xsi:type="D">{_D_VALUE}</n:v>\n</n:g>\n'
+     f'<n:g xmlns="">\n<n:v xsi:type="D">{_D_VALUE}</n:v>\n'
+     f'<n:v xmlns="{TNS}" xsi:type="D">{_D_VALUE}</n:v>\n</n:g>\n'
+     f'<n:v xsi:type="D">{_D_VALUE}</n:v>\n</n:r>'),
+    # The prefix xsi:type uses is declared on the element that carries it.
+    (f'<n:r xmlns:n="{TNS}" {_XSI_DECL}>\n'
+     f'<n:v xmlns:q="{TNS}" xsi:type="q:D">{_D_VALUE}</n:v>\n'
+     f'<n:v xsi:type="q:D"/>\n<n:w xmlns:q="urn:elsewhere" xsi:type="q:D">{_D_VALUE}</n:w>'
+     '\n</n:r>'),
+    # Redeclared on the element itself, over an outer binding; then the sibling.
+    (f'<n:r xmlns:n="{TNS}" xmlns:q="urn:elsewhere" {_XSI_DECL}>\n'
+     f'<n:g><n:v xmlns:q="{TNS}" xsi:type="q:D">{_D_VALUE}</n:v>\n'
+     f'<n:v xsi:type="q:D">{_D_VALUE}</n:v></n:g>\n'
+     f'<n:g xmlns:q="{TNS}"/>\n<n:v xsi:type="q:D">{_D_VALUE}</n:v>\n</n:r>'),
+], ids=["nested-redeclaration", "undeclared-default", "same-element", "sibling-after-scope"])
+def test_xsi_type_resolves_in_the_namespace_scope_of_its_element(tmp_path, doc):
+    model, module = _typed_module(tmp_path)
+    _assert_oracle_outcomes(model, module, [doc])
+    lenient, warnings = module.parse_document(doc, mode="lenient")
+    values = lenient.v + lenient.w + [v for g in lenient.g for v in g.v]
+    assert {type(v).__name__ for v in values} == {"B", "D"}
+    assert any(w.code == "UNKNOWN_ELEMENT" for w in warnings)  # dy outside D
+
+
+@pytest.mark.parametrize("xsi_type", [
+    "ns D", " ns D ", "n:D x", "n:D&#9;x", "w0:D", "w0:", "n:", ":D", "D", " n:D ",
+], ids=lambda value: ascii(value))
+def test_xsi_type_edge_cases_match_the_oracle(tmp_path, xsi_type):
+    """A local part holding a space never matches a key.
+
+    The target namespace ``ns`` has no colon, so ``"ns D"`` is the very
+    expat name of type D; read as xsi:type, it is a local name in no
+    namespace, which names no type.
+    """
+    head = XS_HEAD.replace(TNS, "ns")
+    model, module = _typed_module(tmp_path, head)
+    doc = (f'<n:r xmlns:n="ns" {_XSI_DECL}>\n<n:v xsi:type="{xsi_type}">'
+           f'{_D_VALUE}</n:v>\n</n:r>')
+    _assert_oracle_outcomes(model, module, [doc])
+    obj, _ = module.parse_document(doc, mode="lenient")
+    assert type(obj.v[0]).__name__ == ("D" if xsi_type.strip() == "n:D" else "B")
+
+
+def test_one_local_name_in_two_namespaces_and_none(tmp_path):
+    (tmp_path / "two.xsd").write_text(f"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"
+    targetNamespace="urn:two" elementFormDefault="qualified">
+  <xs:element name="a" type="xs:decimal"/>
+</xs:schema>""")
+    main = f"""{XS_HEAD.replace('>', ' xmlns:tw="urn:two">')}
+  <xs:import namespace="urn:two" schemaLocation="two.xsd"/>
+  <xs:element name="r">
+    <xs:complexType><xs:sequence>
+      <xs:element name="a" type="xs:int" minOccurs="0"/>
+      <xs:element ref="tw:a" minOccurs="0"/>
+      <xs:element name="a" form="unqualified" type="xs:boolean" minOccurs="0"/>
+    </xs:sequence></xs:complexType>
+  </xs:element>
+</xs:schema>"""
+    (tmp_path / "main.xsd").write_text(main)
+    schema = load_schema_set([SchemaSource.from_file(tmp_path / "main.xsd")])
+    good = f'<r xmlns="{TNS}" xmlns:tw="urn:two"><a>1</a><tw:a>2.5</tw:a><a xmlns="">true</a></r>'
+    model, module, _, _ = build_and_import(schema, [good], tmp_path)
+    obj, warnings = module.parse_document(good)
+    assert sorted(normalize(obj).values(), key=str) == [1, Decimal("2.5"), True]
+    assert not warnings
+    docs = [
+        good,
+        # Each a in another's place: a bad value, read by the other's conversion.
+        f'<r xmlns="{TNS}" xmlns:tw="urn:two">\n<a>x</a>\n<tw:a>true</tw:a>\n'
+        '<a xmlns="">2.5</a></r>',
+        # Unknown names print as {namespace}local, or local in no namespace.
+        f'<r xmlns="{TNS}" xmlns:tw="urn:two">\n<tw:b/>\n<b xmlns=""/>\n'
+        '<a xmlns="urn:three">1</a>\n<tw:a><a/></tw:a>\n</r>',
+    ]
+    _assert_oracle_outcomes(model, module, docs)
+    _, warnings = module.parse_document(docs[2], mode="lenient")
+    assert [w.message.split(" in ")[0] for w in warnings if w.code == "UNKNOWN_ELEMENT"] == [
+        "unexpected element {urn:two}b", "unexpected element b",
+        "unexpected element {urn:three}a", f"unexpected element {{{TNS}}}a"]
+
+
+def test_tables_are_rekeyed_by_expat_names_in_place(tmp_path, monkeypatch):
+    defined = {}  # the tables as the package module defined them
+    bind_parsers = runtime.bind_parsers
+
+    def spy(names):
+        defined.update(roots=names["_ROOTS"], root_keys=list(names["_ROOTS"]),
+                       d0=names["_D0"], d0_keys=list(names["_D0"]))
+        bind_parsers(names)
+
+    monkeypatch.setattr(runtime, "bind_parsers", spy)
+    schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence><xs:element ref="tns:h" maxOccurs="unbounded"/></xs:sequence>
+    <xs:attribute name="id" type="xs:int"/>
+  </xs:complexType>
+  <xs:element name="h" type="xs:string"/>
+  <xs:element name="m" type="xs:string" substitutionGroup="tns:h"/>""")
+    docs = [f'<r xmlns="{TNS}" id="1"><h>a</h><m>b</m></r>']
+    model, module, _, _ = build_and_import(schema, docs, tmp_path)
+    assert module._ROOTS is defined["roots"] and module._D0 is defined["d0"]
+    assert defined["root_keys"] == [(TNS, "r")] and list(module._ROOTS) == [f"{TNS} r"]
+    assert defined["d0_keys"] == [(TNS, "h"), (TNS, "m")]
+    assert list(module._D0) == [f"{TNS} h", f"{TNS} m"]
+    binding = module.R._binding
+    assert list(binding[2]) == ["id"] and list(binding[3]) == [f"{TNS} h", f"{TNS} m"]
+    assert module.parse_document(docs[0])[0].h == ["a", "b"]
+    assert_equivalent(model, module, docs)

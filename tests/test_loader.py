@@ -18,6 +18,7 @@ from slimbind.model import (
     ComponentKind,
     Compositor,
     EdgeLabel,
+    Occurs,
     QName,
     XSD_NAMESPACE,
     builtin_type_id,
@@ -244,6 +245,68 @@ def test_all_group_constraints():
   <xs:complexType name="B">
     <xs:all><xs:element name="x" type="xs:int" maxOccurs="2"/></xs:all>
   </xs:complexType>""")
+
+
+def _particle_occurs(bounds):
+    """The occurs of element ``x``, declared on line 3 with ``bounds``."""
+    schema = schema_of(f"""<xs:complexType name="T"><xs:sequence>
+  <xs:element name="x" type="xs:int" {bounds}/>
+</xs:sequence></xs:complexType>""")
+    return schema.component(cid("complexType", "T")).detail.content.root.children[0].occurs
+
+
+@pytest.mark.parametrize("bounds, occurs", [
+    ('maxOccurs="1_0"', None),
+    ('minOccurs="١"', None),  # ARABIC-INDIC DIGIT ONE
+    ('maxOccurs="２"', None),  # FULLWIDTH DIGIT TWO
+    ('minOccurs=" 0"', None),
+    ('maxOccurs="2 "', None),
+    ('maxOccurs=" unbounded"', None),
+    ('minOccurs="1e1"', None),
+    ('minOccurs="-1"', None),
+    ('maxOccurs=""', None),
+    ('minOccurs="unbounded"', None),
+    ('minOccurs=" 0 " maxOccurs=" unbounded "', Occurs(0, None)),
+    ('minOccurs="&#9;+0&#10;" maxOccurs="&#13;&#10;007"', Occurs(0, 7)),
+    ('minOccurs="-0"', Occurs(0, 1)),
+], ids=lambda value: ascii(value))
+def test_occurrence_bounds_follow_xsd_lexical_rules(bounds, occurs):
+    """A bound is a nonNegativeInteger or ``unbounded``, trimmed of XML whitespace only."""
+    if occurs is not None:
+        assert _particle_occurs(bounds) == occurs
+        return
+    with pytest.raises(MalformedSchemaError) as info:
+        _particle_occurs(bounds)
+    assert str(info.value).startswith(
+        "MALFORMED_SCHEMA: mem://fixture.xsd:3: bad occurrence bounds")
+
+
+def test_member_types_split_on_xml_whitespace_only():
+    schema = schema_of("""
+  <xs:simpleType name="Mix">
+    <xs:union memberTypes="&#9;xs:int&#13;&#10; xs:string "/>
+  </xs:simpleType>""")
+    assert schema.component(cid("simpleType", "Mix")).detail.members == \
+        (builtin_type_id("int"), builtin_type_id("string"))
+    with pytest.raises(MalformedSchemaError) as info:
+        schema_of("""
+  <xs:simpleType name="Mix">
+    <xs:union memberTypes="xs:int\u00a0xs:string"/>
+  </xs:simpleType>""")
+    assert str(info.value) == \
+        "MALFORMED_SCHEMA: mem://fixture.xsd:3: 'xs:int\u00a0xs:string' is not a QName"
+
+
+def test_wildcard_namespaces_split_on_xml_whitespace_only():
+    def namespaces(value):
+        schema = schema_of(f"""<xs:complexType name="T"><xs:sequence>
+  <xs:any namespace="{value}"/></xs:sequence></xs:complexType>""")
+        (wildcard,) = [c for c in schema.components.values()
+                       if c.kind is ComponentKind.WILDCARD]
+        return wildcard.detail.namespaces
+
+    assert namespaces("urn:a&#9;##local&#13;&#10; ##targetNamespace") == ("urn:a", "", TNS)
+    assert namespaces("urn:a\u00a0##local") == ("urn:a\u00a0##local",)
 
 
 def test_simple_type_varieties():
