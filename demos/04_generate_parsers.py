@@ -7,8 +7,10 @@ substitution dispatch bounded to observed members, and the single-child
 
 The generated package is one module.  Each class in it is data and is its
 own parser: a plain __slots__ record class over slimbind.runtime.Record
-whose _rows hold one row per field; at import, slimbind.runtime turns the
-rows into lookup tables on the class.  Records print in field order and
+whose _rows hold one row per field, keyed by the names expat reports
+("namespace local"); at import, slimbind.runtime turns the rows into
+lookup tables on the class and leaves the package's own tables as they
+are.  Records print in field order and
 turn into plain dicts with to_dict().
 
 Last, the package is imported in a fresh interpreter, as a device that

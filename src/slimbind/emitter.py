@@ -26,6 +26,7 @@ from .binding import (
 )
 from .errors import EmptyModelError
 from .jsonio import dumps, encode
+from .runtime import expat_name
 from .templates import ManifestEntry, TemplateSet, compile_template, render_template
 
 # Value category -> name of its conversion in ``slimbind.runtime.CONVERSIONS``.
@@ -109,8 +110,9 @@ def format_size_report(artifacts) -> str:
 
 # ---------------------------------------------------------------- render context
 
-def _py_tuple(qname) -> str:
-    return f"({qname.namespace!r}, {qname.local!r})"
+def _key(qname) -> str:
+    """The expat name of ``qname``: how a package spells each name it matches."""
+    return expat_name(qname.namespace, qname.local)
 
 
 def _conv(value) -> str:
@@ -166,7 +168,7 @@ class _Tables:
 
 def _entry_lines(pairs) -> list:
     """``key: target`` lines; a later entry for a taken key is unreachable."""
-    return [f"{_py_tuple(qname)}: {target}" for qname, target in _first_per_key(pairs)]
+    return [f"{_key(qname)!r}: {target}" for qname, target in _first_per_key(pairs)]
 
 
 def _first_per_key(pairs):
@@ -256,7 +258,7 @@ def _row(cls, f, tables) -> tuple:
 
     ``slimbind.runtime`` documents the format.
     """
-    key = (f.xml_name.namespace, f.xml_name.local)
+    key = _key(f.xml_name)
     occurs = _OCCURS[f.cardinality]
     if f.kind is FieldKind.TEXT_CONTENT:
         if cls.mixed:
@@ -264,19 +266,18 @@ def _row(cls, f, tables) -> tuple:
         return None, f.name, occurs, "text", _conv(f.value)
     if f.kind is FieldKind.ATTRIBUTE:
         return key, f.name, occurs, "attribute", _conv(f.value)
-    # A dispatch field matches its table's keys, even when ignored.
     if f.dispatch:
-        key = _field_table(tables, f)
+        # A dispatch field matches its table's keys, even when ignored.
+        table = _field_table(tables, f)
+        if f.ignored:
+            return None, f.name, occurs, "ignore", table
+        return table, f.name, occurs, "dispatch", None if f.is_wildcard else f.xml_name.local
     if f.ignored:
-        read, target = "ignore", None
-    elif f.dispatch:
-        read, target = "dispatch", None if f.is_wildcard else f.xml_name.local
-    elif f.collapse_chain:
-        chain = tuple((q.namespace, q.local) for q in f.collapse_chain)
-        read, target = "collapse", (chain, *_element_read(f, tables.classes))
-    else:
-        read, target = _element_read(f, tables.classes)
-    return key, f.name, occurs, read, target
+        return key, f.name, occurs, "ignore", None
+    if f.collapse_chain:
+        chain = tuple(map(_key, f.collapse_chain))
+        return key, f.name, occurs, "collapse", (chain, *_element_read(f, tables.classes))
+    return (key, f.name, occurs, *_element_read(f, tables.classes))
 
 
 def _element_read(f, classes) -> tuple:
@@ -293,7 +294,7 @@ def _root_contexts(model, tables) -> list:
         by_type = tables.by_type([e for e in root.dispatch
                                   if e.target_class in tables.classes])
         pairs.append((root.qname, tables.target(root.target_class, root.value, by_type)))
-    return [{"qname": str(qname), "line": f"{_py_tuple(qname)}: {target}"}
+    return [{"qname": str(qname), "line": f"{_key(qname)!r}: {target}"}
             for qname, target in _first_per_key(pairs)]
 
 
@@ -315,7 +316,7 @@ class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}
 {{/classes}}
 
 
-# Dispatch tables: (namespace, local) -> (class, conversion, xsi:type table).
+# Dispatch tables: "namespace local" -> (class, conversion, xsi:type table).
 {{#dispatch_tables}}
 {{name}} = {
 {{#lines}}

@@ -132,12 +132,31 @@ _TEXT = EventKind.TEXT
 _END = EventKind.END_ELEMENT
 
 
+def expat_name(namespace, local):
+    """The name expat reports for ``local`` in ``namespace``.
+
+    That is ``"namespace local"``, or ``"local"`` in no namespace.  A local
+    name holds no space, so :func:`_split` reads the two parts back.
+    """
+    return f"{namespace} {local}" if namespace else local
+
+
+def _split(name):
+    """``(namespace, local)`` of an expat name."""
+    namespace, _, local = name.rpartition(" ")
+    return namespace, local
+
+
+def _qname(name):
+    """The QName of an expat name."""
+    return QName(*_split(name))
+
+
 class _QNames(dict):
-    """Expat name (``"uri local"`` or ``"local"``) to QName, built once each."""
+    """Expat name to QName, built once each."""
 
     def __missing__(self, raw):
-        namespace, _, local = raw.rpartition(" ")
-        qn = self[raw] = QName(namespace, local)
+        qn = self[raw] = _qname(raw)
         return qn
 
 
@@ -468,19 +487,24 @@ class _Document:
 
 # ---------------------------------------------------------------- generated-code support
 #
-# Generated parser packages call these instead of carrying copies.  A
-# dispatch table maps an element's ``(namespace, local)`` to a target
+# Generated parser packages call these instead of carrying copies.  Every
+# name a package matches on is spelt as expat reports it (see
+# :func:`expat_name`), so :func:`parse_root` looks up expat's own strings.
+# A dispatch table maps an element's expat name to a target
 # ``(cls, conv, by_type)``: ``cls`` is the element's :class:`Record` class,
 # or None for simple content read with ``conv``; ``by_type``, when not
-# None, maps an ``xsi:type`` name to the target that overrides this one.
+# None, maps the expat name of an ``xsi:type`` to the target that overrides
+# this one.
 #
 # A generated package holds, per class, a :class:`Record` subclass that
 # declares its fields as ``__slots__`` and its field rows as ``_rows``.  A
 # row is ``(key, slot, occurs, read, target)``:
 #
-# * ``key`` -- the ``(namespace, local)`` the field matches; for a dispatch
-#   field, the name of its dispatch table, whose keys are what it matches;
-#   None for the text row.
+# * ``key`` -- the expat name of the element or attribute the field
+#   matches; for a ``"dispatch"`` row, the name of its dispatch table, whose
+#   keys are what it matches; None for the text row and for an ignored
+#   dispatch field.  The row's ``read`` says which: a table name and a
+#   no-namespace element name may be the same string.
 # * ``slot`` -- the record attribute the value goes to.
 # * ``occurs`` -- ``"1"`` required, ``"?"`` optional, ``"*"`` a list.
 # * ``read`` and ``target`` -- how the value is read:
@@ -490,20 +514,15 @@ class _Document:
 #   ``"class"`` parses the element as class ``target``; ``"dispatch"`` reads
 #   it through the key's table, ``target`` being the field's element name,
 #   or None for a wildcard;
-#   ``"collapse"`` unwraps ``target = (chain, read, target)``: the inner
-#   names, then the innermost element read as ``"class"`` or ``"simple"``;
-#   ``"ignore"`` skips the subtree and builds nothing.
+#   ``"collapse"`` unwraps ``target = (chain, read, target)``: the expat
+#   names of the inner elements, then the innermost element read as
+#   ``"class"`` or ``"simple"``; ``"ignore"`` skips the subtree and builds
+#   nothing, ``target`` being None, or for a dispatch field the name of the
+#   table whose keys it matches.
 #
 # Rows come in match order: the first row matching an element wins, and
 # wildcard fields come last.  A class's rows cover every field it parses,
 # inherited ones included.  Unknown attributes are ignored.
-#
-# The package text keys its tables by ``(namespace, local)``.  When the
-# package is imported, :func:`bind_parsers` rekeys them in place by the
-# names expat reports, ``"namespace local"`` or ``"local"`` in no
-# namespace, so :func:`parse_root` looks up expat's own strings.  A local
-# name holds no space, so the two keys of one name never differ in more
-# than this spelling.
 
 
 class Record:
@@ -562,47 +581,23 @@ def _plain(value):
     return value
 
 
-def _expat_name(key):
-    """The name expat reports for ``(namespace, local)``."""
-    namespace, local = key
-    return f"{namespace} {local}" if namespace else local
-
-
-def _qname(name):
-    """The QName of an expat name, for messages."""
-    namespace, _, local = name.rpartition(" ")
-    return QName(namespace, local)
-
-
 def bind_parsers(names):
     """Bind every record class in a generated package.
 
     The package calls this with its namespace, which maps each class and
     dispatch table name to its value, once all are defined; so rows can
-    name any class and recursive types need no cycle.  The root table
-    ``_ROOTS``, the dispatch tables the rows name and their ``xsi:type``
-    tables are rekeyed in place by expat names, each once.
+    name any class and recursive types need no cycle.  The package's
+    tables are read, never changed, so binding again binds the same.  A
+    package whose root table ``_ROOTS`` is keyed by ``(namespace, local)``
+    tuples was generated in an older format, and is refused.
     """
-    rekeyed = {}  # id -> table, of each table already rekeyed
-    if "_ROOTS" in names:
-        _rekey(names["_ROOTS"], rekeyed)
+    if not all(isinstance(key, str) for key in names["_ROOTS"]):
+        raise ImportError("this parser package was generated in an older format, "
+                          "whose tables are keyed by (namespace, local); "
+                          "regenerate it with 'slimbind generate'")
     for cls in names.values():
         if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record:
-            _bind(cls, names, rekeyed)
-
-
-def _rekey(table, rekeyed):
-    """Rekey a dispatch table and its targets' ``xsi:type`` tables by expat names."""
-    if id(table) in rekeyed:
-        return table
-    rekeyed[id(table)] = table
-    entries = list(table.items())
-    table.clear()
-    for key, target in entries:
-        table[_expat_name(key)] = target
-        if target[2] is not None:
-            _rekey(target[2], rekeyed)
-    return table
+            _bind(cls, names)
 
 
 _ABSENT = object()  # a required slot's value until its field is read
@@ -610,15 +605,16 @@ _new = object.__new__  # makes every record; looked up per record, so a test can
 _IGNORE = ()  # the action of an ignored field's element
 
 
-def _bind(cls, names, rekeyed):
+def _bind(cls, names):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
-    ``names`` holds every class and table, ``rekeyed`` the tables already
-    keyed by expat names.  A child element's action is ``_IGNORE``, or
-    ``(cls, conv, by_type, what, slot, many, chain)``: a dispatch target
-    (see above), the label of its warnings, and where its value goes,
-    appended to a list when ``many``.  ``chain``, when not None, holds the
-    expat names of the collapsed wrappers the target's element sits in.
+    ``names`` holds every class and table; a row's ``read`` says whether
+    its key names an element, an attribute or a table.  A child element's
+    action is ``_IGNORE``, or ``(cls, conv, by_type, what, slot, many,
+    chain)``: a dispatch target (see above), the label of its warnings, and
+    where its value goes, appended to a list when ``many``.  ``chain``,
+    when not None, holds the expat names of the collapsed wrappers the
+    target's element sits in.
     """
     name = cls.__name__
     elements, attributes, required, lists, text = {}, {}, [], set(), None
@@ -630,23 +626,22 @@ def _bind(cls, names, rekeyed):
             text = (slot, CONVERSIONS.get(target), what)
             continue
         if read == "attribute":
-            attributes.setdefault(_expat_name(key), (slot, CONVERSIONS[target], what))
+            attributes.setdefault(key, (slot, CONVERSIONS[target], what))
             if occurs == "1":
-                required.append((slot, f"missing required attribute {key[1]} in {name}"))
+                required.append((slot, f"missing required attribute {_split(key)[1]} in {name}"))
             continue
         # A dispatch field matches its table's keys, even when ignored.
         if read == "ignore":
-            for k in _rekey(names[key], rekeyed) if isinstance(key, str) \
-                    else (_expat_name(key),):
+            for k in (key,) if target is None else names[target]:
                 elements.setdefault(k, _IGNORE)
             continue
-        if isinstance(key, str):
-            targets = _rekey(names[key], rekeyed)
+        if read == "dispatch":
+            targets = names[key]
             element = "matching xs:any" if target is None else target
         else:
-            targets = {_expat_name(key): _target(read, target, names)}
-            element = key[1]
-        chain = tuple(map(_expat_name, target[0])) if read == "collapse" else None
+            targets = {key: _target(read, target, names)}
+            element = _split(key)[1]
+        chain = target[0] if read == "collapse" else None
         for k, t in targets.items():
             elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
         if occurs == "1":
@@ -709,8 +704,8 @@ class _Stop(Exception):
     """Ends a parse at an unknown document root; nothing after its START is read."""
 
 
-_XSI_NIL = f"{XSI_NAMESPACE} nil"
-_XSI_TYPE = f"{XSI_NAMESPACE} type"
+_XSI_NIL = expat_name(XSI_NAMESPACE, "nil")
+_XSI_TYPE = expat_name(XSI_NAMESPACE, "type")
 _UNKNOWN = Violation.UNKNOWN_ELEMENT
 _MISSING = Violation.MISSING_REQUIRED
 _STRAY_TEXT = Violation.UNEXPECTED_TEXT
@@ -746,8 +741,7 @@ def _xsi_type(attrs, scope):
         prefix, local = "", prefix
     if " " in local:
         return None
-    namespace = scope.get(prefix, "")
-    return f"{namespace} {local}" if namespace else local
+    return expat_name(scope.get(prefix, ""), local)
 
 
 def parse_root(roots, source, mode="strict", source_name="<input>"):
@@ -856,7 +850,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                 ctx.violation(_UNKNOWN, f"unknown document root {_qname(name)}", line, col)
                 raise _Stop
             cls, conv, by_type = target
-            what, owner, slot, many = f"root {name.rpartition(' ')[2]}", ctx, "result", False
+            what, owner, slot, many = f"root {_split(name)[1]}", ctx, "result", False
         if by_type is not None:
             typed = by_type.get(_xsi_type(attrs, scopes[-1]))
             if typed is not None:
@@ -935,7 +929,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                 _, state, owner, slot, many = frame
                 if state.next < len(state.chain):
                     ctx.violation(_MISSING, f"missing collapsed element "
-                                  f"{_qname(state.chain[state.next]).local} in {state.what}")
+                                  f"{_split(state.chain[state.next])[1]} in {state.what}")
                     state.next = len(state.chain)
                 if stack[-1] is frame:  # a wrapper ended, not the field's element
                     fresh = False

@@ -246,7 +246,7 @@ def test_generate_ignore_path_emits_skip(workspace, ns, request):
     package = _load_package(workspace["out"] / "gen" / "model",
                             f"cli_ignore_model_{request.node.callspec.id}")
     (row,) = package.DocType._rows
-    assert row == ((ns, "entry"), "entry", "*", "ignore", None)
+    assert row == (f"{ns} entry", "entry", "*", "ignore", None)
     obj, warnings = package.parse_document(GOOD_DOC.replace(TNS, ns))
     assert (obj.entry, warnings) == ([], [])
     model = json.loads((workspace["out"] / "binding-model.json").read_text())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import importlib
 import json
 import os
 import re
@@ -46,6 +47,9 @@ from slimbind.simplify import compute_retained_set, reduction_report
 from slimbind.templates import ManifestEntry, TemplateSet
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# The pinned files, each by the name of the TestGolden.golden_outputs() entry it holds.
+GOLDEN_NAMES = sorted(path.name.removesuffix(".golden")
+                      for path in GOLDEN_DIR.glob("*.golden"))
 
 
 def field_rows(source, name):
@@ -247,12 +251,13 @@ class TestGolden:
         outputs["binding-model.json"] = serialize_binding_model(model)
         return outputs
 
-    @pytest.mark.parametrize("path", ["__init__.py", "c_carttype.py", "dispatch.py",
-                                      "usage-report.json", "reduction-report.json",
-                                      "binding-model.json"])
+    def test_every_golden_file_is_an_output(self):
+        """A file no output matches would never be read, an output with no file never checked."""
+        assert sorted(self.golden_outputs()) == GOLDEN_NAMES
+
+    @pytest.mark.parametrize("path", GOLDEN_NAMES)
     def test_matches_golden(self, path):
         golden_path = GOLDEN_DIR / (path + ".golden")
-        assert golden_path.exists(), f"golden file missing: run refresh.py"
         assert self.golden_outputs()[path] == golden_path.read_bytes().decode(), (
             f"{path} drifted from the golden copy; inspect and refresh if intended")
 
@@ -262,9 +267,9 @@ class TestGolden:
         rows = {row[1]: row for row in field_rows(source, "CartType")}
         assert rows["sku"][2] == "*"  # LIST accumulates
         assert rows["coupon"][2] == "?"  # SCALAR_OPTIONAL single slot
-        assert f"('{TNS}', 'card')" in source
-        assert f"('{TNS}', 'cash')" in source
-        assert f"('{TNS}', 'pay')" not in source  # head unobserved: bounded out
+        assert f"'{TNS} card': " in source
+        assert f"'{TNS} cash': " in source
+        assert f"'{TNS} pay'" not in source  # head unobserved: bounded out
 
 
 class TestGeneratedParsers:
@@ -724,6 +729,25 @@ class TestLateBoundParsers:
         assert_equivalent(model, package, docs)
 
 
+def _matched_names(source):
+    """Every name a package's rows and tables match on, as the package spells it.
+
+    A row's ``read`` says whether its key names an element or attribute, or
+    a table; a collapse row also matches its chain.
+    """
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for key, _slot, _occurs, read, target in field_rows(source, node.name):
+                if read == "collapse":
+                    names += target[0]
+                if key is not None and read != "dispatch":
+                    names.append(key)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            names += [ast.literal_eval(key) for key in node.value.keys]
+    return names
+
+
 class TestManifest:
     def test_manifest_entries_and_hashes(self, po_schema, tmp_path):
         model = po_model(po_schema, name=unique_model_name())
@@ -747,20 +771,19 @@ class TestManifest:
         model = build_binding_model(po_schema, retained, usage, BindingOptions(),
                                     model_name="scan")
         artifacts = emit_parser_backend(model)
-        retained_qnames = set()
+        retained_names = set()
         for comp_id in retained:
             comp = po_schema.component(comp_id)
             qn = comp.name or getattr(comp.detail, "qname", None)
             if qn is not None:
-                retained_qnames.add((qn.namespace, qn.local))
+                retained_names.add(runtime.expat_name(qn.namespace, qn.local))
         for cls in model.classes:
             assert cls.source_type in retained
-        tuple_re = re.compile(r"(?:^        \(|^    )\('([^']*)', '([^']*)'\)", re.M)
         found = set()
         for artifact in artifacts:
-            for ns, local in tuple_re.findall(artifact.content):
-                assert (ns, local) in retained_qnames, (artifact.path, ns, local)
-                found.add((ns, local))
+            for name in _matched_names(artifact.content):
+                assert name in retained_names, (artifact.path, name)
+                found.add(name)
         # The scan must see every name an element or attribute field matches;
         # otherwise a change in the generated shape would pass it vacuously.
         for cls in model.classes:
@@ -769,7 +792,8 @@ class TestManifest:
                     continue
                 names = [e.qname for e in f.dispatch if e.via == "element"] or [f.xml_name]
                 for qn in names:
-                    assert (qn.namespace, qn.local) in found, (cls.name, f.name, qn)
+                    assert runtime.expat_name(qn.namespace, qn.local) in found, \
+                        (cls.name, f.name, qn)
 
 
 # ---------------------------------------------------------------- invalid input
@@ -1134,8 +1158,9 @@ def test_one_local_name_in_two_namespaces_and_none(tmp_path):
         "unexpected element {urn:three}a", f"unexpected element {{{TNS}}}a"]
 
 
-def test_tables_are_rekeyed_by_expat_names_in_place(tmp_path, monkeypatch):
-    defined = {}  # the tables as the package module defined them
+def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
+    """Importing a package leaves its tables as the module text defines them."""
+    defined = {}  # the tables as the package module defined them, and their keys
     bind_parsers = runtime.bind_parsers
 
     def spy(names):
@@ -1155,10 +1180,91 @@ def test_tables_are_rekeyed_by_expat_names_in_place(tmp_path, monkeypatch):
     docs = [f'<r xmlns="{TNS}" id="1"><h>a</h><m>b</m></r>']
     model, module, _, _ = build_and_import(schema, docs, tmp_path)
     assert module._ROOTS is defined["roots"] and module._D0 is defined["d0"]
-    assert defined["root_keys"] == [(TNS, "r")] and list(module._ROOTS) == [f"{TNS} r"]
-    assert defined["d0_keys"] == [(TNS, "h"), (TNS, "m")]
-    assert list(module._D0) == [f"{TNS} h", f"{TNS} m"]
+    assert defined["root_keys"] == list(module._ROOTS) == [f"{TNS} r"]
+    assert defined["d0_keys"] == list(module._D0) == [f"{TNS} h", f"{TNS} m"]
     binding = module.R._binding
     assert list(binding[2]) == ["id"] and list(binding[3]) == [f"{TNS} h", f"{TNS} m"]
+    # Binding again reads the same tables, so it binds every class the same.
+    bindings = {c.name: getattr(module, c.name)._binding for c in model.classes}
+    bind_parsers(vars(module))
+    assert {c.name: getattr(module, c.name)._binding for c in model.classes} == bindings
     assert module.parse_document(docs[0])[0].h == ["a", "b"]
     assert_equivalent(model, module, docs)
+
+
+_KEY_CLASH_BODY = """
+  <xs:element name="r" type="tns:R"/>
+  <xs:attribute name="a" type="xs:int"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="_D0" form="unqualified" type="xs:string"/>
+      <xs:element name="_ROOTS" form="unqualified" type="xs:int" minOccurs="0"/>
+      <xs:element ref="tns:h" maxOccurs="unbounded"/>
+    </xs:sequence>
+    <xs:attribute ref="tns:a" use="required"/>
+  </xs:complexType>
+  <xs:element name="h" type="xs:string"/>
+  <xs:element name="m" type="xs:string" substitutionGroup="tns:h"/>"""
+
+
+@pytest.mark.parametrize("ignored", [None, QName("", "_D0"), QName(TNS, "h")],
+                         ids=["plain", "ignore-_D0", "ignore-h"])
+def test_row_read_tells_an_element_key_from_a_table_name(tmp_path, ignored):
+    """No-namespace elements named ``_D0`` and ``_ROOTS`` beside the table ``_D0``.
+
+    The element's expat name and the dispatch table's name are one string,
+    so only a row's ``read`` tells what its key names.
+    """
+    schema = schema_of(_KEY_CLASH_BODY)
+    head = f'<t:r xmlns:t="{TNS}"'
+    good = f'{head} t:a="1"><_D0>x</_D0><_ROOTS>2</_ROOTS><t:h>a</t:h><t:m>b</t:m></t:r>'
+    options = BindingOptions(ignore_paths=((QName(TNS, "r"), ignored),) if ignored else ())
+    model, module, _, artifacts = build_and_import(schema, [good], tmp_path, options)
+    assert "_D0 = {" in artifacts[0].content
+    assert ("_D0", "_D0") in [row[:2] for row in field_rows(artifacts[0].content, "R")]
+    docs = [
+        good,
+        # Unqualified a is another attribute; the required one names its local part.
+        f'{head} a="1"><t:_D0>x</t:_D0><_ROOTS>x</_ROOTS><t:m>b</t:m></t:r>',
+        f'{head} t:a="2"><_D0>x<t:h/></_D0><h>c</h><t:h>a</t:h></t:r>',
+    ]
+    _assert_oracle_outcomes(model, module, docs)
+    obj, _ = module.parse_document(good)
+    assert (obj._D0, obj._ROOTS, obj.h, obj.a) == (
+        None if ignored == QName("", "_D0") else "x", 2,
+        [] if ignored == QName(TNS, "h") else ["a", "b"], 1)
+    _, warnings = module.parse_document(docs[1], mode="lenient")
+    assert "missing required attribute a in R" in [w.message for w in warnings]
+
+
+_OLD_FORMAT_PACKAGE = """\
+from slimbind.runtime import Record, bind_parsers, parse_root
+
+
+class R(Record):
+    __slots__ = ('v',)
+    _rows = (
+        (('urn:fix', 'v'), 'v', '?', 'simple', 'string'),
+    )
+
+
+_ROOTS = {
+    ('urn:fix', 'r'): (R, None, None),
+}
+bind_parsers(globals())
+"""
+
+
+def test_package_in_the_tuple_keyed_format_is_refused(tmp_path, monkeypatch):
+    """A package emitted with (namespace, local) keys would match no element."""
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    old, new = unique_model_name("old"), unique_model_name("new")
+    (tmp_path / f"{old}.py").write_text(_OLD_FORMAT_PACKAGE)
+    with pytest.raises(ImportError, match="older format.*regenerate"):
+        importlib.import_module(old)
+    # The same package keyed by expat names imports and parses.
+    (tmp_path / f"{new}.py").write_text(re.sub(r"\('urn:fix', '(\w+)'\)", r"'urn:fix \1'",
+                                               _OLD_FORMAT_PACKAGE))
+    package = importlib.import_module(new)
+    obj, warnings = runtime.parse_root(package._ROOTS, '<r xmlns="urn:fix"><v>x</v></r>')
+    assert (obj.v, warnings) == ("x", [])
