@@ -7,15 +7,36 @@ The result is a UsageReport: which components were used, which types
 were instanced, observed substitutions and wildcard fillers, per-particle
 occurrence maxima, and which elements only ever wrap a single child.
 
-Work that repeats is done once: a corpus shares one content matcher and
-one set of attribute/content facts per type, and within a document each
-distinct (type, child-name sequence) is matched once and each distinct
-leaf child is visited once.
+A document is read in one streaming pass, in expat's callbacks, with no
+element tree.  A stack holds one entry per open element.  At a child's
+START, its declaration is resolved from the names its parent type's
+element particles admit, and its facts and warnings are recorded, in
+document order.  At an element's END, the matcher assigns the child names
+and must agree with every resolution made at START.  The document is read
+again on the tree path (:func:`read_tree`, then a pre-order visit of the
+tree) when:
+
+* a match disagrees with a START resolution, as for an out-of-order child
+  in lenient mode;
+* a parent's particles admit a name as two different declarations;
+* an element has a child, and its type's content model holds a wildcard;
+* a toolchain error is raised: malformed XML, a strict-mode mismatch or an
+  invalid ``xsi:type``, among others.
+
+The tree path decides every such case on its own, and is the only source
+of failure messages, so what the streaming pass leaves out costs time,
+never a different report.
+
+Work that repeats is done once: a corpus shares one content matcher, one
+set of attribute/content facts and one child-name table per type, and one
+name table per element declaration; within a document each distinct (type,
+child-name sequence) is matched once.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -25,6 +46,7 @@ from .errors import (
     InvalidTypeOverrideError,
     MalformedDocumentError,
     MalformedXmlError,
+    SlimbindError,
     UnknownRootElementError,
     UnmatchedChildError,
 )
@@ -41,7 +63,23 @@ from .model import (
     WildcardParticle,
     substitution_members,
 )
-from .runtime import _XML_SPACE, read_tree
+from .runtime import (
+    _CHUNK,
+    _XML_SPACE,
+    _XSI_NIL,
+    _XSI_TYPE,
+    _ExpatSource,
+    _QNames,
+    _attribute,
+    _qname,
+    _split,
+    expat_name,
+    read_tree,
+    xsi_type_name,
+)
+
+
+_XSI_PREFIX = f"{XSI_NAMESPACE} "  # how the expat name of every xsi attribute starts
 
 
 class MatchKind(Enum):
@@ -161,17 +199,17 @@ class ContentMatcher:
         for declaring, content in schema.effective_content_chain(type_id):
             if content.kind is ContentKind.PARTICLES:
                 self.levels.append((declaring, content.root))
-        # id(particle) -> its name table; _CorpusTables shares one dict
-        # between the matchers of a corpus.
+        # element id -> the name table of its particles; _CorpusTables
+        # shares one dict between the matchers of a corpus.
         self.element_names = {}
 
     # ------------------------------------------------------------ name tables
 
     def _element_matches(self, particle: ElementParticle):
-        """qname -> (element id, is_substitution) for an element particle."""
-        table = self.element_names.get(id(particle))
+        """qname -> element id for an element particle; see :func:`_name_table`."""
+        table = self.element_names.get(particle.element)
         if table is None:
-            table = self.element_names[id(particle)] = _name_table(self.schema, particle)
+            table = self.element_names[particle.element] = _name_table(self.schema, particle)
         return table
 
     def _can_start(self, particle, name: QName) -> bool:
@@ -241,23 +279,38 @@ class ContentMatcher:
         return count
 
     def _match_element(self, particle, declaring, path, state) -> int:
-        """Take the run of names an element particle matches; returns its length."""
+        """Take the run of names an element particle matches; returns its length.
+
+        The run shares one Assignment per distinct table hit.  No reader of
+        a match changes an Assignment, so sharing one between children is
+        safe.
+        """
         table = self._element_matches(particle)
         limit = particle.occurs.max
-        pp = ParticlePath(declaring, path)
-        names = state.names
-        count = 0
-        while state.i < len(names) and (limit is None or count < limit):
-            hit = table.get(names[state.i])
-            if hit is None:
-                break
-            elem_id, via_subst = hit
-            state.take(Assignment(
-                kind=MatchKind.ELEMENT, particle=pp, element=elem_id,
-                effective_type=self.schema.component(elem_id).detail.declared_type,
-                head=particle.element if via_subst else None), pp)
-            count += 1
-        return count
+        names, assignments = state.names, state.assignments
+        first = at = state.i
+        stop = len(names) if limit is None else min(len(names), first + limit)
+        made = {}  # element id -> its Assignment in this run
+        last = None  # a run repeats one name object: look it up once
+        while at < stop:
+            name = names[at]
+            if name is not last:
+                elem_id = table.get(name)
+                if elem_id is None:
+                    break
+                last = name
+                assignment = made.get(elem_id)
+                if assignment is None:
+                    assignment = made[elem_id] = Assignment(
+                        kind=MatchKind.ELEMENT, particle=ParticlePath(declaring, path),
+                        element=elem_id,
+                        effective_type=self.schema.component(elem_id).detail.declared_type,
+                        head=None if elem_id == particle.element else particle.element)
+            assignments[at] = assignment
+            at += 1
+        if at > first:
+            state.taken(at - first, assignments[first].particle)
+        return at - first
 
     def _match_once(self, particle, declaring, path, state) -> bool:
         if isinstance(particle, WildcardParticle):
@@ -326,16 +379,20 @@ class ContentMatcher:
 
 
 def _name_table(schema: SchemaSet, particle: ElementParticle) -> dict:
-    """qname -> (element id, is_substitution) of the elements a particle admits."""
+    """qname -> element id of the elements a particle admits.
+
+    An id other than the particle's own element is a member of its
+    substitution group.
+    """
     table = {}
     comp = schema.component(particle.element)
     if not comp.detail.is_abstract:
-        table[comp.detail.qname] = (comp.id, False)
+        table[comp.detail.qname] = comp.id
     if comp.is_global:
         for member_id in substitution_members(schema, comp.id):
             member = schema.component(member_id)
             if not member.detail.is_abstract:
-                table.setdefault(member.detail.qname, (member_id, True))
+                table.setdefault(member.detail.qname, member_id)
     return table
 
 
@@ -355,8 +412,12 @@ class _MatchState:
 
     def take(self, assignment, pp):
         self.assignments[self.i] = assignment
-        self.counts[pp] = self.counts.get(pp, 0) + 1
-        self.i += 1
+        self.taken(1, pp)
+
+    def taken(self, n, pp):
+        """Count the ``n`` names just assigned to ``pp`` and move past them."""
+        self.counts[pp] = self.counts.get(pp, 0) + n
+        self.i += n
 
     def skip(self):
         self.assignments[self.i] = Assignment(kind=MatchKind.SKIP)
@@ -380,9 +441,8 @@ def assign_children(schema: SchemaSet, parent_type: str, child_names,
 class _INode:
     """One element of a corpus document, as :func:`read_tree` builds it.
 
-    ``xsi:type`` and ``xsi:nil`` are taken out of the attributes here; an
-    ``xsi:type`` that is not a QName, or whose prefix is undeclared, is
-    malformed at the element.
+    ``xsi:type`` and ``xsi:nil`` are taken out of the attributes here, and
+    ``xsi:type`` is read by :func:`~slimbind.runtime.xsi_type_name`.
     """
 
     __slots__ = ("qname", "attributes", "xsi_type", "nil", "children", "has_text",
@@ -404,64 +464,156 @@ class _INode:
             if qn.namespace != XSI_NAMESPACE:
                 plain.append((qn, value))
             elif qn.local == "type":
-                value = value.strip(_XML_SPACE)
-                if ":" in value:
-                    prefix, _, local = value.partition(":")
-                    ns = scope.get(prefix)
-                    if ns is None:
-                        raise MalformedXmlError(
-                            f"xsi:type uses undeclared prefix '{prefix}'",
-                            line=line, col=col)
-                else:
-                    ns, local = scope.get("", ""), value
-                try:
-                    self.xsi_type = QName(ns, local)
-                except ValueError:
-                    raise MalformedXmlError(f"xsi:type '{value}' is not a QName",
-                                            line=line, col=col) from None
+                self.xsi_type = _qname(xsi_type_name(value, scope, line, col))
             elif qn.local == "nil":
                 self.nil = value.strip(_XML_SPACE) in ("true", "1")
         self.attributes = tuple(plain)
 
 
+_NO_ATTRIBUTES = {}  # shared, never changed
+
+
 class _TypeFacts:
-    """What visiting an instance of one type reads from the schema."""
+    """What visiting an instance of one type reads from the schema.
 
-    __slots__ = ("attributes", "wildcard", "mixed", "element_content")
+    ``children`` is the type's child-name table, for the streaming pass.
+    """
 
-    def __init__(self, schema: SchemaSet, type_id: str):
+    __slots__ = ("type_id", "attributes", "wildcard", "mixed", "element_content",
+                 "children")
+
+    def __init__(self, tables: _CorpusTables, type_id: str):
+        schema = tables.schema
         comp = schema.component(type_id)
-        self.attributes = {}  # attribute QName -> attribute id
+        self.type_id = type_id
+        self.attributes = _NO_ATTRIBUTES  # attribute expat name -> attribute id
         self.wildcard = None  # attribute wildcard id
         self.mixed = False
         self.element_content = False  # complex, and its content is not simple
         if comp.kind is ComponentKind.COMPLEX_TYPE:
+            attributes = {}
             for _level, use in schema.effective_attribute_uses(type_id):
-                attr = schema.component(use.attribute)
-                self.attributes[attr.detail.qname] = use.attribute
+                qn = schema.component(use.attribute).detail.qname
+                if qn.namespace != XSI_NAMESPACE:  # xsi attributes are never declared ones
+                    attributes[expat_name(qn.namespace, qn.local)] = use.attribute
+            self.attributes = attributes or _NO_ATTRIBUTES
             self.wildcard = comp.detail.attribute_wildcard
             self.mixed = schema.effective_mixed(type_id)
             self.element_content = comp.detail.content.kind is not ContentKind.SIMPLE
+        self.children = _ChildNames(tables, type_id)
+
+
+# What a child-name table gives for a name that is not one declaration.
+_SKIPPED = "skipped"  # no particle admits it: a skipped child
+_AMBIGUOUS = "ambiguous"  # particles admit it as different declarations
+_ROOT = "root"  # the document element
+_INSIDE_SKIPPED = "inside skipped"  # an element of a skipped subtree
+
+
+class _Always(dict):
+    """A child-name table that resolves every name to ``value``."""
+
+    __slots__ = ("value",)
+    matcher = None  # children resolved here are never matched
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, name):
+        return self.value
+
+
+_AT_ROOT = _Always(_ROOT)
+_NIL_CHILDREN = _Always(_SKIPPED)  # the children of a nil element
+_IN_SKIPPED = _Always(_INSIDE_SKIPPED)
+
+
+class _ChildNames(dict):
+    """How one type's content model resolves the expat name of a child.
+
+    A name maps to ``(element id, head, facts of its declared type)`` when
+    the type's element particles admit it as one declaration, ``head``
+    being the substitution head it stands for, or None; else to
+    ``_SKIPPED`` or ``_AMBIGUOUS``.  Each name is resolved once per corpus,
+    the first time it is met, from the name tables the corpus's matchers
+    share, one per element declaration, so no table is copied per type.
+    ``matcher`` is the type's matcher, or None when the type allows no
+    element children, from the first name on.  A content model with a
+    wildcard raises :class:`_Fallback`.
+    """
+
+    __slots__ = ("tables", "type_id", "matcher", "particles")
+
+    def __init__(self, tables, type_id):
+        super().__init__()
+        # The tables hold this table; a weak reference back lets a corpus's
+        # tables be freed as soon as its analysis ends, with no cycle.
+        self.tables, self.type_id = weakref.proxy(tables), type_id
+        self.matcher = None
+        self.particles = None  # the element particles, once read
+
+    def __missing__(self, name):
+        tables = self.tables
+        if self.particles is None:
+            self.particles = self._element_particles()
+        qname = _qname(name)
+        found = set()
+        for particle in self.particles:
+            elem_id = self.matcher._element_matches(particle).get(qname)
+            if elem_id is not None:
+                found.add((elem_id, None if elem_id == particle.element else particle.element))
+        if len(found) == 1:
+            [(elem_id, head)] = found
+            value = (elem_id, head, tables.type_facts(
+                tables.schema.component(elem_id).detail.declared_type))
+        else:
+            value = _AMBIGUOUS if found else _SKIPPED
+        self[name] = value
+        return value
+
+    def _element_particles(self):
+        facts = self.tables.type_facts(self.type_id)
+        if not facts.element_content:
+            return ()
+        matcher = self.tables.matcher(self.type_id)
+        if not matcher.levels:
+            return ()
+        particles, todo = [], [root for _declaring, root in matcher.levels]
+        while todo:
+            particle = todo.pop()
+            if isinstance(particle, ElementParticle):
+                particles.append(particle)
+            elif isinstance(particle, WildcardParticle):
+                raise _Fallback(f"{self.type_id} has a wildcard")
+            else:
+                todo.extend(particle.children)
+        self.matcher = matcher
+        return tuple(particles)
+
+
+class _Fallback(Exception):
+    """The streaming pass leaves the document to the tree path."""
 
 
 class _CorpusTables:
     """Content matchers and per-type facts, shared by a corpus's documents.
 
     The matchers also share their element-name tables: the types of an
-    extension chain match their base levels' particles, and each particle's
-    table is built once.
+    extension chain match their base levels' particles, and the table of
+    each element is built once, for every particle that refers to it.
     """
 
     def __init__(self, schema: SchemaSet):
         self.schema = schema
         self.facts = {}  # type id -> _TypeFacts
         self.matchers = {}  # type id -> ContentMatcher
-        self.element_names = {}  # id(particle) -> name table
+        self.element_names = {}  # element id -> name table
 
     def type_facts(self, type_id) -> _TypeFacts:
         facts = self.facts.get(type_id)
         if facts is None:
-            facts = self.facts[type_id] = _TypeFacts(self.schema, type_id)
+            facts = self.facts[type_id] = _TypeFacts(self, type_id)
         return facts
 
     def matcher(self, type_id) -> ContentMatcher:
@@ -470,6 +622,14 @@ class _CorpusTables:
             m = self.matchers[type_id] = ContentMatcher(self.schema, type_id)
             m.element_names = self.element_names
         return m
+
+
+def _override(schema: SchemaSet, declared: str, xsi_type: QName) -> Optional[str]:
+    """The id of the type ``xsi:type`` names, if it is derived from ``declared``."""
+    found = schema.lookup_global("type", xsi_type)
+    if found is not None and schema.is_derived_from(found.id, declared):
+        return found.id
+    return None
 
 
 class _DocumentAnalyzer:
@@ -516,17 +676,17 @@ class _DocumentAnalyzer:
     def _apply_xsi_type(self, node, elem_id, declared):
         if node.xsi_type is None:
             return declared
-        override = self.schema.lookup_global("type", node.xsi_type)
-        if override is None or not self.schema.is_derived_from(override.id, declared):
+        override = _override(self.schema, declared, node.xsi_type)
+        if override is None:
             message = (f"xsi:type {node.xsi_type} on <{node.qname}> is not derived "
                        f"from the declared type")
             if self.strict:
                 raise InvalidTypeOverrideError(f"{self.doc}:{node.line}: {message}")
             self.warn(node, message)
             return declared
-        if override.id != declared:
-            self.report.type_substitutions.setdefault(elem_id, set()).add(override.id)
-        return override.id
+        if override != declared:
+            self.report.type_substitutions.setdefault(elem_id, set()).add(override)
+        return override
 
     def visit(self, node: _INode, elem_id: str, type_id: str):
         report = self.report
@@ -538,7 +698,7 @@ class _DocumentAnalyzer:
 
         # Attribute usage.
         for qn, _value in node.attributes:
-            attr_id = facts.attributes.get(qn)
+            attr_id = facts.attributes.get(expat_name(qn.namespace, qn.local))
             if attr_id is not None:
                 used.add(attr_id)
             elif facts.wildcard is not None and self.schema.component(
@@ -640,16 +800,191 @@ def analyze_document(schema: SchemaSet, name: str, data, mode: str,
                      tables: Optional[_CorpusTables] = None) -> UsageReport:
     """Usage facts of one document.
 
-    ``tables`` carries content matchers and per-type facts between the
-    documents of one corpus; a lone call builds its own.
+    The streaming pass reads it first; a document it leaves is read again
+    on the tree path.  ``tables`` carries content matchers and per-type
+    facts between the documents of one corpus; a lone call builds its own.
     """
+    if tables is None:
+        tables = _CorpusTables(schema)
+    try:
+        return _stream_document(schema, name, data, mode, tables)
+    except (_Fallback, SlimbindError):
+        pass
+    return _tree_document(schema, name, data, mode, tables)
+
+
+def _tree_document(schema, name, data, mode, tables) -> UsageReport:
+    """Usage facts of one document, read into a tree of :class:`_INode`."""
     try:
         root = read_tree(data, name, _INode)
     except MalformedXmlError as exc:
         raise MalformedDocumentError(f"{name}: {exc}") from exc
-    if tables is None:
-        tables = _CorpusTables(schema)
     return _DocumentAnalyzer(schema, mode, name, tables).run(root)
+
+
+def _stream_document(schema, doc, data, mode, tables) -> UsageReport:
+    """Usage facts of one document, gathered in expat's callbacks.
+
+    Each open element has an entry on ``stack``: ``[children, element id,
+    facts, child names, plain attribute count, nil, has text]``, where
+    ``children`` is the table that resolves its children's expat names.  A
+    child's facts are recorded at its START, from that resolution, and
+    warnings in document order, as the tree path's pre-order visit gives
+    them.  At an element's END, :meth:`ContentMatcher.match` assigns its
+    child names once per document and shape, and every assignment must be
+    the resolution made at START.  Where the tree path could decide
+    otherwise (a disagreement, an ambiguous name, a wildcard, a toolchain
+    error) this raises, and the caller reads the document on the tree path.
+    """
+    strict = mode == "strict"
+    report = UsageReport()
+    used, instanced = report.used_components, report.instanced_types
+    single = report._single_child_state
+    qnames = _QNames()  # expat name -> QName, for matching and messages
+    matched = set()  # (type id, child names) this document has matched
+    skipped = [_IN_SKIPPED, None, None, None, 0, False, False]
+    stack = [[_AT_ROOT, None, None, [], 0, False, False]]
+    push, pop = stack.append, stack.pop
+
+    def warn(message):
+        report.warnings.append(f"{doc}:{parser.CurrentLineNumber}:"
+                               f"{parser.CurrentColumnNumber + 1}: {message}")
+
+    def start(name, attrs):
+        parent = stack[-1]
+        xsi = None
+        if attrs and _XSI_TYPE in attrs:
+            value = _attribute(attrs, _XSI_TYPE)
+            if value is not None:
+                xsi = xsi_type_name(value, scopes[-1], parser.CurrentLineNumber,
+                                    parser.CurrentColumnNumber + 1)
+        hit = parent[0][name]
+        if hit.__class__ is tuple:
+            parent[3].append(name)
+        elif hit is _INSIDE_SKIPPED:
+            push(skipped)
+            return
+        elif hit is _ROOT:
+            hit, xsi = root(name, xsi), None
+        elif hit is _SKIPPED and not strict:
+            parent[3].append(name)
+            warn(f"unmatched element <{qnames[name]}> skipped")
+            push(skipped)
+            return
+        else:
+            raise _Fallback(f"<{qnames[name]}> is {hit}")
+        elem_id, head, facts = hit
+        if head is not None:
+            # The head itself is retained later via the SUBSTITUTION_HEAD edge;
+            # only the member that actually appeared counts as used.
+            report.element_substitutions.setdefault(head, set()).add(elem_id)
+        if xsi is not None:
+            facts = override(name, elem_id, facts, xsi)
+        type_id = facts.type_id
+        used.add(elem_id)
+        used.add(type_id)
+        instanced.add(type_id)
+        children = facts.children
+        plain = 0
+        nil = False
+        if attrs:
+            declared = facts.attributes
+            for at in range(0, len(attrs), 2):
+                attr = attrs[at]
+                attr_id = declared.get(attr)
+                if attr_id is not None:
+                    used.add(attr_id)
+                    plain += 1
+                elif attr.startswith(_XSI_PREFIX):
+                    if attr == _XSI_NIL and attrs[at + 1].strip(_XML_SPACE) in ("true", "1"):
+                        nil = True
+                        children = _NIL_CHILDREN
+                else:
+                    plain += 1
+                    undeclared(name, attr, facts)
+        push([children, elem_id, facts, [], plain, nil, False])
+
+    def root(name, xsi):
+        elem_id, type_id = assign_root(schema, qnames[name],
+                                       None if xsi is None else qnames[xsi])
+        report.root_elements.add(elem_id)
+        if xsi is not None and type_id != schema.component(elem_id).detail.declared_type:
+            report.type_substitutions.setdefault(elem_id, set()).add(type_id)
+        return elem_id, None, tables.type_facts(type_id)
+
+    def override(name, elem_id, facts, xsi):
+        type_id = _override(schema, facts.type_id, qnames[xsi])
+        if type_id is None:
+            if strict:
+                raise _Fallback(f"xsi:type {qnames[xsi]} is not derived")
+            warn(f"xsi:type {qnames[xsi]} on <{qnames[name]}> is not derived "
+                 f"from the declared type")
+            return facts
+        if type_id != facts.type_id:
+            report.type_substitutions.setdefault(elem_id, set()).add(type_id)
+        return tables.type_facts(type_id)
+
+    def undeclared(name, attr, facts):
+        wildcard = facts.wildcard
+        if wildcard is not None and schema.component(wildcard).detail.admits(
+                _split(attr)[0]):
+            used.add(wildcard)
+        else:
+            warn(f"undeclared attribute {qnames[attr]} on <{qnames[name]}>")
+
+    def end(_name):
+        entry = pop()
+        names = entry[3]
+        if not names:  # a leaf never qualifies as a single-child wrapper
+            if entry is not skipped:
+                single[entry[1]] = False
+            return
+        children, elem_id, facts, names, plain, nil, has_text = entry
+        if children.matcher is not None:
+            key = (facts.type_id, tuple(names))
+            if key not in matched:
+                match(key, children)
+        if single.get(elem_id, True):
+            single[elem_id] = (len(names) == 1 and not plain and not has_text
+                               and not facts.mixed and not nil)
+
+    def match(key, children):
+        """Match one shape of children and check it against their START."""
+        names = key[1]
+        state = children.matcher.match(tuple([qnames[n] for n in names]), strict)
+        last = None
+        for name, assignment in zip(names, state.assignments):
+            if last is not None and name == last[0] and assignment is last[1]:
+                continue  # a run shares its Assignment
+            last = name, assignment
+            hit = children[name]
+            if assignment.kind is MatchKind.ELEMENT:
+                agrees = (hit.__class__ is tuple and hit[0] == assignment.element
+                          and hit[1] == assignment.head
+                          and hit[2].type_id == assignment.effective_type)
+            else:
+                agrees = assignment.kind is MatchKind.SKIP and hit is _SKIPPED
+            if not agrees:
+                raise _Fallback(f"the match of <{qnames[name]}> disagrees with its START")
+        used.update(state.groups_used)
+        maxima = report.occurrence_maxima
+        for pp, count in state.counts.items():
+            if count > maxima.get(pp, 0):
+                maxima[pp] = count
+        matched.add(key)
+
+    def characters(chunk):
+        if chunk.strip(_XML_SPACE):
+            stack[-1][6] = True
+
+    source = _ExpatSource(data, doc, start, end, characters)
+    parser, scopes = source.parser, source.scopes
+    at = 0  # fed in chunks, so that expat never holds a copy of the document
+    while not source.feed(at, at + _CHUNK):
+        at += _CHUNK
+    report.document_count = 1
+    report.single_child_elements = {e for e, ok in single.items() if ok}
+    return report
 
 
 def analyze_corpus(schema: SchemaSet, documents, mode: str = "strict") -> UsageReport:

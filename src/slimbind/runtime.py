@@ -1,17 +1,22 @@
 """Namespace-aware XML reading over expat, and the tolerance policy.
 
-Three readers share one expat set-up, ``_ExpatSource``, which enforces XML
+Every reader shares one expat set-up, ``_ExpatSource``, which enforces XML
 1.0 plus Namespaces: expat normalizes line ends and attribute whitespace,
 and decodes byte input by its BOM or declared encoding.
 
 * Generated parsers bind records straight from expat's callbacks
   (:func:`parse_root`), on expat's own names: no event and no QName is
-  built between expat and the record.
+  built between expat and the record.  The corpus analyzer reads its
+  documents the same way.
 * :class:`ParseContext` is a pull interface over the same callbacks, for
   code that wants events.  It coalesces text into one TEXT event across
   comments, processing instructions and CDATA sections.
-* The schema loader and the corpus analyzer need whole trees, so
-  :func:`read_tree` builds them in the callbacks too.
+* :func:`read_tree` builds a whole tree in the callbacks, for the schema
+  loader and for the documents the analyzer's streaming pass leaves to its
+  tree path.
+
+:func:`xsi_type_name` is the one reader of ``xsi:type`` values, for the
+generated parsers and the analyzer alike.
 
 The DTD never changes what a reader sees.  Entity declarations, attribute
 defaults, and documents that need an external subset or parameter
@@ -120,7 +125,7 @@ class _Tolerance:
                                           self.source_name))
 
 
-_CHUNK = 1 << 16  # bytes handed to expat per Parse call by ParseContext
+_CHUNK = 1 << 16  # bytes handed to expat per Parse call by chunked readers
 _XML_SPACE = " \t\r\n"  # XML's whitespace (the S production); str.strip() takes more
 _XML_SCOPE = {"xml": XML_NAMESPACE}
 _HANDLERS = ("StartNamespaceDeclHandler", "EndNamespaceDeclHandler", "StartElementHandler",
@@ -727,21 +732,25 @@ def _is_nil(attrs):
     return (_attribute(attrs, _XSI_NIL) or "").strip(_XML_SPACE) in ("true", "1")
 
 
-def _xsi_type(attrs, scope):
-    """The expat name of the type an element's ``xsi:type`` names, or None.
+def xsi_type_name(value, scope, line, col):
+    """The expat name of the type an ``xsi:type`` attribute value names.
 
-    A local part holding a space names no type; spelt as an expat name, it
-    could read as another namespace's name.
+    ``scope`` is the namespace scope in force at the element and
+    ``line``, ``col`` the position of its '<'.  A value whose prefix is not
+    declared there, or that is not a QName (an empty part, a second colon,
+    a space), is malformed at the element in either mode.
     """
-    raw = _attribute(attrs, _XSI_TYPE)
-    if raw is None:
-        return None
-    prefix, colon, local = raw.strip(_XML_SPACE).partition(":")
+    value = value.strip(_XML_SPACE)
+    prefix, colon, local = value.partition(":")
     if not colon:
-        prefix, local = "", prefix
-    if " " in local:
-        return None
-    return expat_name(scope.get(prefix, ""), local)
+        prefix, local = "", value
+    elif prefix and prefix not in scope:
+        raise MalformedXmlError(f"xsi:type uses undeclared prefix '{prefix}'",
+                                line=line, col=col)
+    # An empty prefix, as in ":D", makes no QName either.
+    if local and (prefix or not colon) and ":" not in local and local.split() == [local]:
+        return expat_name(scope.get(prefix, ""), local)
+    raise MalformedXmlError(f"xsi:type '{value}' is not a QName", line=line, col=col)
 
 
 def parse_root(roots, source, mode="strict", source_name="<input>"):
@@ -852,7 +861,9 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             cls, conv, by_type = target
             what, owner, slot, many = f"root {_split(name)[1]}", ctx, "result", False
         if by_type is not None:
-            typed = by_type.get(_xsi_type(attrs, scopes[-1]))
+            raw = _attribute(attrs, _XSI_TYPE)
+            typed = None if raw is None else by_type.get(
+                xsi_type_name(raw, scopes[-1], line, col))
             if typed is not None:
                 cls, conv, _ = typed
         if cls is not None:

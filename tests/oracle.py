@@ -20,6 +20,7 @@ from slimbind.binding import (
     ValueCategory,
     effective_fields,
 )
+from slimbind.errors import MalformedXmlError
 from slimbind.model import XSI_NAMESPACE
 from slimbind.runtime import (
     EventKind,
@@ -110,6 +111,11 @@ def _consume_nil(ctx):
 
 
 def _xsi_type_of(ctx, ev):
+    """``(namespace, local)`` of the type ``ev``'s xsi:type names, or None.
+
+    A prefix the element's scope does not declare, or a value that is not
+    a QName, is malformed at the element, in either mode.
+    """
     raw = ev.attr(XSI_NAMESPACE, "type")
     if raw is None:
         return None
@@ -117,8 +123,17 @@ def _xsi_type_of(ctx, ev):
     nsmap = ctx.active_namespaces()
     if ":" in raw:
         prefix, _, local = raw.partition(":")
-        return (nsmap.get(prefix, ""), local)
-    return (nsmap.get("", ""), raw)
+        if prefix not in nsmap and prefix:
+            raise MalformedXmlError(f"xsi:type uses undeclared prefix '{prefix}'",
+                                    line=ev.line, col=ev.col, source=ctx.source_name)
+    else:
+        prefix, local = None, raw
+    parts = [local] if prefix is None else [prefix, local]
+    if not all(part and ":" not in part and not any(c.isspace() for c in part)
+               for part in parts):
+        raise MalformedXmlError(f"xsi:type '{raw}' is not a QName",
+                                line=ev.line, col=ev.col, source=ctx.source_name)
+    return (nsmap.get(prefix or "", ""), local)
 
 
 class Interpreter:

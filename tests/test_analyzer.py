@@ -188,6 +188,18 @@ class TestAnalyzeCorpus:
         assert len(report.failures) == 1
         assert report.document_count == 1
 
+    def test_group_reference_is_used(self):
+        schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:group name="G">
+    <xs:sequence><xs:element name="g" type="xs:int"/></xs:sequence>
+  </xs:group>
+  <xs:complexType name="R">
+    <xs:sequence><xs:group ref="tns:G"/></xs:sequence>
+  </xs:complexType>""")
+        report = analyze(schema, f'<r xmlns="{TNS}"><g>1</g></r>')
+        assert cid("group", "G") in report.used_components
+
     def test_lenient_skips_and_counts_nothing_for_skips(self, po_schema):
         bad = f'<po xmlns="{TNS}" id="1"><bogus/><note>n</note></po>'
         report = analyze_corpus(po_schema, [("b.xml", bad)], mode="lenient")
@@ -286,6 +298,10 @@ class TestSingleChild:
         _, report = self.make(f'<r xmlns="{TNS}"><w a="v"><k>x</k></w></r>')
         assert cid("element", "R/w") not in report.single_child_elements
 
+    def test_text_disqualifies(self):
+        _, report = self.make(f'<r xmlns="{TNS}"><w>text<k>x</k></w></r>')
+        assert cid("element", "R/w") not in report.single_child_elements
+
     def test_any_instance_disqualifies(self):
         _, report = self.make(
             f'<r xmlns="{TNS}"><w><k>x</k></w><w><k>x</k><k>y</k></w></r>')
@@ -358,6 +374,28 @@ class TestXsiFeatures:
         report = analyze_corpus(schema, [("d.xml", doc)], mode="strict")
         assert report.failures
         assert isinstance(report.failures[0][1], InvalidTypeOverrideError)
+
+    def test_invalid_xsi_type_lenient_keeps_the_declared_type(self):
+        schema = schema_of(self.SCHEMA + '\n  <xs:complexType name="Z"/>')
+        doc = (f'<r xmlns="{TNS}" xmlns:tns="{TNS}" '
+               'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+               '\n<v xsi:type="tns:Z"><x>1</x></v></r>')
+        report = analyze_corpus(schema, [("d.xml", doc)], mode="lenient")
+        assert report.warnings == [f"d.xml:2:1: xsi:type {{{TNS}}}Z on <{{{TNS}}}v> is "
+                                   "not derived from the declared type"]
+        assert cid("complexType", "B") in report.instanced_types
+        assert cid("complexType", "Z") not in report.used_components
+        assert cid("element", "B/x") in report.used_components
+
+    def test_children_of_a_nil_element_are_skipped(self):
+        schema = schema_of(self.SCHEMA)
+        doc = (f'<r xmlns="{TNS}" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
+               '\n<v xsi:nil="true"><x>1</x></v></r>')
+        report = analyze_corpus(schema, [("d.xml", doc)], "lenient")
+        assert report.warnings == [f"d.xml:2:19: unmatched element <{{{TNS}}}x> skipped"]
+        assert cid("element", "B/x") not in report.used_components
+        [(_name, exc)] = analyze_corpus(schema, [("d.xml", doc)], "strict").failures
+        assert isinstance(exc, UnmatchedChildError)
 
     def test_nil_counts_type_without_children(self):
         schema = schema_of(self.SCHEMA)
@@ -546,14 +584,31 @@ def _element_block(lines, i):
     return i, lines.index(close, i + 1)
 
 
+_XSI = "http://www.w3.org/2001/XMLSchema-instance"
+
+
+def _sibling_after(lines, block):
+    """The block of the next sibling of ``block``, or None."""
+    a, b = block
+    if b + 1 >= len(lines) - 1:
+        return None
+    nxt = _element_block(lines, b + 1)
+    if nxt is None or _OPEN_TAG.match(lines[b + 1]).group(1) != \
+            _OPEN_TAG.match(lines[a]).group(1):
+        return None
+    return nxt
+
+
 @st.composite
 def edited_corpus(draw):
     """A synthetic schema and a corpus edited so that shapes and leaves repeat.
 
     Edits: repeat an element (a leaf or a whole subtree) right after itself,
-    give an element an extra attribute, or insert an element the schema
-    does not declare.  Edited documents may fail in strict mode; both
-    analyzers must then fail them the same way.
+    swap it with its next sibling, drop it, give it an undeclared attribute
+    (in no namespace or in a foreign one), make an element with children
+    ``xsi:nil`` or give it text, or insert an element the schema does not
+    declare, whose subtree may hold a malformed ``xsi:type``.  Edited documents may fail
+    in strict mode; both analyzers must then fail them the same way.
     """
     from synth import generate_case
     from slimbind.loader import SchemaSource, load_schema_set
@@ -567,15 +622,34 @@ def edited_corpus(draw):
             if len(lines) < 3:
                 break
             i = draw(st.integers(1, len(lines) - 2))  # inside the root
-            edit = draw(st.sampled_from(["repeat", "repeat", "attribute", "unknown"]))
+            edit = draw(st.sampled_from(["repeat", "repeat", "attribute", "unknown", "swap",
+                                         "drop", "nil", "bad-type", "text"]))
             block = _element_block(lines, i)
             if edit == "repeat" and block is not None:
                 a, b = block
                 lines[b + 1:b + 1] = lines[a:b + 1]
             elif edit == "attribute" and block is not None:
-                lines[i] = _OPEN_TAG.sub(rf'\g<0> edit{k}="x"', lines[i], count=1)
+                attr = draw(st.sampled_from([f'edit{k}="x"',
+                                             f'xmlns:u{k}="urn:u" u{k}:a="x"']))
+                lines[i] = _OPEN_TAG.sub(rf'\g<0> {attr}', lines[i], count=1)
             elif edit == "unknown":
                 lines.insert(i, f"<unknown{k % 2}/>")
+            elif edit == "swap" and block is not None:
+                nxt = _sibling_after(lines, block)
+                if nxt is not None:
+                    (a, b), (c, d) = block, nxt
+                    lines[a:d + 1] = lines[c:d + 1] + lines[a:b + 1]
+            elif edit == "drop" and block is not None:
+                del lines[block[0]:block[1] + 1]
+            elif edit == "nil" and block is not None and block[1] > block[0]:
+                lines[i] = _OPEN_TAG.sub(rf'\g<0> xmlns:xn{k}="{_XSI}" xn{k}:nil="true"',
+                                         lines[i], count=1)
+            elif edit == "text" and block is not None and block[1] > block[0]:
+                lines.insert(i + 1, "stray text")
+            elif edit == "bad-type":
+                lines.insert(i, f'<unknown{k % 2}><deep xmlns:xt="{_XSI}" '
+                                f'xt:type="{draw(st.sampled_from(["zz:T", "a b", "t:"]))}"/>'
+                                f'</unknown{k % 2}>')
         edited.append("\n".join(lines))
     schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
     return schema, [(f"d{i}.xml", d) for i, d in enumerate(edited)]
@@ -596,6 +670,88 @@ def test_memoised_analysis_equals_fresh_matching(case):
             mp.setattr(analyzer_module, "_DocumentAnalyzer", _Unmemoised)
             fresh = analyze_corpus(schema, corpus, mode)
         assert _outcome(memoised) == _outcome(fresh)
+
+
+def _tree_only(*_args):
+    raise analyzer_module._Fallback("the tree path reads every document")
+
+
+@settings(max_examples=80, deadline=None)
+@given(edited_corpus())
+def test_streaming_analysis_equals_unmemoised_tree(case):
+    """The streaming pass, with its fallback, against the tree path alone."""
+    schema, corpus = case
+    for mode in ("strict", "lenient"):
+        streamed = analyze_corpus(schema, corpus, mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analyzer_module, "_DocumentAnalyzer", _Unmemoised)
+            mp.setattr(analyzer_module, "_stream_document", _tree_only)
+            fresh = analyze_corpus(schema, corpus, mode)
+        assert _outcome(streamed) == _outcome(fresh)
+
+
+def _no_tree(*_args):
+    raise AssertionError("a document took the tree path")
+
+
+def test_streaming_pass_needs_no_tree(monkeypatch):
+    """The acceptance megabyte, and a lenient corpus with foreign elements."""
+    from test_acceptance import PERF_SCHEMA, build_megabyte_document
+    from synth import generate_case
+    from slimbind.loader import SchemaSource, load_schema_set
+
+    monkeypatch.setattr(analyzer_module, "_tree_document", _no_tree)
+    doc, n_records = build_megabyte_document()
+    report = analyze_corpus(schema_of(PERF_SCHEMA), [("log.xml", doc)])
+    assert report.document_count == 1 and not report.failures
+    assert report.occurrence_maxima[ParticlePath(cid("complexType", "LogType"), (0,))] \
+        == n_records
+
+    foreign = '<f:extra xmlns:f="urn:foreign"><f:deep>x</f:deep></f:extra>'
+    g, xsd, docs = generate_case(24, n_docs=8)  # xsi:type, choices, extensions
+    assert not any(t.has_wildcard for t in g.types.values())
+    schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+    corpus = [(f"d{i}.xml", d.replace(">", ">" + foreign, 1)) for i, d in enumerate(docs)]
+    report = analyze_corpus(schema, corpus, "lenient")
+    assert report.document_count == 8 and not report.failures
+    assert sum("unmatched element <{urn:foreign}extra>" in w for w in report.warnings) == 8
+
+
+def test_no_document_without_a_wildcard_takes_the_tree_path(monkeypatch):
+    """Choices, substitution groups, xsi:type and extension chains stream."""
+    from synth import generate_case
+    from slimbind.loader import SchemaSource, load_schema_set
+
+    monkeypatch.setattr(analyzer_module, "_tree_document", _no_tree)
+    streamed = 0
+    for seed in range(40):
+        g, xsd, docs = generate_case(seed)
+        if any(t.has_wildcard for t in g.types.values()):
+            continue
+        schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+        for mode in ("strict", "lenient"):
+            report = analyze_corpus(schema, [(f"d{i}.xml", d) for i, d in enumerate(docs)],
+                                    mode)
+            assert report.document_count == len(docs)
+            streamed += len(docs)
+    assert streamed > 50
+
+
+def test_streamed_megabyte_peak_allocation():
+    import tracemalloc
+
+    from test_acceptance import PERF_SCHEMA, build_megabyte_document
+
+    schema = schema_of(PERF_SCHEMA)
+    data = build_megabyte_document()[0].encode()
+    tracemalloc.start()
+    try:
+        report = analyze_corpus(schema, [("log.xml", data)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.document_count == 1
+    assert peak < 2 * 2**20, peak
 
 
 def test_corpus_builds_one_matcher_per_type(monkeypatch):

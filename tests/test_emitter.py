@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, XS_HEAD, analyze, cid, schema_of
+from slimbind.analyzer import analyze_corpus
 from genutil import assert_equivalent, build_and_import, normalize, unique_model_name
 from slimbind.binding import (
     _RECORD_ATTRIBUTES,
@@ -38,7 +39,7 @@ from slimbind.emitter import (
     size_report,
     write_artifacts,
 )
-from slimbind.errors import BadSimpleValueError, UnresolvedPlaceholderError
+from slimbind.errors import BadSimpleValueError, MalformedXmlError, UnresolvedPlaceholderError
 from slimbind.loader import SchemaSource, load_schema_set
 from slimbind.model import QName
 from slimbind import runtime
@@ -189,16 +190,6 @@ class TestSizeReport:
         assert size_report(pruned)[0] < size_report(unpruned)[0]
 
 
-def module_section(source, start, end):
-    """The lines of `source` from the one starting with `start` up to the one
-    starting with `end` (exclusive; None runs to the end)."""
-    lines = source.splitlines(keepends=True)
-    first = next(i for i, line in enumerate(lines) if line.startswith(start))
-    last = len(lines) if end is None else next(
-        i for i, line in enumerate(lines) if i > first and line.startswith(end))
-    return "".join(lines[first:last])
-
-
 class TestGolden:
     """Frozen generated sources and JSON reports; regenerate with tests/golden/refresh.py."""
 
@@ -233,19 +224,9 @@ class TestGolden:
         return emit_parser_backend(self.build()[3])
 
     def golden_outputs(self):
-        """Name -> content of every file pinned under tests/golden.
-
-        Besides the whole package module, the CartType class with its row
-        table and the dispatch section (tables, root table, parse_document)
-        are pinned on their own, under the names of the per-class and
-        dispatch modules they were emitted as before the one-module package,
-        so a drift is reported against the section that moved.
-        """
+        """Name -> content of every file pinned under tests/golden."""
         schema, usage, retained, model = self.build()
         outputs = {a.path: a.content for a in emit_parser_backend(model)}
-        module = outputs["__init__.py"]
-        outputs["c_carttype.py"] = module_section(module, "class CartType(", "class PayType(")
-        outputs["dispatch.py"] = module_section(module, "# Dispatch tables", None)
         outputs["usage-report.json"] = usage.to_json()
         outputs["reduction-report.json"] = reduction_report(schema, retained).to_json()
         outputs["binding-model.json"] = serialize_binding_model(model)
@@ -1082,7 +1063,7 @@ _D_VALUE = '<n:bx>1</n:bx>\n<n:dy>2</n:dy>'
      f'<n:v xmlns="{TNS}" xsi:type="D">{_D_VALUE}</n:v>\n</n:g>\n'
      f'<n:v xsi:type="D">{_D_VALUE}</n:v>\n</n:r>'),
     # The prefix xsi:type uses is declared on the element that carries it.
-    (f'<n:r xmlns:n="{TNS}" {_XSI_DECL}>\n'
+    (f'<n:r xmlns:n="{TNS}" xmlns:q="urn:elsewhere" {_XSI_DECL}>\n'
      f'<n:v xmlns:q="{TNS}" xsi:type="q:D">{_D_VALUE}</n:v>\n'
      f'<n:v xsi:type="q:D"/>\n<n:w xmlns:q="urn:elsewhere" xsi:type="q:D">{_D_VALUE}</n:w>'
      '\n</n:r>'),
@@ -1105,19 +1086,72 @@ def test_xsi_type_resolves_in_the_namespace_scope_of_its_element(tmp_path, doc):
     "ns D", " ns D ", "n:D x", "n:D&#9;x", "w0:D", "w0:", "n:", ":D", "D", " n:D ",
 ], ids=lambda value: ascii(value))
 def test_xsi_type_edge_cases_match_the_oracle(tmp_path, xsi_type):
-    """A local part holding a space never matches a key.
+    """A value that is not a QName, or whose prefix is undeclared, is malformed.
 
     The target namespace ``ns`` has no colon, so ``"ns D"`` is the very
-    expat name of type D; read as xsi:type, it is a local name in no
-    namespace, which names no type.
+    expat name of type D; read as xsi:type, it holds a space, so it is no
+    QName and names no type.
     """
     head = XS_HEAD.replace(TNS, "ns")
     model, module = _typed_module(tmp_path, head)
     doc = (f'<n:r xmlns:n="ns" {_XSI_DECL}>\n<n:v xsi:type="{xsi_type}">'
            f'{_D_VALUE}</n:v>\n</n:r>')
     _assert_oracle_outcomes(model, module, [doc])
+    if xsi_type.strip() not in ("n:D", "D"):
+        with pytest.raises(MalformedXmlError):
+            module.parse_document(doc, mode="lenient")
+        return
     obj, _ = module.parse_document(doc, mode="lenient")
     assert type(obj.v[0]).__name__ == ("D" if xsi_type.strip() == "n:D" else "B")
+
+
+@pytest.fixture(scope="module")
+def typed_parsers(tmp_path_factory):
+    """The R/G/B/D schema, its generated package and the oracle over its model."""
+    from oracle import Interpreter
+    model, module = _typed_module(tmp_path_factory.mktemp("typed"))
+    schema = schema_of(_TYPED_BODY)
+    return schema, module, Interpreter(model)
+
+
+def _malformed(parse, doc, mode):
+    """The message of the MalformedXmlError ``parse`` raises, or None."""
+    from slimbind.errors import SlimbindError
+    try:
+        parse(doc, mode=mode, source_name="d.xml")
+    except SlimbindError as exc:
+        return str(exc) if isinstance(exc, MalformedXmlError) else None
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(pad=st.sampled_from(["", " ", "\t"]),
+       prefix=st.sampled_from(["", "n:", "q:", "zz:", ":", "n:x:"]),
+       local=st.sampled_from(["D", "B", "", "D x", "D\u00a0", "a:b"]))
+def test_xsi_type_spellings_are_rejected_alike(typed_parsers, pad, prefix, local):
+    """The analyzer, the generated parser and the oracle reject the same values.
+
+    Each rejection is a MALFORMED_XML error at the element, with one message.
+    """
+    schema, module, oracle = typed_parsers
+    value = f"{pad}{prefix}{local}{pad}".replace("\t", "&#9;")
+    doc = (f'<n:r xmlns:n="{TNS}" xmlns:q="{TNS}" {_XSI_DECL}>\n'
+           f'<n:v xsi:type="{value}">{_D_VALUE}</n:v>\n</n:r>')
+    for mode in ("strict", "lenient"):
+        [analyzed] = [exc.__cause__ for _name, exc in
+                      analyze_corpus(schema, [("d.xml", doc)], mode).failures
+                      if isinstance(exc.__cause__, MalformedXmlError)] or [None]
+        expected = None if analyzed is None else str(analyzed)
+        assert _malformed(module.parse_document, doc, mode) == expected, (value, mode)
+        assert _malformed(oracle.parse_document, doc, mode) == expected, (value, mode)
+    valid = local in ("D", "B") and prefix in ("", "n:", "q:")
+    assert (expected is None) == valid, value
+    first, colon, _rest = (prefix + local).partition(":")
+    if colon and first not in ("", "n", "q"):
+        assert expected == (f"MALFORMED_XML: xsi:type uses undeclared prefix '{first}' "
+                            "at d.xml:2:1")
+    elif not valid:
+        assert expected.endswith("is not a QName at d.xml:2:1")
 
 
 def test_one_local_name_in_two_namespaces_and_none(tmp_path):
