@@ -50,7 +50,7 @@ from .errors import (
     UnknownRootElementError,
     UnmatchedChildError,
 )
-from .jsonio import SKIP, dumps, encode, loads
+from .jsonio import SKIP, dumps, loads
 from .model import (
     XSI_NAMESPACE,
     ComponentKind,
@@ -89,7 +89,7 @@ class MatchKind(Enum):
     SKIP = "skip"
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment:
     kind: MatchKind
     particle: Optional[ParticlePath] = None
@@ -101,7 +101,7 @@ class Assignment:
 
 # ---------------------------------------------------------------- usage report
 
-@dataclass
+@dataclass(slots=True)
 class UsageReport:
     used_components: set[str] = field(default_factory=set)
     instanced_types: set[str] = field(default_factory=set)
@@ -155,7 +155,7 @@ class UsageReport:
         return self
 
     def to_json(self) -> str:
-        return dumps(encode(self))
+        return dumps(self)
 
     @classmethod
     def from_json(cls, text: str) -> "UsageReport":
@@ -557,7 +557,7 @@ class _ChildNames(dict):
         tables = self.tables
         if self.particles is None:
             self.particles = self._element_particles()
-        qname = _qname(name)
+        qname = tables.qnames[name]
         found = set()
         for particle in self.particles:
             elem_id = self.matcher._element_matches(particle).get(qname)
@@ -602,6 +602,8 @@ class _CorpusTables:
     The matchers also share their element-name tables: the types of an
     extension chain match their base levels' particles, and the table of
     each element is built once, for every particle that refers to it.
+    ``qnames`` builds the QName of each expat name once per corpus, for the
+    child-name tables and the streaming pass alike.
     """
 
     def __init__(self, schema: SchemaSet):
@@ -609,6 +611,7 @@ class _CorpusTables:
         self.facts = {}  # type id -> _TypeFacts
         self.matchers = {}  # type id -> ContentMatcher
         self.element_names = {}  # element id -> name table
+        self.qnames = _QNames()  # expat name -> QName, for matching and messages
 
     def type_facts(self, type_id) -> _TypeFacts:
         facts = self.facts.get(type_id)
@@ -840,7 +843,7 @@ def _stream_document(schema, doc, data, mode, tables) -> UsageReport:
     report = UsageReport()
     used, instanced = report.used_components, report.instanced_types
     single = report._single_child_state
-    qnames = _QNames()  # expat name -> QName, for matching and messages
+    qnames = tables.qnames
     matched = set()  # (type id, child names) this document has matched
     skipped = [_IN_SKIPPED, None, None, None, 0, False, False]
     stack = [[_AT_ROOT, None, None, [], 0, False, False]]

@@ -10,6 +10,7 @@ and bounding, which need representative occurrence/substitution evidence.
 
 from __future__ import annotations
 
+import json
 import keyword
 import re
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import EmptyModelError, InconsistentUsageError
-from .jsonio import SKIP, dumps, encode, loads
+from .jsonio import SHARED, SKIP, decode, dumps, encode
 from .model import (
     XSD_NAMESPACE,
     ComponentKind,
@@ -33,7 +34,7 @@ from .model import (
 from .analyzer import UsageReport
 from .runtime import Record
 
-IR_VERSION = 1
+IR_VERSION = 2
 
 # Names the built-in package template imports that a class name could take.
 _TEMPLATE_IMPORTS = ("Record",)
@@ -62,7 +63,7 @@ class ValueCategory(Enum):
     RAW = "raw-lexical"
 
 
-@dataclass
+@dataclass(slots=True)
 class BindingOptions:
     flatten_inheritance: bool = True
     collapse_single_child: bool = True
@@ -79,7 +80,7 @@ class BindingOptions:
         return self
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DispatchEntry:
     via: str  # "element" | "xsi-type"
     qname: QName  # element name, or the xsi:type type name
@@ -89,7 +90,7 @@ class DispatchEntry:
     nillable: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class BindingField:
     name: str
     xml_name: QName
@@ -99,7 +100,8 @@ class BindingField:
     value: Optional[ValueCategory] = None
     ignored: bool = False
     nillable: bool = False
-    dispatch: tuple[DispatchEntry, ...] = ()
+    # Fields and roots with equal tables share one tuple (see _ModelBuilder.shared).
+    dispatch: tuple[DispatchEntry, ...] = field(default=(), metadata=SHARED)
     collapse_chain: tuple[QName, ...] = ()  # inner element names unwrapped by collapse
     is_wildcard: bool = False
     source_element: Optional[str] = None  # element component id
@@ -107,7 +109,7 @@ class BindingField:
     source_attribute: Optional[str] = None  # attribute component id
 
 
-@dataclass
+@dataclass(slots=True)
 class BindingClass:
     name: str
     source_type: str
@@ -124,17 +126,18 @@ class BindingClass:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class BindingRoot:
     qname: QName
     element: str  # element component id
     target_class: Optional[str] = None
     value: Optional[ValueCategory] = None
     nillable: bool = False
-    dispatch: tuple[DispatchEntry, ...] = ()  # xsi-type entries observed/possible
+    # xsi-type entries observed/possible
+    dispatch: tuple[DispatchEntry, ...] = field(default=(), metadata=SHARED)
 
 
-@dataclass
+@dataclass(slots=True)
 class BindingModel:
     name: str
     classes: list[BindingClass]  # active classes, sorted by name
@@ -174,11 +177,28 @@ def effective_fields(model: BindingModel, cls: BindingClass) -> list:
 
 
 def serialize_binding_model(model: BindingModel) -> str:
-    return dumps({"irVersion": IR_VERSION, **encode(model)})
+    """``binding-model.json``: each distinct dispatch table written once.
+
+    Fields and roots refer to a table by its index in ``dispatchTables``.
+    """
+    index, tables = {}, {}  # table id -> index; table -> index
+    for owner in (*(f for c in (*model.classes, *model.collapsed_classes) for f in c.fields),
+                  *model.roots):
+        table = owner.dispatch
+        if table and id(table) not in index:
+            index[id(table)] = tables.setdefault(table, len(tables))
+    return dumps(model, index, irVersion=IR_VERSION,
+                 dispatchTables=[[encode(e) for e in table] for table in tables])
 
 
 def deserialize_binding_model(text: str) -> BindingModel:
-    return loads(BindingModel, text)
+    """The model :func:`serialize_binding_model` wrote; equal tables share one tuple."""
+    data = json.loads(text)
+    if data.get("irVersion") != IR_VERSION:
+        raise ValueError(f"binding model irVersion {data.get('irVersion')!r} is not "
+                         f"{IR_VERSION}; regenerate it with 'slimbind generate'")
+    tables = [tuple(decode(DispatchEntry, e) for e in table) for table in data["dispatchTables"]]
+    return decode(BindingModel, data, tables)
 
 
 # ---------------------------------------------------------------- name mangling
@@ -240,6 +260,8 @@ class _ModelBuilder:
         self.usage = usage
         self.options = options
         self.class_names = {}  # type id -> class name
+        self.tables = {}  # each distinct dispatch table, mapped to itself
+        self.substitutions = {}  # head element id -> its element-name entries
 
     # ------------------------------------------------------------ class set
 
@@ -311,8 +333,19 @@ class _ModelBuilder:
                 required = False
         return max_mult > 1, required
 
+    def shared(self, entries) -> tuple:
+        """``entries`` as a tuple: one object for all the equal dispatch tables of the model."""
+        entries = tuple(entries)
+        return self.tables.setdefault(entries, entries) if entries else ()
+
     def _substitution_entries(self, elem_id):
-        """Element-name dispatch entries for a head element particle."""
+        """Element-name dispatch entries for a head element particle, built once per head."""
+        entries = self.substitutions.get(elem_id)
+        if entries is None:
+            entries = self.substitutions[elem_id] = self.shared(self._head_entries(elem_id))
+        return entries
+
+    def _head_entries(self, elem_id):
         schema, usage, options = self.schema, self.usage, self.options
         head = schema.component(elem_id)
         if not head.is_global:
@@ -342,7 +375,7 @@ class _ModelBuilder:
                 target_class=target_class, value=value, component=m,
                 nillable=member.detail.nillable))
         entries.sort(key=lambda e: e.qname)
-        return tuple(entries)
+        return entries
 
     def _xsi_entries(self, elem_id, declared_type):
         schema, usage, options = self.schema, self.usage, self.options
@@ -367,7 +400,7 @@ class _ModelBuilder:
                                          target_class=target_class, value=value,
                                          component=t))
         entries.sort(key=lambda e: e.qname)
-        return tuple(entries)
+        return self.shared(entries)
 
     def _element_field(self, particle, declaring, path, used_names):
         schema = self.schema
@@ -386,13 +419,14 @@ class _ModelBuilder:
         else:
             card = Cardinality.SCALAR_OPTIONAL
         target_class, value = self._target_of(detail.declared_type)
-        dispatch = list(self._substitution_entries(particle.element))
-        dispatch.extend(self._xsi_entries(particle.element, detail.declared_type))
+        by_name = self._substitution_entries(particle.element)
+        by_type = self._xsi_entries(particle.element, detail.declared_type)
+        dispatch = self.shared(by_name + by_type) if by_name and by_type else by_name or by_type
         return BindingField(
             name=mangle(detail.qname.local, used_names),
             xml_name=detail.qname, kind=FieldKind.ELEMENT, cardinality=card,
             target_class=target_class, value=value, nillable=detail.nillable,
-            dispatch=tuple(dispatch), source_element=particle.element,
+            dispatch=dispatch, source_element=particle.element,
             source_particle=pp.render())
 
     def _wildcard_field(self, particle, declaring, path, used_names):
@@ -428,7 +462,7 @@ class _ModelBuilder:
             cardinality=(Cardinality.LIST if is_list else
                          Cardinality.SCALAR_REQUIRED if required else
                          Cardinality.SCALAR_OPTIONAL),
-            dispatch=tuple(entries), is_wildcard=True,
+            dispatch=self.shared(entries), is_wildcard=True,
             source_particle=pp.render())
 
     def build_class(self, type_id) -> BindingClass:
@@ -498,7 +532,7 @@ class _ModelBuilder:
                 kind=FieldKind.TEXT_CONTENT, cardinality=Cardinality.SCALAR_REQUIRED,
                 value=value_category(schema, text_type)))
 
-        _strip_shadowed_wildcard_entries(fields)
+        _strip_shadowed_wildcard_entries(fields, self.shared)
         fields = [f for f in fields if not (f.is_wildcard and not f.dispatch)]
         return BindingClass(
             name=self.class_names[type_id], source_type=type_id, fields=fields,
@@ -528,7 +562,7 @@ class _ModelBuilder:
         return roots
 
 
-def _strip_shadowed_wildcard_entries(fields):
+def _strip_shadowed_wildcard_entries(fields, shared):
     """Element fields win over wildcards for the same child name.
 
     Generated parsers match children by name, so a wildcard entry whose
@@ -547,7 +581,8 @@ def _strip_shadowed_wildcard_entries(fields):
     for f in fields:
         if f.is_wildcard and f.dispatch:
             kept = tuple(e for e in f.dispatch if e.qname not in claimed)
-            f.dispatch = kept
+            if len(kept) < len(f.dispatch):
+                f.dispatch = shared(kept)
             claimed.update(e.qname for e in kept)
 
 

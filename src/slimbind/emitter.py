@@ -24,7 +24,7 @@ from .binding import (
     ValueCategory,
     effective_fields,
 )
-from .errors import EmptyModelError
+from .errors import EmptyModelError, SlimbindError
 from .jsonio import dumps, encode
 from .runtime import expat_name
 from .templates import ManifestEntry, TemplateSet, compile_template, render_template
@@ -253,11 +253,20 @@ def _class_context(model, cls, modules, tables) -> dict:
     }
 
 
-def _row(cls, f, tables) -> tuple:
-    """The field row ``(key, slot, occurs, read, target)`` of ``f``.
+def _row(cls, f, tables) -> str:
+    """The field row of ``f``: ``key, slot, occurs, read, target`` joined by tabs.
 
-    ``slimbind.runtime`` documents the format.
+    None is written as an empty item; a collapse row's target is its inner
+    read, its target and its chain.  ``slimbind.runtime`` documents the format.
     """
+    items = _row_items(cls, f, tables)
+    if any("\t" in item for item in items if item):
+        raise SlimbindError(f"{cls.name}.{f.name}: a name holds a tab, which "
+                            "separates the items of a field row")
+    return "\t".join(item or "" for item in items)
+
+
+def _row_items(cls, f, tables) -> tuple:
     key = _key(f.xml_name)
     occurs = _OCCURS[f.cardinality]
     if f.kind is FieldKind.TEXT_CONTENT:
@@ -275,8 +284,8 @@ def _row(cls, f, tables) -> tuple:
     if f.ignored:
         return key, f.name, occurs, "ignore", None
     if f.collapse_chain:
-        chain = tuple(map(_key, f.collapse_chain))
-        return key, f.name, occurs, "collapse", (chain, *_element_read(f, tables.classes))
+        return (key, f.name, occurs, "collapse", *_element_read(f, tables.classes),
+                *map(_key, f.collapse_chain))
     return (key, f.name, occurs, *_element_read(f, tables.classes))
 
 

@@ -138,13 +138,14 @@ class _Node:
         return self.attrs.get(local, default)
 
     def kids(self, *locals_):
-        want = set(locals_)
-        return [c for c in self.children if c.qname.namespace == _XSD
-                and c.qname.local in want]
+        return [c for c in self.children if c.qname.local in locals_
+                and c.qname.namespace == _XSD]
 
     def first(self, *locals_):
-        found = self.kids(*locals_)
-        return found[0] if found else None
+        for c in self.children:
+            if c.qname.local in locals_ and c.qname.namespace == _XSD:
+                return c
+        return None
 
 
 def _resolve_qname(value: str, nsmap: dict, where: str) -> QName:
@@ -903,11 +904,15 @@ class _Loader:
         self._reject_cycle(schema, EdgeLabel.SUBSTITUTION_HEAD, "substitution group")
 
     def _reject_cycle(self, schema: SchemaSet, label: EdgeLabel, what: str):
+        successors = {}  # src -> dsts of its ``label`` edges, in edge order
+        for e in schema.edges:
+            if e.label is label:
+                successors.setdefault(e.src, []).append(e.dst)
         color = {}
         for start in schema.components:
-            if color.get(start):
-                continue
-            stack = [(start, iter([e.dst for e in schema.out_edges(start, {label})]))]
+            if start not in successors or color.get(start):
+                continue  # a component with no such edge starts no cycle
+            stack = [(start, iter(successors[start]))]
             color[start] = "gray"
             while stack:
                 node, it = stack[-1]
@@ -918,8 +923,7 @@ class _Loader:
                             f"cycle in {what} chain at {dst}")
                     if dst not in color:
                         color[dst] = "gray"
-                        stack.append((dst, iter([e.dst for e in
-                                                 schema.out_edges(dst, {label})])))
+                        stack.append((dst, iter(successors.get(dst, ()))))
                         advanced = True
                         break
                 if not advanced:

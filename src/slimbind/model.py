@@ -21,7 +21,7 @@ XSI_NAMESPACE = "http://www.w3.org/2001/XMLSchema-instance"
 XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class QName:
     """Namespace-qualified name; empty namespace means unqualified."""
 
@@ -38,7 +38,7 @@ class QName:
         return f"{{{self.namespace}}}{self.local}" if self.namespace else self.local
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurs:
     """Occurrence range; ``max=None`` means unbounded."""
 
@@ -111,19 +111,19 @@ class SimpleVariety(Enum):
 
 # ---------------------------------------------------------------- particles
 
-@dataclass
+@dataclass(slots=True)
 class ElementParticle:
     element: str  # component id of an element declaration
     occurs: Occurs
 
 
-@dataclass
+@dataclass(slots=True)
 class WildcardParticle:
     wildcard: str  # component id of a wildcard
     occurs: Occurs
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupParticle:
     compositor: Compositor
     children: list  # of Particle
@@ -134,7 +134,7 @@ class GroupParticle:
 Particle = Union[ElementParticle, WildcardParticle, GroupParticle]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ParticlePath:
     """Addresses one particle: the declaring type plus child indices."""
 
@@ -157,7 +157,7 @@ class ContentKind(Enum):
     PARTICLES = "particles"
 
 
-@dataclass
+@dataclass(slots=True)
 class ContentModel:
     kind: ContentKind
     simple_type: Optional[str] = None  # set iff kind is SIMPLE
@@ -178,7 +178,7 @@ class ContentModel:
 
 # ---------------------------------------------------------------- details
 
-@dataclass
+@dataclass(slots=True)
 class AttributeUse:
     attribute: str  # component id of an attribute declaration
     required: bool
@@ -186,7 +186,7 @@ class AttributeUse:
     via_group: Optional[str] = None  # attribute-group id the use was pulled from
 
 
-@dataclass
+@dataclass(slots=True)
 class ComplexTypeDetail:
     base: Optional[str]
     derivation: Derivation
@@ -202,7 +202,7 @@ class ComplexTypeDetail:
             raise ValueError("derivation must be NONE exactly when base is absent")
 
 
-@dataclass
+@dataclass(slots=True)
 class SimpleTypeDetail:
     variety: SimpleVariety
     base: Optional[str] = None
@@ -212,7 +212,7 @@ class SimpleTypeDetail:
     facets: tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementDetail:
     qname: QName  # instance tag name (locals keep theirs; globals mirror .name)
     declared_type: str
@@ -221,13 +221,13 @@ class ElementDetail:
     nillable: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class AttributeDetail:
     qname: QName
     declared_type: str
 
 
-@dataclass
+@dataclass(slots=True)
 class WildcardDetail:
     # constraint: "any" | "other" | "enum"; namespaces only used for "enum".
     constraint: str
@@ -243,12 +243,12 @@ class WildcardDetail:
         return namespace in self.namespaces
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelGroupDetail:
     root: GroupParticle
 
 
-@dataclass
+@dataclass(slots=True)
 class AttributeGroupDetail:
     attributes: list  # of AttributeUse
     attribute_wildcard: Optional[str] = None
@@ -266,7 +266,7 @@ Detail = Union[
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class SchemaComponent:
     id: str
     kind: ComponentKind
@@ -285,7 +285,7 @@ def component_id(kind: ComponentKind, namespace: str, local_or_path: str) -> str
     return f"{kind.value}:{namespace}:{local_or_path}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     label: EdgeLabel

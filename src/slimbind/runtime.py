@@ -24,9 +24,10 @@ entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
-generated record class is its own parser: it declares its field rows, and
-:func:`bind_parsers` turns them into lookup tables on the class, keyed by
-expat's names, once the package has defined every name the rows mention.
+generated record class is its own parser: it declares its field rows, each
+one tab-separated string, and :func:`bind_parsers` turns them into lookup
+tables on the class, keyed by expat's names, once the package has defined
+every name the rows mention.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import codecs
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
@@ -503,7 +505,10 @@ class _Document:
 #
 # A generated package holds, per class, a :class:`Record` subclass that
 # declares its fields as ``__slots__`` and its field rows as ``_rows``.  A
-# row is ``(key, slot, occurs, read, target)``:
+# row is one string, its items ``key``, ``slot``, ``occurs``, ``read`` and
+# ``target`` joined by tabs, None written as an empty item (one string
+# costs the compiler far less than a tuple of five); for example
+# ``'urn:fix sku\tsku\t*\tsimple\tstring'``:
 #
 # * ``key`` -- the expat name of the element or attribute the field
 #   matches; for a ``"dispatch"`` row, the name of its dispatch table, whose
@@ -519,15 +524,17 @@ class _Document:
 #   ``"class"`` parses the element as class ``target``; ``"dispatch"`` reads
 #   it through the key's table, ``target`` being the field's element name,
 #   or None for a wildcard;
-#   ``"collapse"`` unwraps ``target = (chain, read, target)``: the expat
-#   names of the inner elements, then the innermost element read as
-#   ``"class"`` or ``"simple"``; ``"ignore"`` skips the subtree and builds
+#   ``"collapse"`` unwraps the inner elements: its ``target`` is the read
+#   of the innermost element, ``"class"`` or ``"simple"``, and further
+#   items follow, that read's target and then the expat names of the inner
+#   elements in order; ``"ignore"`` skips the subtree and builds
 #   nothing, ``target`` being None, or for a dispatch field the name of the
 #   table whose keys it matches.
 #
 # Rows come in match order: the first row matching an element wins, and
 # wildcard fields come last.  A class's rows cover every field it parses,
-# inherited ones included.  Unknown attributes are ignored.
+# inherited ones included.  Unknown attributes are ignored.  Rows written
+# as tuples, as earlier versions wrote them, are refused.
 
 
 class Record:
@@ -594,7 +601,8 @@ def bind_parsers(names):
     name any class and recursive types need no cycle.  The package's
     tables are read, never changed, so binding again binds the same.  A
     package whose root table ``_ROOTS`` is keyed by ``(namespace, local)``
-    tuples was generated in an older format, and is refused.
+    tuples, or whose field rows are tuples, was generated in an older
+    format, and is refused with an :class:`ImportError`.
     """
     if not all(isinstance(key, str) for key in names["_ROOTS"]):
         raise ImportError("this parser package was generated in an older format, "
@@ -613,17 +621,25 @@ _IGNORE = ()  # the action of an ignored field's element
 def _bind(cls, names):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
-    ``names`` holds every class and table; a row's ``read`` says whether
-    its key names an element, an attribute or a table.  A child element's
-    action is ``_IGNORE``, or ``(cls, conv, by_type, what, slot, many,
-    chain)``: a dispatch target (see above), the label of its warnings, and
-    where its value goes, appended to a list when ``many``.  ``chain``,
-    when not None, holds the expat names of the collapsed wrappers the
-    target's element sits in.
+    Each row is split at its tabs, and its slot name interned: a split-out
+    string is not, and ``setattr`` would look it up in the interned names
+    on every record.  ``names`` holds every class and table; a row's
+    ``read`` says whether its key names an element, an attribute or a
+    table.  A child element's action is ``_IGNORE``, or ``(cls, conv,
+    by_type, what, slot, many, chain)``: a dispatch target (see above), the
+    label of its warnings, and where its value goes, appended to a list
+    when ``many``.  ``chain``, when not None, holds the expat names of the
+    collapsed wrappers the target's element sits in.
     """
     name = cls.__name__
     elements, attributes, required, lists, text = {}, {}, [], set(), None
-    for key, slot, occurs, read, target in cls._rows:
+    for row in cls._rows:
+        if not isinstance(row, str):
+            raise ImportError("this parser package was generated in an older format, "
+                              "whose field rows are tuples; "
+                              "regenerate it with 'slimbind generate'")
+        key, slot, occurs, read, target, *chain = row.split("\t")
+        slot = sys.intern(slot)
         what = f"{name}.{slot}"
         if occurs == "*":
             lists.add(slot)
@@ -637,16 +653,18 @@ def _bind(cls, names):
             continue
         # A dispatch field matches its table's keys, even when ignored.
         if read == "ignore":
-            for k in (key,) if target is None else names[target]:
+            for k in names[target] if target else (key,):
                 elements.setdefault(k, _IGNORE)
             continue
         if read == "dispatch":
             targets = names[key]
-            element = "matching xs:any" if target is None else target
+            element = target or "matching xs:any"
         else:
+            if read == "collapse":  # the inner read, its target, then the chain
+                read, target, *chain = target, *chain
             targets = {key: _target(read, target, names)}
             element = _split(key)[1]
-        chain = target[0] if read == "collapse" else None
+        chain = tuple(chain) if chain else None
         for k, t in targets.items():
             elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
         if occurs == "1":
@@ -666,8 +684,6 @@ def _bind(cls, names):
 
 def _target(read, target, names):
     """The dispatch target an element row reads its (innermost) element as."""
-    if read == "collapse":
-        _chain, read, target = target
     if read == "class":
         return names[target], None, None
     if read == "simple":

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NotClosedError
-from .jsonio import dumps, encode
+from .jsonio import dumps
 from .model import (
     XSD_NAMESPACE,
     AttributeUse,
@@ -88,7 +88,7 @@ class ReductionReport:
         return f"{self.usage_ratio * 100:.1f}%"
 
     def to_json(self) -> str:
-        return dumps(encode(self))
+        return dumps(self)
 
 
 def reduction_report(schema: SchemaSet, retained) -> ReductionReport:

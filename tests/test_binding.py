@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
-from slimbind.analyzer import ParticlePath, UsageReport
+from slimbind.analyzer import ParticlePath, UsageReport, analyze_corpus
 from slimbind.binding import (
     BindingOptions,
     Cardinality,
@@ -17,7 +18,9 @@ from slimbind.binding import (
     mangle,
     serialize_binding_model,
 )
+from slimbind.emitter import emit_parser_backend
 from slimbind.errors import EmptyModelError, InconsistentUsageError
+from slimbind.loader import SchemaSource, load_schema_set
 from slimbind.model import QName
 from slimbind.simplify import compute_retained_set
 
@@ -442,7 +445,7 @@ class TestSerialization:
     def test_ir_version_present(self, po_schema):
         model, _ = model_for(po_schema, [PO_DOC])
         data = __import__("json").loads(serialize_binding_model(model))
-        assert data["irVersion"] == 1
+        assert data["irVersion"] == 2
 
 
 class TestErrors:
@@ -492,3 +495,43 @@ class TestMangling:
         model, _ = model_for(schema, [f'<r xmlns="{TNS}" x="a"><x>1</x></r>'])
         names = [f.name for f in model.class_by_name("R").fields]
         assert names == ["x", "x_2"]
+
+
+@st.composite
+def synth_model(draw):
+    """A binding model of a synthetic schema and corpus, under drawn options."""
+    from synth import generate_case
+
+    _g, xsd, docs = generate_case(draw(st.integers(0, 10_000)))
+    schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+    usage = analyze_corpus(schema, [(f"d{i}.xml", d) for i, d in enumerate(docs)])
+    options = BindingOptions(flatten_inheritance=draw(st.booleans()),
+                             collapse_single_child=draw(st.booleans()),
+                             bound_substitutions=draw(st.booleans()))
+    return build_binding_model(schema, compute_retained_set(schema, usage), usage, options)
+
+
+def _tables_by_value(model):
+    """Each distinct non-empty dispatch table -> the ids of the tuples holding it."""
+    out = {}
+    owners = [f for c in (*model.classes, *model.collapsed_classes) for f in c.fields]
+    for owner in (*owners, *model.roots):
+        if owner.dispatch:
+            out.setdefault(owner.dispatch, set()).add(id(owner.dispatch))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(synth_model())
+def test_round_trip_renders_the_same_package_and_shares_tables(model):
+    clone = deserialize_binding_model(serialize_binding_model(model))
+    assert emit_parser_backend(clone)[0].content == emit_parser_backend(model)[0].content
+    assert all(len(ids) == 1 for ids in _tables_by_value(clone).values())
+    assert _tables_by_value(clone).keys() == _tables_by_value(model).keys()
+
+
+def test_older_ir_version_is_refused(po_schema):
+    model, _ = model_for(po_schema, [PO_DOC])
+    old = serialize_binding_model(model).replace('"irVersion": 2', '"irVersion": 1')
+    with pytest.raises(ValueError, match="irVersion 1.*regenerate"):
+        deserialize_binding_model(old)

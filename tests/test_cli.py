@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TNS, XS_HEAD
+from test_emitter import field_rows
 from slimbind.cli import main
 
 SCHEMA = f"""{XS_HEAD}
@@ -245,7 +246,8 @@ def test_generate_ignore_path_emits_skip(workspace, ns, request):
                "--ignore", f"{{{ns}}}doc/entry") == 0
     package = _load_package(workspace["out"] / "gen" / "model",
                             f"cli_ignore_model_{request.node.callspec.id}")
-    (row,) = package.DocType._rows
+    (row,) = field_rows((workspace["out"] / "gen" / "model" / "__init__.py").read_text(),
+                        "DocType")
     assert row == (f"{ns} entry", "entry", "*", "ignore", None)
     obj, warnings = package.parse_document(GOOD_DOC.replace(TNS, ns))
     assert (obj.entry, warnings) == ([], [])

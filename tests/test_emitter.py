@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -20,7 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, XS_HEAD, analyze, cid, schema_of
 from slimbind.analyzer import analyze_corpus
-from genutil import assert_equivalent, build_and_import, normalize, unique_model_name
+from genutil import (
+    assert_equivalent,
+    build_and_import,
+    compile_model,
+    normalize,
+    unique_model_name,
+)
 from slimbind.binding import (
     _RECORD_ATTRIBUTES,
     _TEMPLATE_IMPORTS,
@@ -39,7 +46,12 @@ from slimbind.emitter import (
     size_report,
     write_artifacts,
 )
-from slimbind.errors import BadSimpleValueError, MalformedXmlError, UnresolvedPlaceholderError
+from slimbind.errors import (
+    BadSimpleValueError,
+    MalformedXmlError,
+    SlimbindError,
+    UnresolvedPlaceholderError,
+)
 from slimbind.loader import SchemaSource, load_schema_set
 from slimbind.model import QName
 from slimbind import runtime
@@ -54,12 +66,26 @@ GOLDEN_NAMES = sorted(path.name.removesuffix(".golden")
 
 
 def field_rows(source, name):
-    """The ``_rows`` a generated package declares in the body of class ``name``."""
+    """The ``_rows`` a generated package declares in the body of class ``name``.
+
+    Each row is read as ``(key, slot, occurs, read, target)``, None for an
+    empty item; a collapse row's target as ``(chain, read, target)``.
+    """
     (cls,) = [node for node in ast.parse(source).body
               if isinstance(node, ast.ClassDef) and node.name == name]
     (rows,) = [node.value for node in cls.body
                if isinstance(node, ast.Assign) and node.targets[0].id == "_rows"]
-    return ast.literal_eval(rows)
+    return tuple(map(read_row, ast.literal_eval(rows)))
+
+
+def read_row(text):
+    """One field row, as :func:`field_rows` gives it."""
+    key, slot, occurs, read, *rest = (item or None for item in text.split("\t"))
+    if read == "collapse":
+        inner_read, inner_target, *chain = rest
+        return key, slot, occurs, read, (tuple(chain), inner_read, inner_target)
+    (target,) = rest
+    return key, slot, occurs, read, target
 
 
 def class_names(source):
@@ -1297,8 +1323,103 @@ def test_package_in_the_tuple_keyed_format_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="older format.*regenerate"):
         importlib.import_module(old)
     # The same package keyed by expat names imports and parses.
-    (tmp_path / f"{new}.py").write_text(re.sub(r"\('urn:fix', '(\w+)'\)", r"'urn:fix \1'",
-                                               _OLD_FORMAT_PACKAGE))
+    (tmp_path / f"{new}.py").write_text(_current_format(_OLD_FORMAT_PACKAGE))
     package = importlib.import_module(new)
     obj, warnings = runtime.parse_root(package._ROOTS, '<r xmlns="urn:fix"><v>x</v></r>')
     assert (obj.v, warnings) == ("x", [])
+
+
+def _expat_keyed(package):
+    """``package`` with its ``(namespace, local)`` keys spelt as expat names."""
+    return re.sub(r"\('urn:fix', '(\w+)'\)", r"'urn:fix \1'", package)
+
+
+def _current_format(package):
+    """``package`` keyed by expat names, with each field row one string."""
+    return re.sub(r"^( +)\((.*)\),$", lambda m: m[1] + repr("\t".join(
+        ast.literal_eval(f"({m[2]})"))) + ",", _expat_keyed(package), flags=re.M)
+
+
+def test_package_with_tuple_rows_is_refused(tmp_path, monkeypatch):
+    """Field rows written as tuples, as earlier versions wrote them, are refused."""
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    old = unique_model_name("rows")
+    (tmp_path / f"{old}.py").write_text(_expat_keyed(_OLD_FORMAT_PACKAGE))
+    with pytest.raises(ImportError, match="field rows are tuples.*regenerate"):
+        importlib.import_module(old)
+
+
+def wide_model(n_classes):
+    """A model of ``n_classes`` record classes, each with seven field rows."""
+    types = "".join(
+        f'<xs:complexType name="T{i}"><xs:sequence>'
+        + "".join(f'<xs:element name="f{j}" type="xs:string" maxOccurs="unbounded"/>'
+                  for j in range(5))
+        + '<xs:element name="n" type="xs:decimal"/></xs:sequence>'
+        '<xs:attribute name="id" type="xs:int"/></xs:complexType>' for i in range(n_classes))
+    root = ('<xs:element name="r"><xs:complexType><xs:sequence>'
+            + "".join(f'<xs:element name="e{i}" type="tns:T{i}"/>' for i in range(n_classes))
+            + "</xs:sequence></xs:complexType></xs:element>")
+    schema = schema_of(types + root)
+    record = "".join(f"<f{j}>v</f{j}><f{j}>v</f{j}>" for j in range(5)) + "<n>1</n>"
+    doc = f'<r xmlns="{TNS}">' + "".join(
+        f'<e{i} id="1">{record}</e{i}>' for i in range(n_classes)) + "</r>"
+    usage = analyze(schema, doc)
+    return build_binding_model(schema, compute_retained_set(schema, usage), usage,
+                               BindingOptions(), model_name=unique_model_name("wide"))
+
+
+def traced_peak(fn, *args):
+    """The ``tracemalloc`` peak of ``fn(*args)``, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_string_rows_compile_in_far_less_memory_than_tuple_rows():
+    """Each row is one constant for the compiler, not five or more."""
+    (package,) = emit_parser_backend(wide_model(200))
+    as_tuples = re.sub(r"^( {8})('.*'),$", lambda m: m[1] + repr(read_row(
+        ast.literal_eval(m[2]))) + ",", package.content, flags=re.M)
+    assert as_tuples.count("'simple', 'string'),") == 200 * 5
+    rows, _ = traced_peak(compile, package.content, "<rows>", "exec")
+    tuples, _ = traced_peak(compile, as_tuples, "<tuples>", "exec")
+    assert rows <= 0.6 * tuples, (rows, tuples)
+
+
+def test_serializing_a_model_holds_little_beside_its_text():
+    """The model is written record by record, never built as one tree of JSON data."""
+    model = wide_model(200)
+    peak, text = traced_peak(serialize_binding_model, model)
+    assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_every_slot_name_a_class_binds_is_interned(tmp_path):
+    model = wide_model(3)
+    model.classes[0].fields[0].ignored = True
+    package, _ = compile_model(model, tmp_path)
+    for c in model.classes:
+        presets, lists, attributes, elements, required, text = getattr(package, c.name)._binding
+        slots = [slot for slot, _value in presets] + list(lists)
+        slots += [slot for slot, _conv, _what in attributes.values()]
+        slots += [action[4] for action in elements.values() if action]
+        slots += [slot for slot, _message in required]
+        slots += [text[0]] if text else []
+        assert len(slots) >= 7 and all(sys.intern(s) is s for s in slots), c.name
+
+
+def test_a_namespace_holding_a_tab_is_refused():
+    """A tab separates a row's items, so no name in a row may hold one."""
+    ns = "urn:a&#9;b"
+    schema = load_schema_set([SchemaSource("mem://tab.xsd", raw_text=(
+        f'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" targetNamespace="{ns}"'
+        ' elementFormDefault="qualified"><xs:element name="r"><xs:complexType>'
+        '<xs:sequence><xs:element name="v" type="xs:string"/></xs:sequence>'
+        "</xs:complexType></xs:element></xs:schema>"))])
+    usage = analyze_corpus(schema, [("d.xml", f'<r xmlns="{ns}"><v>x</v></r>')])
+    model = build_binding_model(schema, compute_retained_set(schema, usage), usage)
+    with pytest.raises(SlimbindError, match="RType.v: a name holds a tab"):
+        emit_parser_backend(model)
