@@ -70,10 +70,12 @@ print(f"warnings: {len(warnings)}")
 print(f"first item as plain data: {library.item[0].to_dict()}")
 
 print()
-print("one class of the generated package: the record and its field rows:")
+print("one class of the generated package: the record and the field rows it indexes:")
 source = (OUT / "gen" / "librarydemo" / "__init__.py").read_text()
 start = source.index("class BookType")
-print(source[start:source.index("\n    )\n", start) + 6])
+print(source[start:source.index("\n", source.index("    _rows = ", start))])
+for index in generated.BookType._rows:
+    print(f"      _ROWS[{index}] = {generated._ROWS[index]!r}")
 
 print()
 print("slimbind modules a fresh interpreter loads to import the package:")

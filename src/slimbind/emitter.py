@@ -15,6 +15,8 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 from .binding import (
     IR_VERSION,
@@ -49,21 +51,32 @@ _OCCURS = {
 class GeneratedArtifact:
     path: str
     content: str
+    # {"referenced": rows the classes index, "distinct": rows in ``_ROWS``},
+    # for the built-in package; None for other artifacts.
+    rows: Optional[dict] = None
+
+    @cached_property
+    def data(self) -> bytes:
+        """The content as written: UTF-8, line ends as they are."""
+        return self.content.encode("utf-8")
 
     @property
     def byte_size(self) -> int:
-        return len(self.content.encode("utf-8"))
+        return len(self.data)
 
     @property
     def sha256(self) -> str:
-        return hashlib.sha256(self.content.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.data).hexdigest()
 
 
 # ---------------------------------------------------------------- generic render
 
 def render(model: BindingModel, templates: TemplateSet) -> list:
     """One artifact per manifest entry (per class for per-class entries)."""
-    context = build_render_context(model)
+    return _render(_render_context(model)[0], templates)
+
+
+def _render(context, templates) -> list:
     artifacts = []
     seen_paths = set()
     trees = {}  # template text -> compiled tree: each distinct text compiles once
@@ -199,22 +212,44 @@ def _field_table(tables, field) -> str:
     return tables.name_of(pairs)
 
 
+class _Rows:
+    """Field rows of one package: each distinct row indexed once, in order of first use."""
+
+    def __init__(self):
+        self.index = {}  # row -> its index in _ROWS
+        self.referenced = 0
+
+    def indices(self, rows) -> tuple:
+        self.referenced += len(rows)
+        return tuple(self.index.setdefault(row, len(self.index)) for row in rows)
+
+    def counts(self) -> dict:
+        return {"referenced": self.referenced, "distinct": len(self.index)}
+
+
 def build_render_context(model: BindingModel) -> dict:
     """The documented context templates render against (see binding-ir.md)."""
+    return _render_context(model)[0]
+
+
+def _render_context(model):
+    """The render context and the :class:`_Rows` its classes index."""
     modules = _module_names(model)
     tables = _Tables(modules)
-    classes_ctx = [_class_context(model, cls, modules, tables)
+    rows = _Rows()
+    classes_ctx = [_class_context(model, cls, modules, tables, rows)
                    for cls in _base_first(model.classes)]
     roots_ctx = _root_contexts(model, tables)
     return {
         "model_name": model.name,
         "classes": classes_ctx,
+        "row_table": [repr(row) for row in rows.index],
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
         "dispatch_imports": ", ".join(sorted(tables.convs | {"bind_parsers", "parse_root"})),
         "options": encode(model.options),
         "class_count": len(model.classes),
-    }
+    }, rows
 
 
 def _base_first(classes) -> list:
@@ -231,13 +266,18 @@ def _base_first(classes) -> list:
     return out
 
 
-def _class_context(model, cls, modules, tables) -> dict:
-    # Rows cover inherited fields too when flattening is off.  Element
-    # fields take precedence over wildcards for the same name, so wildcard
-    # rows come after every other row.
-    matchable = effective_fields(model, cls)
-    matchable = [f for f in matchable if not f.is_wildcard] + \
-        [f for f in matchable if f.is_wildcard]
+def _matchable(model, cls) -> list:
+    """The fields ``cls`` has a row for, in row order.
+
+    Rows cover inherited fields too when flattening is off.  Element
+    fields take precedence over wildcards for the same name, so wildcard
+    rows come after every other row.
+    """
+    fields = effective_fields(model, cls)
+    return [f for f in fields if not f.is_wildcard] + [f for f in fields if f.is_wildcard]
+
+
+def _class_context(model, cls, modules, tables, rows) -> dict:
     lists = tuple(f.name for f in cls.fields if f.cardinality is Cardinality.LIST)
     return {
         "name": cls.name,
@@ -246,7 +286,7 @@ def _class_context(model, cls, modules, tables) -> dict:
         "fields": [{"py_name": f.name} for f in cls.fields],
         "slots": repr(tuple(f.name for f in cls.fields)),
         "lists": repr(lists) if lists else "",
-        "rows": [repr(_row(cls, f, tables)) for f in matchable],
+        "rows": repr(rows.indices([_row(cls, f, tables) for f in _matchable(model, cls)])),
         "has_base": cls.base is not None,
         "base": cls.base or "",
         "base_module": modules.get(cls.base, "") if cls.base else "",
@@ -312,16 +352,18 @@ def _root_contexts(model, tables) -> list:
 _PACKAGE_TEMPLATE = '''\
 """Parser package for model '{{model_name}}'. Generated code; do not edit."""
 from slimbind.runtime import Record, {{dispatch_imports}}
+
+_ROWS = (
+{{#row_table}}
+    {{.}},
+{{/row_table}}
+)
 {{#classes}}
 
 
 class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}}):  # {{xml_type}}
     __slots__ = {{slots}}
-    _rows = (
-{{#rows}}
-        {{.}},
-{{/rows}}
-    )
+    _rows = {{rows}}
 {{/classes}}
 
 
@@ -356,7 +398,10 @@ def emit_parser_backend(model: BindingModel) -> list:
     """Parser package sources for the built-in Python backend."""
     if not model.roots:
         raise EmptyModelError("binding model has no roots")
-    return render(model, builtin_template_set())
+    context, rows = _render_context(model)
+    (package,) = _render(context, builtin_template_set())
+    package.rows = rows.counts()
+    return [package]
 
 
 # ---------------------------------------------------------------- output writing
@@ -373,8 +418,8 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     for artifact in sorted(artifacts, key=lambda a: a.path):
         path = os.path.join(gen_dir, artifact.path)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(artifact.content)
+        with open(path, "wb") as fh:
+            fh.write(artifact.data)
         entries.append({
             "path": artifact.path,
             "bytes": artifact.byte_size,
@@ -390,6 +435,9 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
         "artifacts": entries,
         "totalBytes": total,
     }
+    for artifact in artifacts:
+        if artifact.rows is not None:
+            manifest["rows"] = artifact.rows
     with open(os.path.join(gen_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps(manifest))
     return manifest

@@ -24,10 +24,11 @@ entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
-generated record class is its own parser: it declares its field rows, each
-one tab-separated string, and :func:`bind_parsers` turns them into lookup
-tables on the class, keyed by expat's names, once the package has defined
-every name the rows mention.
+generated package writes each distinct field row once, a tab-separated
+string, in its ``_ROWS`` table.  A record class is its own parser: it
+declares its field rows as indices into that table, and
+:func:`bind_parsers` turns them into lookup tables on the class, keyed by
+expat's names, once the package has defined every name the rows mention.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -503,12 +504,15 @@ class _Document:
 # None, maps the expat name of an ``xsi:type`` to the target that overrides
 # this one.
 #
-# A generated package holds, per class, a :class:`Record` subclass that
-# declares its fields as ``__slots__`` and its field rows as ``_rows``.  A
-# row is one string, its items ``key``, ``slot``, ``occurs``, ``read`` and
-# ``target`` joined by tabs, None written as an empty item (one string
-# costs the compiler far less than a tuple of five); for example
-# ``'urn:fix sku\tsku\t*\tsimple\tstring'``:
+# A generated package holds a tuple ``_ROWS`` of field rows, each distinct
+# row once in order of first use, and, per class, a :class:`Record`
+# subclass that declares its fields as ``__slots__`` and its field rows as
+# ``_rows``, a tuple of indices into ``_ROWS``: a flattened class shares
+# its base's rows, and a shared element's row serves every class holding
+# it.  A row is one string, its items ``key``, ``slot``, ``occurs``,
+# ``read`` and ``target`` joined by tabs, None written as an empty item
+# (one string costs the compiler far less than a tuple of five); for
+# example ``'urn:fix sku\tsku\t*\tsimple\tstring'``:
 #
 # * ``key`` -- the expat name of the element or attribute the field
 #   matches; for a ``"dispatch"`` row, the name of its dispatch table, whose
@@ -531,10 +535,11 @@ class _Document:
 #   nothing, ``target`` being None, or for a dispatch field the name of the
 #   table whose keys it matches.
 #
-# Rows come in match order: the first row matching an element wins, and
-# wildcard fields come last.  A class's rows cover every field it parses,
-# inherited ones included.  Unknown attributes are ignored.  Rows written
-# as tuples, as earlier versions wrote them, are refused.
+# A class's indices come in match order: the first row matching an
+# element wins, and wildcard fields come last.  A class's rows cover every
+# field it parses, inherited ones included.  Unknown attributes are
+# ignored.  Rows written in the class, as tuples or strings, as earlier
+# versions wrote them, are refused.
 
 
 class Record:
@@ -556,7 +561,8 @@ class Record:
     # * lists -- the list slots, each a fresh [] in a new record
     # * attributes -- expat name -> (slot, conversion, label)
     # * elements -- expat name -> action, for each child element (see _bind)
-    # * required -- (slot, message), in row order
+    # * required -- (slot, label), in row order: the field is reported as
+    #   "missing required {label} in {class name}"
     # * text -- None, or (slot, conversion or None for mixed content, label)
     _binding = ((), (), {}, {}, (), None)
 
@@ -599,18 +605,56 @@ def bind_parsers(names):
     The package calls this with its namespace, which maps each class and
     dispatch table name to its value, once all are defined; so rows can
     name any class and recursive types need no cycle.  The package's
-    tables are read, never changed, so binding again binds the same.  A
-    package whose root table ``_ROOTS`` is keyed by ``(namespace, local)``
-    tuples, or whose field rows are tuples, was generated in an older
-    format, and is refused with an :class:`ImportError`.
+    tables are read, never changed, so binding again binds the same.  Each
+    row of ``_ROWS`` is split once, however many classes index it: the
+    split rows are dropped when binding ends.  A package whose root table
+    ``_ROOTS`` is keyed by ``(namespace, local)`` tuples, whose field rows
+    are tuples or strings, or that has no ``_ROWS``, was generated in an
+    older format, and is refused with an :class:`ImportError`; so is one
+    whose rows are not indices into ``_ROWS``.
     """
     if not all(isinstance(key, str) for key in names["_ROOTS"]):
-        raise ImportError("this parser package was generated in an older format, "
-                          "whose tables are keyed by (namespace, local); "
-                          "regenerate it with 'slimbind generate'")
-    for cls in names.values():
-        if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record:
-            _bind(cls, names)
+        raise _regenerate("was generated in an older format, "
+                          "whose tables are keyed by (namespace, local)")
+    classes = [cls for cls in names.values()
+               if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record]
+    table = names.get("_ROWS")
+    if not isinstance(table, tuple):
+        kinds = {type(row) for cls in classes for row in cls._rows}
+        raise _regenerate("was generated in an older format, " + (
+            "whose field rows are tuples" if tuple in kinds else
+            "whose field rows are strings" if str in kinds else "with no row table _ROWS"))
+    rows = [_split_row(row) for row in table]
+    for cls in classes:
+        _bind(cls, names, rows)
+
+
+def _regenerate(what):
+    return ImportError(f"this parser package {what}; regenerate it with 'slimbind generate'")
+
+
+def _split_row(row):
+    """``(key, slot, occurs, read, target, chain, required)`` of a ``_ROWS`` row.
+
+    The slot name is interned: a split-out string is not, and ``setattr``
+    would look it up in the interned names on every record.  A collapse
+    row reads as its inner read and target, ``chain`` holding the expat
+    names of its wrappers; ``chain`` is None for every other row.
+    ``required`` is ``(slot, label)`` for a required field that is
+    reported when missing, else None.
+    """
+    key, slot, occurs, read, target, *chain = row.split("\t")
+    slot = sys.intern(slot)
+    if read == "collapse":  # the inner read, its target, then the chain
+        read, target, *chain = target, *chain
+    if occurs != "1" or read in ("text", "mixed", "ignore"):
+        required = None  # never reported missing
+    elif read == "dispatch":
+        required = (slot, f"element {target or 'matching xs:any'}")
+    else:
+        required = (slot, f"{'attribute' if read == 'attribute' else 'element'} "
+                          f"{_split(key)[1]}")
+    return key, slot, occurs, read, target, tuple(chain) if chain else None, required
 
 
 _ABSENT = object()  # a required slot's value until its field is read
@@ -618,14 +662,13 @@ _new = object.__new__  # makes every record; looked up per record, so a test can
 _IGNORE = ()  # the action of an ignored field's element
 
 
-def _bind(cls, names):
+def _bind(cls, names, rows):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
-    Each row is split at its tabs, and its slot name interned: a split-out
-    string is not, and ``setattr`` would look it up in the interned names
-    on every record.  ``names`` holds every class and table; a row's
-    ``read`` says whether its key names an element, an attribute or a
-    table.  A child element's action is ``_IGNORE``, or ``(cls, conv,
+    ``rows`` holds the package's ``_ROWS`` split by :func:`_split_row`,
+    and ``cls._rows`` indexes it.  ``names`` holds every class and table; a
+    row's ``read`` says whether its key names an element, an attribute or
+    a table.  A child element's action is ``_IGNORE``, or ``(cls, conv,
     by_type, what, slot, many, chain)``: a dispatch target (see above), the
     label of its warnings, and where its value goes, appended to a list
     when ``many``.  ``chain``, when not None, holds the expat names of the
@@ -633,46 +676,32 @@ def _bind(cls, names):
     """
     name = cls.__name__
     elements, attributes, required, lists, text = {}, {}, [], set(), None
-    for row in cls._rows:
-        if not isinstance(row, str):
-            raise ImportError("this parser package was generated in an older format, "
-                              "whose field rows are tuples; "
-                              "regenerate it with 'slimbind generate'")
-        key, slot, occurs, read, target, *chain = row.split("\t")
-        slot = sys.intern(slot)
+    for index in cls._rows:
+        if type(index) is not int or not 0 <= index < len(rows):
+            raise _regenerate(f"has a field row {index!r} in {name} "
+                              "that is not an index into _ROWS")
+        key, slot, occurs, read, target, chain, need = rows[index]
         what = f"{name}.{slot}"
         if occurs == "*":
             lists.add(slot)
+        if need is not None:
+            required.append(need)
         if read in ("text", "mixed"):
             text = (slot, CONVERSIONS.get(target), what)
-            continue
-        if read == "attribute":
+        elif read == "attribute":
             attributes.setdefault(key, (slot, CONVERSIONS[target], what))
-            if occurs == "1":
-                required.append((slot, f"missing required attribute {_split(key)[1]} in {name}"))
-            continue
-        # A dispatch field matches its table's keys, even when ignored.
-        if read == "ignore":
+        elif read == "ignore":
+            # A dispatch field matches its table's keys, even when ignored.
             for k in names[target] if target else (key,):
                 elements.setdefault(k, _IGNORE)
-            continue
-        if read == "dispatch":
-            targets = names[key]
-            element = target or "matching xs:any"
         else:
-            if read == "collapse":  # the inner read, its target, then the chain
-                read, target, *chain = target, *chain
-            targets = {key: _target(read, target, names)}
-            element = _split(key)[1]
-        chain = tuple(chain) if chain else None
-        for k, t in targets.items():
-            elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
-        if occurs == "1":
-            required.append((slot, f"missing required element {element} in {name}"))
+            targets = names[key] if read == "dispatch" else {key: _target(read, target, names)}
+            for k, t in targets.items():
+                elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
     fields = {}
     for klass in reversed(cls.__mro__):
         fields.update(dict.fromkeys(vars(klass).get("__slots__", ())))
-    absent = {slot for slot, _message in required}
+    absent = {slot for slot, _label in required}
     cls._fields = tuple(fields)
     cls._lists = frozenset(lists)
     cls._binding = (
@@ -942,10 +971,11 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             if kind is _RECORD:
                 _, _, value, parts, owner, slot, many, binding = frame
                 _presets, _lists, _attributes, _elements, required, text_row = binding
-                for name, message in required:
+                for name, label in required:
                     if getattr(value, name) is _ABSENT:
                         setattr(value, name, None)
-                        ctx.violation(_MISSING, message)
+                        ctx.violation(_MISSING, f"missing required {label} "
+                                      f"in {type(value).__name__}")
                 if parts is not None:
                     name, conv, what = text_row
                     if conv is None:

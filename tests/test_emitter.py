@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -38,6 +39,7 @@ from slimbind.binding import (
     effective_fields,
     serialize_binding_model,
 )
+from slimbind import emitter
 from slimbind.emitter import (
     GeneratedArtifact,
     builtin_template_set,
@@ -58,6 +60,7 @@ from slimbind import runtime
 from slimbind.runtime import Record
 from slimbind.simplify import compute_retained_set, reduction_report
 from slimbind.templates import ManifestEntry, TemplateSet
+from test_binding import synth_model
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # The pinned files, each by the name of the TestGolden.golden_outputs() entry it holds.
@@ -66,16 +69,22 @@ GOLDEN_NAMES = sorted(path.name.removesuffix(".golden")
 
 
 def field_rows(source, name):
-    """The ``_rows`` a generated package declares in the body of class ``name``.
+    """The rows of its ``_ROWS`` a generated package's class ``name`` indexes.
 
     Each row is read as ``(key, slot, occurs, read, target)``, None for an
     empty item; a collapse row's target as ``(chain, read, target)``.
     """
-    (cls,) = [node for node in ast.parse(source).body
-              if isinstance(node, ast.ClassDef) and node.name == name]
-    (rows,) = [node.value for node in cls.body
-               if isinstance(node, ast.Assign) and node.targets[0].id == "_rows"]
-    return tuple(map(read_row, ast.literal_eval(rows)))
+    body = ast.parse(source).body
+    (cls,) = [node for node in body if isinstance(node, ast.ClassDef) and node.name == name]
+    table = assigned(body, "_ROWS")
+    return tuple(read_row(table[index]) for index in assigned(cls.body, "_rows"))
+
+
+def assigned(nodes, name):
+    """The literal value the statements ``nodes`` assign to ``name``."""
+    (value,) = [node.value for node in nodes
+                if isinstance(node, ast.Assign) and node.targets[0].id == name]
+    return ast.literal_eval(value)
 
 
 def read_row(text):
@@ -695,7 +704,7 @@ class TestLateBoundParsers:
         assert tables
         assert {name for name in vars(package) if not name.startswith("__")} == \
             {c.name for c in model.classes} | set(tables) | set(imports.split(", ")) | \
-            {"_ROOTS", "parse_document"}
+            {"_ROWS", "_ROOTS", "parse_document"}
         assert "_lists" not in source and "RecordParser" not in source
         assert not hasattr(runtime, "RecordParser")
         assert_equivalent(model, package, docs)
@@ -770,6 +779,34 @@ class TestManifest:
             assert len(blob) == entry["bytes"]
             import hashlib
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+
+    def test_artifacts_are_written_as_the_bytes_the_manifest_counts(self, po_schema,
+                                                                     tmp_path):
+        """Line ends and non-ASCII text are written as they are, never translated."""
+        model = po_model(po_schema, name=unique_model_name())
+        templates = TemplateSet({"c.tpl": "{{name}}\r\n\u00e9\n{{xml_type}}\n"},
+                                [ManifestEntry("c.tpl", "{{module}}.txt", per="class")])
+        artifacts = [*emit_parser_backend(model), *render(model, templates)]
+        manifest = write_artifacts(model, artifacts, tmp_path)
+        gen_dir = tmp_path / "gen" / model.name
+        assert len(manifest["artifacts"]) == len(artifacts) > 2
+        for entry in manifest["artifacts"]:
+            blob = (gen_dir / entry["path"]).read_bytes()
+            assert (len(blob), hashlib.sha256(blob).hexdigest()) == \
+                (entry["bytes"], entry["sha256"]), entry["path"]
+        assert manifest["totalBytes"] == sum(
+            (gen_dir / entry["path"]).stat().st_size for entry in manifest["artifacts"])
+
+    def test_manifest_counts_the_rows_the_package_indexes(self, tmp_path):
+        """Three classes with the same seven rows, and a root class with three."""
+        model = wide_model(3)
+        package, artifacts = compile_model(model, tmp_path)
+        manifest = json.loads((tmp_path / "gen" / model.name / "MANIFEST.json").read_text())
+        classes = [getattr(package, c.name) for c in model.classes]
+        assert manifest["rows"] == {"referenced": sum(len(vars(c)["_rows"]) for c in classes),
+                                    "distinct": len(package._ROWS)} == \
+            {"referenced": 3 * 7 + 3, "distinct": 7 + 3}
+        assert manifest["totalBytes"] == sum(a.byte_size for a in artifacts)
 
     def test_no_references_outside_retained(self, po_schema):
         """Every name matched by generated code maps to a retained component."""
@@ -1334,10 +1371,23 @@ def _expat_keyed(package):
     return re.sub(r"\('urn:fix', '(\w+)'\)", r"'urn:fix \1'", package)
 
 
-def _current_format(package):
-    """``package`` keyed by expat names, with each field row one string."""
+def _string_rows(package):
+    """``package`` keyed by expat names, with each field row one string in its class."""
     return re.sub(r"^( +)\((.*)\),$", lambda m: m[1] + repr("\t".join(
         ast.literal_eval(f"({m[2]})"))) + ",", _expat_keyed(package), flags=re.M)
+
+
+def _current_format(package):
+    """``package`` keyed by expat names, its classes indexing the field rows in ``_ROWS``."""
+    table = []
+
+    def index(match):
+        table.append(ast.literal_eval(match[2]))
+        return f"{match[1]}{len(table) - 1},"
+
+    package = re.sub(r"^( +)('.*'),$", index, _string_rows(package), flags=re.M)
+    head, rest = package.split("\n", 1)
+    return f"{head}\n_ROWS = {tuple(table)!r}\n{rest}"
 
 
 def test_package_with_tuple_rows_is_refused(tmp_path, monkeypatch):
@@ -1347,6 +1397,58 @@ def test_package_with_tuple_rows_is_refused(tmp_path, monkeypatch):
     (tmp_path / f"{old}.py").write_text(_expat_keyed(_OLD_FORMAT_PACKAGE))
     with pytest.raises(ImportError, match="field rows are tuples.*regenerate"):
         importlib.import_module(old)
+
+
+def test_package_with_string_rows_is_refused(tmp_path, monkeypatch):
+    """Field rows written as strings in their class, as earlier versions wrote them."""
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    old = unique_model_name("rows")
+    (tmp_path / f"{old}.py").write_text(_string_rows(_OLD_FORMAT_PACKAGE))
+    with pytest.raises(ImportError, match="field rows are strings.*regenerate"):
+        importlib.import_module(old)
+
+
+@pytest.mark.parametrize("row", [
+    "1", "-1", "True", "0.0", "'0'", repr("urn:fix v\tv\t?\tsimple\tstring"),
+    "('urn:fix v', 'v', '?', 'simple', 'string')"])
+def test_package_with_a_row_that_indexes_nothing_is_refused(tmp_path, monkeypatch, row):
+    """Each of a class's rows is an index into ``_ROWS``, which holds one row here."""
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    old = unique_model_name("rows")
+    package = _current_format(_OLD_FORMAT_PACKAGE)
+    (tmp_path / f"{old}.py").write_text(package.replace("        0,\n", f"        {row},\n"))
+    with pytest.raises(ImportError, match=r"field row .* in R that is not an index into "
+                       "_ROWS; regenerate"):
+        importlib.import_module(old)
+
+
+def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    old = unique_model_name("rows")
+    package = re.sub(r"^_ROWS = .*\n", "", _current_format(_OLD_FORMAT_PACKAGE), flags=re.M)
+    (tmp_path / f"{old}.py").write_text(package)
+    with pytest.raises(ImportError, match="no row table _ROWS; regenerate"):
+        importlib.import_module(old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(synth_model())
+def test_each_distinct_row_is_written_once_in_order_of_first_use(model):
+    """A class's rows, resolved through ``_ROWS``, are its matchable fields' rows in order."""
+    (package,) = emit_parser_backend(model)
+    body = ast.parse(package.content).body
+    table = assigned(body, "_ROWS")
+    classes = {node.name: assigned(node.body, "_rows")
+               for node in body if isinstance(node, ast.ClassDef)}
+    tables = emitter._Tables(emitter._module_names(model))
+    used = []
+    for cls in emitter._base_first(model.classes):
+        rows = [emitter._row(cls, f, tables) for f in emitter._matchable(model, cls)]
+        assert [table[index] for index in classes[cls.name]] == rows, cls.name
+        used += rows
+    assert list(dict.fromkeys(used)) == list(table)
+    assert package.rows == {"referenced": sum(map(len, classes.values())),
+                            "distinct": len(table)}
 
 
 def wide_model(n_classes):
@@ -1382,8 +1484,11 @@ def traced_peak(fn, *args):
 def test_string_rows_compile_in_far_less_memory_than_tuple_rows():
     """Each row is one constant for the compiler, not five or more."""
     (package,) = emit_parser_backend(wide_model(200))
-    as_tuples = re.sub(r"^( {8})('.*'),$", lambda m: m[1] + repr(read_row(
-        ast.literal_eval(m[2]))) + ",", package.content, flags=re.M)
+    table = assigned(ast.parse(package.content).body, "_ROWS")
+    # Each class writes its own rows as tuples, as earlier versions did.
+    as_tuples = re.sub(r"^    _rows = (.*)$", lambda m: "    _rows = (\n" + "".join(
+        f"        {read_row(table[index])!r},\n" for index in ast.literal_eval(m[1])) + "    )",
+        re.sub(r"^_ROWS = \(\n(?:    .*\n)*\)\n", "", package.content, flags=re.M), flags=re.M)
     assert as_tuples.count("'simple', 'string'),") == 200 * 5
     rows, _ = traced_peak(compile, package.content, "<rows>", "exec")
     tuples, _ = traced_peak(compile, as_tuples, "<tuples>", "exec")
