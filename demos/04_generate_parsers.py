@@ -7,15 +7,17 @@ substitution dispatch bounded to observed members, and the single-child
 
 The generated package is one module.  Each class in it is data and is its
 own parser: a plain __slots__ record class over slimbind.runtime.Record
-whose _rows hold one row per field, keyed by the names expat reports
-("namespace local"); at import, slimbind.runtime turns the rows into
-lookup tables on the class and leaves the package's own tables as they
-are.  Records print in field order and
-turn into plain dicts with to_dict().
+whose _rows index one row per field in the module's _ROWS table.  A row
+names a namespace by its index into _NS and leaves its slot empty when
+the slot is the element's local name; at import, slimbind.runtime expands
+the rows into lookup tables on the class, keyed by the names expat
+reports ("namespace local"), and leaves the package's own tables as they
+are.  Records print in field order and turn into plain dicts with
+to_dict().
 
 Last, the package is imported in a fresh interpreter, as a device that
-only parses would: it loads slimbind.runtime and what that needs, never
-the generator.
+only parses would: it loads the bytecode generate wrote next to the
+source, and slimbind.runtime and what that needs, never the generator.
 """
 
 import importlib
@@ -47,10 +49,12 @@ for cls in model.classes:
 print(f"collapsed away: {[c.name for c in model.collapsed_classes]}")
 
 artifacts = emit_parser_backend(model)
-write_artifacts(model, artifacts, OUT)
+manifest = write_artifacts(model, artifacts, OUT)
 print()
 print("emitted sources (bytes, descending):")
 print(format_size_report(artifacts))
+bytecode = manifest["bytecode"]
+print(f"{bytecode['bytes']:>10}  {bytecode['path']} (shipped bytecode, not in the total)")
 
 # Import the generated package and parse one of the corpus documents.
 sys.path.insert(0, str(OUT / "gen"))
@@ -70,6 +74,7 @@ print(f"warnings: {len(warnings)}")
 print(f"first item as plain data: {library.item[0].to_dict()}")
 
 print()
+print(f"namespaces the rows name by index: _NS = {generated._NS!r}")
 print("one class of the generated package: the record and the field rows it indexes:")
 source = (OUT / "gen" / "librarydemo" / "__init__.py").read_text()
 start = source.index("class BookType")

@@ -191,6 +191,8 @@ def cmd_generate(args) -> int:
     except SlimbindError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CORPUS
+    # Nothing below reads them: serializing and compiling the package reuse their memory.
+    del schema, report, retained_used, retained
 
     for text, path in zip(args.ignore, ignore_paths):
         if path in model.unmatched_ignores:

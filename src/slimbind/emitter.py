@@ -11,8 +11,10 @@ give byte-identical artifacts.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
+import py_compile
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,9 +53,11 @@ _OCCURS = {
 class GeneratedArtifact:
     path: str
     content: str
-    # {"referenced": rows the classes index, "distinct": rows in ``_ROWS``},
-    # for the built-in package; None for other artifacts.
+    # For the built-in package, which ships its bytecode:
+    # {"referenced": rows the classes index, "distinct": rows in ``_ROWS``}
+    # and the number of namespaces in ``_NS``.  None for other artifacts.
     rows: Optional[dict] = None
+    namespaces: Optional[int] = None
 
     @cached_property
     def data(self) -> bytes:
@@ -213,11 +217,21 @@ def _field_table(tables, field) -> str:
 
 
 class _Rows:
-    """Field rows of one package: each distinct row indexed once, in order of first use."""
+    """Field rows of one package: each distinct row indexed once, in order of first use.
+
+    So is each namespace the rows name, in ``_NS``.
+    """
 
     def __init__(self):
         self.index = {}  # row -> its index in _ROWS
+        self.namespaces = {}  # namespace -> its index in _NS
         self.referenced = 0
+
+    def name(self, qname) -> str:
+        """``qname`` as a row writes it: ``"<index into _NS> <local>"``, or ``"local"``."""
+        if not qname.namespace:
+            return qname.local
+        return f"{self.namespaces.setdefault(qname.namespace, len(self.namespaces))} {qname.local}"
 
     def indices(self, rows) -> tuple:
         self.referenced += len(rows)
@@ -243,6 +257,7 @@ def _render_context(model):
     return {
         "model_name": model.name,
         "classes": classes_ctx,
+        "namespaces": [repr(namespace) for namespace in rows.namespaces],
         "row_table": [repr(row) for row in rows.index],
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
@@ -286,46 +301,53 @@ def _class_context(model, cls, modules, tables, rows) -> dict:
         "fields": [{"py_name": f.name} for f in cls.fields],
         "slots": repr(tuple(f.name for f in cls.fields)),
         "lists": repr(lists) if lists else "",
-        "rows": repr(rows.indices([_row(cls, f, tables) for f in _matchable(model, cls)])),
+        "rows": repr(rows.indices([_row(cls, f, tables, rows.name)
+                                   for f in _matchable(model, cls)])),
         "has_base": cls.base is not None,
         "base": cls.base or "",
         "base_module": modules.get(cls.base, "") if cls.base else "",
     }
 
 
-def _row(cls, f, tables) -> str:
+def _row(cls, f, tables, name) -> str:
     """The field row of ``f``: ``key, slot, occurs, read, target`` joined by tabs.
 
-    None is written as an empty item; a collapse row's target is its inner
-    read, its target and its chain.  ``slimbind.runtime`` documents the format.
+    ``name`` spells the names the row matches (:meth:`_Rows.name` in a
+    package).  None is written as an empty item, and so is a slot that is
+    the local name of its key; a collapse row's target is its inner read,
+    its target and its chain.  ``slimbind.runtime`` documents the format.
     """
-    items = _row_items(cls, f, tables)
+    key, slot, *rest = _row_items(cls, f, tables, name)
+    if key is not None and slot == key.rpartition(" ")[2]:
+        slot = None
+    items = key, slot, *rest
     if any("\t" in item for item in items if item):
         raise SlimbindError(f"{cls.name}.{f.name}: a name holds a tab, which "
                             "separates the items of a field row")
     return "\t".join(item or "" for item in items)
 
 
-def _row_items(cls, f, tables) -> tuple:
-    key = _key(f.xml_name)
+def _row_items(cls, f, tables, name) -> tuple:
+    """The items of ``f``'s row, each name spelt by ``name``, slot included."""
     occurs = _OCCURS[f.cardinality]
     if f.kind is FieldKind.TEXT_CONTENT:
         if cls.mixed:
             return None, f.name, occurs, "mixed", None
         return None, f.name, occurs, "text", _conv(f.value)
     if f.kind is FieldKind.ATTRIBUTE:
-        return key, f.name, occurs, "attribute", _conv(f.value)
+        return name(f.xml_name), f.name, occurs, "attribute", _conv(f.value)
     if f.dispatch:
         # A dispatch field matches its table's keys, even when ignored.
         table = _field_table(tables, f)
         if f.ignored:
             return None, f.name, occurs, "ignore", table
         return table, f.name, occurs, "dispatch", None if f.is_wildcard else f.xml_name.local
+    key = name(f.xml_name)
     if f.ignored:
         return key, f.name, occurs, "ignore", None
     if f.collapse_chain:
         return (key, f.name, occurs, "collapse", *_element_read(f, tables.classes),
-                *map(_key, f.collapse_chain))
+                *map(name, f.collapse_chain))
     return (key, f.name, occurs, *_element_read(f, tables.classes))
 
 
@@ -353,6 +375,11 @@ _PACKAGE_TEMPLATE = '''\
 """Parser package for model '{{model_name}}'. Generated code; do not edit."""
 from slimbind.runtime import Record, {{dispatch_imports}}
 
+_NS = (
+{{#namespaces}}
+    {{.}},
+{{/namespaces}}
+)
 _ROWS = (
 {{#row_table}}
     {{.}},
@@ -401,6 +428,7 @@ def emit_parser_backend(model: BindingModel) -> list:
     context, rows = _render_context(model)
     (package,) = _render(context, builtin_template_set())
     package.rows = rows.counts()
+    package.namespaces = len(rows.namespaces)
     return [package]
 
 
@@ -409,11 +437,14 @@ def emit_parser_backend(model: BindingModel) -> list:
 def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     """Write artifacts under ``out_root/gen/<model-name>/`` plus MANIFEST.json.
 
+    The built-in package also ships its bytecode (see :func:`_bytecode_path`).
     Returns the manifest dictionary.
     """
     gen_dir = os.path.join(out_root, "gen", model.name)
     os.makedirs(gen_dir, exist_ok=True)
-    _remove_stale(gen_dir, {a.path for a in artifacts})
+    package = next((a for a in artifacts if a.rows is not None), None)
+    pyc = _bytecode_path(package.path) if package else None
+    _remove_stale(gen_dir, {a.path for a in artifacts} | ({pyc} if pyc else set()))
     entries = []
     for artifact in sorted(artifacts, key=lambda a: a.path):
         path = os.path.join(gen_dir, artifact.path)
@@ -435,19 +466,57 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
         "artifacts": entries,
         "totalBytes": total,
     }
-    for artifact in artifacts:
-        if artifact.rows is not None:
-            manifest["rows"] = artifact.rows
+    if package is not None:
+        manifest["rows"] = package.rows
+        manifest["namespaces"] = package.namespaces
+    if pyc is not None:
+        manifest["bytecode"] = _write_bytecode(gen_dir, f"{model.name}/{package.path}",
+                                               package.path, pyc)
     with open(os.path.join(gen_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps(manifest))
     return manifest
 
 
+def _bytecode_path(source):
+    """Where the running interpreter looks for the bytecode of ``source``, relative to it.
+
+    None when that is outside the package (``sys.pycache_prefix`` is set)
+    or when the interpreter caches no bytecode.
+    """
+    try:
+        path = importlib.util.cache_from_source(source)
+    except NotImplementedError:  # sys.implementation.cache_tag is None
+        return None
+    return None if os.path.isabs(path) else path.replace(os.sep, "/")
+
+
+def _write_bytecode(gen_dir, name, source, pyc) -> dict:
+    """Compile ``source`` into ``pyc`` (both relative to ``gen_dir``); its manifest entry.
+
+    The pyc is hash-based and checked (PEP 552): the interpreter loads it
+    only while the source it was compiled from is unchanged, and it holds
+    no time stamp.  ``name`` is the file name compiled into the code, so
+    equal sources give byte-identical pycs wherever they are written.
+    """
+    path = os.path.join(gen_dir, pyc)
+    py_compile.compile(os.path.join(gen_dir, source), path, name, doraise=True,
+                       invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {"path": pyc, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def _remove_stale(gen_dir, keep):
-    """Delete the regular files inside ``gen_dir`` its MANIFEST.json lists, but ``keep``."""
+    """Delete the regular files inside ``gen_dir`` its MANIFEST.json lists, but ``keep``.
+
+    The manifest lists its artifacts and the built-in package's bytecode.
+    """
     try:
         with open(os.path.join(gen_dir, "MANIFEST.json"), encoding="utf-8") as fh:
-            listed = {entry["path"] for entry in json.load(fh)["artifacts"]}
+            manifest = json.load(fh)
+        listed = {entry["path"] for entry in manifest["artifacts"]}
+        if "bytecode" in manifest:
+            listed.add(manifest["bytecode"]["path"])
     except (OSError, ValueError, KeyError, TypeError):
         return
     root = os.path.realpath(gen_dir)

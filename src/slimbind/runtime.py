@@ -25,10 +25,12 @@ five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
 generated package writes each distinct field row once, a tab-separated
-string, in its ``_ROWS`` table.  A record class is its own parser: it
-declares its field rows as indices into that table, and
-:func:`bind_parsers` turns them into lookup tables on the class, keyed by
-expat's names, once the package has defined every name the rows mention.
+string, in its ``_ROWS`` table; a row names a namespace by its index into
+the package's ``_NS`` table and leaves out a slot named like its key.  A
+record class is its own parser: it declares its field rows as indices
+into ``_ROWS``, and :func:`bind_parsers` expands them and turns them into
+lookup tables on the class, keyed by expat's names, once the package has
+defined every name the rows mention.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -505,21 +507,26 @@ class _Document:
 # this one.
 #
 # A generated package holds a tuple ``_ROWS`` of field rows, each distinct
-# row once in order of first use, and, per class, a :class:`Record`
+# row once in order of first use, the tuple ``_NS`` of the namespaces they
+# name, and, per class, a :class:`Record`
 # subclass that declares its fields as ``__slots__`` and its field rows as
 # ``_rows``, a tuple of indices into ``_ROWS``: a flattened class shares
 # its base's rows, and a shared element's row serves every class holding
 # it.  A row is one string, its items ``key``, ``slot``, ``occurs``,
 # ``read`` and ``target`` joined by tabs, None written as an empty item
-# (one string costs the compiler far less than a tuple of five); for
-# example ``'urn:fix sku\tsku\t*\tsimple\tstring'``:
+# (one string costs the compiler far less than a tuple of five).  A row
+# writes a name in a namespace as ``"<index into _NS> <local>"`` and a
+# name in none as ``"local"``; :func:`_split_row` expands each to the
+# expat name.  For example ``'0 sku\t\t*\tsimple\tstring'``, with
+# ``_NS[0]`` the namespace of ``sku``:
 #
-# * ``key`` -- the expat name of the element or attribute the field
+# * ``key`` -- the name of the element or attribute the field
 #   matches; for a ``"dispatch"`` row, the name of its dispatch table, whose
 #   keys are what it matches; None for the text row and for an ignored
 #   dispatch field.  The row's ``read`` says which: a table name and a
 #   no-namespace element name may be the same string.
-# * ``slot`` -- the record attribute the value goes to.
+# * ``slot`` -- the record attribute the value goes to; empty when it is
+#   the local name of ``key``.
 # * ``occurs`` -- ``"1"`` required, ``"?"`` optional, ``"*"`` a list.
 # * ``read`` and ``target`` -- how the value is read:
 #   ``"attribute"``, ``"simple"`` (text-only element) and ``"text"`` (the
@@ -530,7 +537,7 @@ class _Document:
 #   or None for a wildcard;
 #   ``"collapse"`` unwraps the inner elements: its ``target`` is the read
 #   of the innermost element, ``"class"`` or ``"simple"``, and further
-#   items follow, that read's target and then the expat names of the inner
+#   items follow, that read's target and then the names of the inner
 #   elements in order; ``"ignore"`` skips the subtree and builds
 #   nothing, ``target`` being None, or for a dispatch field the name of the
 #   table whose keys it matches.
@@ -606,12 +613,14 @@ def bind_parsers(names):
     dispatch table name to its value, once all are defined; so rows can
     name any class and recursive types need no cycle.  The package's
     tables are read, never changed, so binding again binds the same.  Each
-    row of ``_ROWS`` is split once, however many classes index it: the
-    split rows are dropped when binding ends.  A package whose root table
-    ``_ROOTS`` is keyed by ``(namespace, local)`` tuples, whose field rows
-    are tuples or strings, or that has no ``_ROWS``, was generated in an
-    older format, and is refused with an :class:`ImportError`; so is one
-    whose rows are not indices into ``_ROWS``.
+    row of ``_ROWS`` is split and expanded through ``_NS`` once, however
+    many classes index it: the split rows are dropped when binding ends.
+    A package whose root table ``_ROOTS`` is keyed by ``(namespace,
+    local)`` tuples, whose field rows are tuples or strings, or that has
+    no ``_ROWS`` or no ``_NS``, was generated in an older format, and is
+    refused with an :class:`ImportError`; so is one whose rows are not
+    indices into ``_ROWS``, or name a namespace by anything but an index
+    into ``_NS``.
     """
     if not all(isinstance(key, str) for key in names["_ROOTS"]):
         raise _regenerate("was generated in an older format, "
@@ -624,7 +633,10 @@ def bind_parsers(names):
         raise _regenerate("was generated in an older format, " + (
             "whose field rows are tuples" if tuple in kinds else
             "whose field rows are strings" if str in kinds else "with no row table _ROWS"))
-    rows = [_split_row(row) for row in table]
+    namespaces = names.get("_NS")
+    if not isinstance(namespaces, tuple):
+        raise _regenerate("was generated in an older format, with no namespace table _NS")
+    rows = [_split_row(row, namespaces) for row in table]
     for cls in classes:
         _bind(cls, names, rows)
 
@@ -633,20 +645,23 @@ def _regenerate(what):
     return ImportError(f"this parser package {what}; regenerate it with 'slimbind generate'")
 
 
-def _split_row(row):
+def _split_row(row, namespaces):
     """``(key, slot, occurs, read, target, chain, required)`` of a ``_ROWS`` row.
 
-    The slot name is interned: a split-out string is not, and ``setattr``
-    would look it up in the interned names on every record.  A collapse
-    row reads as its inner read and target, ``chain`` holding the expat
-    names of its wrappers; ``chain`` is None for every other row.
-    ``required`` is ``(slot, label)`` for a required field that is
-    reported when missing, else None.
+    Names are expanded to expat names through ``namespaces``, the
+    package's ``_NS``, and an empty slot to the local name of the key.  The
+    slot name is interned: a split-out string is not, and ``setattr`` would
+    look it up in the interned names on every record.  A collapse row reads
+    as its inner read and target, ``chain`` holding the expat names of its
+    wrappers; ``chain`` is None for every other row.  ``required`` is
+    ``(slot, label)`` for a required field that is reported when missing,
+    else None.
     """
     key, slot, occurs, read, target, *chain = row.split("\t")
-    slot = sys.intern(slot)
+    key = _expand(key, namespaces, row)
+    slot = sys.intern(slot or _split(key)[1])
     if read == "collapse":  # the inner read, its target, then the chain
-        read, target, *chain = target, *chain
+        read, target, *chain = target, *(_expand(name, namespaces, row) for name in chain)
     if occurs != "1" or read in ("text", "mixed", "ignore"):
         required = None  # never reported missing
     elif read == "dispatch":
@@ -655,6 +670,17 @@ def _split_row(row):
         required = (slot, f"{'attribute' if read == 'attribute' else 'element'} "
                           f"{_split(key)[1]}")
     return key, slot, occurs, read, target, tuple(chain) if chain else None, required
+
+
+def _expand(name, namespaces, row):
+    """The expat name a row writes as ``"<index into _NS> <local>"``, or ``"local"``."""
+    index, space, local = name.partition(" ")
+    if not space:
+        return name
+    if not (index.isascii() and index.isdigit() and int(index) < len(namespaces)):
+        raise _regenerate(f"has a field row {row!r} whose namespace {index!r} "
+                          "is not an index into _NS")
+    return expat_name(namespaces[int(index)], local)
 
 
 _ABSENT = object()  # a required slot's value until its field is read

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,8 +112,23 @@ def test_generate_removes_files_the_old_manifest_listed(workspace, tmp_path):
     (gen / "MANIFEST.json").write_text(json.dumps(manifest))
     assert run(workspace, "generate") == 0
     assert sorted(p.name for p in gen.iterdir()) == \
-        ["MANIFEST.json", "__init__.py", "notes.txt"]
+        ["MANIFEST.json", "__init__.py", "__pycache__", "notes.txt"]
     assert outside.read_text() == "mine"
+
+
+def test_custom_templates_remove_the_bytecode_of_the_builtin_package(workspace, tmp_path):
+    assert run(workspace, "generate") == 0
+    gen = workspace["out"] / "gen" / "model"
+    pyc = json.loads((gen / "MANIFEST.json").read_text())["bytecode"]["path"]
+    assert (gen / pyc).is_file()
+    tdir = tmp_path / "tpl"
+    tdir.mkdir()
+    (tdir / "templates.json").write_text(
+        '{"manifest": [{"template": "c.tpl", "path": "{{module}}.py", "per": "class"}]}')
+    (tdir / "c.tpl").write_text("{{name}}\n")
+    assert run(workspace, "generate", "--templates", str(tdir)) == 0
+    assert not (gen / pyc).exists()
+    assert "bytecode" not in json.loads((gen / "MANIFEST.json").read_text())
 
 
 def test_missing_docs_path_is_an_io_error(workspace, capsys):
@@ -349,3 +368,94 @@ def test_analyze_reads_schema_in_declared_encoding(workspace, capsys, encoding, 
         f'<?xml version="1.0" encoding="{declared}"?>\n{text}'.encode(encoding))
     assert run(workspace, "analyze") == 0
     assert "analyzed 1 documents" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- shipped bytecode
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+
+
+def _device_import(gen_dir, name="model"):
+    """Import package ``name`` from ``gen_dir`` in a fresh interpreter, as a device would.
+
+    Returns what the import compiled from source (file names), the
+    package's docstring, and the document parsed to plain values.
+    """
+    probe = (
+        "import json, os, sys\n"
+        f"sys.path[:0] = [{os.fspath(gen_dir)!r}, {SRC!r}]\n"
+        "import slimbind.runtime\n"
+        "import _frozen_importlib_external as external\n"
+        "compiled, to_code = [], external.SourceLoader.source_to_code\n"
+        "def source_to_code(self, data, path, *args, **kwargs):\n"
+        "    compiled.append(os.path.basename(path))\n"
+        "    return to_code(self, data, path, *args, **kwargs)\n"
+        "external.SourceLoader.source_to_code = source_to_code\n"
+        f"import {name} as package\n"
+        f"obj, warnings = package.parse_document({GOOD_DOC!r})\n"
+        "print(json.dumps([compiled, package.__doc__, obj.to_dict(), len(warnings)]))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def test_generate_ships_checked_hash_bytecode(workspace):
+    """The pyc sits where the interpreter looks, and a device imports it as it is."""
+    assert run(workspace, "generate") == 0
+    gen = workspace["out"] / "gen" / "model"
+    source = (gen / "__init__.py").read_bytes()
+    pyc = importlib.util.cache_from_source("__init__.py")
+    data = (gen / pyc).read_bytes()
+    manifest = json.loads((gen / "MANIFEST.json").read_text())
+    assert manifest["bytecode"] == {"path": pyc, "bytes": len(data),
+                                    "sha256": hashlib.sha256(data).hexdigest()}
+    assert manifest["artifacts"] == [{"path": "__init__.py", "bytes": len(source),
+                                      "sha256": hashlib.sha256(source).hexdigest()}]
+    assert manifest["totalBytes"] == len(source)
+    assert manifest["namespaces"] == 1
+    # PEP 552: the magic number, flags "hash-based, check the source", the source's hash.
+    assert data[:4] == importlib.util.MAGIC_NUMBER
+    assert int.from_bytes(data[4:8], "little") == 0b11
+    assert data[8:16] == importlib.util.source_hash(source)
+    compiled, doc, obj, warnings = _device_import(gen.parent)
+    assert (compiled, warnings) == ([], 0)
+    assert obj == {"entry": [{"label": "a", "count": 1}, {"label": "b", "count": None}]}
+    assert doc == "Parser package for model 'model'. Generated code; do not edit."
+
+
+def test_an_edited_package_source_is_compiled_not_shadowed(workspace):
+    """The pyc holds its source's hash, so an edit of the same length still shows."""
+    assert run(workspace, "generate") == 0
+    gen = workspace["out"] / "gen" / "model"
+    source = (gen / "__init__.py").read_text()
+    edited = source.replace("Generated code; do not edit.", "Generated code; DO NOT EDIT.")
+    assert edited != source and len(edited) == len(source)
+    (gen / "__init__.py").write_text(edited)
+    compiled, doc, _obj, _warnings = _device_import(gen.parent)
+    assert (compiled, doc) == (["__init__.py"],
+                               "Parser package for model 'model'. Generated code; DO NOT EDIT.")
+
+
+def test_a_package_regenerated_after_an_import_is_the_one_imported(workspace):
+    assert run(workspace, "generate") == 0
+    gen = workspace["out"] / "gen"
+    compiled, _doc, obj, _warnings = _device_import(gen)
+    assert (compiled, len(obj["entry"])) == ([], 2)
+    assert run(workspace, "generate", "--ignore", f"{{{TNS}}}doc/entry") == 0
+    compiled, _doc, obj, _warnings = _device_import(gen)
+    assert (compiled, obj) == ([], {"entry": []})
+
+
+def test_equal_inputs_give_byte_identical_bytecode(workspace, tmp_path):
+    """Wherever it is written, in this process or another with another hash seed."""
+    outs = [workspace["out"], tmp_path / "out2", tmp_path / "out3"]
+    assert run(workspace, "generate") == 0
+    assert run({**workspace, "out": outs[1]}, "generate") == 0
+    subprocess.run([sys.executable, "-m", "slimbind.cli", "generate",
+                    "--schemas", str(workspace["schemas"] / "main.xsd"),
+                    "--docs", str(workspace["docs"]), "--out", str(outs[2])],
+                   env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": "12345"},
+                   capture_output=True, check=True)
+    pyc = importlib.util.cache_from_source("__init__.py")
+    blobs = {(out / "gen" / "model" / pyc).read_bytes() for out in outs}
+    assert len(blobs) == 1

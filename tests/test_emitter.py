@@ -71,13 +71,14 @@ GOLDEN_NAMES = sorted(path.name.removesuffix(".golden")
 def field_rows(source, name):
     """The rows of its ``_ROWS`` a generated package's class ``name`` indexes.
 
-    Each row is read as ``(key, slot, occurs, read, target)``, None for an
-    empty item; a collapse row's target as ``(chain, read, target)``.
+    Each row is expanded through ``_NS`` as the runtime expands it, and read
+    as ``(key, slot, occurs, read, target)``, None for an empty item; a
+    collapse row's target as ``(chain, read, target)``.
     """
     body = ast.parse(source).body
     (cls,) = [node for node in body if isinstance(node, ast.ClassDef) and node.name == name]
-    table = assigned(body, "_ROWS")
-    return tuple(read_row(table[index]) for index in assigned(cls.body, "_rows"))
+    table, namespaces = assigned(body, "_ROWS"), assigned(body, "_NS")
+    return tuple(read_row(table[index], namespaces) for index in assigned(cls.body, "_rows"))
 
 
 def assigned(nodes, name):
@@ -87,14 +88,20 @@ def assigned(nodes, name):
     return ast.literal_eval(value)
 
 
-def read_row(text):
-    """One field row, as :func:`field_rows` gives it."""
-    key, slot, occurs, read, *rest = (item or None for item in text.split("\t"))
-    if read == "collapse":
-        inner_read, inner_target, *chain = rest
-        return key, slot, occurs, read, (tuple(chain), inner_read, inner_target)
-    (target,) = rest
-    return key, slot, occurs, read, target
+def read_row(text, namespaces):
+    """One field row, as :func:`field_rows` gives it, expanded by ``runtime._split_row``."""
+    key, slot, occurs, read, target, chain, _required = runtime._split_row(text, namespaces)
+    if chain is not None:
+        return key or None, slot, occurs, "collapse", (chain, read, target or None)
+    return key or None, slot, occurs, read, target or None
+
+
+def full_row(split):
+    """The row ``runtime._split_row`` gave ``split`` for, every name and slot written out."""
+    key, slot, occurs, read, target, chain, _required = split
+    if chain is not None:
+        read, target = "collapse", "\t".join((read, target, *chain))
+    return "\t".join((key, slot, occurs, read, target or ""))
 
 
 def class_names(source):
@@ -704,7 +711,7 @@ class TestLateBoundParsers:
         assert tables
         assert {name for name in vars(package) if not name.startswith("__")} == \
             {c.name for c in model.classes} | set(tables) | set(imports.split(", ")) | \
-            {"_ROWS", "_ROOTS", "parse_document"}
+            {"_NS", "_ROWS", "_ROOTS", "parse_document"}
         assert "_lists" not in source and "RecordParser" not in source
         assert not hasattr(runtime, "RecordParser")
         assert_equivalent(model, package, docs)
@@ -807,6 +814,17 @@ class TestManifest:
                                     "distinct": len(package._ROWS)} == \
             {"referenced": 3 * 7 + 3, "distinct": 7 + 3}
         assert manifest["totalBytes"] == sum(a.byte_size for a in artifacts)
+
+    def test_no_bytecode_where_the_interpreter_keeps_it_outside_the_package(
+            self, po_schema, tmp_path, monkeypatch):
+        """With ``sys.pycache_prefix`` set, a pyc in the package would never be read."""
+        monkeypatch.setattr(sys, "pycache_prefix", os.fspath(tmp_path / "prefix"))
+        model = po_model(po_schema, name=unique_model_name())
+        manifest = write_artifacts(model, emit_parser_backend(model), tmp_path / "out")
+        assert "bytecode" not in manifest and manifest["namespaces"] == 1
+        assert sorted(p.name for p in (tmp_path / "out" / "gen" / model.name).iterdir()) == \
+            ["MANIFEST.json", "__init__.py"]
+        assert not (tmp_path / "prefix").exists()
 
     def test_no_references_outside_retained(self, po_schema):
         """Every name matched by generated code maps to a retained component."""
@@ -1378,16 +1396,19 @@ def _string_rows(package):
 
 
 def _current_format(package):
-    """``package`` keyed by expat names, its classes indexing the field rows in ``_ROWS``."""
+    """``package`` keyed by expat names, its classes indexing the field rows in ``_ROWS``.
+
+    The rows name ``urn:fix`` as ``_NS[0]`` and write every slot.
+    """
     table = []
 
     def index(match):
-        table.append(ast.literal_eval(match[2]))
+        table.append(ast.literal_eval(match[2]).replace("urn:fix ", "0 "))
         return f"{match[1]}{len(table) - 1},"
 
     package = re.sub(r"^( +)('.*'),$", index, _string_rows(package), flags=re.M)
     head, rest = package.split("\n", 1)
-    return f"{head}\n_ROWS = {tuple(table)!r}\n{rest}"
+    return f"{head}\n_NS = ('urn:fix',)\n_ROWS = {tuple(table)!r}\n{rest}"
 
 
 def test_package_with_tuple_rows_is_refused(tmp_path, monkeypatch):
@@ -1431,24 +1452,109 @@ def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
         importlib.import_module(old)
 
 
+def _import_text(tmp_path, monkeypatch, text):
+    """Import ``text`` as a module of a fresh name."""
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    name = unique_model_name("rows")
+    (tmp_path / f"{name}.py").write_text(text)
+    return importlib.import_module(name)
+
+
+def test_package_without_a_namespace_table_is_refused(tmp_path, monkeypatch):
+    """A package with no ``_NS`` was written before rows named namespaces by index."""
+    package = re.sub(r"^_NS = .*\n", "", _current_format(_OLD_FORMAT_PACKAGE), flags=re.M)
+    with pytest.raises(ImportError, match="no namespace table _NS; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+@pytest.mark.parametrize("index", ["x", "-0", "+0", "0x0", "\u0660", "urn:fix", "1", "12"])
+def test_package_with_a_row_whose_namespace_is_no_index_into_ns_is_refused(
+        tmp_path, monkeypatch, index):
+    """``_NS`` holds one namespace here, so only the index 0 names one."""
+    package = _current_format(_OLD_FORMAT_PACKAGE).replace("'0 v\\t", f"'{index} v\\t")
+    assert f"'{index} v\\t" in package
+    with pytest.raises(ImportError, match=f"field row '{re.escape(index)} v.* whose namespace "
+                       ".* is not an index into _NS; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+def _package_tables(package):
+    """``(_NS, _ROWS, {class name: _rows})`` of a generated package's source."""
+    body = ast.parse(package.content).body
+    return assigned(body, "_NS"), assigned(body, "_ROWS"), {
+        node.name: assigned(node.body, "_rows")
+        for node in body if isinstance(node, ast.ClassDef)}
+
+
 @settings(max_examples=30, deadline=None)
 @given(synth_model())
 def test_each_distinct_row_is_written_once_in_order_of_first_use(model):
-    """A class's rows, resolved through ``_ROWS``, are its matchable fields' rows in order."""
+    """A class's rows, resolved through ``_ROWS``, are its matchable fields' rows in order.
+
+    ``_NS`` holds the namespaces the rows name, in order of first use too.
+    """
     (package,) = emit_parser_backend(model)
-    body = ast.parse(package.content).body
-    table = assigned(body, "_ROWS")
-    classes = {node.name: assigned(node.body, "_rows")
-               for node in body if isinstance(node, ast.ClassDef)}
+    namespaces, table, classes = _package_tables(package)
     tables = emitter._Tables(emitter._module_names(model))
+    spelling = emitter._Rows()
     used = []
     for cls in emitter._base_first(model.classes):
-        rows = [emitter._row(cls, f, tables) for f in emitter._matchable(model, cls)]
+        rows = [emitter._row(cls, f, tables, spelling.name)
+                for f in emitter._matchable(model, cls)]
         assert [table[index] for index in classes[cls.name]] == rows, cls.name
         used += rows
     assert list(dict.fromkeys(used)) == list(table)
+    assert list(spelling.namespaces) == list(namespaces)
     assert package.rows == {"referenced": sum(map(len, classes.values())),
                             "distinct": len(table)}
+    assert package.namespaces == len(namespaces)
+
+
+def _renumbered(rows):
+    """Full-form ``rows`` in the package format: every slot written, ``_NS`` reversed.
+
+    Only a namespaced expat name holds a space.  Returns ``(_NS, _ROWS)``.
+    """
+    items = [row.split("\t") for row in rows]
+    namespaces = sorted({item.rpartition(" ")[0] for row in items for item in row
+                         if " " in item}, reverse=True)
+
+    def spell(item):
+        namespace, space, local = item.rpartition(" ")
+        return f"{namespaces.index(namespace)} {local}" if space else item
+
+    return tuple(namespaces), tuple("\t".join(map(spell, row)) for row in items)
+
+
+@settings(max_examples=30, deadline=None)
+@given(synth_model())
+def test_rows_expand_to_their_full_form_and_bind_alike(model):
+    """Naming namespaces by index and leaving slots empty changes no binding.
+
+    Each row, expanded by the runtime, is the row with every name and slot
+    written out; and rows that write every slot and number the namespaces
+    in another order bind every class to the same ``_binding`` and
+    ``_fields``.
+    """
+    (package,) = emit_parser_backend(model)
+    namespaces, table, classes = _package_tables(package)
+    tables = emitter._Tables(emitter._module_names(model))
+    for cls in emitter._base_first(model.classes):
+        full = ["\t".join(item or "" for item in emitter._row_items(cls, f, tables, emitter._key))
+                for f in emitter._matchable(model, cls)]
+        assert [full_row(runtime._split_row(table[index], namespaces))
+                for index in classes[cls.name]] == full, cls.name
+    names = {"__name__": unique_model_name("rows")}
+    exec(compile(package.content, "<package>", "exec"), names)
+
+    def bound():
+        return {c.name: (names[c.name]._binding, names[c.name]._fields) for c in model.classes}
+
+    emitted = bound()
+    names["_NS"], names["_ROWS"] = _renumbered(
+        [full_row(runtime._split_row(row, namespaces)) for row in table])
+    runtime.bind_parsers(names)
+    assert bound() == emitted
 
 
 def wide_model(n_classes):
@@ -1484,11 +1590,13 @@ def traced_peak(fn, *args):
 def test_string_rows_compile_in_far_less_memory_than_tuple_rows():
     """Each row is one constant for the compiler, not five or more."""
     (package,) = emit_parser_backend(wide_model(200))
-    table = assigned(ast.parse(package.content).body, "_ROWS")
+    namespaces, table, _classes = _package_tables(package)
     # Each class writes its own rows as tuples, as earlier versions did.
     as_tuples = re.sub(r"^    _rows = (.*)$", lambda m: "    _rows = (\n" + "".join(
-        f"        {read_row(table[index])!r},\n" for index in ast.literal_eval(m[1])) + "    )",
-        re.sub(r"^_ROWS = \(\n(?:    .*\n)*\)\n", "", package.content, flags=re.M), flags=re.M)
+        f"        {read_row(table[index], namespaces)!r},\n"
+        for index in ast.literal_eval(m[1])) + "    )",
+        re.sub(r"^_(?:NS|ROWS) = \(\n(?:    .*\n)*\)\n", "", package.content, flags=re.M),
+        flags=re.M)
     assert as_tuples.count("'simple', 'string'),") == 200 * 5
     rows, _ = traced_peak(compile, package.content, "<rows>", "exec")
     tuples, _ = traced_peak(compile, as_tuples, "<tuples>", "exec")
@@ -1516,15 +1624,49 @@ def test_every_slot_name_a_class_binds_is_interned(tmp_path):
         assert len(slots) >= 7 and all(sys.intern(s) is s for s in slots), c.name
 
 
-def test_a_namespace_holding_a_tab_is_refused():
-    """A tab separates a row's items, so no name in a row may hold one."""
+def test_a_namespace_holding_a_tab_round_trips(tmp_path):
+    """Rows name a namespace by its index into ``_NS``, so no row holds its text.
+
+    A tab separates a row's items; a namespace may hold one through ``&#9;``.
+    """
     ns = "urn:a&#9;b"
-    schema = load_schema_set([SchemaSource("mem://tab.xsd", raw_text=(
-        f'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" targetNamespace="{ns}"'
-        ' elementFormDefault="qualified"><xs:element name="r"><xs:complexType>'
-        '<xs:sequence><xs:element name="v" type="xs:string"/></xs:sequence>'
-        "</xs:complexType></xs:element></xs:schema>"))])
-    usage = analyze_corpus(schema, [("d.xml", f'<r xmlns="{ns}"><v>x</v></r>')])
-    model = build_binding_model(schema, compute_retained_set(schema, usage), usage)
-    with pytest.raises(SlimbindError, match="RType.v: a name holds a tab"):
-        emit_parser_backend(model)
+    schema = load_schema_set([SchemaSource("mem://ns.xsd", raw_text=(
+        f'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" xmlns:t="{ns}" '
+        f'targetNamespace="{ns}" elementFormDefault="qualified">'
+        '<xs:element name="r"><xs:complexType><xs:sequence>'
+        '<xs:element name="v" type="xs:string"/>'
+        '<xs:element name="w" minOccurs="0"><xs:complexType><xs:sequence>'
+        '<xs:element name="i" type="xs:int"/></xs:sequence></xs:complexType></xs:element>'
+        '</xs:sequence><xs:attribute ref="t:a"/></xs:complexType></xs:element>'
+        '<xs:attribute name="a" type="xs:int"/></xs:schema>'))])
+    head = f'<t:r xmlns:t="{ns}"'
+    good = f'{head} t:a="1"><t:v>x</t:v><t:w><t:i>2</t:i></t:w></t:r>'
+    model, module, _, artifacts = build_and_import(schema, [good], tmp_path)
+    namespace = ns.replace("&#9;", "\t")
+    source = artifacts[0].content
+    assert assigned(ast.parse(source).body, "_NS") == (namespace,)
+    assert field_rows(source, "RType") == (
+        (f"{namespace} v", "v", "1", "simple", "string"),
+        (f"{namespace} w", "w", "?", "collapse", ((f"{namespace} i",), "simple", "integer")),
+        (f"{namespace} a", "a", "?", "attribute", "integer"))
+    obj, warnings = module.parse_document(good)
+    assert (obj.v, obj.w, obj.a, warnings) == ("x", 2, 1, [])
+    _assert_oracle_outcomes(model, module, [
+        good,
+        f'{head} t:a="x"><t:w><t:i>y</t:i></t:w><t:u/></t:r>',
+        f'{head} a="1"><t:v>x</t:v><v>y</v><t:w><t:i>2</t:i><t:i>3</t:i></t:w></t:r>',
+    ])
+
+
+def test_a_namespace_holding_a_space_expands_from_its_index():
+    """A space ends a row's namespace index, and an expat name's namespace.
+
+    Expat refuses a namespace that holds its separator, so no document
+    reaches such a row; the row format still keeps the namespace whole.
+    """
+    rows = emitter._Rows()
+    key = rows.name(QName("urn:a b", "v"))
+    assert (key, list(rows.namespaces)) == ("0 v", ["urn:a b"])
+    split = runtime._split_row(f"{key}\t\t1\tsimple\tstring", tuple(rows.namespaces))
+    assert split[:2] == ("urn:a b v", "v")
+    assert runtime._split(split[0]) == ("urn:a b", "v")
