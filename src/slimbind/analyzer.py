@@ -7,25 +7,19 @@ The result is a UsageReport: which components were used, which types
 were instanced, observed substitutions and wildcard fillers, per-particle
 occurrence maxima, and which elements only ever wrap a single child.
 
-A document is read in one streaming pass, in expat's callbacks, with no
-element tree.  A stack holds one entry per open element.  At a child's
-START, its declaration is resolved from the names its parent type's
-element particles admit, and its facts and warnings are recorded, in
-document order.  At an element's END, the matcher assigns the child names
-and must agree with every resolution made at START.  The document is read
-again on the tree path (:func:`read_tree`, then a pre-order visit of the
-tree) when:
-
-* a match disagrees with a START resolution, as for an out-of-order child
-  in lenient mode;
-* a parent's particles admit a name as two different declarations;
-* an element has a child, and its type's content model holds a wildcard;
-* a toolchain error is raised: malformed XML, a strict-mode mismatch or an
-  invalid ``xsi:type``, among others.
-
-The tree path decides every such case on its own, and is the only source
-of failure messages, so what the streaming pass leaves out costs time,
-never a different report.
+A document is read in expat's callbacks, with no element tree.  A stack
+holds one entry per open element.  At a child's START, its declaration
+is predicted from its name by the particles of its parent's type, and
+its facts and warnings are recorded, in document order.  At an element's
+END, the matcher assigns the child names, records which substitution
+head or wildcard took each child, and must agree with every prediction.
+Where it does not, as for an out-of-order child in lenient mode or a name
+that reaches two declarations, the document is read again through the
+same code, with the match's assignments fixed for the parents that
+disagreed, until a read fixes no new parent.  Analysis errors are held
+until expat reaches the end of the document, so that malformed XML wins;
+the one raised is the one a pre-order visit of the tree would reach
+first.
 
 Work that repeats is done once: a corpus shares one content matcher, one
 set of attribute/content facts and one child-name table per type, and one
@@ -46,7 +40,6 @@ from .errors import (
     InvalidTypeOverrideError,
     MalformedDocumentError,
     MalformedXmlError,
-    SlimbindError,
     UnknownRootElementError,
     UnmatchedChildError,
 )
@@ -71,10 +64,8 @@ from .runtime import (
     _ExpatSource,
     _QNames,
     _attribute,
-    _qname,
     _split,
     expat_name,
-    read_tree,
     xsi_type_name,
 )
 
@@ -162,13 +153,6 @@ class UsageReport:
         return loads(cls, text)
 
 
-def merge_reports(reports) -> UsageReport:
-    out = UsageReport()
-    for r in reports:
-        out.merge_into(r)
-    return out
-
-
 # ---------------------------------------------------------------- root / child assignment
 
 def assign_root(schema: SchemaSet, root_name: QName,
@@ -251,18 +235,12 @@ class ContentMatcher:
                 self._match_particle(root, declaring, (), state)
                 if not state.more():
                     break
+            if strict and state.more():  # strict mode makes one pass
+                raise UnmatchedChildError(
+                    f"child <{state.current()}> at position {state.i} does not match "
+                    f"the content model of {self.type_id}")
             if state.i == before and state.more():
-                if strict:
-                    raise UnmatchedChildError(
-                        f"child <{state.current()}> at position {state.i} does not "
-                        f"match the content model of {self.type_id}")
                 state.skip()
-            if strict:
-                break
-        if strict and state.more():
-            raise UnmatchedChildError(
-                f"child <{state.current()}> at position {state.i} does not match "
-                f"the content model of {self.type_id}")
         return state
 
     def _match_particle(self, particle, declaring, path, state) -> int:
@@ -312,20 +290,21 @@ class ContentMatcher:
             state.taken(at - first, assignments[first].particle)
         return at - first
 
+    def _fill(self, particle: WildcardParticle, name: QName, pp=None) -> Assignment:
+        """The Assignment of ``name`` to a wildcard particle: a filler, or opaque."""
+        filler = self.schema.lookup_global("element", name)
+        if filler is not None and not filler.detail.is_abstract:
+            return Assignment(kind=MatchKind.WILDCARD, particle=pp, element=filler.id,
+                              effective_type=filler.detail.declared_type,
+                              wildcard=particle.wildcard)
+        return Assignment(kind=MatchKind.WILDCARD_OPAQUE, particle=pp,
+                          wildcard=particle.wildcard)
+
     def _match_once(self, particle, declaring, path, state) -> bool:
         if isinstance(particle, WildcardParticle):
-            name = state.current()
             pp = ParticlePath(declaring, path)
-            filler = self.schema.lookup_global("element", name)
-            if filler is not None and not filler.detail.is_abstract:
-                state.take(Assignment(
-                    kind=MatchKind.WILDCARD, particle=pp, element=filler.id,
-                    effective_type=filler.detail.declared_type,
-                    wildcard=particle.wildcard), pp)
-            else:
-                state.take(Assignment(
-                    kind=MatchKind.WILDCARD_OPAQUE, particle=pp,
-                    wildcard=particle.wildcard), pp)
+            state.assignments[state.i] = self._fill(particle, state.current(), pp)
+            state.taken(1, pp)
             return True
 
         if particle.ref:
@@ -358,7 +337,6 @@ class ContentMatcher:
             return self._match_particle(child, declaring, path + (i,), state) > 0
         # xs:all -- children in any order, each at most once
         matched = set()
-        progressed = False
         while state.more():
             name = state.current()
             candidates = [(i, c) for i, c in enumerate(particle.children)
@@ -370,12 +348,10 @@ class ContentMatcher:
                     f"<{name}> matches {len(candidates)} members of an all-group in "
                     f"{declaring}")
             i, child = candidates[0]
-            if self._match_particle(child, declaring, path + (i,), state):
-                matched.add(i)
-                progressed = True
-            else:
+            if not self._match_particle(child, declaring, path + (i,), state):
                 break
-        return progressed
+            matched.add(i)
+        return bool(matched)
 
 
 def _name_table(schema: SchemaSet, particle: ElementParticle) -> dict:
@@ -410,10 +386,6 @@ class _MatchState:
     def current(self):
         return self.names[self.i]
 
-    def take(self, assignment, pp):
-        self.assignments[self.i] = assignment
-        self.taken(1, pp)
-
     def taken(self, n, pp):
         """Count the ``n`` names just assigned to ``pp`` and move past them."""
         self.counts[pp] = self.counts.get(pp, 0) + n
@@ -424,60 +396,13 @@ class _MatchState:
         self.i += 1
 
 
-def assign_children(schema: SchemaSet, parent_type: str, child_names,
-                    mode: str = "strict"):
-    """Match a child-name sequence against a complex type's content model.
-
-    Returns one Assignment per child; in lenient mode unmatched children get
-    SKIP assignments instead of raising.
-    """
-    matcher = ContentMatcher(schema, parent_type)
-    state = matcher.match(list(child_names), strict=(mode == "strict"))
-    return state.assignments
-
-
 # ---------------------------------------------------------------- document analysis
-
-class _INode:
-    """One element of a corpus document, as :func:`read_tree` builds it.
-
-    ``xsi:type`` and ``xsi:nil`` are taken out of the attributes here, and
-    ``xsi:type`` is read by :func:`~slimbind.runtime.xsi_type_name`.
-    """
-
-    __slots__ = ("qname", "attributes", "xsi_type", "nil", "children", "has_text",
-                 "line", "col")
-
-    def __init__(self, qname, attributes, scope, line, col):
-        self.qname = qname
-        self.children = ()  # a list from the first child on
-        self.has_text = False
-        self.line = line
-        self.col = col
-        self.xsi_type = None
-        self.nil = False
-        if not attributes:
-            self.attributes = ()
-            return
-        plain = []
-        for qn, value in attributes:
-            if qn.namespace != XSI_NAMESPACE:
-                plain.append((qn, value))
-            elif qn.local == "type":
-                self.xsi_type = _qname(xsi_type_name(value, scope, line, col))
-            elif qn.local == "nil":
-                self.nil = value.strip(_XML_SPACE) in ("true", "1")
-        self.attributes = tuple(plain)
-
 
 _NO_ATTRIBUTES = {}  # shared, never changed
 
 
 class _TypeFacts:
-    """What visiting an instance of one type reads from the schema.
-
-    ``children`` is the type's child-name table, for the streaming pass.
-    """
+    """What reading an instance of one type needs from the schema."""
 
     __slots__ = ("type_id", "attributes", "wildcard", "mixed", "element_content",
                  "children")
@@ -505,9 +430,17 @@ class _TypeFacts:
 
 # What a child-name table gives for a name that is not one declaration.
 _SKIPPED = "skipped"  # no particle admits it: a skipped child
-_AMBIGUOUS = "ambiguous"  # particles admit it as different declarations
+_OPAQUE = "opaque"  # only wildcards admit it, and it has no global declaration
+_AMBIGUOUS = "ambiguous"  # two declarations: left to the parent's END match
 _ROOT = "root"  # the document element
 _INSIDE_SKIPPED = "inside skipped"  # an element of a skipped subtree
+
+
+def _hit(tables, assignment: Assignment):
+    """What a child-name table gives for a child matched as ``assignment``."""
+    if assignment.element is not None:
+        return assignment.element, tables.type_facts(assignment.effective_type)
+    return _OPAQUE if assignment.kind is MatchKind.WILDCARD_OPAQUE else _SKIPPED
 
 
 class _Always(dict):
@@ -529,18 +462,32 @@ _NIL_CHILDREN = _Always(_SKIPPED)  # the children of a nil element
 _IN_SKIPPED = _Always(_INSIDE_SKIPPED)
 
 
-class _ChildNames(dict):
-    """How one type's content model resolves the expat name of a child.
+class _Fixed(dict):
+    """A fixed parent's child-name table: each child, in order, gets the hit
+    the parent's match gave it in an earlier read of the document."""
 
-    A name maps to ``(element id, head, facts of its declared type)`` when
-    the type's element particles admit it as one declaration, ``head``
-    being the substitution head it stands for, or None; else to
-    ``_SKIPPED`` or ``_AMBIGUOUS``.  Each name is resolved once per corpus,
-    the first time it is met, from the name tables the corpus's matchers
-    share, one per element declaration, so no table is copied per type.
+    __slots__ = ("next", "matcher")
+
+    def __init__(self, hits, matcher):
+        super().__init__()
+        self.next = iter(hits).__next__
+        self.matcher = matcher
+
+    def __missing__(self, name):
+        return self.next()
+
+
+class _ChildNames(dict):
+    """How one type's content model predicts the declaration of a child, by name.
+
+    A name maps to ``(element id, facts of its declared type)`` when the
+    type's particles admit it as one declaration, through an element
+    particle, its substitution head's particle or a wildcard that fills it
+    (:meth:`ContentMatcher._fill`); else to ``_OPAQUE``, ``_SKIPPED`` or
+    ``_AMBIGUOUS``.  Each name is resolved once per corpus, from the name
+    tables the corpus's matchers share, one per element declaration.
     ``matcher`` is the type's matcher, or None when the type allows no
-    element children, from the first name on.  A content model with a
-    wildcard raises :class:`_Fallback`.
+    element children, from the first name on.
     """
 
     __slots__ = ("tables", "type_id", "matcher", "particles")
@@ -551,28 +498,30 @@ class _ChildNames(dict):
         # tables be freed as soon as its analysis ends, with no cycle.
         self.tables, self.type_id = weakref.proxy(tables), type_id
         self.matcher = None
-        self.particles = None  # the element particles, once read
+        self.particles = None  # the element and wildcard particles, once read
 
     def __missing__(self, name):
         tables = self.tables
         if self.particles is None:
-            self.particles = self._element_particles()
+            self.particles = self._particles()
         qname = tables.qnames[name]
+        matcher = self.matcher
         found = set()
         for particle in self.particles:
-            elem_id = self.matcher._element_matches(particle).get(qname)
-            if elem_id is not None:
-                found.add((elem_id, None if elem_id == particle.element else particle.element))
-        if len(found) == 1:
-            [(elem_id, head)] = found
-            value = (elem_id, head, tables.type_facts(
-                tables.schema.component(elem_id).detail.declared_type))
-        else:
-            value = _AMBIGUOUS if found else _SKIPPED
+            if isinstance(particle, ElementParticle):
+                elem_id = matcher._element_matches(particle).get(qname)
+                if elem_id is not None:
+                    found.add((elem_id, tables.type_facts(
+                        tables.schema.component(elem_id).detail.declared_type)))
+            elif matcher._can_start(particle, qname):
+                found.add(_hit(tables, matcher._fill(particle, qname)))
+        if len(found) > 1:  # a declaration is predicted before an opaque wildcard
+            found.discard(_OPAQUE)
+        value = found.pop() if len(found) == 1 else _AMBIGUOUS if found else _SKIPPED
         self[name] = value
         return value
 
-    def _element_particles(self):
+    def _particles(self):
         facts = self.tables.type_facts(self.type_id)
         if not facts.element_content:
             return ()
@@ -582,18 +531,12 @@ class _ChildNames(dict):
         particles, todo = [], [root for _declaring, root in matcher.levels]
         while todo:
             particle = todo.pop()
-            if isinstance(particle, ElementParticle):
-                particles.append(particle)
-            elif isinstance(particle, WildcardParticle):
-                raise _Fallback(f"{self.type_id} has a wildcard")
-            else:
+            if isinstance(particle, GroupParticle):
                 todo.extend(particle.children)
+            else:
+                particles.append(particle)
         self.matcher = matcher
         return tuple(particles)
-
-
-class _Fallback(Exception):
-    """The streaming pass leaves the document to the tree path."""
 
 
 class _CorpusTables:
@@ -627,165 +570,6 @@ class _CorpusTables:
         return m
 
 
-def _override(schema: SchemaSet, declared: str, xsi_type: QName) -> Optional[str]:
-    """The id of the type ``xsi:type`` names, if it is derived from ``declared``."""
-    found = schema.lookup_global("type", xsi_type)
-    if found is not None and schema.is_derived_from(found.id, declared):
-        return found.id
-    return None
-
-
-class _DocumentAnalyzer:
-    def __init__(self, schema: SchemaSet, mode: str, doc_name: str,
-                 tables: _CorpusTables):
-        self.schema = schema
-        self.strict = mode == "strict"
-        self.doc = doc_name
-        self.report = UsageReport()
-        self.tables = tables
-        self._matches = {}  # (type id, child QNames) -> _MatchState
-        self._leaves = set()  # (element id, type id, head) of leaves visited
-
-    def _match(self, type_id, names: tuple):
-        """``ContentMatcher.match`` of ``names``, memoised for this document.
-
-        Returns ``(state, new)``; ``new`` is False when this document already
-        matched the same names under the same type, so the report already
-        holds the state's groups and occurrence counts.
-        """
-        key = (type_id, names)
-        st = self._matches.get(key)
-        if st is not None:
-            return st, False
-        st = self._matches[key] = self.tables.matcher(type_id).match(
-            names, strict=self.strict)
-        return st, True
-
-    def warn(self, node, message):
-        self.report.warnings.append(f"{self.doc}:{node.line}:{node.col}: {message}")
-
-    def run(self, root: _INode) -> UsageReport:
-        elem_id, type_id = assign_root(self.schema, root.qname, root.xsi_type)
-        self.report.root_elements.add(elem_id)
-        if root.xsi_type is not None and type_id != \
-                self.schema.component(elem_id).detail.declared_type:
-            self.report.type_substitutions.setdefault(elem_id, set()).add(type_id)
-        self.visit(root, elem_id, type_id)
-        self.report.document_count = 1
-        self.report.single_child_elements = {
-            e for e, ok in self.report._single_child_state.items() if ok}
-        return self.report
-
-    def _apply_xsi_type(self, node, elem_id, declared):
-        if node.xsi_type is None:
-            return declared
-        override = _override(self.schema, declared, node.xsi_type)
-        if override is None:
-            message = (f"xsi:type {node.xsi_type} on <{node.qname}> is not derived "
-                       f"from the declared type")
-            if self.strict:
-                raise InvalidTypeOverrideError(f"{self.doc}:{node.line}: {message}")
-            self.warn(node, message)
-            return declared
-        if override != declared:
-            self.report.type_substitutions.setdefault(elem_id, set()).add(override)
-        return override
-
-    def visit(self, node: _INode, elem_id: str, type_id: str):
-        report = self.report
-        used = report.used_components
-        used.add(elem_id)
-        used.add(type_id)
-        report.instanced_types.add(type_id)
-        facts = self.tables.type_facts(type_id)
-
-        # Attribute usage.
-        for qn, _value in node.attributes:
-            attr_id = facts.attributes.get(expat_name(qn.namespace, qn.local))
-            if attr_id is not None:
-                used.add(attr_id)
-            elif facts.wildcard is not None and self.schema.component(
-                    facts.wildcard).detail.admits(qn.namespace):
-                used.add(facts.wildcard)
-            else:
-                self.warn(node, f"undeclared attribute {qn} on <{node.qname}>")
-
-        # Single-child qualification (per element declaration).
-        children = node.children
-        qualifies = (len(children) == 1 and not node.attributes
-                     and not node.has_text and not facts.mixed and not node.nil)
-        state = report._single_child_state
-        state[elem_id] = state.get(elem_id, True) and qualifies
-
-        if node.nil:
-            if children:
-                self._unmatched_children(node, children)
-            return
-
-        if not children:
-            return
-
-        if not facts.element_content or not self.tables.matcher(type_id).levels:
-            self._unmatched_children(node, children)
-            return
-
-        try:
-            st, new = self._match(type_id, tuple([c.qname for c in children]))
-        except UnmatchedChildError as exc:
-            raise UnmatchedChildError(f"{self.doc}:{node.line}: {exc}") from None
-        if new:
-            used.update(st.groups_used)
-            maxima = report.occurrence_maxima
-            for pp, count in st.counts.items():
-                if count > maxima.get(pp, 0):
-                    maxima[pp] = count
-        # A leaf child (no children, plain attributes, xsi:nil or xsi:type)
-        # adds only set members and a False single-child state: visit each
-        # distinct one once.
-        leaves = self._leaves
-        element = MatchKind.ELEMENT
-        for child, assignment in zip(children, st.assignments):
-            if (assignment.kind is element and not child.children
-                    and not child.attributes and not child.nil
-                    and child.xsi_type is None):
-                key = (assignment.element, assignment.effective_type, assignment.head)
-                if key in leaves:
-                    continue
-                leaves.add(key)
-            self._visit_child(child, assignment)
-
-    def _visit_child(self, child: _INode, assignment: Assignment):
-        report = self.report
-        if assignment.kind is MatchKind.SKIP:
-            self.warn(child, f"unmatched element <{child.qname}> skipped")
-            return
-        if assignment.kind is MatchKind.WILDCARD_OPAQUE:
-            report.used_components.add(assignment.wildcard)
-            self.warn(child, f"wildcard content <{child.qname}> has no global "
-                             "declaration; subtree recorded against the wildcard")
-            return
-        if assignment.kind is MatchKind.WILDCARD:
-            report.used_components.add(assignment.wildcard)
-            report.wildcard_fillers.setdefault(assignment.wildcard, set()).add(
-                assignment.element)
-        if assignment.head is not None:
-            # The head itself is retained later via the SUBSTITUTION_HEAD edge;
-            # only the member that actually appeared counts as used.
-            report.element_substitutions.setdefault(assignment.head, set()).add(
-                assignment.element)
-        effective = self._apply_xsi_type(child, assignment.element,
-                                         assignment.effective_type)
-        self.visit(child, assignment.element, effective)
-
-    def _unmatched_children(self, node, children):
-        if self.strict:
-            raise UnmatchedChildError(
-                f"{self.doc}:{node.line}: <{node.qname}> does not allow element "
-                f"children but has <{children[0].qname}>")
-        for child in children:
-            self.warn(child, f"unmatched element <{child.qname}> skipped")
-
-
 def _coerce_document(index: int, item):
     if isinstance(item, tuple):
         name, data = item
@@ -803,55 +587,63 @@ def analyze_document(schema: SchemaSet, name: str, data, mode: str,
                      tables: Optional[_CorpusTables] = None) -> UsageReport:
     """Usage facts of one document.
 
-    The streaming pass reads it first; a document it leaves is read again
-    on the tree path.  ``tables`` carries content matchers and per-type
-    facts between the documents of one corpus; a lone call builds its own.
+    A document the first read cannot decide is read again, keeping element
+    positions, until a read fixes no new parent.  ``tables`` carries content
+    matchers and per-type facts between the documents of one corpus; a
+    lone call builds its own.
     """
     if tables is None:
         tables = _CorpusTables(schema)
-    try:
-        return _stream_document(schema, name, data, mode, tables)
-    except (_Fallback, SlimbindError):
-        pass
-    return _tree_document(schema, name, data, mode, tables)
+    report = _stream_document(schema, name, data, mode, tables)
+    fixes = {}
+    while report is None:
+        report = _stream_document(schema, name, data, mode, tables, fixes)
+    return report
 
 
-def _tree_document(schema, name, data, mode, tables) -> UsageReport:
-    """Usage facts of one document, read into a tree of :class:`_INode`."""
-    try:
-        root = read_tree(data, name, _INode)
-    except MalformedXmlError as exc:
-        raise MalformedDocumentError(f"{name}: {exc}") from exc
-    return _DocumentAnalyzer(schema, mode, name, tables).run(root)
+class _Again(Exception):
+    """The document needs a read that keeps element positions."""
 
 
-def _stream_document(schema, doc, data, mode, tables) -> UsageReport:
-    """Usage facts of one document, gathered in expat's callbacks.
+def _stream_document(schema, doc, data, mode, tables, fixes=None) -> Optional[UsageReport]:
+    """Usage facts of one document, gathered in expat's callbacks; None to read again.
 
     Each open element has an entry on ``stack``: ``[children, element id,
-    facts, child names, plain attribute count, nil, has text]``, where
-    ``children`` is the table that resolves its children's expat names.  A
-    child's facts are recorded at its START, from that resolution, and
-    warnings in document order, as the tree path's pre-order visit gives
-    them.  At an element's END, :meth:`ContentMatcher.match` assigns its
-    child names once per document and shape, and every assignment must be
-    the resolution made at START.  Where the tree path could decide
-    otherwise (a disagreement, an ambiguous name, a wildcard, a toolchain
-    error) this raises, and the caller reads the document on the tree path.
+    facts, child names, plain attribute count, has text]``, where
+    ``children`` resolves its children's expat names.  ``fixes`` is None on
+    the first read, which keeps no positions and stops at the first thing
+    it cannot decide.  Later reads keep each open element's ``(line,
+    column)`` on ``opened``; ``fixes`` maps the position and type id of
+    each fixed parent to the hits of its children.  An error is held at
+    its element, a child-list error at the parent and an ``xsi:type``
+    error at the element that carries it, and the earliest one is raised.
     """
     strict = mode == "strict"
     report = UsageReport()
     used, instanced = report.used_components, report.instanced_types
     single = report._single_child_state
     qnames = tables.qnames
-    matched = set()  # (type id, child names) this document has matched
-    skipped = [_IN_SKIPPED, None, None, None, 0, False, False]
-    stack = [[_AT_ROOT, None, None, [], 0, False, False]]
+    shapes = {}  # (type id, child names) -> True, the hits of a disagreement, or an error
+    skipped = [_IN_SKIPPED, None, None, None, 0, False]
+    stack = [[_AT_ROOT, None, None, [], 0, False]]
     push, pop = stack.append, stack.pop
+    opened = []  # the position of each open element, when fixes is not None
+    held = None  # (position, error)
+    known = 0 if fixes is None else len(fixes)
 
     def warn(message):
         report.warnings.append(f"{doc}:{parser.CurrentLineNumber}:"
                                f"{parser.CurrentColumnNumber + 1}: {message}")
+
+    def hold(error, located=None):
+        """Hold an error at the open element: ``error``, or ``error`` made of
+        ``located`` after the document name and the element's line."""
+        nonlocal held
+        if fixes is None:
+            raise _Again
+        at = opened[-1]
+        if held is None or at < held[0]:
+            held = at, error if located is None else error(f"{doc}:{at[0]}: {located}")
 
     def start(name, attrs):
         parent = stack[-1]
@@ -864,32 +656,29 @@ def _stream_document(schema, doc, data, mode, tables) -> UsageReport:
         hit = parent[0][name]
         if hit.__class__ is tuple:
             parent[3].append(name)
-        elif hit is _INSIDE_SKIPPED:
-            push(skipped)
-            return
         elif hit is _ROOT:
             hit, xsi = root(name, xsi), None
-        elif hit is _SKIPPED and not strict:
-            parent[3].append(name)
-            warn(f"unmatched element <{qnames[name]}> skipped")
+            if hit is None:
+                push(skipped)
+                return
+        else:
+            if hit is not _INSIDE_SKIPPED:
+                parent[3].append(name)
+                skip(name, hit)
             push(skipped)
             return
-        else:
-            raise _Fallback(f"<{qnames[name]}> is {hit}")
-        elem_id, head, facts = hit
-        if head is not None:
-            # The head itself is retained later via the SUBSTITUTION_HEAD edge;
-            # only the member that actually appeared counts as used.
-            report.element_substitutions.setdefault(head, set()).add(elem_id)
+        elem_id, facts = hit
         if xsi is not None:
             facts = override(name, elem_id, facts, xsi)
+            if facts is None:
+                push(skipped)
+                return
         type_id = facts.type_id
         used.add(elem_id)
         used.add(type_id)
         instanced.add(type_id)
         children = facts.children
         plain = 0
-        nil = False
         if attrs:
             declared = facts.attributes
             for at in range(0, len(attrs), 2):
@@ -900,32 +689,49 @@ def _stream_document(schema, doc, data, mode, tables) -> UsageReport:
                     plain += 1
                 elif attr.startswith(_XSI_PREFIX):
                     if attr == _XSI_NIL and attrs[at + 1].strip(_XML_SPACE) in ("true", "1"):
-                        nil = True
                         children = _NIL_CHILDREN
                 else:
                     plain += 1
                     undeclared(name, attr, facts)
-        push([children, elem_id, facts, [], plain, nil, False])
+        push([children, elem_id, facts, [], plain, False])
 
     def root(name, xsi):
-        elem_id, type_id = assign_root(schema, qnames[name],
-                                       None if xsi is None else qnames[xsi])
+        try:
+            elem_id, type_id = assign_root(schema, qnames[name],
+                                           None if xsi is None else qnames[xsi])
+        except (UnknownRootElementError, InvalidTypeOverrideError) as exc:
+            hold(exc)
+            return None
         report.root_elements.add(elem_id)
         if xsi is not None and type_id != schema.component(elem_id).detail.declared_type:
             report.type_substitutions.setdefault(elem_id, set()).add(type_id)
-        return elem_id, None, tables.type_facts(type_id)
+        return elem_id, tables.type_facts(type_id)
+
+    def skip(name, hit):
+        """Start a child that is not one declaration; its subtree is skipped."""
+        if hit is _OPAQUE:
+            warn(f"wildcard content <{qnames[name]}> has no global declaration; "
+                 "subtree recorded against the wildcard")
+        elif hit is _AMBIGUOUS or strict:
+            # The parent's END match decides: it fixes the parent, or fails.
+            if fixes is None:
+                raise _Again
+        else:
+            warn(f"unmatched element <{qnames[name]}> skipped")
 
     def override(name, elem_id, facts, xsi):
-        type_id = _override(schema, facts.type_id, qnames[xsi])
-        if type_id is None:
+        found = schema.lookup_global("type", qnames[xsi])
+        if found is None or not schema.is_derived_from(found.id, facts.type_id):
+            message = (f"xsi:type {qnames[xsi]} on <{qnames[name]}> is not derived "
+                       "from the declared type")
             if strict:
-                raise _Fallback(f"xsi:type {qnames[xsi]} is not derived")
-            warn(f"xsi:type {qnames[xsi]} on <{qnames[name]}> is not derived "
-                 f"from the declared type")
+                hold(InvalidTypeOverrideError, message)
+                return None
+            warn(message)
             return facts
-        if type_id != facts.type_id:
-            report.type_substitutions.setdefault(elem_id, set()).add(type_id)
-        return tables.type_facts(type_id)
+        if found.id != facts.type_id:
+            report.type_substitutions.setdefault(elem_id, set()).add(found.id)
+        return tables.type_facts(found.id)
 
     def undeclared(name, attr, facts):
         wildcard = facts.wildcard
@@ -935,56 +741,103 @@ def _stream_document(schema, doc, data, mode, tables) -> UsageReport:
         else:
             warn(f"undeclared attribute {qnames[attr]} on <{qnames[name]}>")
 
-    def end(_name):
+    def end(name):
         entry = pop()
         names = entry[3]
         if not names:  # a leaf never qualifies as a single-child wrapper
             if entry is not skipped:
                 single[entry[1]] = False
             return
-        children, elem_id, facts, names, plain, nil, has_text = entry
+        children, elem_id, facts, names, plain, has_text = entry
         if children.matcher is not None:
             key = (facts.type_id, tuple(names))
-            if key not in matched:
-                match(key, children)
+            outcome = shapes.get(key)
+            if outcome is None:
+                outcome = shapes[key] = match(key, children.matcher, facts.children)
+            if outcome.__class__ is tuple:
+                hold(*outcome)
+            elif outcome is not True and children.__class__ is not _Fixed:
+                if fixes is None:
+                    raise _Again
+                fixes[opened[-1], facts.type_id] = outcome
+        elif strict:
+            hold(UnmatchedChildError, f"<{qnames[name]}> does not allow element "
+                                      f"children but has <{qnames[names[0]]}>")
         if single.get(elem_id, True):
             single[elem_id] = (len(names) == 1 and not plain and not has_text
-                               and not facts.mixed and not nil)
+                               and not facts.mixed and children is not _NIL_CHILDREN)
 
-    def match(key, children):
-        """Match one shape of children and check it against their START."""
+    def match(key, matcher, predicted):
+        """Record one shape's match and which head or wildcard took each child;
+        True when it agrees with every START prediction, else the hits it
+        gives, or its error as :func:`hold` takes it."""
         names = key[1]
-        state = children.matcher.match(tuple([qnames[n] for n in names]), strict)
-        last = None
-        for name, assignment in zip(names, state.assignments):
-            if last is not None and name == last[0] and assignment is last[1]:
-                continue  # a run shares its Assignment
-            last = name, assignment
-            hit = children[name]
-            if assignment.kind is MatchKind.ELEMENT:
-                agrees = (hit.__class__ is tuple and hit[0] == assignment.element
-                          and hit[1] == assignment.head
-                          and hit[2].type_id == assignment.effective_type)
-            else:
-                agrees = assignment.kind is MatchKind.SKIP and hit is _SKIPPED
-            if not agrees:
-                raise _Fallback(f"the match of <{qnames[name]}> disagrees with its START")
+        try:
+            state = matcher.match(tuple([qnames[n] for n in names]), strict)
+        except UnmatchedChildError as exc:
+            return UnmatchedChildError, str(exc)
+        except AmbiguousMatchError as exc:
+            return (exc,)
         used.update(state.groups_used)
         maxima = report.occurrence_maxima
         for pp, count in state.counts.items():
             if count > maxima.get(pp, 0):
                 maxima[pp] = count
-        matched.add(key)
+        agrees = True
+        last = None
+        for name, assignment in zip(names, state.assignments):
+            if last is not None and name == last[0] and assignment is last[1]:
+                continue  # a run shares its Assignment
+            last = name, assignment
+            if assignment.head is not None:
+                # The head itself is retained later via the SUBSTITUTION_HEAD
+                # edge; only the member that actually appeared counts as used.
+                report.element_substitutions.setdefault(assignment.head, set()).add(
+                    assignment.element)
+            elif assignment.wildcard is not None:
+                used.add(assignment.wildcard)
+                if assignment.element is not None:
+                    report.wildcard_fillers.setdefault(assignment.wildcard, set()).add(
+                        assignment.element)
+            if agrees and predicted[name] != _hit(tables, assignment):
+                agrees = False
+        return True if agrees else [_hit(tables, a) for a in state.assignments]
 
     def characters(chunk):
         if chunk.strip(_XML_SPACE):
-            stack[-1][6] = True
+            stack[-1][5] = True
 
-    source = _ExpatSource(data, doc, start, end, characters)
-    parser, scopes = source.parser, source.scopes
+    if fixes is not None:
+        read_start, read_end = start, end
+
+        def start(name, attrs):
+            at = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+            opened.append(at)
+            read_start(name, attrs)
+            entry = stack[-1]
+            if entry is not skipped:
+                hits = fixes.get((at, entry[2].type_id))
+                if hits is not None:
+                    entry[0] = _Fixed(hits, tables.matcher(entry[2].type_id))
+
+        def end(name):
+            read_end(name)
+            opened.pop()
+
     at = 0  # fed in chunks, so that expat never holds a copy of the document
-    while not source.feed(at, at + _CHUNK):
-        at += _CHUNK
+    try:
+        source = _ExpatSource(data, doc, start, end, characters)
+        parser, scopes = source.parser, source.scopes
+        while not source.feed(at, at + _CHUNK):
+            at += _CHUNK
+    except MalformedXmlError as exc:
+        raise MalformedDocumentError(f"{doc}: {exc}") from exc
+    except _Again:
+        return None
+    if fixes is not None and len(fixes) > known:
+        return None
+    if held is not None:
+        raise held[1]
     report.document_count = 1
     report.single_child_elements = {e for e, ok in single.items() if ok}
     return report

@@ -12,8 +12,7 @@ and decodes byte input by its BOM or declared encoding.
   code that wants events.  It coalesces text into one TEXT event across
   comments, processing instructions and CDATA sections.
 * :func:`read_tree` builds a whole tree in the callbacks, for the schema
-  loader and for the documents the analyzer's streaming pass leaves to its
-  tree path.
+  loader.
 
 :func:`xsi_type_name` is the one reader of ``xsi:type`` values, for the
 generated parsers and the analyzer alike.
@@ -268,8 +267,11 @@ class _ExpatSource:
             self.parser.Parse(self.data[at:stop], final)
             ended = final
         except expat.ExpatError as exc:
-            raise MalformedXmlError(expat.ErrorString(exc.code), line=exc.lineno,
-                                    col=exc.offset + 1, source=self.source_name) from None
+            message = expat.ErrorString(exc.code)
+            if exc.code == expat.errors.codes[expat.errors.XML_ERROR_SYNTAX]:
+                message = self._spaced_uri() or message
+            raise MalformedXmlError(message, line=exc.lineno, col=exc.offset + 1,
+                                    source=self.source_name) from None
         except MalformedXmlError as exc:  # refused, or raised by a reader's node
             if exc.source is None:
                 exc.source = exc.info["source"] = self.source_name
@@ -279,6 +281,30 @@ class _ExpatSource:
                 for name in _HANDLERS:
                     setattr(self.parser, name, None)
         return final
+
+    def _spaced_uri(self):
+        """Why expat refused a start tag as a syntax error, if it binds a URI holding a space.
+
+        Expat (2.4.5 on) refuses a namespace URI that holds its separator, a
+        space here.  The data is read again without namespace processing.
+        """
+        at, parser = self.parser.ErrorByteIndex, expat.ParserCreate(self.encoding)
+
+        def start(_name, attrs):
+            spaced = [uri for name, uri in attrs.items()
+                      if " " in uri and name.partition(":")[0] == "xmlns"]
+            if spaced and parser.CurrentByteIndex == at:
+                raise MalformedXmlError(f"namespace URI '{spaced[0]}' holds a space, the "
+                                        "separator expat puts between a namespace and "
+                                        "a local name")
+
+        parser.StartElementHandler = start
+        try:
+            parser.Parse(self.data, True)
+        except MalformedXmlError as exc:
+            return exc.args[0]
+        except expat.ExpatError:
+            return None
 
 
 class _QNameSource(_ExpatSource):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import analysis_oracle
+from analysis_oracle import assign_children, merge_reports
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from slimbind import analyzer as analyzer_module
 from slimbind.analyzer import (
@@ -16,10 +19,8 @@ from slimbind.analyzer import (
     ParticlePath,
     UsageReport,
     analyze_corpus,
-    assign_children,
     assign_root,
     analyze_document,
-    merge_reports,
 )
 from slimbind.errors import (
     AmbiguousMatchError,
@@ -180,6 +181,15 @@ class TestAnalyzeCorpus:
         name, exc = report.failures[0]
         assert isinstance(exc, MalformedDocumentError)
         assert report.document_count == 0
+
+    def test_namespace_uri_holding_a_space_is_a_named_failure(self, po_schema):
+        doc = f'<po xmlns="{TNS}" id="1">\n<note xmlns:p="urn:a b">n</note></po>'
+        report = analyze_corpus(po_schema, [("s.xml", doc), ("ok.xml", PO_DOC)], "lenient")
+        [(name, exc)] = report.failures
+        assert isinstance(exc, MalformedDocumentError) and report.document_count == 1
+        assert str(exc) == ("MALFORMED_DOCUMENT: s.xml: MALFORMED_XML: namespace URI "
+                            "'urn:a b' holds a space, the separator expat puts between a "
+                            "namespace and a local name at s.xml:2:1")
 
     def test_strict_unmatched_aborts_document_only(self, po_schema):
         bad = f'<po xmlns="{TNS}" id="1"><bogus/></po>'
@@ -546,28 +556,20 @@ def test_report_json_round_trip(po_schema):
                          "singleChildElements", "rootElements"}
 
 
-# ---------------------------------------------------------------- shared work
+# ---------------------------------------------------------------- one reading path
 
-class _Forgetful(set):
-    """A set that never reports a member: every leaf child gets visited."""
+@pytest.fixture
+def reads(monkeypatch):
+    """How many times the analyzer reads each document, by document name."""
+    counts = collections.Counter()
 
-    def __contains__(self, item):
-        return False
+    class Counted(analyzer_module._ExpatSource):
+        def __init__(self, source, source_name, *handlers):
+            counts[source_name] += 1
+            super().__init__(source, source_name, *handlers)
 
-
-class _Unmemoised(analyzer_module._DocumentAnalyzer):
-    """The analyzer without its per-document shortcuts.
-
-    Every child list is matched by a fresh ``ContentMatcher`` and every
-    child is visited, as if no shape or leaf had been seen before.
-    """
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._leaves = _Forgetful()
-
-    def _match(self, type_id, names):
-        return ContentMatcher(self.schema, type_id).match(names, strict=self.strict), True
+    monkeypatch.setattr(analyzer_module, "_ExpatSource", Counted)
+    return counts
 
 
 _OPEN_TAG = re.compile(r"^(\s*)<([\w.-]+)")
@@ -660,81 +662,149 @@ def _outcome(report):
             [(name, type(exc).__name__, str(exc)) for name, exc in report.failures])
 
 
-@settings(max_examples=80, deadline=None)
-@given(edited_corpus())
-def test_memoised_analysis_equals_fresh_matching(case):
-    schema, corpus = case
+def _outcomes(schema, corpus):
+    """The streaming outcome of ``corpus`` in each mode; asserts the oracle's is the same."""
+    out = {}
     for mode in ("strict", "lenient"):
-        memoised = analyze_corpus(schema, corpus, mode)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analyzer_module, "_DocumentAnalyzer", _Unmemoised)
-            fresh = analyze_corpus(schema, corpus, mode)
-        assert _outcome(memoised) == _outcome(fresh)
-
-
-def _tree_only(*_args):
-    raise analyzer_module._Fallback("the tree path reads every document")
+        out[mode] = _outcome(analyze_corpus(schema, corpus, mode))
+        assert out[mode] == _outcome(analysis_oracle.analyze_corpus(schema, corpus, mode)), mode
+    return out
 
 
 @settings(max_examples=80, deadline=None)
 @given(edited_corpus())
 def test_streaming_analysis_equals_unmemoised_tree(case):
-    """The streaming pass, with its fallback, against the tree path alone."""
-    schema, corpus = case
-    for mode in ("strict", "lenient"):
-        streamed = analyze_corpus(schema, corpus, mode)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analyzer_module, "_DocumentAnalyzer", _Unmemoised)
-            mp.setattr(analyzer_module, "_stream_document", _tree_only)
-            fresh = analyze_corpus(schema, corpus, mode)
-        assert _outcome(streamed) == _outcome(fresh)
+    """The streaming pass against the tree oracle: reports, warnings, failures."""
+    _outcomes(*case)
 
 
-def _no_tree(*_args):
-    raise AssertionError("a document took the tree path")
-
-
-def test_streaming_pass_needs_no_tree(monkeypatch):
+def test_streaming_pass_needs_no_tree(reads):
     """The acceptance megabyte, and a lenient corpus with foreign elements."""
     from test_acceptance import PERF_SCHEMA, build_megabyte_document
     from synth import generate_case
     from slimbind.loader import SchemaSource, load_schema_set
 
-    monkeypatch.setattr(analyzer_module, "_tree_document", _no_tree)
     doc, n_records = build_megabyte_document()
     report = analyze_corpus(schema_of(PERF_SCHEMA), [("log.xml", doc)])
     assert report.document_count == 1 and not report.failures
     assert report.occurrence_maxima[ParticlePath(cid("complexType", "LogType"), (0,))] \
         == n_records
+    assert reads == {"log.xml": 1}
 
     foreign = '<f:extra xmlns:f="urn:foreign"><f:deep>x</f:deep></f:extra>'
     g, xsd, docs = generate_case(24, n_docs=8)  # xsi:type, choices, extensions
-    assert not any(t.has_wildcard for t in g.types.values())
     schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
     corpus = [(f"d{i}.xml", d.replace(">", ">" + foreign, 1)) for i, d in enumerate(docs)]
+    reads.clear()
     report = analyze_corpus(schema, corpus, "lenient")
     assert report.document_count == 8 and not report.failures
     assert sum("unmatched element <{urn:foreign}extra>" in w for w in report.warnings) == 8
+    assert reads == {name: 1 for name, _ in corpus}
 
 
-def test_no_document_without_a_wildcard_takes_the_tree_path(monkeypatch):
-    """Choices, substitution groups, xsi:type and extension chains stream."""
+def test_each_synth_document_is_read_once(reads):
+    """Wildcards, choices, substitution groups, xsi:type and extension chains
+    are decided in one read, in both modes, as the oracle decides them."""
     from synth import generate_case
     from slimbind.loader import SchemaSource, load_schema_set
 
-    monkeypatch.setattr(analyzer_module, "_tree_document", _no_tree)
-    streamed = 0
-    for seed in range(40):
+    analyses = with_wildcards = 0
+    for seed in range(200):
         g, xsd, docs = generate_case(seed)
-        if any(t.has_wildcard for t in g.types.values()):
-            continue
         schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+        corpus = [(f"d{i}.xml", d) for i, d in enumerate(docs)]
+        reads.clear()
+        for mode, outcome in _outcomes(schema, corpus).items():
+            assert outcome[2] == [], (seed, mode)
+        assert reads == {name: 2 for name, _ in corpus}, seed  # once in each mode
+        analyses += 2 * len(docs)
+        with_wildcards += 2 * len(docs) * any(t.has_wildcard for t in g.types.values())
+    assert analyses > 900 and with_wildcards > 200
+
+
+class TestDeterministicDifferential:
+    """Paths the edited corpora rarely reach, each equal to the oracle's outcome."""
+
+    def test_ambiguous_names(self, reads):
+        schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:element name="g" type="xs:int"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="x" type="xs:int"/>
+      <xs:element name="y" type="xs:string" minOccurs="0"/>
+      <xs:element name="x" type="tns:X"/>
+      <xs:element name="g" type="xs:string" minOccurs="0"/>
+      <xs:any processContents="lax" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="X">
+    <xs:sequence><xs:element name="z" type="xs:int" minOccurs="0"/></xs:sequence>
+  </xs:complexType>
+  <xs:element name="c" type="tns:C"/>
+  <xs:complexType name="C">
+    <xs:choice>
+      <xs:element name="same" type="xs:int"/>
+      <xs:element name="same" type="xs:string"/>
+    </xs:choice>
+  </xs:complexType>""")
+        corpus = [("pos.xml", f'<r xmlns="{TNS}"><x>1</x><y/><x><z>2</z></x><g>s</g><g>3</g></r>'),
+                  ("choice.xml", f'<c xmlns="{TNS}"><same>1</same></c>')]
+        out = _outcomes(schema, corpus)
         for mode in ("strict", "lenient"):
-            report = analyze_corpus(schema, [(f"d{i}.xml", d) for i, d in enumerate(docs)],
-                                    mode)
-            assert report.document_count == len(docs)
-            streamed += len(docs)
-    assert streamed > 50
+            [(name, error, _message)] = out[mode][2]
+            assert (name, error) == ("choice.xml", "AmbiguousMatchError")
+        report = analyze(schema, corpus[0][1])
+        assert {cid("element", "R/x"), cid("element", "X/z"), cid("element", "g")} \
+            <= report.used_components
+        assert report.wildcard_fillers == {cid("wildcard", "R/any"): {cid("element", "g")}}
+        assert reads["pos.xml"] > 1  # the positions settle the names
+
+    @pytest.mark.parametrize("process", ["lax", "skip"])
+    def test_wildcard_filler_and_opaque_child(self, process, reads):
+        schema = schema_of(TestWildcards.SCHEMA.replace('"lax"', f'"{process}"'))
+        doc = f'<r xmlns="{TNS}"><known>k</known>\n<mystery a="1"><x/></mystery><known/></r>'
+        out = _outcomes(schema, [("w.xml", doc)])
+        assert out["strict"] == out["lenient"]
+        assert out["strict"][1] == [
+            f"w.xml:2:1: wildcard content <{{{TNS}}}mystery> has no global declaration; "
+            "subtree recorded against the wildcard"]
+        assert reads == {"w.xml": 2}
+
+    def test_lenient_out_of_order_child(self, reads):
+        schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="a" type="xs:string"/>
+      <xs:element name="b" type="tns:B"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="B">
+    <xs:sequence><xs:element name="y" type="xs:int"/></xs:sequence>
+  </xs:complexType>""")
+        out = _outcomes(schema, [("o.xml", f'<r xmlns="{TNS}"><b><x/></b></r>')])
+        assert out["lenient"][1] == [f"o.xml:1:20: unmatched element <{{{TNS}}}b> skipped"]
+        assert cid("complexType", "B") not in out["lenient"][0]
+        [(_name, error, _message)] = out["strict"][2]
+        assert error == "UnmatchedChildError"
+        assert reads["o.xml"] > 2  # a read to find the mismatch, one with it fixed
+
+    def test_strict_error_order(self, po_schema):
+        doc = f'<po xmlns="{TNS}" id="1">\n<item><bad/></item>\n<zzz/></po>'
+        out = _outcomes(po_schema, [("e.xml", doc)])
+        [(_name, error, message)] = out["strict"][2]
+        assert error == "UnmatchedChildError"
+        assert message.startswith("UNMATCHED_CHILD: e.xml:1: ")
+        assert "<{urn:fix}zzz>" in message
+
+    def test_strict_mismatch_then_malformed_xml(self, po_schema):
+        doc = f'<po xmlns="{TNS}" id="1"><zzz/>\n<item><name>n</price></item></po>'
+        out = _outcomes(po_schema, [("m.xml", doc)])
+        for mode in ("strict", "lenient"):
+            [(_name, error, message)] = out[mode][2]
+            assert error == "MalformedDocumentError"
+            assert message.endswith("mismatched tag at m.xml:2:16")
 
 
 def test_streamed_megabyte_peak_allocation():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from slimbind.analyzer import ParticlePath, UsageReport, analyze_corpus
@@ -511,6 +511,27 @@ def synth_model(draw):
     return build_binding_model(schema, compute_retained_set(schema, usage), usage, options)
 
 
+def collapse_chain_model():
+    """A model whose rows hold two collapse chains: to a class, and to a value."""
+    schema = schema_of(TestCollapse.SCHEMA.replace(
+        '<xs:element name="wrap" type="tns:W"/>',
+        '<xs:element name="wrap" type="tns:W"/><xs:element name="box" type="tns:W2"/>') + """
+  <xs:complexType name="W2">
+    <xs:sequence><xs:element name="mid" type="tns:M"/></xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="M">
+    <xs:sequence><xs:element name="num" type="xs:int"/></xs:sequence>
+  </xs:complexType>""")
+    doc = TestCollapse.DOC.replace("</wrap>", "</wrap><box><mid><num>1</num></mid></box>")
+    model = model_for(schema, [doc])[0]
+    assert [[q.local for q in f.collapse_chain] for f in model.class_by_name("R").fields] \
+        == [["inner"], ["mid", "num"]]
+    return model
+
+
+COLLAPSE_CHAIN_MODEL = collapse_chain_model()
+
+
 def _tables_by_value(model):
     """Each distinct non-empty dispatch table -> the ids of the tuples holding it."""
     out = {}
@@ -523,6 +544,7 @@ def _tables_by_value(model):
 
 @settings(max_examples=30, deadline=None)
 @given(synth_model())
+@example(COLLAPSE_CHAIN_MODEL)
 def test_round_trip_renders_the_same_package_and_shares_tables(model):
     clone = deserialize_binding_model(serialize_binding_model(model))
     assert emit_parser_backend(clone)[0].content == emit_parser_backend(model)[0].content

@@ -18,7 +18,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, XS_HEAD, analyze, cid, schema_of
 from slimbind.analyzer import analyze_corpus
@@ -60,7 +60,7 @@ from slimbind import runtime
 from slimbind.runtime import Record
 from slimbind.simplify import compute_retained_set, reduction_report
 from slimbind.templates import ManifestEntry, TemplateSet
-from test_binding import synth_model
+from test_binding import COLLAPSE_CHAIN_MODEL, synth_model
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # The pinned files, each by the name of the TestGolden.golden_outputs() entry it holds.
@@ -565,6 +565,16 @@ class TestGeneratedParsers:
         assert_equivalent(model, module, docs)
         obj, warnings = module.parse_document(docs[0])
         assert (obj.pay, obj.note, warnings) == ([], "n", [])
+
+    def test_namespace_uri_holding_a_space_is_named(self, po_schema, tmp_path):
+        _model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+        bad = PO_DOC.replace("<note>", '<note xmlns:p="urn:a b">')
+        for mode in ("strict", "lenient"):
+            with pytest.raises(MalformedXmlError) as info:
+                module.parse_document(bad, mode=mode, source_name="s.xml")
+            assert str(info.value) == (
+                "MALFORMED_XML: namespace URI 'urn:a b' holds a space, the separator "
+                "expat puts between a namespace and a local name at s.xml:4:3")
 
     def test_lenient_vs_strict_on_generated(self, po_schema, tmp_path):
         model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
@@ -1528,6 +1538,7 @@ def _renumbered(rows):
 
 @settings(max_examples=30, deadline=None)
 @given(synth_model())
+@example(COLLAPSE_CHAIN_MODEL)
 def test_rows_expand_to_their_full_form_and_bind_alike(model):
     """Naming namespaces by index and leaving slots empty changes no binding.
 

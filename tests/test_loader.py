@@ -123,6 +123,15 @@ def test_duplicate_global_rejected(tmp_path):
         load_schema_set([SchemaSource.from_file(tmp_path / "a.xsd")])
 
 
+def test_a_target_namespace_holding_a_space_is_named():
+    with pytest.raises(MalformedSchemaError) as info:
+        load_schema_set([SchemaSource("mem://ns.xsd", raw_text=(
+            '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"\n'
+            '    xmlns:t="urn:a b" targetNamespace="urn:a b"/>'))])
+    assert "namespace URI 'urn:a b' holds a space" in str(info.value)
+    assert str(info.value).endswith(" at mem://ns.xsd:1:1")
+
+
 @pytest.mark.parametrize("qname", ["xs:", "tns:R x"])
 def test_malformed_qname_is_a_schema_error_at_its_line(qname):
     with pytest.raises(MalformedSchemaError) as info:

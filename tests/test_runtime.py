@@ -628,7 +628,30 @@ REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("doc", REFUSED)
+SPACED_URI = ("MALFORMED_XML: namespace URI 'urn:a b' holds a space, the separator expat "
+              "puts between a namespace and a local name at {}")
+
+
+@pytest.mark.parametrize("doc, at", [
+    ('<r>\n<s xmlns="urn:a b"/></r>', "d.xml:2:1"),
+    ('<r xmlns:p="urn:a&#32;b"/>', "d.xml:1:1"),
+    ('<r>\n  <s xmlns:q="urn:q" xmlns:p="urn:a\tb"><t/></s></r>'.encode("utf-16"), "d.xml:2:3"),
+])
+def test_a_namespace_uri_holding_a_space_is_named(doc, at):
+    """Expat refuses such a URI with a bare "syntax error"; the message names
+    the URI and the cause, at the position expat gives."""
+    with pytest.raises(MalformedXmlError) as info:
+        read_tree(doc, "d.xml", _Rec)
+    assert str(info.value) == SPACED_URI.format(at)
+
+
+def test_a_plain_syntax_error_stays_one():
+    with pytest.raises(MalformedXmlError) as info:
+        read_tree('<!DOCTYPE a [<!ELEMENT a (b,)>]>\n<a xmlns="urn:a b"/>', "d.xml", _Rec)
+    assert str(info.value) == "MALFORMED_XML: syntax error at d.xml:1:29"
+
+
+@pytest.mark.parametrize("doc", REFUSED + ['<r>\n<s xmlns="urn:a b"/></r>'])
 def test_read_tree_refuses_as_the_event_stream_does(doc):
     """The same MalformedXmlError message, line and column through both readers."""
     with pytest.raises(MalformedXmlError) as pulled:
