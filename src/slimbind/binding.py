@@ -36,7 +36,9 @@ from .runtime import Record
 
 IR_VERSION = 2
 
-# Names the built-in package template imports that a class name could take.
+# Names a package may import from slimbind.runtime that a class name could
+# take.  The built-in template imports none of them; a custom template that
+# writes ``class`` statements imports ``Record``.
 _TEMPLATE_IMPORTS = ("Record",)
 # Attributes every record has; a field must not shadow them.
 _RECORD_ATTRIBUTES = tuple(name for name in vars(Record) if not name.startswith("__"))

@@ -2,10 +2,12 @@
 
 The built-in backend emits a table-driven Python parser package against
 ``slimbind.runtime``, which holds all its parsing code.  The package is one
-module: each class's ``__slots__`` record class with the field rows it
-parses by, each distinct dispatch table once, the root table, and the
-document entry point.  Rendering is deterministic: equal inputs
-give byte-identical artifacts.
+module of data: the field rows, one ``_CLASSES`` entry per class (its
+name, base, slots and the indices of the rows it parses by, from which
+``slimbind.runtime.build_classes`` makes its ``__slots__`` record class),
+each distinct dispatch table once, the root table, and the document
+entry point.  Rendering is deterministic: equal inputs give
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ def _render_context(model):
         "row_table": [repr(row) for row in rows.index],
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
-        "dispatch_imports": ", ".join(sorted(tables.convs | {"bind_parsers", "parse_root"})),
+        "dispatch_imports": ", ".join(sorted(
+            tables.convs | {"bind_parsers", "build_classes", "parse_root"})),
         "options": encode(model.options),
         "class_count": len(model.classes),
     }, rows
@@ -294,15 +297,18 @@ def _matchable(model, cls) -> list:
 
 def _class_context(model, cls, modules, tables, rows) -> dict:
     lists = tuple(f.name for f in cls.fields if f.cardinality is Cardinality.LIST)
+    slots = tuple(f.name for f in cls.fields)
+    indices = rows.indices([_row(cls, f, tables, rows.name) for f in _matchable(model, cls)])
     return {
         "name": cls.name,
         "module": modules[cls.name],
         "xml_type": cls.source_type,
         "fields": [{"py_name": f.name} for f in cls.fields],
-        "slots": repr(tuple(f.name for f in cls.fields)),
+        "slots": repr(slots),
         "lists": repr(lists) if lists else "",
-        "rows": repr(rows.indices([_row(cls, f, tables, rows.name)
-                                   for f in _matchable(model, cls)])),
+        "rows": repr(indices),
+        # The class's _CLASSES entry: slots and row indices each one string.
+        "entry": repr((cls.name, cls.base or "", " ".join(slots), " ".join(map(str, indices)))),
         "has_base": cls.base is not None,
         "base": cls.base or "",
         "base_module": modules.get(cls.base, "") if cls.base else "",
@@ -373,7 +379,7 @@ def _root_contexts(model, tables) -> list:
 
 _PACKAGE_TEMPLATE = '''\
 """Parser package for model '{{model_name}}'. Generated code; do not edit."""
-from slimbind.runtime import Record, {{dispatch_imports}}
+from slimbind.runtime import {{dispatch_imports}}
 
 _NS = (
 {{#namespaces}}
@@ -385,14 +391,12 @@ _ROWS = (
     {{.}},
 {{/row_table}}
 )
+_CLASSES = (
 {{#classes}}
-
-
-class {{name}}({{#has_base}}{{base}}{{/has_base}}{{^has_base}}Record{{/has_base}}):  # {{xml_type}}
-    __slots__ = {{slots}}
-    _rows = {{rows}}
+    {{entry}},
 {{/classes}}
-
+)
+build_classes(globals())
 
 # Dispatch tables: "namespace local" -> (class, conversion, xsi:type table).
 {{#dispatch_tables}}

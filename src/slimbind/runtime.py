@@ -26,10 +26,12 @@ The module also holds all the parsing code generated packages use.  A
 generated package writes each distinct field row once, a tab-separated
 string, in its ``_ROWS`` table; a row names a namespace by its index into
 the package's ``_NS`` table and leaves out a slot named like its key.  A
-record class is its own parser: it declares its field rows as indices
-into ``_ROWS``, and :func:`bind_parsers` expands them and turns them into
-lookup tables on the class, keyed by expat's names, once the package has
-defined every name the rows mention.
+package writes its record classes as data, one ``_CLASSES`` entry each,
+and :func:`build_classes` makes them.  A record class is its own parser:
+it holds its field rows as indices into ``_ROWS``, and
+:func:`bind_parsers` expands them and turns them into lookup tables on
+the class, keyed by expat's names, once the package has defined every
+name the rows mention.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -534,11 +536,15 @@ class _Document:
 #
 # A generated package holds a tuple ``_ROWS`` of field rows, each distinct
 # row once in order of first use, the tuple ``_NS`` of the namespaces they
-# name, and, per class, a :class:`Record`
-# subclass that declares its fields as ``__slots__`` and its field rows as
-# ``_rows``, a tuple of indices into ``_ROWS``: a flattened class shares
-# its base's rows, and a shared element's row serves every class holding
-# it.  A row is one string, its items ``key``, ``slot``, ``occurs``,
+# name, and the tuple ``_CLASSES``, one entry ``(name, base, slots, rows)``
+# per class, a base before the classes derived from it.  From each entry
+# :func:`build_classes` makes a :class:`Record` subclass that declares the
+# space-separated names ``slots`` as ``__slots__`` and holds the
+# space-separated indices into ``_ROWS`` in ``rows`` as ``_rows``, a tuple
+# of ints: a flattened class shares its base's rows, and a shared
+# element's row serves every class holding it.  For example
+# ``('CartType', '', 'sku coupon pay', '0 1 2')``.
+# A row is one string, its items ``key``, ``slot``, ``occurs``,
 # ``read`` and ``target`` joined by tabs, None written as an empty item
 # (one string costs the compiler far less than a tuple of five).  A row
 # writes a name in a namespace as ``"<index into _NS> <local>"`` and a
@@ -571,15 +577,17 @@ class _Document:
 # A class's indices come in match order: the first row matching an
 # element wins, and wildcard fields come last.  A class's rows cover every
 # field it parses, inherited ones included.  Unknown attributes are
-# ignored.  Rows written in the class, as tuples or strings, as earlier
-# versions wrote them, are refused.
+# ignored.  Rows written in the class, as tuples or strings, and classes
+# written as ``class`` statements, as earlier versions wrote them, are
+# refused.
 
 
 class Record:
     """Base of every generated record class.
 
     A record class declares its own fields as ``__slots__`` and its field
-    rows (see above) as ``_rows``.  :func:`bind_parsers` sets the other
+    rows (see above) as ``_rows``; :func:`build_classes` makes it from the
+    package's ``_CLASSES``.  :func:`bind_parsers` sets the other
     attributes below on the class itself, from its rows and its bases'
     slots, before the first record is made.
     """
@@ -632,36 +640,84 @@ def _plain(value):
     return value
 
 
+def build_classes(names):
+    """Make the record classes of a generated package from its ``_CLASSES``.
+
+    The package calls this with its namespace once ``_ROWS`` and
+    ``_CLASSES`` are defined, before the tables that name the classes.
+    Each entry ``(name, base, slots, rows)`` (see above) becomes a
+    :class:`Record` subclass, bound to ``name`` in ``names``: its base is
+    the class of an earlier entry, or :class:`Record` when ``base`` is
+    empty, and its ``__module__`` the package's ``__name__``.  Each slot
+    name is interned, as a name in a ``class`` statement is: a split-out
+    string is not, and ``setattr`` would compare its text on every record.
+    An entry whose base is not an earlier entry, or whose row is not a
+    decimal index into ``_ROWS``, is refused with an :class:`ImportError`,
+    and so is a package with no ``_ROWS`` or no ``_CLASSES``.
+    """
+    table = names.get("_ROWS")
+    if not isinstance(table, tuple):
+        raise _regenerate("was generated in an older format, with no row table _ROWS")
+    module, made = names["__name__"], {}
+    for name, base, slots, rows in _class_table(names):
+        if base and base not in made:
+            raise _regenerate(f"has a class {name} whose base {base!r} "
+                              "is not an earlier entry of _CLASSES")
+        indices = rows.split()
+        for index in indices:
+            if not (index.isascii() and index.isdigit() and int(index) < len(table)):
+                raise _regenerate(f"has a field row {index!r} in {name} "
+                                  "that is not an index into _ROWS")
+        names[name] = made[name] = type(name, (made[base] if base else Record,), {
+            "__module__": module,
+            "__slots__": tuple(map(sys.intern, slots.split())),
+            "_rows": tuple(map(int, indices)),
+        })
+
+
+def _class_table(names):
+    """The package's ``_CLASSES``; an older package, which has none, is refused."""
+    table = names.get("_CLASSES")
+    if isinstance(table, tuple):
+        return table
+    if any(isinstance(value, type) and issubclass(value, Record) and value is not Record
+           for value in names.values()):
+        raise _regenerate("was generated in an older format, "
+                          "whose record classes are class statements")
+    raise _regenerate("was generated in an older format, with no class table _CLASSES")
+
+
 def bind_parsers(names):
     """Bind every record class in a generated package.
 
     The package calls this with its namespace, which maps each class and
     dispatch table name to its value, once all are defined; so rows can
-    name any class and recursive types need no cycle.  The package's
-    tables are read, never changed, so binding again binds the same.  Each
-    row of ``_ROWS`` is split and expanded through ``_NS`` once, however
-    many classes index it: the split rows are dropped when binding ends.
-    A package whose root table ``_ROOTS`` is keyed by ``(namespace,
-    local)`` tuples, whose field rows are tuples or strings, or that has
-    no ``_ROWS`` or no ``_NS``, was generated in an older format, and is
-    refused with an :class:`ImportError`; so is one whose rows are not
-    indices into ``_ROWS``, or name a namespace by anything but an index
-    into ``_NS``.
+    name any class and recursive types need no cycle.  The classes are
+    those ``_CLASSES`` names.  The package's tables are read, never
+    changed, so binding again binds the same.  Each row of ``_ROWS`` is
+    split and expanded through ``_NS`` once, however many classes index
+    it: the split rows are dropped when binding ends.  A package whose root
+    table ``_ROOTS`` is keyed by ``(namespace, local)`` tuples, whose field
+    rows are tuples or strings, whose record classes are ``class``
+    statements, or that has no ``_ROWS``, no ``_NS`` or no ``_CLASSES``,
+    was generated in an older format, and is refused with an
+    :class:`ImportError`; so is one whose rows name a namespace by anything
+    but an index into ``_NS``.
     """
     if not all(isinstance(key, str) for key in names["_ROOTS"]):
         raise _regenerate("was generated in an older format, "
                           "whose tables are keyed by (namespace, local)")
-    classes = [cls for cls in names.values()
-               if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record]
     table = names.get("_ROWS")
     if not isinstance(table, tuple):
-        kinds = {type(row) for cls in classes for row in cls._rows}
+        kinds = {type(row) for cls in names.values()
+                 if isinstance(cls, type) and issubclass(cls, Record) for row in cls._rows}
         raise _regenerate("was generated in an older format, " + (
             "whose field rows are tuples" if tuple in kinds else
             "whose field rows are strings" if str in kinds else "with no row table _ROWS"))
     namespaces = names.get("_NS")
     if not isinstance(namespaces, tuple):
         raise _regenerate("was generated in an older format, with no namespace table _NS")
+    classes = [names[entry[0]] for entry in _class_table(names)]
     rows = [_split_row(row, namespaces) for row in table]
     for cls in classes:
         _bind(cls, names, rows)
@@ -718,20 +774,18 @@ def _bind(cls, names, rows):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
     ``rows`` holds the package's ``_ROWS`` split by :func:`_split_row`,
-    and ``cls._rows`` indexes it.  ``names`` holds every class and table; a
-    row's ``read`` says whether its key names an element, an attribute or
-    a table.  A child element's action is ``_IGNORE``, or ``(cls, conv,
-    by_type, what, slot, many, chain)``: a dispatch target (see above), the
-    label of its warnings, and where its value goes, appended to a list
-    when ``many``.  ``chain``, when not None, holds the expat names of the
-    collapsed wrappers the target's element sits in.
+    and ``cls._rows``, checked by :func:`build_classes`, indexes it.
+    ``names`` holds every class and table; a row's ``read`` says whether
+    its key names an element, an attribute or a table.  A child element's
+    action is ``_IGNORE``, or ``(cls, conv, by_type, what, slot, many,
+    chain)``: a dispatch target (see above), the label of its warnings, and
+    where its value goes, appended to a list when ``many``.  ``chain``,
+    when not None, holds the expat names of the collapsed wrappers the
+    target's element sits in.
     """
     name = cls.__name__
     elements, attributes, required, lists, text = {}, {}, [], set(), None
     for index in cls._rows:
-        if type(index) is not int or not 0 <= index < len(rows):
-            raise _regenerate(f"has a field row {index!r} in {name} "
-                              "that is not an index into _ROWS")
         key, slot, occurs, read, target, chain, need = rows[index]
         what = f"{name}.{slot}"
         if occurs == "*":

@@ -75,10 +75,8 @@ def field_rows(source, name):
     as ``(key, slot, occurs, read, target)``, None for an empty item; a
     collapse row's target as ``(chain, read, target)``.
     """
-    body = ast.parse(source).body
-    (cls,) = [node for node in body if isinstance(node, ast.ClassDef) and node.name == name]
-    table, namespaces = assigned(body, "_ROWS"), assigned(body, "_NS")
-    return tuple(read_row(table[index], namespaces) for index in assigned(cls.body, "_rows"))
+    namespaces, table, classes = _package_tables(source)
+    return tuple(read_row(table[index], namespaces) for index in classes[name])
 
 
 def assigned(nodes, name):
@@ -106,7 +104,7 @@ def full_row(split):
 
 def class_names(source):
     """The classes a generated package defines, in order."""
-    return [node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    return list(_package_tables(source)[2])
 
 
 def po_model(po_schema, options=None, name="po_golden"):
@@ -126,6 +124,9 @@ class TestRender:
         assert class_names(package.content) == names
         for name in names:
             assert field_rows(package.content, name)
+        # The classes are data: no class statement and no loop that builds them.
+        assert not [node for node in ast.walk(ast.parse(package.content)) if isinstance(
+            node, (ast.ClassDef, ast.For, ast.While, ast.comprehension))]
         # The package imports the runtime and nothing of its own.
         assert re.findall(r"^(?:from|import) \S+", package.content, re.M) == \
             ["from slimbind.runtime"]
@@ -352,7 +353,7 @@ class TestGeneratedParsers:
         # capitalized names the package imports, which binding reserves.
         template = builtin_template_set().templates["package.py"]
         (line,) = re.findall(r"^from .+$", template, re.M)
-        assert re.findall(r"\b[A-Z]\w*", line) == list(_TEMPLATE_IMPORTS)
+        assert set(re.findall(r"\b[A-Z]\w*", line)) <= set(_TEMPLATE_IMPORTS)
         assert all(name[0].isupper() for name in class_names(artifacts[0].content))
 
     def test_missing_required_wildcard_reported_after_elements(self, tmp_path):
@@ -721,7 +722,7 @@ class TestLateBoundParsers:
         assert tables
         assert {name for name in vars(package) if not name.startswith("__")} == \
             {c.name for c in model.classes} | set(tables) | set(imports.split(", ")) | \
-            {"_NS", "_ROWS", "_ROOTS", "parse_document"}
+            {"_NS", "_ROWS", "_CLASSES", "_ROOTS", "parse_document"}
         assert "_lists" not in source and "RecordParser" not in source
         assert not hasattr(runtime, "RecordParser")
         assert_equivalent(model, package, docs)
@@ -769,14 +770,14 @@ def _matched_names(source):
     a table; a collapse row also matches its chain.
     """
     names = []
+    for name in class_names(source):
+        for key, _slot, _occurs, read, target in field_rows(source, name):
+            if read == "collapse":
+                names += target[0]
+            if key is not None and read != "dispatch":
+                names.append(key)
     for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
-            for key, _slot, _occurs, read, target in field_rows(source, node.name):
-                if read == "collapse":
-                    names += target[0]
-                if key is not None and read != "dispatch":
-                    names.append(key)
-        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
             names += [ast.literal_eval(key) for key in node.value.keys]
     return names
 
@@ -1405,10 +1406,12 @@ def _string_rows(package):
         ast.literal_eval(f"({m[2]})"))) + ",", _expat_keyed(package), flags=re.M)
 
 
-def _current_format(package):
+def _indexed_rows(package):
     """``package`` keyed by expat names, its classes indexing the field rows in ``_ROWS``.
 
-    The rows name ``urn:fix`` as ``_NS[0]`` and write every slot.
+    The rows name ``urn:fix`` as ``_NS[0]`` and write every slot; the
+    classes are still ``class`` statements, as the format before
+    ``_CLASSES`` wrote them.
     """
     table = []
 
@@ -1419,6 +1422,52 @@ def _current_format(package):
     package = re.sub(r"^( +)('.*'),$", index, _string_rows(package), flags=re.M)
     head, rest = package.split("\n", 1)
     return f"{head}\n_NS = ('urn:fix',)\n_ROWS = {tuple(table)!r}\n{rest}"
+
+
+def _current_format(package):
+    """``package`` as :func:`_indexed_rows` writes it, its classes one ``_CLASSES`` table.
+
+    The table and the ``build_classes`` call take the place of the first class.
+    """
+    lines = _indexed_rows(package).splitlines(keepends=True)
+    entries, spans = [], []
+    for node in ast.parse("".join(lines)).body:
+        if isinstance(node, ast.ClassDef):
+            (base,) = node.bases
+            entries.append((node.name, "" if base.id == "Record" else base.id,
+                            " ".join(assigned(node.body, "__slots__")),
+                            " ".join(map(str, assigned(node.body, "_rows")))))
+            spans.append((node.lineno - 1, node.end_lineno))
+    for start, end in reversed(spans[1:]):
+        del lines[start:end]
+    lines[spans[0][0]:spans[0][1]] = [f"_CLASSES = {tuple(entries)!r}\n",
+                                      "build_classes(globals())\n"]
+    return "".join(lines).replace("import Record,", "import build_classes,")
+
+
+def class_statements(source):
+    """A generated package's source with each ``_CLASSES`` entry a ``class`` statement.
+
+    That is the format before ``_CLASSES``: no table, no ``build_classes``
+    call, and ``Record`` imported.
+    """
+    statements = "".join(
+        f"\n\nclass {name}({base or 'Record'}):\n"
+        f"    __slots__ = {tuple(slots.split())!r}\n"
+        f"    _rows = {tuple(map(int, rows.split()))!r}\n"
+        for name, base, slots, rows in assigned(ast.parse(source).body, "_CLASSES"))
+    source, count = re.subn(r"^_CLASSES = \(\n(?:    .*\n)*\)\nbuild_classes\(globals\(\)\)\n",
+                            lambda _: statements + "\n", source, flags=re.M)
+    assert count == 1
+    return source.replace("import ", "import Record, ", 1).replace("build_classes, ", "")
+
+
+def _import_text(tmp_path, monkeypatch, text):
+    """Import ``text`` as a module of a fresh name."""
+    monkeypatch.syspath_prepend(os.fspath(tmp_path))
+    name = unique_model_name("rows")
+    (tmp_path / f"{name}.py").write_text(text)
+    return importlib.import_module(name)
 
 
 def test_package_with_tuple_rows_is_refused(tmp_path, monkeypatch):
@@ -1439,18 +1488,50 @@ def test_package_with_string_rows_is_refused(tmp_path, monkeypatch):
         importlib.import_module(old)
 
 
+def test_package_with_class_statements_is_refused(tmp_path, monkeypatch):
+    """Record classes written as ``class`` statements, as earlier versions wrote them."""
+    with pytest.raises(ImportError, match="record classes are class statements; regenerate"):
+        _import_text(tmp_path, monkeypatch, _indexed_rows(_OLD_FORMAT_PACKAGE))
+
+
+def test_package_without_a_class_table_is_refused(tmp_path, monkeypatch):
+    package = re.sub(r"^_CLASSES = .*\n", "", _current_format(_OLD_FORMAT_PACKAGE),
+                     flags=re.M)
+    assert "_CLASSES" not in package
+    with pytest.raises(ImportError, match="no class table _CLASSES; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+@pytest.mark.parametrize("base", ["S", "R", "Record", "Q"])
+def test_package_with_a_class_whose_base_is_no_earlier_entry_is_refused(
+        tmp_path, monkeypatch, base):
+    """A base is the name of an entry before its class: here only ``S`` is one, and later."""
+    package = _current_format(_OLD_FORMAT_PACKAGE)
+    entry = "('R', '', 'v', '0')"
+    assert entry in package
+    later = package.replace(entry, f"('R', {base!r}, 'v', '0'), ('S', '', '', '')")
+    with pytest.raises(ImportError, match=f"class R whose base '{base}' is not an earlier "
+                       "entry of _CLASSES; regenerate"):
+        _import_text(tmp_path, monkeypatch, later)
+    # Listed before R, S is a base R may have.
+    earlier = package.replace(entry, "('S', '', '', ''), ('R', 'S', 'v', '0')")
+    module = _import_text(tmp_path, monkeypatch, earlier)
+    assert module.R.__bases__ == (module.S,) and module.S.__bases__ == (Record,)
+
+
 @pytest.mark.parametrize("row", [
     "1", "-1", "True", "0.0", "'0'", repr("urn:fix v\tv\t?\tsimple\tstring"),
     "('urn:fix v', 'v', '?', 'simple', 'string')"])
 def test_package_with_a_row_that_indexes_nothing_is_refused(tmp_path, monkeypatch, row):
-    """Each of a class's rows is an index into ``_ROWS``, which holds one row here."""
-    monkeypatch.syspath_prepend(os.fspath(tmp_path))
-    old = unique_model_name("rows")
+    """Each of a class's rows is a decimal index into ``_ROWS``, which holds one row here.
+
+    The class's entry holds ``row`` written out where its index was.
+    """
     package = _current_format(_OLD_FORMAT_PACKAGE)
-    (tmp_path / f"{old}.py").write_text(package.replace("        0,\n", f"        {row},\n"))
+    assert "'v', '0')" in package
     with pytest.raises(ImportError, match=r"field row .* in R that is not an index into "
                        "_ROWS; regenerate"):
-        importlib.import_module(old)
+        _import_text(tmp_path, monkeypatch, package.replace("'v', '0')", f"'v', {row!r})"))
 
 
 def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
@@ -1460,14 +1541,6 @@ def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
     (tmp_path / f"{old}.py").write_text(package)
     with pytest.raises(ImportError, match="no row table _ROWS; regenerate"):
         importlib.import_module(old)
-
-
-def _import_text(tmp_path, monkeypatch, text):
-    """Import ``text`` as a module of a fresh name."""
-    monkeypatch.syspath_prepend(os.fspath(tmp_path))
-    name = unique_model_name("rows")
-    (tmp_path / f"{name}.py").write_text(text)
-    return importlib.import_module(name)
 
 
 def test_package_without_a_namespace_table_is_refused(tmp_path, monkeypatch):
@@ -1488,12 +1561,16 @@ def test_package_with_a_row_whose_namespace_is_no_index_into_ns_is_refused(
         _import_text(tmp_path, monkeypatch, package)
 
 
-def _package_tables(package):
-    """``(_NS, _ROWS, {class name: _rows})`` of a generated package's source."""
-    body = ast.parse(package.content).body
+def _package_tables(source):
+    """``(_NS, _ROWS, {class name: _rows})`` of a generated package's source.
+
+    The classes come in ``_CLASSES`` order, each ``_rows`` a tuple of ints,
+    as ``runtime.build_classes`` reads it.
+    """
+    body = ast.parse(source).body
     return assigned(body, "_NS"), assigned(body, "_ROWS"), {
-        node.name: assigned(node.body, "_rows")
-        for node in body if isinstance(node, ast.ClassDef)}
+        name: tuple(map(int, rows.split()))
+        for name, _base, _slots, rows in assigned(body, "_CLASSES")}
 
 
 @settings(max_examples=30, deadline=None)
@@ -1504,7 +1581,7 @@ def test_each_distinct_row_is_written_once_in_order_of_first_use(model):
     ``_NS`` holds the namespaces the rows name, in order of first use too.
     """
     (package,) = emit_parser_backend(model)
-    namespaces, table, classes = _package_tables(package)
+    namespaces, table, classes = _package_tables(package.content)
     tables = emitter._Tables(emitter._module_names(model))
     spelling = emitter._Rows()
     used = []
@@ -1548,7 +1625,7 @@ def test_rows_expand_to_their_full_form_and_bind_alike(model):
     ``_fields``.
     """
     (package,) = emit_parser_backend(model)
-    namespaces, table, classes = _package_tables(package)
+    namespaces, table, classes = _package_tables(package.content)
     tables = emitter._Tables(emitter._module_names(model))
     for cls in emitter._base_first(model.classes):
         full = ["\t".join(item or "" for item in emitter._row_items(cls, f, tables, emitter._key))
@@ -1601,12 +1678,13 @@ def traced_peak(fn, *args):
 def test_string_rows_compile_in_far_less_memory_than_tuple_rows():
     """Each row is one constant for the compiler, not five or more."""
     (package,) = emit_parser_backend(wide_model(200))
-    namespaces, table, _classes = _package_tables(package)
+    namespaces, table, _classes = _package_tables(package.content)
     # Each class writes its own rows as tuples, as earlier versions did.
     as_tuples = re.sub(r"^    _rows = (.*)$", lambda m: "    _rows = (\n" + "".join(
         f"        {read_row(table[index], namespaces)!r},\n"
         for index in ast.literal_eval(m[1])) + "    )",
-        re.sub(r"^_(?:NS|ROWS) = \(\n(?:    .*\n)*\)\n", "", package.content, flags=re.M),
+        re.sub(r"^_(?:NS|ROWS) = \(\n(?:    .*\n)*\)\n", "",
+               class_statements(package.content), flags=re.M),
         flags=re.M)
     assert as_tuples.count("'simple', 'string'),") == 200 * 5
     rows, _ = traced_peak(compile, package.content, "<rows>", "exec")
@@ -1621,10 +1699,32 @@ def test_serializing_a_model_holds_little_beside_its_text():
     assert peak <= 3 * len(text), (peak, len(text))
 
 
+def test_classes_as_data_ship_in_far_less_bytecode(tmp_path):
+    """The device stores the package's bytecode: one table entry per class, no class body.
+
+    Each ``class`` statement compiles to a code object of its own.
+    """
+    (package,) = emit_parser_backend(wide_model(200))
+    statements = class_statements(package.content)
+    assert len(re.findall(r"^class ", statements, re.M)) == 201
+    sizes = {}
+    for name, source in (("table", package.content), ("statements", statements)):
+        (tmp_path / f"{name}.py").write_bytes(source.encode())
+        sizes[name] = emitter._write_bytecode(os.fspath(tmp_path), "wide/__init__.py",
+                                              f"{name}.py", f"{name}.pyc")["bytes"]
+    assert sizes["table"] <= 2 / 3 * sizes["statements"], sizes
+
+
 def test_every_slot_name_a_class_binds_is_interned(tmp_path):
+    """Slot names are interned, and a class built from its entry is the one a statement gave.
+
+    ``setattr`` compares a slot name that is not interned by its text: the
+    ``wide-schema`` parse set took about 5% longer with slot names as
+    ``str.split`` gives them.
+    """
     model = wide_model(3)
     model.classes[0].fields[0].ignored = True
-    package, _ = compile_model(model, tmp_path)
+    package, (artifact,) = compile_model(model, tmp_path / "wide")
     for c in model.classes:
         presets, lists, attributes, elements, required, text = getattr(package, c.name)._binding
         slots = [slot for slot, _value in presets] + list(lists)
@@ -1633,6 +1733,30 @@ def test_every_slot_name_a_class_binds_is_interned(tmp_path):
         slots += [slot for slot, _message in required]
         slots += [text[0]] if text else []
         assert len(slots) >= 7 and all(sys.intern(s) is s for s in slots), c.name
+    body, doc, options = RECURSIVE_CASES["base holding its derived type"]
+    docs = [doc.replace(">", f' xmlns="{TNS}">', 1)]
+    derived, derived_package, _, (derived_artifact,) = build_and_import(
+        schema_of(body), docs, tmp_path / "derived", options)
+
+    def shape(cls):
+        return (cls.__name__, cls.__qualname__, cls.__module__, cls.__slots__, cls._rows,
+                [(base.__module__, base.__qualname__) for base in cls.__bases__])
+
+    for model, package, artifact, docs in ((model, package, artifact, []),
+                                           (derived, derived_package, derived_artifact, docs)):
+        # The same classes as class statements, in a module of the package's name.
+        twin = {"__name__": package.__name__, "_CLASSES": package._CLASSES}
+        exec(compile(class_statements(artifact.content), "<statements>", "exec"), twin)
+        for c in model.classes:
+            built = getattr(package, c.name)
+            assert built is not twin[c.name] and shape(built) == shape(twin[c.name]), c.name
+            assert built.__slots__ and all(sys.intern(s) is s for s in built.__slots__), c.name
+        for doc in docs:
+            obj, twin_obj = package.parse_document(doc)[0], twin["parse_document"](doc)[0]
+            assert repr(obj) == repr(twin_obj) and obj.to_dict() == twin_obj.to_dict()
+            assert obj == package.parse_document(doc)[0] and obj != twin_obj
+            assert twin_obj == twin["parse_document"](doc)[0]
+    assert derived_package.D.__bases__ == (derived_package.B,)
 
 
 def test_a_namespace_holding_a_tab_round_trips(tmp_path):
