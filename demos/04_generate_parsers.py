@@ -5,17 +5,19 @@ flattened, single-occurrence particles tightened to scalars, the
 substitution dispatch bounded to observed members, and the single-child
 <authors><names>...</names></authors> wrapper collapsed away.
 
-The generated package is one module of data.  Each class in it is one
-_CLASSES entry, its name, base, slots and the indices of its rows in the
-module's _ROWS table, one row per field; at import, slimbind.runtime
-makes from it a plain __slots__ record class over slimbind.runtime.Record,
-which is its own parser.  A row names a namespace by its index into _NS
-and leaves its slot empty when the slot is the element's local name;
-slimbind.runtime expands the rows into lookup tables on the class, keyed
-by the names expat reports ("namespace local"), and leaves the package's
-own tables as they are.  Records print in field order and turn into
-plain dicts with to_dict().  The package's source and bytecode sizes are
-what a device stores, for the Python version that ran the demo.
+The generated package is one module of data, each table one string with
+a line per entry.  Each class in it is one _CLASSES line, its name, base
+and the indices of its rows in the module's _ROWS table, one row per
+field; at import, slimbind.runtime makes from it a plain __slots__ record
+class over slimbind.runtime.Record, which is its own parser, and takes
+its slots from its rows.  A line names a namespace by its index into _NS,
+and a row leaves its slot empty when the slot is the element's local
+name; slimbind.runtime expands the rows and dispatch tables into lookup
+tables on the class, keyed by the names expat reports ("namespace
+local"), and leaves the package's own tables as they are.  Records print
+in field order and turn into plain dicts with to_dict().  The package's
+source and bytecode sizes are what a device stores, for the Python
+version that ran the demo.
 
 Last, the package is imported in a fresh interpreter, as a device that
 only parses would: it loads the bytecode generate wrote next to the
@@ -78,11 +80,13 @@ print(f"first item as plain data: {library.item[0].to_dict()}")
 
 print()
 print(f"namespaces the rows name by index: _NS = {generated._NS!r}")
-print("one class of the generated package: its _CLASSES entry and the field rows it indexes:")
-(entry,) = [entry for entry in generated._CLASSES if entry[0] == "BookType"]
-print(f"  {entry!r}")
+print("one class of the generated package: its _CLASSES line and the field rows it indexes:")
+(line,) = [line for line in generated._CLASSES.splitlines() if line.startswith("BookType|")]
+print(f"  {line}")
+rows = generated._ROWS.splitlines()
 for index in generated.BookType._rows:
-    print(f"      _ROWS[{index}] = {generated._ROWS[index]!r}")
+    print(f"      _ROWS line {index}: {rows[index]}")
+print(f"  its slots, read from those rows: {generated.BookType.__slots__}")
 
 stored = json.loads((OUT / "gen" / "librarydemo" / "MANIFEST.json").read_text())
 print(f"what a device stores, Python {sys.version_info.major}.{sys.version_info.minor}: "

@@ -2,12 +2,12 @@
 
 The built-in backend emits a table-driven Python parser package against
 ``slimbind.runtime``, which holds all its parsing code.  The package is one
-module of data: the field rows, one ``_CLASSES`` entry per class (its
-name, base, slots and the indices of the rows it parses by, from which
-``slimbind.runtime.build_classes`` makes its ``__slots__`` record class),
-each distinct dispatch table once, the root table, and the document
-entry point.  Rendering is deterministic: equal inputs give
-byte-identical artifacts.
+module of data, each table one string with a line per entry: the field
+rows, one ``_CLASSES`` line per class (its name, base and the indices of
+the rows it parses by, from which ``slimbind.runtime.build_classes``
+makes its ``__slots__`` record class), each distinct dispatch table once,
+the root table, and the document entry point.  Rendering is
+deterministic: equal inputs give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .binding import (
 )
 from .errors import EmptyModelError, SlimbindError
 from .jsonio import dumps, encode
-from .runtime import expat_name
 from .templates import ManifestEntry, TemplateSet, compile_template, render_template
 
 # Value category -> name of its conversion in ``slimbind.runtime.CONVERSIONS``.
@@ -56,10 +55,12 @@ class GeneratedArtifact:
     path: str
     content: str
     # For the built-in package, which ships its bytecode:
-    # {"referenced": rows the classes index, "distinct": rows in ``_ROWS``}
-    # and the number of namespaces in ``_NS``.  None for other artifacts.
+    # {"referenced": rows the classes index, "distinct": rows in ``_ROWS``},
+    # the number of namespaces in ``_NS``, and the source bytes of its
+    # tables (see :func:`_table_bytes`).  None for other artifacts.
     rows: Optional[dict] = None
     namespaces: Optional[int] = None
+    tables: Optional[dict] = None
 
     @cached_property
     def data(self) -> bytes:
@@ -129,11 +130,6 @@ def format_size_report(artifacts) -> str:
 
 # ---------------------------------------------------------------- render context
 
-def _key(qname) -> str:
-    """The expat name of ``qname``: how a package spells each name it matches."""
-    return expat_name(qname.namespace, qname.local)
-
-
 def _conv(value) -> str:
     return _CONV[value] if value is not None else "string"
 
@@ -149,48 +145,63 @@ def _module_names(model: BindingModel) -> dict:
     return out
 
 
+# A packed table is one string literal with a line per entry, the items of
+# a line joined by _SEP.  No NCName, identifier, occurs mark or index holds
+# _SEP, nor any character _UNWRITABLE matches, which would end the line or
+# the literal, or escape the next character.
+_SEP = "|"
+_UNWRITABLE = re.compile(r'[|\\"\r\n]')
+
+
+def _packed(items, what) -> str:
+    """``items`` as one line of a packed table, None written as an empty item."""
+    items = [item or "" for item in items]
+    if _UNWRITABLE.search("".join(items)):
+        raise SlimbindError(f'{what}: a name holds one of | \\ " or a line break, '
+                            "which a packed table line cannot hold")
+    return _SEP.join(items)
+
+
 class _Tables:
     """Dispatch tables of one package, each distinct table named once.
 
-    Entries render in the package module, which defines every class and
-    imports the conversions named in ``convs``.
+    A line names its target class by name and its conversion by its key in
+    ``slimbind.runtime.CONVERSIONS``; ``spell`` spells its key as a row
+    does (:meth:`_Rows.name`).
     """
 
-    def __init__(self, classes):
+    def __init__(self, classes, spell):
         self.classes = classes
-        self.names = {}  # entry lines -> table name
-        self.convs = set()
+        self.spell = spell
+        self.names = {}  # table lines -> table name
 
-    def target(self, target_class, value, by_type=None) -> str:
-        """``(cls, conv, by_type)``; a class not in the model reads as simple."""
+    def target(self, target_class, value, by_type=None) -> tuple:
+        """``(class, conversion, by_type)``; a class not in the model reads as simple."""
         if target_class in self.classes:
-            return f"({target_class}, None, {by_type})"
-        conv = "conv_" + _conv(value)
-        self.convs.add(conv)
-        return f"(None, {conv}, {by_type})"
+            return target_class, None, by_type
+        return None, _conv(value), by_type
 
     def by_type(self, entries):
-        """The ``xsi:type`` table of ``entries`` as a dict display, or None."""
+        """The name of the ``xsi:type`` table of ``entries``, or None."""
         if not entries:
             return None
-        return "{" + ", ".join(_entry_lines(
-            (e.qname, self.target(e.target_class, e.value)) for e in entries)) + "}"
+        return self.name_of((e.qname, self.target(e.target_class, e.value)) for e in entries)
+
+    def line(self, qname, target) -> str:
+        """The line mapping ``qname`` to ``target``, trailing empty items left out."""
+        return _packed((self.spell(qname), *target), str(qname)).rstrip(_SEP)
 
     def name_of(self, pairs) -> str:
         """The name of the table holding ``(qname, target)`` pairs."""
-        lines = tuple(_entry_lines(pairs))
+        lines = tuple(self.line(qname, target) for qname, target in _first_per_key(pairs))
         return self.names.setdefault(lines, f"_D{len(self.names)}")
 
     def context(self) -> list:
         return [{"name": name, "lines": list(lines)} for lines, name in self.names.items()]
 
 
-def _entry_lines(pairs) -> list:
-    """``key: target`` lines; a later entry for a taken key is unreachable."""
-    return [f"{_key(qname)!r}: {target}" for qname, target in _first_per_key(pairs)]
-
-
 def _first_per_key(pairs):
+    """One pair per key, the first: a later entry for a taken key is unreachable."""
     first = {}
     for qname, target in pairs:
         first.setdefault(qname, target)
@@ -214,7 +225,7 @@ def _field_table(tables, field) -> str:
     elif field.target_class in tables.classes or field.value is not None:
         pairs = [(field.xml_name, tables.target(field.target_class, field.value, by_type))]
     else:
-        pairs = [(field.xml_name, f"(None, None, {by_type})")]
+        pairs = [(field.xml_name, (None, None, by_type))]
     return tables.name_of(pairs)
 
 
@@ -251,8 +262,8 @@ def build_render_context(model: BindingModel) -> dict:
 def _render_context(model):
     """The render context and the :class:`_Rows` its classes index."""
     modules = _module_names(model)
-    tables = _Tables(modules)
     rows = _Rows()
+    tables = _Tables(modules, rows.name)
     classes_ctx = [_class_context(model, cls, modules, tables, rows)
                    for cls in _base_first(model.classes)]
     roots_ctx = _root_contexts(model, tables)
@@ -260,11 +271,10 @@ def _render_context(model):
         "model_name": model.name,
         "classes": classes_ctx,
         "namespaces": [repr(namespace) for namespace in rows.namespaces],
-        "row_table": [repr(row) for row in rows.index],
+        "row_table": list(rows.index),
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
-        "dispatch_imports": ", ".join(sorted(
-            tables.convs | {"bind_parsers", "build_classes", "parse_root"})),
+        "dispatch_imports": "bind_parsers, build_classes, parse_root",
         "options": encode(model.options),
         "class_count": len(model.classes),
     }, rows
@@ -284,21 +294,16 @@ def _base_first(classes) -> list:
     return out
 
 
-def _matchable(model, cls) -> list:
-    """The fields ``cls`` has a row for, in row order.
-
-    Rows cover inherited fields too when flattening is off.  Element
-    fields take precedence over wildcards for the same name, so wildcard
-    rows come after every other row.
-    """
-    fields = effective_fields(model, cls)
-    return [f for f in fields if not f.is_wildcard] + [f for f in fields if f.is_wildcard]
-
-
 def _class_context(model, cls, modules, tables, rows) -> dict:
+    """The context of ``cls``, its rows one per field it parses, in field order.
+
+    Inherited fields come first when flattening is off, so the rows of a
+    class begin with its base's.
+    """
     lists = tuple(f.name for f in cls.fields if f.cardinality is Cardinality.LIST)
     slots = tuple(f.name for f in cls.fields)
-    indices = rows.indices([_row(cls, f, tables, rows.name) for f in _matchable(model, cls)])
+    indices = rows.indices([_row(cls, f, tables, rows.name)
+                            for f in effective_fields(model, cls)])
     return {
         "name": cls.name,
         "module": modules[cls.name],
@@ -307,8 +312,8 @@ def _class_context(model, cls, modules, tables, rows) -> dict:
         "slots": repr(slots),
         "lists": repr(lists) if lists else "",
         "rows": repr(indices),
-        # The class's _CLASSES entry: slots and row indices each one string.
-        "entry": repr((cls.name, cls.base or "", " ".join(slots), " ".join(map(str, indices)))),
+        # The class's _CLASSES line; the runtime reads its slots from its rows.
+        "entry": _packed((cls.name, cls.base, " ".join(map(str, indices))), cls.name),
         "has_base": cls.base is not None,
         "base": cls.base or "",
         "base_module": modules.get(cls.base, "") if cls.base else "",
@@ -316,7 +321,7 @@ def _class_context(model, cls, modules, tables, rows) -> dict:
 
 
 def _row(cls, f, tables, name) -> str:
-    """The field row of ``f``: ``key, slot, occurs, read, target`` joined by tabs.
+    """The field row of ``f``: ``key, slot, occurs, read, target``, one packed line.
 
     ``name`` spells the names the row matches (:meth:`_Rows.name` in a
     package).  None is written as an empty item, and so is a slot that is
@@ -326,11 +331,7 @@ def _row(cls, f, tables, name) -> str:
     key, slot, *rest = _row_items(cls, f, tables, name)
     if key is not None and slot == key.rpartition(" ")[2]:
         slot = None
-    items = key, slot, *rest
-    if any("\t" in item for item in items if item):
-        raise SlimbindError(f"{cls.name}.{f.name}: a name holds a tab, which "
-                            "separates the items of a field row")
-    return "\t".join(item or "" for item in items)
+    return _packed((key, slot, *rest), f"{cls.name}.{f.name}")
 
 
 def _row_items(cls, f, tables, name) -> tuple:
@@ -345,8 +346,8 @@ def _row_items(cls, f, tables, name) -> tuple:
     if f.dispatch:
         # A dispatch field matches its table's keys, even when ignored.
         table = _field_table(tables, f)
-        if f.ignored:
-            return None, f.name, occurs, "ignore", table
+        if f.ignored:  # "*" marks a wildcard's row, which binds after the others
+            return "*" if f.is_wildcard else None, f.name, occurs, "ignore", table
         return table, f.name, occurs, "dispatch", None if f.is_wildcard else f.xml_name.local
     key = name(f.xml_name)
     if f.ignored:
@@ -365,13 +366,13 @@ def _element_read(f, classes) -> tuple:
 
 
 def _root_contexts(model, tables) -> list:
-    """One root-table entry per root; ``xsi:type`` may pick another class."""
+    """One root-table line per root; ``xsi:type`` may pick another class."""
     pairs = []
     for root in model.roots:
         by_type = tables.by_type([e for e in root.dispatch
                                   if e.target_class in tables.classes])
         pairs.append((root.qname, tables.target(root.target_class, root.value, by_type)))
-    return [{"qname": str(qname), "line": f"{_key(qname)!r}: {target}"}
+    return [{"qname": str(qname), "line": tables.line(qname, target)}
             for qname, target in _first_per_key(pairs)]
 
 
@@ -386,37 +387,35 @@ _NS = (
     {{.}},
 {{/namespaces}}
 )
-_ROWS = (
+_ROWS = """\\
 {{#row_table}}
-    {{.}},
+{{.}}
 {{/row_table}}
-)
-_CLASSES = (
+"""
+_CLASSES = """\\
 {{#classes}}
-    {{entry}},
+{{entry}}
 {{/classes}}
-)
+"""
 build_classes(globals())
-
-# Dispatch tables: "namespace local" -> (class, conversion, xsi:type table).
 {{#dispatch_tables}}
-{{name}} = {
+{{name}} = """\\
 {{#lines}}
-    {{.}},
+{{.}}
 {{/lines}}
-}
+"""
 {{/dispatch_tables}}
-_ROOTS = {
+_ROOTS = """\\
 {{#document_roots}}
-    {{line}},
+{{line}}
 {{/document_roots}}
-}
-bind_parsers(globals())
+"""
+_ROOT_TABLE = bind_parsers(globals())
 
 
 def parse_document(source, mode="strict", source_name="<input>"):
     """Parse one document; returns (typed object, warnings)."""
-    return parse_root(_ROOTS, source, mode, source_name)
+    return parse_root(_ROOT_TABLE, source, mode, source_name)
 '''
 
 
@@ -433,7 +432,26 @@ def emit_parser_backend(model: BindingModel) -> list:
     (package,) = _render(context, builtin_template_set())
     package.rows = rows.counts()
     package.namespaces = len(rows.namespaces)
+    package.tables = _table_bytes(package.content)
     return [package]
+
+
+# A table statement of the built-in package, from its name to its last line.
+_TABLE_STATEMENT = re.compile(r'^(_NS|_ROWS|_CLASSES|_D\d+|_ROOTS) = (?:\(\n.*?^\)|""".*?""")\n',
+                              re.M | re.S)
+_TABLE_KEYS = {"_NS": "namespaces", "_ROWS": "rows", "_CLASSES": "classes",
+               "_ROOTS": "roots"}
+
+
+def _table_bytes(content) -> dict:
+    """The UTF-8 bytes of each table statement of a built-in package's source.
+
+    The dispatch tables ``_D0``, ``_D1``, ... count together.
+    """
+    sizes = dict.fromkeys(("namespaces", "rows", "classes", "dispatchTables", "roots"), 0)
+    for match in _TABLE_STATEMENT.finditer(content):
+        sizes[_TABLE_KEYS.get(match[1], "dispatchTables")] += len(match[0].encode("utf-8"))
+    return sizes
 
 
 # ---------------------------------------------------------------- output writing
@@ -473,6 +491,7 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     if package is not None:
         manifest["rows"] = package.rows
         manifest["namespaces"] = package.namespaces
+        manifest["tables"] = package.tables
     if pyc is not None:
         manifest["bytecode"] = _write_bytecode(gen_dir, f"{model.name}/{package.path}",
                                                package.path, pyc)

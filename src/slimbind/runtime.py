@@ -23,15 +23,15 @@ entities (unless ``standalone="yes"``) are refused, so nothing beyond the
 five built-in entities and character references is ever expanded.
 
 The module also holds all the parsing code generated packages use.  A
-generated package writes each distinct field row once, a tab-separated
-string, in its ``_ROWS`` table; a row names a namespace by its index into
-the package's ``_NS`` table and leaves out a slot named like its key.  A
-package writes its record classes as data, one ``_CLASSES`` entry each,
-and :func:`build_classes` makes them.  A record class is its own parser:
-it holds its field rows as indices into ``_ROWS``, and
-:func:`bind_parsers` expands them and turns them into lookup tables on
-the class, keyed by expat's names, once the package has defined every
-name the rows mention.
+generated package writes each of its tables as one string, a line per
+entry: each distinct field row once in its ``_ROWS`` table, one line per
+record class in ``_CLASSES``, and its dispatch tables.  A line names a
+namespace by its index into the package's ``_NS`` table, and a row
+leaves out a slot named like its key.  :func:`build_classes` makes the
+record classes.  A record class is its own parser: it holds its field
+rows as indices into ``_ROWS``, and :func:`bind_parsers` expands them
+and turns them into lookup tables on the class, keyed by expat's names,
+once the package has defined every table.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -534,29 +534,41 @@ class _Document:
 # None, maps the expat name of an ``xsi:type`` to the target that overrides
 # this one.
 #
-# A generated package holds a tuple ``_ROWS`` of field rows, each distinct
-# row once in order of first use, the tuple ``_NS`` of the namespaces they
-# name, and the tuple ``_CLASSES``, one entry ``(name, base, slots, rows)``
-# per class, a base before the classes derived from it.  From each entry
-# :func:`build_classes` makes a :class:`Record` subclass that declares the
-# space-separated names ``slots`` as ``__slots__`` and holds the
-# space-separated indices into ``_ROWS`` in ``rows`` as ``_rows``, a tuple
-# of ints: a flattened class shares its base's rows, and a shared
-# element's row serves every class holding it.  For example
-# ``('CartType', '', 'sku coupon pay', '0 1 2')``.
-# A row is one string, its items ``key``, ``slot``, ``occurs``,
-# ``read`` and ``target`` joined by tabs, None written as an empty item
-# (one string costs the compiler far less than a tuple of five).  A row
+# A generated package holds the tuple ``_NS`` of the namespaces it names,
+# and each of its tables as one packed string: ``_ROWS``, the field rows,
+# each distinct row once in order of first use; ``_CLASSES``, one line per
+# class, a base before the classes derived from it; the dispatch tables
+# ``_D0``, ``_D1``, ...; and the root table ``_ROOTS``.  A packed table has
+# one line per entry, each ended by a newline, and the items of a line are
+# joined by ``|``, which no name, occurs mark or index holds.  A line
 # writes a name in a namespace as ``"<index into _NS> <local>"`` and a
-# name in none as ``"local"``; :func:`_split_row` expands each to the
-# expat name.  For example ``'0 sku\t\t*\tsimple\tstring'``, with
+# name in none as ``"local"``: a namespace may hold any character, so only
+# ``_NS`` spells one.
+#
+# A ``_CLASSES`` line is ``name|base|rows``: ``base`` names an earlier
+# line, or is empty, and ``rows`` holds the space-separated indices into
+# ``_ROWS`` of the class's rows, one per field it parses, in field order.
+# A class's rows cover its base's fields first, so :func:`build_classes`
+# gives it the slots of the rows after its base's, and ``_rows``, a tuple
+# of ints.  A flattened class shares its base's rows, and a shared
+# element's row serves every class holding it.  For example
+# ``CartType||0 1 2``.
+#
+# A dispatch line is ``key|class|conversion|xsi:type table``, empty items
+# meaning None and trailing empty items left out; :func:`bind_parsers`
+# builds each table's dict once.  For example ``0 card|PayType``.
+#
+# A row's items are ``key``, ``slot``, ``occurs``, ``read`` and
+# ``target``, an empty item meaning None; :func:`_split_row` expands its
+# names to expat names.  For example ``0 sku||*|simple|string``, with
 # ``_NS[0]`` the namespace of ``sku``:
 #
 # * ``key`` -- the name of the element or attribute the field
 #   matches; for a ``"dispatch"`` row, the name of its dispatch table, whose
 #   keys are what it matches; None for the text row and for an ignored
-#   dispatch field.  The row's ``read`` says which: a table name and a
-#   no-namespace element name may be the same string.
+#   dispatch field, but ``"*"`` for an ignored wildcard.  The row's ``read``
+#   says which: a table name and a no-namespace element name may be the
+#   same string.
 # * ``slot`` -- the record attribute the value goes to; empty when it is
 #   the local name of ``key``.
 # * ``occurs`` -- ``"1"`` required, ``"?"`` optional, ``"*"`` a list.
@@ -574,12 +586,11 @@ class _Document:
 #   nothing, ``target`` being None, or for a dispatch field the name of the
 #   table whose keys it matches.
 #
-# A class's indices come in match order: the first row matching an
-# element wins, and wildcard fields come last.  A class's rows cover every
-# field it parses, inherited ones included.  Unknown attributes are
-# ignored.  Rows written in the class, as tuples or strings, and classes
-# written as ``class`` statements, as earlier versions wrote them, are
-# refused.
+# The first row matching an element wins, but element fields take
+# precedence over wildcards, so :func:`_bind` binds a class's wildcard rows
+# after its others.  Unknown attributes are ignored.  Packages written in
+# an earlier format, with tables as tuples or dicts, rows in their class,
+# or classes as ``class`` statements, are refused.
 
 
 class Record:
@@ -640,95 +651,208 @@ def _plain(value):
     return value
 
 
+# One line of _CLASSES, and one line of a dispatch table (see above).
+_CLASS_LINE = re.compile(r"([^|]+)\|([^|]*)\|([0-9 ]*)")
+_TABLE_LINE = re.compile(r"(?:([0-9]+) )?([^| ]+)(?:\|([^|]*)(?:\|([^|]*)(?:\|([^|]*))?)?)?")
+_TABLE_NAME = re.compile(r"_D[0-9]+|_ROOTS")
+
+
 def build_classes(names):
     """Make the record classes of a generated package from its ``_CLASSES``.
 
     The package calls this with its namespace once ``_ROWS`` and
-    ``_CLASSES`` are defined, before the tables that name the classes.
-    Each entry ``(name, base, slots, rows)`` (see above) becomes a
-    :class:`Record` subclass, bound to ``name`` in ``names``: its base is
-    the class of an earlier entry, or :class:`Record` when ``base`` is
-    empty, and its ``__module__`` the package's ``__name__``.  Each slot
-    name is interned, as a name in a ``class`` statement is: a split-out
-    string is not, and ``setattr`` would compare its text on every record.
-    An entry whose base is not an earlier entry, or whose row is not a
-    decimal index into ``_ROWS``, is refused with an :class:`ImportError`,
-    and so is a package with no ``_ROWS`` or no ``_CLASSES``.
+    ``_CLASSES`` are defined.  Each line ``name|base|rows`` (see above)
+    becomes a :class:`Record` subclass, bound to ``name`` in ``names``: its
+    base is the class of an earlier line, or :class:`Record` when ``base``
+    is empty, and its ``__module__`` the package's ``__name__``.  Its
+    ``__slots__`` are the slots of its rows in field order, leaving out the
+    first ones, as many as its base has rows, which hold the base's fields.
+    Each slot name is interned, as a name in a ``class`` statement is: a
+    split-out string is not, and ``setattr`` would compare its text on
+    every record.  A line that is not ``name|base|rows``, whose base is not
+    an earlier line, or whose row is not a decimal index into ``_ROWS``, is
+    refused with an :class:`ImportError`, and so is a package whose
+    ``_ROWS`` or ``_CLASSES`` is missing or not one string.
     """
-    table = names.get("_ROWS")
-    if not isinstance(table, tuple):
-        raise _regenerate("was generated in an older format, with no row table _ROWS")
+    rows = _lines(names, "_ROWS", "row table")
+    slots = [sys.intern(slot or key.rpartition(" ")[2])
+             for key, slot, _rest in (row.split("|", 2) for row in rows)]
     module, made = names["__name__"], {}
-    for name, base, slots, rows in _class_table(names):
+    for line in _class_lines(names):
+        match = _CLASS_LINE.fullmatch(line)
+        if match is None:
+            raise _bad_class_line(line)
+        name, base, indices = match.groups()
+        indices = tuple(map(int, indices.split()))
+        if indices and max(indices) >= len(rows):
+            raise _regenerate(f"has a field row {str(max(indices))!r} in {name} "
+                              "that is not an index into _ROWS")
         if base and base not in made:
             raise _regenerate(f"has a class {name} whose base {base!r} "
                               "is not an earlier entry of _CLASSES")
-        indices = rows.split()
-        for index in indices:
-            if not (index.isascii() and index.isdigit() and int(index) < len(table)):
-                raise _regenerate(f"has a field row {index!r} in {name} "
-                                  "that is not an index into _ROWS")
-        names[name] = made[name] = type(name, (made[base] if base else Record,), {
+        parent = made[base] if base else Record
+        names[name] = made[name] = type(name, (parent,), {
             "__module__": module,
-            "__slots__": tuple(map(sys.intern, slots.split())),
-            "_rows": tuple(map(int, indices)),
+            "__slots__": tuple([slots[index] for index in indices[len(parent._rows):]]),
+            "_rows": indices,
         })
 
 
-def _class_table(names):
-    """The package's ``_CLASSES``; an older package, which has none, is refused."""
-    table = names.get("_CLASSES")
-    if isinstance(table, tuple):
-        return table
-    if any(isinstance(value, type) and issubclass(value, Record) and value is not Record
-           for value in names.values()):
+def _lines(names, name, what):
+    """The lines of the packed table ``name``; one written otherwise is refused."""
+    table = names.get(name)
+    if isinstance(table, str):
+        return table.split("\n")[:-1]
+    raise _regenerate("was generated in an older format, " + (
+        f"with no {what} {name}" if table is None else
+        f"whose {what} {name} is a {type(table).__name__}"))
+
+
+def _bad_class_line(line):
+    """The refusal of a ``_CLASSES`` line that :data:`_CLASS_LINE` does not match."""
+    name, *items = line.split("|")
+    if name and len(items) == 2:
+        bad = next((index for index in items[1].split(" ")
+                    if index and not (index.isascii() and index.isdigit())), items[1])
+        return _regenerate(f"has a field row {bad!r} in {name} "
+                           "that is not an index into _ROWS")
+    return _regenerate(f"has a class line {line!r} that is not name|base|rows")
+
+
+def _class_lines(names):
+    """The lines of ``_CLASSES``; an older package, which has none, is refused."""
+    if "_CLASSES" not in names and any(
+            isinstance(value, type) and issubclass(value, Record) and value is not Record
+            for value in names.values()):
         raise _regenerate("was generated in an older format, "
                           "whose record classes are class statements")
-    raise _regenerate("was generated in an older format, with no class table _CLASSES")
+    return _lines(names, "_CLASSES", "class table")
 
 
 def bind_parsers(names):
-    """Bind every record class in a generated package.
+    """Bind every record class in a generated package; returns its root table.
 
-    The package calls this with its namespace, which maps each class and
-    dispatch table name to its value, once all are defined; so rows can
-    name any class and recursive types need no cycle.  The classes are
-    those ``_CLASSES`` names.  The package's tables are read, never
-    changed, so binding again binds the same.  Each row of ``_ROWS`` is
-    split and expanded through ``_NS`` once, however many classes index
-    it: the split rows are dropped when binding ends.  A package whose root
-    table ``_ROOTS`` is keyed by ``(namespace, local)`` tuples, whose field
-    rows are tuples or strings, whose record classes are ``class``
-    statements, or that has no ``_ROWS``, no ``_NS`` or no ``_CLASSES``,
-    was generated in an older format, and is refused with an
-    :class:`ImportError`; so is one whose rows name a namespace by anything
-    but an index into ``_NS``.
+    The package calls this with its namespace once every table and class
+    is defined; so rows can name any class and recursive types need no
+    cycle.  The classes are those ``_CLASSES`` names.  Each row of
+    ``_ROWS`` is split and expanded through ``_NS`` once, however many
+    classes index it, and each dispatch table's dict is built once; the
+    split rows are dropped when binding ends.  The package's tables are
+    read, never changed, so binding again binds the same.  A package whose
+    field rows are tuples or strings in their class, whose record classes
+    are ``class`` statements, whose tables are not packed strings, or that
+    has no ``_ROWS``, no ``_NS``, no ``_CLASSES`` or no ``_ROOTS``, was
+    generated in an older format, and is refused with an
+    :class:`ImportError`; so is a line that names a namespace by anything
+    but an index into ``_NS``, or an unknown class, conversion or table.
     """
-    if not all(isinstance(key, str) for key in names["_ROOTS"]):
-        raise _regenerate("was generated in an older format, "
-                          "whose tables are keyed by (namespace, local)")
-    table = names.get("_ROWS")
-    if not isinstance(table, tuple):
+    if "_ROWS" not in names:
         kinds = {type(row) for cls in names.values()
                  if isinstance(cls, type) and issubclass(cls, Record) for row in cls._rows}
-        raise _regenerate("was generated in an older format, " + (
-            "whose field rows are tuples" if tuple in kinds else
-            "whose field rows are strings" if str in kinds else "with no row table _ROWS"))
+        if kinds & {tuple, str}:
+            raise _regenerate("was generated in an older format, whose field rows are " + (
+                "tuples" if tuple in kinds else "strings"))
+    lines = _class_lines(names)
+    table = _lines(names, "_ROWS", "row table")
     namespaces = names.get("_NS")
     if not isinstance(namespaces, tuple):
         raise _regenerate("was generated in an older format, with no namespace table _NS")
-    classes = [names[entry[0]] for entry in _class_table(names)]
+    classes = {name: names[name]
+               for name in (line.partition("|")[0] for line in lines)}
+    _lines(names, "_ROOTS", "root table")
+    targets = _Targets(names, classes, namespaces)
     rows = [_split_row(row, namespaces) for row in table]
-    for cls in classes:
-        _bind(cls, names, rows)
+    reads = [targets.read(row, line) for row, line in zip(rows, table)]
+    last = {index for index, row in enumerate(rows) if _binds_last(row)}
+    for cls in classes.values():
+        _bind(cls, rows, reads, last)
+    return targets.table("_ROOTS", "", "")
 
 
 def _regenerate(what):
     return ImportError(f"this parser package {what}; regenerate it with 'slimbind generate'")
 
 
+class _Targets:
+    """What the lines of one package name: its classes, conversions and tables.
+
+    Each dispatch table's dict is built at its first use, so a table may
+    name a table defined after it.  A lookup that fails names the ``line``
+    of the table ``where`` that asked for it.
+    """
+
+    def __init__(self, names, classes, namespaces):
+        self.names, self.classes, self.namespaces = names, classes, namespaces
+        self.tables = {}
+
+    def read(self, row, line):
+        """What :func:`_bind` reads the value of a split ``_ROWS`` line with.
+
+        The conversion of an attribute or the element's own text; the keys
+        an ignored field matches; the table a dispatch field reads through;
+        or the one-entry table of any other element's target.
+        """
+        key, _slot, _occurs, read, target = row[:5]
+        if read == "mixed":
+            return None
+        if read in ("text", "attribute"):
+            return self.conversion(target, line, "_ROWS")
+        if read == "ignore":
+            return self.table(target, line, "_ROWS") if target else (key,)
+        if read == "dispatch":
+            return self.table(key, line, "_ROWS")
+        if read == "class":
+            return {key: (self.record_class(target, line, "_ROWS"), None, None)}
+        if read == "simple":
+            return {key: (None, self.conversion(target, line, "_ROWS"), None)}
+        raise ValueError(f"unknown field read {read!r}")
+
+    def table(self, name, line, where):
+        """The dict of the dispatch table ``name``."""
+        built = self.tables.get(name)
+        if built is not None:
+            return built
+        if not _TABLE_NAME.fullmatch(name) or name not in self.names:
+            raise _unknown("table", name, line, where)
+        built = self.tables[name] = {}
+        for entry in _lines(self.names, name, "dispatch table"):
+            match = _TABLE_LINE.fullmatch(entry)
+            if match is None:
+                raise _regenerate(f"has a line {entry!r} of {name} that is not "
+                                  "key|class|conversion|xsi:type table")
+            index, local, cls, conv, by_type = match.groups()
+            if index is not None:
+                if int(index) >= len(self.namespaces):
+                    raise _regenerate(f"has a line {entry!r} of {name} whose namespace "
+                                      f"{index!r} is not an index into _NS")
+                local = expat_name(self.namespaces[int(index)], local)
+            built.setdefault(local, (self.record_class(cls, entry, name) if cls else None,
+                                     self.conversion(conv, entry, name) if conv else None,
+                                     self.table(by_type, entry, name) if by_type else None))
+        return built
+
+    def record_class(self, name, line, where):
+        """The class ``name``, an entry of ``_CLASSES``."""
+        cls = self.classes.get(name)
+        if cls is None:
+            raise _unknown("class", name, line, where)
+        return cls
+
+    @staticmethod
+    def conversion(name, line, where):
+        """The conversion ``name`` in :data:`CONVERSIONS`."""
+        conv = CONVERSIONS.get(name)
+        if conv is None:
+            raise _unknown("conversion", name, line, where)
+        return conv
+
+
+def _unknown(what, name, line, where):
+    return _regenerate(f"has a line {line!r} of {where} that names an unknown {what} {name!r}")
+
+
 def _split_row(row, namespaces):
-    """``(key, slot, occurs, read, target, chain, required)`` of a ``_ROWS`` row.
+    """``(key, slot, occurs, read, target, chain, required)`` of a ``_ROWS`` line.
 
     Names are expanded to expat names through ``namespaces``, the
     package's ``_NS``, and an empty slot to the local name of the key.  The
@@ -739,30 +863,41 @@ def _split_row(row, namespaces):
     ``(slot, label)`` for a required field that is reported when missing,
     else None.
     """
-    key, slot, occurs, read, target, *chain = row.split("\t")
-    key = _expand(key, namespaces, row)
-    slot = sys.intern(slot or _split(key)[1])
+    key, slot, occurs, read, target, *chain = row.split("|")
+    key, local = _expand(key, namespaces, row)
+    slot = sys.intern(slot or local)
     if read == "collapse":  # the inner read, its target, then the chain
-        read, target, *chain = target, *(_expand(name, namespaces, row) for name in chain)
+        read, target, *chain = target, *(_expand(name, namespaces, row)[0] for name in chain)
     if occurs != "1" or read in ("text", "mixed", "ignore"):
         required = None  # never reported missing
     elif read == "dispatch":
         required = (slot, f"element {target or 'matching xs:any'}")
     else:
-        required = (slot, f"{'attribute' if read == 'attribute' else 'element'} "
-                          f"{_split(key)[1]}")
+        required = (slot, f"{'attribute' if read == 'attribute' else 'element'} {local}")
     return key, slot, occurs, read, target, tuple(chain) if chain else None, required
 
 
+def _binds_last(row):
+    """Whether a split row is a wildcard's, whose elements bind after the other rows'.
+
+    That is a dispatch row with no element name, or an ignored row keyed ``"*"``.
+    """
+    read = row[3]
+    return row[0] == "*" if read == "ignore" else read == "dispatch" and not row[4]
+
+
 def _expand(name, namespaces, row):
-    """The expat name a row writes as ``"<index into _NS> <local>"``, or ``"local"``."""
+    """``(expat name, local name)`` of a name ``row`` writes as ``"<index into _NS> <local>"``.
+
+    A name in no namespace is written ``"local"``.
+    """
     index, space, local = name.partition(" ")
     if not space:
-        return name
+        return name, name
     if not (index.isascii() and index.isdigit() and int(index) < len(namespaces)):
         raise _regenerate(f"has a field row {row!r} whose namespace {index!r} "
                           "is not an index into _NS")
-    return expat_name(namespaces[int(index)], local)
+    return expat_name(namespaces[int(index)], local), local
 
 
 _ABSENT = object()  # a required slot's value until its field is read
@@ -770,40 +905,44 @@ _new = object.__new__  # makes every record; looked up per record, so a test can
 _IGNORE = ()  # the action of an ignored field's element
 
 
-def _bind(cls, names, rows):
+def _bind(cls, rows, reads, last):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
     ``rows`` holds the package's ``_ROWS`` split by :func:`_split_row`,
-    and ``cls._rows``, checked by :func:`build_classes`, indexes it.
-    ``names`` holds every class and table; a row's ``read`` says whether
-    its key names an element, an attribute or a table.  A child element's
-    action is ``_IGNORE``, or ``(cls, conv, by_type, what, slot, many,
-    chain)``: a dispatch target (see above), the label of its warnings, and
-    where its value goes, appended to a list when ``many``.  ``chain``,
-    when not None, holds the expat names of the collapsed wrappers the
-    target's element sits in.
+    and ``cls._rows``, checked by :func:`build_classes`, indexes it; the
+    rows whose indices are in ``last`` bind after the class's others.
+    ``reads`` holds what each row reads its value with
+    (:meth:`_Targets.read`).  A child element's action is ``_IGNORE``, or
+    ``(cls, conv, by_type, what, slot, many, chain)``: a dispatch target
+    (see above), the label of its warnings, and where its value goes,
+    appended to a list when ``many``.  ``chain``, when not None, holds the
+    expat names of the collapsed wrappers the target's element sits in.
     """
     name = cls.__name__
+    indices = cls._rows
+    if not last.isdisjoint(indices):
+        indices = sorted(indices, key=last.__contains__)
     elements, attributes, required, lists, text = {}, {}, [], set(), None
-    for index in cls._rows:
-        key, slot, occurs, read, target, chain, need = rows[index]
+    for index in indices:
+        key, slot, occurs, read, _target, chain, need = rows[index]
+        found = reads[index]
         what = f"{name}.{slot}"
-        if occurs == "*":
+        many = occurs == "*"
+        if many:
             lists.add(slot)
         if need is not None:
             required.append(need)
         if read in ("text", "mixed"):
-            text = (slot, CONVERSIONS.get(target), what)
+            text = (slot, found, what)
         elif read == "attribute":
-            attributes.setdefault(key, (slot, CONVERSIONS[target], what))
+            attributes.setdefault(key, (slot, found, what))
         elif read == "ignore":
             # A dispatch field matches its table's keys, even when ignored.
-            for k in names[target] if target else (key,):
+            for k in found:
                 elements.setdefault(k, _IGNORE)
         else:
-            targets = names[key] if read == "dispatch" else {key: _target(read, target, names)}
-            for k, t in targets.items():
-                elements.setdefault(k, (*t, what, slot, occurs == "*", chain))
+            for k, t in found.items():
+                elements.setdefault(k, (*t, what, slot, many, chain))
     fields = {}
     for klass in reversed(cls.__mro__):
         fields.update(dict.fromkeys(vars(klass).get("__slots__", ())))
@@ -811,19 +950,10 @@ def _bind(cls, names, rows):
     cls._fields = tuple(fields)
     cls._lists = frozenset(lists)
     cls._binding = (
-        tuple((slot, _ABSENT if slot in absent else None)
-              for slot in fields if slot not in lists),
-        tuple(slot for slot in fields if slot in lists),
+        tuple([(slot, _ABSENT if slot in absent else None)
+               for slot in fields if slot not in lists]),
+        tuple([slot for slot in fields if slot in lists]),
         attributes, elements, tuple(required), text)
-
-
-def _target(read, target, names):
-    """The dispatch target an element row reads its (innermost) element as."""
-    if read == "class":
-        return names[target], None, None
-    if read == "simple":
-        return None, CONVERSIONS[target], None
-    raise ValueError(f"unknown field read {read!r}")
 
 
 class _Binding(_Tolerance):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib
@@ -86,6 +87,12 @@ def assigned(nodes, name):
     return ast.literal_eval(value)
 
 
+def packed_lines(text):
+    """The lines of a packed table, each ended by a newline."""
+    assert text.endswith("\n") or not text
+    return text.split("\n")[:-1]
+
+
 def read_row(text, namespaces):
     """One field row, as :func:`field_rows` gives it, expanded by ``runtime._split_row``."""
     key, slot, occurs, read, target, chain, _required = runtime._split_row(text, namespaces)
@@ -98,8 +105,8 @@ def full_row(split):
     """The row ``runtime._split_row`` gave ``split`` for, every name and slot written out."""
     key, slot, occurs, read, target, chain, _required = split
     if chain is not None:
-        read, target = "collapse", "\t".join((read, target, *chain))
-    return "\t".join((key, slot, occurs, read, target or ""))
+        read, target = "collapse", "|".join((read, target, *chain))
+    return "|".join((key, slot, occurs, read, target or ""))
 
 
 def class_names(source):
@@ -291,9 +298,9 @@ class TestGolden:
         rows = {row[1]: row for row in field_rows(source, "CartType")}
         assert rows["sku"][2] == "*"  # LIST accumulates
         assert rows["coupon"][2] == "?"  # SCALAR_OPTIONAL single slot
-        assert f"'{TNS} card': " in source
-        assert f"'{TNS} cash': " in source
-        assert f"'{TNS} pay'" not in source  # head unobserved: bounded out
+        matched = _matched_names(source)
+        assert f"{TNS} card" in matched and f"{TNS} cash" in matched
+        assert f"{TNS} pay" not in matched  # head unobserved: bounded out
 
 
 class TestGeneratedParsers:
@@ -348,7 +355,7 @@ class TestGeneratedParsers:
         obj = module.parse_document(docs[0])[0]
         assert normalize(obj) == {slot: "a", "v": [1, 2], "h": "b"}
         assert getattr(module, type(obj).__name__) is type(obj)
-        assert "_D0 = {" in artifacts[0].content
+        assert '_D0 = """' in artifacts[0].content
         # A class name starts with a capital, so it can only take the
         # capitalized names the package imports, which binding reserves.
         template = builtin_template_set().templates["package.py"]
@@ -619,12 +626,12 @@ class TestSharedDispatchTables:
             assert_equivalent(model, module, docs)
             (package,) = artifacts
             source = package.content
-            assert re.findall(r"^(_D\d+) = \{$", source, re.M) == ["_D0"]
+            assert re.findall(r'^(_D\d+) = """', source, re.M) == ["_D0"]
             assert "def " not in source.split("def parse_document")[0]
             for i in range(k):
                 # The field matches and reads through the shared table.
                 assert field_rows(source, f"C{i}") == (("_D0", "h", "*", "dispatch", "h"),)
-            sources[k] = source.split("# Dispatch tables")[1]
+            sources[k] = source[source.index('_D0 = """'):]
         # Seven more classes; not one line more of dispatch.
         assert sources[8] == sources[1]
 
@@ -718,11 +725,11 @@ class TestLateBoundParsers:
         model, package, _, artifacts = build_and_import(schema, docs, tmp_path)
         source = artifacts[0].content
         (imports,) = re.findall(r"^from slimbind\.runtime import (.+)$", source, re.M)
-        tables = re.findall(r"^(_D\d+) = \{$", source, re.M)
+        tables = re.findall(r'^(_D\d+) = """', source, re.M)
         assert tables
         assert {name for name in vars(package) if not name.startswith("__")} == \
             {c.name for c in model.classes} | set(tables) | set(imports.split(", ")) | \
-            {"_NS", "_ROWS", "_CLASSES", "_ROOTS", "parse_document"}
+            {"_NS", "_ROWS", "_CLASSES", "_ROOTS", "_ROOT_TABLE", "parse_document"}
         assert "_lists" not in source and "RecordParser" not in source
         assert not hasattr(runtime, "RecordParser")
         assert_equivalent(model, package, docs)
@@ -764,7 +771,7 @@ class TestLateBoundParsers:
 
 
 def _matched_names(source):
-    """Every name a package's rows and tables match on, as the package spells it.
+    """Every name a package's rows and tables match on, as expat spells it.
 
     A row's ``read`` says whether its key names an element or attribute, or
     a table; a collapse row also matches its chain.
@@ -776,9 +783,14 @@ def _matched_names(source):
                 names += target[0]
             if key is not None and read != "dispatch":
                 names.append(key)
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
-            names += [ast.literal_eval(key) for key in node.value.keys]
+    body = ast.parse(source).body
+    namespaces = assigned(body, "_NS")
+    for node in body:
+        if isinstance(node, ast.Assign) and re.fullmatch(r"_D\d+|_ROOTS", node.targets[0].id):
+            for line in packed_lines(ast.literal_eval(node.value)):
+                index, space, local = line.split("|")[0].partition(" ")
+                names.append(runtime.expat_name(namespaces[int(index)], local) if space
+                             else local)
     return names
 
 
@@ -822,7 +834,7 @@ class TestManifest:
         manifest = json.loads((tmp_path / "gen" / model.name / "MANIFEST.json").read_text())
         classes = [getattr(package, c.name) for c in model.classes]
         assert manifest["rows"] == {"referenced": sum(len(vars(c)["_rows"]) for c in classes),
-                                    "distinct": len(package._ROWS)} == \
+                                    "distinct": len(packed_lines(package._ROWS))} == \
             {"referenced": 3 * 7 + 3, "distinct": 7 + 3}
         assert manifest["totalBytes"] == sum(a.byte_size for a in artifacts)
 
@@ -1286,13 +1298,13 @@ def test_one_local_name_in_two_namespaces_and_none(tmp_path):
 
 def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
     """Importing a package leaves its tables as the module text defines them."""
-    defined = {}  # the tables as the package module defined them, and their keys
+    defined = {}  # the tables as the package module defined them, and the root table
     bind_parsers = runtime.bind_parsers
 
     def spy(names):
-        defined.update(roots=names["_ROOTS"], root_keys=list(names["_ROOTS"]),
-                       d0=names["_D0"], d0_keys=list(names["_D0"]))
-        bind_parsers(names)
+        defined.update(roots=names["_ROOTS"], d0=names["_D0"], rows=names["_ROWS"])
+        defined["root_table"] = bind_parsers(names)
+        return defined["root_table"]
 
     monkeypatch.setattr(runtime, "bind_parsers", spy)
     schema = schema_of("""
@@ -1305,14 +1317,17 @@ def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
   <xs:element name="m" type="xs:string" substitutionGroup="tns:h"/>""")
     docs = [f'<r xmlns="{TNS}" id="1"><h>a</h><m>b</m></r>']
     model, module, _, _ = build_and_import(schema, docs, tmp_path)
-    assert module._ROOTS is defined["roots"] and module._D0 is defined["d0"]
-    assert defined["root_keys"] == list(module._ROOTS) == [f"{TNS} r"]
-    assert defined["d0_keys"] == list(module._D0) == [f"{TNS} h", f"{TNS} m"]
+    assert (module._ROOTS, module._D0, module._ROWS) == \
+        (defined["roots"], defined["d0"], defined["rows"]) == (
+            "0 r|R\n", "0 h||string\n0 m||string\n",
+            "_D0|h|*|dispatch|h\nid||?|attribute|integer\n")
+    assert module._ROOT_TABLE is defined["root_table"]
+    assert module._ROOT_TABLE == {f"{TNS} r": (module.R, None, None)}
     binding = module.R._binding
     assert list(binding[2]) == ["id"] and list(binding[3]) == [f"{TNS} h", f"{TNS} m"]
     # Binding again reads the same tables, so it binds every class the same.
     bindings = {c.name: getattr(module, c.name)._binding for c in model.classes}
-    bind_parsers(vars(module))
+    assert bind_parsers(vars(module)) == module._ROOT_TABLE
     assert {c.name: getattr(module, c.name)._binding for c in model.classes} == bindings
     assert module.parse_document(docs[0])[0].h == ["a", "b"]
     assert_equivalent(model, module, docs)
@@ -1346,7 +1361,7 @@ def test_row_read_tells_an_element_key_from_a_table_name(tmp_path, ignored):
     good = f'{head} t:a="1"><_D0>x</_D0><_ROOTS>2</_ROOTS><t:h>a</t:h><t:m>b</t:m></t:r>'
     options = BindingOptions(ignore_paths=((QName(TNS, "r"), ignored),) if ignored else ())
     model, module, _, artifacts = build_and_import(schema, [good], tmp_path, options)
-    assert "_D0 = {" in artifacts[0].content
+    assert '_D0 = """' in artifacts[0].content
     assert ("_D0", "_D0") in [row[:2] for row in field_rows(artifacts[0].content, "R")]
     docs = [
         good,
@@ -1391,7 +1406,7 @@ def test_package_in_the_tuple_keyed_format_is_refused(tmp_path, monkeypatch):
     # The same package keyed by expat names imports and parses.
     (tmp_path / f"{new}.py").write_text(_current_format(_OLD_FORMAT_PACKAGE))
     package = importlib.import_module(new)
-    obj, warnings = runtime.parse_root(package._ROOTS, '<r xmlns="urn:fix"><v>x</v></r>')
+    obj, warnings = runtime.parse_root(package._ROOT_TABLE, '<r xmlns="urn:fix"><v>x</v></r>')
     assert (obj.v, warnings) == ("x", [])
 
 
@@ -1424,10 +1439,11 @@ def _indexed_rows(package):
     return f"{head}\n_NS = ('urn:fix',)\n_ROWS = {tuple(table)!r}\n{rest}"
 
 
-def _current_format(package):
-    """``package`` as :func:`_indexed_rows` writes it, its classes one ``_CLASSES`` table.
+def _class_table(package):
+    """``package`` as :func:`_indexed_rows` writes it, its classes one ``_CLASSES`` tuple.
 
-    The table and the ``build_classes`` call take the place of the first class.
+    That is the format before packed tables.  The table and the
+    ``build_classes`` call take the place of the first class.
     """
     lines = _indexed_rows(package).splitlines(keepends=True)
     entries, spans = [], []
@@ -1445,8 +1461,130 @@ def _current_format(package):
     return "".join(lines).replace("import Record,", "import build_classes,")
 
 
+def _current_format(package):
+    """``package`` as :func:`_class_table` writes it, each table one packed string.
+
+    Each table is written on one line; ``_ROOTS`` names no conversion here.
+    """
+    body = ast.parse(_class_table(package)).body
+    namespaces = assigned(body, "_NS")
+
+    def packed(lines):
+        return repr("".join(line + "\n" for line in lines))
+
+    def key(name):
+        namespace, space, local = name.rpartition(" ")
+        return f"{namespaces.index(namespace)} {local}" if space else name
+
+    roots = next(node.value for node in body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "_ROOTS")
+    tables = {
+        "_ROWS": packed(row.replace("\t", "|") for row in assigned(body, "_ROWS")),
+        "_CLASSES": packed(f"{name}|{base}|{rows}"
+                           for name, base, _slots, rows in assigned(body, "_CLASSES")),
+        "_ROOTS": packed(f"{key(ast.literal_eval(k))}|{v.elts[0].id}"
+                         for k, v in zip(roots.keys, roots.values)),
+    }
+    lines = _class_table(package).splitlines(keepends=True)
+    for node in reversed(body):
+        if isinstance(node, ast.Assign) and node.targets[0].id in tables:
+            lines[node.lineno - 1:node.end_lineno] = [
+                f"{node.targets[0].id} = {tables[node.targets[0].id]}\n"]
+    return "".join(lines).replace("\nbind_parsers(globals())",
+                                  "\n_ROOT_TABLE = bind_parsers(globals())")
+
+
+def tuple_tables(source, model):
+    """A generated package in the format before packed tables: its twin.
+
+    ``_ROWS`` and ``_CLASSES`` are tuples, the rows' items joined by tabs
+    and each class entry ``(name, base, slots, rows)`` naming its own
+    fields, taken from ``model``, as slots.  The dispatch tables and
+    ``_ROOTS`` are dict displays naming the classes and conversions, each
+    ``xsi:type`` table written where it is used.  Rows and indices are
+    the package's own, so the twin's classes index the same rows.
+    """
+    body = ast.parse(source).body
+    namespaces = assigned(body, "_NS")
+    texts = {node.targets[0].id: ast.literal_eval(node.value) for node in body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)}
+    convs = set()
+
+    def expat(key):
+        index, space, local = key.partition(" ")
+        return runtime.expat_name(namespaces[int(index)], local) if space else key
+
+    def display(name):
+        entries = []
+        for line in packed_lines(texts[name]):
+            key, cls, conv, by_type = (line.split("|") + ["", "", ""])[:4]
+            convs.update([f"conv_{conv}"] if conv else [])
+            entries.append(f"{expat(key)!r}: ({cls or None}, {f'conv_{conv}' if conv else None}, "
+                           f"{display(by_type) if by_type else None})")
+        return "{" + ", ".join(entries) + "}"
+
+    fields = {c.name: tuple(f.name for f in c.fields) for c in model.classes}
+    rows = tuple(row.replace("|", "\t") for row in packed_lines(texts["_ROWS"]))
+    classes = tuple((name, base, " ".join(fields[name]), indices) for name, base, indices in
+                    (line.split("|") for line in packed_lines(texts["_CLASSES"])))
+    tables = "".join(f"{name} = {display(name)}\n" for name in texts
+                     if re.fullmatch(r"_D\d+|_ROOTS", name))
+    head = source[:source.index("_ROWS = ")].replace(
+        "import ", "import " + "".join(f"{conv}, " for conv in sorted(convs)), 1)
+    entry = source[source.index("\n\ndef parse_document"):].replace("_ROOT_TABLE", "_ROOTS")
+    return (f"{head}_ROWS = {rows!r}\n_CLASSES = {classes!r}\nbuild_classes(globals())\n"
+            f"{tables}bind_parsers(globals())\n{entry}")
+
+
+class _DictTargets(runtime._Targets):
+    """What rows name in a package whose tables are dicts."""
+
+    def table(self, name, _line, _where):
+        return self.names[name]
+
+
+def _build_tuple_classes(names):
+    """``build_classes`` for :func:`tuple_tables`: each entry names its slots."""
+    made = {}
+    for name, base, slots, rows in names["_CLASSES"]:
+        names[name] = made[name] = type(name, (made[base] if base else Record,), {
+            "__module__": names["__name__"],
+            "__slots__": tuple(map(sys.intern, slots.split())),
+            "_rows": tuple(map(int, rows.split()))})
+
+
+def _bind_tuple_tables(names):
+    """``bind_parsers`` for :func:`tuple_tables`: rows split at tabs, tables dicts."""
+    rows = [runtime._split_row(row.replace("\t", "|"), names["_NS"]) for row in names["_ROWS"]]
+    classes = {name: names[name] for name, *_entry in names["_CLASSES"]}
+    targets = _DictTargets(names, classes, names["_NS"])
+    reads = [targets.read(row, line) for row, line in zip(rows, names["_ROWS"])]
+    last = {index for index, row in enumerate(rows) if runtime._binds_last(row)}
+    for cls in classes.values():
+        runtime._bind(cls, rows, reads, last)
+
+
+@contextlib.contextmanager
+def tuple_table_runtime():
+    """``slimbind.runtime`` binding packages in the :func:`tuple_tables` format."""
+    saved = runtime.build_classes, runtime.bind_parsers
+    runtime.build_classes, runtime.bind_parsers = _build_tuple_classes, _bind_tuple_tables
+    try:
+        yield
+    finally:
+        runtime.build_classes, runtime.bind_parsers = saved
+
+
+def exec_twin(source, name):
+    """The namespace of ``source``, a :func:`tuple_tables` twin, bound as its format was."""
+    names = {"__name__": name}
+    with tuple_table_runtime():
+        exec(compile(source, "<twin>", "exec"), names)
+    return names
+
+
 def class_statements(source):
-    """A generated package's source with each ``_CLASSES`` entry a ``class`` statement.
+    """A package in the :func:`tuple_tables` format, each ``_CLASSES`` entry a ``class`` statement.
 
     That is the format before ``_CLASSES``: no table, no ``build_classes``
     call, and ``Record`` imported.
@@ -1456,7 +1594,7 @@ def class_statements(source):
         f"    __slots__ = {tuple(slots.split())!r}\n"
         f"    _rows = {tuple(map(int, rows.split()))!r}\n"
         for name, base, slots, rows in assigned(ast.parse(source).body, "_CLASSES"))
-    source, count = re.subn(r"^_CLASSES = \(\n(?:    .*\n)*\)\nbuild_classes\(globals\(\)\)\n",
+    source, count = re.subn(r"^_CLASSES = .*\nbuild_classes\(globals\(\)\)\n",
                             lambda _: statements + "\n", source, flags=re.M)
     assert count == 1
     return source.replace("import ", "import Record, ", 1).replace("build_classes, ", "")
@@ -1507,14 +1645,14 @@ def test_package_with_a_class_whose_base_is_no_earlier_entry_is_refused(
         tmp_path, monkeypatch, base):
     """A base is the name of an entry before its class: here only ``S`` is one, and later."""
     package = _current_format(_OLD_FORMAT_PACKAGE)
-    entry = "('R', '', 'v', '0')"
+    entry = "'R||0\\n'"
     assert entry in package
-    later = package.replace(entry, f"('R', {base!r}, 'v', '0'), ('S', '', '', '')")
+    later = package.replace(entry, f"'R|{base}|0\\nS||\\n'")
     with pytest.raises(ImportError, match=f"class R whose base '{base}' is not an earlier "
                        "entry of _CLASSES; regenerate"):
         _import_text(tmp_path, monkeypatch, later)
     # Listed before R, S is a base R may have.
-    earlier = package.replace(entry, "('S', '', '', ''), ('R', 'S', 'v', '0')")
+    earlier = package.replace(entry, "'S||\\nR|S|0\\n'")
     module = _import_text(tmp_path, monkeypatch, earlier)
     assert module.R.__bases__ == (module.S,) and module.S.__bases__ == (Record,)
 
@@ -1525,13 +1663,14 @@ def test_package_with_a_class_whose_base_is_no_earlier_entry_is_refused(
 def test_package_with_a_row_that_indexes_nothing_is_refused(tmp_path, monkeypatch, row):
     """Each of a class's rows is a decimal index into ``_ROWS``, which holds one row here.
 
-    The class's entry holds ``row`` written out where its index was.
+    The class's line holds ``row`` written out where its index was.
     """
     package = _current_format(_OLD_FORMAT_PACKAGE)
-    assert "'v', '0')" in package
+    assert "'R||0\\n'" in package
     with pytest.raises(ImportError, match=r"field row .* in R that is not an index into "
                        "_ROWS; regenerate"):
-        _import_text(tmp_path, monkeypatch, package.replace("'v', '0')", f"'v', {row!r})"))
+        _import_text(tmp_path, monkeypatch, package.replace(
+            "'R||0\\n'", repr(f"R||{row}\n")))
 
 
 def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
@@ -1554,63 +1693,171 @@ def test_package_without_a_namespace_table_is_refused(tmp_path, monkeypatch):
 def test_package_with_a_row_whose_namespace_is_no_index_into_ns_is_refused(
         tmp_path, monkeypatch, index):
     """``_NS`` holds one namespace here, so only the index 0 names one."""
-    package = _current_format(_OLD_FORMAT_PACKAGE).replace("'0 v\\t", f"'{index} v\\t")
-    assert f"'{index} v\\t" in package
+    package = _current_format(_OLD_FORMAT_PACKAGE).replace("'0 v|", f"'{index} v|")
+    assert f"'{index} v|" in package
     with pytest.raises(ImportError, match=f"field row '{re.escape(index)} v.* whose namespace "
                        ".* is not an index into _NS; regenerate"):
         _import_text(tmp_path, monkeypatch, package)
 
 
+# The old-format package in the current format: _NS ('urn:fix',), the one
+# row '0 v|v|?|simple|string', the class line 'R||0' and the root line '0 r|R'.
+_PACKED_PACKAGE = _current_format(_OLD_FORMAT_PACKAGE)
+
+
+def test_package_with_a_tuple_row_table_is_refused(tmp_path, monkeypatch):
+    """``_ROWS`` as a tuple of strings, as the format before packed tables wrote it."""
+    package = _PACKED_PACKAGE.replace("_ROWS = '0 v|v|?|simple|string\\n'",
+                                        "_ROWS = ('0 v\\tv\\t?\\tsimple\\tstring',)")
+    assert "_ROWS = (" in package
+    with pytest.raises(ImportError, match="older format, whose row table _ROWS is a tuple; "
+                       "regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+def test_package_with_a_tuple_class_table_is_refused(tmp_path, monkeypatch):
+    package = _PACKED_PACKAGE.replace("_CLASSES = 'R||0\\n'",
+                                        "_CLASSES = (('R', '', 'v', '0'),)")
+    assert "_CLASSES = ((" in package
+    with pytest.raises(ImportError, match="older format, whose class table _CLASSES is a "
+                       "tuple; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+def test_package_with_a_dict_root_table_is_refused(tmp_path, monkeypatch):
+    package = _PACKED_PACKAGE.replace("_ROOTS = '0 r|R\\n'",
+                                        "_ROOTS = {'urn:fix r': (R, None, None)}")
+    assert "_ROOTS = {" in package
+    with pytest.raises(ImportError, match="older format, whose root table _ROOTS is a dict; "
+                       "regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+def test_package_with_a_dict_dispatch_table_is_refused(tmp_path, monkeypatch):
+    """A row reads through ``_D0``, written as a dict display."""
+    package = _PACKED_PACKAGE.replace(
+        "'0 v|v|?|simple|string\\n'", "'_D0|v|?|dispatch|v\\n'").replace(
+        "\n_ROOTS = ", "\n_D0 = {'urn:fix v': (None, None, None)}\n_ROOTS = ")
+    assert "_D0 = {" in package
+    with pytest.raises(ImportError, match="older format, whose dispatch table _D0 is a dict; "
+                       "regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+@pytest.mark.parametrize("index", ["1", "12"])
+def test_package_with_a_dispatch_line_whose_namespace_is_no_index_into_ns_is_refused(
+        tmp_path, monkeypatch, index):
+    """``_NS`` holds one namespace here; a line that is no ``key|...`` line is refused too."""
+    package = _PACKED_PACKAGE.replace("'0 r|R\\n'", f"'{index} r|R\\n'")
+    with pytest.raises(ImportError, match=f"line '{index} r|R' of _ROOTS whose namespace "
+                       f"'{index}' is not an index into _NS; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+@pytest.mark.parametrize("line", ["x0 r|R", "0  r|R", "0 r|R|||", " r|R", ""])
+def test_package_with_a_malformed_dispatch_line_is_refused(tmp_path, monkeypatch, line):
+    package = _PACKED_PACKAGE.replace("'0 r|R\\n'", repr(f"{line}\n"))
+    with pytest.raises(ImportError, match=f"line {re.escape(repr(line))} of _ROOTS that is "
+                       "not key|class|conversion|xsi:type table; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+@pytest.mark.parametrize("line", ["R|", "R||0|", "|R|0", "R"])
+def test_package_with_a_malformed_class_line_is_refused(tmp_path, monkeypatch, line):
+    package = _PACKED_PACKAGE.replace("'R||0\\n'", repr(f"{line}\n"))
+    with pytest.raises(ImportError, match=f"class line {re.escape(repr(line))} that is not "
+                       "name|base|rows; regenerate"):
+        _import_text(tmp_path, monkeypatch, package)
+
+
+@pytest.mark.parametrize("what, old, new, table, line", [
+    ("class", "'0 r|R\\n'", "'0 r|Q\\n'", "_ROOTS", "0 r|Q"),
+    ("class", "'0 r|R\\n'", "'0 r|Record\\n'", "_ROOTS", "0 r|Record"),
+    ("class", "|simple|string", "|class|Q", "_ROWS", "0 v|v|?|class|Q"),
+    ("conversion", "'0 r|R\\n'", "'0 r||float\\n'", "_ROOTS", "0 r||float"),
+    ("conversion", "|simple|string", "|simple|float", "_ROWS", "0 v|v|?|simple|float"),
+    ("conversion", "|simple|string", "|attribute|", "_ROWS", "0 v|v|?|attribute|"),
+    ("table", "'0 r|R\\n'", "'0 r|R||_D0\\n'", "_ROOTS", "0 r|R||_D0"),
+    ("table", "'0 r|R\\n'", "'0 r|R||_NS\\n'", "_ROOTS", "0 r|R||_NS"),
+    ("table", "'0 v|v|?|simple|string", "'_D7|v|?|dispatch|v", "_ROWS", "_D7|v|?|dispatch|v"),
+    ("table", "|simple|string", "|ignore|_ROWS", "_ROWS", "0 v|v|?|ignore|_ROWS"),
+], ids=lambda value: value if isinstance(value, str) and "|" in value else None)
+def test_package_with_a_line_naming_nothing_it_defines_is_refused(
+        tmp_path, monkeypatch, what, old, new, table, line):
+    """A line's class is a ``_CLASSES`` entry, its conversion a key of ``CONVERSIONS``,
+    and its table a packed ``_D<n>`` or ``_ROOTS`` the package defines."""
+    package = _PACKED_PACKAGE
+    assert old in package
+    with pytest.raises(ImportError, match=f"line {re.escape(repr(line))} of {table} that "
+                       f"names an unknown {what} .*; regenerate"):
+        _import_text(tmp_path, monkeypatch, package.replace(old, new))
+
+
 def _package_tables(source):
-    """``(_NS, _ROWS, {class name: _rows})`` of a generated package's source.
+    """``(_NS, _ROWS lines, {class name: _rows})`` of a generated package's source.
 
     The classes come in ``_CLASSES`` order, each ``_rows`` a tuple of ints,
     as ``runtime.build_classes`` reads it.
     """
     body = ast.parse(source).body
-    return assigned(body, "_NS"), assigned(body, "_ROWS"), {
+    return assigned(body, "_NS"), tuple(packed_lines(assigned(body, "_ROWS"))), {
         name: tuple(map(int, rows.split()))
-        for name, _base, _slots, rows in assigned(body, "_CLASSES")}
+        for name, _base, rows in (line.split("|")
+                                  for line in packed_lines(assigned(body, "_CLASSES")))}
 
 
 @settings(max_examples=30, deadline=None)
 @given(synth_model())
 def test_each_distinct_row_is_written_once_in_order_of_first_use(model):
-    """A class's rows, resolved through ``_ROWS``, are its matchable fields' rows in order.
+    """A class's rows, resolved through ``_ROWS``, are its fields' rows in field order.
 
-    ``_NS`` holds the namespaces the rows name, in order of first use too.
+    ``_NS`` holds the namespaces the rows and tables name, in order of
+    first use too.
     """
     (package,) = emit_parser_backend(model)
     namespaces, table, classes = _package_tables(package.content)
-    tables = emitter._Tables(emitter._module_names(model))
     spelling = emitter._Rows()
+    tables = emitter._Tables(emitter._module_names(model), spelling.name)
     used = []
     for cls in emitter._base_first(model.classes):
         rows = [emitter._row(cls, f, tables, spelling.name)
-                for f in emitter._matchable(model, cls)]
+                for f in effective_fields(model, cls)]
         assert [table[index] for index in classes[cls.name]] == rows, cls.name
         used += rows
     assert list(dict.fromkeys(used)) == list(table)
+    emitter._root_contexts(model, tables)
     assert list(spelling.namespaces) == list(namespaces)
     assert package.rows == {"referenced": sum(map(len, classes.values())),
                             "distinct": len(table)}
     assert package.namespaces == len(namespaces)
 
 
-def _renumbered(rows):
-    """Full-form ``rows`` in the package format: every slot written, ``_NS`` reversed.
+def _renumbered(names):
+    """A package's tables with ``_NS`` reversed and every row's slot written.
 
-    Only a namespaced expat name holds a space.  Returns ``(_NS, _ROWS)``.
+    ``names`` is the package's namespace.  Only a namespaced expat name
+    holds a space.  Returns ``{name: table}`` for ``_NS``, ``_ROWS``, the
+    dispatch tables and ``_ROOTS``.
     """
-    items = [row.split("\t") for row in rows]
-    namespaces = sorted({item.rpartition(" ")[0] for row in items for item in row
-                         if " " in item}, reverse=True)
+    old = names["_NS"]
+    new = old[::-1]
 
     def spell(item):
         namespace, space, local = item.rpartition(" ")
-        return f"{namespaces.index(namespace)} {local}" if space else item
+        return f"{new.index(namespace)} {local}" if space else item
 
-    return tuple(namespaces), tuple("\t".join(map(spell, row)) for row in items)
+    def expand(key):
+        index, space, local = key.partition(" ")
+        return runtime.expat_name(old[int(index)], local) if space else key
+
+    rows = [full_row(runtime._split_row(row, old)) for row in packed_lines(names["_ROWS"])]
+    tables = {"_NS": new, "_ROWS": "".join(
+        "|".join(map(spell, row.split("|"))) + "\n" for row in rows)}
+    for name in names:
+        if re.fullmatch(r"_D\d+|_ROOTS", name):
+            tables[name] = "".join("|".join((spell(expand(key)), *rest)) + "\n" for key, *rest in
+                                   (line.split("|") for line in packed_lines(names[name])))
+    return tables
 
 
 @settings(max_examples=30, deadline=None)
@@ -1620,16 +1867,16 @@ def test_rows_expand_to_their_full_form_and_bind_alike(model):
     """Naming namespaces by index and leaving slots empty changes no binding.
 
     Each row, expanded by the runtime, is the row with every name and slot
-    written out; and rows that write every slot and number the namespaces
+    written out; and tables that write every slot and number the namespaces
     in another order bind every class to the same ``_binding`` and
     ``_fields``.
     """
     (package,) = emit_parser_backend(model)
     namespaces, table, classes = _package_tables(package.content)
-    tables = emitter._Tables(emitter._module_names(model))
+    tables = emitter._Tables(emitter._module_names(model), _expat_key)
     for cls in emitter._base_first(model.classes):
-        full = ["\t".join(item or "" for item in emitter._row_items(cls, f, tables, emitter._key))
-                for f in emitter._matchable(model, cls)]
+        full = ["|".join(item or "" for item in emitter._row_items(cls, f, tables, _expat_key))
+                for f in effective_fields(model, cls)]
         assert [full_row(runtime._split_row(table[index], namespaces))
                 for index in classes[cls.name]] == full, cls.name
     names = {"__name__": unique_model_name("rows")}
@@ -1638,11 +1885,14 @@ def test_rows_expand_to_their_full_form_and_bind_alike(model):
     def bound():
         return {c.name: (names[c.name]._binding, names[c.name]._fields) for c in model.classes}
 
-    emitted = bound()
-    names["_NS"], names["_ROWS"] = _renumbered(
-        [full_row(runtime._split_row(row, namespaces)) for row in table])
-    runtime.bind_parsers(names)
+    emitted, root_table = bound(), names["_ROOT_TABLE"]
+    names.update(_renumbered(names))
+    assert runtime.bind_parsers(names) == root_table
     assert bound() == emitted
+
+
+def _expat_key(qname):
+    return runtime.expat_name(qname.namespace, qname.local)
 
 
 def wide_model(n_classes):
@@ -1677,14 +1927,15 @@ def traced_peak(fn, *args):
 
 def test_string_rows_compile_in_far_less_memory_than_tuple_rows():
     """Each row is one constant for the compiler, not five or more."""
-    (package,) = emit_parser_backend(wide_model(200))
+    model = wide_model(200)
+    (package,) = emit_parser_backend(model)
     namespaces, table, _classes = _package_tables(package.content)
     # Each class writes its own rows as tuples, as earlier versions did.
     as_tuples = re.sub(r"^    _rows = (.*)$", lambda m: "    _rows = (\n" + "".join(
         f"        {read_row(table[index], namespaces)!r},\n"
         for index in ast.literal_eval(m[1])) + "    )",
-        re.sub(r"^_(?:NS|ROWS) = \(\n(?:    .*\n)*\)\n", "",
-               class_statements(package.content), flags=re.M),
+        re.sub(r"^_(?:NS|ROWS) = \((?:\n(?:    .*\n)*\)|.*\))\n", "",
+               class_statements(tuple_tables(package.content, model)), flags=re.M),
         flags=re.M)
     assert as_tuples.count("'simple', 'string'),") == 200 * 5
     rows, _ = traced_peak(compile, package.content, "<rows>", "exec")
@@ -1704,8 +1955,9 @@ def test_classes_as_data_ship_in_far_less_bytecode(tmp_path):
 
     Each ``class`` statement compiles to a code object of its own.
     """
-    (package,) = emit_parser_backend(wide_model(200))
-    statements = class_statements(package.content)
+    model = wide_model(200)
+    (package,) = emit_parser_backend(model)
+    statements = class_statements(tuple_tables(package.content, model))
     assert len(re.findall(r"^class ", statements, re.M)) == 201
     sizes = {}
     for name, source in (("table", package.content), ("statements", statements)):
@@ -1745,8 +1997,11 @@ def test_every_slot_name_a_class_binds_is_interned(tmp_path):
     for model, package, artifact, docs in ((model, package, artifact, []),
                                            (derived, derived_package, derived_artifact, docs)):
         # The same classes as class statements, in a module of the package's name.
-        twin = {"__name__": package.__name__, "_CLASSES": package._CLASSES}
-        exec(compile(class_statements(artifact.content), "<statements>", "exec"), twin)
+        tuples = tuple_tables(artifact.content, model)
+        twin = {"__name__": package.__name__,
+                "_CLASSES": assigned(ast.parse(tuples).body, "_CLASSES")}
+        with tuple_table_runtime():
+            exec(compile(class_statements(tuples), "<statements>", "exec"), twin)
         for c in model.classes:
             built = getattr(package, c.name)
             assert built is not twin[c.name] and shape(built) == shape(twin[c.name]), c.name
@@ -1762,7 +2017,8 @@ def test_every_slot_name_a_class_binds_is_interned(tmp_path):
 def test_a_namespace_holding_a_tab_round_trips(tmp_path):
     """Rows name a namespace by its index into ``_NS``, so no row holds its text.
 
-    A tab separates a row's items; a namespace may hold one through ``&#9;``.
+    A namespace may hold a tab through ``&#9;``; only ``_NS``, a tuple of
+    string literals, spells it.
     """
     ns = "urn:a&#9;b"
     schema = load_schema_set([SchemaSource("mem://ns.xsd", raw_text=(
@@ -1802,6 +2058,185 @@ def test_a_namespace_holding_a_space_expands_from_its_index():
     rows = emitter._Rows()
     key = rows.name(QName("urn:a b", "v"))
     assert (key, list(rows.namespaces)) == ("0 v", ["urn:a b"])
-    split = runtime._split_row(f"{key}\t\t1\tsimple\tstring", tuple(rows.namespaces))
+    split = runtime._split_row(f"{key}||1|simple|string", tuple(rows.namespaces))
     assert split[:2] == ("urn:a b v", "v")
     assert runtime._split(split[0]) == ("urn:a b", "v")
+
+
+# ---------------------------------------------------------------- packed tables
+
+def _by_name(value):
+    """``value`` with each class written as its name and each dict as its items, in order.
+
+    Two packages' bindings compare equal so when they bind alike.
+    """
+    if isinstance(value, type):
+        return value.__name__
+    if isinstance(value, dict):
+        return [(key, _by_name(item)) for key, item in value.items()]
+    if isinstance(value, tuple):
+        return tuple(map(_by_name, value))
+    return value
+
+
+def assert_binds_as_twin(model, source):
+    """The package ``source`` binds each class as its :func:`tuple_tables` twin does.
+
+    Each class's ``__slots__`` are its own fields, as the twin names them.
+    """
+    names = {"__name__": unique_model_name("packed")}
+    exec(compile(source, "<packed>", "exec"), names)
+    twin = exec_twin(tuple_tables(source, model), names["__name__"])
+    for c in model.classes:
+        packed, tuples = names[c.name], twin[c.name]
+        assert packed is not tuples
+        assert packed.__slots__ == tuples.__slots__ == tuple(f.name for f in c.fields), c.name
+        assert (packed._fields, packed._rows) == (tuples._fields, tuples._rows), c.name
+        assert _by_name(packed._binding) == _by_name(tuples._binding), c.name
+    assert _by_name(names["_ROOT_TABLE"]) == _by_name(twin["_ROOTS"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(synth_model())
+@example(COLLAPSE_CHAIN_MODEL)
+def test_packed_tables_bind_as_their_tuple_twin(model):
+    (package,) = emit_parser_backend(model)
+    assert_binds_as_twin(model, package.content)
+
+
+_WILDCARD_FIRST_BODY = """
+  <xs:element name="r" type="tns:R"/>
+  <xs:element name="x" type="xs:string"/>
+  <xs:element name="b" type="xs:string"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:any namespace="##targetNamespace"/>
+      <xs:element name="b" type="xs:int"/>
+    </xs:sequence>
+  </xs:complexType>"""
+
+
+@pytest.mark.parametrize("ignored", [False, True], ids=["plain", "ignored"])
+def test_a_wildcard_before_an_element_binds_after_it(tmp_path, ignored):
+    """Rows and slots come in field order; the wildcard's row binds after the element's.
+
+    An ignored wildcard's row is keyed ``*``, so it binds last too.
+    """
+    corpus = [f'<r xmlns="{TNS}"><x>1</x><b>2</b></r>', f'<r xmlns="{TNS}"><b>s</b><b>2</b></r>']
+    any_path = ((QName(TNS, "r"), QName("http://www.w3.org/2001/XMLSchema", "any")),)
+    model, module, _, (artifact,) = build_and_import(
+        schema_of(_WILDCARD_FIRST_BODY), corpus, tmp_path,
+        BindingOptions(ignore_paths=any_path if ignored else ()))
+    assert field_rows(artifact.content, "R") == (
+        ("*", "any", "1", "ignore", "_D0") if ignored else ("_D0", "any", "1", "dispatch", None),
+        (f"{TNS} b", "b", "1", "simple", "integer"))
+    assert module.R.__slots__ == module.R._fields == ("any", "b")
+    _presets, _lists, _attributes, elements, required, _text = module.R._binding
+    assert list(elements) == [f"{TNS} b", f"{TNS} x"]
+    assert required == (("b", "element b"),) + (
+        () if ignored else (("any", "element matching xs:any"),))
+    assert_binds_as_twin(model, artifact.content)
+    _assert_oracle_outcomes(model, module, corpus + [
+        f'<r xmlns="{TNS}"/>', f'<r xmlns="{TNS}"><b>3</b><x>y</x><b>4</b></r>'])
+
+
+def test_a_base_and_derived_pair_binds_as_its_twin(tmp_path):
+    """A derived class's rows begin with its base's; its slots are its own fields."""
+    body, doc, options = RECURSIVE_CASES["base holding its derived type"]
+    doc = doc.replace(">", f' xmlns="{TNS}">', 1)
+    model, module, _, (artifact,) = build_and_import(schema_of(body), [doc], tmp_path, options)
+    assert module.D.__bases__ == (module.B,)
+    assert (module.B.__slots__, module.D.__slots__, module.D._fields) == \
+        (("v", "d"), ("w",), ("v", "d", "w"))
+    assert [row[1] for row in field_rows(artifact.content, "D")] == ["v", "d", "w"]
+    assert module.D._rows[:2] == module.B._rows
+    assert_binds_as_twin(model, artifact.content)
+    assert_equivalent(model, module, [doc])
+
+
+def test_xsi_type_root_and_field_tables_bind_as_their_twin(tmp_path):
+    """Each ``xsi:type`` table is a table of its own, named by the line it serves."""
+    text = f"{XS_HEAD}\n{_TYPED_BODY}\n<xs:element name=\"v\" type=\"tns:B\"/>\n</xs:schema>"
+    schema = load_schema_set([SchemaSource("mem://typed.xsd", raw_text=text)])
+    typed = '<n:{0} xsi:type="n:D"><n:bx>1</n:bx><n:dy>1</n:dy></n:{0}>'
+    head = f'xmlns:n="{TNS}" {_XSI_DECL}'
+    corpus = [f'<n:r {head}>{typed.format("v")}<n:g/><n:w/></n:r>',
+              typed.format("v").replace("<n:v ", f"<n:v {head} ", 1)]
+    model, module, _, (artifact,) = build_and_import(schema, corpus, tmp_path)
+    tables = {name: packed_lines(value) for name, value in vars(module).items()
+              if re.fullmatch(r"_D\d+|_ROOTS", name)}
+    (by_type,) = {line.split("|")[3] for lines in tables.values() for line in lines
+                  if line.count("|") == 3}
+    assert tables[by_type] == ["0 D|D"]
+    assert sorted(tables["_ROOTS"]) == ["0 r|R", f"0 v|B||{by_type}"]
+    assert_binds_as_twin(model, artifact.content)
+    docs = corpus + [
+        f'<n:v {head} xsi:type="n:B"><n:bx>2</n:bx></n:v>',
+        f'<n:v {head} xsi:type="n:Q"><n:bx>2</n:bx><n:dy>3</n:dy></n:v>',
+        f'<n:r {head}><n:v xsi:type="n:D"><n:dy>x</n:dy></n:v>{typed.format("w")}</n:r>',
+    ]
+    _assert_oracle_outcomes(model, module, docs)
+    assert type(module.parse_document(corpus[1])[0]).__name__ == "D"
+
+
+def test_packed_tables_ship_in_far_fewer_bytes():
+    """Quotes, commas, tab escapes, slot names and namespaces each written once or not at all."""
+    model = wide_model(200)
+    (package,) = emit_parser_backend(model)
+    twin = tuple_tables(package.content, model)
+    assert "_ROWS = ('" in twin and "_CLASSES = (('" in twin and "_ROOTS = {'" in twin
+    assert package.byte_size <= 0.6 * len(twin.encode()), (package.byte_size, len(twin))
+
+
+def test_manifest_counts_the_bytes_of_each_table(tmp_path):
+    """``tables`` holds the bytes of each table's statement in ``__init__.py``."""
+    schema, docs = shared_head_model(2)
+    model, _module, _, (artifact,) = build_and_import(schema, docs, tmp_path)
+    manifest = json.loads((tmp_path / "gen" / model.name / "MANIFEST.json").read_text())
+    source = (tmp_path / "gen" / model.name / "__init__.py").read_bytes()
+    lines = source.splitlines(keepends=True)
+    keys = {"_NS": "namespaces", "_ROWS": "rows", "_CLASSES": "classes", "_ROOTS": "roots"}
+    sizes = Counter()
+    for node in ast.parse(source).body:
+        name = node.targets[0].id if isinstance(node, ast.Assign) else None
+        if name in keys or re.fullmatch(r"_D\d+", name or ""):
+            sizes[keys.get(name, "dispatchTables")] += len(
+                b"".join(lines[node.lineno - 1:node.end_lineno]))
+    assert manifest["tables"] == dict(sizes) == artifact.tables
+    assert set(sizes) == {"namespaces", "rows", "classes", "dispatchTables", "roots"}
+    assert sum(sizes.values()) < manifest["totalBytes"] == len(source)
+
+
+@pytest.mark.parametrize("name", ["a|b", 'a"b', "a\\b"], ids=["bar", "quote", "backslash"])
+def test_a_name_a_packed_line_cannot_hold_is_refused(name):
+    """The loader takes any schema name; the emitter refuses one that would break a line."""
+    body = f"""
+  <xs:element name="r"><xs:complexType><xs:sequence>
+    <xs:element name="{name.replace('"', '&quot;')}" type="xs:string"/>
+  </xs:sequence></xs:complexType></xs:element>"""
+    schema = schema_of(body)
+    usage = analyze(schema, f'<r xmlns="{TNS}"/>')
+    model = build_binding_model(schema, compute_retained_set(schema, usage), usage,
+                                BindingOptions(prune_unused=False), model_name="bad")
+    with pytest.raises(SlimbindError, match="holds one of .* which a packed table line "
+                       "cannot hold"):
+        emit_parser_backend(model)
+
+
+def test_a_namespace_holding_what_a_line_cannot_round_trips(tmp_path):
+    """Only ``_NS``, a tuple of string literals, spells a namespace, whatever it holds."""
+    ns = 'urn:a|b&quot;&quot;&quot;c&#10;d\\'
+    schema = load_schema_set([SchemaSource("mem://ns.xsd", raw_text=(
+        f'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" xmlns:t="{ns}" '
+        f'targetNamespace="{ns}" elementFormDefault="qualified">'
+        '<xs:element name="r"><xs:complexType><xs:sequence>'
+        '<xs:element ref="t:h" maxOccurs="unbounded"/></xs:sequence>'
+        '</xs:complexType></xs:element><xs:element name="h" type="xs:int"/>'
+        '<xs:element name="m" type="xs:string" substitutionGroup="t:h"/></xs:schema>'))])
+    good = f'<t:r xmlns:t="{ns}"><t:h>1</t:h><t:m>x</t:m></t:r>'
+    model, module, _, (artifact,) = build_and_import(schema, [good], tmp_path)
+    namespace = 'urn:a|b"""c\nd\\'
+    assert module._NS == (namespace,) and namespace not in artifact.content
+    assert module._ROOT_TABLE == {f"{namespace} r": (module.RType, None, None)}
+    assert module.parse_document(good)[0].h == [1, "x"]
+    _assert_oracle_outcomes(model, module, [good, f'<t:r xmlns:t="{ns}"><t:m/><h/></t:r>'])
