@@ -8,13 +8,15 @@ substitution dispatch bounded to observed members, and the single-child
 The generated package is one module of data, each table one string with
 a line per entry.  Each class in it is one _CLASSES line, its name, base
 and the indices of its rows in the module's _ROWS table, one row per
-field; at import, slimbind.runtime makes from it a plain __slots__ record
-class over slimbind.runtime.Record, which is its own parser, and takes
-its slots from its rows.  A line names a namespace by its index into _NS,
-and a row leaves its slot empty when the slot is the element's local
-name; slimbind.runtime expands the rows and dispatch tables into lookup
-tables on the class, keyed by the names expat reports ("namespace
-local"), and leaves the package's own tables as they are.  Records print
+field.  After its last table the package makes one call,
+slimbind.runtime.bind_parsers(globals()): it makes from each line a plain
+__slots__ record class over slimbind.runtime.Record, which is its own
+parser, taking its slots from its rows.  A line names a namespace by its
+index into _NS, and a row leaves its slot empty when the slot is the
+element's local name; the same call splits each row once and expands the
+rows and dispatch tables into lookup tables on the class, keyed by the
+names expat reports ("namespace local"), and leaves the package's own
+tables as they are.  Records print
 in field order and turn into plain dicts with to_dict().  The package's
 source and bytecode sizes are what a device stores, for the Python
 version that ran the demo.

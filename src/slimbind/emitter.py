@@ -4,10 +4,11 @@ The built-in backend emits a table-driven Python parser package against
 ``slimbind.runtime``, which holds all its parsing code.  The package is one
 module of data, each table one string with a line per entry: the field
 rows, one ``_CLASSES`` line per class (its name, base and the indices of
-the rows it parses by, from which ``slimbind.runtime.build_classes``
-makes its ``__slots__`` record class), each distinct dispatch table once,
-the root table, and the document entry point.  Rendering is
-deterministic: equal inputs give byte-identical artifacts.
+the rows it parses by), each distinct dispatch table once, the root
+table, one ``slimbind.runtime.bind_parsers`` call, which makes each
+class's ``__slots__`` record class and binds it, and the document entry
+point.  Rendering is deterministic: equal inputs give byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _render_context(model):
         "row_table": list(rows.index),
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
-        "dispatch_imports": "bind_parsers, build_classes, parse_root",
+        "dispatch_imports": "bind_parsers, parse_root",
         "options": encode(model.options),
         "class_count": len(model.classes),
     }, rows
@@ -300,8 +301,6 @@ def _class_context(model, cls, modules, tables, rows) -> dict:
     Inherited fields come first when flattening is off, so the rows of a
     class begin with its base's.
     """
-    lists = tuple(f.name for f in cls.fields if f.cardinality is Cardinality.LIST)
-    slots = tuple(f.name for f in cls.fields)
     indices = rows.indices([_row(cls, f, tables, rows.name)
                             for f in effective_fields(model, cls)])
     return {
@@ -309,14 +308,10 @@ def _class_context(model, cls, modules, tables, rows) -> dict:
         "module": modules[cls.name],
         "xml_type": cls.source_type,
         "fields": [{"py_name": f.name} for f in cls.fields],
-        "slots": repr(slots),
-        "lists": repr(lists) if lists else "",
-        "rows": repr(indices),
         # The class's _CLASSES line; the runtime reads its slots from its rows.
         "entry": _packed((cls.name, cls.base, " ".join(map(str, indices))), cls.name),
         "has_base": cls.base is not None,
         "base": cls.base or "",
-        "base_module": modules.get(cls.base, "") if cls.base else "",
     }
 
 
@@ -397,7 +392,6 @@ _CLASSES = """\\
 {{entry}}
 {{/classes}}
 """
-build_classes(globals())
 {{#dispatch_tables}}
 {{name}} = """\\
 {{#lines}}

@@ -200,6 +200,24 @@ def _bound(raw: str) -> int:
 
 
 _XML_SPACE_RUN = re.compile("[ \t\r\n]+")
+# An NCName (Namespaces in XML 1.0, section 3): an XML 1.0 Name without a colon.
+_NAME_START = ("A-Z_a-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff"
+               "\u200c\u200d\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf"
+               "\ufdf0-\ufffd\U00010000-\U000effff")
+_NCNAME = re.compile(
+    f"[{_NAME_START}][-.0-9\u00b7\u0300-\u036f\u203f\u2040{_NAME_START}]*").fullmatch
+
+
+def _declared_name(node: _Node, where: str, missing: str) -> str:
+    """The ``name`` a declaration gives, which must be an NCName; ``missing`` says it has none."""
+    name = node.get("name")
+    if name is None:
+        raise MalformedSchemaError(f"{where}: {missing}")
+    name = name.strip(_XML_SPACE)
+    if not _NCNAME(name):
+        raise MalformedSchemaError(
+            f"{where}: name {name!r} of xs:{node.qname.local} is not an NCName")
+    return name
 
 
 def _xml_tokens(value: str) -> list:
@@ -362,11 +380,8 @@ class _Loader:
 
     def _register_global(self, node: _Node, doc: _Doc):
         kind = _GLOBAL_TAGS[node.qname.local]
-        name = node.get("name")
-        if not name:
-            raise MalformedSchemaError(
-                f"{doc.source.system_id}:{node.line}: global xs:{node.qname.local} "
-                "without a name")
+        name = _declared_name(node, f"{doc.source.system_id}:{node.line}",
+                              f"global xs:{node.qname.local} without a name")
         qname = QName(doc.tns, name)
         key = (kind_category(kind), qname)
         if key in self.raw_globals:
@@ -809,9 +824,7 @@ class _Loader:
             qn = _resolve_qname(ref_attr, node.nsmap, where)
             elem_id = self._resolve_ref("element", qn, owner_id, where)
             return ElementParticle(elem_id, occurs)
-        name = node.get("name")
-        if not name:
-            raise MalformedSchemaError(f"{where}: element particle needs name or ref")
+        name = _declared_name(node, where, "element particle needs name or ref")
         form = node.get("form")
         qualified = (form == "qualified") if form else doc.qualified_elements
         qname = QName(doc.tns if qualified else "", name)
@@ -868,9 +881,7 @@ class _Loader:
                     qn = _resolve_qname(ref_attr, child.nsmap, cw)
                     attr_id = self._resolve_ref("attribute", qn, owner_id, cw)
                 else:
-                    name = child.get("name")
-                    if not name:
-                        raise MalformedSchemaError(f"{cw}: attribute needs name or ref")
+                    name = _declared_name(child, cw, "attribute needs name or ref")
                     form = child.get("form")
                     qualified = (form == "qualified") if form else doc.qualified_attributes
                     qname = QName(doc.tns if qualified else "", name)

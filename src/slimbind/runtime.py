@@ -27,11 +27,11 @@ generated package writes each of its tables as one string, a line per
 entry: each distinct field row once in its ``_ROWS`` table, one line per
 record class in ``_CLASSES``, and its dispatch tables.  A line names a
 namespace by its index into the package's ``_NS`` table, and a row
-leaves out a slot named like its key.  :func:`build_classes` makes the
-record classes.  A record class is its own parser: it holds its field
-rows as indices into ``_ROWS``, and :func:`bind_parsers` expands them
-and turns them into lookup tables on the class, keyed by expat's names,
-once the package has defined every table.
+leaves out a slot named like its key.  Once the package has defined
+every table it makes one call, :func:`bind_parsers`, which makes the
+record classes and binds them.  A record class is its own parser: it
+holds its field rows as indices into ``_ROWS``, expanded into lookup
+tables on the class, keyed by expat's names.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -548,7 +548,7 @@ class _Document:
 # A ``_CLASSES`` line is ``name|base|rows``: ``base`` names an earlier
 # line, or is empty, and ``rows`` holds the space-separated indices into
 # ``_ROWS`` of the class's rows, one per field it parses, in field order.
-# A class's rows cover its base's fields first, so :func:`build_classes`
+# A class's rows cover its base's fields first, so :func:`bind_parsers`
 # gives it the slots of the rows after its base's, and ``_rows``, a tuple
 # of ints.  A flattened class shares its base's rows, and a shared
 # element's row serves every class holding it.  For example
@@ -590,17 +590,18 @@ class _Document:
 # precedence over wildcards, so :func:`_bind` binds a class's wildcard rows
 # after its others.  Unknown attributes are ignored.  Packages written in
 # an earlier format, with tables as tuples or dicts, rows in their class,
-# or classes as ``class`` statements, are refused.
+# classes as ``class`` statements, or a :func:`build_classes` call that
+# made the classes before binding, are refused.
 
 
 class Record:
     """Base of every generated record class.
 
     A record class declares its own fields as ``__slots__`` and its field
-    rows (see above) as ``_rows``; :func:`build_classes` makes it from the
-    package's ``_CLASSES``.  :func:`bind_parsers` sets the other
-    attributes below on the class itself, from its rows and its bases'
-    slots, before the first record is made.
+    rows (see above) as ``_rows``.  :func:`bind_parsers` makes it from the
+    package's ``_CLASSES`` and sets the other attributes below on the
+    class itself, from its rows and its base's fields, before the first
+    record is made.
     """
 
     __slots__ = ()
@@ -658,44 +659,8 @@ _TABLE_NAME = re.compile(r"_D[0-9]+|_ROOTS")
 
 
 def build_classes(names):
-    """Make the record classes of a generated package from its ``_CLASSES``.
-
-    The package calls this with its namespace once ``_ROWS`` and
-    ``_CLASSES`` are defined.  Each line ``name|base|rows`` (see above)
-    becomes a :class:`Record` subclass, bound to ``name`` in ``names``: its
-    base is the class of an earlier line, or :class:`Record` when ``base``
-    is empty, and its ``__module__`` the package's ``__name__``.  Its
-    ``__slots__`` are the slots of its rows in field order, leaving out the
-    first ones, as many as its base has rows, which hold the base's fields.
-    Each slot name is interned, as a name in a ``class`` statement is: a
-    split-out string is not, and ``setattr`` would compare its text on
-    every record.  A line that is not ``name|base|rows``, whose base is not
-    an earlier line, or whose row is not a decimal index into ``_ROWS``, is
-    refused with an :class:`ImportError`, and so is a package whose
-    ``_ROWS`` or ``_CLASSES`` is missing or not one string.
-    """
-    rows = _lines(names, "_ROWS", "row table")
-    slots = [sys.intern(slot or key.rpartition(" ")[2])
-             for key, slot, _rest in (row.split("|", 2) for row in rows)]
-    module, made = names["__name__"], {}
-    for line in _class_lines(names):
-        match = _CLASS_LINE.fullmatch(line)
-        if match is None:
-            raise _bad_class_line(line)
-        name, base, indices = match.groups()
-        indices = tuple(map(int, indices.split()))
-        if indices and max(indices) >= len(rows):
-            raise _regenerate(f"has a field row {str(max(indices))!r} in {name} "
-                              "that is not an index into _ROWS")
-        if base and base not in made:
-            raise _regenerate(f"has a class {name} whose base {base!r} "
-                              "is not an earlier entry of _CLASSES")
-        parent = made[base] if base else Record
-        names[name] = made[name] = type(name, (parent,), {
-            "__module__": module,
-            "__slots__": tuple([slots[index] for index in indices[len(parent._rows):]]),
-            "_rows": indices,
-        })
+    """The call of a package in the format whose classes were made before binding; refused."""
+    raise _regenerate("was generated in an older format, which calls build_classes")
 
 
 def _lines(names, name, what):
@@ -719,49 +684,61 @@ def _bad_class_line(line):
     return _regenerate(f"has a class line {line!r} that is not name|base|rows")
 
 
-def _class_lines(names):
-    """The lines of ``_CLASSES``; an older package, which has none, is refused."""
-    if "_CLASSES" not in names and any(
-            isinstance(value, type) and issubclass(value, Record) and value is not Record
-            for value in names.values()):
+def bind_parsers(names):
+    """Make and bind every record class of a generated package; returns its root table.
+
+    The package calls this once, with its namespace, after its last
+    table, so a line may name any class and recursive types need no
+    cycle.  Each ``_ROWS`` line is split and expanded once
+    (:func:`_split_row`), however many classes index it; the package's
+    tables are read, never changed.  Each ``_CLASSES`` line (see above)
+    becomes a :class:`Record` subclass bound to its name in ``names``:
+    derived from the class of its base's line, or from :class:`Record`,
+    its ``__module__`` the package's, and its ``__slots__`` the slots of
+    its rows after as many as its base has.
+
+    A package in an older format is refused with an :class:`ImportError`:
+    rows or classes in ``class`` statements, a table that is not a packed
+    string, or no ``_ROWS``, ``_NS``, ``_CLASSES`` or ``_ROOTS``.  So is a
+    line that breaks the format: a ``_CLASSES`` line that is not
+    ``name|base|rows`` or whose base is no earlier line, an index into
+    ``_ROWS`` or ``_NS`` that is none, or an unknown class, conversion or
+    table.
+    """
+    made = [value for value in names.values()
+            if isinstance(value, type) and issubclass(value, Record) and value is not Record]
+    kinds = {type(row) for cls in made for row in cls._rows}
+    if "_ROWS" not in names and kinds & {tuple, str}:
+        raise _regenerate("was generated in an older format, whose field rows are " + (
+            "tuples" if tuple in kinds else "strings"))
+    if "_CLASSES" not in names and made:
         raise _regenerate("was generated in an older format, "
                           "whose record classes are class statements")
-    return _lines(names, "_CLASSES", "class table")
-
-
-def bind_parsers(names):
-    """Bind every record class in a generated package; returns its root table.
-
-    The package calls this with its namespace once every table and class
-    is defined; so rows can name any class and recursive types need no
-    cycle.  The classes are those ``_CLASSES`` names.  Each row of
-    ``_ROWS`` is split and expanded through ``_NS`` once, however many
-    classes index it, and each dispatch table's dict is built once; the
-    split rows are dropped when binding ends.  The package's tables are
-    read, never changed, so binding again binds the same.  A package whose
-    field rows are tuples or strings in their class, whose record classes
-    are ``class`` statements, whose tables are not packed strings, or that
-    has no ``_ROWS``, no ``_NS``, no ``_CLASSES`` or no ``_ROOTS``, was
-    generated in an older format, and is refused with an
-    :class:`ImportError`; so is a line that names a namespace by anything
-    but an index into ``_NS``, or an unknown class, conversion or table.
-    """
-    if "_ROWS" not in names:
-        kinds = {type(row) for cls in names.values()
-                 if isinstance(cls, type) and issubclass(cls, Record) for row in cls._rows}
-        if kinds & {tuple, str}:
-            raise _regenerate("was generated in an older format, whose field rows are " + (
-                "tuples" if tuple in kinds else "strings"))
-    lines = _class_lines(names)
+    lines = _lines(names, "_CLASSES", "class table")
     table = _lines(names, "_ROWS", "row table")
     namespaces = names.get("_NS")
     if not isinstance(namespaces, tuple):
         raise _regenerate("was generated in an older format, with no namespace table _NS")
-    classes = {name: names[name]
-               for name in (line.partition("|")[0] for line in lines)}
     _lines(names, "_ROOTS", "root table")
-    targets = _Targets(names, classes, namespaces)
     rows = [_split_row(row, namespaces) for row in table]
+    module, classes = names["__name__"], {}
+    for line in lines:
+        match = _CLASS_LINE.fullmatch(line)
+        if match is None:
+            raise _bad_class_line(line)
+        name, base, indices = match.groups()
+        indices = tuple(map(int, indices.split()))
+        if indices and max(indices) >= len(rows):
+            raise _regenerate(f"has a field row {str(max(indices))!r} in {name} "
+                              "that is not an index into _ROWS")
+        if base and base not in classes:
+            raise _regenerate(f"has a class {name} whose base {base!r} "
+                              "is not an earlier entry of _CLASSES")
+        parent = classes[base] if base else Record
+        names[name] = classes[name] = type(name, (parent,), {
+            "__module__": module, "_rows": indices,
+            "__slots__": tuple([rows[index][1] for index in indices[len(parent._rows):]])})
+    targets = _Targets(names, classes, namespaces)
     reads = [targets.read(row, line) for row, line in zip(rows, table)]
     last = {index for index, row in enumerate(rows) if _binds_last(row)}
     for cls in classes.values():
@@ -909,8 +886,9 @@ def _bind(cls, rows, reads, last):
     """Set the attributes :class:`Record` declares on ``cls``, from its rows.
 
     ``rows`` holds the package's ``_ROWS`` split by :func:`_split_row`,
-    and ``cls._rows``, checked by :func:`build_classes`, indexes it; the
-    rows whose indices are in ``last`` bind after the class's others.
+    and ``cls._rows`` indexes it; the rows whose indices are in ``last``
+    bind after the class's others.  The base is bound first, so the
+    class's ``_fields`` are the base's, then its own slots not among them.
     ``reads`` holds what each row reads its value with
     (:meth:`_Targets.read`).  A child element's action is ``_IGNORE``, or
     ``(cls, conv, by_type, what, slot, many, chain)``: a dispatch target
@@ -943,11 +921,8 @@ def _bind(cls, rows, reads, last):
         else:
             for k, t in found.items():
                 elements.setdefault(k, (*t, what, slot, many, chain))
-    fields = {}
-    for klass in reversed(cls.__mro__):
-        fields.update(dict.fromkeys(vars(klass).get("__slots__", ())))
+    cls._fields = fields = tuple(dict.fromkeys(cls.__base__._fields + cls.__slots__))
     absent = {slot for slot, _label in required}
-    cls._fields = tuple(fields)
     cls._lists = frozenset(lists)
     cls._binding = (
         tuple([(slot, _ABSENT if slot in absent else None)

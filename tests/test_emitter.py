@@ -37,6 +37,7 @@ from slimbind.binding import (
     Cardinality,
     FieldKind,
     build_binding_model,
+    deserialize_binding_model,
     effective_fields,
     serialize_binding_model,
 )
@@ -719,6 +720,34 @@ class TestLateBoundParsers:
         assert package.Alpha.__bases__ == (package.Zed,)
         assert_equivalent(model, package, docs)
 
+    def test_restriction_restating_a_base_field_holds_it_once(self, tmp_path):
+        """A restriction's slot repeats its base's; the field is still one field."""
+        schema = schema_of("""
+  <xs:element name="r" type="tns:B"/>
+  <xs:element name="s" type="tns:D"/>
+  <xs:complexType name="B">
+    <xs:sequence>
+      <xs:element name="a" type="xs:int"/>
+      <xs:element name="b" type="xs:string" minOccurs="0"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="D">
+    <xs:complexContent><xs:restriction base="tns:B">
+      <xs:sequence><xs:element name="a" type="xs:int"/></xs:sequence>
+    </xs:restriction></xs:complexContent>
+  </xs:complexType>""")
+        docs = [f'<r xmlns="{TNS}"><a>1</a><b>x</b></r>', f'<s xmlns="{TNS}"><a>2</a></s>']
+        model, package, _, _ = build_and_import(
+            schema, docs, tmp_path, BindingOptions(flatten_inheritance=False))
+        derived = package.D
+        assert derived.__bases__ == (package.B,) and derived.__slots__ == ("a",)
+        assert derived._fields == package.B._fields == ("a", "b")
+        presets, lists = derived._binding[:2]
+        assert [slot for slot, _ in presets] == ["a", "b"] and lists == ()
+        assert derived(a=1).a == 1
+        assert repr(derived(a=1)) == "D(a=1, b=None)"
+        assert_equivalent(model, package, docs)
+
     def test_package_binds_one_name_per_class(self, tmp_path):
         """A record class is its own parser: no other name stands for it."""
         schema, docs = shared_head_model(2)
@@ -1325,10 +1354,19 @@ def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
     assert module._ROOT_TABLE == {f"{TNS} r": (module.R, None, None)}
     binding = module.R._binding
     assert list(binding[2]) == ["id"] and list(binding[3]) == [f"{TNS} h", f"{TNS} m"]
-    # Binding again reads the same tables, so it binds every class the same.
-    bindings = {c.name: getattr(module, c.name)._binding for c in model.classes}
-    assert bind_parsers(vars(module)) == module._ROOT_TABLE
-    assert {c.name: getattr(module, c.name)._binding for c in model.classes} == bindings
+    # Binding a copy of the namespace reads the same tables, changing none,
+    # and makes new classes like the package's.
+    tables = ("_NS", "_ROWS", "_CLASSES", "_D0", "_ROOTS")
+    before = [getattr(module, name) for name in tables]
+    names = dict(vars(module))
+    assert bind_parsers(names) == {f"{TNS} r": (names["R"], None, None)}
+    assert [getattr(module, name) for name in tables] == [names[name] for name in tables] \
+        == before
+    for c in model.classes:
+        made, cls = names[c.name], getattr(module, c.name)
+        assert made is not cls and made.__name__ == cls.__name__ == c.name
+        assert (made.__slots__, made._rows, made._fields, made._binding) == \
+            (cls.__slots__, cls._rows, cls._fields, cls._binding)
     assert module.parse_document(docs[0])[0].h == ["a", "b"]
     assert_equivalent(model, module, docs)
 
@@ -1465,6 +1503,7 @@ def _current_format(package):
     """``package`` as :func:`_class_table` writes it, each table one packed string.
 
     Each table is written on one line; ``_ROOTS`` names no conversion here.
+    The ``build_classes`` call is gone: ``bind_parsers`` makes the classes.
     """
     body = ast.parse(_class_table(package)).body
     namespaces = assigned(body, "_NS")
@@ -1490,8 +1529,9 @@ def _current_format(package):
         if isinstance(node, ast.Assign) and node.targets[0].id in tables:
             lines[node.lineno - 1:node.end_lineno] = [
                 f"{node.targets[0].id} = {tables[node.targets[0].id]}\n"]
-    return "".join(lines).replace("\nbind_parsers(globals())",
-                                  "\n_ROOT_TABLE = bind_parsers(globals())")
+    return "".join(lines).replace("build_classes(globals())\n", "").replace(
+        "build_classes, ", "").replace("\nbind_parsers(globals())",
+                                       "\n_ROOT_TABLE = bind_parsers(globals())")
 
 
 def tuple_tables(source, model):
@@ -1530,7 +1570,7 @@ def tuple_tables(source, model):
     tables = "".join(f"{name} = {display(name)}\n" for name in texts
                      if re.fullmatch(r"_D\d+|_ROOTS", name))
     head = source[:source.index("_ROWS = ")].replace(
-        "import ", "import " + "".join(f"{conv}, " for conv in sorted(convs)), 1)
+        "import ", "import build_classes, " + "".join(f"{conv}, " for conv in sorted(convs)), 1)
     entry = source[source.index("\n\ndef parse_document"):].replace("_ROOT_TABLE", "_ROOTS")
     return (f"{head}_ROWS = {rows!r}\n_CLASSES = {classes!r}\nbuild_classes(globals())\n"
             f"{tables}bind_parsers(globals())\n{entry}")
@@ -1726,7 +1766,7 @@ def test_package_with_a_tuple_class_table_is_refused(tmp_path, monkeypatch):
 
 def test_package_with_a_dict_root_table_is_refused(tmp_path, monkeypatch):
     package = _PACKED_PACKAGE.replace("_ROOTS = '0 r|R\\n'",
-                                        "_ROOTS = {'urn:fix r': (R, None, None)}")
+                                        "_ROOTS = {'urn:fix r': ('R', None, None)}")
     assert "_ROOTS = {" in package
     with pytest.raises(ImportError, match="older format, whose root table _ROOTS is a dict; "
                        "regenerate"):
@@ -1742,6 +1782,92 @@ def test_package_with_a_dict_dispatch_table_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="older format, whose dispatch table _D0 is a dict; "
                        "regenerate"):
         _import_text(tmp_path, monkeypatch, package)
+
+
+def test_package_that_makes_its_classes_before_binding_is_refused(tmp_path, monkeypatch):
+    """A ``build_classes(globals())`` call after ``_CLASSES``, as the format before one call wrote.
+
+    The golden package, in that layout, is refused; as it is, it imports.
+    """
+    golden = (GOLDEN_DIR / "__init__.py.golden").read_text()
+    older = golden.replace("import bind_parsers, ", "import bind_parsers, build_classes, ", 1)
+    older = older.replace('"""\n_D0 = ', '"""\nbuild_classes(globals())\n_D0 = ', 1)
+    assert older.count("build_classes") == 2
+    with pytest.raises(ImportError, match="older format.*regenerate"):
+        _import_text(tmp_path, monkeypatch, older)
+    module = _import_text(tmp_path, monkeypatch, golden)
+    assert module.CartType.__slots__ == ("sku", "coupon", "pay")
+
+
+def test_build_classes_makes_no_class():
+    names = {"__name__": "older", "_NS": ("urn:fix",), "_ROWS": "0 v|v|?|simple|string\n",
+             "_CLASSES": "R||0\n", "_ROOTS": "0 r|R\n"}
+    before = dict(names)
+    with pytest.raises(ImportError, match="older format, which calls build_classes; "
+                       "regenerate"):
+        runtime.build_classes(names)
+    assert names == before
+
+
+class _CountedRow(str):
+    """A ``_ROWS`` line that counts, in ``splits`` by its text, every split of it."""
+
+    def __new__(cls, text, splits):
+        self = super().__new__(cls, text)
+        self.splits = splits
+        return self
+
+    def split(self, *args):
+        self.splits[str(self)] += 1
+        return super().split(*args)
+
+    def partition(self, sep):
+        self.splits[str(self)] += 1
+        return super().partition(sep)
+
+    def rpartition(self, sep):
+        self.splits[str(self)] += 1
+        return super().rpartition(sep)
+
+
+class _CountedRows(_CountedRow):
+    """A ``_ROWS`` table whose lines are :class:`_CountedRow`."""
+
+    def split(self, sep):
+        return [_CountedRow(line, self.splits) for line in str.split(self, sep)]
+
+
+def test_each_row_is_split_once_per_import(tmp_path, monkeypatch):
+    """A derived class shares its base's rows; each row is still split once, by one splitter.
+
+    Whatever runtime calls the package makes, each sees a ``_ROWS`` whose
+    lines count every split of their text, and :func:`runtime._split_row`
+    counts its calls.
+    """
+    calls, splits = Counter(), Counter()
+    split_row = runtime._split_row
+
+    def spy(row, namespaces):
+        calls[row] += 1
+        return split_row(row, namespaces)
+
+    def counting(call):
+        def counted(names):
+            if type(names["_ROWS"]) is str:
+                names["_ROWS"] = _CountedRows(names["_ROWS"], splits)
+            return call(names)
+        return counted
+
+    monkeypatch.setattr(runtime, "_split_row", spy)
+    for name in ("build_classes", "bind_parsers"):
+        monkeypatch.setattr(runtime, name, counting(getattr(runtime, name)))
+    body, doc, options = RECURSIVE_CASES["base holding its derived type"]
+    doc = doc.replace(">", f' xmlns="{TNS}">', 1)
+    _model, module, _, _ = build_and_import(schema_of(body), [doc], tmp_path, options)
+    assert module.D._rows[:2] == module.B._rows
+    lines = packed_lines(str(module._ROWS))
+    assert calls == Counter(lines) and set(calls.values()) == {1}
+    assert splits == Counter(lines) and set(splits.values()) == {1}
 
 
 @pytest.mark.parametrize("index", ["1", "12"])
@@ -1797,7 +1923,7 @@ def _package_tables(source):
     """``(_NS, _ROWS lines, {class name: _rows})`` of a generated package's source.
 
     The classes come in ``_CLASSES`` order, each ``_rows`` a tuple of ints,
-    as ``runtime.build_classes`` reads it.
+    as ``runtime.bind_parsers`` reads it.
     """
     body = ast.parse(source).body
     return assigned(body, "_NS"), tuple(packed_lines(assigned(body, "_ROWS"))), {
@@ -1883,11 +2009,12 @@ def test_rows_expand_to_their_full_form_and_bind_alike(model):
     exec(compile(package.content, "<package>", "exec"), names)
 
     def bound():
-        return {c.name: (names[c.name]._binding, names[c.name]._fields) for c in model.classes}
+        return _by_name({c.name: (names[c.name]._binding, names[c.name]._fields)
+                         for c in model.classes})
 
-    emitted, root_table = bound(), names["_ROOT_TABLE"]
+    emitted, root_table = bound(), _by_name(names["_ROOT_TABLE"])
     names.update(_renumbered(names))
-    assert runtime.bind_parsers(names) == root_table
+    assert _by_name(runtime.bind_parsers(names)) == root_table
     assert bound() == emitted
 
 
@@ -2209,15 +2336,22 @@ def test_manifest_counts_the_bytes_of_each_table(tmp_path):
 
 @pytest.mark.parametrize("name", ["a|b", 'a"b', "a\\b"], ids=["bar", "quote", "backslash"])
 def test_a_name_a_packed_line_cannot_hold_is_refused(name):
-    """The loader takes any schema name; the emitter refuses one that would break a line."""
-    body = f"""
+    """The emitter refuses a name that would break a line, in a model loaded from JSON.
+
+    The loader refuses such a name in a schema (it is no NCName), but a
+    model can be written by other means.
+    """
+    body = """
   <xs:element name="r"><xs:complexType><xs:sequence>
-    <xs:element name="{name.replace('"', '&quot;')}" type="xs:string"/>
+    <xs:element name="zq" type="xs:string"/>
   </xs:sequence></xs:complexType></xs:element>"""
     schema = schema_of(body)
     usage = analyze(schema, f'<r xmlns="{TNS}"/>')
     model = build_binding_model(schema, compute_retained_set(schema, usage), usage,
                                 BindingOptions(prune_unused=False), model_name="bad")
+    text = serialize_binding_model(model)
+    assert "zq" in text
+    model = deserialize_binding_model(text.replace("zq", json.dumps(name)[1:-1]))
     with pytest.raises(SlimbindError, match="holds one of .* which a packed table line "
                        "cannot hold"):
         emit_parser_backend(model)

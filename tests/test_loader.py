@@ -140,6 +140,37 @@ def test_malformed_qname_is_a_schema_error_at_its_line(qname):
         f"MALFORMED_SCHEMA: mem://fixture.xsd:2: '{qname}' is not a QName"
 
 
+_DECLARATIONS = {
+    "global element": ("element", '<xs:annotation/>\n<xs:element name="{}" type="xs:string"/>'),
+    "local element": ("element", '<xs:element name="r"><xs:complexType><xs:sequence>\n'
+                      '<xs:element name="{}" type="xs:string"/></xs:sequence>'
+                      '</xs:complexType></xs:element>'),
+    "local attribute": ("attribute", '<xs:element name="r"><xs:complexType>\n'
+                        '<xs:attribute name="{}" type="xs:string"/>'
+                        '</xs:complexType></xs:element>'),
+}
+
+
+@pytest.mark.parametrize("name", ["a|b", 'a"b', "a\\b", "a b", "p:a", "1a", ""],
+                         ids=["bar", "quote", "backslash", "space", "colon", "digit", "empty"])
+@pytest.mark.parametrize("site", _DECLARATIONS)
+def test_a_declared_name_that_is_no_ncname_is_refused_at_its_line(site, name):
+    tag, body = _DECLARATIONS[site]
+    with pytest.raises(MalformedSchemaError) as info:
+        schema_of(body.format(name.replace('"', "&quot;")))
+    assert str(info.value) == (f"MALFORMED_SCHEMA: mem://fixture.xsd:3: name {name!r} "
+                               f"of xs:{tag} is not an NCName")
+
+
+@pytest.mark.parametrize("site", _DECLARATIONS)
+def test_a_declared_name_is_read_without_its_xml_whitespace(site):
+    """A declared name is an xs:NCName, whose whitespace is collapsed."""
+    tag, body = _DECLARATIONS[site]
+    schema = schema_of(body.format(" \tx\u00b7y-1 "))
+    assert "x\u00b7y-1" in [c.detail.qname.local for c in schema.components.values()
+                              if c.kind.value == tag and c.namespace == TNS]
+
+
 @pytest.mark.parametrize("value, flag", [(" true ", True), ("\t1\n", True),
                                          ("\u00a0true", False), ("1\u2003", False)])
 def test_schema_booleans_trim_only_xml_whitespace(value, flag):
