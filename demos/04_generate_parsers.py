@@ -9,7 +9,8 @@ The generated package is one module of data, each table one string with
 a line per entry.  Each class in it is one _CLASSES line, its name, base
 and the indices of its rows in the module's _ROWS table, one row per
 field.  After its last table the package makes one call,
-slimbind.runtime.bind_parsers(globals()): it makes from each line a plain
+slimbind.runtime.bind_parsers(globals(), 1), stamped with the package
+format the runtime reads (PACKAGE_FORMAT): it makes from each line a plain
 __slots__ record class over slimbind.runtime.Record, which is its own
 parser, taking its slots from its rows.  A line names a namespace by its
 index into _NS, and a row leaves its slot empty when the slot is the
@@ -18,12 +19,12 @@ rows and dispatch tables into lookup tables on the class, keyed by the
 names expat reports ("namespace local"), and leaves the package's own
 tables as they are.  Records print
 in field order and turn into plain dicts with to_dict().  The package's
-source and bytecode sizes are what a device stores, for the Python
-version that ran the demo.
+source is all a device stores of it: generate writes no bytecode.
 
 Last, the package is imported in a fresh interpreter, as a device that
-only parses would: it loads the bytecode generate wrote next to the
-source, and slimbind.runtime and what that needs, never the generator.
+only parses would: it compiles the package's source, loads
+slimbind.runtime and what that needs, never the generator, and parses a
+document.
 """
 
 import importlib
@@ -37,6 +38,7 @@ from slimbind.analyzer import analyze_corpus
 from slimbind.binding import BindingOptions, build_binding_model
 from slimbind.emitter import emit_parser_backend, format_size_report, write_artifacts
 from slimbind.loader import SchemaSource, load_schema_set
+from slimbind.runtime import PACKAGE_FORMAT
 from slimbind.simplify import compute_retained_set
 
 HERE = Path(__file__).parent
@@ -56,12 +58,10 @@ for cls in model.classes:
 print(f"collapsed away: {[c.name for c in model.collapsed_classes]}")
 
 artifacts = emit_parser_backend(model)
-manifest = write_artifacts(model, artifacts, OUT)
+write_artifacts(model, artifacts, OUT)
 print()
 print("emitted sources (bytes, descending):")
 print(format_size_report(artifacts))
-bytecode = manifest["bytecode"]
-print(f"{bytecode['bytes']:>10}  {bytecode['path']} (shipped bytecode, not in the total)")
 
 # Import the generated package and parse one of the corpus documents.
 sys.path.insert(0, str(OUT / "gen"))
@@ -91,14 +91,20 @@ for index in generated.BookType._rows:
 print(f"  its slots, read from those rows: {generated.BookType.__slots__}")
 
 stored = json.loads((OUT / "gen" / "librarydemo" / "MANIFEST.json").read_text())
-print(f"what a device stores, Python {sys.version_info.major}.{sys.version_info.minor}: "
-      f"source {stored['totalBytes']} bytes, bytecode {stored['bytecode']['bytes']} bytes")
+print(f"what a device stores: source {stored['totalBytes']} bytes, no bytecode; "
+      f"package format {PACKAGE_FORMAT}")
 
 print()
-print("slimbind modules a fresh interpreter loads to import the package:")
+print("a fresh interpreter compiles the package's source, loading these slimbind modules,")
+print("and parses day2.xml:")
 probe = (f"import sys; sys.path[:0] = [{str(OUT / 'gen')!r}, "
          f"{str(Path(slimbind.__file__).parent.parent)!r}]\n"
          "import librarydemo\n"
-         "print(*sorted(m for m in sys.modules if m.startswith('slimbind')))")
-print(" ", subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True).stdout.strip())
+         "print(' ', *sorted(m for m in sys.modules if m.startswith('slimbind')))\n"
+         "from pathlib import Path\n"
+         f"doc = Path({str(HERE / 'data' / 'corpus' / 'day2.xml')!r}).read_text()\n"
+         "library, warnings = librarydemo.parse_document(doc)\n"
+         "print(f'  branch {library.branch!r}, {len(library.item)} items, "
+         "{len(warnings)} warnings')")
+print(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                     check=True).stdout.rstrip())

@@ -5,19 +5,17 @@ The built-in backend emits a table-driven Python parser package against
 module of data, each table one string with a line per entry: the field
 rows, one ``_CLASSES`` line per class (its name, base and the indices of
 the rows it parses by), each distinct dispatch table once, the root
-table, one ``slimbind.runtime.bind_parsers`` call, which makes each
-class's ``__slots__`` record class and binds it, and the document entry
-point.  Rendering is deterministic: equal inputs give byte-identical
-artifacts.
+table, one ``slimbind.runtime.bind_parsers`` call, stamped with the
+package format, which makes each class's ``__slots__`` record class and
+binds it, and the document entry point.  It ships as source alone.
+Rendering is deterministic: equal inputs give byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
-import py_compile
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +31,7 @@ from .binding import (
 )
 from .errors import EmptyModelError, SlimbindError
 from .jsonio import dumps, encode
+from .runtime import PACKAGE_FORMAT
 from .templates import ManifestEntry, TemplateSet, compile_template, render_template
 
 # Value category -> name of its conversion in ``slimbind.runtime.CONVERSIONS``.
@@ -55,10 +54,9 @@ _OCCURS = {
 class GeneratedArtifact:
     path: str
     content: str
-    # For the built-in package, which ships its bytecode:
-    # {"referenced": rows the classes index, "distinct": rows in ``_ROWS``},
-    # the number of namespaces in ``_NS``, and the source bytes of its
-    # tables (see :func:`_table_bytes`).  None for other artifacts.
+    # For the built-in package, {"referenced": rows the classes index,
+    # "distinct": rows in ``_ROWS``}, the number of namespaces in ``_NS``, and
+    # the source bytes of its tables (see :func:`_table_bytes`); else None.
     rows: Optional[dict] = None
     namespaces: Optional[int] = None
     tables: Optional[dict] = None
@@ -276,6 +274,7 @@ def _render_context(model):
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
         "dispatch_imports": "bind_parsers, parse_root",
+        "package_format": PACKAGE_FORMAT,
         "options": encode(model.options),
         "class_count": len(model.classes),
     }, rows
@@ -404,7 +403,7 @@ _ROOTS = """\\
 {{line}}
 {{/document_roots}}
 """
-_ROOT_TABLE = bind_parsers(globals())
+_ROOT_TABLE = bind_parsers(globals(), {{package_format}})
 
 
 def parse_document(source, mode="strict", source_name="<input>"):
@@ -453,14 +452,12 @@ def _table_bytes(content) -> dict:
 def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
     """Write artifacts under ``out_root/gen/<model-name>/`` plus MANIFEST.json.
 
-    The built-in package also ships its bytecode (see :func:`_bytecode_path`).
     Returns the manifest dictionary.
     """
     gen_dir = os.path.join(out_root, "gen", model.name)
     os.makedirs(gen_dir, exist_ok=True)
     package = next((a for a in artifacts if a.rows is not None), None)
-    pyc = _bytecode_path(package.path) if package else None
-    _remove_stale(gen_dir, {a.path for a in artifacts} | ({pyc} if pyc else set()))
+    _remove_stale(gen_dir, {a.path for a in artifacts})
     entries = []
     for artifact in sorted(artifacts, key=lambda a: a.path):
         path = os.path.join(gen_dir, artifact.path)
@@ -486,47 +483,16 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
         manifest["rows"] = package.rows
         manifest["namespaces"] = package.namespaces
         manifest["tables"] = package.tables
-    if pyc is not None:
-        manifest["bytecode"] = _write_bytecode(gen_dir, f"{model.name}/{package.path}",
-                                               package.path, pyc)
     with open(os.path.join(gen_dir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps(manifest))
     return manifest
 
 
-def _bytecode_path(source):
-    """Where the running interpreter looks for the bytecode of ``source``, relative to it.
-
-    None when that is outside the package (``sys.pycache_prefix`` is set)
-    or when the interpreter caches no bytecode.
-    """
-    try:
-        path = importlib.util.cache_from_source(source)
-    except NotImplementedError:  # sys.implementation.cache_tag is None
-        return None
-    return None if os.path.isabs(path) else path.replace(os.sep, "/")
-
-
-def _write_bytecode(gen_dir, name, source, pyc) -> dict:
-    """Compile ``source`` into ``pyc`` (both relative to ``gen_dir``); its manifest entry.
-
-    The pyc is hash-based and checked (PEP 552): the interpreter loads it
-    only while the source it was compiled from is unchanged, and it holds
-    no time stamp.  ``name`` is the file name compiled into the code, so
-    equal sources give byte-identical pycs wherever they are written.
-    """
-    path = os.path.join(gen_dir, pyc)
-    py_compile.compile(os.path.join(gen_dir, source), path, name, doraise=True,
-                       invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {"path": pyc, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-
-
 def _remove_stale(gen_dir, keep):
     """Delete the regular files inside ``gen_dir`` its MANIFEST.json lists, but ``keep``.
 
-    The manifest lists its artifacts and the built-in package's bytecode.
+    The manifest lists its artifacts; one written by a version that shipped
+    the built-in package's bytecode lists that too.
     """
     try:
         with open(os.path.join(gen_dir, "MANIFEST.json"), encoding="utf-8") as fh:

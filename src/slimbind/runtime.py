@@ -545,14 +545,15 @@ class _Document:
 # name in none as ``"local"``: a namespace may hold any character, so only
 # ``_NS`` spells one.
 #
-# A ``_CLASSES`` line is ``name|base|rows``: ``base`` names an earlier
-# line, or is empty, and ``rows`` holds the space-separated indices into
-# ``_ROWS`` of the class's rows, one per field it parses, in field order.
-# A class's rows cover its base's fields first, so :func:`bind_parsers`
-# gives it the slots of the rows after its base's, and ``_rows``, a tuple
-# of ints.  A flattened class shares its base's rows, and a shared
-# element's row serves every class holding it.  For example
-# ``CartType||0 1 2``.
+# A ``_CLASSES`` line is ``name|base|rows``: ``name`` is an ASCII identifier
+# starting with a capital, as the binder names classes, so it takes no name
+# the package binds otherwise; ``base`` names an earlier line, or is empty;
+# and ``rows`` holds the space-separated indices into ``_ROWS`` of the
+# class's rows, one per field it parses, in field order.  A class's rows
+# cover its base's fields first, so :func:`bind_parsers` gives it the slots
+# of the rows after its base's, and ``_rows``, a tuple of ints.  A flattened
+# class shares its base's rows, and a shared element's row serves every
+# class holding it.  For example ``CartType||0 1 2``.
 #
 # A dispatch line is ``key|class|conversion|xsi:type table``, empty items
 # meaning None and trailing empty items left out; :func:`bind_parsers`
@@ -588,10 +589,11 @@ class _Document:
 #
 # The first row matching an element wins, but element fields take
 # precedence over wildcards, so :func:`_bind` binds a class's wildcard rows
-# after its others.  Unknown attributes are ignored.  Packages written in
-# an earlier format, with tables as tuples or dicts, rows in their class,
-# classes as ``class`` statements, or a :func:`build_classes` call that
-# made the classes before binding, are refused.
+# after its others.  Unknown attributes are ignored.
+#
+# A package passes :func:`bind_parsers` the number of the format above it
+# was written in; a change of the format bumps it.
+PACKAGE_FORMAT = 1
 
 
 class Record:
@@ -652,98 +654,90 @@ def _plain(value):
     return value
 
 
-# One line of _CLASSES, and one line of a dispatch table (see above).
-_CLASS_LINE = re.compile(r"([^|]+)\|([^|]*)\|([0-9 ]*)")
-_TABLE_LINE = re.compile(r"(?:([0-9]+) )?([^| ]+)(?:\|([^|]*)(?:\|([^|]*)(?:\|([^|]*))?)?)?")
+# One line of _ROWS, of _CLASSES and of a dispatch table (see above); a
+# collapse row's inner read, its target and its wrappers follow "collapse".
+_ROW_LINE = re.compile(r"([^|]*)\|([^|]*)\|([1?*])\|((?:attribute|simple|text|mixed|class"
+                       r"|dispatch|ignore)\|[^|]*|collapse\|(?:class|simple)(?:\|[^|]+){2,})")
+_CLASS_LINE = re.compile(r"([A-Z][0-9A-Za-z_]*)\|([^|]*)\|([^|]*)")
+_TABLE_LINE = re.compile(r"((?:[0-9]+ )?[^| ]+)(?:\|([^|]*)(?:\|([^|]*)(?:\|([^|]*))?)?)?")
 _TABLE_NAME = re.compile(r"_D[0-9]+|_ROOTS")
 
 
-def build_classes(names):
-    """The call of a package in the format whose classes were made before binding; refused."""
-    raise _regenerate("was generated in an older format, which calls build_classes")
+def _table(names, name, what, kind=str):
+    """The table ``name`` of a package; a missing one, or one not a ``kind``, is refused."""
+    table = names.get(name)
+    if isinstance(table, kind):
+        return table
+    raise _regenerate(f"has no {what} {name}" if table is None else
+                      f"has a {what} {name} that is a {type(table).__name__}")
 
 
 def _lines(names, name, what):
-    """The lines of the packed table ``name``; one written otherwise is refused."""
-    table = names.get(name)
-    if isinstance(table, str):
-        return table.split("\n")[:-1]
-    raise _regenerate("was generated in an older format, " + (
-        f"with no {what} {name}" if table is None else
-        f"whose {what} {name} is a {type(table).__name__}"))
+    """The lines of the packed table ``name``, the last ended by a newline too."""
+    *lines, end = _table(names, name, what).split("\n")
+    if end:
+        raise _regenerate(f"has a line {end!r} of {name} with no line end")
+    return lines
 
 
-def _bad_class_line(line):
-    """The refusal of a ``_CLASSES`` line that :data:`_CLASS_LINE` does not match."""
-    name, *items = line.split("|")
-    if name and len(items) == 2:
-        bad = next((index for index in items[1].split(" ")
-                    if index and not (index.isascii() and index.isdigit())), items[1])
-        return _regenerate(f"has a field row {bad!r} in {name} "
-                           "that is not an index into _ROWS")
-    return _regenerate(f"has a class line {line!r} that is not name|base|rows")
-
-
-def bind_parsers(names):
+def bind_parsers(names, package_format=None):
     """Make and bind every record class of a generated package; returns its root table.
 
-    The package calls this once, with its namespace, after its last
-    table, so a line may name any class and recursive types need no
-    cycle.  Each ``_ROWS`` line is split and expanded once
-    (:func:`_split_row`), however many classes index it; the package's
-    tables are read, never changed.  Each ``_CLASSES`` line (see above)
+    The package calls this once, after its last table, with its namespace
+    and the :data:`PACKAGE_FORMAT` it was written in, so a line may name
+    any class and recursive types need no cycle.  Every line of every
+    table is checked, and each ``_ROWS`` line split once
+    (:func:`_split_row`), before any class is made: a package in another
+    format, or with a line that breaks its table's format or names what
+    the package does not hold, is refused with an :class:`ImportError`
+    that says to regenerate it.  Each ``_CLASSES`` line (see above)
     becomes a :class:`Record` subclass bound to its name in ``names``:
     derived from the class of its base's line, or from :class:`Record`,
     its ``__module__`` the package's, and its ``__slots__`` the slots of
-    its rows after as many as its base has.
-
-    A package in an older format is refused with an :class:`ImportError`:
-    rows or classes in ``class`` statements, a table that is not a packed
-    string, or no ``_ROWS``, ``_NS``, ``_CLASSES`` or ``_ROOTS``.  So is a
-    line that breaks the format: a ``_CLASSES`` line that is not
-    ``name|base|rows`` or whose base is no earlier line, an index into
-    ``_ROWS`` or ``_NS`` that is none, or an unknown class, conversion or
-    table.
+    its rows after as many as its base has.  The package's tables are
+    read, never changed.
     """
-    made = [value for value in names.values()
-            if isinstance(value, type) and issubclass(value, Record) and value is not Record]
-    kinds = {type(row) for cls in made for row in cls._rows}
-    if "_ROWS" not in names and kinds & {tuple, str}:
-        raise _regenerate("was generated in an older format, whose field rows are " + (
-            "tuples" if tuple in kinds else "strings"))
-    if "_CLASSES" not in names and made:
-        raise _regenerate("was generated in an older format, "
-                          "whose record classes are class statements")
-    lines = _lines(names, "_CLASSES", "class table")
+    if package_format != PACKAGE_FORMAT:
+        raise _regenerate(f"is in package format {package_format!r}, "
+                          f"but this runtime reads format {PACKAGE_FORMAT}")
+    namespaces = _table(names, "_NS", "namespace table", tuple)
     table = _lines(names, "_ROWS", "row table")
-    namespaces = names.get("_NS")
-    if not isinstance(namespaces, tuple):
-        raise _regenerate("was generated in an older format, with no namespace table _NS")
-    _lines(names, "_ROOTS", "root table")
     rows = [_split_row(row, namespaces) for row in table]
-    module, classes = names["__name__"], {}
-    for line in lines:
+    entries = {}  # class name -> (base, indices)
+    for line in _lines(names, "_CLASSES", "class table"):
         match = _CLASS_LINE.fullmatch(line)
         if match is None:
-            raise _bad_class_line(line)
-        name, base, indices = match.groups()
-        indices = tuple(map(int, indices.split()))
-        if indices and max(indices) >= len(rows):
-            raise _regenerate(f"has a field row {str(max(indices))!r} in {name} "
-                              "that is not an index into _ROWS")
-        if base and base not in classes:
+            raise _regenerate(f"has a class line {line!r} that is not name|base|rows")
+        name, base, text = match.groups()
+        tokens = text.split(" ") if text else ()
+        digits = text.isascii() and all(map(str.isdigit, tokens))
+        indices = tuple(map(int, tokens)) if digits else None
+        if indices is None or indices and max(indices) >= len(rows):
+            bad = next(token for token in tokens if not (
+                token.isascii() and token.isdigit() and int(token) < len(rows)))
+            raise _regenerate(f"has a field row {bad!r} in {name} that is not an index into _ROWS")
+        if name in entries:
+            raise _regenerate(f"has a class line {line!r} whose name is taken")
+        if base and base not in entries:
             raise _regenerate(f"has a class {name} whose base {base!r} "
                               "is not an earlier entry of _CLASSES")
+        entries[name] = base, indices
+    _table(names, "_ROOTS", "root table")
+    targets = _Targets(names, {name: name for name in entries}, namespaces)
+    reads = [targets.read(row, line) for row, line in zip(rows, table)]
+    for name in targets.packed:
+        targets.table(name, "", "")
+    module, classes = names["__name__"], {}
+    for name, (base, indices) in entries.items():
         parent = classes[base] if base else Record
         names[name] = classes[name] = type(name, (parent,), {
             "__module__": module, "_rows": indices,
             "__slots__": tuple([rows[index][1] for index in indices[len(parent._rows):]])})
-    targets = _Targets(names, classes, namespaces)
-    reads = [targets.read(row, line) for row, line in zip(rows, table)]
+    targets.resolve(classes)
     last = {index for index, row in enumerate(rows) if _binds_last(row)}
     for cls in classes.values():
         _bind(cls, rows, reads, last)
-    return targets.table("_ROOTS", "", "")
+    return targets.tables["_ROOTS"]
 
 
 def _regenerate(what):
@@ -755,12 +749,15 @@ class _Targets:
 
     Each dispatch table's dict is built at its first use, so a table may
     name a table defined after it.  A lookup that fails names the ``line``
-    of the table ``where`` that asked for it.
+    of the table ``where`` that asked for it.  ``classes`` maps each class
+    name to what a target holds for it: its name, until :meth:`resolve`
+    puts the class made for it in its place.
     """
 
     def __init__(self, names, classes, namespaces):
-        self.names, self.classes, self.namespaces = names, classes, namespaces
-        self.tables = {}
+        self.classes, self.namespaces = classes, namespaces
+        self.packed = {name: names[name] for name in names if _TABLE_NAME.fullmatch(name)}
+        self.tables = {}  # each table by name; a class field's own by (key, class)
 
     def read(self, row, line):
         """What :func:`_bind` reads the value of a split ``_ROWS`` line with.
@@ -773,59 +770,48 @@ class _Targets:
         if read == "mixed":
             return None
         if read in ("text", "attribute"):
-            return self.conversion(target, line, "_ROWS")
+            return _known(CONVERSIONS, "conversion", target, line, "_ROWS")
         if read == "ignore":
             return self.table(target, line, "_ROWS") if target else (key,)
         if read == "dispatch":
             return self.table(key, line, "_ROWS")
         if read == "class":
-            return {key: (self.record_class(target, line, "_ROWS"), None, None)}
-        if read == "simple":
-            return {key: (None, self.conversion(target, line, "_ROWS"), None)}
-        raise ValueError(f"unknown field read {read!r}")
+            return self.tables.setdefault((key, target), {
+                key: (_known(self.classes, "class", target, line, "_ROWS"), None, None)})
+        return {key: (None, _known(CONVERSIONS, "conversion", target, line, "_ROWS"), None)}
 
     def table(self, name, line, where):
         """The dict of the dispatch table ``name``."""
         built = self.tables.get(name)
         if built is not None:
             return built
-        if not _TABLE_NAME.fullmatch(name) or name not in self.names:
-            raise _unknown("table", name, line, where)
+        _known(self.packed, "table", name, line, where)
         built = self.tables[name] = {}
-        for entry in _lines(self.names, name, "dispatch table"):
+        for entry in _lines(self.packed, name, "dispatch table"):
             match = _TABLE_LINE.fullmatch(entry)
             if match is None:
                 raise _regenerate(f"has a line {entry!r} of {name} that is not "
                                   "key|class|conversion|xsi:type table")
-            index, local, cls, conv, by_type = match.groups()
-            if index is not None:
-                if int(index) >= len(self.namespaces):
-                    raise _regenerate(f"has a line {entry!r} of {name} whose namespace "
-                                      f"{index!r} is not an index into _NS")
-                local = expat_name(self.namespaces[int(index)], local)
-            built.setdefault(local, (self.record_class(cls, entry, name) if cls else None,
-                                     self.conversion(conv, entry, name) if conv else None,
-                                     self.table(by_type, entry, name) if by_type else None))
+            key, cls, conv, by_type = match.groups()
+            built.setdefault(_expand(key, self.namespaces, entry, name)[0], (
+                _known(self.classes, "class", cls, entry, name) if cls else None,
+                _known(CONVERSIONS, "conversion", conv, entry, name) if conv else None,
+                self.table(by_type, entry, name) if by_type else None))
         return built
 
-    def record_class(self, name, line, where):
-        """The class ``name``, an entry of ``_CLASSES``."""
-        cls = self.classes.get(name)
-        if cls is None:
-            raise _unknown("class", name, line, where)
-        return cls
-
-    @staticmethod
-    def conversion(name, line, where):
-        """The conversion ``name`` in :data:`CONVERSIONS`."""
-        conv = CONVERSIONS.get(name)
-        if conv is None:
-            raise _unknown("conversion", name, line, where)
-        return conv
+    def resolve(self, classes):
+        """Put in each target the class of ``classes`` it names."""
+        for targets in self.tables.values():
+            for key, (cls, conv, by_type) in targets.items():
+                if cls is not None:
+                    targets[key] = classes[cls], conv, by_type
 
 
-def _unknown(what, name, line, where):
-    return _regenerate(f"has a line {line!r} of {where} that names an unknown {what} {name!r}")
+def _known(table, what, name, line, where):
+    """``table[name]``; a name ``table`` does not hold is refused, naming the ``line``."""
+    if name not in table:
+        raise _regenerate(f"has a line {line!r} of {where} that names an unknown {what} {name!r}")
+    return table[name]
 
 
 def _split_row(row, namespaces):
@@ -840,11 +826,18 @@ def _split_row(row, namespaces):
     ``(slot, label)`` for a required field that is reported when missing,
     else None.
     """
-    key, slot, occurs, read, target, *chain = row.split("|")
+    match = _ROW_LINE.fullmatch(row)
+    if match is None:
+        raise _regenerate(f"has a field row {row!r} that is not key|slot|occurs|read|target")
+    key, slot, occurs, items = match.groups()
+    read, target, *chain = items.split("|")
     key, local = _expand(key, namespaces, row)
     slot = sys.intern(slot or local)
+    if not slot.isidentifier() or slot in vars(Record):
+        raise _regenerate(f"has a field row {row!r} whose slot {slot!r} is not a field name")
     if read == "collapse":  # the inner read, its target, then the chain
-        read, target, *chain = target, *(_expand(name, namespaces, row)[0] for name in chain)
+        read, target, *chain = target, *chain
+        chain = [_expand(name, namespaces, row)[0] for name in chain]
     if occurs != "1" or read in ("text", "mixed", "ignore"):
         required = None  # never reported missing
     elif read == "dispatch":
@@ -863,8 +856,8 @@ def _binds_last(row):
     return row[0] == "*" if read == "ignore" else read == "dispatch" and not row[4]
 
 
-def _expand(name, namespaces, row):
-    """``(expat name, local name)`` of a name ``row`` writes as ``"<index into _NS> <local>"``.
+def _expand(name, namespaces, line, table="_ROWS"):
+    """``(expat name, local name)`` of a name ``line`` writes as ``"<index into _NS> <local>"``.
 
     A name in no namespace is written ``"local"``.
     """
@@ -872,8 +865,8 @@ def _expand(name, namespaces, row):
     if not space:
         return name, name
     if not (index.isascii() and index.isdigit() and int(index) < len(namespaces)):
-        raise _regenerate(f"has a field row {row!r} whose namespace {index!r} "
-                          "is not an index into _NS")
+        line = f"field row {line!r}" if table == "_ROWS" else f"line {line!r} of {table}"
+        raise _regenerate(f"has a {line} whose namespace {index!r} is not an index into _NS")
     return expat_name(namespaces[int(index)], local), local
 
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -112,22 +113,52 @@ def test_generate_removes_files_the_old_manifest_listed(workspace, tmp_path):
     (gen / "MANIFEST.json").write_text(json.dumps(manifest))
     assert run(workspace, "generate") == 0
     assert sorted(p.name for p in gen.iterdir()) == \
-        ["MANIFEST.json", "__init__.py", "__pycache__", "notes.txt"]
+        ["MANIFEST.json", "__init__.py", "notes.txt"]
     assert outside.read_text() == "mine"
 
 
-def test_custom_templates_remove_the_bytecode_of_the_builtin_package(workspace, tmp_path):
+def _shipped_bytecode(gen):
+    """Leave ``gen`` as a version that shipped the package's bytecode did; returns the pyc.
+
+    That version compiled ``__init__.py`` into a hash-checked pyc where the
+    interpreter looks for it and listed the pyc in MANIFEST.json as
+    ``"bytecode"``.
+    """
+    pyc = importlib.util.cache_from_source("__init__.py")
+    py_compile.compile(str(gen / "__init__.py"), str(gen / pyc), "model/__init__.py",
+                       doraise=True,
+                       invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
+    data = (gen / pyc).read_bytes()
+    manifest = json.loads((gen / "MANIFEST.json").read_text())
+    manifest["bytecode"] = {"path": pyc, "bytes": len(data),
+                            "sha256": hashlib.sha256(data).hexdigest()}
+    (gen / "MANIFEST.json").write_text(json.dumps(manifest))
+    return gen / pyc
+
+
+def test_generate_removes_the_bytecode_an_earlier_version_shipped(workspace):
     assert run(workspace, "generate") == 0
     gen = workspace["out"] / "gen" / "model"
-    pyc = json.loads((gen / "MANIFEST.json").read_text())["bytecode"]["path"]
-    assert (gen / pyc).is_file()
+    pyc = _shipped_bytecode(gen)
+    assert run(workspace, "generate") == 0
+    assert not pyc.exists()
+    assert "bytecode" not in json.loads((gen / "MANIFEST.json").read_text())
+    assert sorted(p.name for p in gen.rglob("*") if p.is_file()) == \
+        ["MANIFEST.json", "__init__.py"]
+
+
+def test_custom_templates_remove_the_bytecode_of_the_builtin_package(workspace, tmp_path):
+    """The bytecode an earlier version shipped with the built-in package, that is."""
+    assert run(workspace, "generate") == 0
+    gen = workspace["out"] / "gen" / "model"
+    pyc = _shipped_bytecode(gen)
     tdir = tmp_path / "tpl"
     tdir.mkdir()
     (tdir / "templates.json").write_text(
         '{"manifest": [{"template": "c.tpl", "path": "{{module}}.py", "per": "class"}]}')
     (tdir / "c.tpl").write_text("{{name}}\n")
     assert run(workspace, "generate", "--templates", str(tdir)) == 0
-    assert not (gen / pyc).exists()
+    assert not pyc.exists() and not (gen / "__init__.py").exists()
     assert "bytecode" not in json.loads((gen / "MANIFEST.json").read_text())
 
 
@@ -370,16 +401,17 @@ def test_analyze_reads_schema_in_declared_encoding(workspace, capsys, encoding, 
     assert "analyzed 1 documents" in capsys.readouterr().out
 
 
-# ---------------------------------------------------------------- shipped bytecode
+# ---------------------------------------------------------------- device import
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
 
 
-def _device_import(gen_dir, name="model"):
+def _device_import(gen_dir, name="model", cache=False):
     """Import package ``name`` from ``gen_dir`` in a fresh interpreter, as a device would.
 
-    Returns what the import compiled from source (file names), the
-    package's docstring, and the document parsed to plain values.
+    The interpreter writes no bytecode unless ``cache``.  Returns what the
+    import compiled from source (file names), the package's docstring, and
+    the document parsed to plain values.
     """
     probe = (
         "import json, os, sys\n"
@@ -394,68 +426,39 @@ def _device_import(gen_dir, name="model"):
         f"import {name} as package\n"
         f"obj, warnings = package.parse_document({GOOD_DOC!r})\n"
         "print(json.dumps([compiled, package.__doc__, obj.to_dict(), len(warnings)]))\n")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "" if cache else "1"}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True)
+                          check=True, env=env)
     return json.loads(done.stdout)
 
 
-def test_generate_ships_checked_hash_bytecode(workspace):
-    """The pyc sits where the interpreter looks, and a device imports it as it is."""
+def test_an_edited_package_source_is_compiled_not_shadowed(workspace):
+    """``generate`` ships the source alone, which a device compiles; an edit shows."""
     assert run(workspace, "generate") == 0
     gen = workspace["out"] / "gen" / "model"
     source = (gen / "__init__.py").read_bytes()
-    pyc = importlib.util.cache_from_source("__init__.py")
-    data = (gen / pyc).read_bytes()
     manifest = json.loads((gen / "MANIFEST.json").read_text())
-    assert manifest["bytecode"] == {"path": pyc, "bytes": len(data),
-                                    "sha256": hashlib.sha256(data).hexdigest()}
-    assert manifest["artifacts"] == [{"path": "__init__.py", "bytes": len(source),
-                                      "sha256": hashlib.sha256(source).hexdigest()}]
-    assert manifest["totalBytes"] == len(source)
-    assert manifest["namespaces"] == 1
-    # PEP 552: the magic number, flags "hash-based, check the source", the source's hash.
-    assert data[:4] == importlib.util.MAGIC_NUMBER
-    assert int.from_bytes(data[4:8], "little") == 0b11
-    assert data[8:16] == importlib.util.source_hash(source)
+    assert sorted(p.name for p in gen.iterdir()) == ["MANIFEST.json", "__init__.py"]
+    assert "bytecode" not in manifest and manifest["totalBytes"] == len(source)
     compiled, doc, obj, warnings = _device_import(gen.parent)
-    assert (compiled, warnings) == ([], 0)
+    assert (compiled, warnings) == (["__init__.py"], 0)
     assert obj == {"entry": [{"label": "a", "count": 1}, {"label": "b", "count": None}]}
     assert doc == "Parser package for model 'model'. Generated code; do not edit."
-
-
-def test_an_edited_package_source_is_compiled_not_shadowed(workspace):
-    """The pyc holds its source's hash, so an edit of the same length still shows."""
-    assert run(workspace, "generate") == 0
-    gen = workspace["out"] / "gen" / "model"
-    source = (gen / "__init__.py").read_text()
-    edited = source.replace("Generated code; do not edit.", "Generated code; DO NOT EDIT.")
+    edited = source.replace(b"Generated code; do not edit.", b"Generated code; DO NOT EDIT.")
     assert edited != source and len(edited) == len(source)
-    (gen / "__init__.py").write_text(edited)
+    (gen / "__init__.py").write_bytes(edited)
     compiled, doc, _obj, _warnings = _device_import(gen.parent)
     assert (compiled, doc) == (["__init__.py"],
                                "Parser package for model 'model'. Generated code; DO NOT EDIT.")
 
 
 def test_a_package_regenerated_after_an_import_is_the_one_imported(workspace):
+    """Even when the interpreter cached the bytecode of the package it replaces."""
     assert run(workspace, "generate") == 0
     gen = workspace["out"] / "gen"
-    compiled, _doc, obj, _warnings = _device_import(gen)
-    assert (compiled, len(obj["entry"])) == ([], 2)
+    compiled, _doc, obj, _warnings = _device_import(gen, cache=True)
+    assert (compiled, len(obj["entry"])) == (["__init__.py"], 2)
+    assert list((gen / "model" / "__pycache__").iterdir())
     assert run(workspace, "generate", "--ignore", f"{{{TNS}}}doc/entry") == 0
-    compiled, _doc, obj, _warnings = _device_import(gen)
-    assert (compiled, obj) == ([], {"entry": []})
-
-
-def test_equal_inputs_give_byte_identical_bytecode(workspace, tmp_path):
-    """Wherever it is written, in this process or another with another hash seed."""
-    outs = [workspace["out"], tmp_path / "out2", tmp_path / "out3"]
-    assert run(workspace, "generate") == 0
-    assert run({**workspace, "out": outs[1]}, "generate") == 0
-    subprocess.run([sys.executable, "-m", "slimbind.cli", "generate",
-                    "--schemas", str(workspace["schemas"] / "main.xsd"),
-                    "--docs", str(workspace["docs"]), "--out", str(outs[2])],
-                   env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": "12345"},
-                   capture_output=True, check=True)
-    pyc = importlib.util.cache_from_source("__init__.py")
-    blobs = {(out / "gen" / "model" / pyc).read_bytes() for out in outs}
-    assert len(blobs) == 1
+    compiled, _doc, obj, _warnings = _device_import(gen, cache=True)
+    assert (compiled, obj) == (["__init__.py"], {"entry": []})

@@ -867,17 +867,6 @@ class TestManifest:
             {"referenced": 3 * 7 + 3, "distinct": 7 + 3}
         assert manifest["totalBytes"] == sum(a.byte_size for a in artifacts)
 
-    def test_no_bytecode_where_the_interpreter_keeps_it_outside_the_package(
-            self, po_schema, tmp_path, monkeypatch):
-        """With ``sys.pycache_prefix`` set, a pyc in the package would never be read."""
-        monkeypatch.setattr(sys, "pycache_prefix", os.fspath(tmp_path / "prefix"))
-        model = po_model(po_schema, name=unique_model_name())
-        manifest = write_artifacts(model, emit_parser_backend(model), tmp_path / "out")
-        assert "bytecode" not in manifest and manifest["namespaces"] == 1
-        assert sorted(p.name for p in (tmp_path / "out" / "gen" / model.name).iterdir()) == \
-            ["MANIFEST.json", "__init__.py"]
-        assert not (tmp_path / "prefix").exists()
-
     def test_no_references_outside_retained(self, po_schema):
         """Every name matched by generated code maps to a retained component."""
         usage = analyze(po_schema, PO_DOC)
@@ -1330,9 +1319,9 @@ def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
     defined = {}  # the tables as the package module defined them, and the root table
     bind_parsers = runtime.bind_parsers
 
-    def spy(names):
+    def spy(names, package_format):
         defined.update(roots=names["_ROOTS"], d0=names["_D0"], rows=names["_ROWS"])
-        defined["root_table"] = bind_parsers(names)
+        defined["root_table"] = bind_parsers(names, package_format)
         return defined["root_table"]
 
     monkeypatch.setattr(runtime, "bind_parsers", spy)
@@ -1359,7 +1348,7 @@ def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
     tables = ("_NS", "_ROWS", "_CLASSES", "_D0", "_ROOTS")
     before = [getattr(module, name) for name in tables]
     names = dict(vars(module))
-    assert bind_parsers(names) == {f"{TNS} r": (names["R"], None, None)}
+    assert bind_parsers(names, runtime.PACKAGE_FORMAT) == {f"{TNS} r": (names["R"], None, None)}
     assert [getattr(module, name) for name in tables] == [names[name] for name in tables] \
         == before
     for c in model.classes:
@@ -1416,124 +1405,6 @@ def test_row_read_tells_an_element_key_from_a_table_name(tmp_path, ignored):
     assert "missing required attribute a in R" in [w.message for w in warnings]
 
 
-_OLD_FORMAT_PACKAGE = """\
-from slimbind.runtime import Record, bind_parsers, parse_root
-
-
-class R(Record):
-    __slots__ = ('v',)
-    _rows = (
-        (('urn:fix', 'v'), 'v', '?', 'simple', 'string'),
-    )
-
-
-_ROOTS = {
-    ('urn:fix', 'r'): (R, None, None),
-}
-bind_parsers(globals())
-"""
-
-
-def test_package_in_the_tuple_keyed_format_is_refused(tmp_path, monkeypatch):
-    """A package emitted with (namespace, local) keys would match no element."""
-    monkeypatch.syspath_prepend(os.fspath(tmp_path))
-    old, new = unique_model_name("old"), unique_model_name("new")
-    (tmp_path / f"{old}.py").write_text(_OLD_FORMAT_PACKAGE)
-    with pytest.raises(ImportError, match="older format.*regenerate"):
-        importlib.import_module(old)
-    # The same package keyed by expat names imports and parses.
-    (tmp_path / f"{new}.py").write_text(_current_format(_OLD_FORMAT_PACKAGE))
-    package = importlib.import_module(new)
-    obj, warnings = runtime.parse_root(package._ROOT_TABLE, '<r xmlns="urn:fix"><v>x</v></r>')
-    assert (obj.v, warnings) == ("x", [])
-
-
-def _expat_keyed(package):
-    """``package`` with its ``(namespace, local)`` keys spelt as expat names."""
-    return re.sub(r"\('urn:fix', '(\w+)'\)", r"'urn:fix \1'", package)
-
-
-def _string_rows(package):
-    """``package`` keyed by expat names, with each field row one string in its class."""
-    return re.sub(r"^( +)\((.*)\),$", lambda m: m[1] + repr("\t".join(
-        ast.literal_eval(f"({m[2]})"))) + ",", _expat_keyed(package), flags=re.M)
-
-
-def _indexed_rows(package):
-    """``package`` keyed by expat names, its classes indexing the field rows in ``_ROWS``.
-
-    The rows name ``urn:fix`` as ``_NS[0]`` and write every slot; the
-    classes are still ``class`` statements, as the format before
-    ``_CLASSES`` wrote them.
-    """
-    table = []
-
-    def index(match):
-        table.append(ast.literal_eval(match[2]).replace("urn:fix ", "0 "))
-        return f"{match[1]}{len(table) - 1},"
-
-    package = re.sub(r"^( +)('.*'),$", index, _string_rows(package), flags=re.M)
-    head, rest = package.split("\n", 1)
-    return f"{head}\n_NS = ('urn:fix',)\n_ROWS = {tuple(table)!r}\n{rest}"
-
-
-def _class_table(package):
-    """``package`` as :func:`_indexed_rows` writes it, its classes one ``_CLASSES`` tuple.
-
-    That is the format before packed tables.  The table and the
-    ``build_classes`` call take the place of the first class.
-    """
-    lines = _indexed_rows(package).splitlines(keepends=True)
-    entries, spans = [], []
-    for node in ast.parse("".join(lines)).body:
-        if isinstance(node, ast.ClassDef):
-            (base,) = node.bases
-            entries.append((node.name, "" if base.id == "Record" else base.id,
-                            " ".join(assigned(node.body, "__slots__")),
-                            " ".join(map(str, assigned(node.body, "_rows")))))
-            spans.append((node.lineno - 1, node.end_lineno))
-    for start, end in reversed(spans[1:]):
-        del lines[start:end]
-    lines[spans[0][0]:spans[0][1]] = [f"_CLASSES = {tuple(entries)!r}\n",
-                                      "build_classes(globals())\n"]
-    return "".join(lines).replace("import Record,", "import build_classes,")
-
-
-def _current_format(package):
-    """``package`` as :func:`_class_table` writes it, each table one packed string.
-
-    Each table is written on one line; ``_ROOTS`` names no conversion here.
-    The ``build_classes`` call is gone: ``bind_parsers`` makes the classes.
-    """
-    body = ast.parse(_class_table(package)).body
-    namespaces = assigned(body, "_NS")
-
-    def packed(lines):
-        return repr("".join(line + "\n" for line in lines))
-
-    def key(name):
-        namespace, space, local = name.rpartition(" ")
-        return f"{namespaces.index(namespace)} {local}" if space else name
-
-    roots = next(node.value for node in body
-                 if isinstance(node, ast.Assign) and node.targets[0].id == "_ROOTS")
-    tables = {
-        "_ROWS": packed(row.replace("\t", "|") for row in assigned(body, "_ROWS")),
-        "_CLASSES": packed(f"{name}|{base}|{rows}"
-                           for name, base, _slots, rows in assigned(body, "_CLASSES")),
-        "_ROOTS": packed(f"{key(ast.literal_eval(k))}|{v.elts[0].id}"
-                         for k, v in zip(roots.keys, roots.values)),
-    }
-    lines = _class_table(package).splitlines(keepends=True)
-    for node in reversed(body):
-        if isinstance(node, ast.Assign) and node.targets[0].id in tables:
-            lines[node.lineno - 1:node.end_lineno] = [
-                f"{node.targets[0].id} = {tables[node.targets[0].id]}\n"]
-    return "".join(lines).replace("build_classes(globals())\n", "").replace(
-        "build_classes, ", "").replace("\nbind_parsers(globals())",
-                                       "\n_ROOT_TABLE = bind_parsers(globals())")
-
-
 def tuple_tables(source, model):
     """A generated package in the format before packed tables: its twin.
 
@@ -1580,7 +1451,7 @@ class _DictTargets(runtime._Targets):
     """What rows name in a package whose tables are dicts."""
 
     def table(self, name, _line, _where):
-        return self.names[name]
+        return self.packed[name]
 
 
 def _build_tuple_classes(names):
@@ -1606,13 +1477,17 @@ def _bind_tuple_tables(names):
 
 @contextlib.contextmanager
 def tuple_table_runtime():
-    """``slimbind.runtime`` binding packages in the :func:`tuple_tables` format."""
-    saved = runtime.build_classes, runtime.bind_parsers
+    """``slimbind.runtime`` binding packages in the :func:`tuple_tables` format.
+
+    The runtime has no ``build_classes``; this one lends it one for the while.
+    """
+    saved = runtime.bind_parsers
     runtime.build_classes, runtime.bind_parsers = _build_tuple_classes, _bind_tuple_tables
     try:
         yield
     finally:
-        runtime.build_classes, runtime.bind_parsers = saved
+        runtime.bind_parsers = saved
+        del runtime.build_classes
 
 
 def exec_twin(source, name):
@@ -1648,32 +1523,148 @@ def _import_text(tmp_path, monkeypatch, text):
     return importlib.import_module(name)
 
 
+# A package in the current format: _NS ('urn:fix',), the one row
+# '0 v|v|?|simple|string', the class line 'R||0' and the root line '0 r|R'.
+_STAMP = f"bind_parsers(globals(), {runtime.PACKAGE_FORMAT})"
+_PACKED_PACKAGE = f"""\
+from slimbind.runtime import bind_parsers, parse_root
+_NS = ('urn:fix',)
+_ROWS = '0 v|v|?|simple|string\\n'
+_CLASSES = 'R||0\\n'
+_ROOTS = '0 r|R\\n'
+_ROOT_TABLE = {_STAMP}
+"""
+_NO_STAMP = _PACKED_PACKAGE.replace(_STAMP, "bind_parsers(globals())")
+
+# The first format: rows keyed by (namespace, local) in class statements.
+_OLD_FORMAT_PACKAGE = """\
+from slimbind.runtime import Record, bind_parsers, parse_root
+
+
+class R(Record):
+    __slots__ = ('v',)
+    _rows = (
+        (('urn:fix', 'v'), 'v', '?', 'simple', 'string'),
+    )
+
+
+_ROOTS = {
+    ('urn:fix', 'r'): (R, None, None),
+}
+bind_parsers(globals())
+"""
+
+
+_NO_BUILD_CLASSES = "cannot import name 'build_classes' from 'slimbind.runtime'"
+
+
+def _stamp_refusal(found):
+    """The ``match=`` pattern of the refusal of a package stamped ``found``."""
+    return (f"package format {re.escape(found)}, but this runtime reads format "
+            f"{runtime.PACKAGE_FORMAT}; regenerate")
+
+
+@pytest.mark.parametrize("package, refusal", [
+    (_NO_STAMP, "None"),
+    *[(_PACKED_PACKAGE.replace(_STAMP, f"bind_parsers(globals(), {stamp})"), stamp)
+      for stamp in (f"{runtime.PACKAGE_FORMAT - 1}", f"{runtime.PACKAGE_FORMAT + 1}",
+                    f"'{runtime.PACKAGE_FORMAT}'")],
+    (_NO_STAMP.replace("import bind_parsers, ", "import bind_parsers, build_classes, ").replace(
+        "\n_ROOTS = ", "\nbuild_classes(globals())\n_ROOTS = "), None),
+], ids=["no-stamp", "older-stamp", "newer-stamp", "stamp-as-text", "build_classes-import"])
+def test_package_not_stamped_with_the_runtime_format_is_refused(
+        tmp_path, monkeypatch, package, refusal):
+    """A package passes the format it was written in; every earlier format passes none.
+
+    So its tables are never read.  One whose classes were made by a
+    ``build_classes`` call fails at importing it: the runtime has no such
+    name.  The package stamped with the runtime's format imports and parses.
+    """
+    match = _stamp_refusal(refusal) if refusal else _NO_BUILD_CLASSES
+    with pytest.raises(ImportError, match=match):
+        _import_text(tmp_path, monkeypatch, package)
+    module = _import_text(tmp_path, monkeypatch, _PACKED_PACKAGE)
+    obj, warnings = runtime.parse_root(module._ROOT_TABLE, '<r xmlns="urn:fix"><v>x</v></r>')
+    assert (obj.v, warnings) == ("x", [])
+
+
+def test_package_in_the_tuple_keyed_format_is_refused(tmp_path, monkeypatch):
+    """A package emitted with (namespace, local) keys would match no element.
+
+    It predates the stamp, so it is refused before its tables are read; the
+    same package in the current format imports and parses.
+    """
+    with pytest.raises(ImportError, match=_stamp_refusal("None")):
+        _import_text(tmp_path, monkeypatch, _OLD_FORMAT_PACKAGE)
+    module = _import_text(tmp_path, monkeypatch, _PACKED_PACKAGE)
+    obj, warnings = runtime.parse_root(module._ROOT_TABLE, '<r xmlns="urn:fix"><v>x</v></r>')
+    assert (obj.v, warnings) == ("x", [])
+
+
+# The formats between the first and _CLASSES: keyed by expat names, each
+# field row a tuple, then a string, in its class; then rows indexed in _ROWS.
+_TUPLE_ROWS_PACKAGE = re.sub(r"\('urn:fix', '(\w+)'\)", r"'urn:fix \1'", _OLD_FORMAT_PACKAGE)
+_STRING_ROWS_PACKAGE = _TUPLE_ROWS_PACKAGE.replace(
+    "('urn:fix v', 'v', '?', 'simple', 'string'),", "'urn:fix v\\tv\\t?\\tsimple\\tstring',")
+_CLASS_STATEMENTS_PACKAGE = _STRING_ROWS_PACKAGE.replace(
+    "'urn:fix v\\tv\\t?\\tsimple\\tstring',", "0,").replace(
+    "parse_root\n",
+    "parse_root\n_NS = ('urn:fix',)\n_ROWS = ('0 v\\tv\\t?\\tsimple\\tstring',)\n", 1)
+
+
 def test_package_with_tuple_rows_is_refused(tmp_path, monkeypatch):
     """Field rows written as tuples, as earlier versions wrote them, are refused."""
-    monkeypatch.syspath_prepend(os.fspath(tmp_path))
-    old = unique_model_name("rows")
-    (tmp_path / f"{old}.py").write_text(_expat_keyed(_OLD_FORMAT_PACKAGE))
-    with pytest.raises(ImportError, match="field rows are tuples.*regenerate"):
-        importlib.import_module(old)
+    assert "('urn:fix v', 'v'," in _TUPLE_ROWS_PACKAGE
+    with pytest.raises(ImportError, match=_stamp_refusal("None")):
+        _import_text(tmp_path, monkeypatch, _TUPLE_ROWS_PACKAGE)
 
 
 def test_package_with_string_rows_is_refused(tmp_path, monkeypatch):
     """Field rows written as strings in their class, as earlier versions wrote them."""
-    monkeypatch.syspath_prepend(os.fspath(tmp_path))
-    old = unique_model_name("rows")
-    (tmp_path / f"{old}.py").write_text(_string_rows(_OLD_FORMAT_PACKAGE))
-    with pytest.raises(ImportError, match="field rows are strings.*regenerate"):
-        importlib.import_module(old)
+    assert "'urn:fix v\\tv\\t" in _STRING_ROWS_PACKAGE
+    with pytest.raises(ImportError, match=_stamp_refusal("None")):
+        _import_text(tmp_path, monkeypatch, _STRING_ROWS_PACKAGE)
 
 
 def test_package_with_class_statements_is_refused(tmp_path, monkeypatch):
     """Record classes written as ``class`` statements, as earlier versions wrote them."""
-    with pytest.raises(ImportError, match="record classes are class statements; regenerate"):
-        _import_text(tmp_path, monkeypatch, _indexed_rows(_OLD_FORMAT_PACKAGE))
+    assert "_ROWS = ('0 v" in _CLASS_STATEMENTS_PACKAGE
+    assert "class R(Record)" in _CLASS_STATEMENTS_PACKAGE
+    with pytest.raises(ImportError, match=_stamp_refusal("None")):
+        _import_text(tmp_path, monkeypatch, _CLASS_STATEMENTS_PACKAGE)
+
+
+def test_package_that_makes_its_classes_before_binding_is_refused(tmp_path, monkeypatch):
+    """A ``build_classes(globals())`` call after ``_CLASSES``, as the format before one call wrote.
+
+    The golden package, in that layout, fails at importing ``build_classes``;
+    as it is, it imports.
+    """
+    golden = (GOLDEN_DIR / "__init__.py.golden").read_text()
+    stamp = f"bind_parsers(globals(), {runtime.PACKAGE_FORMAT})"
+    older = golden.replace("import bind_parsers, ", "import bind_parsers, build_classes, ", 1)
+    older = older.replace('"""\n_D0 = ', '"""\nbuild_classes(globals())\n_D0 = ', 1)
+    older = older.replace(stamp, "bind_parsers(globals())", 1)
+    assert older.count("build_classes") == 2 and stamp not in older
+    with pytest.raises(ImportError, match=_NO_BUILD_CLASSES):
+        _import_text(tmp_path, monkeypatch, older)
+    module = _import_text(tmp_path, monkeypatch, golden)
+    assert module.CartType.__slots__ == ("sku", "coupon", "pay")
+
+
+def test_build_classes_makes_no_class():
+    """The runtime has no ``build_classes``: calling it fails at its import, and binds nothing."""
+    assert not hasattr(runtime, "build_classes")
+    names = {"__name__": "older", "_NS": ("urn:fix",), "_ROWS": "0 v|v|?|simple|string\n",
+             "_CLASSES": "R||0\n", "_ROOTS": "0 r|R\n", "__builtins__": __builtins__}
+    before = dict(names)
+    with pytest.raises(ImportError, match=_NO_BUILD_CLASSES):
+        exec("from slimbind.runtime import build_classes\nbuild_classes(globals())\n", names)
+    assert names == before
 
 
 def test_package_without_a_class_table_is_refused(tmp_path, monkeypatch):
-    package = re.sub(r"^_CLASSES = .*\n", "", _current_format(_OLD_FORMAT_PACKAGE),
+    package = re.sub(r"^_CLASSES = .*\n", "", _PACKED_PACKAGE,
                      flags=re.M)
     assert "_CLASSES" not in package
     with pytest.raises(ImportError, match="no class table _CLASSES; regenerate"):
@@ -1684,7 +1675,7 @@ def test_package_without_a_class_table_is_refused(tmp_path, monkeypatch):
 def test_package_with_a_class_whose_base_is_no_earlier_entry_is_refused(
         tmp_path, monkeypatch, base):
     """A base is the name of an entry before its class: here only ``S`` is one, and later."""
-    package = _current_format(_OLD_FORMAT_PACKAGE)
+    package = _PACKED_PACKAGE
     entry = "'R||0\\n'"
     assert entry in package
     later = package.replace(entry, f"'R|{base}|0\\nS||\\n'")
@@ -1705,7 +1696,7 @@ def test_package_with_a_row_that_indexes_nothing_is_refused(tmp_path, monkeypatc
 
     The class's line holds ``row`` written out where its index was.
     """
-    package = _current_format(_OLD_FORMAT_PACKAGE)
+    package = _PACKED_PACKAGE
     assert "'R||0\\n'" in package
     with pytest.raises(ImportError, match=r"field row .* in R that is not an index into "
                        "_ROWS; regenerate"):
@@ -1716,7 +1707,7 @@ def test_package_with_a_row_that_indexes_nothing_is_refused(tmp_path, monkeypatc
 def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(os.fspath(tmp_path))
     old = unique_model_name("rows")
-    package = re.sub(r"^_ROWS = .*\n", "", _current_format(_OLD_FORMAT_PACKAGE), flags=re.M)
+    package = re.sub(r"^_ROWS = .*\n", "", _PACKED_PACKAGE, flags=re.M)
     (tmp_path / f"{old}.py").write_text(package)
     with pytest.raises(ImportError, match="no row table _ROWS; regenerate"):
         importlib.import_module(old)
@@ -1724,7 +1715,7 @@ def test_package_without_a_row_table_is_refused(tmp_path, monkeypatch):
 
 def test_package_without_a_namespace_table_is_refused(tmp_path, monkeypatch):
     """A package with no ``_NS`` was written before rows named namespaces by index."""
-    package = re.sub(r"^_NS = .*\n", "", _current_format(_OLD_FORMAT_PACKAGE), flags=re.M)
+    package = re.sub(r"^_NS = .*\n", "", _PACKED_PACKAGE, flags=re.M)
     with pytest.raises(ImportError, match="no namespace table _NS; regenerate"):
         _import_text(tmp_path, monkeypatch, package)
 
@@ -1733,25 +1724,19 @@ def test_package_without_a_namespace_table_is_refused(tmp_path, monkeypatch):
 def test_package_with_a_row_whose_namespace_is_no_index_into_ns_is_refused(
         tmp_path, monkeypatch, index):
     """``_NS`` holds one namespace here, so only the index 0 names one."""
-    package = _current_format(_OLD_FORMAT_PACKAGE).replace("'0 v|", f"'{index} v|")
+    package = _PACKED_PACKAGE.replace("'0 v|", f"'{index} v|")
     assert f"'{index} v|" in package
     with pytest.raises(ImportError, match=f"field row '{re.escape(index)} v.* whose namespace "
                        ".* is not an index into _NS; regenerate"):
         _import_text(tmp_path, monkeypatch, package)
 
 
-# The old-format package in the current format: _NS ('urn:fix',), the one
-# row '0 v|v|?|simple|string', the class line 'R||0' and the root line '0 r|R'.
-_PACKED_PACKAGE = _current_format(_OLD_FORMAT_PACKAGE)
-
-
 def test_package_with_a_tuple_row_table_is_refused(tmp_path, monkeypatch):
-    """``_ROWS`` as a tuple of strings, as the format before packed tables wrote it."""
+    """A stamped package whose ``_ROWS`` is a tuple of strings, not one packed string."""
     package = _PACKED_PACKAGE.replace("_ROWS = '0 v|v|?|simple|string\\n'",
                                         "_ROWS = ('0 v\\tv\\t?\\tsimple\\tstring',)")
     assert "_ROWS = (" in package
-    with pytest.raises(ImportError, match="older format, whose row table _ROWS is a tuple; "
-                       "regenerate"):
+    with pytest.raises(ImportError, match="has a row table _ROWS that is a tuple; regenerate"):
         _import_text(tmp_path, monkeypatch, package)
 
 
@@ -1759,8 +1744,8 @@ def test_package_with_a_tuple_class_table_is_refused(tmp_path, monkeypatch):
     package = _PACKED_PACKAGE.replace("_CLASSES = 'R||0\\n'",
                                         "_CLASSES = (('R', '', 'v', '0'),)")
     assert "_CLASSES = ((" in package
-    with pytest.raises(ImportError, match="older format, whose class table _CLASSES is a "
-                       "tuple; regenerate"):
+    with pytest.raises(ImportError, match="has a class table _CLASSES that is a tuple; "
+                       "regenerate"):
         _import_text(tmp_path, monkeypatch, package)
 
 
@@ -1768,8 +1753,7 @@ def test_package_with_a_dict_root_table_is_refused(tmp_path, monkeypatch):
     package = _PACKED_PACKAGE.replace("_ROOTS = '0 r|R\\n'",
                                         "_ROOTS = {'urn:fix r': ('R', None, None)}")
     assert "_ROOTS = {" in package
-    with pytest.raises(ImportError, match="older format, whose root table _ROOTS is a dict; "
-                       "regenerate"):
+    with pytest.raises(ImportError, match="has a root table _ROOTS that is a dict; regenerate"):
         _import_text(tmp_path, monkeypatch, package)
 
 
@@ -1779,34 +1763,9 @@ def test_package_with_a_dict_dispatch_table_is_refused(tmp_path, monkeypatch):
         "'0 v|v|?|simple|string\\n'", "'_D0|v|?|dispatch|v\\n'").replace(
         "\n_ROOTS = ", "\n_D0 = {'urn:fix v': (None, None, None)}\n_ROOTS = ")
     assert "_D0 = {" in package
-    with pytest.raises(ImportError, match="older format, whose dispatch table _D0 is a dict; "
+    with pytest.raises(ImportError, match="has a dispatch table _D0 that is a dict; "
                        "regenerate"):
         _import_text(tmp_path, monkeypatch, package)
-
-
-def test_package_that_makes_its_classes_before_binding_is_refused(tmp_path, monkeypatch):
-    """A ``build_classes(globals())`` call after ``_CLASSES``, as the format before one call wrote.
-
-    The golden package, in that layout, is refused; as it is, it imports.
-    """
-    golden = (GOLDEN_DIR / "__init__.py.golden").read_text()
-    older = golden.replace("import bind_parsers, ", "import bind_parsers, build_classes, ", 1)
-    older = older.replace('"""\n_D0 = ', '"""\nbuild_classes(globals())\n_D0 = ', 1)
-    assert older.count("build_classes") == 2
-    with pytest.raises(ImportError, match="older format.*regenerate"):
-        _import_text(tmp_path, monkeypatch, older)
-    module = _import_text(tmp_path, monkeypatch, golden)
-    assert module.CartType.__slots__ == ("sku", "coupon", "pay")
-
-
-def test_build_classes_makes_no_class():
-    names = {"__name__": "older", "_NS": ("urn:fix",), "_ROWS": "0 v|v|?|simple|string\n",
-             "_CLASSES": "R||0\n", "_ROOTS": "0 r|R\n"}
-    before = dict(names)
-    with pytest.raises(ImportError, match="older format, which calls build_classes; "
-                       "regenerate"):
-        runtime.build_classes(names)
-    assert names == before
 
 
 class _CountedRow(str):
@@ -1840,27 +1799,31 @@ class _CountedRows(_CountedRow):
 def test_each_row_is_split_once_per_import(tmp_path, monkeypatch):
     """A derived class shares its base's rows; each row is still split once, by one splitter.
 
-    Whatever runtime calls the package makes, each sees a ``_ROWS`` whose
-    lines count every split of their text, and :func:`runtime._split_row`
-    counts its calls.
+    The package's one runtime call sees a ``_ROWS`` whose lines count every
+    split of their text and every match of the row pattern against it, and
+    :func:`runtime._split_row` counts its calls.
     """
     calls, splits = Counter(), Counter()
-    split_row = runtime._split_row
+    split_row, bind_parsers, row_line = runtime._split_row, runtime.bind_parsers, \
+        runtime._ROW_LINE
 
     def spy(row, namespaces):
         calls[row] += 1
         return split_row(row, namespaces)
 
-    def counting(call):
-        def counted(names):
-            if type(names["_ROWS"]) is str:
-                names["_ROWS"] = _CountedRows(names["_ROWS"], splits)
-            return call(names)
-        return counted
+    def counted(names, package_format):
+        names["_ROWS"] = _CountedRows(names["_ROWS"], splits)
+        return bind_parsers(names, package_format)
+
+    class CountedRowLine:
+        @staticmethod
+        def fullmatch(row):
+            splits[str(row)] += 1
+            return row_line.fullmatch(row)
 
     monkeypatch.setattr(runtime, "_split_row", spy)
-    for name in ("build_classes", "bind_parsers"):
-        monkeypatch.setattr(runtime, name, counting(getattr(runtime, name)))
+    monkeypatch.setattr(runtime, "bind_parsers", counted)
+    monkeypatch.setattr(runtime, "_ROW_LINE", CountedRowLine)
     body, doc, options = RECURSIVE_CASES["base holding its derived type"]
     doc = doc.replace(">", f' xmlns="{TNS}">', 1)
     _model, module, _, _ = build_and_import(schema_of(body), [doc], tmp_path, options)
@@ -1917,6 +1880,86 @@ def test_package_with_a_line_naming_nothing_it_defines_is_refused(
     with pytest.raises(ImportError, match=f"line {re.escape(repr(line))} of {table} that "
                        f"names an unknown {what} .*; regenerate"):
         _import_text(tmp_path, monkeypatch, package.replace(old, new))
+
+
+_NOT_A_ROW = "field row {!r} that is not key|slot|occurs|read|target"
+
+
+_MALFORMED_LINES = [
+    ("_ROWS", "0 v|v|?|bogus|string", _NOT_A_ROW),
+    ("_ROWS", "0 v|v|?", _NOT_A_ROW),
+    ("_ROWS", "v|v|x|simple|string", _NOT_A_ROW),
+    ("_ROWS", "v|v|?|class|R|junk", _NOT_A_ROW),
+    ("_ROWS", "v|v|?|simple|string|extra", _NOT_A_ROW),
+    ("_ROWS", "v|v|?|collapse|simple", _NOT_A_ROW),
+    ("_ROWS", "v|v|?|collapse|simple|string", _NOT_A_ROW),
+    ("_ROWS", "v|v|?|collapse|simple|string|", _NOT_A_ROW),
+    ("_ROWS", "||?|simple|string", "field row {!r} whose slot '' is not a field name"),
+    ("_ROWS", "v|1x|?|simple|string", "field row {!r} whose slot '1x' is not a field name"),
+    ("_ROWS", "v|_rows|?|simple|string",
+     "field row {!r} whose slot '_rows' is not a field name"),
+    ("_CLASSES", "R||0\nR||0", "class line 'R||0' whose name is taken"),
+    ("_CLASSES", "parse_root||0", "class line 'parse_root||0' that is not name|base|rows"),
+    ("_ROOTS", "0 r|R\n0 s|R", "line '0 s|R' of _ROOTS with no line end"),
+]
+
+
+@pytest.mark.parametrize("table, line, refusal", _MALFORMED_LINES,
+                         ids=[line.replace("\n", "/") for _table, line, _ in _MALFORMED_LINES])
+def test_package_with_a_malformed_line_is_refused(table, line, refusal):
+    """Each line is checked, and the refusal names it, before any class is made.
+
+    ``line`` takes the place of the lines of ``table`` in the packed
+    package, ended by a newline except in ``_ROOTS``, whose unended last
+    line is the fault there.
+    """
+    names = {"__name__": unique_model_name("malformed"), "_NS": ("urn:fix",),
+             "_ROWS": "0 v|v|?|simple|string\n", "_CLASSES": "R||0\n", "_ROOTS": "0 r|R\n"}
+    names[table] = line if table == "_ROOTS" else f"{line}\n"
+    before = dict(names)
+    with pytest.raises(ImportError, match=re.escape(
+            f"this parser package has a {refusal.format(line)}; "
+            "regenerate it with 'slimbind generate'")):
+        runtime.bind_parsers(names, runtime.PACKAGE_FORMAT)
+    assert names == before
+
+
+def _mutated(items, at, how):
+    """``items`` with the one at ``at`` mutated ``how``: made empty, made ``x``,
+    its numbers (or, holding none, itself) set to an index past every table,
+    dropped, or followed by an added ``x``."""
+    item = items[at]
+    return items[:at] + {
+        "empty": [""], "x": ["x"], "drop": [], "add": [item, "x"],
+        "index": [re.sub(r"[0-9]+", "1000000", item) if re.search(r"[0-9]", item)
+                  else "1000000"],
+    }[how] + items[at + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(synth_model(), st.data())
+def test_a_mutated_line_binds_or_is_refused(model, data):
+    """A package with one item of one line mutated binds, or asks to be regenerated.
+
+    Whatever the mutation, importing it raises no other exception.
+    """
+    (package,) = emit_parser_backend(model)
+    source = package.content
+    names = {"__name__": unique_model_name("mutated")}
+    exec(compile(source[:source.index("_ROOT_TABLE = ")], "<tables>", "exec"), names)
+    tables = [name for name in names
+              if re.fullmatch(r"_ROWS|_CLASSES|_D\d+|_ROOTS", name) and names[name]]
+    table = data.draw(st.sampled_from(sorted(tables)))
+    lines = packed_lines(names[table])
+    at = data.draw(st.integers(0, len(lines) - 1))
+    item = data.draw(st.integers(0, lines[at].count("|")))
+    how = data.draw(st.sampled_from(["empty", "x", "index", "drop", "add"]))
+    lines[at] = "|".join(_mutated(lines[at].split("|"), item, how))
+    names[table] = "".join(line + "\n" for line in lines)
+    try:
+        runtime.bind_parsers(names, runtime.PACKAGE_FORMAT)
+    except ImportError as refused:
+        assert str(refused).endswith("; regenerate it with 'slimbind generate'"), refused
 
 
 def _package_tables(source):
@@ -2014,7 +2057,7 @@ def test_rows_expand_to_their_full_form_and_bind_alike(model):
 
     emitted, root_table = bound(), _by_name(names["_ROOT_TABLE"])
     names.update(_renumbered(names))
-    assert _by_name(runtime.bind_parsers(names)) == root_table
+    assert _by_name(runtime.bind_parsers(names, runtime.PACKAGE_FORMAT)) == root_table
     assert bound() == emitted
 
 
@@ -2075,23 +2118,6 @@ def test_serializing_a_model_holds_little_beside_its_text():
     model = wide_model(200)
     peak, text = traced_peak(serialize_binding_model, model)
     assert peak <= 3 * len(text), (peak, len(text))
-
-
-def test_classes_as_data_ship_in_far_less_bytecode(tmp_path):
-    """The device stores the package's bytecode: one table entry per class, no class body.
-
-    Each ``class`` statement compiles to a code object of its own.
-    """
-    model = wide_model(200)
-    (package,) = emit_parser_backend(model)
-    statements = class_statements(tuple_tables(package.content, model))
-    assert len(re.findall(r"^class ", statements, re.M)) == 201
-    sizes = {}
-    for name, source in (("table", package.content), ("statements", statements)):
-        (tmp_path / f"{name}.py").write_bytes(source.encode())
-        sizes[name] = emitter._write_bytecode(os.fspath(tmp_path), "wide/__init__.py",
-                                              f"{name}.py", f"{name}.pyc")["bytes"]
-    assert sizes["table"] <= 2 / 3 * sizes["statements"], sizes
 
 
 def test_every_slot_name_a_class_binds_is_interned(tmp_path):
