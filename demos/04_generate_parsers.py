@@ -8,17 +8,18 @@ substitution dispatch bounded to observed members, and the single-child
 The generated package is one module of data, each table one string with
 a line per entry.  Each class in it is one _CLASSES line, its name, base
 and the indices of its rows in the module's _ROWS table, one row per
-field.  After its last table the package makes one call,
-slimbind.runtime.bind_parsers(globals(), 1), stamped with the package
-format the runtime reads (PACKAGE_FORMAT): it makes from each line a plain
-__slots__ record class over slimbind.runtime.Record, which is its own
-parser, taking its slots from its rows.  A line names a namespace by its
-index into _NS, and a row leaves its slot empty when the slot is the
-element's local name; the same call splits each row once and expands the
-rows and dispatch tables into lookup tables on the class, keyed by the
-names expat reports ("namespace local"), and leaves the package's own
-tables as they are.  Records print
-in field order and turn into plain dicts with to_dict().  The package's
+field.  After its last table the package makes its one call,
+parse_document = slimbind.runtime.bind_parsers(globals(), 2), stamped
+with the package format the runtime reads (PACKAGE_FORMAT), and defines
+no function: the call returns the package's parse_document and makes
+from each line a plain __slots__ record class over
+slimbind.runtime.Record, which is its own parser, taking its slots from
+its rows.  A line names a namespace by its index into _NS, and a row
+leaves its slot empty when the slot is the element's local name; the
+same call splits each row once and expands the rows and dispatch tables
+into lookup tables on the class, keyed by the names expat reports
+("namespace local"), and leaves the package's own tables as they are.
+Records print in field order and turn into plain dicts with to_dict().  The package's
 source is all a device stores of it: generate writes no bytecode.
 
 Last, the package is imported in a fresh interpreter, as a device that

@@ -5,9 +5,9 @@ The built-in backend emits a table-driven Python parser package against
 module of data, each table one string with a line per entry: the field
 rows, one ``_CLASSES`` line per class (its name, base and the indices of
 the rows it parses by), each distinct dispatch table once, the root
-table, one ``slimbind.runtime.bind_parsers`` call, stamped with the
-package format, which makes each class's ``__slots__`` record class and
-binds it, and the document entry point.  It ships as source alone.
+table, and one ``slimbind.runtime.bind_parsers`` call, stamped with the
+package format, which makes and binds each class's ``__slots__`` record
+class and returns ``parse_document``.  It ships as source alone.
 Rendering is deterministic: equal inputs give byte-identical artifacts.
 """
 
@@ -273,7 +273,6 @@ def _render_context(model):
         "row_table": list(rows.index),
         "document_roots": roots_ctx,
         "dispatch_tables": tables.context(),
-        "dispatch_imports": "bind_parsers, parse_root",
         "package_format": PACKAGE_FORMAT,
         "options": encode(model.options),
         "class_count": len(model.classes),
@@ -374,7 +373,7 @@ def _root_contexts(model, tables) -> list:
 
 _PACKAGE_TEMPLATE = '''\
 """Parser package for model '{{model_name}}'. Generated code; do not edit."""
-from slimbind.runtime import {{dispatch_imports}}
+from slimbind.runtime import bind_parsers
 
 _NS = (
 {{#namespaces}}
@@ -403,12 +402,7 @@ _ROOTS = """\\
 {{line}}
 {{/document_roots}}
 """
-_ROOT_TABLE = bind_parsers(globals(), {{package_format}})
-
-
-def parse_document(source, mode="strict", source_name="<input>"):
-    """Parse one document; returns (typed object, warnings)."""
-    return parse_root(_ROOT_TABLE, source, mode, source_name)
+parse_document = bind_parsers(globals(), {{package_format}})
 '''
 
 
@@ -489,17 +483,10 @@ def write_artifacts(model: BindingModel, artifacts, out_root) -> dict:
 
 
 def _remove_stale(gen_dir, keep):
-    """Delete the regular files inside ``gen_dir`` its MANIFEST.json lists, but ``keep``.
-
-    The manifest lists its artifacts; one written by a version that shipped
-    the built-in package's bytecode lists that too.
-    """
+    """Delete the regular files inside ``gen_dir`` its MANIFEST.json lists, but ``keep``."""
     try:
         with open(os.path.join(gen_dir, "MANIFEST.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        listed = {entry["path"] for entry in manifest["artifacts"]}
-        if "bytecode" in manifest:
-            listed.add(manifest["bytecode"]["path"])
+            listed = {entry["path"] for entry in json.load(fh)["artifacts"]}
     except (OSError, ValueError, KeyError, TypeError):
         return
     root = os.path.realpath(gen_dir)

@@ -89,8 +89,8 @@ class EmptyModelError(SlimbindError):
 
 # ---------------------------------------------------------------- runtime
 
-class MalformedXmlError(SlimbindError):
-    code = "MALFORMED_XML"
+class LocatedError(SlimbindError):
+    """An error at a position of a document, which its text names when known."""
 
     def __init__(self, message, line=None, col=None, source=None):
         super().__init__(message, line=line, col=col, source=source)
@@ -105,14 +105,12 @@ class MalformedXmlError(SlimbindError):
         return f"{self.code}: {Exception.__str__(self)}{loc}"
 
 
-class ParseViolationError(SlimbindError):
-    """Strict-mode parse violation; subclasses name the violation class."""
+class MalformedXmlError(LocatedError):
+    code = "MALFORMED_XML"
 
-    def __init__(self, message, line=None, col=None, source=None):
-        super().__init__(message, line=line, col=col, source=source)
-        self.line = line
-        self.col = col
-        self.source = source
+
+class ParseViolationError(LocatedError):
+    """Strict-mode parse violation; subclasses name the violation class."""
 
 
 class UnknownElementError(ParseViolationError):

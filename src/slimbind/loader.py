@@ -51,7 +51,7 @@ from .model import (
     component_id,
     kind_category,
 )
-from .runtime import _XML_SPACE, read_tree
+from .runtime import _XML_SPACE, read_tree, resolve_qname
 
 
 @dataclass
@@ -149,19 +149,13 @@ class _Node:
 
 
 def _resolve_qname(value: str, nsmap: dict, where: str) -> QName:
-    value = value.strip(_XML_SPACE)
-    if ":" in value:
-        prefix, _, local = value.partition(":")
-        if prefix not in nsmap:
-            raise MalformedSchemaError(
-                f"{where}: undeclared prefix in QName '{value}'")
-        namespace = nsmap[prefix]
-    else:
-        namespace, local = nsmap.get("", ""), value
     try:
-        return QName(namespace, local)
-    except ValueError:
-        raise MalformedSchemaError(f"{where}: '{value}' is not a QName") from None
+        return QName(*resolve_qname(value, nsmap))
+    except KeyError as undeclared:
+        message = f"undeclared prefix in QName '{undeclared.args[0]}'"
+    except ValueError as malformed:
+        message = f"'{malformed}' is not a QName"
+    raise MalformedSchemaError(f"{where}: {message}")
 
 
 def _flag(node: _Node, local: str) -> bool:

@@ -29,9 +29,9 @@ record class in ``_CLASSES``, and its dispatch tables.  A line names a
 namespace by its index into the package's ``_NS`` table, and a row
 leaves out a slot named like its key.  Once the package has defined
 every table it makes one call, :func:`bind_parsers`, which makes the
-record classes and binds them.  A record class is its own parser: it
-holds its field rows as indices into ``_ROWS``, expanded into lookup
-tables on the class, keyed by expat's names.
+record classes, binds them and returns ``parse_document``.  A record
+class is its own parser: it holds its field rows as indices into
+``_ROWS``, expanded into lookup tables on the class, keyed by expat's names.
 Value conversion, ``xsi:nil`` and ``xsi:type`` handling and table dispatch
 live here too, so packages carry no copies.
 """
@@ -88,12 +88,9 @@ class Violation(Enum):
     UNEXPECTED_TEXT = "UNEXPECTED_TEXT"
 
 
-_STRICT_ERROR = {
-    Violation.UNKNOWN_ELEMENT: UnknownElementError,
-    Violation.MISSING_REQUIRED: MissingRequiredError,
-    Violation.BAD_SIMPLE_VALUE: BadSimpleValueError,
-    Violation.UNEXPECTED_TEXT: UnexpectedTextError,
-}
+# Each strict error's code names its violation.
+_STRICT_ERROR = {Violation(error.code): error for error in (
+    UnknownElementError, MissingRequiredError, BadSimpleValueError, UnexpectedTextError)}
 
 
 @dataclass
@@ -593,7 +590,7 @@ class _Document:
 #
 # A package passes :func:`bind_parsers` the number of the format above it
 # was written in; a change of the format bumps it.
-PACKAGE_FORMAT = 1
+PACKAGE_FORMAT = 2
 
 
 class Record:
@@ -681,7 +678,7 @@ def _lines(names, name, what):
 
 
 def bind_parsers(names, package_format=None):
-    """Make and bind every record class of a generated package; returns its root table.
+    """Make and bind every record class of a generated package; returns its ``parse_document``.
 
     The package calls this once, after its last table, with its namespace
     and the :data:`PACKAGE_FORMAT` it was written in, so a line may name
@@ -737,7 +734,14 @@ def bind_parsers(names, package_format=None):
     last = {index for index, row in enumerate(rows) if _binds_last(row)}
     for cls in classes.values():
         _bind(cls, rows, reads, last)
-    return targets.tables["_ROOTS"]
+    roots = targets.tables["_ROOTS"]
+
+    def parse_document(source, mode="strict", source_name="<input>"):
+        """Parse one document; returns (typed object, warnings)."""
+        return parse_root(roots, source, mode, source_name)
+
+    parse_document.__module__, parse_document.__qualname__ = module, "parse_document"
+    return parse_document
 
 
 def _regenerate(what):
@@ -981,25 +985,40 @@ def _is_nil(attrs):
     return (_attribute(attrs, _XSI_NIL) or "").strip(_XML_SPACE) in ("true", "1")
 
 
-def xsi_type_name(value, scope, line, col):
-    """The expat name of the type an ``xsi:type`` attribute value names.
+def resolve_qname(value, scope):
+    """``(namespace, local)`` of the QName ``value``, in documents and schemas alike.
 
-    ``scope`` is the namespace scope in force at the element and
-    ``line``, ``col`` the position of its '<'.  A value whose prefix is not
-    declared there, or that is not a QName (an empty part, a second colon,
-    a space), is malformed at the element in either mode.
+    ``scope`` maps each declared prefix, ``""`` the default, to its namespace.
+    An undeclared prefix raises :class:`KeyError`, and a value that is no QName
+    (an empty part, as in ``:T``, a second colon, a space) :class:`ValueError`,
+    each holding ``value`` stripped of XML whitespace.
     """
     value = value.strip(_XML_SPACE)
     prefix, colon, local = value.partition(":")
     if not colon:
         prefix, local = "", value
     elif prefix and prefix not in scope:
-        raise MalformedXmlError(f"xsi:type uses undeclared prefix '{prefix}'",
-                                line=line, col=col)
-    # An empty prefix, as in ":D", makes no QName either.
+        raise KeyError(value)
     if local and (prefix or not colon) and ":" not in local and local.split() == [local]:
-        return expat_name(scope.get(prefix, ""), local)
-    raise MalformedXmlError(f"xsi:type '{value}' is not a QName", line=line, col=col)
+        return scope.get(prefix, ""), local
+    raise ValueError(value)
+
+
+def xsi_type_name(value, scope, line, col):
+    """The expat name of the type an ``xsi:type`` attribute value names.
+
+    ``scope`` is the namespace scope in force at the element and
+    ``line``, ``col`` the position of its '<'.  A value whose prefix is not
+    declared there, or that is not a QName (see :func:`resolve_qname`), is
+    malformed at the element in either mode.
+    """
+    try:
+        return expat_name(*resolve_qname(value, scope))
+    except KeyError as undeclared:
+        message = f"xsi:type uses undeclared prefix '{undeclared.args[0].partition(':')[0]}'"
+    except ValueError as malformed:
+        message = f"xsi:type '{malformed}' is not a QName"
+    raise MalformedXmlError(message, line=line, col=col)
 
 
 def parse_root(roots, source, mode="strict", source_name="<input>"):

@@ -156,8 +156,10 @@ _ATTR_RANK = {a: i for i, a in enumerate(_ATTR_ORDER)}
 
 
 def _escape(value: str) -> str:
-    return (value.replace("&", "&amp;").replace("<", "&lt;")
-            .replace('"', "&quot;").replace(">", "&gt;"))
+    """``value`` escaped for an attribute; tab, LF and CR as references, which reload as such."""
+    return (value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+            .replace(">", "&gt;").replace("\t", "&#9;").replace("\n", "&#10;")
+            .replace("\r", "&#13;"))
 
 
 class _FileRenderer:

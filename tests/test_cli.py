@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
 import json
 import os
-import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -117,49 +114,18 @@ def test_generate_removes_files_the_old_manifest_listed(workspace, tmp_path):
     assert outside.read_text() == "mine"
 
 
-def _shipped_bytecode(gen):
-    """Leave ``gen`` as a version that shipped the package's bytecode did; returns the pyc.
-
-    That version compiled ``__init__.py`` into a hash-checked pyc where the
-    interpreter looks for it and listed the pyc in MANIFEST.json as
-    ``"bytecode"``.
-    """
-    pyc = importlib.util.cache_from_source("__init__.py")
-    py_compile.compile(str(gen / "__init__.py"), str(gen / pyc), "model/__init__.py",
-                       doraise=True,
-                       invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
-    data = (gen / pyc).read_bytes()
-    manifest = json.loads((gen / "MANIFEST.json").read_text())
-    manifest["bytecode"] = {"path": pyc, "bytes": len(data),
-                            "sha256": hashlib.sha256(data).hexdigest()}
-    (gen / "MANIFEST.json").write_text(json.dumps(manifest))
-    return gen / pyc
-
-
-def test_generate_removes_the_bytecode_an_earlier_version_shipped(workspace):
+def test_custom_templates_remove_the_builtin_package(workspace, tmp_path):
     assert run(workspace, "generate") == 0
     gen = workspace["out"] / "gen" / "model"
-    pyc = _shipped_bytecode(gen)
-    assert run(workspace, "generate") == 0
-    assert not pyc.exists()
-    assert "bytecode" not in json.loads((gen / "MANIFEST.json").read_text())
-    assert sorted(p.name for p in gen.rglob("*") if p.is_file()) == \
-        ["MANIFEST.json", "__init__.py"]
-
-
-def test_custom_templates_remove_the_bytecode_of_the_builtin_package(workspace, tmp_path):
-    """The bytecode an earlier version shipped with the built-in package, that is."""
-    assert run(workspace, "generate") == 0
-    gen = workspace["out"] / "gen" / "model"
-    pyc = _shipped_bytecode(gen)
     tdir = tmp_path / "tpl"
     tdir.mkdir()
     (tdir / "templates.json").write_text(
         '{"manifest": [{"template": "c.tpl", "path": "{{module}}.py", "per": "class"}]}')
     (tdir / "c.tpl").write_text("{{name}}\n")
     assert run(workspace, "generate", "--templates", str(tdir)) == 0
-    assert not pyc.exists() and not (gen / "__init__.py").exists()
-    assert "bytecode" not in json.loads((gen / "MANIFEST.json").read_text())
+    assert not (gen / "__init__.py").exists()
+    assert sorted(p.name for p in gen.iterdir()) == \
+        ["MANIFEST.json", "c_doctype.py", "c_entrytype.py"]
 
 
 def test_missing_docs_path_is_an_io_error(workspace, capsys):

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import re
@@ -86,6 +87,11 @@ def assigned(nodes, name):
     (value,) = [node.value for node in nodes
                 if isinstance(node, ast.Assign) and node.targets[0].id == name]
     return ast.literal_eval(value)
+
+
+def root_table(parse_document):
+    """The root table a package's ``parse_document`` parses through."""
+    return inspect.getclosurevars(parse_document).nonlocals["roots"]
 
 
 def packed_lines(text):
@@ -320,7 +326,8 @@ class TestGeneratedParsers:
         obj, warnings = module.parse_document(f'<ping xmlns="{TNS}"><x/></ping>',
                                               mode="lenient")
         assert normalize(obj) == {} and [w.code for w in warnings] == ["UNKNOWN_ELEMENT"]
-        assert "def parse_document" in by_path["__init__.py"]
+        assert by_path["__init__.py"].endswith(
+            f"\nparse_document = bind_parsers(globals(), {runtime.PACKAGE_FORMAT})\n")
 
     @pytest.mark.parametrize("type_name, element, slot", [
         ("RecordParser", "e", "e"),
@@ -628,7 +635,7 @@ class TestSharedDispatchTables:
             (package,) = artifacts
             source = package.content
             assert re.findall(r'^(_D\d+) = """', source, re.M) == ["_D0"]
-            assert "def " not in source.split("def parse_document")[0]
+            assert "def " not in source
             for i in range(k):
                 # The field matches and reads through the shared table.
                 assert field_rows(source, f"C{i}") == (("_D0", "h", "*", "dispatch", "h"),)
@@ -758,7 +765,7 @@ class TestLateBoundParsers:
         assert tables
         assert {name for name in vars(package) if not name.startswith("__")} == \
             {c.name for c in model.classes} | set(tables) | set(imports.split(", ")) | \
-            {"_NS", "_ROWS", "_CLASSES", "_ROOTS", "_ROOT_TABLE", "parse_document"}
+            {"_NS", "_ROWS", "_CLASSES", "_ROOTS", "parse_document"}
         assert "_lists" not in source and "RecordParser" not in source
         assert not hasattr(runtime, "RecordParser")
         assert_equivalent(model, package, docs)
@@ -1316,13 +1323,13 @@ def test_one_local_name_in_two_namespaces_and_none(tmp_path):
 
 def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
     """Importing a package leaves its tables as the module text defines them."""
-    defined = {}  # the tables as the package module defined them, and the root table
+    defined = {}  # the tables as the package module defined them, and its entry point
     bind_parsers = runtime.bind_parsers
 
     def spy(names, package_format):
         defined.update(roots=names["_ROOTS"], d0=names["_D0"], rows=names["_ROWS"])
-        defined["root_table"] = bind_parsers(names, package_format)
-        return defined["root_table"]
+        defined["entry"] = bind_parsers(names, package_format)
+        return defined["entry"]
 
     monkeypatch.setattr(runtime, "bind_parsers", spy)
     schema = schema_of("""
@@ -1339,8 +1346,8 @@ def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
         (defined["roots"], defined["d0"], defined["rows"]) == (
             "0 r|R\n", "0 h||string\n0 m||string\n",
             "_D0|h|*|dispatch|h\nid||?|attribute|integer\n")
-    assert module._ROOT_TABLE is defined["root_table"]
-    assert module._ROOT_TABLE == {f"{TNS} r": (module.R, None, None)}
+    assert module.parse_document is defined["entry"]
+    assert root_table(module.parse_document) == {f"{TNS} r": (module.R, None, None)}
     binding = module.R._binding
     assert list(binding[2]) == ["id"] and list(binding[3]) == [f"{TNS} h", f"{TNS} m"]
     # Binding a copy of the namespace reads the same tables, changing none,
@@ -1348,7 +1355,8 @@ def test_bind_parsers_reads_the_package_tables_unchanged(tmp_path, monkeypatch):
     tables = ("_NS", "_ROWS", "_CLASSES", "_D0", "_ROOTS")
     before = [getattr(module, name) for name in tables]
     names = dict(vars(module))
-    assert bind_parsers(names, runtime.PACKAGE_FORMAT) == {f"{TNS} r": (names["R"], None, None)}
+    assert root_table(bind_parsers(names, runtime.PACKAGE_FORMAT)) == \
+        {f"{TNS} r": (names["R"], None, None)}
     assert [getattr(module, name) for name in tables] == [names[name] for name in tables] \
         == before
     for c in model.classes:
@@ -1441,10 +1449,19 @@ def tuple_tables(source, model):
     tables = "".join(f"{name} = {display(name)}\n" for name in texts
                      if re.fullmatch(r"_D\d+|_ROOTS", name))
     head = source[:source.index("_ROWS = ")].replace(
-        "import ", "import build_classes, " + "".join(f"{conv}, " for conv in sorted(convs)), 1)
-    entry = source[source.index("\n\ndef parse_document"):].replace("_ROOT_TABLE", "_ROOTS")
+        "import ", "import build_classes, parse_root, "
+        + "".join(f"{conv}, " for conv in sorted(convs)), 1)
     return (f"{head}_ROWS = {rows!r}\n_CLASSES = {classes!r}\nbuild_classes(globals())\n"
-            f"{tables}bind_parsers(globals())\n{entry}")
+            f"{tables}bind_parsers(globals())\n{_TWIN_ENTRY}")
+
+
+# The entry point of a tuple_tables twin, which defines its own.
+_TWIN_ENTRY = '''
+
+def parse_document(source, mode="strict", source_name="<input>"):
+    """Parse one document; returns (typed object, warnings)."""
+    return parse_root(_ROOTS, source, mode, source_name)
+'''
 
 
 class _DictTargets(runtime._Targets):
@@ -1527,12 +1544,12 @@ def _import_text(tmp_path, monkeypatch, text):
 # '0 v|v|?|simple|string', the class line 'R||0' and the root line '0 r|R'.
 _STAMP = f"bind_parsers(globals(), {runtime.PACKAGE_FORMAT})"
 _PACKED_PACKAGE = f"""\
-from slimbind.runtime import bind_parsers, parse_root
+from slimbind.runtime import bind_parsers
 _NS = ('urn:fix',)
 _ROWS = '0 v|v|?|simple|string\\n'
 _CLASSES = 'R||0\\n'
 _ROOTS = '0 r|R\\n'
-_ROOT_TABLE = {_STAMP}
+parse_document = {_STAMP}
 """
 _NO_STAMP = _PACKED_PACKAGE.replace(_STAMP, "bind_parsers(globals())")
 
@@ -1569,7 +1586,7 @@ def _stamp_refusal(found):
     *[(_PACKED_PACKAGE.replace(_STAMP, f"bind_parsers(globals(), {stamp})"), stamp)
       for stamp in (f"{runtime.PACKAGE_FORMAT - 1}", f"{runtime.PACKAGE_FORMAT + 1}",
                     f"'{runtime.PACKAGE_FORMAT}'")],
-    (_NO_STAMP.replace("import bind_parsers, ", "import bind_parsers, build_classes, ").replace(
+    (_NO_STAMP.replace("import bind_parsers\n", "import bind_parsers, build_classes\n").replace(
         "\n_ROOTS = ", "\nbuild_classes(globals())\n_ROOTS = "), None),
 ], ids=["no-stamp", "older-stamp", "newer-stamp", "stamp-as-text", "build_classes-import"])
 def test_package_not_stamped_with_the_runtime_format_is_refused(
@@ -1584,7 +1601,7 @@ def test_package_not_stamped_with_the_runtime_format_is_refused(
     with pytest.raises(ImportError, match=match):
         _import_text(tmp_path, monkeypatch, package)
     module = _import_text(tmp_path, monkeypatch, _PACKED_PACKAGE)
-    obj, warnings = runtime.parse_root(module._ROOT_TABLE, '<r xmlns="urn:fix"><v>x</v></r>')
+    obj, warnings = module.parse_document('<r xmlns="urn:fix"><v>x</v></r>')
     assert (obj.v, warnings) == ("x", [])
 
 
@@ -1597,7 +1614,7 @@ def test_package_in_the_tuple_keyed_format_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match=_stamp_refusal("None")):
         _import_text(tmp_path, monkeypatch, _OLD_FORMAT_PACKAGE)
     module = _import_text(tmp_path, monkeypatch, _PACKED_PACKAGE)
-    obj, warnings = runtime.parse_root(module._ROOT_TABLE, '<r xmlns="urn:fix"><v>x</v></r>')
+    obj, warnings = module.parse_document('<r xmlns="urn:fix"><v>x</v></r>')
     assert (obj.v, warnings) == ("x", [])
 
 
@@ -1642,7 +1659,7 @@ def test_package_that_makes_its_classes_before_binding_is_refused(tmp_path, monk
     """
     golden = (GOLDEN_DIR / "__init__.py.golden").read_text()
     stamp = f"bind_parsers(globals(), {runtime.PACKAGE_FORMAT})"
-    older = golden.replace("import bind_parsers, ", "import bind_parsers, build_classes, ", 1)
+    older = golden.replace("import bind_parsers\n", "import bind_parsers, build_classes\n", 1)
     older = older.replace('"""\n_D0 = ', '"""\nbuild_classes(globals())\n_D0 = ', 1)
     older = older.replace(stamp, "bind_parsers(globals())", 1)
     assert older.count("build_classes") == 2 and stamp not in older
@@ -1650,6 +1667,58 @@ def test_package_that_makes_its_classes_before_binding_is_refused(tmp_path, monk
         _import_text(tmp_path, monkeypatch, older)
     module = _import_text(tmp_path, monkeypatch, golden)
     assert module.CartType.__slots__ == ("sku", "coupon", "pay")
+
+
+def test_a_package_in_format_1_is_refused(tmp_path, monkeypatch):
+    """Format 1 bound ``_ROOT_TABLE`` and defined ``parse_document`` over it.
+
+    The golden package, in that layout, is refused by its stamp.
+    """
+    golden = (GOLDEN_DIR / "__init__.py.golden").read_text()
+    entry = f"parse_document = bind_parsers(globals(), {runtime.PACKAGE_FORMAT})\n"
+    older = golden.replace("import bind_parsers\n", "import bind_parsers, parse_root\n", 1)
+    older = older.replace(entry, "_ROOT_TABLE = bind_parsers(globals(), 1)\n"
+                          + _TWIN_ENTRY.replace("_ROOTS", "_ROOT_TABLE"), 1)
+    assert older.count("_ROOT_TABLE") == 2 and entry not in older
+    with pytest.raises(ImportError, match=_stamp_refusal("1")):
+        _import_text(tmp_path, monkeypatch, older)
+
+
+def test_the_entry_point_is_named_as_the_package_s_own(tmp_path, monkeypatch):
+    """The package is its tables and one call; the call returns ``parse_document``.
+
+    It has the signature, docstring and name the package's own ``def``
+    once gave it, and is named in the package's module; a parse goes
+    through it straight into ``parse_root``, one frame.
+    """
+    def parse_document(source, mode="strict", source_name="<input>"):
+        """Parse one document; returns (typed object, warnings)."""
+
+    schema, docs = shared_head_model(2)
+    model, module, _, (artifact,) = build_and_import(schema, docs, tmp_path)
+    source = artifact.content
+    assert re.findall(r"^(?:from|import) .*", source, re.M) == \
+        ["from slimbind.runtime import bind_parsers"]
+    assert ast.unparse(ast.parse(source).body[-1]) == \
+        f"parse_document = bind_parsers(globals(), {runtime.PACKAGE_FORMAT})"
+    assert "def " not in source and "_ROOT_TABLE" not in source
+    assert "dispatch_imports" not in emitter.build_render_context(model)
+    entry = module.parse_document
+    assert (inspect.signature(entry), entry.__doc__, entry.__name__) == \
+        (inspect.signature(parse_document), parse_document.__doc__, "parse_document")
+    assert (entry.__module__, entry.__qualname__) == (module.__name__, "parse_document")
+    assert repr(entry).startswith("<function parse_document at ")
+    callers = []
+    parse_root = runtime.parse_root
+
+    def spy(*args):
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code))
+        return parse_root(*args)
+
+    monkeypatch.setattr(runtime, "parse_root", spy)
+    assert module.parse_document(docs[0]) == parse_root(root_table(entry), docs[0])
+    this = sys._getframe().f_code
+    assert callers == [("parse_document", this)]
 
 
 def test_build_classes_makes_no_class():
@@ -1946,7 +2015,7 @@ def test_a_mutated_line_binds_or_is_refused(model, data):
     (package,) = emit_parser_backend(model)
     source = package.content
     names = {"__name__": unique_model_name("mutated")}
-    exec(compile(source[:source.index("_ROOT_TABLE = ")], "<tables>", "exec"), names)
+    exec(compile(source[:source.index("parse_document = ")], "<tables>", "exec"), names)
     tables = [name for name in names
               if re.fullmatch(r"_ROWS|_CLASSES|_D\d+|_ROOTS", name) and names[name]]
     table = data.draw(st.sampled_from(sorted(tables)))
@@ -2055,9 +2124,9 @@ def test_rows_expand_to_their_full_form_and_bind_alike(model):
         return _by_name({c.name: (names[c.name]._binding, names[c.name]._fields)
                          for c in model.classes})
 
-    emitted, root_table = bound(), _by_name(names["_ROOT_TABLE"])
+    emitted, roots = bound(), _by_name(root_table(names["parse_document"]))
     names.update(_renumbered(names))
-    assert _by_name(runtime.bind_parsers(names, runtime.PACKAGE_FORMAT)) == root_table
+    assert _by_name(root_table(runtime.bind_parsers(names, runtime.PACKAGE_FORMAT))) == roots
     assert bound() == emitted
 
 
@@ -2246,7 +2315,7 @@ def assert_binds_as_twin(model, source):
         assert packed.__slots__ == tuples.__slots__ == tuple(f.name for f in c.fields), c.name
         assert (packed._fields, packed._rows) == (tuples._fields, tuples._rows), c.name
         assert _by_name(packed._binding) == _by_name(tuples._binding), c.name
-    assert _by_name(names["_ROOT_TABLE"]) == _by_name(twin["_ROOTS"])
+    assert _by_name(root_table(names["parse_document"])) == _by_name(twin["_ROOTS"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -2397,6 +2466,6 @@ def test_a_namespace_holding_what_a_line_cannot_round_trips(tmp_path):
     model, module, _, (artifact,) = build_and_import(schema, [good], tmp_path)
     namespace = 'urn:a|b"""c\nd\\'
     assert module._NS == (namespace,) and namespace not in artifact.content
-    assert module._ROOT_TABLE == {f"{namespace} r": (module.RType, None, None)}
+    assert root_table(module.parse_document) == {f"{namespace} r": (module.RType, None, None)}
     assert module.parse_document(good)[0].h == [1, "x"]
     _assert_oracle_outcomes(model, module, [good, f'<t:r xmlns:t="{ns}"><t:m/><h/></t:r>'])

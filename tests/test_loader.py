@@ -11,6 +11,7 @@ from slimbind.errors import (
     CyclicDerivationError,
     DanglingReferenceError,
     MalformedSchemaError,
+    MalformedXmlError,
     UnresolvedImportError,
 )
 from slimbind.loader import Catalog, SchemaSource, load_schema_set
@@ -24,6 +25,7 @@ from slimbind.model import (
     builtin_type_id,
     builtin_type_ids,
 )
+from slimbind.runtime import expat_name, xsi_type_name
 
 
 def test_single_global_string_element():
@@ -138,6 +140,40 @@ def test_malformed_qname_is_a_schema_error_at_its_line(qname):
         schema_of(f'<xs:element name="e"\n    type="{qname}"/>')
     assert str(info.value) == \
         f"MALFORMED_SCHEMA: mem://fixture.xsd:2: '{qname}' is not a QName"
+
+
+@pytest.mark.parametrize("value, refusal, xsi_refusal", [
+    (":T", "':T' is not a QName", "xsi:type ':T' is not a QName"),
+    ("T", None, None),
+    (" T ", None, None),
+    ("p:T", "undeclared prefix in QName 'p:T'", "xsi:type uses undeclared prefix 'p'"),
+    ("xs:", "'xs:' is not a QName", "xsi:type 'xs:' is not a QName"),
+    ("a:b:c", "'a:b:c' is not a QName", "xsi:type 'a:b:c' is not a QName"),
+    ("T U", "'T U' is not a QName", "xsi:type 'T U' is not a QName"),
+], ids=repr)
+def test_a_qname_attribute_is_read_as_xsi_type_is(value, refusal, xsi_refusal):
+    """A schema's ``type`` is refused exactly when the same ``xsi:type`` is.
+
+    Both are read where the default namespace, ``xs`` and ``a`` are
+    declared, and ``p`` is not; each keeps its own error and message.
+    """
+    text = ('<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema" '
+            f'xmlns="{TNS}" xmlns:a="{TNS}" targetNamespace="{TNS}">\n'
+            f'<xs:element name="e" type="{value}"/>\n'
+            '<xs:complexType name="T"><xs:sequence/></xs:complexType></xs:schema>')
+    scope = {"": TNS, "xs": XSD_NAMESPACE, "a": TNS}
+    if refusal is None:
+        schema = load_schema_set([SchemaSource("mem://q.xsd", raw_text=text)])
+        assert schema.component(cid("element", "e")).detail.declared_type == \
+            cid("complexType", "T")
+        assert xsi_type_name(value, scope, 2, 1) == expat_name(TNS, "T")
+        return
+    with pytest.raises(MalformedSchemaError) as schema_error:
+        load_schema_set([SchemaSource("mem://q.xsd", raw_text=text)])
+    assert str(schema_error.value) == f"MALFORMED_SCHEMA: mem://q.xsd:2: {refusal}"
+    with pytest.raises(MalformedXmlError) as xml_error:
+        xsi_type_name(value, scope, 2, 1)
+    assert str(xml_error.value) == f"MALFORMED_XML: {xsi_refusal} at <input>:2:1"
 
 
 _DECLARATIONS = {

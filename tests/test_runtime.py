@@ -18,6 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 from slimbind.errors import (
     BadSimpleValueError,
     MalformedXmlError,
+    MissingRequiredError,
+    UnexpectedTextError,
     UnknownElementError,
 )
 from slimbind.model import QName, XML_NAMESPACE
@@ -300,6 +302,21 @@ class TestTolerance:
         with pytest.raises(BadSimpleValueError):
             ctx.violation(Violation.BAD_SIMPLE_VALUE, "nope")
         assert ctx.warnings == []  # strict mode never accumulates warnings
+
+    @pytest.mark.parametrize("error", [UnknownElementError, MissingRequiredError,
+                                       BadSimpleValueError, UnexpectedTextError],
+                             ids=lambda error: error.code)
+    def test_strict_violations_name_their_position(self, error):
+        """As a malformed document's error does, with ``<input>`` for a source not named."""
+        ctx = ParseContext("<a/>", mode="strict", source_name="a.xml")
+        with pytest.raises(error) as raised:
+            ctx.violation(Violation(error.code), "m", line=3, col=5)
+        assert str(raised.value) == f"{error.code}: m at a.xml:3:5" == \
+            str(MalformedXmlError("m", line=3, col=5, source="a.xml")).replace(
+                "MALFORMED_XML", error.code)
+        assert (raised.value.line, raised.value.col, raised.value.source) == (3, 5, "a.xml")
+        assert str(error("m", line=3, col=5)) == f"{error.code}: m at <input>:3:5"
+        assert str(error("m")) == f"{error.code}: m"
 
     def test_warning_format(self):
         ctx = ParseContext("<a>junk</a>", mode="lenient", source_name="data.xml")

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
 from oracle import brute_retained
@@ -234,7 +237,6 @@ class TestRoundTrip:
                 continue  # dropping it breaks coverage directly
             smaller = retained - {comp_id}
             with pytest.raises(NotClosedError):
-                import tempfile
                 with tempfile.TemporaryDirectory() as td:
                     emit_reduced_schemas(po_schema, smaller, td)
 
@@ -244,3 +246,39 @@ def test_namespace_slug():
     assert namespace_slug("urn:test") == "urn-test"
     assert namespace_slug("http://www.example.org/po/v2") == "www-example-org-po-v2"
     assert namespace_slug("urn:test") == namespace_slug("urn:test")
+
+
+# Text an attribute value may hold: every XML Char but the surrogate range,
+# tab, LF, CR and the characters markup escapes drawn often.
+_ATTRIBUTE_TEXT = st.text(st.one_of(
+    st.sampled_from('\t\n\r&<>"\''),
+    st.characters(min_codepoint=0x20, max_codepoint=0xFFFD, blacklist_categories=("Cs",))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ATTRIBUTE_TEXT, _ATTRIBUTE_TEXT)
+def test_reduced_schemas_keep_facet_and_default_values(enumeration, default):
+    """An enumeration facet and an attribute default reload from the reduced XSD unchanged."""
+    schema = schema_of(f"""
+  <xs:element name="r" type="tns:R"/>
+  <xs:simpleType name="E">
+    <xs:restriction base="xs:string"><xs:enumeration value={quoteattr(enumeration)}/>
+    </xs:restriction>
+  </xs:simpleType>
+  <xs:complexType name="R">
+    <xs:simpleContent><xs:extension base="tns:E">
+      <xs:attribute name="a" type="xs:string" default={quoteattr(default)}/>
+    </xs:extension></xs:simpleContent>
+  </xs:complexType>""")
+
+    def values(schema):
+        uses = schema.component(cid("complexType", "R")).detail.attributes
+        return (schema.component(cid("simpleType", "E")).detail.facets,
+                [use.default for use in uses])
+
+    assert values(schema) == ((("enumeration", enumeration),), [default])
+    retained = compute_retained_set(schema, usage_of(cid("element", "r")))
+    with tempfile.TemporaryDirectory() as out:
+        files = emit_reduced_schemas(schema, retained, out)
+        reloaded = load_schema_set([SchemaSource.from_file(f) for f in files])
+    assert values(reloaded) == values(schema)
