@@ -131,10 +131,12 @@ class _Tolerance:
 _CHUNK = 1 << 16  # bytes handed to expat per Parse call by chunked readers
 _XML_SPACE = " \t\r\n"  # XML's whitespace (the S production); str.strip() takes more
 _XML_SCOPE = {"xml": XML_NAMESPACE}
-_HANDLERS = ("StartNamespaceDeclHandler", "EndNamespaceDeclHandler", "StartElementHandler",
-             "EndElementHandler", "CharacterDataHandler", "StartCdataSectionHandler",
-             "EntityDeclHandler", "AttlistDeclHandler", "SkippedEntityHandler",
-             "NotStandaloneHandler")
+# The namespace-declaration handlers come last: a source not asked to keep
+# the scope installs none of them.
+_HANDLERS = ("StartElementHandler", "EndElementHandler", "CharacterDataHandler",
+             "StartCdataSectionHandler", "EntityDeclHandler", "AttlistDeclHandler",
+             "SkippedEntityHandler", "NotStandaloneHandler", "StartNamespaceDeclHandler",
+             "EndNamespaceDeclHandler")
 _START = EventKind.START_ELEMENT
 _TEXT = EventKind.TEXT
 _END = EventKind.END_ELEMENT
@@ -196,10 +198,12 @@ class _ExpatSource:
     """One expat parser over one document, set up the way every reader needs.
 
     It refuses entity declarations, attribute defaults and documents that
-    need an external subset or parameter entities, decodes the source by
-    its BOM or declared encoding, and keeps the namespace scope:
-    ``scopes[-1]`` is the prefix-to-URI dict in force at the element expat
-    reports, never changed afterwards, so it may be kept.  ``start_element``,
+    need an external subset or parameter entities, and decodes the source
+    by its BOM or declared encoding.  Unless ``scoped`` is false it keeps
+    the namespace scope: ``scopes[-1]`` is the prefix-to-URI dict in force
+    at the element expat reports, never changed afterwards, so it may be
+    kept.  Without it no namespace-declaration handler is installed and
+    ``scopes`` is None.  ``start_element``,
     ``end``, ``characters`` and ``start_cdata`` are installed as expat's own
     handlers, so names are expat's: ``"uri local"``, or ``"local"`` in no
     namespace, and attributes a flat list ``[name, value, ...]`` in document
@@ -207,7 +211,7 @@ class _ExpatSource:
     """
 
     def __init__(self, source, source_name, start_element, end, characters,
-                 start_cdata=None):
+                 start_cdata=None, scoped=True):
         try:
             self.data, self.encoding = _expat_input(source)
         except UnicodeEncodeError as exc:  # a str holding lone surrogates
@@ -217,17 +221,6 @@ class _ExpatSource:
         parser.ordered_attributes = True
         parser.specified_attributes = True
         parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
-        # Expat reports an element's declarations just before its start and
-        # ends them just after its end tag: one scope per declaration open.
-        self.scopes = scopes = [_XML_SCOPE]
-
-        def start_namespace(prefix, uri):
-            scope = dict(scopes[-1])
-            scope[prefix or ""] = uri or ""  # None stands for xmlns / xmlns=""
-            scopes.append(scope)
-
-        def end_namespace(_prefix):
-            scopes.pop()
 
         def refuse(message):
             raise MalformedXmlError(message, line=parser.CurrentLineNumber,
@@ -245,9 +238,24 @@ class _ExpatSource:
         def skipped_entity(name, is_parameter):
             refuse(f"reference to undeclared entity '{name}'")
 
-        handlers = (start_namespace, end_namespace, start_element, end, characters,
-                    start_cdata, entity_decl, attlist_decl, skipped_entity,
+        handlers = (start_element, end, characters, start_cdata, entity_decl,
+                    attlist_decl, skipped_entity,
                     lambda: 0)  # NotStandalone: refuse an external subset or PE refs
+        self.scopes = None
+        if scoped:
+            # Expat reports an element's declarations just before its start and
+            # ends them just after its end tag: one scope per declaration open.
+            self.scopes = scopes = [_XML_SCOPE]
+
+            def start_namespace(prefix, uri):
+                scope = dict(scopes[-1])
+                scope[prefix or ""] = uri or ""  # None stands for xmlns / xmlns=""
+                scopes.append(scope)
+
+            def end_namespace(_prefix):
+                scopes.pop()
+
+            handlers += (start_namespace, end_namespace)
         for name, handler in zip(_HANDLERS, handlers):
             setattr(parser, name, handler)
 
@@ -692,7 +700,9 @@ def bind_parsers(names, package_format=None):
     derived from the class of its base's line, or from :class:`Record`,
     its ``__module__`` the package's, and its ``__slots__`` the slots of
     its rows after as many as its base has.  The package's tables are
-    read, never changed.
+    read, never changed.  Namespace declarations are tracked in a parse
+    only when some dispatch table, ``_ROOTS`` included, has an
+    ``xsi:type`` table, for nothing else reads them.
     """
     if package_format != PACKAGE_FORMAT:
         raise _regenerate(f"is in package format {package_format!r}, "
@@ -734,11 +744,11 @@ def bind_parsers(names, package_format=None):
     last = {index for index, row in enumerate(rows) if _binds_last(row)}
     for cls in classes.values():
         _bind(cls, rows, reads, last)
-    roots = targets.tables["_ROOTS"]
+    roots, scoped = targets.tables["_ROOTS"], targets.typed
 
     def parse_document(source, mode="strict", source_name="<input>"):
         """Parse one document; returns (typed object, warnings)."""
-        return parse_root(roots, source, mode, source_name)
+        return parse_root(roots, source, mode, source_name, scoped)
 
     parse_document.__module__, parse_document.__qualname__ = module, "parse_document"
     return parse_document
@@ -755,13 +765,15 @@ class _Targets:
     name a table defined after it.  A lookup that fails names the ``line``
     of the table ``where`` that asked for it.  ``classes`` maps each class
     name to what a target holds for it: its name, until :meth:`resolve`
-    puts the class made for it in its place.
+    puts the class made for it in its place.  ``typed`` tells whether a
+    table built so far names an ``xsi:type`` table.
     """
 
     def __init__(self, names, classes, namespaces):
         self.classes, self.namespaces = classes, namespaces
         self.packed = {name: names[name] for name in names if _TABLE_NAME.fullmatch(name)}
         self.tables = {}  # each table by name; a class field's own by (key, class)
+        self.typed = False
 
     def read(self, row, line):
         """What :func:`_bind` reads the value of a split ``_ROWS`` line with.
@@ -797,6 +809,8 @@ class _Targets:
                 raise _regenerate(f"has a line {entry!r} of {name} that is not "
                                   "key|class|conversion|xsi:type table")
             key, cls, conv, by_type = match.groups()
+            if by_type:
+                self.typed = True
             built.setdefault(_expand(key, self.namespaces, entry, name)[0], (
                 _known(self.classes, "class", cls, entry, name) if cls else None,
                 _known(CONVERSIONS, "conversion", conv, entry, name) if conv else None,
@@ -931,20 +945,19 @@ def _bind(cls, rows, reads, last):
 class _Binding(_Tolerance):
     """What conversions see of one :func:`parse_root` parse.
 
-    A violation with no position of its own is reported at the START whose
-    attributes are being converted (``at``), or else at the END being
-    handled, whose position ``end_position()`` reads from the parser.  The
-    document's value is stored in ``result``.
+    A violation with no position of its own is reported where
+    ``position()`` says: at the START whose attributes are being
+    converted, or else at the END being handled.  Both are read from the
+    parser only then.  The document's value is stored in ``result``.
     """
 
     def __init__(self, mode, source_name):
         super().__init__(mode, source_name)
-        self.at = None
-        self.end_position = None
+        self.position = None
         self.result = None
 
     def _position(self):
-        return self.at or self.end_position()
+        return self.position()
 
 
 class _Collapse:
@@ -1021,7 +1034,7 @@ def xsi_type_name(value, scope, line, col):
     raise MalformedXmlError(message, line=line, col=col)
 
 
-def parse_root(roots, source, mode="strict", source_name="<input>"):
+def parse_root(roots, source, mode="strict", source_name="<input>", scoped=True):
     """Parse one document through the root table ``roots``; (object, warnings).
 
     Records are bound in expat's callbacks, on expat's own names: the
@@ -1044,14 +1057,20 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
     START or END, so a run spans comments, processing instructions and
     CDATA sections, and is reported at its first chunk, as a TEXT event of
     :class:`ParseContext` would be.  A START is reported at its '<'; an END
-    at the parser's position, or at its START's for an empty-element tag.
-    The namespace scope is read only where an ``xsi:type`` table applies.
+    at the parser's position, or at its START's for an empty-element tag
+    (:func:`_empty_tag_start`).  Positions are read from the parser only
+    for a violation, but a text run's where it may be reported, that is
+    outside a ``_SIMPLE`` frame.
+
+    The namespace scope is read only where an ``xsi:type`` table applies,
+    and kept only when ``scoped`` is true: :func:`bind_parsers` passes
+    whether ``roots`` or any table it reaches has an ``xsi:type`` table.
     """
     ctx = _Binding(mode, source_name)
     stack = [(_DOCUMENT,)]
     push, pop = stack.append, stack.pop
     text = []
-    text_line = text_col = start_line = start_col = 0
+    text_line = text_col = 0
     fresh = False  # nothing since the START of the element now open
 
     def flush(frame):
@@ -1076,7 +1095,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
         text.clear()
 
     def start(name, attrs):
-        nonlocal start_line, start_col, fresh
+        nonlocal fresh
         frame = stack[-1]
         if text:
             flush(frame)
@@ -1084,15 +1103,13 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
         if kind is _SKIPPED:
             push(_SKIP)
             return
-        start_line = line = expat_parser.CurrentLineNumber
-        start_col = col = expat_parser.CurrentColumnNumber + 1
         fresh = True
         if kind is _RECORD:
             action = frame[1].get(name)
             if not action:
                 if action is None:
                     ctx.violation(_UNKNOWN, f"unexpected element {_qname(name)} in "
-                                  f"{type(frame[2]).__name__}", line, col)
+                                  f"{type(frame[2]).__name__}", *here())
                 push(_SKIP)
                 return
             cls, conv, by_type, what, slot, many, chain = action
@@ -1102,7 +1119,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                 return
         elif kind is _SIMPLE:
             ctx.violation(_UNKNOWN, f"unexpected element {_qname(name)} in {frame[2]}",
-                          line, col)
+                          *here())
             push(_SKIP)
             return
         elif kind is _COLLAPSED:
@@ -1111,7 +1128,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             at = state.next
             if at >= len(chain) or name != chain[at]:
                 ctx.violation(_UNKNOWN, f"unexpected element {_qname(name)} in {state.what}",
-                              line, col)
+                              *here())
                 state.next = len(chain)
                 push(_SKIP)
                 return
@@ -1124,14 +1141,14 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
         else:
             target = roots.get(name)
             if target is None:
-                ctx.violation(_UNKNOWN, f"unknown document root {_qname(name)}", line, col)
+                ctx.violation(_UNKNOWN, f"unknown document root {_qname(name)}", *here())
                 raise _Stop
             cls, conv, by_type = target
             what, owner, slot, many = f"root {_split(name)[1]}", ctx, "result", False
         if by_type is not None:
             raw = _attribute(attrs, _XSI_TYPE)
             typed = None if raw is None else by_type.get(
-                xsi_type_name(raw, scopes[-1], line, col))
+                xsi_type_name(raw, scopes[-1], *here()))
             if typed is not None:
                 cls, conv, _ = typed
         if cls is not None:
@@ -1151,13 +1168,13 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
             for slot_name in lists:
                 setattr(record, slot_name, [])
             if attrs:
-                ctx.at = (line, col)
+                ctx.position = here
                 for at in range(0, len(attrs), 2):
                     field = fields.get(attrs[at])
                     if field is not None:
                         slot_name, conv, what = field
                         setattr(record, slot_name, conv(ctx, attrs[at + 1], what))
-                ctx.at = None
+                ctx.position = end_position
             push((_RECORD, elements, record, None if text_row is None else [],
                   owner, slot, many, binding))
         elif conv is not None:
@@ -1165,7 +1182,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
                   owner, slot, many))
         else:
             ctx.violation(_UNKNOWN, f"no dispatch match for {_qname(name)} in {what}",
-                          line, col)
+                          *here())
             push(_SKIP)
 
     def end(_name):
@@ -1226,7 +1243,7 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
 
     def characters(chunk):
         nonlocal text_line, text_col
-        if not text:
+        if not text and stack[-1][0] is not _SIMPLE:
             text_line = expat_parser.CurrentLineNumber
             text_col = expat_parser.CurrentColumnNumber + 1
         text.append(chunk)
@@ -1235,22 +1252,72 @@ def parse_root(roots, source, mode="strict", source_name="<input>"):
         if not text:
             characters("")  # a run that opens with CDATA starts at '<![CDATA['
 
-    def end_position():
-        if fresh:
-            at = expat_parser.CurrentByteIndex
-            if data[at - len(close):at] == close:
-                return start_line, start_col
+    def here():
+        """Where the parser stands: in a START handler, at the START's '<'."""
         return expat_parser.CurrentLineNumber, expat_parser.CurrentColumnNumber + 1
 
-    expat_source = _ExpatSource(source, source_name, start, end, characters, start_cdata)
+    def end_position():
+        """Where the END being handled is reported."""
+        line, col = expat_parser.CurrentLineNumber, expat_parser.CurrentColumnNumber
+        if fresh:
+            at = expat_parser.CurrentByteIndex
+            close = "/>".encode(encoding or "ascii")
+            if data[at - len(close):at] == close:
+                return _empty_tag_start(data, encoding, at, line, col)
+        return line, col + 1
+
+    expat_source = _ExpatSource(source, source_name, start, end, characters, start_cdata,
+                                scoped)
     expat_parser, data, scopes = expat_source.parser, expat_source.data, expat_source.scopes
-    close = "/>".encode(expat_source.encoding or "ascii")
-    ctx.end_position = end_position
+    encoding = expat_source.encoding
+    ctx.position = end_position
     try:
         expat_source.feed(0, len(data))
     except _Stop:
         return None, ctx.warnings
     return ctx.result, ctx.warnings
+
+
+# The declared encoding of a document whose bytes expat reads without a BOM.
+_DECLARED = re.compile(rb"<\?xml[^>]*?[ \t\r\n]encoding[ \t\r\n]*=[ \t\r\n]*[\"']([^\"']*)")
+_LINE_WINDOW = 256  # bytes decoded first when looking back for a line break
+
+
+def _empty_tag_start(data, encoding, at, line, col):
+    """``(line, col)`` of the '<' of the empty-element tag whose END expat reports.
+
+    Expat reports that END just past the tag's ``/>``, which is byte
+    ``at`` of ``data``, at ``line`` and 0-based column ``col``; it counts
+    columns in characters, and CRLF, a lone CR and LF each end one line.
+    The tag holds no '<', so the last one before ``at`` opens it.  Only the
+    tag is decoded, and, when it spans lines, the bytes before its '<' in
+    windows of doubling size until one holds a line break, so never much
+    more than the tag's first line.  ``encoding`` is the one the parser
+    was made with; with None expat reads the declared encoding: UTF-8, or
+    any other one byte per character, as pyexpat refuses multi-byte ones.
+    """
+    if encoding is None:
+        declared = _DECLARED.match(data)
+        utf8 = declared is None or declared.group(1).lower() == b"utf-8"
+        encoding = "utf-8" if utf8 else "latin-1"
+    opener = "<".encode(encoding)
+    unit = len(opener)  # 2 in UTF-16, whose characters start at even bytes
+    lt = data.rfind(opener, 0, at)
+    while lt % unit:
+        lt = data.rfind(opener, 0, lt + unit - 1)
+    tag = data[lt:at].decode(encoding)
+    breaks = tag.count("\n") + tag.count("\r") - tag.count("\r\n")
+    if not breaks:
+        return line, col - len(tag) + 1
+    size = _LINE_WINDOW
+    while True:
+        begin = max(0, lt - size)
+        # A window may cut a character at its start, never after its last line break.
+        head = data[begin:lt].decode(encoding, "replace")
+        after = max(head.rfind("\r"), head.rfind("\n"))
+        if after >= 0 or not begin:
+            return line - breaks, len(head) - after
+        size *= 2
 
 
 def conv_string(ctx, raw, what):
@@ -1270,7 +1337,8 @@ _DOUBLE = re.compile(_DECIMAL_LEXICAL + r"(?:[Ee][+-]?[0-9]+)?|-?INF|NaN").fullm
 
 def conv_integer(ctx, raw, what):
     s = raw.strip(_XML_SPACE)
-    if _INTEGER(s):
+    # ASCII digits alone, the common form, need no regex.
+    if s.isdigit() and s.isascii() or _INTEGER(s):
         try:
             return int(s)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -1289,7 +1357,8 @@ def conv_decimal(ctx, raw, what):
 
 def conv_double(ctx, raw, what):
     s = raw.strip(_XML_SPACE)
-    if _DOUBLE(s):
+    # ASCII digits with at most one '.' among them, the common form, need no regex.
+    if s.isascii() and s.replace(".", "", 1).isdigit() or _DOUBLE(s):
         return float(s)
     ctx.violation(Violation.BAD_SIMPLE_VALUE, f"bad double {raw!r} in {what}")
     return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import codecs
 import contextlib
 import gc
 import hashlib
@@ -1087,26 +1088,194 @@ def test_simple_content_interrupted_by_children_reads_in_linear_time(po_schema, 
 def test_generated_parse_leaves_no_reference_cycle(po_schema, tmp_path):
     from slimbind.errors import SlimbindError
     model, module, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+    _typed_model, typed = _typed_module(tmp_path)  # installs the namespace handlers
+    typed_doc = (f'<n:r xmlns:n="{TNS}" {_XSI_DECL}>\n<n:v xsi:type="n:D">{_D_VALUE}</n:v>'
+                 '\n<n:v xsi:type="n:D"/></n:r>')
     cases = [
-        (PO_DOC, "strict"),
-        (PO_DOC.replace("<note>", "<bogus/><note>"), "strict"),
-        ("<zzz/>", "lenient"),
-        ("<zzz/>", "strict"),
-        ("<zzz/><", "lenient"),
-        (PO_DOC[:-10], "strict"),
-        (PO_DOC + "<", "lenient"),
+        (module, PO_DOC, "strict"),
+        (module, PO_DOC.replace("<note>", "<bogus/><note>"), "strict"),
+        (module, "<zzz/>", "lenient"),
+        (module, "<zzz/>", "strict"),
+        (module, "<zzz/><", "lenient"),
+        (module, PO_DOC[:-10], "strict"),
+        (module, PO_DOC + "<", "lenient"),
+        # A warning at an empty-element END, at a bad attribute value, at stray text.
+        (module, PO_DOC.replace("<item>", "<item\n/><item>"), "lenient"),
+        (module, PO_DOC.replace("<item>", "<item\n/><item>"), "strict"),
+        (module, PO_DOC.replace('id="7"', 'id="x"'), "lenient"),
+        (module, PO_DOC.replace('id="7"', 'id="x"'), "strict"),
+        (module, PO_DOC.replace("<note>", "stray\n<note>"), "lenient"),
+        (module, PO_DOC.replace("<note>", "stray\n<note>"), "strict"),
+        (typed, typed_doc, "lenient"),
+        (typed, typed_doc, "strict"),
+        (typed, typed_doc.replace('"n:D"/>', '"zz:D"/>'), "lenient"),
     ]
     gc.collect()
     gc.disable()
     try:
-        for doc, mode in cases:
+        for parser, doc, mode in cases:
             try:
-                module.parse_document(doc, mode=mode)
+                parser.parse_document(doc, mode=mode)
             except SlimbindError:
                 pass
             assert gc.collect() == 0, (doc, mode)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------- positions read on demand
+
+# E's attribute ü is required, and W's one child collapses into R.w, so an
+# empty-element tag may end with a missing attribute or a missing wrapped
+# element; every name is in ISO-8859-1.
+_POSITIONS_BODY = """
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="é" type="tns:E" minOccurs="0" maxOccurs="unbounded"/>
+      <xs:element name="w" type="tns:W" minOccurs="0"/>
+      <xs:element name="v" type="xs:double" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+    <xs:attribute name="n" type="xs:int"/>
+  </xs:complexType>
+  <xs:complexType name="E">
+    <xs:attribute name="ü" type="xs:string" use="required"/>
+    <xs:attribute name="n" type="xs:integer"/>
+  </xs:complexType>
+  <xs:complexType name="W">
+    <xs:sequence><xs:element name="ø" type="xs:int"/></xs:sequence>
+  </xs:complexType>"""
+
+
+@pytest.fixture(scope="module")
+def positions_parsers(tmp_path_factory):
+    """(generated parse_document, oracle parse_document) of _POSITIONS_BODY."""
+    from oracle import Interpreter
+    corpus = [f'<r xmlns="{TNS}" n="1"><é ü="x" n="2"/><w><ø>1</ø></w><v>1.5</v></r>']
+    model, module, _, _ = build_and_import(schema_of(_POSITIONS_BODY), corpus,
+                                           tmp_path_factory.mktemp("positions"))
+    assert model.collapsed_classes  # R.w reads through its wrapper
+    return module.parse_document, Interpreter(model).parse_document
+
+
+# The ways a document reaches the reader: (label, str -> source).  expat
+# decodes the two unmarked byte forms by their declaration, or as UTF-8.
+_ENCODINGS = {
+    "str": lambda doc: doc,
+    "utf-8": lambda doc: doc.encode("utf-8"),
+    "utf-8 declared": lambda doc: (
+        f'<?xml version="1.0" encoding="UTF-8"?>\n{doc}'.encode("utf-8")),
+    "utf-16-le bom": lambda doc: codecs.BOM_UTF16_LE + doc.encode("utf-16-le"),
+    "utf-16-be bom": lambda doc: codecs.BOM_UTF16_BE + doc.encode("utf-16-be"),
+    "utf-16-le": lambda doc: doc.encode("utf-16-le"),
+    "iso-8859-1 declared": lambda doc: (
+        f"<?xml version='1.0' encoding='ISO-8859-1'?>\r\n{doc}"
+        .encode("latin-1", "xmlcharrefreplace")),
+}
+_BREAK = st.sampled_from([" ", "\n", "\r", "\r\n", " \r\n\t", "\n\n "])
+# U+0100 U+3C00 U+0100 holds a '<' byte off the UTF-16 character grid in either byte order.
+_OFF_GRID = "\u0100\u3c00\u0100"
+_VALUE = st.text("a1-. ü名\u0100\u3c00\U0001d11e", max_size=4)
+_INTEGER_FORM = st.sampled_from(["7", " -3 ", "x", "1.5", "\u0661", "\U0001d7ce", "",
+                                 _OFF_GRID])
+_DOUBLE_FORM = st.sampled_from(["1.5", "5.", ".5", "-2E3", "bad", "\U0001d11e", ""])
+# Between the children of R: nothing, line breaks, or stray text.
+_BETWEEN = st.sampled_from(["", "\n", "\r\n  ", "\r", "stray", "ü名\r\n\U0001d11e text",
+                            "\n<!-- c -->x"])
+
+
+@st.composite
+def _attributes(draw):
+    """Attributes of an E, each after a line break or space; ü may be missing."""
+    items = []
+    if draw(st.booleans()):
+        items.append(f'ü="{draw(_VALUE)}"')
+    if draw(st.booleans()):
+        items.append(f'n="{draw(_INTEGER_FORM)}"')
+    items = draw(st.permutations(items))
+    return "".join(draw(_BREAK) + item for item in items) + draw(st.sampled_from(["", "\r\n"]))
+
+
+_CHILD = st.one_of(
+    st.builds("<é{}/>".format, _attributes()),
+    st.builds("<é{}>{}</é>".format, _attributes(), _BETWEEN),
+    st.builds("<w>{}<ø>{}</ø>{}</w>".format, _BETWEEN, _INTEGER_FORM, _BETWEEN),
+    st.builds("<w{}/>".format, st.sampled_from(["", "\n", "\r\n "])),
+    st.builds("<v>{}</v>".format, _DOUBLE_FORM),
+    st.builds("<v{}/>".format, st.sampled_from(["", "\r"])),
+    st.sampled_from(["<zz\n/>", "<zz>t<é/></zz>", "<\U00010000/>"]),
+)
+
+
+@st.composite
+def _positions_document(draw):
+    children = draw(st.lists(st.tuples(_BETWEEN, _CHILD), max_size=6))
+    body = "".join(between + child for between, child in children)
+    return f'<r xmlns="{TNS}"{draw(_BREAK)}n="{draw(_INTEGER_FORM)}">{body}{draw(_BETWEEN)}</r>'
+
+
+_POSITIONS_EXAMPLE = (f'<r xmlns="{TNS}"\r\nn="1">\n  <é\r\n  n="x"\r  ü="名"/>stray\r\n'
+                      '<é\n n="2"/><w>\U0001d11e<ø>1</ø></w><w\n/><v>bad</v>'
+                      f'\n <é ü="\U0001d11e" n=" 5 "\n/>\r\n<é n="{_OFF_GRID}"/></r>')
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_positions_document(), encoding=st.sampled_from(sorted(_ENCODINGS)))
+@example(doc=_POSITIONS_EXAMPLE, encoding="str")
+@example(doc=_POSITIONS_EXAMPLE, encoding="utf-8")
+@example(doc=_POSITIONS_EXAMPLE, encoding="utf-8 declared")
+@example(doc=_POSITIONS_EXAMPLE, encoding="utf-16-le bom")
+@example(doc=_POSITIONS_EXAMPLE, encoding="utf-16-be bom")
+@example(doc=_POSITIONS_EXAMPLE, encoding="utf-16-le")
+@example(doc=_POSITIONS_EXAMPLE, encoding="iso-8859-1 declared")
+def test_positions_read_on_demand_equal_the_oracle(positions_parsers, doc, encoding):
+    """Object, warnings with their line and column, or error, as the oracle gives them.
+
+    The generated parser reads a START's position only for a warning,
+    recovers an empty-element tag's from its bytes, and reads a text run's
+    only where it may be reported; the oracle reads every event's.
+    """
+    parse, oracle = positions_parsers
+    source = _ENCODINGS[encoding](doc)
+    for mode in ("lenient", "strict"):
+        assert _outcome(parse, source, mode) == _outcome(oracle, source, mode), mode
+
+
+def test_expat_reports_an_empty_element_tag_as_the_recovery_expects():
+    """What this expat reports for ``<é a="ü"/>``: its START at the '<', its END past '/>'.
+
+    Columns are 0-based and count characters, not bytes.  A different
+    expat that breaks this breaks :func:`runtime._empty_tag_start`.
+    """
+    from xml.parsers import expat
+    parser = expat.ParserCreate("UTF-8", " ")
+    seen = []
+
+    def at(event):
+        return lambda name, *_: seen.append((event, name, parser.CurrentLineNumber,
+                                             parser.CurrentColumnNumber,
+                                             parser.CurrentByteIndex))
+
+    parser.StartElementHandler, parser.EndElementHandler = at("start"), at("end")
+    parser.Parse('<r>\n  <é a="ü"/></r>'.encode("utf-8"), True)
+    parser.StartElementHandler = parser.EndElementHandler = None
+    assert seen[1:3] == [("start", "é", 2, 2, 6), ("end", "é", 2, 12, 18)]
+
+
+def test_warnings_at_multi_line_empty_element_tags_read_in_linear_time(positions_parsers):
+    # Recovering each tag's position from the document before it would
+    # decode about 2 * 10^9 characters here: seconds, not a fraction of one.
+    parse, oracle = positions_parsers
+    tag = '<é n="1"\r\n   n\u00e9="ü"\n/>'  # no ü attribute
+    doc = f'<r xmlns="{TNS}">\n' + "\n".join([tag] * 20_000) + "\n</r>"
+    began = time.perf_counter()
+    _obj, warnings = parse(doc, mode="lenient", source_name="m.xml")
+    assert time.perf_counter() - began < 2.0
+    assert len(warnings) == 20_000
+    assert {w.code for w in warnings} == {"MISSING_REQUIRED"}
+    _want, expected = oracle(doc, mode="lenient", source_name="m.xml")
+    assert [w.format() for w in (warnings[0], warnings[-1])] == \
+        [w.format() for w in (expected[0], expected[-1])]
 
 
 def test_generated_package_loads_only_the_runtime(po_schema, tmp_path):
@@ -2399,6 +2568,32 @@ def test_xsi_type_root_and_field_tables_bind_as_their_twin(tmp_path):
     ]
     _assert_oracle_outcomes(model, module, docs)
     assert type(module.parse_document(corpus[1])[0]).__name__ == "D"
+
+
+def test_only_a_package_with_an_xsi_type_table_keeps_the_namespace_scope(
+        po_schema, tmp_path, monkeypatch):
+    """The scope is kept when some table has an ``xsi:type`` table, here ``_ROOTS`` alone."""
+    text = f"{XS_HEAD}\n{_TYPED_BODY}\n<xs:element name=\"v\" type=\"tns:B\"/>\n</xs:schema>"
+    schema = load_schema_set([SchemaSource("mem://typed.xsd", raw_text=text)])
+    doc = (f'<n:v xmlns:n="{TNS}" {_XSI_DECL} xsi:type="n:D"><n:bx>1</n:bx><n:dy>1</n:dy>'
+           '</n:v>')
+    model, typed, _, (artifact,) = build_and_import(schema, [doc], tmp_path)
+    lines = [line for name, value in vars(typed).items() if re.fullmatch(r"_D\d+|_ROOTS", name)
+             for line in packed_lines(value) if line.count("|") == 3]
+    assert [line.split("|")[0] for line in lines] == ["0 v"]  # the root's line alone
+    _model, plain, _, _ = build_and_import(po_schema, [PO_DOC], tmp_path)
+    kept = []
+
+    class Recorded(runtime._ExpatSource):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self.scopes is not None)
+
+    monkeypatch.setattr(runtime, "_ExpatSource", Recorded)
+    assert type(typed.parse_document(doc)[0]).__name__ == "D"
+    assert plain.parse_document(PO_DOC)[0].id == 7
+    assert kept == [True, False]
+    _assert_oracle_outcomes(model, typed, [doc, doc.replace('"n:D"', '"zz:D"')])
 
 
 def test_packed_tables_ship_in_far_fewer_bytes():

@@ -394,12 +394,55 @@ def test_every_xsd_lexical_number_converts(kind, data):
     assert value == expected or (form == "NaN" and value != value)
 
 
+# Digits with at most one '.' among them, the forms read without a pattern,
+# and their near misses: signs, exponents, a lone or second '.', and
+# characters str.isdigit() takes that are no ASCII digit.
+fast_forms = st.one_of(
+    st.text("0123456789", min_size=1, max_size=6),
+    st.builds("{}.{}".format, st.text("0123456789", max_size=3),
+              st.text("0123456789", max_size=3)),
+    st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]), ascii_digits,
+              st.sampled_from(["", ".", ".5", "e3", "E-2", "e+1", ".2.3", "..", "\u00b2"])),
+    st.sampled_from(["5.", ".5", "-.5", "+5.", "5.e1", ".5E-1", ".", "..", "1.2.3", "\u00b2",
+                     "\u0661\u0662", "1\u0663", "\uff11", "-0", "+0.0"]),
+)
+
+
+@pytest.mark.parametrize("kind", ["integer", "double"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numbers_read_without_a_pattern_are_those_the_pattern_accepts(kind, data):
+    """The digits-only reading of integers and doubles agrees with the XSD pattern.
+
+    A form the pattern accepts, between XML whitespace, converts to what
+    Python reads from it; any other is a bad value in either mode.
+    """
+    conv, python, pattern = NUMERIC_KINDS[kind]
+    form = data.draw(st.one_of(fast_forms, st.from_regex(pattern, fullmatch=True)),
+                     label="form")
+    raw = data.draw(xml_space) + form + data.draw(xml_space)
+    if re.fullmatch(pattern, form):
+        value = conv(ParseContext("<a/>", mode="strict"), raw, "v")
+        expected = python(form)
+        assert type(value) is type(expected)
+        assert value == expected or (form == "NaN" and value != value)
+        return
+    with pytest.raises(BadSimpleValueError):
+        conv(ParseContext("<a/>", mode="strict"), raw, "v")
+    ctx = ParseContext("<a/>", mode="lenient")
+    assert conv(ctx, raw, "v") is None
+    assert [w.code for w in ctx.warnings] == ["BAD_SIMPLE_VALUE"]
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this interpreter converts integers of any length")
 def test_integer_past_the_interpreter_digit_limit_is_a_bad_value():
     raw = "7" * (sys.get_int_max_str_digits() + 1)
     with pytest.raises(BadSimpleValueError):
         conv_integer(ParseContext("<a/>", mode="strict"), raw, "v")
+    ctx = ParseContext("<a/>", mode="lenient")
+    assert conv_integer(ctx, f" {raw}\n", "v") is None
+    assert [w.code for w in ctx.warnings] == ["BAD_SIMPLE_VALUE"]
 
 
 @pytest.mark.parametrize("kind", sorted(NUMERIC_KINDS))
