@@ -1,11 +1,23 @@
 """Build the optimized code-generation model from a retained schema subset.
 
-Optimizations applied here, each behind a flag: removal of never-used
-classes/fields, inheritance flattening, occurrence tightening (repeatable
-particles that only ever occur once become scalar slots), substitution
-and wildcard dispatch bounding to what the corpus actually contains, and
-single-child wrapper collapsing.  A synthetic corpus disables tightening
-and bounding, which need representative occurrence/substitution evidence.
+Optimizations applied here, each behind a flag and each decided in one
+method of ``_ModelBuilder`` or one function below it:
+
+- removal of never-used classes, fields and roots (``prune_unused``):
+  ``class_types``, ``build_class`` and ``build_roots``;
+- inheritance flattening: ``class_types`` and ``build_class``;
+- occurrence tightening (repeatable particles that only ever occur once
+  become scalar slots): ``_cardinality``;
+- substitution, ``xsi:type`` and wildcard dispatch bounding to what the
+  corpus actually contains (``bound_substitutions``): ``_head_entries``,
+  ``_xsi_entries`` and ``_wildcard_field``.  Roots and all three tables
+  keep corpus evidence or every schema-possible candidate by one rule,
+  ``_chosen``, and every table is built and sorted by ``_entries``;
+- single-child wrapper collapsing: ``_apply_collapse``, and ``--ignore``
+  paths: ``_mark_ignored``, both over ``_target_classes``.
+
+A synthetic corpus disables tightening and bounding, which need
+representative occurrence/substitution evidence.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import keyword
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from .errors import EmptyModelError, InconsistentUsageError
@@ -217,7 +230,7 @@ def mangle(name: str, used: set, class_style=False) -> str:
         s = s[0].upper() + s[1:]
     if keyword.iskeyword(s):
         s += "_"
-    base, n = s, 2
+    base, n = ("x_" if s == "_" else s), 2  # "_" + "_2" would be private
     while s in used:
         s = f"{base}_{n}"
         n += 1
@@ -255,6 +268,19 @@ def value_category(schema: SchemaSet, type_id: str) -> ValueCategory:
 
 # ---------------------------------------------------------------- model builder
 
+_EMPTY = frozenset()
+_by_qname = attrgetter("qname")
+
+
+def _concrete(comp) -> bool:
+    return not comp.detail.is_abstract
+
+
+def _concrete_global_element(comp) -> bool:
+    return comp.kind is ComponentKind.ELEMENT_DECL and comp.name is not None \
+        and not comp.detail.is_abstract
+
+
 class _ModelBuilder:
     def __init__(self, schema, retained, usage, options):
         self.schema = schema
@@ -263,7 +289,7 @@ class _ModelBuilder:
         self.options = options
         self.class_names = {}  # type id -> class name
         self.tables = {}  # each distinct dispatch table, mapped to itself
-        self.substitutions = {}  # head element id -> its element-name entries
+        self.heads = {}  # element id -> the element-name table of its particles
 
     # ------------------------------------------------------------ class set
 
@@ -303,168 +329,113 @@ class _ModelBuilder:
                 base = (owner_qn.local if owner_qn else owner.id) + "Type"
             self.class_names[type_id] = mangle(base, used, class_style=True)
 
-    # ------------------------------------------------------------ fields
+    # ------------------------------------------------------------ decisions
 
-    def _target_of(self, type_id):
+    def _target_of(self, type_id) -> tuple:
         """(target class name or None, value category or None) for a type."""
         comp = self.schema.component(type_id)
         if comp.kind is ComponentKind.SIMPLE_TYPE:
             return None, value_category(self.schema, type_id)
         if type_id == builtin_type_id("anyType"):
             return None, ValueCategory.RAW
-        name = self.class_names.get(type_id)
-        if name is not None:
-            return name, None
-        # Complex type without a class (abstract under flattening, or never
-        # instanced): dispatch entries must cover the concrete cases.
-        return None, None
+        # None for a complex type without a class (abstract under flattening,
+        # or never instanced): dispatch entries must cover the concrete cases.
+        return self.class_names.get(type_id), None
 
-    def _effective_occurs(self, level_root, path):
-        """(is_list, is_required) combining the particle with its ancestors."""
+    def _chosen(self, bound, observed, pool, possible) -> set:
+        """Corpus evidence when ``bound``, else the schema-possible candidates.
+
+        That is the ids of ``pool`` in ``observed``, or those whose component
+        ``possible`` admits.  ``bound`` is the decision's flag.
+        """
+        if bound:
+            return pool & observed
+        component = self.schema.component
+        return {c for c in pool if possible(component(c))}
+
+    def _cardinality(self, level_root, path, pp) -> Cardinality:
+        """The particle at ``path`` under ``level_root``, its ancestors' bounds combined.
+
+        A repeatable particle the corpus never repeated is tightened to a scalar.
+        """
         node = level_root
-        max_mult = 1 if (node.occurs.max == 1) else 2
-        required = node.occurs.min >= 1
+        is_list, required = node.occurs.max != 1, node.occurs.min >= 1
         for idx in path:
-            if isinstance(node, GroupParticle):
-                if node.compositor.value == "choice" and len(node.children) > 1:
-                    required = False
-            node = node.children[idx]
-            if node.occurs.max is None or node.occurs.max > 1:
-                max_mult = 2
-            if node.occurs.min < 1:
+            if node.compositor.value == "choice" and len(node.children) > 1:
                 required = False
-        return max_mult > 1, required
+            node = node.children[idx]
+            is_list = is_list or node.occurs.max is None or node.occurs.max > 1
+            required = required and node.occurs.min >= 1
+        if is_list and not (self.options.tighten_occurrences
+                            and self.usage.occurrence_maxima.get(pp, 2) <= 1):
+            return Cardinality.LIST
+        return Cardinality.SCALAR_REQUIRED if required else Cardinality.SCALAR_OPTIONAL
 
     def shared(self, entries) -> tuple:
         """``entries`` as a tuple: one object for all the equal dispatch tables of the model."""
         entries = tuple(entries)
         return self.tables.setdefault(entries, entries) if entries else ()
 
-    def _substitution_entries(self, elem_id):
-        """Element-name dispatch entries for a head element particle, built once per head."""
-        entries = self.substitutions.get(elem_id)
-        if entries is None:
-            entries = self.substitutions[elem_id] = self.shared(self._head_entries(elem_id))
-        return entries
-
-    def _head_entries(self, elem_id):
-        schema, usage, options = self.schema, self.usage, self.options
-        head = schema.component(elem_id)
-        if not head.is_global:
-            return ()  # local elements cannot head substitution groups
-        members = substitution_members(schema, elem_id) & self.retained
-        if not members:
-            return ()
-        chosen = []
-        if options.bound_substitutions:
-            observed = usage.element_substitutions.get(elem_id, set())
-            chosen = [m for m in members if m in observed]
-            if not head.detail.is_abstract and elem_id in usage.used_components:
-                chosen.append(elem_id)
-        else:
-            chosen = [m for m in members
-                      if not schema.component(m).detail.is_abstract]
-            if not head.detail.is_abstract:
-                chosen.append(elem_id)
-        if chosen == [elem_id]:
-            return ()  # only the head itself: a plain field suffices
+    def _entries(self, comp_ids, via="element") -> tuple:
+        """The dispatch table of elements, or of ``xsi:type`` types, sorted by name."""
         entries = []
-        for m in sorted(set(chosen)):
-            member = schema.component(m)
-            target_class, value = self._target_of(member.detail.declared_type)
-            entries.append(DispatchEntry(
-                via="element", qname=member.detail.qname,
-                target_class=target_class, value=value, component=m,
-                nillable=member.detail.nillable))
-        entries.sort(key=lambda e: e.qname)
-        return entries
-
-    def _xsi_entries(self, elem_id, declared_type):
-        schema, usage, options = self.schema, self.usage, self.options
-        if options.bound_substitutions:
-            observed = usage.type_substitutions.get(elem_id, set())
-            candidates = sorted(observed & self.retained)
-        else:
-            candidates = sorted(
-                t for t in self.retained
-                if schema.component(t).kind is ComponentKind.COMPLEX_TYPE
-                and schema.component(t).name is not None
-                and not schema.component(t).detail.is_abstract
-                and t != declared_type
-                and schema.is_derived_from(t, declared_type))
-        entries = []
-        for t in candidates:
-            comp = schema.component(t)
-            if comp.name is None:
-                continue  # xsi:type can only name a global type
-            target_class, value = self._target_of(t)
-            entries.append(DispatchEntry(via="xsi-type", qname=comp.name,
-                                         target_class=target_class, value=value,
-                                         component=t))
-        entries.sort(key=lambda e: e.qname)
+        for comp_id in comp_ids:
+            comp = self.schema.component(comp_id)
+            if via == "element":
+                d = comp.detail
+                entries.append(DispatchEntry(via, d.qname, *self._target_of(d.declared_type),
+                                             comp_id, d.nillable))
+            elif comp.name is not None:  # xsi:type can only name a global type
+                entries.append(DispatchEntry(via, comp.name, *self._target_of(comp_id), comp_id))
+        entries.sort(key=_by_qname)
         return self.shared(entries)
 
-    def _element_field(self, particle, declaring, path, used_names):
-        schema = self.schema
-        pp = ParticlePath(declaring, path)
-        elem = schema.component(particle.element)
-        detail = elem.detail
-        is_list, required = self._effective_occurs(self._level_root, path)
-        evidence = self.usage.occurrence_maxima.get(pp)
-        if self.options.tighten_occurrences and is_list and evidence is not None \
-                and evidence <= 1:
-            is_list = False
-        if is_list:
-            card = Cardinality.LIST
-        elif required:
-            card = Cardinality.SCALAR_REQUIRED
-        else:
-            card = Cardinality.SCALAR_OPTIONAL
-        target_class, value = self._target_of(detail.declared_type)
-        by_name = self._substitution_entries(particle.element)
-        by_type = self._xsi_entries(particle.element, detail.declared_type)
-        dispatch = self.shared(by_name + by_type) if by_name and by_type else by_name or by_type
-        return BindingField(
-            name=mangle(detail.qname.local, used_names),
-            xml_name=detail.qname, kind=FieldKind.ELEMENT, cardinality=card,
-            target_class=target_class, value=value, nillable=detail.nillable,
-            dispatch=dispatch, source_element=particle.element,
-            source_particle=pp.render())
+    def _head_entries(self, elem_id) -> tuple:
+        """The element-name table of a particle of ``elem_id``, built once per element.
 
-    def _wildcard_field(self, particle, declaring, path, used_names):
-        schema, usage, options = self.schema, self.usage, self.options
-        pp = ParticlePath(declaring, path)
-        wc = schema.component(particle.wildcard).detail
-        is_list, required = self._effective_occurs(self._level_root, path)
-        evidence = usage.occurrence_maxima.get(pp)
-        if options.tighten_occurrences and is_list and evidence is not None \
-                and evidence <= 1:
-            is_list = False
-        if options.bound_substitutions:
-            fillers = sorted(usage.wildcard_fillers.get(particle.wildcard, set())
-                             & self.retained)
-        else:
-            fillers = sorted(
-                e for e in self.retained
-                if schema.component(e).kind is ComponentKind.ELEMENT_DECL
-                and schema.component(e).name is not None
-                and not schema.component(e).detail.is_abstract
-                and wc.admits(schema.component(e).name.namespace))
-        entries = []
-        for f in fillers:
-            fc = schema.component(f)
-            target_class, value = self._target_of(fc.detail.declared_type)
-            entries.append(DispatchEntry(via="element", qname=fc.detail.qname,
-                                         target_class=target_class, value=value,
-                                         component=f, nillable=fc.detail.nillable))
-        entries.sort(key=lambda e: e.qname)
+        Empty unless its substitution group offers more than the element itself.
+        """
+        if elem_id in self.heads:
+            return self.heads[elem_id]
+        head, bound = self.schema.component(elem_id), self.options.bound_substitutions
+        members = substitution_members(self.schema, elem_id) & self.retained \
+            if head.is_global else _EMPTY
+        chosen = self._chosen(bound, self.usage.element_substitutions.get(elem_id, _EMPTY),
+                              members, _concrete)
+        if members and _concrete(head) and (not bound or elem_id in self.usage.used_components):
+            chosen.add(elem_id)
+        entries = self.heads[elem_id] = () if chosen == {elem_id} else self._entries(chosen)
+        return entries
+
+    def _xsi_entries(self, elem_id, declared) -> tuple:
+        """The ``xsi:type`` table of ``elem_id``, whose declared type is ``declared``."""
+        def derived(comp):
+            return comp.kind is ComponentKind.COMPLEX_TYPE and _concrete(comp) \
+                and comp.id != declared and self.schema.is_derived_from(comp.id, declared)
+        types = self._chosen(self.options.bound_substitutions,
+                             self.usage.type_substitutions.get(elem_id, _EMPTY),
+                             self.retained, derived)
+        return self._entries(types, "xsi-type") if types else ()
+
+    def _element_field(self, particle, pp, cardinality, used_names):
+        detail = self.schema.component(particle.element).detail
+        by_name = self._head_entries(particle.element)
+        by_type = self._xsi_entries(particle.element, detail.declared_type)
         return BindingField(
-            name=mangle("any", used_names),
-            xml_name=QName(XSD_NAMESPACE, "any"), kind=FieldKind.ELEMENT,
-            cardinality=(Cardinality.LIST if is_list else
-                         Cardinality.SCALAR_REQUIRED if required else
-                         Cardinality.SCALAR_OPTIONAL),
-            dispatch=self.shared(entries), is_wildcard=True,
+            mangle(detail.qname.local, used_names), detail.qname, FieldKind.ELEMENT,
+            cardinality, *self._target_of(detail.declared_type), nillable=detail.nillable,
+            dispatch=self.shared(by_name + by_type) if by_name and by_type else by_name or by_type,
+            source_element=particle.element, source_particle=pp.render())
+
+    def _wildcard_field(self, particle, pp, cardinality, used_names):
+        wc = self.schema.component(particle.wildcard).detail
+        fillers = self._chosen(
+            self.options.bound_substitutions,
+            self.usage.wildcard_fillers.get(particle.wildcard, _EMPTY), self.retained,
+            lambda comp: _concrete_global_element(comp) and wc.admits(comp.name.namespace))
+        return BindingField(
+            mangle("any", used_names), QName(XSD_NAMESPACE, "any"), FieldKind.ELEMENT,
+            cardinality, dispatch=self._entries(fillers), is_wildcard=True,
             source_particle=pp.render())
 
     def build_class(self, type_id) -> BindingClass:
@@ -498,18 +469,14 @@ class _ModelBuilder:
         for declaring, content in content_levels:
             if content.kind is not ContentKind.PARTICLES:
                 continue
-            self._level_root = content.root
             for path, particle in _iter_leaf_particles(content.root):
                 pp = ParticlePath(declaring, path)
                 if options.prune_unused and pp not in usage.occurrence_maxima:
                     continue
-                if isinstance(particle, ElementParticle):
-                    fields.append(self._element_field(particle, declaring, path,
-                                                      used_names))
-                else:
-                    f = self._wildcard_field(particle, declaring, path, used_names)
-                    if f.dispatch:
-                        fields.append(f)
+                make = self._element_field if isinstance(particle, ElementParticle) \
+                    else self._wildcard_field
+                fields.append(make(particle, pp, self._cardinality(content.root, path, pp),
+                                   used_names))
 
         for _declaring, use in attr_levels:
             if options.prune_unused and use.attribute not in usage.used_components:
@@ -534,41 +501,31 @@ class _ModelBuilder:
                 kind=FieldKind.TEXT_CONTENT, cardinality=Cardinality.SCALAR_REQUIRED,
                 value=value_category(schema, text_type)))
 
-        _strip_shadowed_wildcard_entries(fields, self.shared)
-        fields = [f for f in fields if not (f.is_wildcard and not f.dispatch)]
         return BindingClass(
-            name=self.class_names[type_id], source_type=type_id, fields=fields,
+            name=self.class_names[type_id], source_type=type_id,
+            fields=_strip_shadowed_wildcard_entries(fields, self.shared),
             base=base_name, is_abstract=detail.is_abstract, mixed=mixed)
 
     # ------------------------------------------------------------ roots
 
     def build_roots(self) -> list:
-        schema, usage, options = self.schema, self.usage, self.options
-        if options.prune_unused:
-            root_ids = sorted(usage.root_elements)
-        else:
-            root_ids = sorted(
-                c.id for c in schema.globals()
-                if c.kind is ComponentKind.ELEMENT_DECL
-                and c.id in self.retained and not c.detail.is_abstract)
+        """The document roots: corpus roots when pruning, else every concrete global element."""
         roots = []
-        for elem_id in root_ids:
-            comp = schema.component(elem_id)
-            target_class, value = self._target_of(comp.detail.declared_type)
-            roots.append(BindingRoot(
-                qname=comp.detail.qname, element=elem_id,
-                target_class=target_class, value=value,
-                nillable=comp.detail.nillable,
-                dispatch=self._xsi_entries(elem_id, comp.detail.declared_type)))
-        roots.sort(key=lambda r: r.qname)
+        for elem_id in self._chosen(self.options.prune_unused, self.usage.root_elements,
+                                    self.retained, _concrete_global_element):
+            d = self.schema.component(elem_id).detail
+            roots.append(BindingRoot(d.qname, elem_id, *self._target_of(d.declared_type),
+                                     d.nillable, self._xsi_entries(elem_id, d.declared_type)))
+        roots.sort(key=_by_qname)
         return roots
 
 
-def _strip_shadowed_wildcard_entries(fields, shared):
-    """Element fields win over wildcards for the same child name.
+def _strip_shadowed_wildcard_entries(fields, shared) -> list:
+    """``fields`` less wildcard entries an earlier field claims, and wildcards left empty.
 
-    Generated parsers match children by name, so a wildcard entry whose
-    name an element field of the same class already claims could never be
+    Element fields win over wildcards for the same child name.  Generated
+    parsers match children by name, so a wildcard entry whose name an
+    element field of the same class already claims could never be
     reached; drop it to keep dispatch tables honest.
     """
     claimed = set()
@@ -581,46 +538,36 @@ def _strip_shadowed_wildcard_entries(fields, shared):
         else:
             claimed.add(f.xml_name)
     for f in fields:
-        if f.is_wildcard and f.dispatch:
+        if f.is_wildcard:
             kept = tuple(e for e in f.dispatch if e.qname not in claimed)
             if len(kept) < len(f.dispatch):
                 f.dispatch = shared(kept)
             claimed.update(e.qname for e in kept)
+    return [f for f in fields if f.dispatch or not f.is_wildcard]
 
 
-def _iter_leaf_particles(root: GroupParticle):
-    """Element/wildcard particles of one content tree, in document order."""
-    out = []
-
-    def walk(group, path):
-        for i, child in enumerate(group.children):
-            if isinstance(child, GroupParticle):
-                walk(child, path + (i,))
-            else:
-                out.append((path + (i,), child))
-    walk(root, ())
-    return out
+def _iter_leaf_particles(group: GroupParticle, path=()):
+    """(path, particle) of each element/wildcard particle of one content tree, in document order."""
+    for i, child in enumerate(group.children):
+        if isinstance(child, GroupParticle):
+            yield from _iter_leaf_particles(child, path + (i,))
+        else:
+            yield path + (i,), child
 
 
 # ---------------------------------------------------------------- collapse
 
+def _target_classes(owner):
+    """The class names a root's or a field's values may take, None where it has none."""
+    yield owner.target_class
+    for e in owner.dispatch:
+        yield e.target_class
+
+
 def _referenced_class_names(model: BindingModel) -> set:
-    referenced = set()
-    for root in model.roots:
-        if root.target_class:
-            referenced.add(root.target_class)
-        for e in root.dispatch:
-            if e.target_class:
-                referenced.add(e.target_class)
-    for cls in model.classes:
-        if cls.base:
-            referenced.add(cls.base)
-        for f in cls.fields:
-            if f.target_class:
-                referenced.add(f.target_class)
-            for e in f.dispatch:
-                if e.target_class:
-                    referenced.add(e.target_class)
+    referenced = {cls.base for cls in model.classes}
+    for owner in (*model.roots, *(f for cls in model.classes for f in cls.fields)):
+        referenced.update(_target_classes(owner))
     return referenced
 
 
@@ -710,17 +657,15 @@ def _mark_ignored(model: BindingModel, ignore_paths) -> list:
                 matched.add(path)
                 continue
             if any(t[:len(path)] == path for t in targets):
-                walk(f.target_class, path)
-                for e in f.dispatch:
-                    walk(e.target_class, path)
+                for name in _target_classes(f):
+                    walk(name, path)
 
     for root in model.roots:
         prefix = (root.qname,)
         if prefix in targets:
             continue  # ignoring the whole root is meaningless; skip
-        walk(root.target_class, prefix)
-        for e in root.dispatch:
-            walk(e.target_class, prefix)
+        for name in _target_classes(root):
+            walk(name, prefix)
     return [t for t in targets if t not in matched]
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import keyword
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import PO_DOC, TNS, analyze, cid, schema_of
+from genutil import assert_equivalent, build_and_import
+from oracle import brute_substitution_members
 from slimbind.analyzer import ParticlePath, UsageReport, analyze_corpus
 from slimbind.binding import (
     BindingOptions,
@@ -21,7 +25,7 @@ from slimbind.binding import (
 from slimbind.emitter import emit_parser_backend
 from slimbind.errors import EmptyModelError, InconsistentUsageError
 from slimbind.loader import SchemaSource, load_schema_set
-from slimbind.model import QName
+from slimbind.model import ComponentKind, GroupParticle, QName
 from slimbind.simplify import compute_retained_set
 
 
@@ -496,19 +500,161 @@ class TestMangling:
         names = [f.name for f in model.class_by_name("R").fields]
         assert names == ["x", "x_2"]
 
+    NAME = st.text(st.sampled_from("_aZ9\u00e9\u00f8-. "), max_size=4) \
+        | st.sampled_from(keyword.kwlist)
 
-@st.composite
-def synth_model(draw):
-    """A binding model of a synthetic schema and corpus, under drawn options."""
+    @given(st.lists(NAME, max_size=8), st.sets(NAME | st.text(max_size=4), max_size=8),
+           st.booleans())
+    def test_fresh_public_identifiers(self, names, used, class_style):
+        for name in names:
+            before = set(used)
+            s = mangle(name, used, class_style)
+            assert s.isidentifier() and not keyword.iskeyword(s), (name, s)
+            assert not s.startswith("__") and s not in before, (name, s)
+            assert used == before | {s}
+
+    def test_names_without_ascii_letters_parse_as_the_oracle_does(self, tmp_path):
+        """Three names that all mangle to ``_``: no ``__`` slot, which ``type()`` would hide."""
+        schema = schema_of("""
+  <xs:element name="r" type="tns:R"/>
+  <xs:complexType name="R">
+    <xs:sequence>
+      <xs:element name="\u00e9" type="xs:int"/>
+      <xs:element name="\u00f8" type="xs:string" minOccurs="0"/>
+    </xs:sequence>
+    <xs:attribute name="\u00fc" type="xs:string"/>
+  </xs:complexType>""")
+        docs = [f'<r xmlns="{TNS}" \u00fc="u"><\u00e9>1</\u00e9><\u00f8>o</\u00f8></r>',
+                f'<r xmlns="{TNS}"><\u00e9>2</\u00e9></r>']
+        model, module, _, _ = build_and_import(schema, docs, tmp_path)
+        assert [f.name for f in model.class_by_name("R").fields] == ["_", "x__2", "x__3"]
+        for mode in ("strict", "lenient"):
+            assert_equivalent(model, module, docs, mode)
+        obj, _warnings = module.parse_document(docs[0])
+        assert obj.to_dict() == {"_": 1, "x__2": "o", "x__3": "u"}
+
+
+def synth_case_of(seed, options):
+    """(schema, usage, retained, model) of the synthetic case ``seed`` under ``options``.
+
+    Without pruning, the retained set is every component, as ``slimbind
+    generate --no-prune`` passes it.
+    """
     from synth import generate_case
 
-    _g, xsd, docs = generate_case(draw(st.integers(0, 10_000)))
+    _g, xsd, docs = generate_case(seed)
     schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
     usage = analyze_corpus(schema, [(f"d{i}.xml", d) for i, d in enumerate(docs)])
-    options = BindingOptions(flatten_inheritance=draw(st.booleans()),
-                             collapse_single_child=draw(st.booleans()),
-                             bound_substitutions=draw(st.booleans()))
-    return build_binding_model(schema, compute_retained_set(schema, usage), usage, options)
+    retained = compute_retained_set(schema, usage) if options.prune_unused \
+        else set(schema.components)
+    return schema, usage, retained, build_binding_model(schema, retained, usage, options)
+
+
+@st.composite
+def synth_case(draw):
+    """:func:`synth_case_of` a drawn seed, under drawn options."""
+    seed = draw(st.integers(0, 10_000))
+    return synth_case_of(seed, BindingOptions(
+        flatten_inheritance=draw(st.booleans()),
+        collapse_single_child=draw(st.booleans()),
+        tighten_occurrences=draw(st.booleans()),
+        bound_substitutions=draw(st.booleans()),
+        prune_unused=draw(st.booleans()),
+        corpus_is_synthetic=draw(st.booleans())))
+
+
+def synth_model():
+    """A binding model of a synthetic schema and corpus, under drawn options."""
+    return synth_case().map(lambda case: case[3])
+
+
+def _leaf_particles(group, path=()):
+    """(path, particle) of each non-group particle under ``group``, in document order."""
+    for i, child in enumerate(group.children):
+        if isinstance(child, GroupParticle):
+            yield from _leaf_particles(child, path + (i,))
+        else:
+            yield path + (i,), child
+
+
+@settings(max_examples=60, deadline=None)
+@given(synth_case())
+# Seed 37 has a concrete head the corpus never used, whose members it did;
+# seed 43 one it used, none of whose members it did; seed 196 has a
+# substitution head, a wildcard and an xsi:type.
+@example(synth_case_of(37, BindingOptions()))
+@example(synth_case_of(43, BindingOptions(prune_unused=False)))
+@example(synth_case_of(196, BindingOptions()))
+@example(synth_case_of(196, BindingOptions(bound_substitutions=False, prune_unused=False)))
+def test_tables_and_roots_hold_what_the_flags_choose(case):
+    """Each table and the root set is what the corpus showed, or all the schema allows.
+
+    Bounding decides head, ``xsi:type`` and wildcard tables; pruning decides
+    roots.  The expected sets come from the schema and the usage report.
+    """
+    schema, usage, retained, model = case
+    options, comp = model.options, schema.component
+    bound = options.bound_substitutions
+
+    def concrete(c):
+        return not comp(c).detail.is_abstract
+
+    elements = {c for c in retained if comp(c).kind is ComponentKind.ELEMENT_DECL
+                and comp(c).is_global and concrete(c)}
+
+    def xsi_types(elem_id):
+        if bound:
+            return usage.type_substitutions.get(elem_id, set()) & retained
+        declared = comp(elem_id).detail.declared_type
+        return {t for t in retained if comp(t).kind is ComponentKind.COMPLEX_TYPE
+                and comp(t).is_global and concrete(t) and t != declared
+                and schema.is_derived_from(t, declared)}
+
+    def split(table):
+        """(element ids, xsi:type ids) of a table: element entries first, each part by name."""
+        parts = [[e for e in table if e.via == via] for via in ("element", "xsi-type")]
+        assert table == (*parts[0], *parts[1])
+        assert all([e.qname for e in p] == sorted(e.qname for e in p) for p in parts)
+        return [{e.component for e in p} for p in parts]
+
+    roots = usage.root_elements & retained if options.prune_unused else elements
+    assert {r.element for r in model.roots} == roots
+    for root in model.roots:
+        assert split(root.dispatch) == [set(), xsi_types(root.element)]
+
+    for cls in (*model.classes, *model.collapsed_classes):
+        claimed = set()
+        for f in cls.fields:
+            if f.kind is not FieldKind.ELEMENT or f.is_wildcard:
+                continue
+            head = f.source_element
+            members = brute_substitution_members(schema, head) & retained
+            chosen = usage.element_substitutions.get(head, set()) & members if bound \
+                else set(filter(concrete, members))
+            if concrete(head) and (not bound or head in usage.used_components):
+                chosen.add(head)
+            by_name = chosen if chosen - {head} else set()
+            assert split(f.dispatch) == [by_name, xsi_types(head)]
+            claimed |= {comp(e).detail.qname for e in by_name} or {f.xml_name}
+        levels = schema.effective_content_chain(cls.source_type) \
+            if options.flatten_inheritance \
+            else [(cls.source_type, comp(cls.source_type).detail.content)]
+        expected = []
+        for declaring, content in levels:
+            for path, particle in _leaf_particles(content.root) if content.root else ():
+                pp = ParticlePath(declaring, path)
+                if not hasattr(particle, "wildcard") or \
+                        options.prune_unused and pp not in usage.occurrence_maxima:
+                    continue
+                wc = comp(particle.wildcard).detail
+                fillers = usage.wildcard_fillers.get(particle.wildcard, set()) & retained \
+                    if bound else {e for e in elements if wc.admits(comp(e).name.namespace)}
+                kept = {e for e in fillers if comp(e).detail.qname not in claimed}
+                claimed |= {comp(e).detail.qname for e in kept}
+                if kept:
+                    expected.append((pp.render(), kept))
+        assert [(f.source_particle, split(f.dispatch)[0])
+                for f in cls.fields if f.is_wildcard] == expected
 
 
 def collapse_chain_model():

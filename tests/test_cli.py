@@ -428,3 +428,40 @@ def test_a_package_regenerated_after_an_import_is_the_one_imported(workspace):
     assert run(workspace, "generate", "--ignore", f"{{{TNS}}}doc/entry") == 0
     compiled, _doc, obj, _warnings = _device_import(gen, cache=True)
     assert (compiled, obj) == (["__init__.py"], {"entry": []})
+
+
+def test_generate_is_byte_identical_across_hash_seeds(tmp_path):
+    """No set's iteration order reaches an output: two ``PYTHONHASHSEED``s, one result.
+
+    Synth case 196 binds a substitution head, a wildcard and an ``xsi:type``.
+    """
+    from synth import generate_case
+
+    _g, xsd, docs = generate_case(196)
+    (tmp_path / "synth.xsd").write_text(xsd)
+    (tmp_path / "docs").mkdir()
+    for i, doc in enumerate(docs):
+        (tmp_path / "docs" / f"d{i}.xml").write_text(doc)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from slimbind.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "generate",
+             "--schemas", str(tmp_path / "synth.xsd"), "--docs", str(tmp_path / "docs"),
+             "--out", str(out)],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONDONTWRITEBYTECODE": "1",
+                 "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
+        outputs.append({path.relative_to(out).as_posix(): path.read_bytes()
+                        for path in sorted(out.rglob("*")) if path.is_file()})
+    first, second = outputs
+    assert {"usage-report.json", "reduction-report.json", "binding-model.json",
+            "gen/model/MANIFEST.json", "gen/model/__init__.py"} <= first.keys()
+    assert any(name.startswith("reduced/") and name.endswith(".xsd") for name in first)
+    model = json.loads(first["binding-model.json"])
+    tables = model["dispatchTables"]
+    assert {(f["isWildcard"], e["via"]) for c in model["classes"] for f in c["fields"]
+            if f["dispatch"] is not None for e in tables[f["dispatch"]]} \
+        == {(False, "element"), (True, "element"), (False, "xsi-type")}
+    assert first == second
