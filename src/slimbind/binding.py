@@ -290,6 +290,7 @@ class _ModelBuilder:
         self.class_names = {}  # type id -> class name
         self.tables = {}  # each distinct dispatch table, mapped to itself
         self.heads = {}  # element id -> the element-name table of its particles
+        self.xsi_tables = {}  # element id, or declared type id when unbound -> xsi:type table
 
     # ------------------------------------------------------------ class set
 
@@ -408,14 +409,21 @@ class _ModelBuilder:
         return entries
 
     def _xsi_entries(self, elem_id, declared) -> tuple:
-        """The ``xsi:type`` table of ``elem_id``, whose declared type is ``declared``."""
-        def derived(comp):
-            return comp.kind is ComponentKind.COMPLEX_TYPE and _concrete(comp) \
-                and comp.id != declared and self.schema.is_derived_from(comp.id, declared)
-        types = self._chosen(self.options.bound_substitutions,
-                             self.usage.type_substitutions.get(elem_id, _EMPTY),
-                             self.retained, derived)
-        return self._entries(types, "xsi-type") if types else ()
+        """The ``xsi:type`` table of ``elem_id``, whose declared type is ``declared``.
+
+        Bound, it depends on the element's evidence; else on ``declared``
+        alone, so the retained set is scanned once per declared type.
+        """
+        bound = self.options.bound_substitutions
+        key = elem_id if bound else declared
+        if key not in self.xsi_tables:
+            def derived(comp):
+                return comp.kind is ComponentKind.COMPLEX_TYPE and _concrete(comp) \
+                    and comp.id != declared and self.schema.is_derived_from(comp.id, declared)
+            types = self._chosen(bound, self.usage.type_substitutions.get(elem_id, _EMPTY),
+                                 self.retained, derived)
+            self.xsi_tables[key] = self._entries(types, "xsi-type") if types else ()
+        return self.xsi_tables[key]
 
     def _element_field(self, particle, pp, cardinality, used_names):
         detail = self.schema.component(particle.element).detail

@@ -5,6 +5,16 @@ Each schema document is parsed once, into an element tree built by
 component ids during loading; anything left unresolved is a
 DANGLING_REFERENCE error.  Resolution of schemaLocation goes through an
 explicit catalog plus relative-path lookup; there is no network access.
+
+``_Loader`` reads each XSD construct in one method.  Every component,
+global or local, is built through ``_build``, which calls the reader of its
+kind (``_build_element_decl``, ``_build_attribute_decl``,
+``_build_complex_type``, ``_build_simple_type``, ``_build_group_def``,
+``_build_attrgroup_def``, ``_build_wildcard``); ``_build_global`` builds a
+global once.  A QName reference is ``_ref``, a type given by attribute or
+inline ``_type_ref``, a particle at any depth ``_particle`` (a model group's
+children ``_model_group``), an attribute list ``_build_attribute_uses`` and
+restriction facets ``_facets``.
 """
 
 from __future__ import annotations
@@ -227,17 +237,17 @@ class _Doc:
     qualified_elements: bool
     qualified_attributes: bool
 
+    def at(self, node: _Node) -> str:
+        """Where ``node`` is, for messages: ``system-id:line``."""
+        return f"{self.source.system_id}:{node.line}"
+
 
 @dataclass
 class _RawGlobal:
     node: _Node
     doc: _Doc
-    kind: ComponentKind
     qname: QName
-
-    @property
-    def comp_id(self):
-        return component_id(self.kind, self.qname.namespace, self.qname.local)
+    comp_id: str
 
 
 _GLOBAL_TAGS = {
@@ -248,6 +258,21 @@ _GLOBAL_TAGS = {
     "attributeGroup": ComponentKind.ATTRIBUTE_GROUP_DEF,
     "attribute": ComponentKind.ATTRIBUTE_DECL,
 }
+_KINDS = {**_GLOBAL_TAGS, "any": ComponentKind.WILDCARD,
+          "anyAttribute": ComponentKind.WILDCARD}
+# References to these are expanded inline, so their definitions are built
+# when first referenced; the value names one in a circularity error.
+_INLINED = {"group": "model group", "attributeGroup": "attribute group"}
+_PARTICLES = ("sequence", "choice", "all", "element", "group", "any")
+_NOT_FACETS = ("annotation", "simpleType", "attribute", "attributeGroup", "anyAttribute")
+_PROCESS_CONTENTS = ("strict", "lax", "skip")
+_SIMPLE_TYPE_ID = ComponentKind.SIMPLE_TYPE.value + ":"  # how component_id starts one
+
+
+def _facets(restriction: _Node) -> tuple:
+    """The (facet, value) pairs of a restriction, kept for re-emission."""
+    return tuple((f.qname.local, f.get("value", "")) for f in restriction.children
+                 if f.qname.namespace == _XSD and f.qname.local not in _NOT_FACETS)
 
 
 class _Loader:
@@ -258,13 +283,12 @@ class _Loader:
         self._trees = {}  # system id -> root node; a document reached again is not parsed again
         self.raw_globals: dict = {}  # (category, QName) -> _RawGlobal
         self.builder = SchemaSetBuilder()
+        # Globals whose build has started; one the builder does not hold yet is in progress.
         self._built = set()
-        self._group_in_progress = set()
         self._anon_counters = {}
         # Keyed by (id(node), target namespace): a chameleon include shares
         # its tree between the namespaces that include it.
-        self._elem_type_memo = {}
-        self._elem_type_stack = set()
+        self._elem_type_memo = {}  # None while the type is being resolved
         for src in entry_points:
             self._load_doc(src, adopted_tns=None)
 
@@ -374,35 +398,66 @@ class _Loader:
 
     def _register_global(self, node: _Node, doc: _Doc):
         kind = _GLOBAL_TAGS[node.qname.local]
-        name = _declared_name(node, f"{doc.source.system_id}:{node.line}",
-                              f"global xs:{node.qname.local} without a name")
+        where = doc.at(node)
+        name = _declared_name(node, where, f"global xs:{node.qname.local} without a name")
         qname = QName(doc.tns, name)
         key = (kind_category(kind), qname)
         if key in self.raw_globals:
             prev = self.raw_globals[key]
             raise MalformedSchemaError(
-                f"{doc.source.system_id}:{node.line}: duplicate global "
-                f"{key[0]} {qname} (first in {prev.doc.source.system_id})")
-        self.raw_globals[key] = _RawGlobal(node, doc, kind, qname)
+                f"{where}: duplicate global {key[0]} {qname} "
+                f"(first in {prev.doc.source.system_id})")
+        self.raw_globals[key] = _RawGlobal(node, doc, qname, component_id(kind, doc.tns, name))
 
-    # -------------------------------------------------------- reference lookup
+    # -------------------------------------------------------- references
 
-    def _resolve_ref(self, category: str, qname: QName, referrer: str, where: str) -> str:
-        if qname.namespace == XSD_NAMESPACE:
-            if category == "type":
-                comp_id = builtin_type_id(qname.local)
-                if self.builder.has_component(comp_id):
-                    return comp_id
-            raw = self.raw_globals.get((category, qname))
-            if raw is not None:
-                return raw.comp_id
-            raise DanglingReferenceError(
-                f"{where}: reference to unknown XSD built-in {qname} from {referrer}")
+    def _ref(self, value: str, node: _Node, category: str, referrer: str, where: str) -> str:
+        """The id of the global of ``category`` that QName ``value``, read at ``node``, names.
+
+        A group or attribute group is built first; reaching one again while
+        it is being built is a circular reference.
+        """
+        qname = _resolve_qname(value, node.nsmap, where)
+        if category == "type" and qname.namespace == XSD_NAMESPACE:
+            comp_id = builtin_type_id(qname.local)
+            if self.builder.has_component(comp_id):
+                return comp_id
         raw = self.raw_globals.get((category, qname))
         if raw is None:
+            if qname.namespace == XSD_NAMESPACE and category not in _INLINED:
+                raise DanglingReferenceError(
+                    f"{where}: reference to unknown XSD built-in {qname} from {referrer}")
             raise DanglingReferenceError(
                 f"{where}: unresolved {category} reference {qname} from {referrer}")
+        if category in _INLINED:
+            if raw.comp_id in self._built and not self.builder.has_component(raw.comp_id):
+                raise MalformedSchemaError(
+                    f"{where}: circular {_INLINED[category]} reference involving {qname}")
+            self._build_global(raw)
         return raw.comp_id
+
+    def _type_ref(self, node: _Node, doc: _Doc, attr: str, addr: str, referrer: str,
+                  where: str) -> tuple:
+        """(type id, inline node) of the type ``node`` names in ``attr`` or declares at ``addr``.
+
+        XSD 1.0 allows one of the two; the id is None when there is neither,
+        and the inline node None unless it declares the type.
+        """
+        value = node.get(attr)
+        inline = node.kids("complexType", "simpleType")
+        if inline and (value or len(inline) > 1):
+            raise MalformedSchemaError(
+                f"{where}: xs:{node.qname.local} needs one {attr} attribute or one "
+                "inline type, not more")
+        if value:
+            return self._ref(value, node, "type", referrer, where), None
+        if not inline:
+            return None, None
+        kind = _KINDS[inline[0].qname.local]
+        if kind is ComponentKind.COMPLEX_TYPE and node.qname.local != "element":
+            raise MalformedSchemaError(
+                f"{where}: xs:{node.qname.local} cannot declare a complex type")
+        return component_id(kind, doc.tns, addr), inline[0]
 
     # -------------------------------------------------------- component build
 
@@ -416,73 +471,35 @@ class _Loader:
         return schema
 
     def _build_global(self, raw: _RawGlobal):
-        if raw.comp_id in self._built:
-            return raw.comp_id
-        self._built.add(raw.comp_id)
-        node, doc = raw.node, raw.doc
-        addr = raw.qname.local
-        where = f"{doc.source.system_id}:{node.line}"
-        if raw.kind is ComponentKind.ELEMENT_DECL:
-            self._build_element_decl(node, doc, raw.comp_id, addr, raw.qname,
-                                     is_global=True, owner=None)
-        elif raw.kind is ComponentKind.COMPLEX_TYPE:
-            self._build_complex_type(node, doc, raw.comp_id, addr, raw.qname, owner=None)
-        elif raw.kind is ComponentKind.SIMPLE_TYPE:
-            self._build_simple_type(node, doc, raw.comp_id, addr, raw.qname, owner=None)
-        elif raw.kind is ComponentKind.MODEL_GROUP_DEF:
-            self._build_group_def(raw)
-        elif raw.kind is ComponentKind.ATTRIBUTE_GROUP_DEF:
-            self._build_attrgroup_def(raw)
-        elif raw.kind is ComponentKind.ATTRIBUTE_DECL:
-            self._build_attribute_decl(node, doc, raw.comp_id, addr, raw.qname,
-                                       is_global=True, owner=None)
-        else:
-            raise MalformedSchemaError(f"{where}: unsupported global kind {raw.kind}")
-        return raw.comp_id
+        """Build a global once, however often it is reached."""
+        if raw.comp_id not in self._built:
+            self._built.add(raw.comp_id)
+            self._build(raw.node, raw.doc, raw.qname.local, raw.qname)
 
-    # Group and attribute-group definitions are built on demand because group
-    # references are expanded inline into referencing content models.
+    def _build(self, node: _Node, doc: _Doc, addr: str, qname=None, owner=None) -> str:
+        """Build the component ``node`` declares at ``addr`` and return its id.
 
-    def _group_def(self, category: str, qname: QName, referrer: str,
-                   where: str) -> SchemaComponent:
-        """The built ``group`` or ``attributeGroup`` definition named ``qname``."""
-        raw = self.raw_globals.get((category, qname))
-        if raw is None:
-            raise DanglingReferenceError(
-                f"{where}: unresolved {category} reference {qname} from {referrer}")
-        if raw.comp_id in self._group_in_progress:
-            noun = "model group" if category == "group" else "attribute group"
-            raise MalformedSchemaError(
-                f"{where}: circular {noun} reference involving {qname}")
-        self._build_global(raw)
-        return self.builder.component(raw.comp_id)
+        The one entry for every kind: ``qname`` is the declared name (None
+        for an anonymous type or a wildcard), ``owner`` None for a global.
+        """
+        tag = node.qname.local
+        comp_id = component_id(_KINDS[tag], doc.tns, addr)
+        self._READERS[tag](self, node, doc, comp_id, addr, qname, owner)
+        return comp_id
 
-    def _build_group_def(self, raw: _RawGlobal):
-        node, doc = raw.node, raw.doc
-        where = f"{doc.source.system_id}:{node.line}"
-        self._group_in_progress.add(raw.comp_id)
-        try:
-            body = node.first("sequence", "choice", "all")
-            if body is None:
-                raise MalformedSchemaError(f"{where}: group {raw.qname} has no model group")
-            root = self._build_model_group(body, doc, raw.comp_id, raw.qname.local,
-                                           Occurs(1, 1))
-        finally:
-            self._group_in_progress.discard(raw.comp_id)
+    def _build_group_def(self, node, doc, comp_id, addr, qname, owner):
+        body = node.first("sequence", "choice", "all")
+        if body is None:
+            raise MalformedSchemaError(f"{doc.at(node)}: group {qname} has no model group")
+        root = self._model_group(body, doc, comp_id, addr, Occurs(1, 1))
         self.builder.add_component(SchemaComponent(
-            id=raw.comp_id, kind=ComponentKind.MODEL_GROUP_DEF, name=raw.qname,
+            id=comp_id, kind=ComponentKind.MODEL_GROUP_DEF, name=qname,
             detail=ModelGroupDetail(root=root), namespace=doc.tns))
 
-    def _build_attrgroup_def(self, raw: _RawGlobal):
-        node, doc = raw.node, raw.doc
-        self._group_in_progress.add(raw.comp_id)
-        try:
-            uses, wildcard = self._build_attribute_uses(node, doc, raw.comp_id,
-                                                        raw.qname.local)
-        finally:
-            self._group_in_progress.discard(raw.comp_id)
+    def _build_attrgroup_def(self, node, doc, comp_id, addr, qname, owner):
+        uses, wildcard = self._build_attribute_uses(node, doc, comp_id, addr)
         self.builder.add_component(SchemaComponent(
-            id=raw.comp_id, kind=ComponentKind.ATTRIBUTE_GROUP_DEF, name=raw.qname,
+            id=comp_id, kind=ComponentKind.ATTRIBUTE_GROUP_DEF, name=qname,
             detail=AttributeGroupDetail(attributes=uses, attribute_wildcard=wildcard),
             namespace=doc.tns))
 
@@ -492,44 +509,31 @@ class _Loader:
         """Declared type id of an element node (may synthesize an anonymous id)."""
         key = (id(node), doc.tns)
         if key in self._elem_type_memo:
+            if self._elem_type_memo[key] is None:
+                raise CyclicDerivationError(
+                    f"{doc.at(node)}: substitution group cycle while resolving element type")
             return self._elem_type_memo[key]
-        if key in self._elem_type_stack:
-            raise CyclicDerivationError(
-                f"{doc.source.system_id}:{node.line}: substitution group cycle while "
-                "resolving element type")
-        self._elem_type_stack.add(key)
-        try:
-            where = f"{doc.source.system_id}:{node.line}"
-            type_attr = node.get("type")
-            if type_attr:
-                qn = _resolve_qname(type_attr, node.nsmap, where)
-                result = self._resolve_ref("type", qn, addr, where)
-            elif node.first("complexType") is not None:
-                result = component_id(ComponentKind.COMPLEX_TYPE, doc.tns, addr + "/type")
-            elif node.first("simpleType") is not None:
-                result = component_id(ComponentKind.SIMPLE_TYPE, doc.tns, addr + "/type")
-            elif node.get("substitutionGroup"):
-                head_qn = _resolve_qname(node.get("substitutionGroup"), node.nsmap, where)
-                head_raw = self.raw_globals.get(("element", head_qn))
-                if head_raw is None:
-                    raise DanglingReferenceError(
-                        f"{where}: unresolved substitutionGroup head {head_qn}")
-                result = self._element_type_id(head_raw.node, head_raw.doc,
-                                               head_qn.local)
-            else:
-                result = builtin_type_id("anyType")
-        finally:
-            self._elem_type_stack.discard(key)
+        self._elem_type_memo[key] = None
+        where = doc.at(node)
+        result, _inline = self._type_ref(node, doc, "type", addr + "/type", addr, where)
+        if result is None and node.get("substitutionGroup"):
+            head_qn = _resolve_qname(node.get("substitutionGroup"), node.nsmap, where)
+            head_raw = self.raw_globals.get(("element", head_qn))
+            if head_raw is None:
+                raise DanglingReferenceError(
+                    f"{where}: unresolved substitutionGroup head {head_qn}")
+            result = self._element_type_id(head_raw.node, head_raw.doc, head_qn.local)
+        elif result is None:
+            result = builtin_type_id("anyType")
         self._elem_type_memo[key] = result
         return result
 
-    def _build_element_decl(self, node, doc, comp_id, addr, qname, is_global, owner):
-        where = f"{doc.source.system_id}:{node.line}"
+    def _build_element_decl(self, node, doc, comp_id, addr, qname, owner):
+        where = doc.at(node)
         type_id = self._element_type_id(node, doc, addr)
         head_id = None
-        if is_global and node.get("substitutionGroup"):
-            head_qn = _resolve_qname(node.get("substitutionGroup"), node.nsmap, where)
-            head_id = self._resolve_ref("element", head_qn, comp_id, where)
+        if owner is None and node.get("substitutionGroup"):
+            head_id = self._ref(node.get("substitutionGroup"), node, "element", comp_id, where)
         detail = ElementDetail(
             qname=qname,
             declared_type=type_id,
@@ -539,107 +543,68 @@ class _Loader:
         )
         self.builder.add_component(SchemaComponent(
             id=comp_id, kind=ComponentKind.ELEMENT_DECL,
-            name=qname if is_global else None, detail=detail,
+            name=qname if owner is None else None, detail=detail,
             namespace=doc.tns, owner=owner))
         self.builder.add_edge(comp_id, EdgeLabel.DECLARED_TYPE, type_id)
         if head_id:
             self.builder.add_edge(comp_id, EdgeLabel.SUBSTITUTION_HEAD, head_id)
-        inner = node.first("complexType")
-        if inner is not None and not node.get("type"):
-            self._build_complex_type(inner, doc,
-                                     component_id(ComponentKind.COMPLEX_TYPE, doc.tns,
-                                                  addr + "/type"),
-                                     addr + "/type", None, owner=comp_id)
-        inner = node.first("simpleType")
-        if inner is not None and not node.get("type"):
-            self._build_simple_type(inner, doc,
-                                    component_id(ComponentKind.SIMPLE_TYPE, doc.tns,
-                                                 addr + "/type"),
-                                    addr + "/type", None, owner=comp_id)
+        inline = node.first("complexType", "simpleType")
+        if inline is not None:  # _element_type_id refused it beside a type attribute
+            self._build(inline, doc, addr + "/type", owner=comp_id)
         for ic in node.kids("key", "keyref", "unique"):
             self.builder.warn(f"{where}: identity constraint xs:{ic.qname.local} ignored")
 
-    def _build_attribute_decl(self, node, doc, comp_id, addr, qname, is_global, owner):
-        where = f"{doc.source.system_id}:{node.line}"
-        type_attr = node.get("type")
-        inline = node.first("simpleType")
-        if type_attr:
-            qn = _resolve_qname(type_attr, node.nsmap, where)
-            type_id = self._resolve_ref("type", qn, comp_id, where)
-        elif inline is not None:
-            type_id = component_id(ComponentKind.SIMPLE_TYPE, doc.tns, addr + "/type")
-        else:
-            type_id = builtin_type_id("anySimpleType")
+    def _build_attribute_decl(self, node, doc, comp_id, addr, qname, owner):
+        type_id, inline = self._type_ref(node, doc, "type", addr + "/type", comp_id,
+                                         doc.at(node))
+        type_id = type_id or builtin_type_id("anySimpleType")
         self.builder.add_component(SchemaComponent(
             id=comp_id, kind=ComponentKind.ATTRIBUTE_DECL,
-            name=qname if is_global else None,
+            name=qname if owner is None else None,
             detail=AttributeDetail(qname=qname, declared_type=type_id),
             namespace=doc.tns, owner=owner))
         self.builder.add_edge(comp_id, EdgeLabel.ATTRIBUTE_TYPE, type_id)
-        if inline is not None and not type_attr:
-            self._build_simple_type(inline, doc,
-                                    component_id(ComponentKind.SIMPLE_TYPE, doc.tns,
-                                                 addr + "/type"),
-                                    addr + "/type", None, owner=comp_id)
+        if inline is not None:
+            self._build(inline, doc, addr + "/type", owner=comp_id)
 
     # -------------------------------------------------------- types
 
     def _build_complex_type(self, node, doc, comp_id, addr, qname, owner):
-        where = f"{doc.source.system_id}:{node.line}"
-        is_abstract = _flag(node, "abstract")
+        where = doc.at(node)
         mixed = _flag(node, "mixed")
         base_id = None
         derivation = Derivation.NONE
         content = ContentModel.empty()
-        uses: list = []
-        wildcard_id = None
-
-        facets = []
+        facets = ()
         simple_c = node.first("simpleContent")
-        complex_c = node.first("complexContent")
-        if simple_c is not None:
-            deriv_node = simple_c.first("extension", "restriction")
-            if deriv_node is None:
-                raise MalformedSchemaError(f"{where}: simpleContent without derivation")
-            derivation = (Derivation.EXTENSION if deriv_node.qname.local == "extension"
+        derived = simple_c if simple_c is not None else node.first("complexContent")
+        body = node
+        if derived is not None:
+            body = derived.first("extension", "restriction")
+            if body is None:
+                raise MalformedSchemaError(f"{where}: {derived.qname.local} without derivation")
+            derivation = (Derivation.EXTENSION if body.qname.local == "extension"
                           else Derivation.RESTRICTION)
-            base_qn = _resolve_qname(deriv_node.get("base", ""), deriv_node.nsmap, where)
-            base_id = self._resolve_ref("type", base_qn, comp_id, where)
-            base_raw = self.raw_globals.get(("type", base_qn))
-            base_is_simple = (base_qn.namespace == XSD_NAMESPACE and base_qn.local != "anyType") \
-                or (base_raw is not None and base_raw.kind is ComponentKind.SIMPLE_TYPE)
-            content = ContentModel.simple(base_id if base_is_simple else None)
+            base_id = self._ref(body.get("base", ""), body, "type", comp_id, where)
+        if simple_c is not None:
+            content = ContentModel.simple(
+                base_id if base_id.startswith(_SIMPLE_TYPE_ID) else None)
             if derivation is Derivation.RESTRICTION:
-                for facet in deriv_node.children:
-                    if facet.qname.namespace == _XSD and facet.qname.local not in (
-                            "annotation", "simpleType", "attribute", "attributeGroup",
-                            "anyAttribute"):
-                        facets.append((facet.qname.local, facet.get("value", "")))
-            uses, wildcard_id = self._build_attribute_uses(deriv_node, doc, comp_id, addr)
+                facets = _facets(body)
         else:
-            body = node
-            if complex_c is not None:
-                if complex_c.get("mixed") is not None:
-                    mixed = _flag(complex_c, "mixed")
-                deriv_node = complex_c.first("extension", "restriction")
-                if deriv_node is None:
-                    raise MalformedSchemaError(f"{where}: complexContent without derivation")
-                derivation = (Derivation.EXTENSION if deriv_node.qname.local == "extension"
-                              else Derivation.RESTRICTION)
-                base_qn = _resolve_qname(deriv_node.get("base", ""), deriv_node.nsmap, where)
-                base_id = self._resolve_ref("type", base_qn, comp_id, where)
-                body = deriv_node
+            if derived is not None and derived.get("mixed") is not None:
+                mixed = _flag(derived, "mixed")
             group_node = body.first("sequence", "choice", "all", "group")
             if group_node is not None:
-                root = self._build_particle_body(group_node, doc, comp_id, addr, where)
-                content = (ContentModel.particles(root) if root is not None
-                           else ContentModel.empty())
-            uses, wildcard_id = self._build_attribute_uses(body, doc, comp_id, addr)
+                root = self._particle(group_node, doc, comp_id, addr, where)
+                if root is not None:
+                    content = ContentModel.particles(root)
+        uses, wildcard_id = self._build_attribute_uses(body, doc, comp_id, addr)
 
         detail = ComplexTypeDetail(
             base=base_id, derivation=derivation, content=content,
             attributes=uses, attribute_wildcard=wildcard_id,
-            is_abstract=is_abstract, mixed=mixed, facets=tuple(facets))
+            is_abstract=_flag(node, "abstract"), mixed=mixed, facets=facets)
         self.builder.add_component(SchemaComponent(
             id=comp_id, kind=ComponentKind.COMPLEX_TYPE, name=qname,
             detail=detail, namespace=doc.tns, owner=owner))
@@ -668,68 +633,46 @@ class _Loader:
                 self.builder.add_edge(owner_id, EdgeLabel.WILDCARD, p.wildcard)
 
     def _build_simple_type(self, node, doc, comp_id, addr, qname, owner):
-        where = f"{doc.source.system_id}:{node.line}"
+        where = doc.at(node)
         restriction = node.first("restriction")
         list_node = node.first("list")
         union_node = node.first("union")
-        base_id = None
+        base_id = builtin_type_id("anySimpleType")
         item_id = None
         members = []
-        facets = []
+        facets = ()
         variety = SimpleVariety.ATOMIC
         if restriction is not None:
-            base_attr = restriction.get("base")
-            if base_attr:
-                base_qn = _resolve_qname(base_attr, restriction.nsmap, where)
-                base_id = self._resolve_ref("type", base_qn, comp_id, where)
-            else:
-                inner = restriction.first("simpleType")
-                if inner is None:
-                    raise MalformedSchemaError(f"{where}: restriction without base")
-                base_id = component_id(ComponentKind.SIMPLE_TYPE, doc.tns, addr + "/base")
-                self._build_simple_type(inner, doc, base_id, addr + "/base", None,
-                                        owner=comp_id)
-            for facet in restriction.children:
-                if facet.qname.namespace == _XSD and facet.qname.local not in (
-                        "annotation", "simpleType"):
-                    facets.append((facet.qname.local, facet.get("value", "")))
+            base_id, inline = self._type_ref(restriction, doc, "base", addr + "/base",
+                                             comp_id, where)
+            if base_id is None:
+                raise MalformedSchemaError(f"{where}: restriction without base")
+            if inline is not None:
+                self._build(inline, doc, addr + "/base", owner=comp_id)
+            facets = _facets(restriction)
         elif list_node is not None:
             variety = SimpleVariety.LIST
-            item_attr = list_node.get("itemType")
-            if item_attr:
-                item_qn = _resolve_qname(item_attr, list_node.nsmap, where)
-                item_id = self._resolve_ref("type", item_qn, comp_id, where)
-            else:
-                inner = list_node.first("simpleType")
-                if inner is None:
-                    raise MalformedSchemaError(f"{where}: list without item type")
-                item_id = component_id(ComponentKind.SIMPLE_TYPE, doc.tns, addr + "/item")
-                self._build_simple_type(inner, doc, item_id, addr + "/item", None,
-                                        owner=comp_id)
-            base_id = builtin_type_id("anySimpleType")
+            item_id, inline = self._type_ref(list_node, doc, "itemType", addr + "/item",
+                                             comp_id, where)
+            if item_id is None:
+                raise MalformedSchemaError(f"{where}: list without item type")
+            if inline is not None:
+                self._build(inline, doc, addr + "/item", owner=comp_id)
         elif union_node is not None:
             variety = SimpleVariety.UNION
-            member_attr = union_node.get("memberTypes", "")
-            for token in _xml_tokens(member_attr):
-                qn = _resolve_qname(token, union_node.nsmap, where)
-                members.append(self._resolve_ref("type", qn, comp_id, where))
+            for token in _xml_tokens(union_node.get("memberTypes", "")):
+                members.append(self._ref(token, union_node, "type", comp_id, where))
             for i, inner in enumerate(union_node.kids("simpleType")):
-                m_id = component_id(ComponentKind.SIMPLE_TYPE, doc.tns,
-                                    f"{addr}/member[{i}]")
-                self._build_simple_type(inner, doc, m_id, f"{addr}/member[{i}]", None,
-                                        owner=comp_id)
-                members.append(m_id)
-            base_id = builtin_type_id("anySimpleType")
+                members.append(self._build(inner, doc, f"{addr}/member[{i}]", owner=comp_id))
         else:
             raise MalformedSchemaError(
                 f"{where}: simpleType needs restriction, list, or union")
         self.builder.add_component(SchemaComponent(
             id=comp_id, kind=ComponentKind.SIMPLE_TYPE, name=qname,
             detail=SimpleTypeDetail(variety=variety, base=base_id, item=item_id,
-                                    members=tuple(members), facets=tuple(facets)),
+                                    members=tuple(members), facets=facets),
             namespace=doc.tns, owner=owner))
-        if base_id:
-            self.builder.add_edge(comp_id, EdgeLabel.BASE_TYPE, base_id)
+        self.builder.add_edge(comp_id, EdgeLabel.BASE_TYPE, base_id)
         if item_id:
             self.builder.add_edge(comp_id, EdgeLabel.BASE_TYPE, item_id)
         for m in members:
@@ -743,63 +686,49 @@ class _Loader:
         self._anon_counters[key] = n + 1
         return f"{owner_addr}/{name}" if n == 0 else f"{owner_addr}/{name}[{n}]"
 
-    def _build_particle_body(self, node, doc, owner_id, owner_addr, where):
-        """Build the top-level model group of a content model (or None)."""
-        if node.qname.local == "group":
-            return self._group_ref_particle(node, owner_id, where)
-        return self._build_model_group(node, doc, owner_id, owner_addr,
-                                       _parse_occurs(node, where))
-
-    def _group_ref_particle(self, node, owner_id, where):
-        """The particle of an ``xs:group ref``; None when it may not occur."""
-        ref_attr = node.get("ref")
-        if not ref_attr:
+    def _particle(self, node, doc, owner_id, owner_addr, where):
+        """The particle ``node`` gives a content model; None when it may not occur."""
+        tag = node.qname.local
+        ref = node.get("ref")
+        if tag == "group" and not ref:
             raise MalformedSchemaError(f"{where}: inner xs:group must use ref")
         occurs = _parse_occurs(node, where)
         if occurs is None:
             return None
-        qn = _resolve_qname(ref_attr, node.nsmap, where)
-        group_comp = self._group_def("group", qn, owner_id, where)
-        root = group_comp.detail.root
-        return GroupParticle(root.compositor, root.children, occurs, ref=group_comp.id)
+        if tag == "group":
+            group = self.builder.component(self._ref(ref, node, "group", owner_id, where))
+            root = group.detail.root
+            return GroupParticle(root.compositor, root.children, occurs, ref=group.id)
+        if tag == "any":
+            return WildcardParticle(
+                self._build(node, doc, self._next_anon(owner_addr, "any"), owner=owner_id),
+                occurs)
+        if tag != "element":
+            return self._model_group(node, doc, owner_id, owner_addr, occurs)
+        if ref:
+            return ElementParticle(self._ref(ref, node, "element", owner_id, where), occurs)
+        name = _declared_name(node, where, "element particle needs name or ref")
+        form = node.get("form")
+        qualified = (form == "qualified") if form else doc.qualified_elements
+        elem_id = self._build(node, doc, self._next_anon(owner_addr, name),
+                              QName(doc.tns if qualified else "", name), owner_id)
+        return ElementParticle(elem_id, occurs)
 
-    def _build_model_group(self, node, doc, owner_id, owner_addr, occurs):
-        where = f"{doc.source.system_id}:{node.line}"
-        if occurs is None:
-            occurs = Occurs(1, 1)
-        compositor = Compositor(node.qname.local)
+    def _model_group(self, node, doc, owner_id, owner_addr, occurs):
         children = []
         for child in node.children:
-            if child.qname.namespace != _XSD:
+            if child.qname.namespace != _XSD or child.qname.local == "annotation":
                 continue
-            tag = child.qname.local
-            cw = f"{doc.source.system_id}:{child.line}"
-            if tag == "annotation":
+            cw = doc.at(child)
+            if child.qname.local not in _PARTICLES:
+                self.builder.warn(f"{cw}: particle xs:{child.qname.local} ignored")
                 continue
-            if tag in ("sequence", "choice", "all"):
-                c_occ = _parse_occurs(child, cw)
-                if c_occ is None:
-                    continue
-                children.append(self._build_model_group(child, doc, owner_id,
-                                                        owner_addr, c_occ))
-            elif tag == "element":
-                p = self._build_element_particle(child, doc, owner_id, owner_addr, cw)
-                if p is not None:
-                    children.append(p)
-            elif tag == "group":
-                p = self._group_ref_particle(child, owner_id, cw)
-                if p is not None:
-                    children.append(p)
-            elif tag == "any":
-                c_occ = _parse_occurs(child, cw)
-                if c_occ is None:
-                    continue
-                wc_id = self._build_wildcard(child, doc, owner_id, owner_addr, "any")
-                children.append(WildcardParticle(wc_id, c_occ))
-            else:
-                self.builder.warn(f"{cw}: particle xs:{tag} ignored")
-        group = GroupParticle(compositor, children, occurs)
+            p = self._particle(child, doc, owner_id, owner_addr, cw)
+            if p is not None:
+                children.append(p)
+        compositor = Compositor(node.qname.local)
         if compositor is Compositor.ALL:
+            where = doc.at(node)
             for c in children:
                 if not isinstance(c, ElementParticle):
                     raise MalformedSchemaError(
@@ -807,30 +736,9 @@ class _Loader:
                 if c.occurs.max is None or c.occurs.max > 1:
                     raise MalformedSchemaError(
                         f"{where}: xs:all children must have maxOccurs <= 1")
-        return group
+        return GroupParticle(compositor, children, occurs)
 
-    def _build_element_particle(self, node, doc, owner_id, owner_addr, where):
-        occurs = _parse_occurs(node, where)
-        if occurs is None:
-            return None
-        ref_attr = node.get("ref")
-        if ref_attr:
-            qn = _resolve_qname(ref_attr, node.nsmap, where)
-            elem_id = self._resolve_ref("element", qn, owner_id, where)
-            return ElementParticle(elem_id, occurs)
-        name = _declared_name(node, where, "element particle needs name or ref")
-        form = node.get("form")
-        qualified = (form == "qualified") if form else doc.qualified_elements
-        qname = QName(doc.tns if qualified else "", name)
-        addr = self._next_anon(owner_addr, name)
-        comp_id = component_id(ComponentKind.ELEMENT_DECL, doc.tns, addr)
-        self._build_element_decl(node, doc, comp_id, addr, qname,
-                                 is_global=False, owner=owner_id)
-        return ElementParticle(comp_id, occurs)
-
-    def _build_wildcard(self, node, doc, owner_id, owner_addr, tag):
-        addr = self._next_anon(owner_addr, "@any" if tag == "anyAttribute" else "any")
-        comp_id = component_id(ComponentKind.WILDCARD, doc.tns, addr)
+    def _build_wildcard(self, node, doc, comp_id, addr, qname, owner):
         ns_attr = _xml_tokens(node.get("namespace", "##any"))
         if ns_attr == ["##any"]:
             constraint, namespaces = "any", ()
@@ -847,13 +755,15 @@ class _Loader:
                 else:
                     resolved.append(token)
             namespaces = tuple(resolved)
+        process = node.get("processContents", "strict").strip(_XML_SPACE)
+        if process not in _PROCESS_CONTENTS:
+            raise MalformedSchemaError(
+                f"{doc.at(node)}: processContents {process!r} is not strict, lax or skip")
         self.builder.add_component(SchemaComponent(
             id=comp_id, kind=ComponentKind.WILDCARD, name=None,
             detail=WildcardDetail(constraint=constraint, namespaces=namespaces,
-                                  process_contents=node.get("processContents", "strict"),
-                                  owner_namespace=doc.tns),
-            namespace=doc.tns, owner=owner_id))
-        return comp_id
+                                  process_contents=process, owner_namespace=doc.tns),
+            namespace=doc.tns, owner=owner))
 
     # -------------------------------------------------------- attributes
 
@@ -864,7 +774,7 @@ class _Loader:
             if child.qname.namespace != _XSD:
                 continue
             tag = child.qname.local
-            cw = f"{doc.source.system_id}:{child.line}"
+            cw = doc.at(child)
             if tag == "attribute":
                 use = child.get("use", "optional")
                 if use == "prohibited":
@@ -872,25 +782,21 @@ class _Loader:
                 ref_attr = child.get("ref")
                 default = child.get("default", child.get("fixed"))
                 if ref_attr:
-                    qn = _resolve_qname(ref_attr, child.nsmap, cw)
-                    attr_id = self._resolve_ref("attribute", qn, owner_id, cw)
+                    attr_id = self._ref(ref_attr, child, "attribute", owner_id, cw)
                 else:
                     name = _declared_name(child, cw, "attribute needs name or ref")
                     form = child.get("form")
                     qualified = (form == "qualified") if form else doc.qualified_attributes
-                    qname = QName(doc.tns if qualified else "", name)
-                    addr = self._next_anon(owner_addr, "@" + name)
-                    attr_id = component_id(ComponentKind.ATTRIBUTE_DECL, doc.tns, addr)
-                    self._build_attribute_decl(child, doc, attr_id, addr, qname,
-                                               is_global=False, owner=owner_id)
+                    attr_id = self._build(child, doc, self._next_anon(owner_addr, "@" + name),
+                                          QName(doc.tns if qualified else "", name), owner_id)
                 uses.append(AttributeUse(attribute=attr_id,
                                          required=use == "required", default=default))
             elif tag == "attributeGroup":
                 ref_attr = child.get("ref")
                 if not ref_attr:
                     raise MalformedSchemaError(f"{cw}: inner attributeGroup must use ref")
-                qn = _resolve_qname(ref_attr, child.nsmap, cw)
-                group_comp = self._group_def("attributeGroup", qn, owner_id, cw)
+                group_comp = self.builder.component(
+                    self._ref(ref_attr, child, "attributeGroup", owner_id, cw))
                 self.builder.add_edge(owner_id, EdgeLabel.GROUP_REF, group_comp.id)
                 for use in group_comp.detail.attributes:
                     uses.append(AttributeUse(use.attribute, use.required, use.default,
@@ -898,9 +804,20 @@ class _Loader:
                 if group_comp.detail.attribute_wildcard and wildcard_id is None:
                     wildcard_id = group_comp.detail.attribute_wildcard
             elif tag == "anyAttribute":
-                wildcard_id = self._build_wildcard(child, doc, owner_id, owner_addr,
-                                                   "anyAttribute")
+                wildcard_id = self._build(child, doc, self._next_anon(owner_addr, "@any"),
+                                          owner=owner_id)
         return uses, wildcard_id
+
+    _READERS = {  # by tag, like _KINDS
+        "element": _build_element_decl,
+        "attribute": _build_attribute_decl,
+        "complexType": _build_complex_type,
+        "simpleType": _build_simple_type,
+        "group": _build_group_def,
+        "attributeGroup": _build_attrgroup_def,
+        "any": _build_wildcard,
+        "anyAttribute": _build_wildcard,
+    }
 
     # -------------------------------------------------------- validation
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import keyword
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from slimbind.binding import (
 from slimbind.emitter import emit_parser_backend
 from slimbind.errors import EmptyModelError, InconsistentUsageError
 from slimbind.loader import SchemaSource, load_schema_set
-from slimbind.model import ComponentKind, GroupParticle, QName
+from slimbind.model import ComponentKind, GroupParticle, QName, SchemaSet
 from slimbind.simplify import compute_retained_set
 
 
@@ -566,6 +567,27 @@ def synth_case(draw):
 def synth_model():
     """A binding model of a synthetic schema and corpus, under drawn options."""
     return synth_case().map(lambda case: case[3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 196])
+def test_unbound_xsi_tables_scan_retained_once_per_declared_type(seed, monkeypatch):
+    """Without bounding, an ``xsi:type`` table depends on the declared type alone."""
+    from synth import generate_case
+
+    _g, xsd, docs = generate_case(seed)
+    schema = load_schema_set([SchemaSource("mem://m.xsd", raw_text=xsd)])
+    usage = analyze_corpus(schema, [(f"d{i}.xml", d) for i, d in enumerate(docs)])
+    asked = Counter()
+    is_derived_from = SchemaSet.is_derived_from
+
+    def counted(self, type_id, base_id):
+        asked[type_id, base_id] += 1
+        return is_derived_from(self, type_id, base_id)
+
+    monkeypatch.setattr(SchemaSet, "is_derived_from", counted)
+    build_binding_model(schema, set(schema.components), usage,
+                        BindingOptions(bound_substitutions=False, prune_unused=False))
+    assert asked and max(asked.values()) == 1
 
 
 def _leaf_particles(group, path=()):

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from conftest import TNS, XS_HEAD, cid, schema_of
+from genutil import build_and_import
+from slimbind.binding import BindingOptions
 from slimbind.errors import (
     CyclicDerivationError,
     DanglingReferenceError,
@@ -18,6 +20,7 @@ from slimbind.loader import Catalog, SchemaSource, load_schema_set
 from slimbind.model import (
     ComponentKind,
     Compositor,
+    ContentKind,
     EdgeLabel,
     Occurs,
     QName,
@@ -293,17 +296,79 @@ def test_circular_group_reference_rejected():
 
 
 def test_prohibited_particles_dropped():
-    schema = schema_of("""
-  <xs:complexType name="T">
-    <xs:sequence>
+    nested = """<xs:sequence>
       <xs:element name="gone" type="xs:int" minOccurs="0" maxOccurs="0"/>
       <xs:element name="kept" type="xs:int"/>
-    </xs:sequence>
+    </xs:sequence>"""
+    # A prohibited top-level particle leaves the content empty, as nested ones are dropped.
+    for content, kept in [
+            (nested, ["kept"]),
+            ('<xs:sequence maxOccurs="0"><xs:element name="a" type="xs:int"/></xs:sequence>',
+             None),
+            ('<xs:choice minOccurs="0" maxOccurs="0">'
+             '<xs:element name="a" type="xs:int"/></xs:choice>', None),
+            ('<xs:group ref="tns:G" maxOccurs="0"/>', None)]:
+        schema = schema_of(f"""
+  <xs:group name="G">
+    <xs:sequence><xs:element name="a" type="xs:int"/></xs:sequence>
+  </xs:group>
+  <xs:complexType name="T">
+    {content}
   </xs:complexType>""")
-    t = schema.component(cid("complexType", "T"))
-    names = [schema.component(p.element).detail.qname.local
-             for p in t.detail.content.root.children]
-    assert names == ["kept"]
+        t = schema.component(cid("complexType", "T"))
+        if kept is None:
+            assert t.detail.content.kind is ContentKind.EMPTY, content
+            assert not schema.owned(t.id), content
+            continue
+        names = [schema.component(p.element).detail.qname.local
+                 for p in t.detail.content.root.children]
+        assert names == kept
+
+
+def test_prohibited_top_level_sequence_parses_end_to_end(tmp_path):
+    """Without pruning, a type whose only sequence is prohibited binds no child."""
+    schema = schema_of("""
+  <xs:element name="e" type="tns:T"/>
+  <xs:complexType name="T">
+    <xs:sequence maxOccurs="0"><xs:element name="a" type="xs:int"/></xs:sequence>
+    <xs:attribute name="k" type="xs:int"/>
+  </xs:complexType>""")
+    valid, invalid = f'<e xmlns="{TNS}" k="1"/>', f'<e xmlns="{TNS}"><a>1</a></e>'
+    _model, module, _usage, _artifacts = build_and_import(
+        schema, [valid], tmp_path, BindingOptions(prune_unused=False),
+        retained=set(schema.components))
+    record, warnings = module.parse_document(valid, mode="strict")
+    assert record.k == 1 and warnings == []
+    _record, warnings = module.parse_document(invalid, mode="lenient")
+    assert [w.code for w in warnings] == ["UNKNOWN_ELEMENT"]
+
+
+@pytest.mark.parametrize("body", [
+    '<xs:element name="e" type="xs:int"><xs:simpleType>'
+    '<xs:restriction base="xs:int"/></xs:simpleType></xs:element>',
+    '<xs:element name="e" type="tns:C"><xs:complexType/></xs:element>',
+    '<xs:element name="e"><xs:complexType/><xs:simpleType>'
+    '<xs:restriction base="xs:int"/></xs:simpleType></xs:element>',
+    '<xs:complexType name="T"><xs:sequence><xs:element name="e"><xs:simpleType>'
+    '<xs:restriction base="xs:int"/></xs:simpleType><xs:complexType/></xs:element>'
+    '</xs:sequence></xs:complexType>',
+    '<xs:attribute name="a" type="xs:int"><xs:simpleType>'
+    '<xs:restriction base="xs:int"/></xs:simpleType></xs:attribute>',
+    '<xs:attribute name="a"><xs:complexType/></xs:attribute>',
+    '<xs:complexType name="T"><xs:attribute name="a"><xs:complexType/></xs:attribute>'
+    '</xs:complexType>',
+    '<xs:simpleType name="S"><xs:restriction base="xs:int"><xs:simpleType>'
+    '<xs:restriction base="xs:int"/></xs:simpleType></xs:restriction></xs:simpleType>',
+    '<xs:simpleType name="S"><xs:list itemType="xs:int"><xs:simpleType>'
+    '<xs:restriction base="xs:int"/></xs:simpleType></xs:list></xs:simpleType>',
+    '<xs:complexType name="T"><xs:sequence><xs:any processContents="bogus"/>'
+    '</xs:sequence></xs:complexType>',
+    '<xs:complexType name="T"><xs:anyAttribute processContents="Lax"/></xs:complexType>',
+])
+def test_forbidden_type_and_wildcard_declarations_refused(body):
+    """What XSD 1.0 forbids in declarations, simple types and wildcards is refused at its line."""
+    with pytest.raises(MalformedSchemaError, match=r"^MALFORMED_SCHEMA: mem://fixture\.xsd:3: "):
+        schema_of(f'<xs:complexType name="C"/>\n{body}')
 
 
 def test_all_group_constraints():
